@@ -18,7 +18,10 @@ Poisson draws: rates below 30 invert a CDF table precomputed in Python
 and shared by both backends, making them bit-identical.  Rates >= 30
 use Hormann's PTRS transformed rejection; both backends follow the
 same attempt sequence but may differ in the last ulp of libm calls, so
-cross-backend agreement there is statistical, not bitwise.
+cross-backend agreement there is statistical, not bitwise.  Rates above
+MAX_RATE = 2**62 are rejected with InputError: an accepted PTRS draw
+lies within a few sqrt(rate) of the rate, so below the ceiling every
+draw fits in int64 (past 2**63 the cast to int64 fails).
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ _U_TWO = np.uint64(2)
 _INV53 = 2.0 ** -53
 
 PTRS_THRESHOLD = 30.0
+MAX_RATE = 2.0 ** 62
 _MAX_ATTEMPTS = 1024
 
 
@@ -190,6 +194,8 @@ def _coord_params(rates):
         raise InputError("rates must be a vector")
     if not np.all(np.isfinite(rates)) or np.any(rates < 0):
         raise InputError("rates must be finite and >= 0")
+    if np.any(rates > MAX_RATE):
+        raise InputError(f"rates above {MAX_RATE:.0f} (2**62) cannot be sampled in int64")
     n = rates.shape[0]
     use_ptrs = rates >= PTRS_THRESHOLD
     tables = [
@@ -420,7 +426,10 @@ def hits_block(a, b, rates, seed, start, stop, backend=None) -> int:
     amat = _int64_matrix(a)
     if amat.ndim != 2:
         raise InputError("matrix must be 2-D")
-    bvec = np.asarray([operator.index(x) for x in b], dtype=np.int64)
+    try:
+        bvec = np.asarray([operator.index(x) for x in b], dtype=np.int64)
+    except OverflowError:
+        raise InputError("observation entries must fit in int64 for sampling") from None
     if bvec.shape[0] != amat.shape[0]:
         raise InputError(f"observation length {bvec.shape[0]} != row count {amat.shape[0]}")
     params = _coord_params(rates)

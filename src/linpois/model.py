@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from functools import cached_property
 
 import numpy as np
@@ -14,6 +15,20 @@ from .solutions import MethodTag, PreprocessReport, classify, preprocess
 __all__ = ["PoissonModel", "model_from_dict", "load_model_file"]
 
 
+def rate_constants(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rate-only parts of every log term, for finite rates >= 0.
+
+    Returns ln(rate) per column (0.0 on a zero-rate column) and the 0/1
+    indicator of the zero-rate columns, None when every rate is
+    positive.  Logs come from math.log, one call per rate, so they match
+    a scalar evaluation bit for bit.
+    """
+    log_rates = np.array([math.log(x) if x > 0.0 else 0.0 for x in rates.tolist()],
+                         dtype=np.float64)
+    dead = (rates == 0.0).astype(np.float64)
+    return log_rates, dead if dead.any() else None
+
+
 class PoissonModel:
     """Immutable model of Y = A X, X_i independent Poisson(lambda_i).
 
@@ -22,7 +37,8 @@ class PoissonModel:
     ``report``.  ``a``/``rates`` refer to the reduced system used for
     evaluation; ``a_full``/``rates_full`` keep the original shapes, and
     observations are always given against the original row count.
-    Derived objects (SNF, rational inverse, method tag) are cached.
+    Derived objects (SNF, rational inverse, method tag, the rate
+    constants of the log terms) are cached on first use.
     """
 
     def __init__(self, a, rates, name: str | None = None, description: str | None = None):
@@ -88,6 +104,12 @@ class PoissonModel:
         if self.m == self.n:
             return classify(self._a)
         return classify(self._a, self.snf)
+
+    @cached_property
+    def term_constants(self) -> tuple[np.ndarray, np.ndarray | None]:
+        # on first pmf call, not at build, so building a model costs only
+        # preprocess and classify; preprocess already validated the rates
+        return rate_constants(self._rates)
 
     @cached_property
     def inverse(self) -> np.ndarray:

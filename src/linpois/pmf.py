@@ -3,8 +3,10 @@
 P(Y = b) is a sum of independent-Poisson product terms over the
 solution set of A k = b.  The solution set comes from the lattice layer
 via one of three routes (single-index line, invertible singleton, or
-enumeration); the terms are summed in log space with a max shift and
-compensated accumulation so the result is stable and deterministic.
+enumeration) as one array of lattice points; every log term is computed
+from it in a single pass, and the terms are combined by a max-shifted
+log-sum whose inner sum is math.fsum.  fsum is correctly rounded, so the
+result does not depend on the order of the terms.
 
 Also evaluates the probability generating function G(z) both in closed
 form and as a truncated series, the latter backed by an exact pmf table
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import InputError, InternalInvariantError, MethodNotApplicableError
 from .intlinalg import int_vector
-from .model import PoissonModel
+from .model import PoissonModel, rate_constants
 from .solutions import (
     MethodTag,
     SolutionFamily,
@@ -64,53 +66,66 @@ class PmfResult:
     clamped: bool = False
 
 
+def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray,
+               dead: np.ndarray | None) -> np.ndarray:
+    """ln of every product term, one per row of points.
+
+    Row k gives sum_i [k_i ln l_i - l_i - ln k_i!]; log_rates and dead
+    come from rate_constants.  A zero-rate column adds nothing at
+    k_i = 0 (convention 0 ln 0 = 0) and makes the term -inf at k_i > 0.
+    Log-gamma keeps large counts finite.  Each column's part is formed
+    before the parts are added, so k ln l - l and ln k! cancel while
+    their magnitudes are close (exactly, near the mode), not after
+    rounding at the size of their sum over the columns.
+    """
+    if points.shape[0] == 0:
+        return np.empty(0)
+    lgam = np.fromiter(map(math.lgamma, (points + 1.0).ravel().tolist()),
+                       dtype=np.float64, count=points.size).reshape(points.shape)
+    out = (points * log_rates - rates - lgam).sum(axis=1)
+    if dead is not None:
+        # counts are >= 0, so a positive sum means a positive count
+        out[points @ dead > 0.0] = NEG_INF
+    return out
+
+
 def log_term(k, rates) -> float:
     """ln of one product term: sum_i [k_i ln l_i - l_i - ln k_i!].
 
     Convention 0*ln 0 = 0, so a zero-rate coordinate with k_i = 0
-    contributes only through nothing at all; k_i > 0 there makes the
-    whole term -inf.  Log-gamma keeps large k_i from overflowing.
+    contributes nothing; k_i > 0 there makes the whole term -inf.
     """
     try:
         counts = [operator.index(x) for x in k]
     except TypeError:
         raise InputError("counts must be integers") from None
-    lam = [float(x) for x in np.asarray(rates, dtype=np.float64)]
-    if len(counts) != len(lam):
-        raise InputError(f"count vector length {len(counts)} != rate vector length {len(lam)}")
-    out = 0.0
-    dead = False
-    for ki, li in zip(counts, lam):
-        if ki < 0:
-            raise InputError("counts must be >= 0")
-        if li < 0 or not math.isfinite(li):
-            raise InputError("rates must be finite and >= 0")
-        if li == 0.0:
-            if ki > 0:
-                dead = True
-            continue
-        out += ki * math.log(li) - li - math.lgamma(ki + 1)
-    return NEG_INF if dead else out
+    try:
+        lam = np.asarray(rates, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"rates are not numeric: {exc}") from None
+    if lam.ndim != 1 or len(counts) != lam.shape[0]:
+        raise InputError(f"count vector length {len(counts)} != rate vector length {lam.size}")
+    if any(x < 0 for x in counts):
+        raise InputError("counts must be >= 0")
+    if not np.all(np.isfinite(lam)) or np.any(lam < 0):
+        raise InputError("rates must be finite and >= 0")
+    point = SolutionFamily.finite([counts]).points()
+    return float(_log_terms(point, lam, *rate_constants(lam))[0])
 
 
 def logsumexp(terms) -> float:
-    """ln sum_i exp(t_i), max-shifted; addends sorted descending and
-    Kahan-compensated so the result does not depend on input order."""
-    vals = [float(t) for t in terms]
-    if not vals:
+    """ln sum_i exp(t_i) for a list or 1-D array, max-shifted.
+
+    The shifted exponentials are added by math.fsum, which is correctly
+    rounded, so the result does not depend on input order.
+    """
+    t = np.asarray(terms, dtype=np.float64)
+    if t.size == 0:
         return NEG_INF
-    hi = max(vals)
+    hi = float(t.max())
     if hi == NEG_INF:
         return NEG_INF
-    shifted = sorted((math.exp(t - hi) for t in vals), reverse=True)
-    total = 0.0
-    comp = 0.0
-    for v in shifted:
-        y = v - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return hi + math.log(total)
+    return hi + math.log(math.fsum(np.exp(t - hi).tolist()))
 
 
 def _resolve_method(model: PoissonModel, method) -> MethodTag:
@@ -164,7 +179,7 @@ def solution_family(model: PoissonModel, b, method=None) -> tuple[SolutionFamily
     return fam, tag
 
 
-def _summed(log_terms: list, tag: MethodTag) -> PmfResult:
+def _summed(log_terms, tag: MethodTag) -> PmfResult:
     lp = logsumexp(log_terms)
     prob = math.exp(lp)
     clamped = False
@@ -185,8 +200,7 @@ def pmf(model: PoissonModel, b, method=None) -> PmfResult:
     not an error).
     """
     fam, tag = solution_family(model, b, method)
-    rates = model.rates
-    return _summed([log_term(k, rates) for k in fam.vectors()], tag)
+    return _summed(_log_terms(fam.points(), model.rates, *model.term_constants), tag)
 
 
 def pmf_single_index(model: PoissonModel, b) -> PmfResult:

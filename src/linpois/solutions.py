@@ -94,6 +94,27 @@ class SolutionFamily:
             return self.jmax - self.jmin + 1
         return len(self.solutions)
 
+    def points(self) -> np.ndarray:
+        """Every solution as one row of a (count, n) float64 array.
+
+        Float64 holds counts exactly below 2**53 and larger ones to
+        within a rounding or two of float(k_i), so no entry can wrap as
+        int64 would.  A line is anchored at its exact integer start
+        point, so the broadcast steps stay small.  An empty family has
+        shape (0, 0).
+        """
+        try:
+            if self.kind == "line":
+                start = [u + self.jmin * v for u, v in zip(self.base, self.direction)]
+                steps = np.arange(self.count, dtype=np.float64)[:, None]
+                return np.array(start, dtype=np.float64) + steps * np.array(
+                    self.direction, dtype=np.float64
+                )
+            n = len(self.solutions[0]) if self.solutions else 0
+            return np.array(self.solutions, dtype=np.float64).reshape(len(self.solutions), n)
+        except OverflowError:
+            raise InputError("solution counts exceed the float64 range") from None
+
     def vectors(self):
         """Iterate every solution vector as a tuple of ints."""
         if self.kind == "line":

@@ -213,6 +213,13 @@ def test_sample_nan_z_survives_json(model1_file, capsys, warm_kernels):
     assert math.isnan(out["z_score"])
 
 
+def test_sample_b_beyond_int64_exits_2(model1_file, capsys):
+    # the exact pmf handles any b; the int64 sampling kernels cannot
+    assert run(["sample", model1_file, "--b", "2", str(2**63), "--n", "100",
+                "--seed", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sample_threads_flag(model1_file, capsys, warm_kernels):
     base = ["sample", model1_file, "--b", "1", "1", "--n", "30000",
             "--seed", "9", "--format", "json"]

@@ -189,6 +189,18 @@ def test_hits_block_validation():
         K.sample_block([1.0], 0, 5, 2)
     with pytest.raises(InputError):
         K.sample_block([-1.0], 0, 0, 2)
+    with pytest.raises(InputError):
+        K.hits_block([[1, 1]], [2**63], [1.0, 1.0], 0, 0, 10)
+
+
+def test_rate_ceiling():
+    # past 2**63 the PTRS cast to int64 fails and every draw was INT64_MIN
+    with pytest.raises(InputError):
+        K.sample_block([1e19], 1, 0, 5, backend="numpy")
+    with pytest.raises(InputError):
+        K.hits_block([[1]], [1], [K.MAX_RATE * 2], 1, 0, 5, backend="numpy")
+    top = K.sample_block([K.MAX_RATE], 1, 0, 200, backend="numpy")
+    assert np.all(np.abs(top - K.MAX_RATE) <= 10 * math.sqrt(K.MAX_RATE))
 
 
 # -------------------------------------------------- env flag fallback

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
@@ -50,6 +50,8 @@ def test_log_term_validation():
         lp.log_term([1, 2], [1.0])
     with pytest.raises(InputError):
         lp.log_term([0.5], [1.0])
+    with pytest.raises(InputError):
+        lp.log_term([10**400], [1.0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,6 +92,110 @@ def test_logsumexp_accuracy_and_order_independence(ts, rnd):
     shuffled = list(ts)
     rnd.shuffle(shuffled)
     assert lp.logsumexp(shuffled) == got
+
+
+@settings(max_examples=100)
+@given(st.lists(st.floats(-1e3, 1e3) | st.just(float("-inf")), max_size=50))
+def test_logsumexp_array_equals_list(ts):
+    assert lp.logsumexp(np.array(ts, dtype=np.float64)) == lp.logsumexp(ts)
+
+
+# ------------------------------------------- array term evaluation
+
+def reference_log_prob(rates, points):
+    """Independent oracle: each log term is the math.fsum of its
+    math.log and math.lgamma parts, and the terms are combined by a
+    max-shifted math.fsum."""
+    terms = []
+    for k in points:
+        if any(ki > 0 and lam == 0.0 for ki, lam in zip(k, rates)):
+            continue
+        parts = [ki * math.log(lam) for ki, lam in zip(k, rates) if lam > 0.0]
+        parts += [-lam for lam in rates] + [-math.lgamma(ki + 1) for ki in k]
+        terms.append(math.fsum(parts))
+    if not terms:
+        return float("-inf")
+    hi = max(terms)
+    return hi + math.log(math.fsum(math.exp(t - hi) for t in terms))
+
+
+def agrees_with_reference(res, ref):
+    if ref == float("-inf"):
+        return res.log_prob == ref and res.prob == 0.0
+    # abs_tol only matters for log_prob near 0, i.e. prob near 1
+    return math.isclose(res.log_prob, ref, rel_tol=REL, abs_tol=REL)
+
+
+RATES = [0.0, 0.5, 1.0, 2.0, 37.5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pmf_matches_fsum_reference_on_enumeration(data):
+    """Every route, with zero-rate columns, zero columns, dependent rows
+    and infeasible b, against the oracle over enumerate_solutions."""
+    m = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4))
+    rows = [[data.draw(st.integers(0, 3)) for _ in range(n)] for _ in range(m)]
+    lam = [data.draw(st.sampled_from(RATES)) for _ in range(n)]
+    model = lp.PoissonModel(rows, lam)
+    b = [data.draw(st.integers(0, 12)) for _ in range(m)]
+    fam, _ = lp.solution_family(model, b, method="enumerate")
+    res = lp.pmf(model, b)
+    assert res.terms == fam.count
+    assert agrees_with_reference(res, reference_log_prob(model.rates.tolist(), fam.vectors()))
+
+
+@settings(max_examples=30, deadline=None)
+@example((1, 1), 9_999, [5000.0, 5000.0])
+@example((2, 3), 10_000, [0.0, 800.0])
+@given(st.sampled_from([(1, 1), (1, 2), (2, 3), (3, 1)]),
+       st.integers(0, 10_000),
+       st.lists(st.sampled_from(RATES + [800.0, 5000.0]), min_size=2, max_size=2))
+def test_pmf_long_lines_match_fsum_reference(coeffs, size, lam):
+    """Lines of up to 1e4 terms.  The oracle's points come from a direct
+    loop over k1, because enumerate_solutions visits a box quadratic in
+    b here; for small b that loop is checked against it."""
+    a1, a2 = coeffs
+    b = a1 * a2 * size + (size % a1)
+    model = lp.PoissonModel([[a1, a2]], lam)
+    assert model.method is MethodTag.SINGLE_INDEX
+    points = [(k1, (b - a1 * k1) // a2) for k1 in range(b // a1 + 1) if (b - a1 * k1) % a2 == 0]
+    if b <= 60:
+        assert set(points) == lp.enumerate_solutions([[a1, a2]], [b]).as_set()
+    res = lp.pmf(model, [b])
+    assert res.terms == len(points) <= 10_001
+    assert agrees_with_reference(res, reference_log_prob(lam, points))
+
+
+def test_pmf_line_partly_live(model1):
+    # a zero rate on k1 leaves one live point of the 11 on the line
+    model = lp.PoissonModel(EXAMPLE1, [0.0, 1.5, 2.0])
+    fam, _ = lp.solution_family(model, [20, 60])
+    assert fam.kind == "line" and fam.count == 11
+    res = lp.pmf(model, [20, 60])
+    assert res.terms == 11
+    assert agrees_with_reference(res, reference_log_prob([0.0, 1.5, 2.0], fam.vectors()))
+    assert math.isclose(res.log_prob, lp.log_term([0, 20, 20], [0.0, 1.5, 2.0]), rel_tol=1e-15)
+
+
+def test_pmf_zero_column_only_model():
+    model = lp.PoissonModel([[0, 0]], [1.0, 2.0])
+    assert model.n == 0
+    sure = lp.pmf(model, [0])
+    assert (sure.prob, sure.log_prob, sure.terms) == (1.0, 0.0, 1)
+    never = lp.pmf(model, [3])
+    assert (never.prob, never.log_prob, never.terms) == (0.0, float("-inf"), 0)
+
+
+def test_pmf_counts_beyond_int64(model1):
+    # k2 = 2**63 - 1 and 2**63: float64 rounds them as float(k) does,
+    # where an int64 array would overflow or wrap
+    res = lp.pmf(model1, [2, 2**64])
+    assert res.terms == 2
+    assert math.isclose(res.log_prob, -3.9354535028702885e20, rel_tol=1e-12)
+    with pytest.raises(InputError):
+        lp.pmf(model1, [2, 10**400])
 
 
 # ----------------------------------------------------- pmf dispatch

@@ -271,3 +271,23 @@ def test_family_count_and_vectors():
     assert list(line.vectors()) == [(0, 0, 2), (2, 1, 0)]
     assert lp.SolutionFamily.empty().count == 0
     assert lp.SolutionFamily.singleton([1, 2]).solutions == ((1, 2),)
+
+
+def test_family_points_match_vectors():
+    # a far-out line start: the exact integer anchor keeps every row exact
+    families = [
+        lp.SolutionFamily.line([0, 0, 2], [2, 1, -2], 0, 1),
+        lp.SolutionFamily.line([-(2**60), 5, 2**61 + 4], [1, 0, -2], 2**60, 2**60 + 2),
+        lp.SolutionFamily.singleton([1, 2]),
+        lp.SolutionFamily.finite([(0, 3), (1, 1)]),
+        lp.SolutionFamily.finite([()]),
+    ]
+    for fam in families:
+        pts = fam.points()
+        assert pts.dtype == np.float64
+        assert [tuple(int(x) for x in row) for row in pts.tolist()] == list(fam.vectors())
+    assert lp.SolutionFamily.finite([()]).points().shape == (1, 0)
+    for empty in (lp.SolutionFamily.empty(), lp.SolutionFamily.finite([])):
+        assert empty.points().shape == (0, 0)
+    with pytest.raises(InputError):
+        lp.SolutionFamily.singleton([10**400]).points()
