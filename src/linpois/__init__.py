@@ -2,10 +2,11 @@
 independent Poisson variables.
 
 Y = A X with A a natural-number matrix and X_i ~ Poisson(lambda_i).
-P(Y = b) is computed exactly in integer/rational arithmetic up to the
-final log-space summation, via a one-parameter solution line (Smith
-normal form), the closed form for invertible A, or brute-force
-enumeration; a seeded Monte Carlo harness cross-checks the results.
+P(Y = b) is computed exactly in integer arithmetic up to the final
+log-space summation.  The solution set of A k = b is read off the Smith
+normal form of A (a single point or a one-parameter line, by the
+dimension of the kernel of A) or, for larger kernels, enumerated; a
+seeded Monte Carlo harness cross-checks the results.
 """
 
 from .errors import (
@@ -13,7 +14,6 @@ from .errors import (
     InternalInvariantError,
     LinpoisError,
     MethodNotApplicableError,
-    SingularMatrixError,
 )
 from .intlinalg import (
     SnfDecomposition,
@@ -22,10 +22,8 @@ from .intlinalg import (
     int_identity,
     int_matrix,
     int_vector,
-    inverse_rational,
     minor_gcd,
     parse_matrix_text,
-    rank,
     snf,
 )
 from .kernels import HAVE_NUMBA, default_backend, poisson_cdf_table, uniform53
@@ -47,13 +45,11 @@ from .pmf import (
 from .solutions import (
     MethodTag,
     PreprocessReport,
-    RowRelation,
     SolutionFamily,
     classify,
     enumerate_solutions,
-    parametrize_single_index,
     preprocess,
-    solve_invertible,
+    snf_family,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LinpoisError",
     "InputError",
-    "SingularMatrixError",
     "MethodNotApplicableError",
     "InternalInvariantError",
     "int_matrix",
@@ -70,18 +65,14 @@ __all__ = [
     "SnfDecomposition",
     "snf",
     "det_exact",
-    "rank",
-    "inverse_rational",
     "minor_gcd",
     "parse_matrix_text",
     "format_matrix_text",
     "MethodTag",
     "SolutionFamily",
-    "RowRelation",
     "PreprocessReport",
     "classify",
-    "parametrize_single_index",
-    "solve_invertible",
+    "snf_family",
     "enumerate_solutions",
     "preprocess",
     "PoissonModel",

@@ -13,10 +13,6 @@ class InputError(LinpoisError):
     """Invalid user input: bad file, bad dimensions, bad values."""
 
 
-class SingularMatrixError(InputError):
-    """A square matrix required to be invertible has determinant zero."""
-
-
 class MethodNotApplicableError(LinpoisError):
     """A forced evaluation method does not apply to the given model."""
 

@@ -1,22 +1,22 @@
-"""Exact linear algebra over arbitrary-precision integers and rationals.
+"""Exact linear algebra over arbitrary-precision integers.
 
-Matrices are numpy arrays with ``dtype=object`` holding Python ints (or
-:class:`fractions.Fraction` for rational results).  Object arrays keep
-numpy's indexing and ``dot`` while every entry stays exact; fixed-width
-dtypes are never used here because entries can grow far beyond 64 bits
-during elimination.
+Matrices are numpy arrays with ``dtype=object`` holding Python ints.
+Object arrays keep numpy's indexing and ``dot`` while every entry stays
+exact; fixed-width dtypes are never used here because entries can grow
+far beyond 64 bits during elimination.  The Smith normal form is the
+one lattice representation the solvers use; ``det_exact`` and
+``minor_gcd`` are kept as independent oracles for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .errors import InputError, InternalInvariantError, SingularMatrixError
+from .errors import InputError, InternalInvariantError
 
 __all__ = [
     "int_matrix",
@@ -25,8 +25,6 @@ __all__ = [
     "SnfDecomposition",
     "snf",
     "det_exact",
-    "rank",
-    "inverse_rational",
     "minor_gcd",
     "parse_matrix_text",
     "format_matrix_text",
@@ -215,57 +213,6 @@ def det_exact(a) -> int:
             w[i][k] = 0
         prev = w[k][k]
     return sign * w[n - 1][n - 1]
-
-
-def rank(a) -> int:
-    """Rank over the rationals, by fraction-free elimination with column skips."""
-    a = int_matrix(a)
-    m, n = a.shape
-    w = [[a[i, j] for j in range(n)] for i in range(m)]
-    r = 0
-    prev = 1
-    for c in range(n):
-        if r == m:
-            break
-        pivot_row = next((i for i in range(r, m) if w[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            w[r], w[pivot_row] = w[pivot_row], w[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, n):
-                w[i][j] = (w[i][j] * w[r][c] - w[i][c] * w[r][j]) // prev
-            w[i][c] = 0
-        prev = w[r][c]
-        r += 1
-    return r
-
-
-def inverse_rational(a) -> np.ndarray:
-    """Exact inverse as an object array of Fractions (Gauss-Jordan over Q)."""
-    a = int_matrix(a)
-    m, n = a.shape
-    if m != n:
-        raise InputError(f"inverse requires a square matrix, got {m}x{n}")
-    w = [[Fraction(a[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if w[i][c] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot_row != c:
-            w[c], w[pivot_row] = w[pivot_row], w[c]
-        piv = w[c][c]
-        w[c] = [x / piv for x in w[c]]
-        for i in range(n):
-            if i != c and w[i][c] != 0:
-                f = w[i][c]
-                w[i] = [x - f * y for x, y in zip(w[i], w[c])]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = w[i][n + j]
-    return out
 
 
 def minor_gcd(a, i: int) -> int:

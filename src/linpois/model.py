@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .intlinalg import SnfDecomposition, int_matrix, inverse_rational, snf
+from .intlinalg import SnfDecomposition, int_matrix, snf
 from .solutions import MethodTag, PreprocessReport, classify, preprocess
 
 __all__ = ["PoissonModel", "model_from_dict", "load_model_file"]
@@ -32,13 +32,12 @@ def rate_constants(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 class PoissonModel:
     """Immutable model of Y = A X, X_i independent Poisson(lambda_i).
 
-    The matrix is preprocessed on construction: zero columns removed,
-    dependent rows dropped with exact consistency relations kept in
-    ``report``.  ``a``/``rates`` refer to the reduced system used for
-    evaluation; ``a_full``/``rates_full`` keep the original shapes, and
-    observations are always given against the original row count.
-    Derived objects (SNF, rational inverse, method tag, the rate
-    constants of the log terms) are cached on first use.
+    The matrix is preprocessed on construction: zero columns are
+    removed and listed in ``report``; every row is kept, since the SNF
+    checks dependent rows.  ``a``/``rates`` refer to the reduced system
+    used for evaluation; ``a_full``/``rates_full`` keep the original
+    shapes.  Derived objects (SNF, method tag, the rate constants of the
+    log terms) are cached on first use.
     """
 
     def __init__(self, a, rates, name: str | None = None, description: str | None = None):
@@ -60,7 +59,7 @@ class PoissonModel:
 
     @property
     def a(self) -> np.ndarray:
-        """Reduced matrix: full row rank, no zero columns."""
+        """Matrix without its zero columns; every row is kept."""
         return self._a
 
     @property
@@ -80,10 +79,6 @@ class PoissonModel:
         return self._rates_full
 
     @property
-    def m(self) -> int:
-        return self._a.shape[0]
-
-    @property
     def n(self) -> int:
         return self._a.shape[1]
 
@@ -101,20 +96,13 @@ class PoissonModel:
 
     @cached_property
     def method(self) -> MethodTag:
-        if self.m == self.n:
-            return classify(self._a)
-        return classify(self._a, self.snf)
+        return classify(self.snf)
 
     @cached_property
     def term_constants(self) -> tuple[np.ndarray, np.ndarray | None]:
         # on first pmf call, not at build, so building a model costs only
         # preprocess and classify; preprocess already validated the rates
         return rate_constants(self._rates)
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        # only meaningful when method is INVERTIBLE
-        return inverse_rational(self._a)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""

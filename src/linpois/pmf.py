@@ -2,11 +2,12 @@
 
 P(Y = b) is a sum of independent-Poisson product terms over the
 solution set of A k = b.  The solution set comes from the lattice layer
-via one of three routes (single-index line, invertible singleton, or
-enumeration) as one array of lattice points; every log term is computed
-from it in a single pass, and the terms are combined by a max-shifted
-log-sum whose inner sum is math.fsum.  fsum is correctly rounded, so the
-result does not depend on the order of the terms.
+(read off the Smith normal form as a singleton or a line, or enumerated
+when the kernel of A has dimension 2 or more) as one array of lattice
+points; every log term is computed from it in a single pass, and the
+terms are combined by a max-shifted log-sum whose inner sum is
+math.fsum.  fsum is correctly rounded, so the result does not depend on
+the order of the terms.
 
 Also evaluates the probability generating function G(z) both in closed
 form and as a truncated series, the latter backed by an exact pmf table
@@ -24,13 +25,7 @@ import numpy as np
 from .errors import InputError, InternalInvariantError, MethodNotApplicableError
 from .intlinalg import int_vector
 from .model import PoissonModel, rate_constants
-from .solutions import (
-    MethodTag,
-    SolutionFamily,
-    enumerate_solutions,
-    parametrize_single_index,
-    solve_invertible,
-)
+from .solutions import MethodTag, SolutionFamily, enumerate_solutions, snf_family
 
 __all__ = [
     "PmfResult",
@@ -147,35 +142,31 @@ def _resolve_method(model: PoissonModel, method) -> MethodTag:
     return tag
 
 
-def _reduce_observation(model: PoissonModel, b):
-    """Validated b restricted to kept rows, or None if P(Y=b) = 0 for
-    sign or dependent-row-consistency reasons."""
+def _check_observation(model: PoissonModel, b) -> list[int] | None:
+    """Validated b as a list of ints, or None if a negative entry makes
+    P(Y=b) = 0."""
     b = int_vector(b)
     if b.shape[0] != model.m_full:
         raise InputError(f"observation length {b.shape[0]} != row count {model.m_full}")
-    if any(int(x) < 0 for x in b):
-        return None
-    if not model.report.is_consistent(b):
-        return None
-    return b[list(model.report.kept_rows)]
+    b = b.tolist()
+    return None if any(x < 0 for x in b) else b
 
 
 def solution_family(model: PoissonModel, b, method=None) -> tuple[SolutionFamily, MethodTag]:
     """Solution set of A k = b via the chosen route, plus the route used.
 
     method None or "auto" uses the model's classification; a forced
-    method that does not apply raises MethodNotApplicableError.
+    method that does not apply raises MethodNotApplicableError.  Every
+    route but a forced ENUMERATE starts from the model's SNF.
     """
     tag = _resolve_method(model, method)
-    reduced = _reduce_observation(model, b)
-    if reduced is None:
+    b = _check_observation(model, b)
+    if b is None:
         return SolutionFamily.empty(), tag
-    if tag is MethodTag.SINGLE_INDEX:
-        fam = parametrize_single_index(model.snf, reduced)
-    elif tag is MethodTag.INVERTIBLE:
-        fam = solve_invertible(model.inverse, reduced)
-    else:
-        fam = enumerate_solutions(model.a, reduced)
+    forced = method is not None and method != "auto"
+    fam = None if forced and tag is MethodTag.ENUMERATE else snf_family(model.snf, b)
+    if fam is None:
+        fam = enumerate_solutions(model.a, b)
     return fam, tag
 
 
@@ -195,9 +186,8 @@ def _summed(log_terms, tag: MethodTag) -> PmfResult:
 def pmf(model: PoissonModel, b, method=None) -> PmfResult:
     """P(Y = b), dispatching on the model's classification.
 
-    b is given against the ORIGINAL row count.  Negative entries or a
-    violated dependent-row relation give probability 0 (a valid query,
-    not an error).
+    Negative entries, a violated dependent-row relation or a b off the
+    lattice A Z^n give probability 0 (a valid query, not an error).
     """
     fam, tag = solution_family(model, b, method)
     return _summed(_log_terms(fam.points(), model.rates, *model.term_constants), tag)
@@ -209,7 +199,7 @@ def pmf_single_index(model: PoissonModel, b) -> PmfResult:
 
 
 def pmf_invertible(model: PoissonModel, b) -> PmfResult:
-    """P(Y = b) via the closed form k = A^-1 b."""
+    """P(Y = b) via the single solution when A has a trivial kernel."""
     return pmf(model, b, method=MethodTag.INVERTIBLE)
 
 
@@ -266,8 +256,10 @@ def pmf_table(model: PoissonModel, degree_bound: int) -> np.ndarray:
     if (B + 1) ** m > 20_000_000:
         raise InputError(f"pmf table of shape {(B + 1,) * m} is too large")
     removed = set(model.report.removed_columns)
+    # each column carries its own e^-lambda factor: one exp(-sum lambda)
+    # up front would underflow to 0 once the rates add up past ~745
     table = np.zeros((B + 1,) * m)
-    table[(0,) * m] = math.exp(-float(np.sum(model.rates)))
+    table[(0,) * m] = 1.0
     for j in range(model.n_full):
         if j in removed:
             # zero column: the variable marginalizes out entirely
@@ -278,7 +270,7 @@ def pmf_table(model: PoissonModel, degree_bound: int) -> np.ndarray:
         loglam = math.log(lam) if lam > 0.0 else 0.0
         nxt = np.zeros_like(table)
         for t in range(tmax + 1):
-            w = 1.0 if t == 0 else math.exp(t * loglam - math.lgamma(t + 1))
+            w = math.exp(t * loglam - lam - math.lgamma(t + 1))
             tgt = tuple(slice(t * c, B + 1) for c in col)
             src = tuple(slice(0, B + 1 - t * c) for c in col)
             nxt[tgt] += w * table[src]

@@ -1,37 +1,35 @@
 """Nonnegative integer solution sets of A k = b for natural-number matrices.
 
-Three characterizations are provided:
+Two characterizations are provided:
 
-* a one-parameter affine family ``u + j v`` obtained from the Smith
-  normal form when rank = rows = cols - 1 and all elementary divisors
-  are 1 (the single-index case);
-* the unique candidate ``A^-1 b`` when A is square and invertible;
-* exhaustive depth-first enumeration, which doubles as the independent
-  oracle for the other two paths.
+* ``snf_family``, which reads the solution set off the Smith normal
+  form p A q = d: whether b is on the lattice (dependent rows
+  included), then a singleton when the kernel of A is trivial or a
+  line ``u + j v`` when it has dimension 1, for any elementary divisors;
+* exhaustive depth-first enumeration, used when the kernel has
+  dimension 2 or more and as the independent oracle for the other path.
 
-Plus the model preprocessing step that removes zero columns and
-linearly dependent rows so the above hypotheses can be assumed.
+Plus the model preprocessing step that validates the input and removes
+zero columns.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from fractions import Fraction
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InternalInvariantError, MethodNotApplicableError
-from .intlinalg import SnfDecomposition, det_exact, int_matrix, int_vector, snf
+from .errors import InputError, InternalInvariantError
+from .intlinalg import SnfDecomposition, int_matrix, int_vector
 
 __all__ = [
     "MethodTag",
     "SolutionFamily",
-    "RowRelation",
     "PreprocessReport",
     "classify",
-    "parametrize_single_index",
-    "solve_invertible",
+    "snf_family",
     "enumerate_solutions",
     "preprocess",
 ]
@@ -127,25 +125,17 @@ class SolutionFamily:
         return frozenset(self.vectors())
 
 
-def classify(a, dec: SnfDecomposition | None = None) -> MethodTag:
-    """Decide the evaluation route for a preprocessed natural-number matrix.
+def classify(dec: SnfDecomposition) -> MethodTag:
+    """Evaluation route from the kernel dimension n - rank of A.
 
-    Square with nonzero determinant -> INVERTIBLE; rank = rows = cols-1
-    with all elementary divisors 1 -> SINGLE_INDEX; anything else falls
-    back to ENUMERATE.  Raises if the rows are linearly dependent, which
-    preprocessing is supposed to have repaired.
+    0 -> INVERTIBLE (at most one solution), 1 -> SINGLE_INDEX (a line),
+    2 or more -> ENUMERATE.  Divisors and dependent rows do not matter:
+    snf_family handles both.
     """
-    a = int_matrix(a)
-    m, n = a.shape
-    if m == n:
-        if n == 0 or det_exact(a) != 0:
-            return MethodTag.INVERTIBLE
-        raise InputError("square matrix is singular; preprocess should have dropped rows")
-    if dec is None:
-        dec = snf(a)
-    if dec.rank < m:
-        raise InputError("rows are linearly dependent; preprocess should have dropped them")
-    if m == n - 1 and all(d == 1 for d in dec.divisors):
+    free = dec.q.shape[0] - dec.rank
+    if free == 0:
+        return MethodTag.INVERTIBLE
+    if free == 1:
         return MethodTag.SINGLE_INDEX
     return MethodTag.ENUMERATE
 
@@ -155,30 +145,39 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def parametrize_single_index(dec: SnfDecomposition, b) -> SolutionFamily:
-    """Solution family from the single-index parametrization.
+def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
+    """Nonnegative solutions of A k = b from the Smith form p A q = d.
 
-    With p a q = (I | 0), every integer solution of A k = b is
-    k(j) = q @ (p b ; j); clipping each coordinate of k(j) to be
-    nonnegative gives an integer interval of valid j.  The interval is
-    computed with exact integer floor/ceil, never floats.
+    With c = p b and r = rank, b lies in the lattice A Z^n iff d_i | c_i
+    for i < r and c_i = 0 for i >= r.  The last m - r rows of p span the
+    integer left kernel of A, so the second test is also the consistency
+    check for dependent rows.  Every integer solution is then
+    k = q (y; t) with y_i = c_i / d_i and t in Z^(n-r).  Kernel
+    dimension 0 gives at most one point; dimension 1 gives a line whose
+    j-interval is cut out with exact integer floor/ceil, for any
+    divisors.  For dimension 2 or more, returns None when b is on the
+    lattice, and the caller enumerates.
     """
-    m = dec.p.shape[0]
-    n = dec.q.shape[0]
-    if not (dec.rank == m == n - 1 and all(d == 1 for d in dec.divisors)):
-        raise MethodNotApplicableError(
-            "single-index parametrization needs rank = rows = cols-1 and unit divisors"
-        )
-    b = int_vector(b)
-    if b.shape[0] != m:
-        raise InputError(f"observation length {b.shape[0]} != row count {m}")
-
-    pb = dec.p @ b
-    rhs = np.empty(n, dtype=object)
-    rhs[:m] = pb
-    rhs[m] = 0
-    u = dec.q @ rhs
-    v = dec.q[:, n - 1]
+    m, n = dec.d.shape
+    r = dec.rank
+    try:
+        b = [operator.index(x) for x in b]
+    except TypeError:
+        raise InputError("observation entries must be integers") from None
+    if len(b) != m:
+        raise InputError(f"observation length {len(b)} != row count {m}")
+    c = [sum(map(operator.mul, row, b)) for row in dec.p.tolist()]
+    if any(ci % di for ci, di in zip(c, dec.divisors)) or any(c[r:]):
+        return SolutionFamily.empty()
+    if n - r > 1:
+        return None
+    y = [ci // di for ci, di in zip(c, dec.divisors)]
+    q = dec.q.tolist()
+    # map stops after r entries: u = q[:, :r] @ y, the solution at t = 0
+    u = [sum(map(operator.mul, row, y)) for row in q]
+    if r == n:
+        return SolutionFamily.singleton(u) if all(x >= 0 for x in u) else SolutionFamily.empty()
+    v = [row[r] for row in q]
 
     lo = None
     hi = None
@@ -199,23 +198,8 @@ def parametrize_single_index(dec: SnfDecomposition, b) -> SolutionFamily:
     if lo > hi:
         return SolutionFamily.empty()
     if lo == hi:
-        return SolutionFamily.singleton(u + lo * v)
+        return SolutionFamily.singleton(u_i + lo * v_i for u_i, v_i in zip(u, v))
     return SolutionFamily.line(u, v, lo, hi)
-
-
-def solve_invertible(inv: np.ndarray, b) -> SolutionFamily:
-    """Singleton A^-1 b if it is a nonnegative integer vector, else empty."""
-    b = int_vector(b)
-    n = inv.shape[0]
-    if b.shape[0] != n:
-        raise InputError(f"observation length {b.shape[0]} != matrix size {n}")
-    k = [sum(inv[i, j] * int(b[j]) for j in range(n)) for i in range(n)]
-    for x in k:
-        if isinstance(x, Fraction) and x.denominator != 1:
-            return SolutionFamily.empty()
-        if x < 0:
-            return SolutionFamily.empty()
-    return SolutionFamily.singleton(int(x) for x in k)
 
 
 def enumerate_solutions(a, b) -> SolutionFamily:
@@ -266,45 +250,21 @@ def enumerate_solutions(a, b) -> SolutionFamily:
 
 
 @dataclass(frozen=True)
-class RowRelation:
-    """Exact dependence of a dropped row on kept rows (original indices).
-
-    An observation b is consistent with the dropped row iff
-    b[row] == sum(coeff * b[idx] for idx, coeff in coeffs).
-    """
-
-    row: int
-    coeffs: tuple[tuple[int, Fraction], ...]
-
-    def holds(self, b) -> bool:
-        rhs = sum((c * int(b[i]) for i, c in self.coeffs), start=Fraction(0))
-        return Fraction(int(b[self.row])) == rhs
-
-
-@dataclass(frozen=True)
 class PreprocessReport:
     original_shape: tuple[int, int]
     removed_columns: tuple[int, ...] = ()
-    kept_rows: tuple[int, ...] = ()
-    relations: tuple[RowRelation, ...] = field(default=())
 
     @property
     def is_trivial(self) -> bool:
-        return not self.removed_columns and not self.relations
-
-    def is_consistent(self, b) -> bool:
-        """Check every dependent-row relation against an observation."""
-        return all(rel.holds(b) for rel in self.relations)
+        return not self.removed_columns
 
 
 def preprocess(a, rates):
-    """Reduce (A, rates) to full row rank with no zero columns.
+    """Validate (A, rates) and remove the zero columns of A.
 
-    Zero columns are removed (the matching Poisson variable is
-    unconstrained and marginalizes out with total probability 1, so this
-    is probability preserving).  Each linearly dependent row is dropped
-    and its exact rational dependence on the kept rows recorded, so the
-    probability layer can report 0 for observations that violate it.
+    A zero column's Poisson variable is unconstrained and marginalizes
+    out with total probability 1, so removing it preserves every
+    probability.  Every row is kept: snf_family checks dependent rows.
 
     Returns (reduced matrix, reduced rates, PreprocessReport).
     """
@@ -322,47 +282,6 @@ def preprocess(a, rates):
 
     keep_cols = [j for j in range(n) if any(a[i, j] != 0 for i in range(m))]
     removed_cols = tuple(j for j in range(n) if j not in keep_cols)
-    a_cols = a[:, keep_cols] if keep_cols else np.empty((m, 0), dtype=object)
-    rates_red = rates[keep_cols]
-
-    # Row reduction over Q with combination tracking: for each row keep
-    # gamma such that current = row - sum(gamma[i] * original_kept_row_i).
-    kept: list[tuple[int, list[Fraction], dict[int, Fraction]]] = []  # (pivot col, reduced row, gamma)
-    kept_rows: list[int] = []
-    relations: list[RowRelation] = []
-    ncols = a_cols.shape[1]
-    for r in range(m):
-        vec = [Fraction(int(a_cols[r, j])) for j in range(ncols)]
-        gamma: dict[int, Fraction] = {}
-        for pc, prow, pgamma in kept:
-            if vec[pc] != 0:
-                f = vec[pc] / prow[pc]
-                vec = [x - f * y for x, y in zip(vec, prow)]
-                for idx, c in pgamma.items():
-                    gamma[idx] = gamma.get(idx, Fraction(0)) + f * c
-        pivot = next((j for j, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
-            coeffs = tuple(sorted((i, c) for i, c in gamma.items() if c != 0))
-            relations.append(RowRelation(row=r, coeffs=coeffs))
-        else:
-            # this row contributes itself with coefficient 1, minus what
-            # was subtracted during reduction
-            own: dict[int, Fraction] = {r: Fraction(1)}
-            for idx, c in gamma.items():
-                own[idx] = own.get(idx, Fraction(0)) - c
-            kept.append((pivot, vec, own))
-            kept_rows.append(r)
-
-    a_red = a_cols[kept_rows, :] if kept_rows else np.empty((0, ncols), dtype=object)
-    if not kept_rows:
-        # all rows dependent (zero matrix): every column was zero too
-        a_red = np.empty((0, 0), dtype=object)
-        rates_red = rates_red[:0]
-
-    report = PreprocessReport(
-        original_shape=(m, n),
-        removed_columns=removed_cols,
-        kept_rows=tuple(kept_rows),
-        relations=tuple(relations),
-    )
-    return a_red, rates_red, report
+    a_red = a[:, keep_cols] if keep_cols else np.empty((m, 0), dtype=object)
+    report = PreprocessReport(original_shape=(m, n), removed_columns=removed_cols)
+    return a_red, rates[keep_cols], report

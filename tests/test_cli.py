@@ -82,6 +82,14 @@ def test_solve_text(model1_file, capsys):
     assert "count: 2" in out
 
 
+def test_solve_dependent_rows_empty(tmp_path, capsys):
+    path = tmp_path / "dep.json"
+    path.write_text(json.dumps({"a": [[1, 2], [2, 4]], "lambda": [1.0, 1.0]}))
+    assert run(["solve", str(path), "--b", "3", "7", "--format", "json"]) == 0
+    out = _json_out(capsys)
+    assert out["kind"] == "empty" and out["count"] == 0
+
+
 # ------------------------------------------------------------- pmf
 
 def test_pmf_auto_matches_enumerate(model1_file, capsys):
@@ -125,6 +133,20 @@ def test_pmf_matrix_text_with_rates(matrix1_file, capsys):
     first, second = capsys.readouterr().out.strip().splitlines()
     assert json.loads(first) == json.loads(second)
     assert json.loads(first)["terms"] == 2
+
+
+def test_pmf_single_index_with_divisor_two(tmp_path, capsys):
+    path = tmp_path / "d2.json"
+    path.write_text(json.dumps({"a": [[2, 2]], "lambda": [1.0, 2.0]}))
+    for b in (0, 2, 200):
+        assert run(["pmf", str(path), "--b", str(b), "--method", "single-index",
+                    "--format", "json"]) == 0
+        out = _json_out(capsys)
+        assert out["method"] == "single-index"
+        assert out["terms"] == b // 2 + 1
+        # 2 (X1 + X2) = b with X1 + X2 ~ Poisson(3)
+        assert math.isclose(out["prob"], math.exp(-3.0) * 3.0 ** (b // 2) / math.factorial(b // 2),
+                            rel_tol=1e-12)
 
 
 # ------------------------------------------------------ exit codes

@@ -1,8 +1,8 @@
-"""Exact integer linear algebra: SNF, determinant, rank, inverse.
+"""Exact integer linear algebra: SNF, determinant, minor gcd.
 
 The heavier properties are checked against independent in-test oracles:
-plain Fraction Gaussian elimination for det/rank, and the minor-gcd
-quotient formula for the elementary divisors.
+plain Fraction Gaussian elimination for the determinant and the SNF
+rank, and the minor-gcd quotient formula for the elementary divisors.
 """
 
 from fractions import Fraction
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linpois as lp
-from linpois.errors import InputError, SingularMatrixError
+from linpois.errors import InputError
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, EXAMPLE3_INVERSE
 
@@ -159,7 +159,7 @@ def test_snf_invariants(rows):
     assert all(d > 0 for d in divs)
     for x, y in zip(divs, divs[1:]):
         assert y % x == 0
-    assert dec.rank == lp.rank(a) == len(divs)
+    assert dec.rank == frac_rank(rows) == len(divs)
     # minor-gcd quotient oracle: d_i = gcd(i-minors) / gcd((i-1)-minors)
     prev = 1
     for i, d in enumerate(divs, start=1):
@@ -168,7 +168,7 @@ def test_snf_invariants(rows):
         prev = delta
 
 
-# ----------------------------------------------------- det and rank
+# ------------------------------------------------------ determinant
 
 def test_det_known_values():
     assert lp.det_exact(EXAMPLE3) == 1
@@ -189,43 +189,13 @@ def test_det_2x2_formula(a, b, c, d):
     assert lp.det_exact([[a, b], [c, d]]) == a * d - b * c
 
 
-@settings(max_examples=150, deadline=None)
-@given(int_matrices())
-def test_rank_matches_fraction_elimination(rows):
-    assert lp.rank(rows) == frac_rank(rows)
-
-
 # ---------------------------------------------------------- inverse
 
 def test_inverse_known_integer_inverse():
-    inv = lp.inverse_rational(EXAMPLE3)
-    for i in range(3):
-        for j in range(3):
-            assert inv[i, j] == EXAMPLE3_INVERSE[i][j]
-            assert inv[i, j].denominator == 1
-
-
-def test_inverse_errors():
-    with pytest.raises(SingularMatrixError):
-        lp.inverse_rational([[1, 2], [2, 4]])
-    with pytest.raises(InputError):
-        lp.inverse_rational([[1, 2, 3], [4, 5, 6]])
-
-
-@settings(max_examples=80, deadline=None)
-@given(square_matrices(max_n=4, lo=-6, hi=6))
-def test_inverse_roundtrip(rows):
-    a = lp.int_matrix(rows)
-    if lp.det_exact(a) == 0:
-        with pytest.raises(SingularMatrixError):
-            lp.inverse_rational(a)
-        return
-    inv = lp.inverse_rational(a)
-    n = a.shape[0]
-    prod = a @ inv
-    for i in range(n):
-        for j in range(n):
-            assert prod[i, j] == (1 if i == j else 0)
+    # E3 is unimodular, so d = I and p A q = I gives A^-1 = q p
+    dec = lp.snf(EXAMPLE3)
+    assert dec.divisors == (1, 1, 1)
+    assert (dec.q @ dec.p).tolist() == EXAMPLE3_INVERSE
 
 
 # -------------------------------------------------------- minor gcd

@@ -393,6 +393,20 @@ def test_pmf_table_matches_pmf(model1):
             assert rel_close(table[b1, b2], lp.pmf(model1, [b1, b2]).prob)
 
 
+def test_pmf_table_large_rates_do_not_underflow():
+    # exp(-800) underflows to 0.0; the box must not start from it
+    model = lp.PoissonModel([[1, 1]], [400.0, 400.0])
+    table = lp.pmf_table(model, 900)
+    want = lp.pmf(model, [800]).prob
+    assert want > 0.014
+    assert rel_close(table[800], want)
+    for b in (700, 900):
+        assert rel_close(table[b], poisson.pmf(b, 800.0), 1e-9)
+    direct = lp.gf_eval(model, [0.5])
+    assert direct > 1e-174
+    assert rel_close(lp.gf_eval_series(model, [0.5], 900), direct, 1e-11)
+
+
 def test_pmf_table_guards(model1):
     with pytest.raises(InputError):
         lp.pmf_table(model1, -1)

@@ -1,7 +1,5 @@
-"""Solution families of A k = b: classification, the one-parameter
-line, enumeration (the oracle), and preprocessing."""
-
-from fractions import Fraction
+"""Solution families of A k = b: classification, the SNF solver
+(singleton and line), enumeration (the oracle), and preprocessing."""
 
 import numpy as np
 import pytest
@@ -10,18 +8,22 @@ from hypothesis import strategies as st
 
 import linpois as lp
 from linpois import MethodTag
-from linpois.errors import InputError, MethodNotApplicableError
+from linpois.errors import InputError
 
-from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
+from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, EXAMPLE3_INVERSE
 
 
 def family_set(fam):
     return set(fam.vectors())
 
 
+def solve(a, b):
+    return lp.snf_family(lp.snf(a), b)
+
+
 # deterministic pool of matrices classifying as single-index, found by
-# seeded search over small natural matrices (rank = rows = cols-1,
-# all elementary divisors 1)
+# seeded search over small natural matrices (rank = rows = cols-1, any
+# elementary divisors)
 def _single_index_pool():
     rng = np.random.default_rng(1318)
     pool = [lp.int_matrix(EXAMPLE1), lp.int_matrix(EXAMPLE2)]
@@ -29,9 +31,7 @@ def _single_index_pool():
         m = int(rng.integers(1, 4))
         cand = rng.integers(0, 4, size=(m, m + 1))
         a, _, rep = lp.preprocess(cand, [1.0] * (m + 1))
-        if a.shape != (m, m + 1) or not rep.is_trivial:
-            continue
-        if lp.classify(a) is MethodTag.SINGLE_INDEX:
+        if rep.is_trivial and lp.classify(lp.snf(a)) is MethodTag.SINGLE_INDEX:
             pool.append(a)
     return pool
 
@@ -42,37 +42,47 @@ SINGLE_INDEX_POOL = _single_index_pool()
 # ---------------------------------------------------------- classify
 
 def test_classify_known():
-    assert lp.classify(EXAMPLE1) is MethodTag.SINGLE_INDEX
-    assert lp.classify(EXAMPLE3) is MethodTag.INVERTIBLE
-    # m = 1, n = 4: dimensions alone rule out the single-index form
-    assert lp.classify([[1, 1, 1, 1]]) is MethodTag.ENUMERATE
+    assert lp.classify(lp.snf(EXAMPLE1)) is MethodTag.SINGLE_INDEX
+    assert lp.classify(lp.snf(EXAMPLE3)) is MethodTag.INVERTIBLE
+    # m = 1, n = 4: a kernel of dimension 3
+    assert lp.classify(lp.snf([[1, 1, 1, 1]])) is MethodTag.ENUMERATE
 
 
 def test_classify_rejects_dependent_rows():
-    with pytest.raises(InputError):
-        lp.classify([[1, 2], [2, 4]])
-    with pytest.raises(InputError):
-        lp.classify([[1, 0, 1], [2, 0, 2]])
+    """Dependent rows are not rejected: the route is chosen by n - rank."""
+    assert lp.classify(lp.snf([[1, 2], [2, 4]])) is MethodTag.SINGLE_INDEX
+    assert lp.classify(lp.snf([[1, 0, 1], [2, 0, 2]])) is MethodTag.ENUMERATE
+    # the model removes the zero column first, which leaves a line
+    model = lp.PoissonModel([[1, 0, 1], [2, 0, 2]], [1.0, 1.0, 1.0])
+    assert model.method is MethodTag.SINGLE_INDEX
+    assert model.a.tolist() == [[1, 1], [2, 2]]
 
 
 def test_classify_divisor_gate():
-    # right shape but a divisor of 2: must fall back to enumeration
+    """A divisor above 1 does not gate the line route."""
     a = [[2, 0, 0], [0, 2, 0]]
     dec = lp.snf(a)
     assert dec.divisors == (2, 2)
-    assert lp.classify(a) is MethodTag.ENUMERATE
+    assert lp.classify(dec) is MethodTag.SINGLE_INDEX
+    assert lp.classify(lp.snf([[2, 2]])) is MethodTag.SINGLE_INDEX
 
 
 # ------------------------------------------------------ single index
 
 def test_parametrize_known_solution_sets():
     dec = lp.snf(EXAMPLE1)
-    fam = lp.parametrize_single_index(dec, [2, 2])
+    fam = lp.snf_family(dec, [2, 2])
     assert family_set(fam) == {(0, 0, 2), (2, 1, 0)}
     assert fam.count == 2
     # k3 = 1 - 2 k2 forces k1 = -1; no nonnegative solution
-    assert lp.parametrize_single_index(dec, [0, 1]).kind == "empty"
-    assert lp.parametrize_single_index(dec, [0, 0]).kind == "singleton"
+    assert lp.snf_family(dec, [0, 1]).kind == "empty"
+    assert lp.snf_family(dec, [0, 0]).kind == "singleton"
+    # divisor 2: 2 k1 + 2 k2 = b is a line of b/2 + 1 points for even b
+    dec = lp.snf([[2, 2]])
+    fam = lp.snf_family(dec, [200])
+    assert fam.kind == "line" and fam.count == 101
+    assert family_set(fam) == {(j, 100 - j) for j in range(101)}
+    assert lp.snf_family(dec, [201]).kind == "empty"
 
 
 @given(st.integers(0, 12), st.integers(0, 12))
@@ -83,15 +93,19 @@ def test_parametrize_matches_closed_form(b1, b2):
         k = (b1 - b2 + 2 * j, j, b2 - 2 * j)
         if all(x >= 0 for x in k):
             expect.add(k)
-    fam = lp.parametrize_single_index(lp.snf(EXAMPLE1), [b1, b2])
+    fam = solve(EXAMPLE1, [b1, b2])
     assert family_set(fam) == expect
 
 
 def test_parametrize_rejects_wrong_shape():
-    with pytest.raises(MethodNotApplicableError):
-        lp.parametrize_single_index(lp.snf(EXAMPLE3), [1, 2, 3])
+    # any kernel dimension is accepted; a kernel of dimension 2 or more
+    # is left to enumeration
+    assert family_set(solve(EXAMPLE3, [1, 2, 3])) == set()
+    assert solve([[1, 1, 1]], [4]) is None
     with pytest.raises(InputError):
-        lp.parametrize_single_index(lp.snf(EXAMPLE1), [1, 2, 3])
+        solve(EXAMPLE1, [1, 2, 3])
+    with pytest.raises(InputError):
+        solve(EXAMPLE1, [1, 2.5])
 
 
 @settings(max_examples=120, deadline=None)
@@ -100,7 +114,7 @@ def test_single_index_equals_enumeration(data):
     a = data.draw(st.sampled_from(SINGLE_INDEX_POOL))
     a = lp.int_matrix(a)
     b = [data.draw(st.integers(0, 6)) for _ in range(a.shape[0])]
-    fam = lp.parametrize_single_index(lp.snf(a), b)
+    fam = solve(a, b)
     assert family_set(fam) == family_set(lp.enumerate_solutions(a, b))
 
 
@@ -109,7 +123,7 @@ def test_single_index_equals_enumeration(data):
 def test_line_invariants(data):
     a = lp.int_matrix(data.draw(st.sampled_from(SINGLE_INDEX_POOL)))
     b = [data.draw(st.integers(0, 8)) for _ in range(a.shape[0])]
-    fam = lp.parametrize_single_index(lp.snf(a), b)
+    fam = solve(a, b)
     if fam.kind != "line":
         return
     u = np.array(fam.base, dtype=object)
@@ -130,19 +144,20 @@ def test_line_invariants(data):
 # ------------------------------------------------------- invertible
 
 def test_solve_invertible_cases():
-    inv = lp.inverse_rational(EXAMPLE3)
     a = lp.int_matrix(EXAMPLE3)
+    inv = lp.int_matrix(EXAMPLE3_INVERSE)
+    assert (a @ inv).tolist() == lp.int_identity(3).tolist()
     b = a @ lp.int_vector([1, 1, 1])
-    assert family_set(lp.solve_invertible(inv, b)) == {(1, 1, 1)}
-    # k = (75, -16, 2) has a negative entry
-    assert lp.solve_invertible(inv, [1, 0, 0]).kind == "empty"
-    assert family_set(lp.solve_invertible(inv, [0, 0, 0])) == {(0, 0, 0)}
+    assert family_set(solve(a, b)) == {(1, 1, 1)}
+    # k = inv b = (75, -16, 2) has a negative entry
+    assert (inv @ lp.int_vector([1, 0, 0])).tolist() == [75, -16, 2]
+    assert solve(a, [1, 0, 0]).kind == "empty"
+    assert family_set(solve(a, [0, 0, 0])) == {(0, 0, 0)}
 
 
 def test_solve_invertible_non_integral():
-    inv = lp.inverse_rational([[2]])
-    assert lp.solve_invertible(inv, [1]).kind == "empty"
-    assert family_set(lp.solve_invertible(inv, [6])) == {(3,)}
+    assert solve([[2]], [1]).kind == "empty"
+    assert family_set(solve([[2]], [6])) == {(3,)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -154,8 +169,51 @@ def test_solve_invertible_equals_enumeration(data):
     if lp.det_exact(a) == 0 or any(all(a[i, j] == 0 for i in range(n)) for j in range(n)):
         return
     b = [data.draw(st.integers(0, 8)) for _ in range(n)]
-    got = family_set(lp.solve_invertible(lp.inverse_rational(a), b))
+    got = family_set(solve(a, b))
     assert got == family_set(lp.enumerate_solutions(a, b))
+
+
+@st.composite
+def natural_systems(draw):
+    """A natural matrix with no zero column and kernel dimension 0 or 1,
+    often with dependent rows and divisors above 1, plus b drawn near
+    the lattice A N^n: some b are A k for a k >= 0, others are perturbed
+    off the lattice or off a dependent-row relation."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    rows = [[draw(st.integers(0, 3)) for _ in range(n)] for _ in range(m)]
+    scale = draw(st.sampled_from([1, 1, 2, 3]))
+    if m >= 2 and draw(st.booleans()):
+        # replace the last row by an integer combination of the others
+        coef = [draw(st.integers(0, 2)) for _ in range(m - 1)]
+        rows[-1] = [sum(c * rows[i][j] for i, c in enumerate(coef)) for j in range(n)]
+    a = lp.int_matrix([[scale * x for x in row] for row in rows])
+    k = [draw(st.integers(0, 5)) for _ in range(n)]
+    b = [int(x) for x in a @ lp.int_vector(k)]
+    i = draw(st.integers(0, m - 1))
+    b[i] += draw(st.sampled_from([0, 0, 1, -1, 2]))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(natural_systems())
+def test_snf_family_equals_enumeration(system):
+    a, b = system
+    m, n = a.shape
+    if any(all(a[i, j] == 0 for i in range(m)) for j in range(n)):
+        return
+    dec = lp.snf(a)
+    fam = lp.snf_family(dec, b)
+    want = family_set(lp.enumerate_solutions(a, b))
+    if n - dec.rank >= 2:
+        # left to enumeration unless b is off the lattice
+        assert fam is None or (fam.kind == "empty" and not want)
+        return
+    assert fam is not None
+    assert family_set(fam) == want
+    assert fam.count == len(want)
+    if not want:
+        assert fam.kind == "empty"
 
 
 # ------------------------------------------------------ enumeration
@@ -211,30 +269,28 @@ def test_preprocess_removes_zero_column():
     assert a.tolist() == [[1, 1], [0, 1]]
     assert rates.tolist() == [1.0, 2.0]
     assert rep.removed_columns == (1,)
-    assert rep.kept_rows == (0, 1)
-    assert rep.relations == ()
+    assert rep.original_shape == (2, 3)
 
 
 def test_preprocess_proportional_rows():
     a, rates, rep = lp.preprocess([[1, 2], [2, 4]], [1.0, 1.0])
-    assert a.tolist() == [[1, 2]]
-    assert rep.kept_rows == (0,)
-    (rel,) = rep.relations
-    assert rel.row == 1
-    assert rel.coeffs == ((0, Fraction(2)),)
-    assert rel.holds([3, 6])
-    assert not rel.holds([3, 7])
+    assert a.tolist() == [[1, 2], [2, 4]]
+    model = lp.PoissonModel([[1, 2], [2, 4]], [1.0, 1.0])
+    assert family_set(lp.solution_family(model, [3, 6])[0]) == {(3, 0), (1, 1)}
+    assert lp.pmf(model, [3, 6]).prob > 0
+    assert lp.solution_family(model, [3, 7])[0].kind == "empty"
+    assert lp.pmf(model, [3, 7]).prob == 0.0
 
 
 def test_preprocess_mixed_dependence():
     # row2 = row0 + row1
     a, rates, rep = lp.preprocess([[1, 0], [0, 1], [1, 1]], [1.0, 1.0])
-    assert a.tolist() == [[1, 0], [0, 1]]
-    (rel,) = rep.relations
-    assert rel.row == 2
-    assert dict(rel.coeffs) == {0: Fraction(1), 1: Fraction(1)}
-    assert rep.is_consistent([2, 3, 5])
-    assert not rep.is_consistent([2, 3, 6])
+    assert a.tolist() == [[1, 0], [0, 1], [1, 1]]
+    model = lp.PoissonModel([[1, 0], [0, 1], [1, 1]], [1.0, 1.0])
+    assert family_set(lp.solution_family(model, [2, 3, 5])[0]) == {(2, 3)}
+    assert lp.pmf(model, [2, 3, 5]).prob > 0
+    assert lp.solution_family(model, [2, 3, 6])[0].kind == "empty"
+    assert lp.pmf(model, [2, 3, 6]).prob == 0.0
 
 
 def test_preprocess_full_rank_is_trivial():
@@ -245,11 +301,14 @@ def test_preprocess_full_rank_is_trivial():
 
 def test_preprocess_zero_matrix():
     a, rates, rep = lp.preprocess([[0, 0]], [1.0, 2.0])
-    assert a.shape == (0, 0)
+    assert a.shape == (1, 0)
     assert rates.shape == (0,)
     assert rep.removed_columns == (0, 1)
-    assert rep.is_consistent([0])
-    assert not rep.is_consistent([1])
+    model = lp.PoissonModel([[0, 0]], [1.0, 2.0])
+    assert family_set(lp.solution_family(model, [0])[0]) == {()}
+    assert lp.pmf(model, [0]).prob == 1.0
+    assert lp.solution_family(model, [1])[0].kind == "empty"
+    assert lp.pmf(model, [1]).prob == 0.0
 
 
 def test_preprocess_validation():
