@@ -26,7 +26,7 @@ from .intlinalg import (
     parse_matrix_text,
     snf,
 )
-from .kernels import HAVE_NUMBA, default_backend, poisson_cdf_table, uniform53
+from .kernels import default_backend, poisson_cdf_table, uniform53
 from .model import PoissonModel, load_model_file, model_from_dict
 from .montecarlo import RngState, SampleReport, sample_many, sample_x, verify
 from .pmf import (
@@ -94,7 +94,6 @@ __all__ = [
     "sample_x",
     "sample_many",
     "verify",
-    "HAVE_NUMBA",
     "default_backend",
     "uniform53",
     "poisson_cdf_table",

@@ -1,10 +1,4 @@
-"""Sampling kernels: numba-jitted hot loops with a pure-numpy fallback.
-
-Backend selection: numba is used when importable, unless the
-environment variable LINPOIS_NO_NUMBA is set to anything but "" or "0"
-at import time.  Every public entry point also takes backend="numba" |
-"numpy" | None to override per call, which is how the benchmark and the
-fallback tests exercise both paths in one process.
+"""Sampling kernels: seeded Poisson draws and hit counts in numpy.
 
 RNG contract (counter-based, splittable, platform-independent):
     base(seed, key) = mix64(seed + C * (key + 1))      mod 2^64
@@ -14,42 +8,37 @@ are assigned key = sample_index * n_coords + coord, so any block of
 samples can be generated independently and out of order; t counts the
 uniforms consumed by one draw.
 
-Poisson draws: rates below 30 invert a CDF table precomputed in Python
-and shared by both backends, making them bit-identical.  Rates >= 30
-use Hormann's PTRS transformed rejection; both backends follow the
-same attempt sequence but may differ in the last ulp of libm calls, so
-cross-backend agreement there is statistical, not bitwise.  Rates above
-MAX_RATE = 2**62 are rejected with InputError: an accepted PTRS draw
-lies within a few sqrt(rate) of the rate, so below the ceiling every
-draw fits in int64 (past 2**63 the cast to int64 fails).
+Poisson draws: rates below 30 invert a CDF table precomputed in Python.
+Rates >= 30 use Hormann's PTRS transformed rejection (Insurance: Math.
+& Econ. 12, 1993), vectorised over the samples still rejected.  Rates
+above MAX_RATE = 2**62 are rejected with InputError: an accepted PTRS
+draw lies within a few sqrt(rate) of the rate, so below the ceiling
+every draw fits in int64 (past 2**63 the cast to int64 fails).
+
+hits_block counts A x == b exactly: A x is never formed with int64
+wraparound.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 
 import numpy as np
 
 from .errors import InputError, InternalInvariantError
 
 __all__ = [
-    "ENV_DISABLE",
-    "HAVE_NUMBA",
     "default_backend",
-    "resolve_backend",
     "mix64",
     "uniform53",
     "poisson_cdf_table",
     "sample_block",
     "hits_block",
-    "warmup",
 ]
 
-ENV_DISABLE = "LINPOIS_NO_NUMBA"
-
 _MASK64 = (1 << 64) - 1
+_INT64_MAX = (1 << 63) - 1
 _GOLDEN_I = 0x9E3779B97F4A7C15
 
 _U_GOLDEN = np.uint64(_GOLDEN_I)
@@ -59,9 +48,7 @@ _U_R30 = np.uint64(30)
 _U_R27 = np.uint64(27)
 _U_R31 = np.uint64(31)
 _U_R11 = np.uint64(11)
-_U_ZERO = np.uint64(0)
 _U_ONE = np.uint64(1)
-_U_TWO = np.uint64(2)
 _INV53 = 2.0 ** -53
 
 PTRS_THRESHOLD = 30.0
@@ -69,33 +56,9 @@ MAX_RATE = 2.0 ** 62
 _MAX_ATTEMPTS = 1024
 
 
-def _env_disabled() -> bool:
-    return os.environ.get(ENV_DISABLE, "") not in ("", "0")
-
-
-if _env_disabled():
-    HAVE_NUMBA = False
-else:
-    try:
-        import numba
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-
 def default_backend() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def resolve_backend(backend=None) -> str:
-    if backend is None or backend == "auto":
-        return default_backend()
-    if backend not in ("numba", "numpy"):
-        raise InputError(f"unknown backend {backend!r}; use 'numba' or 'numpy'")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise InputError("numba backend requested but numba is unavailable or disabled")
-    return backend
+    """Name of the sampling backend; numpy is the only one."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------- RNG
@@ -114,8 +77,8 @@ def mix64(x: int) -> int:
 def uniform53(seed: int, key: int, t: int) -> float:
     """The t-th uniform of stream (seed, key), in [0, 1).
 
-    Reference implementation of the documented contract; the array and
-    jitted generators must reproduce it bit for bit.
+    Reference implementation of the documented contract; the array
+    generator must reproduce it bit for bit.
     """
     base = mix64((seed + _GOLDEN_I * (key + 1)) & _MASK64)
     x = mix64((base + _GOLDEN_I * (t + 1)) & _MASK64)
@@ -157,9 +120,9 @@ def check_seed(seed) -> int:
 def poisson_cdf_table(lam: float, tail: float = 1e-15, max_len: int = 512) -> np.ndarray:
     """cdf[k] = P(Poisson(lam) <= k), truncated once the tail <= `tail`.
 
-    Built once in Python so both backends consume identical float64
-    values.  A uniform beyond the last entry clamps to the top bucket;
-    with the default tail that is a < 1e-15 per-draw event.
+    Built in Python, one float64 partial sum per entry.  A uniform
+    beyond the last entry clamps to the top bucket; with the default
+    tail that is a < 1e-15 per-draw event.
     """
     lam = float(lam)
     if not math.isfinite(lam) or lam < 0.0:
@@ -184,8 +147,9 @@ def _ptrs_params(lam: float) -> tuple:
     return b, a, inv_alpha, vr
 
 
-def _coord_params(rates):
-    """Shared per-coordinate tables and PTRS constants, numba-ready dtypes."""
+def _coord_params(rates) -> list:
+    """One entry per coordinate: its CDF table for rates below
+    PTRS_THRESHOLD, else the PTRS tuple (lam, log lam, b, a, 1/alpha, v_r)."""
     try:
         rates = np.asarray(rates, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -196,41 +160,14 @@ def _coord_params(rates):
         raise InputError("rates must be finite and >= 0")
     if np.any(rates > MAX_RATE):
         raise InputError(f"rates above {MAX_RATE:.0f} (2**62) cannot be sampled in int64")
-    n = rates.shape[0]
-    use_ptrs = rates >= PTRS_THRESHOLD
-    tables = [
-        np.asarray([1.0]) if use_ptrs[c] else poisson_cdf_table(float(rates[c]))
-        for c in range(n)
+    return [
+        (lam, math.log(lam), *_ptrs_params(lam)) if lam >= PTRS_THRESHOLD
+        else poisson_cdf_table(lam)
+        for lam in rates.tolist()
     ]
-    width = max((len(t) for t in tables), default=1)
-    cdf2 = np.ones((n, width), dtype=np.float64)
-    clens = np.empty(n, dtype=np.int64)
-    for c, t in enumerate(tables):
-        cdf2[c, : len(t)] = t
-        clens[c] = len(t)
-    loglams = np.zeros(n, dtype=np.float64)
-    pbs = np.zeros(n, dtype=np.float64)
-    pas = np.zeros(n, dtype=np.float64)
-    pinvs = np.zeros(n, dtype=np.float64)
-    pvrs = np.zeros(n, dtype=np.float64)
-    for c in range(n):
-        if use_ptrs[c]:
-            loglams[c] = math.log(rates[c])
-            pbs[c], pas[c], pinvs[c], pvrs[c] = _ptrs_params(float(rates[c]))
-    return (
-        cdf2,
-        clens,
-        use_ptrs.astype(np.uint8),
-        rates,
-        loglams,
-        pbs,
-        pas,
-        pinvs,
-        pvrs,
-    )
 
 
-# ------------------------------------------------------- numpy backend
+# -------------------------------------------------------------- draws
 
 def _draw_table_np(bases: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     u = _uniforms_np(bases, 0)
@@ -270,116 +207,17 @@ def _draw_ptrs_np(bases, lam, loglam, pb, pa, pinv, pvr) -> np.ndarray:
     return out
 
 
-def _sample_np(seed: int, start: int, stop: int, params) -> np.ndarray:
-    cdf2, clens, usep, lams, loglams, pbs, pas, pinvs, pvrs = params
-    n = lams.shape[0]
+def _sample_np(seed: int, start: int, stop: int, params: list) -> np.ndarray:
+    n = len(params)
     out = np.zeros((stop - start, n), dtype=np.int64)
     svec = np.arange(start, stop, dtype=np.uint64)
-    for c in range(n):
-        keys = svec * np.uint64(n) + np.uint64(c)
-        bases = _bases_np(seed, keys)
-        if usep[c]:
-            out[:, c] = _draw_ptrs_np(
-                bases, lams[c], loglams[c], pbs[c], pas[c], pinvs[c], pvrs[c]
-            )
+    for c, param in enumerate(params):
+        bases = _bases_np(seed, svec * np.uint64(n) + np.uint64(c))
+        if isinstance(param, tuple):
+            out[:, c] = _draw_ptrs_np(bases, *param)
         else:
-            out[:, c] = _draw_table_np(bases, cdf2[c, : clens[c]])
+            out[:, c] = _draw_table_np(bases, param)
     return out
-
-
-# ------------------------------------------------------- numba backend
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _mix64_nb(x):
-        x = x ^ (x >> _U_R30)
-        x = x * _U_M1
-        x = x ^ (x >> _U_R27)
-        x = x * _U_M2
-        x = x ^ (x >> _U_R31)
-        return x
-
-    @numba.njit(cache=True, nogil=True)
-    def _uniform_nb(base, t):
-        x = _mix64_nb(base + _U_GOLDEN * (t + _U_ONE))
-        return np.float64(x >> _U_R11) * _INV53
-
-    @numba.njit(cache=True, nogil=True)
-    def _draw_nb(base, cdf, clen, usep, lam, loglam, pb, pa, pinv, pvr):
-        if usep == 0:
-            u = _uniform_nb(base, _U_ZERO)
-            k = 0
-            while k < clen - 1 and u >= cdf[k]:
-                k += 1
-            return np.int64(k)
-        t = _U_ZERO
-        for _attempt in range(_MAX_ATTEMPTS):
-            uu = _uniform_nb(base, t) - 0.5
-            vv = _uniform_nb(base, t + _U_ONE)
-            t = t + _U_TWO
-            us = 0.5 - abs(uu)
-            if us < 1e-12:
-                continue
-            k = np.int64(math.floor((2.0 * pa / us + pb) * uu + lam + 0.43))
-            if us >= 0.07 and vv <= pvr:
-                return k
-            if k < 0:
-                continue
-            if us < 0.013 and vv > us:
-                continue
-            if (
-                math.log(vv) + math.log(pinv) - math.log(pa / (us * us) + pb)
-                <= k * loglam - lam - math.lgamma(k + 1.0)
-            ):
-                return k
-        return np.int64(-1)
-
-    @numba.njit(cache=True, nogil=True)
-    def _sample_nb(seed, start, stop, out, cdf2, clens, usep, lams, loglams, pbs, pas, pinvs, pvrs):
-        n = out.shape[1]
-        un = np.uint64(n)
-        for s in range(start, stop):
-            for c in range(n):
-                key = np.uint64(s) * un + np.uint64(c)
-                base = _mix64_nb(seed + _U_GOLDEN * (key + _U_ONE))
-                k = _draw_nb(
-                    base, cdf2[c], clens[c], usep[c], lams[c], loglams[c],
-                    pbs[c], pas[c], pinvs[c], pvrs[c],
-                )
-                if k < 0:
-                    return -1
-                out[s - start, c] = k
-        return 0
-
-    @numba.njit(cache=True, nogil=True)
-    def _hits_nb(seed, start, stop, amat, bvec, cdf2, clens, usep, lams, loglams, pbs, pas, pinvs, pvrs):
-        m = amat.shape[0]
-        n = amat.shape[1]
-        un = np.uint64(n)
-        hits = 0
-        y = np.empty(m, dtype=np.int64)
-        for s in range(start, stop):
-            for i in range(m):
-                y[i] = 0
-            for c in range(n):
-                key = np.uint64(s) * un + np.uint64(c)
-                base = _mix64_nb(seed + _U_GOLDEN * (key + _U_ONE))
-                k = _draw_nb(
-                    base, cdf2[c], clens[c], usep[c], lams[c], loglams[c],
-                    pbs[c], pas[c], pinvs[c], pvrs[c],
-                )
-                if k < 0:
-                    return np.int64(-1)
-                for i in range(m):
-                    y[i] += amat[i, c] * k
-            ok = True
-            for i in range(m):
-                if y[i] != bvec[i]:
-                    ok = False
-            if ok:
-                hits += 1
-        return np.int64(hits)
 
 
 # ------------------------------------------------------------- public
@@ -392,23 +230,14 @@ def _check_range(start, stop) -> tuple[int, int]:
     return start, stop
 
 
-def sample_block(rates, seed, start, stop, backend=None) -> np.ndarray:
+def sample_block(rates, seed, start, stop) -> np.ndarray:
     """Samples with indices [start, stop) as a (stop-start, n) int64 array.
 
-    Identical output for any block decomposition of the same index
-    range; the numba and numpy backends agree bitwise for rates < 30.
+    Identical output for any block decomposition of the same index range.
     """
-    be = resolve_backend(backend)
     seed = check_seed(seed)
     start, stop = _check_range(start, stop)
-    params = _coord_params(rates)
-    if be == "numba":
-        out = np.empty((stop - start, params[3].shape[0]), dtype=np.int64)
-        rc = _sample_nb(np.uint64(seed), start, stop, out, *params)
-        if rc < 0:
-            raise InternalInvariantError("rejection sampler made no progress")
-        return out
-    return _sample_np(seed, start, stop, params)
+    return _sample_np(seed, start, stop, _coord_params(rates))
 
 
 def _int64_matrix(a) -> np.ndarray:
@@ -418,9 +247,15 @@ def _int64_matrix(a) -> np.ndarray:
         raise InputError(f"matrix does not fit the sampling kernels: {exc}") from None
 
 
-def hits_block(a, b, rates, seed, start, stop, backend=None) -> int:
-    """Count samples s in [start, stop) with A x_s == b, fused per backend."""
-    be = resolve_backend(backend)
+def hits_block(a, b, rates, seed, start, stop) -> int:
+    """Count samples s in [start, stop) with A x_s == b, exactly.
+
+    On a row i without negative entries a sample misses once
+    a_ic x_c > b_i, so samples above the column caps min_i floor(b_i / a_ic)
+    are dropped first.  Every row sum of the rest is bounded in Python
+    ints by sum_c |a_ic| max x_c; InputError if a bound exceeds int64,
+    so A x is never formed with wraparound.
+    """
     seed = check_seed(seed)
     start, stop = _check_range(start, stop)
     amat = _int64_matrix(a)
@@ -433,18 +268,24 @@ def hits_block(a, b, rates, seed, start, stop, backend=None) -> int:
     if bvec.shape[0] != amat.shape[0]:
         raise InputError(f"observation length {bvec.shape[0]} != row count {amat.shape[0]}")
     params = _coord_params(rates)
-    if params[3].shape[0] != amat.shape[1]:
+    if len(params) != amat.shape[1]:
         raise InputError("rate vector length does not match matrix columns")
-    if be == "numba":
-        hits = int(_hits_nb(np.uint64(seed), start, stop, amat, bvec, *params))
-        if hits < 0:
-            raise InternalInvariantError("rejection sampler made no progress")
-        return hits
     x = _sample_np(seed, start, stop, params)
-    y = x @ amat.T
-    return int(np.count_nonzero(np.all(y == bvec, axis=1)))
-
-
-def warmup(backend=None) -> None:
-    """Trigger JIT compilation of both draw branches ahead of timing."""
-    sample_block([1.0, 40.0], 1, 0, 2, backend=backend)
+    rows = amat.tolist()
+    capping = [(row, bi) for row, bi in zip(rows, bvec.tolist()) if min(row, default=0) >= 0]
+    caps = [
+        min((bi // row[c] for row, bi in capping if row[c] > 0), default=_INT64_MAX)
+        for c in range(len(params))
+    ]
+    # column by column: numpy reductions along rows of n entries are slow
+    live = np.ones(len(x), dtype=bool)
+    for cap, col in zip(caps, x.T):
+        live &= col <= cap
+    x = x[live]
+    top = [int(col.max(initial=0)) for col in x.T]
+    if any(sum(abs(a_ic) * t for a_ic, t in zip(row, top)) > _INT64_MAX for row in rows):
+        raise InputError("A x of the sampled counts exceeds int64; the kernels cannot count it")
+    hit = np.ones(len(x), dtype=bool)
+    for bi, yi in zip(bvec.tolist(), (x @ amat.T).T):
+        hit &= yi == bi
+    return int(np.count_nonzero(hit))

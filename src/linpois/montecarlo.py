@@ -1,5 +1,6 @@
-"""Monte Carlo check of exact probabilities: sample X, form Y = A X,
-compare the hit frequency of a target b against pmf via a z-score."""
+"""Monte Carlo check of exact probabilities: sample X, count the exact
+hits A X == b with kernels.hits_block, and compare their frequency
+against pmf via a z-score."""
 
 from __future__ import annotations
 
@@ -39,14 +40,14 @@ class RngState:
         return f"RngState(seed={self.seed}, counter={self.counter})"
 
 
-def sample_x(rates, state: RngState, backend=None) -> np.ndarray:
+def sample_x(rates, state: RngState) -> np.ndarray:
     """One vector of independent Poisson(rates) draws; advances state."""
-    block = sample_block(rates, state.seed, state.counter, state.counter + 1, backend=backend)
+    block = sample_block(rates, state.seed, state.counter, state.counter + 1)
     state.counter += 1
     return block[0]
 
 
-def sample_many(rates, seed, n_samples: int, start: int = 0, backend=None) -> np.ndarray:
+def sample_many(rates, seed, n_samples: int, start: int = 0) -> np.ndarray:
     """(n_samples, n) draws with sample indices [start, start + n_samples).
 
     Equals stacking sample_x calls from the same starting state.
@@ -54,7 +55,7 @@ def sample_many(rates, seed, n_samples: int, start: int = 0, backend=None) -> np
     n_samples = operator.index(n_samples)
     if n_samples < 0:
         raise InputError("n_samples must be >= 0")
-    return sample_block(rates, seed, start, start + n_samples, backend=backend)
+    return sample_block(rates, seed, start, start + n_samples)
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ def _shard_bounds(n: int, shards: int):
     return [(i * n // shards, (i + 1) * n // shards) for i in range(shards)]
 
 
-def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1, backend=None) -> SampleReport:
+def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> SampleReport:
     """Draw n_samples of X, count exact hits Y == b, report the z-score
     of the empirical frequency against pmf(model, b).
 
@@ -102,13 +103,10 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1, backe
 
     shards = _shard_bounds(n_samples, min(threads, n_samples))
     if len(shards) == 1:
-        hits = hits_block(amat, target, rates, seed, 0, n_samples, backend=backend)
+        hits = hits_block(amat, target, rates, seed, 0, n_samples)
     else:
         with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            futs = [
-                pool.submit(hits_block, amat, target, rates, seed, lo, hi, backend=backend)
-                for lo, hi in shards
-            ]
+            futs = [pool.submit(hits_block, amat, target, rates, seed, lo, hi) for lo, hi in shards]
             hits = sum(f.result() for f in futs)
 
     empirical = hits / n_samples

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError
 from .intlinalg import SnfDecomposition, int_matrix, int_vector
 
 __all__ = [
@@ -156,7 +156,8 @@ def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
     dimension 0 gives at most one point; dimension 1 gives a line whose
     j-interval is cut out with exact integer floor/ceil, for any
     divisors.  For dimension 2 or more, returns None when b is on the
-    lattice, and the caller enumerates.
+    lattice, and the caller enumerates.  A line unbounded on one side,
+    from a zero column or a negative entry, is an InputError.
     """
     m, n = dec.d.shape
     r = dec.rank
@@ -191,10 +192,14 @@ def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
         elif u_i < 0:
             return SolutionFamily.empty()
     if lo is None or hi is None:
-        # A natural-number matrix without zero columns forces the kernel
-        # direction to have entries of both signs, so the interval is
-        # always bounded; reaching this means the input was not preprocessed.
-        raise InternalInvariantError("unbounded solution interval; kernel direction one-signed")
+        # a natural-number matrix without zero columns has a kernel
+        # direction with entries of both signs; a one-signed one comes
+        # from the caller's zero column or negative entry
+        raise InputError(
+            "infinitely many nonnegative solutions: the kernel direction is one-signed, "
+            "so the matrix has a zero column or a negative entry (PoissonModel removes "
+            "zero columns and rejects negative entries)"
+        )
     if lo > hi:
         return SolutionFamily.empty()
     if lo == hi:

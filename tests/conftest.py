@@ -1,7 +1,6 @@
 import pytest
 
 import linpois as lp
-from linpois import kernels
 
 # worked example matrices used across the suite
 EXAMPLE1 = [[1, 0, 1], [0, 2, 1]]
@@ -24,9 +23,3 @@ def model2():
 @pytest.fixture(scope="session")
 def model3():
     return lp.PoissonModel(EXAMPLE3, [1.0, 1.0, 1.0], name="example-3")
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    # compile both jit draw branches once so timed tests measure steady state
-    kernels.warmup()

@@ -174,7 +174,7 @@ def test_criterion_7_normalization_sweep(which, request):
             assert rel_ok(pmf(model, uniq[gi]).prob, float(groups[gi]), tol=1e-10)
 
 
-def test_criterion_8_monte_carlo_check(model1, warm_kernels):
+def test_criterion_8_monte_carlo_check(model1):
     with criterion(8, cap=10.0):
         rep = lp.verify(model1, [2, 2], n_samples=1_000_000, seed=2024)
         assert math.isclose(rep.exact_prob, math.exp(-3.0), rel_tol=1e-12)

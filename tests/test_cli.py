@@ -210,7 +210,7 @@ def test_gf_wrong_z_length_exits_2(model1_file, capsys):
 
 # ---------------------------------------------------------- sample
 
-def test_sample_json_schema_and_determinism(model1_file, capsys, warm_kernels):
+def test_sample_json_schema_and_determinism(model1_file, capsys):
     argv = ["sample", model1_file, "--b", "2", "2", "--n", "20000",
             "--seed", "2024", "--format", "json"]
     assert run(argv) == 0
@@ -225,7 +225,7 @@ def test_sample_json_schema_and_determinism(model1_file, capsys, warm_kernels):
     assert abs(first["z_score"]) < 6
 
 
-def test_sample_nan_z_survives_json(model1_file, capsys, warm_kernels):
+def test_sample_nan_z_survives_json(model1_file, capsys):
     # unreachable b: exact probability 0, z undefined; json mode emits
     # NaN (non-strict JSON) and Python reads it back
     assert run(["sample", model1_file, "--b", "0", "1", "--n", "1000",
@@ -242,7 +242,7 @@ def test_sample_b_beyond_int64_exits_2(model1_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_sample_threads_flag(model1_file, capsys, warm_kernels):
+def test_sample_threads_flag(model1_file, capsys):
     base = ["sample", model1_file, "--b", "1", "1", "--n", "30000",
             "--seed", "9", "--format", "json"]
     assert run(base) == 0

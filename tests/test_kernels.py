@@ -1,10 +1,8 @@
-"""Sampling kernels: RNG contract, backend equivalence, Poisson draw
-distribution, and the numpy fallback path."""
+"""Sampling kernels: RNG contract, Poisson draw distribution, draws
+pinned to golden values, and exact hit counts."""
 
+import hashlib
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -12,6 +10,8 @@ from scipy.stats import poisson
 
 from linpois import kernels as K
 from linpois.errors import InputError
+from linpois.model import PoissonModel
+from linpois.montecarlo import verify
 
 
 # ------------------------------------------------------ RNG contract
@@ -45,16 +45,6 @@ def test_numpy_uniforms_match_reference():
         assert got.tolist() == ref
 
 
-@pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba unavailable")
-def test_numba_uniform_matches_reference():
-    seed = 77
-    for key in (0, 5, 991):
-        base_py = K.mix64((seed + 0x9E3779B97F4A7C15 * (key + 1)) & (2**64 - 1))
-        for t in (0, 1, 2):
-            got = K._uniform_nb(np.uint64(base_py), np.uint64(t))
-            assert got == K.uniform53(seed, key, t)
-
-
 def test_check_seed():
     assert K.check_seed(0) == 0
     assert K.check_seed(2**64 - 1) == 2**64 - 1
@@ -63,11 +53,8 @@ def test_check_seed():
             K.check_seed(bad)
 
 
-def test_resolve_backend():
-    assert K.resolve_backend(None) in ("numba", "numpy")
-    assert K.resolve_backend("numpy") == "numpy"
-    with pytest.raises(InputError):
-        K.resolve_backend("cuda")
+def test_default_backend():
+    assert K.default_backend() == "numpy"
 
 
 # ------------------------------------------------------- CDF tables
@@ -88,67 +75,47 @@ def test_poisson_cdf_table_rejects_bad_rate():
         K.poisson_cdf_table(float("inf"))
 
 
-# ------------------------------------------------- backend behavior
+# ---------------------------------------------------- draw behavior
 
-BACKENDS = ["numpy"] + (["numba"] if K.HAVE_NUMBA else [])
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm():
-    K.warmup()
-
-
-@pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba unavailable")
-def test_backends_bit_identical_below_threshold():
-    rates = [0.2, 1.0, 4.5, 29.9]
-    a = K.sample_block(rates, 42, 0, 20_000, backend="numba")
-    b = K.sample_block(rates, 42, 0, 20_000, backend="numpy")
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_block_decomposition_invariance(backend):
+def test_block_decomposition_invariance():
     rates = [1.0, 50.0]
-    whole = K.sample_block(rates, 7, 0, 500, backend=backend)
+    whole = K.sample_block(rates, 7, 0, 500)
     parts = np.vstack([
-        K.sample_block(rates, 7, 0, 123, backend=backend),
-        K.sample_block(rates, 7, 123, 500, backend=backend),
+        K.sample_block(rates, 7, 0, 123),
+        K.sample_block(rates, 7, 123, 500),
     ])
     assert np.array_equal(whole, parts)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sampling_reproducible(backend):
+def test_sampling_reproducible():
     rates = [2.0, 40.0]
-    a = K.sample_block(rates, 99, 0, 2000, backend=backend)
-    b = K.sample_block(rates, 99, 0, 2000, backend=backend)
+    a = K.sample_block(rates, 99, 0, 2000)
+    b = K.sample_block(rates, 99, 0, 2000)
     assert np.array_equal(a, b)
-    c = K.sample_block(rates, 100, 0, 2000, backend=backend)
+    c = K.sample_block(rates, 100, 0, 2000)
     assert not np.array_equal(a, c)
 
 
 def test_zero_rate_coordinates():
-    out = K.sample_block([0.0, 3.0], 5, 0, 3000, backend="numpy")
+    out = K.sample_block([0.0, 3.0], 5, 0, 3000)
     assert np.all(out[:, 0] == 0)
     assert out[:, 1].max() > 0
-    allzero = K.sample_block([0.0, 0.0], 5, 0, 100, backend="numpy")
+    allzero = K.sample_block([0.0, 0.0], 5, 0, 100)
     assert np.all(allzero == 0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sample_mean_inversion_regime(backend):
+def test_sample_mean_inversion_regime():
     # CLT bound: |mean - 4| <= 4 * sqrt(4 / n)
     n = 100_000
-    out = K.sample_block([4.0], 1234, 0, n, backend=backend)
+    out = K.sample_block([4.0], 1234, 0, n)
     assert abs(out.mean() - 4.0) <= 4.0 * math.sqrt(4.0 / n)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sample_moments_rejection_regime(backend):
+def test_sample_moments_rejection_regime():
     # lam = 45 goes through the transformed-rejection branch
     n = 200_000
     lam = 45.0
-    out = K.sample_block([lam], 5150, 0, n, backend=backend).astype(np.float64)
+    out = K.sample_block([lam], 5150, 0, n).astype(np.float64)
     assert abs(out.mean() - lam) <= 4.5 * math.sqrt(lam / n)
     # var estimator sd ~ lam * sqrt(2/n)
     assert abs(out.var() - lam) <= 5.0 * lam * math.sqrt(2.0 / n)
@@ -159,22 +126,20 @@ def test_sample_moments_rejection_regime(backend):
         assert abs(emp - p) <= 4.5 * math.sqrt(p * (1 - p) / n)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_threshold_continuity(backend):
+def test_threshold_continuity():
     # means on either side of the method switch at rate 30
     n = 200_000
     for lam in (29.9, 30.1):
-        out = K.sample_block([lam], 31337, 0, n, backend=backend)
+        out = K.sample_block([lam], 31337, 0, n)
         assert abs(out.mean() - lam) <= 4.5 * math.sqrt(lam / n)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_hits_block_matches_direct_count(backend):
+def test_hits_block_matches_direct_count():
     a = [[1, 0, 1], [0, 2, 1]]
     b = [2, 2]
     rates = [1.0, 1.0, 1.0]
-    hits = K.hits_block(a, b, rates, 2020, 0, 50_000, backend=backend)
-    x = K.sample_block(rates, 2020, 0, 50_000, backend=backend)
+    hits = K.hits_block(a, b, rates, 2020, 0, 50_000)
+    x = K.sample_block(rates, 2020, 0, 50_000)
     y = x @ np.array(a, dtype=np.int64).T
     assert hits == int(np.count_nonzero(np.all(y == b, axis=1)))
     assert hits > 0
@@ -196,27 +161,61 @@ def test_hits_block_validation():
 def test_rate_ceiling():
     # past 2**63 the PTRS cast to int64 fails and every draw was INT64_MIN
     with pytest.raises(InputError):
-        K.sample_block([1e19], 1, 0, 5, backend="numpy")
+        K.sample_block([1e19], 1, 0, 5)
     with pytest.raises(InputError):
-        K.hits_block([[1]], [1], [K.MAX_RATE * 2], 1, 0, 5, backend="numpy")
-    top = K.sample_block([K.MAX_RATE], 1, 0, 200, backend="numpy")
+        K.hits_block([[1]], [1], [K.MAX_RATE * 2], 1, 0, 5)
+    top = K.sample_block([K.MAX_RATE], 1, 0, 200)
     assert np.all(np.abs(top - K.MAX_RATE) <= 10 * math.sqrt(K.MAX_RATE))
 
 
-# -------------------------------------------------- env flag fallback
+# ------------------------------------------------------ golden draws
 
-def test_env_flag_disables_numba():
-    """With LINPOIS_NO_NUMBA set the package must import without numba
-    and produce the same low-rate draws as the in-process numpy path."""
-    code = (
-        "from linpois import kernels as K;"
-        "assert not K.HAVE_NUMBA;"
-        "assert K.default_backend() == 'numpy';"
-        "print(K.sample_block([1.0, 4.0], 11, 0, 50).tolist())"
-    )
-    env = dict(os.environ, LINPOIS_NO_NUMBA="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    expect = K.sample_block([1.0, 4.0], 11, 0, 50, backend="numpy").tolist()
-    assert eval(proc.stdout.strip()) == expect
+def test_sample_block_golden_draws():
+    # pinned draws: zero rate, table inversion up to 29.9 and PTRS from
+    # 30 up; any change here changes every seeded result
+    rates = [0, 0.3, 4.5, 29.9, 30, 45, 1e6]
+    out = K.sample_block(rates, 2024, 0, 3000)
+    assert out[:2].tolist() == [[0, 0, 7, 28, 20, 38, 999534],
+                                [0, 1, 4, 20, 29, 52, 1000043]]
+    assert out.sum(axis=0).tolist() == [0, 919, 13484, 90123, 89746, 134922, 2999963708]
+    digest = hashlib.sha256(out.astype("<i8").tobytes()).hexdigest()
+    assert digest == "f11b63d1e6ee043f93064f1270f54e775db24d009d87b344549bb81fc8ca80ed"
+
+
+def test_hits_block_golden_count():
+    hits = K.hits_block([[1, 0, 1], [0, 2, 1]], [2, 72], [1.2, 35.0, 2.1], 11, 0, 200_000)
+    assert hits == 1440
+
+
+# ------------------------------------------------ exact hit counting
+
+def test_hits_block_huge_entry_counts_exactly():
+    # forming A x in int64 wrapped 2**62 * x to 0 for every x divisible
+    # by 4: 4,847 of these 20,000 samples counted as hits of b = [0],
+    # against P(X = 0) = e^-4 ~ 0.018
+    seed = 31
+    zeros = int(np.count_nonzero(K.sample_block([4.0], seed, 0, 20_000) == 0))
+    assert K.hits_block([[2**62]], [0], [4.0], seed, 0, 20_000) == zeros
+    rep = verify(PoissonModel([[2**62]], [4.0]), [0], 20_000, seed)
+    assert rep.hits == zeros
+    assert abs(rep.z_score) <= 5.0
+
+
+def test_hits_block_masked_rows_count_exactly():
+    # a huge column is capped by its row; the rest is counted in int64
+    a = [[2**62, 1], [0, 3]]
+    b = [2**62 + 3, 9]
+    x = K.sample_block([1.0, 4.0], 8, 0, 20_000)
+    direct = sum(1 for x0, x1 in x.tolist() if 2**62 * x0 + x1 == b[0] and 3 * x1 == b[1])
+    assert direct > 0
+    assert K.hits_block(a, b, [1.0, 4.0], 8, 0, 20_000) == direct
+
+
+def test_hits_block_negative_entries():
+    # a row with a negative entry caps nothing: x0 - x1 = 0 at any size
+    x = K.sample_block([2.0, 2.0], 3, 0, 5000)
+    direct = int(np.count_nonzero(x[:, 0] == x[:, 1]))
+    assert K.hits_block([[1, -1]], [0], [2.0, 2.0], 3, 0, 5000) == direct
+    # where the bound on A x leaves int64 the count is refused, not wrapped
+    with pytest.raises(InputError, match="int64"):
+        K.hits_block([[2**62, -2**62]], [0], [2.0, 2.0], 3, 0, 5000)

@@ -11,11 +11,6 @@ from linpois.errors import InputError
 from linpois.montecarlo import RngState, _shard_bounds, sample_many, sample_x, verify
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _warm(warm_kernels):
-    pass
-
-
 def test_rng_state_counter_advances():
     st = RngState(seed=5)
     a = sample_x([1.0, 2.0], st)

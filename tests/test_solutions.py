@@ -108,6 +108,15 @@ def test_parametrize_rejects_wrong_shape():
         solve(EXAMPLE1, [1, 2.5])
 
 
+def test_unbounded_line_is_an_input_error():
+    # a zero column or a negative entry makes the kernel direction
+    # one-signed: infinitely many solutions, a caller's input error
+    with pytest.raises(InputError, match="one-signed"):
+        solve([[1, 0]], [1])
+    with pytest.raises(InputError, match="one-signed"):
+        solve([[1, -1]], [0])
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_single_index_equals_enumeration(data):
