@@ -107,8 +107,9 @@ def _cmd_solve(args) -> int:
             f"j-range: {fam.jmin} {fam.jmax}",
         ]
     elif fam.kind in ("singleton", "finite"):
-        payload["solutions"] = [[int(x) for x in k] for k in fam.solutions]
-        lines += [f"solution: {_ints(k)}" for k in fam.solutions]
+        sols = fam.solutions
+        payload["solutions"] = [list(k) for k in sols]
+        lines += [f"solution: {_ints(k)}" for k in sols]
     return _emit(args, payload, lines)
 
 

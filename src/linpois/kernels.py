@@ -16,7 +16,7 @@ draw lies within a few sqrt(rate) of the rate, so below the ceiling
 every draw fits in int64 (past 2**63 the cast to int64 fails).
 
 hits_block counts A x == b exactly: A x is never formed with int64
-wraparound.
+wraparound; where it could wrap it is formed in Python ints.
 """
 
 from __future__ import annotations
@@ -253,8 +253,9 @@ def hits_block(a, b, rates, seed, start, stop) -> int:
     On a row i without negative entries a sample misses once
     a_ic x_c > b_i, so samples above the column caps min_i floor(b_i / a_ic)
     are dropped first.  Every row sum of the rest is bounded in Python
-    ints by sum_c |a_ic| max x_c; InputError if a bound exceeds int64,
-    so A x is never formed with wraparound.
+    ints by sum_c |a_ic| max x_c; where a bound exceeds int64, A x is
+    formed in Python ints instead, so it never wraps and the count does
+    not depend on how the samples are split into blocks.
     """
     seed = check_seed(seed)
     start, stop = _check_range(start, stop)
@@ -284,7 +285,7 @@ def hits_block(a, b, rates, seed, start, stop) -> int:
     x = x[live]
     top = [int(col.max(initial=0)) for col in x.T]
     if any(sum(abs(a_ic) * t for a_ic, t in zip(row, top)) > _INT64_MAX for row in rows):
-        raise InputError("A x of the sampled counts exceeds int64; the kernels cannot count it")
+        x, amat = x.astype(object), amat.astype(object)
     hit = np.ones(len(x), dtype=bool)
     for bi, yi in zip(bvec.tolist(), (x @ amat.T).T):
         hit &= yi == bi

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InputError
 from .intlinalg import SnfDecomposition, int_matrix, snf
-from .solutions import MethodTag, PreprocessReport, classify, preprocess
+from .solutions import MethodTag, PreprocessReport, WalkPlan, classify, preprocess
 
 __all__ = ["PoissonModel", "model_from_dict", "load_model_file"]
 
@@ -37,7 +37,8 @@ class PoissonModel:
     checks dependent rows.  ``a``/``rates`` refer to the reduced system
     used for evaluation; ``a_full``/``rates_full`` keep the original
     shapes.  Derived objects (SNF, method tag, the rate constants of the
-    log terms) are cached on first use.
+    log terms, the plan of the free-coordinate walk) are cached on first
+    use.
     """
 
     def __init__(self, a, rates, name: str | None = None, description: str | None = None):
@@ -103,6 +104,11 @@ class PoissonModel:
         # on first pmf call, not at build, so building a model costs only
         # preprocess and classify; preprocess already validated the rates
         return rate_constants(self._rates)
+
+    @cached_property
+    def walk_plan(self) -> WalkPlan:
+        # built on the first query that walks a kernel of dimension >= 2
+        return WalkPlan(self._a, self.snf.rank)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""

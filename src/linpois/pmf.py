@@ -2,9 +2,11 @@
 
 P(Y = b) is a sum of independent-Poisson product terms over the
 solution set of A k = b.  The solution set comes from the lattice layer
-(read off the Smith normal form as a singleton or a line, or enumerated
-when the kernel of A has dimension 2 or more) as one array of lattice
-points; every log term is computed from it in a single pass, and the
+(read off the Smith normal form as a singleton or a line, or, when the
+kernel of A has dimension 2 or more, walked over the free coordinates
+of the model's cached WalkPlan; a forced "enumerate" runs the
+depth-first search instead) as one array of lattice points, never as
+tuples; every log term is computed from it in a single pass, and the
 terms are combined by a max-shifted log-sum whose inner sum is
 math.fsum.  fsum is correctly rounded, so the result does not depend on
 the order of the terms.
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import InputError, InternalInvariantError, MethodNotApplicableError
 from .intlinalg import int_vector
 from .model import PoissonModel, rate_constants
-from .solutions import MethodTag, SolutionFamily, enumerate_solutions, snf_family
+from .solutions import MethodTag, SolutionFamily, enumerate_solutions, snf_family, walk_family
 
 __all__ = [
     "PmfResult",
@@ -157,16 +159,19 @@ def solution_family(model: PoissonModel, b, method=None) -> tuple[SolutionFamily
 
     method None or "auto" uses the model's classification; a forced
     method that does not apply raises MethodNotApplicableError.  Every
-    route but a forced ENUMERATE starts from the model's SNF.
+    route but a forced ENUMERATE starts from the model's SNF; on the
+    lattice, a kernel of dimension 2 or more is walked over its free
+    coordinates.  A forced ENUMERATE runs the depth-first search.
     """
     tag = _resolve_method(model, method)
     b = _check_observation(model, b)
     if b is None:
         return SolutionFamily.empty(), tag
-    forced = method is not None and method != "auto"
-    fam = None if forced and tag is MethodTag.ENUMERATE else snf_family(model.snf, b)
+    if method is not None and method != "auto" and tag is MethodTag.ENUMERATE:
+        return enumerate_solutions(model.a, b), tag
+    fam = snf_family(model.snf, b)
     if fam is None:
-        fam = enumerate_solutions(model.a, b)
+        fam = walk_family(model.walk_plan, b)
     return fam, tag
 
 

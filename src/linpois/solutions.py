@@ -1,13 +1,22 @@
 """Nonnegative integer solution sets of A k = b for natural-number matrices.
 
-Two characterizations are provided:
+Three characterizations are provided:
 
 * ``snf_family``, which reads the solution set off the Smith normal
   form p A q = d: whether b is on the lattice (dependent rows
   included), then a singleton when the kernel of A is trivial or a
   line ``u + j v`` when it has dimension 1, for any elementary divisors;
-* exhaustive depth-first enumeration, used when the kernel has
-  dimension 2 or more and as the independent oracle for the other path.
+* ``walk_family``, for a kernel of dimension 2 or more with b on the
+  lattice: a breadth-first walk, in numpy array passes, over only the
+  n - r free coordinates of a ``WalkPlan``, whose r basis coordinates
+  are then solved exactly with the integer adjugate of a nonsingular
+  r x r block;
+* exhaustive depth-first enumeration over all n columns, the
+  independent oracle for the other two and the forced ``enumerate``
+  route.
+
+Every route refuses, with InputError, a solution set or walk frontier
+of more than MAX_POINTS points before allocating it.
 
 Plus the model preprocessing step that validates the input and removes
 zero columns.
@@ -21,18 +30,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
-from .intlinalg import SnfDecomposition, int_matrix, int_vector
+from .errors import InputError, InternalInvariantError
+from .intlinalg import SnfDecomposition, det_exact, int_identity, int_matrix, int_vector, snf
 
 __all__ = [
+    "MAX_POINTS",
     "MethodTag",
     "SolutionFamily",
     "PreprocessReport",
+    "WalkPlan",
     "classify",
     "snf_family",
+    "walk_family",
     "enumerate_solutions",
     "preprocess",
 ]
+
+# the most lattice points any route holds at once: a solution set, a
+# frontier of the free-coordinate walk or the output of the DFS.  At
+# 10**7 points a solution set already takes hundreds of MB in pmf.
+MAX_POINTS = 10_000_000
+
+_INT64_MAX = (1 << 63) - 1
+
+
+def _too_many(what: str) -> InputError:
+    return InputError(f"{what} exceeds the cap of MAX_POINTS = {MAX_POINTS} lattice points")
+
+
+def _int_rows(rows) -> np.ndarray:
+    """Rows of Python ints as one (count, n) int64 array, or an object
+    array of Python ints when some entry does not fit int64."""
+    rows = list(rows)
+    n = len(rows[0]) if rows else 0
+    try:
+        arr = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        arr = np.array(rows, dtype=object)
+    return arr.reshape(len(rows), n)
 
 
 class MethodTag(enum.Enum):
@@ -46,13 +81,16 @@ class MethodTag(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionFamily:
     """The set {k in N^n : A k = b} in one of four shapes.
 
     kind is one of "empty", "singleton", "line", "finite".  A line is
     {base + j * direction : jmin <= j <= jmax} with the bounds tight:
-    stepping one past either end makes some coordinate negative.
+    stepping one past either end makes some coordinate negative.  A
+    singleton or finite family holds its points as the rows of one
+    (count, n) integer array, int64 or, when an entry does not fit,
+    object; the rows are in no set order.
     """
 
     kind: str
@@ -60,7 +98,7 @@ class SolutionFamily:
     direction: tuple[int, ...] | None = None
     jmin: int | None = None
     jmax: int | None = None
-    solutions: tuple[tuple[int, ...], ...] = ()
+    array: np.ndarray | None = None
 
     @classmethod
     def empty(cls) -> "SolutionFamily":
@@ -68,7 +106,7 @@ class SolutionFamily:
 
     @classmethod
     def singleton(cls, k) -> "SolutionFamily":
-        return cls(kind="singleton", solutions=(tuple(int(x) for x in k),))
+        return cls(kind="singleton", array=_int_rows([[int(x) for x in k]]))
 
     @classmethod
     def line(cls, u, v, jmin: int, jmax: int) -> "SolutionFamily":
@@ -82,7 +120,7 @@ class SolutionFamily:
 
     @classmethod
     def finite(cls, sols) -> "SolutionFamily":
-        return cls(kind="finite", solutions=tuple(tuple(int(x) for x in k) for k in sols))
+        return cls(kind="finite", array=_int_rows([int(x) for x in k] for k in sols))
 
     @property
     def count(self) -> int:
@@ -90,7 +128,7 @@ class SolutionFamily:
             return 0
         if self.kind == "line":
             return self.jmax - self.jmin + 1
-        return len(self.solutions)
+        return len(self.array)
 
     def points(self) -> np.ndarray:
         """Every solution as one row of a (count, n) float64 array.
@@ -99,8 +137,11 @@ class SolutionFamily:
         within a rounding or two of float(k_i), so no entry can wrap as
         int64 would.  A line is anchored at its exact integer start
         point, so the broadcast steps stay small.  An empty family has
-        shape (0, 0).
+        shape (0, 0).  InputError for more than MAX_POINTS points,
+        before any array is allocated.
         """
+        if self.count > MAX_POINTS:
+            raise _too_many(f"a solution set of {self.count} points")
         try:
             if self.kind == "line":
                 start = [u + self.jmin * v for u, v in zip(self.base, self.direction)]
@@ -108,18 +149,26 @@ class SolutionFamily:
                 return np.array(start, dtype=np.float64) + steps * np.array(
                     self.direction, dtype=np.float64
                 )
-            n = len(self.solutions[0]) if self.solutions else 0
-            return np.array(self.solutions, dtype=np.float64).reshape(len(self.solutions), n)
+            if self.array is None:
+                return np.empty((0, 0))
+            return self.array.astype(np.float64)
         except OverflowError:
             raise InputError("solution counts exceed the float64 range") from None
 
     def vectors(self):
-        """Iterate every solution vector as a tuple of ints."""
+        """Iterate every solution vector as a tuple of ints: a line in
+        the order of j, a singleton or finite family lexicographically."""
         if self.kind == "line":
             for j in range(self.jmin, self.jmax + 1):
                 yield tuple(u + j * v for u, v in zip(self.base, self.direction))
-        else:
-            yield from self.solutions
+        elif self.array is not None:
+            yield from sorted(map(tuple, self.array.tolist()))
+
+    @property
+    def solutions(self) -> tuple[tuple[int, ...], ...]:
+        """The points of a singleton or finite family as tuples in
+        lexicographic order; () for a line or an empty family."""
+        return () if self.kind == "line" else tuple(self.vectors())
 
     def as_set(self) -> frozenset:
         return frozenset(self.vectors())
@@ -207,12 +256,179 @@ def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
     return SolutionFamily.line(u, v, lo, hi)
 
 
+class WalkPlan:
+    """How walk_family splits the columns of a natural matrix of rank r.
+
+    r independent rows ``rows`` and r basis columns ``basis`` meet in a
+    nonsingular block B with determinant ``det`` and integer adjugate
+    ``adj`` (B adj = det I); the other n - r columns are ``free``.
+    Among the bases a swap search reaches, one with |det B| = 1 is
+    preferred: then every basis solve is exact and no leaf of the walk
+    is lost to divisibility.  Built from a matrix without zero columns
+    and its rank.
+    """
+
+    def __init__(self, a, rank: int):
+        a = int_matrix(a)
+        m, n = a.shape
+        for j in range(n):
+            if not any(a[:, j]):
+                raise InputError(f"column {j} is all zero; preprocess the matrix first")
+        rows = []
+        for i in range(m):
+            if len(rows) < rank and snf(a[rows + [i], :]).rank > len(rows):
+                rows.append(i)
+        sub = a[rows, :]
+        basis = []
+        for j in range(n):
+            if len(basis) < rank and snf(sub[:, basis + [j]]).rank > len(basis):
+                basis.append(j)
+        if len(rows) != rank or len(basis) != rank:
+            raise InternalInvariantError("walk plan: no nonsingular block of full rank")
+        det, adj = _det_adj(sub[:, basis])
+        while abs(det) > 1:
+            # Cramer: trading basis column i for free column j gives the
+            # block determinant (adj a_j)_i
+            free = [j for j in range(n) if j not in basis]
+            swaps = adj @ sub[:, free]
+            best = min(((abs(x), i, j) for (i, j), x in np.ndenumerate(swaps) if x),
+                       default=None)
+            if best is None or best[0] >= abs(det):
+                break
+            _, i, j = best
+            basis = sorted(basis[:i] + basis[i + 1:] + [free[j]])
+            det, adj = _det_adj(sub[:, basis])
+
+        self.n = n
+        self.rows = tuple(rows)
+        self.others = tuple(i for i in range(m) if i not in rows)
+        self.basis = tuple(basis)
+        self.free = tuple(j for j in range(n) if j not in basis)
+        self.det = det
+        self.adj = tuple(tuple(int(x) for x in row) for row in adj.tolist())
+        # |adj res_R| <= max_row sum|adj| * max b, and a basis solution
+        # k_B >= 0 with B k_B = res_R has k_B <= max b, so a row outside
+        # R of A_B k_B is at most its sum over the basis columns * max b
+        self.growth = max([1] + [sum(map(abs, row)) for row in self.adj]
+                          + [sum(int(a[i, j]) for j in basis) for i in self.others])
+        entries = [int(x) for x in a.ravel()] + [x for row in self.adj for x in row] + [det]
+        fits = max(map(abs, entries), default=0) <= _INT64_MAX
+        self._narrow = self._arrays(a, np.int64) if fits else None
+        self._wide = self._arrays(a, object)
+
+    def _arrays(self, a, dtype):
+        # one step per free column: its rows with a positive entry (an
+        # int when there is just one, so no reduction is needed) and
+        # their entries
+        m = a.shape[0]
+        steps = []
+        for j in self.free:
+            pos = [i for i in range(m) if a[i, j] > 0]
+            vals = [int(a[i, j]) for i in pos]
+            if len(pos) == 1:
+                steps.append((pos[0], vals[0], m + j))
+            else:
+                steps.append((pos, np.array(vals, dtype=dtype), m + j))
+        r = len(self.basis)
+        adj_t = np.array(self.adj, dtype=dtype).reshape(r, r).T
+        other_t = np.array(a[np.ix_(self.others, self.basis)].T.tolist(), dtype=dtype)
+        return steps, adj_t, other_t.reshape(r, len(self.others))
+
+
+def _det_adj(block) -> tuple[int, np.ndarray]:
+    """det B and the integer adjugate det B^-1 of a nonsingular block.
+
+    With p B q = d from the Smith form, B^-1 = q d^-1 p, so
+    adj B = q diag(det / d_i) p: every d_i divides det = +-prod d_i.
+    """
+    det = det_exact(block)
+    dec = snf(block)
+    scaled = dec.p.copy()
+    for i, d in enumerate(dec.divisors):
+        scaled[i, :] *= det // d
+    adj = dec.q @ scaled
+    if det == 0 or not np.array_equal(block @ adj, det * int_identity(block.shape[0])):
+        raise InternalInvariantError("walk plan: B adj B != det B I")
+    return det, adj
+
+
+def _rows_where(mask, *arrays):
+    if mask.all():
+        return arrays
+    rows = np.flatnonzero(mask)
+    return tuple(x.take(rows, axis=0) for x in arrays)
+
+
+def walk_family(plan: WalkPlan, b) -> SolutionFamily:
+    """All k in N^n with A k = b, walking only the free coordinates.
+
+    The walk state is one row [res | k] per partial solution.  It starts
+    at [b | 0] and expands one free column at a time to every value up
+    to the box bound min_i floor(res_i / a_ij), so residuals stay >= 0.
+    At the leaves the basis is solved exactly, det k_B = adj res_R, and
+    a leaf is kept when the division is exact, k_B >= 0, and
+    A_B k_B = res also holds on the rows outside R (dependent rows).
+    Arrays are int64 when (max b + 1) * max(plan.growth, MAX_POINTS)
+    proves every intermediate fits, object arrays of Python ints
+    otherwise.  InputError before a frontier of more than MAX_POINTS
+    points is allocated.
+    """
+    try:
+        b = [operator.index(x) for x in b]
+    except TypeError:
+        raise InputError("observation entries must be integers") from None
+    m = len(plan.rows) + len(plan.others)
+    if len(b) != m:
+        raise InputError(f"observation length {len(b)} != row count {m}")
+    if any(x < 0 for x in b):
+        return SolutionFamily.empty()
+    # frontier offsets are cumulative sums of up to MAX_POINTS counts of
+    # at most max b + 1 each
+    narrow = (plan._narrow is not None
+              and (max(b) + 1) * max(plan.growth, MAX_POINTS) <= _INT64_MAX)
+    steps, adj_t, other_t = plan._narrow if narrow else plan._wide
+    state = np.array([b + [0] * plan.n], dtype=np.int64 if narrow else object)
+    for pos, div, at in steps:
+        if isinstance(pos, int):
+            ub = state[:, pos] if div == 1 else state[:, pos] // div
+        else:
+            ub = (state[:, pos] // div).min(axis=1)
+        reps = ub + 1
+        ends = np.cumsum(reps)
+        if ends[-1] > MAX_POINTS:
+            raise _too_many(f"a walk frontier of {ends[-1]} points")
+        parent = np.repeat(np.arange(len(reps)), reps.astype(np.intp))
+        k = np.arange(len(parent)) - (ends - reps).take(parent)
+        state = state.take(parent, axis=0)
+        state[:, at] = k
+        if isinstance(pos, int):
+            state[:, pos] -= k if div == 1 else k * div
+        else:
+            state[:, pos] -= k[:, None] * div
+    num = state[:, plan.rows] @ adj_t
+    if plan.det == 1:
+        kb, keep = num, (num >= 0).all(axis=1)
+    elif plan.det == -1:
+        kb, keep = -num, (num <= 0).all(axis=1)
+    else:
+        kb = num // plan.det
+        keep = (num % plan.det == 0).all(axis=1) & (kb >= 0).all(axis=1)
+    state, kb = _rows_where(keep, state, kb)
+    if plan.others:
+        # rows in R hold by construction: B k_B = res_R
+        state, kb = _rows_where((kb @ other_t == state[:, plan.others]).all(axis=1), state, kb)
+    pts = state[:, m:]
+    pts[:, plan.basis] = kb
+    return SolutionFamily(kind="finite", array=pts)
+
+
 def enumerate_solutions(a, b) -> SolutionFamily:
     """All k in N^n with A k = b, by depth-first search column by column.
 
     Each column must contain a positive entry (preprocess removes zero
     columns), which bounds k_j by min_i floor(b_i / a_ij) and keeps the
     search finite.  Solutions come out in lexicographic order.
+    InputError once more than MAX_POINTS solutions are found.
     """
     a = int_matrix(a)
     b = int_vector(b)
@@ -233,6 +449,8 @@ def enumerate_solutions(a, b) -> SolutionFamily:
     def rec(j: int) -> None:
         if j == n:
             if all(r == 0 for r in residual):
+                if len(out) == MAX_POINTS:
+                    raise _too_many("the enumerated solution set")
                 out.append(tuple(current))
             return
         col = cols[j]

@@ -235,6 +235,24 @@ def test_sample_nan_z_survives_json(model1_file, capsys):
     assert math.isnan(out["z_score"])
 
 
+def test_pmf_over_point_cap_exits_2(tmp_path, capsys):
+    # a line of 10**11 points asked numpy for 745 GiB, one near 2**63
+    # points raised "array is too big": both tracebacks, exit 1
+    path = tmp_path / "ones2.json"
+    path.write_text(json.dumps({"a": [[1, 1]], "lambda": [1, 1]}))
+    for b in ("100000000000", "9223372036854775000"):
+        assert run(["pmf", str(path), "--b", b]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cap" in err
+    # the same line is still described without its points
+    assert run(["solve", str(path), "--b", "100000000000", "--format", "json"]) == 0
+    assert _json_out(capsys)["count"] == 10**11 + 1
+    # a kernel of dimension 2: the walk refuses its second frontier
+    path.write_text(json.dumps({"a": [[1, 1, 1]], "lambda": [1, 1, 1]}))
+    assert run(["pmf", str(path), "--b", "100000"]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
 def test_sample_b_beyond_int64_exits_2(model1_file, capsys):
     # the exact pmf handles any b; the int64 sampling kernels cannot
     assert run(["sample", model1_file, "--b", "2", str(2**63), "--n", "100",

@@ -216,6 +216,23 @@ def test_hits_block_negative_entries():
     x = K.sample_block([2.0, 2.0], 3, 0, 5000)
     direct = int(np.count_nonzero(x[:, 0] == x[:, 1]))
     assert K.hits_block([[1, -1]], [0], [2.0, 2.0], 3, 0, 5000) == direct
-    # where the bound on A x leaves int64 the count is refused, not wrapped
-    with pytest.raises(InputError, match="int64"):
-        K.hits_block([[2**62, -2**62]], [0], [2.0, 2.0], 3, 0, 5000)
+    # where the bound on A x leaves int64, A x is formed in Python ints
+    assert K.hits_block([[2**62, -2**62]], [0], [2.0, 2.0], 3, 0, 5000) == direct
+    assert K.hits_block([[2**62, -2**62]], [2**62], [2.0, 2.0], 3, 0, 5000) == int(
+        np.count_nonzero(x[:, 0] == x[:, 1] + 1))
+
+
+def test_hits_block_count_independent_of_shards():
+    # rates near 2**62: whether the bound max x0 + max x1 exceeds int64
+    # depends on the draws of a shard, so one shard raised InputError
+    # where two shards counted
+    r = 4.6116860022928256e18
+    x = K.sample_block([r, r], 2, 0, 2000)
+    assert int(x[:, 0].max()) + int(x[:, 1].max()) > 2**63 - 1
+    sums = [int(x0) + int(x1) for x0, x1 in x.tolist()]
+    for b in (9223372004585651200, sums[7]):
+        one = K.hits_block([[1, 1]], [b], [r, r], 2, 0, 2000)
+        two = sum(K.hits_block([[1, 1]], [b], [r, r], 2, lo, hi)
+                  for lo, hi in ((0, 1000), (1000, 2000)))
+        assert one == two == sums.count(b)
+    assert sums.count(sums[7]) >= 1

@@ -1,5 +1,12 @@
 """Solution families of A k = b: classification, the SNF solver
-(singleton and line), enumeration (the oracle), and preprocessing."""
+(singleton and line), the free-coordinate walk, enumeration (the
+oracle), the cap on lattice points, and preprocessing."""
+
+import contextlib
+import importlib
+import io
+import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +15,8 @@ from hypothesis import strategies as st
 
 import linpois as lp
 from linpois import MethodTag
+from linpois import solutions as S
+from linpois.cli import run
 from linpois.errors import InputError
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, EXAMPLE3_INVERSE
@@ -223,6 +232,177 @@ def test_snf_family_equals_enumeration(system):
     assert fam.count == len(want)
     if not want:
         assert fam.kind == "empty"
+
+
+# ------------------------------------------------- free-coordinate walk
+
+@st.composite
+def wide_kernel_systems(draw):
+    """A natural matrix with kernel dimension >= 2 and no zero column,
+    often with dependent rows and divisors above 1, rates with zeros,
+    and b drawn near the lattice A N^n as in natural_systems, sometimes
+    negative."""
+    m = draw(st.integers(1, 3))
+    n = m + 2 if m > 1 else draw(st.integers(3, 4))
+    rows = [[draw(st.integers(0, 3)) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        coef = [draw(st.integers(0, 2)) for _ in range(m - 1)]
+        rows[-1] = [sum(c * rows[i][j] for i, c in enumerate(coef)) for j in range(n)]
+    for j in range(n):
+        if not any(row[j] for row in rows):
+            rows[draw(st.integers(0, m - 1))][j] = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1, 1, 2, 3]))
+    a = lp.int_matrix([[scale * x for x in row] for row in rows])
+    k = [draw(st.integers(0, 3)) for _ in range(n)]
+    b = [int(x) for x in a @ lp.int_vector(k)]
+    b[draw(st.integers(0, m - 1))] += draw(st.sampled_from([0, 0, 1, -1, 2, -100]))
+    rates = [draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])) for _ in range(n)]
+    return a, b, rates
+
+
+def _cli_solve(path, b):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["solve", str(path), "--b", *map(str, b), "--format", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=wide_kernel_systems())
+def test_walk_equals_enumeration(system, tmp_path_factory):
+    a, b, rates = system
+    model = lp.PoissonModel(a, rates)
+    assert model.method is MethodTag.ENUMERATE and model.n == a.shape[1]
+    want = lp.enumerate_solutions(a, b)
+    fam, _ = lp.solution_family(model, b)
+    assert fam.as_set() == want.as_set()
+    assert fam.count == want.count
+    # alone, without the lattice test of snf_family in front of it
+    assert S.walk_family(model.walk_plan, b).as_set() == want.as_set()
+    auto = lp.pmf(model, b)
+    forced = lp.pmf(model, b, method="enumerate")
+    assert auto.terms == forced.terms == want.count
+    assert auto.log_prob == forced.log_prob or math.isclose(
+        auto.log_prob, forced.log_prob, rel_tol=1e-12)
+    path = tmp_path_factory.getbasetemp() / "walk-model.json"
+    path.write_text(json.dumps({"a": a.tolist(), "lambda": rates}))
+    out = _cli_solve(path, b)
+    assert out["count"] == want.count
+    if min(b) >= 0 and fam.kind == "finite":
+        assert out["kind"] == "finite"
+        assert out["solutions"] == [list(k) for k in want.vectors()]
+
+
+def test_walk_plan_prefers_unit_determinant():
+    # dependent rows: one independent row, and column 0 alone has det 1
+    plan = S.WalkPlan([[1, 1, 2], [2, 2, 4]], 1)
+    assert (plan.rows, plan.basis, plan.free, plan.det) == ((0,), (0,), (1, 2), 1)
+    assert plan.others == (1,)
+    # column 0 (det 2) is traded for column 1 (det 1)
+    plan = S.WalkPlan([[2, 1, 1]], 1)
+    assert (plan.basis, plan.det) == ((1,), 1)
+    # no unit block: the smallest determinant a swap reaches
+    plan = S.WalkPlan([[6, 10, 15, 4]], 1)
+    assert (plan.basis, plan.det) == ((3,), 4)
+    plan = S.WalkPlan([[1, 1, 1, 0], [0, 1, 2, 1]], 2)
+    assert plan.basis == (0, 1) and plan.det == 1 and plan.adj == ((1, -1), (0, 1))
+    with pytest.raises(InputError):
+        S.WalkPlan([[1, 0, 1]], 1)
+
+
+def test_walk_checks_rows_outside_the_block():
+    # b = [3, 7] breaks row 1 = 2 * row 0; only the leaf check sees it
+    plan = S.WalkPlan([[1, 1, 2], [2, 2, 4]], 1)
+    assert S.walk_family(plan, [3, 7]).count == 0
+    assert S.walk_family(plan, [3, 6]).solutions == (
+        (0, 1, 1), (0, 3, 0), (1, 0, 1), (1, 2, 0), (2, 1, 0), (3, 0, 0))
+    assert S.walk_family(plan, [3, -1]).kind == "empty"
+    with pytest.raises(InputError):
+        S.walk_family(plan, [3])
+
+
+def test_walk_wide_entries_use_python_ints():
+    """Entries beyond int64 or b large enough that int64 cannot be
+    proven safe run the walk on object arrays of Python ints."""
+    a = [[1, 2**64, 2**64]]
+    model = lp.PoissonModel(a, [1.0, 1.0, 1.0])
+    fam, tag = lp.solution_family(model, [2**65 + 3])
+    assert tag is MethodTag.ENUMERATE and fam.array.dtype == object
+    assert fam.solutions == (
+        (3, 0, 2), (3, 1, 1), (3, 2, 0),
+        (2**64 + 3, 0, 1), (2**64 + 3, 1, 0), (2**65 + 3, 0, 0),
+    )
+    res = lp.pmf(model, [2**65 + 3])
+    # the oracle: three terms with k_0 = 3 dominate; the others vanish
+    big = [-3.0 - math.lgamma(k0 + 1) - math.lgamma(k1 + 1) - math.lgamma(k2 + 1)
+           for k0, k1, k2 in fam.solutions]
+    hi = max(big)
+    ref = hi + math.log(math.fsum(math.exp(t - hi) for t in big))
+    assert res.terms == 6 and math.isclose(res.log_prob, ref, rel_tol=1e-12)
+    # k_1 + k_2 = s for s = 0..3: 1 + 2 + 3 + 4 points
+    assert lp.solution_family(model, [2**65 + 2**64 + 3])[0].count == 10
+
+    cases = [
+        ([[2**64, 2**64 + 1, 2**65]], [1, 1, 1]),
+        ([[2**63, 1, 2**63 + 1, 5], [1, 2**63, 3, 2**64]], [1, 2, 1, 1]),
+        ([[10**12, 10**12, 2 * 10**12]], [1, 1, 1]),
+    ]
+    for a, k in cases:
+        b = [int(x) for x in lp.int_matrix(a) @ lp.int_vector(k)]
+        fam = S.walk_family(S.WalkPlan(a, lp.snf(a).rank), b)
+        want = lp.enumerate_solutions(a, b)
+        assert fam.array.dtype == object
+        assert fam.solutions == want.solutions and tuple(k) in want.as_set()
+    # the same entries with b small enough to prove int64 safe
+    a = [[10**11, 10**11, 2 * 10**11]]
+    fam = S.walk_family(S.WalkPlan(a, 1), [4 * 10**11])
+    assert fam.array.dtype == np.int64
+    assert fam.solutions == lp.enumerate_solutions(a, [4 * 10**11]).solutions
+
+
+def test_auto_route_never_calls_the_dfs(monkeypatch, tmp_path):
+    class Called(Exception):
+        pass
+
+    def refuse(*args):
+        raise Called
+
+    monkeypatch.setattr(importlib.import_module("linpois.pmf"), "enumerate_solutions", refuse)
+    cases = [([[1] * 5], [6]), ([[1, 1, 2], [2, 2, 4]], [4, 8]),
+             ([[1, 1, 1, 0], [0, 1, 2, 1]], [5, 7])]
+    for a, b in cases:
+        model = lp.PoissonModel(a, [1.0] * len(a[0]))
+        res = lp.pmf(model, b)
+        assert res.method is MethodTag.ENUMERATE and res.terms > 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"a": a, "lambda": [1.0] * len(a[0])}))
+        assert _cli_solve(path, b)["count"] == res.terms
+        with pytest.raises(Called):
+            lp.pmf(model, b, method="enumerate")
+
+
+# ------------------------------------------------------ point cap
+
+def test_walk_frontier_cap():
+    # the second free column would expand 10**4 + 1 rows to ~5 * 10**7
+    model = lp.PoissonModel([[1] * 6], [1.0] * 6)
+    with pytest.raises(InputError, match="walk frontier"):
+        lp.pmf(model, [10**4])
+
+
+def test_point_cap_on_every_route(monkeypatch):
+    monkeypatch.setattr(S, "MAX_POINTS", 14)
+    model = lp.PoissonModel([[1, 1, 1]], [1.0] * 3)
+    # k1 + k2 + k3 = 4 has 15 solutions, 4 has 15 leaves
+    with pytest.raises(InputError, match="walk frontier"):
+        lp.pmf(model, [4])
+    with pytest.raises(InputError, match="enumerated"):
+        lp.pmf(model, [4], method="enumerate")
+    assert lp.pmf(model, [3]).terms == lp.pmf(model, [3], method="enumerate").terms == 10
+    line = lp.PoissonModel([[1, 1]], [1.0, 1.0])
+    assert lp.pmf(line, [13]).terms == 14
+    with pytest.raises(InputError, match="solution set of 15"):
+        lp.pmf(line, [14])
 
 
 # ------------------------------------------------------ enumeration
