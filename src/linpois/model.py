@@ -108,7 +108,7 @@ class PoissonModel:
     @cached_property
     def walk_plan(self) -> WalkPlan:
         # built on the first query that walks a kernel of dimension >= 2
-        return WalkPlan(self._a, self.snf.rank)
+        return WalkPlan(self._a)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""

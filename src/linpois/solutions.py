@@ -90,7 +90,8 @@ class SolutionFamily:
     stepping one past either end makes some coordinate negative.  A
     singleton or finite family holds its points as the rows of one
     (count, n) integer array, int64 or, when an entry does not fit,
-    object; the rows are in no set order.
+    object; the rows are in no set order.  Two families are equal when
+    they have the same kind, line parameters and set of points.
     """
 
     kind: str
@@ -173,6 +174,17 @@ class SolutionFamily:
     def as_set(self) -> frozenset:
         return frozenset(self.vectors())
 
+    def _key(self):
+        return (self.kind, self.base, self.direction, self.jmin, self.jmax, self.solutions)
+
+    def __eq__(self, other):
+        if not isinstance(other, SolutionFamily):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 def classify(dec: SnfDecomposition) -> MethodTag:
     """Evaluation route from the kernel dimension n - rank of A.
@@ -205,8 +217,10 @@ def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
     dimension 0 gives at most one point; dimension 1 gives a line whose
     j-interval is cut out with exact integer floor/ceil, for any
     divisors.  For dimension 2 or more, returns None when b is on the
-    lattice, and the caller enumerates.  A line unbounded on one side,
-    from a zero column or a negative entry, is an InputError.
+    lattice, and the caller walks the free coordinates (walk_family); a
+    forced enumerate runs the depth-first search instead.  A line
+    unbounded on one side, from a zero column or a negative entry, is an
+    InputError.
     """
     m, n = dec.d.shape
     r = dec.rank
@@ -257,47 +271,42 @@ def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
 
 
 class WalkPlan:
-    """How walk_family splits the columns of a natural matrix of rank r.
+    """How walk_family splits the columns of a natural matrix.
 
-    r independent rows ``rows`` and r basis columns ``basis`` meet in a
+    The first rows of A that are independent of the earlier ones give
+    ``rows``; their count is the rank r.  The first r columns that are
+    independent on those rows give ``basis``, which meet them in a
     nonsingular block B with determinant ``det`` and integer adjugate
     ``adj`` (B adj = det I); the other n - r columns are ``free``.
-    Among the bases a swap search reaches, one with |det B| = 1 is
-    preferred: then every basis solve is exact and no leaf of the walk
-    is lost to divisibility.  Built from a matrix without zero columns
-    and its rank.
+    When |det B| = 1 every basis solve is exact; otherwise walk_family
+    drops the leaves whose division by det B leaves a remainder.
+    InputError for a zero column or a negative entry: the box bound of
+    the walk needs every column to have a positive entry and residuals
+    that only fall.
     """
 
-    def __init__(self, a, rank: int):
+    def __init__(self, a):
         a = int_matrix(a)
         m, n = a.shape
         for j in range(n):
             if not any(a[:, j]):
                 raise InputError(f"column {j} is all zero; preprocess the matrix first")
+        for (i, j), x in np.ndenumerate(a):
+            if x < 0:
+                raise InputError(f"matrix entry ({i},{j}) is negative")
         rows = []
         for i in range(m):
-            if len(rows) < rank and snf(a[rows + [i], :]).rank > len(rows):
+            if snf(a[rows + [i], :]).rank > len(rows):
                 rows.append(i)
+        rank = len(rows)
         sub = a[rows, :]
         basis = []
         for j in range(n):
             if len(basis) < rank and snf(sub[:, basis + [j]]).rank > len(basis):
                 basis.append(j)
-        if len(rows) != rank or len(basis) != rank:
+        if len(basis) != rank:
             raise InternalInvariantError("walk plan: no nonsingular block of full rank")
         det, adj = _det_adj(sub[:, basis])
-        while abs(det) > 1:
-            # Cramer: trading basis column i for free column j gives the
-            # block determinant (adj a_j)_i
-            free = [j for j in range(n) if j not in basis]
-            swaps = adj @ sub[:, free]
-            best = min(((abs(x), i, j) for (i, j), x in np.ndenumerate(swaps) if x),
-                       default=None)
-            if best is None or best[0] >= abs(det):
-                break
-            _, i, j = best
-            basis = sorted(basis[:i] + basis[i + 1:] + [free[j]])
-            det, adj = _det_adj(sub[:, basis])
 
         self.n = n
         self.rows = tuple(rows)

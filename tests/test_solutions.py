@@ -293,26 +293,31 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
         assert out["solutions"] == [list(k) for k in want.vectors()]
 
 
-def test_walk_plan_prefers_unit_determinant():
+def test_walk_plan_takes_first_independent_block():
     # dependent rows: one independent row, and column 0 alone has det 1
-    plan = S.WalkPlan([[1, 1, 2], [2, 2, 4]], 1)
+    plan = S.WalkPlan([[1, 1, 2], [2, 2, 4]])
     assert (plan.rows, plan.basis, plan.free, plan.det) == ((0,), (0,), (1, 2), 1)
     assert plan.others == (1,)
-    # column 0 (det 2) is traded for column 1 (det 1)
-    plan = S.WalkPlan([[2, 1, 1]], 1)
-    assert (plan.basis, plan.det) == ((1,), 1)
-    # no unit block: the smallest determinant a swap reaches
-    plan = S.WalkPlan([[6, 10, 15, 4]], 1)
-    assert (plan.basis, plan.det) == ((3,), 4)
-    plan = S.WalkPlan([[1, 1, 1, 0], [0, 1, 2, 1]], 2)
+    plan = S.WalkPlan([[1, 1, 1, 0], [0, 1, 2, 1]])
+    assert plan.rows == (0, 1) and plan.free == (2, 3)
     assert plan.basis == (0, 1) and plan.det == 1 and plan.adj == ((1, -1), (0, 1))
-    with pytest.raises(InputError):
-        S.WalkPlan([[1, 0, 1]], 1)
+    # column 0 has det 2 and stays: the walk drops the inexact leaves
+    plan = S.WalkPlan([[2, 1, 1]])
+    assert (plan.basis, plan.det, plan.adj) == ((0,), 2, ((1,),))
+    for b in range(7):
+        assert S.walk_family(plan, [b]).solutions == lp.enumerate_solutions([[2, 1, 1]], [b]).solutions
+    plan = S.WalkPlan([[6, 10, 15, 4], [12, 20, 30, 8]])
+    assert (plan.rows, plan.basis, plan.det) == ((0,), (0,), 6)
+    # the walk's box bound needs a positive entry in every column and
+    # residuals that only fall
+    for a in ([[1, 0, 1]], [[1, 1, 0, 0], [0, -1, 1, 1]], [[1, -1, -1]]):
+        with pytest.raises(InputError):
+            S.WalkPlan(a)
 
 
 def test_walk_checks_rows_outside_the_block():
     # b = [3, 7] breaks row 1 = 2 * row 0; only the leaf check sees it
-    plan = S.WalkPlan([[1, 1, 2], [2, 2, 4]], 1)
+    plan = S.WalkPlan([[1, 1, 2], [2, 2, 4]])
     assert S.walk_family(plan, [3, 7]).count == 0
     assert S.walk_family(plan, [3, 6]).solutions == (
         (0, 1, 1), (0, 3, 0), (1, 0, 1), (1, 2, 0), (2, 1, 0), (3, 0, 0))
@@ -349,13 +354,13 @@ def test_walk_wide_entries_use_python_ints():
     ]
     for a, k in cases:
         b = [int(x) for x in lp.int_matrix(a) @ lp.int_vector(k)]
-        fam = S.walk_family(S.WalkPlan(a, lp.snf(a).rank), b)
+        fam = S.walk_family(S.WalkPlan(a), b)
         want = lp.enumerate_solutions(a, b)
         assert fam.array.dtype == object
         assert fam.solutions == want.solutions and tuple(k) in want.as_set()
     # the same entries with b small enough to prove int64 safe
     a = [[10**11, 10**11, 2 * 10**11]]
-    fam = S.walk_family(S.WalkPlan(a, 1), [4 * 10**11])
+    fam = S.walk_family(S.WalkPlan(a), [4 * 10**11])
     assert fam.array.dtype == np.int64
     assert fam.solutions == lp.enumerate_solutions(a, [4 * 10**11]).solutions
 
@@ -519,6 +524,24 @@ def test_family_count_and_vectors():
     assert list(line.vectors()) == [(0, 0, 2), (2, 1, 0)]
     assert lp.SolutionFamily.empty().count == 0
     assert lp.SolutionFamily.singleton([1, 2]).solutions == ((1, 2),)
+
+
+def test_family_equality():
+    """Families compare by kind, line parameters and point set: the
+    rows of a finite family may come in any order."""
+    F = lp.SolutionFamily
+    assert F.empty() == F.empty()
+    assert F.line([0, 0, 2], [2, 1, -2], 0, 1) == F.line([0, 0, 2], [2, 1, -2], 0, 1)
+    assert F.line([0, 0, 2], [2, 1, -2], 0, 1) != F.line([0, 0, 2], [2, 1, -2], 0, 2)
+    assert F.singleton([1, 2]) == F.singleton([1, 2]) != F.singleton([2, 1])
+    assert F.finite([(0, 3), (1, 1)]) == F.finite([(1, 1), (0, 3)])
+    assert F.finite([(1, 2)]) != F.singleton([1, 2]) and F.finite([]) != F.empty()
+    assert F.finite([(2**70, 0)]) == F.finite([(2**70, 0)]) != F.finite([(0, 2**70)])
+    assert len({F.empty(), F.empty(), F.finite([(0, 3), (1, 1)]),
+                F.finite([(1, 1), (0, 3)])}) == 2
+    assert F.empty() != "empty"
+    plan = S.WalkPlan([[1, 1, 1]])
+    assert S.walk_family(plan, [2]) == lp.enumerate_solutions([[1, 1, 1]], [2])
 
 
 def test_family_points_match_vectors():
