@@ -3,11 +3,12 @@ independent Poisson variables.
 
 Y = A X with A a natural-number matrix and X_i ~ Poisson(lambda_i).
 P(Y = b) is computed exactly in integer arithmetic up to the final
-log-space summation.  The solution set of A k = b is read off the Smith
-normal form of A (a single point or a one-parameter line, by the
-dimension of the kernel of A) or, for larger kernels, walked over the
-free coordinates; a seeded Monte Carlo harness cross-checks the
-results.
+log-space summation, which over a line of solutions stops at a
+certified tail bound of relative size below 2**-60.  The solution set
+of A k = b is read off the Smith normal form of A (a single point or a
+one-parameter line, by the dimension of the kernel of A) or, for larger
+kernels, walked over the free coordinates; a seeded Monte Carlo harness
+cross-checks the results.
 """
 
 from .errors import (

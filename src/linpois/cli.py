@@ -121,6 +121,8 @@ def _cmd_pmf(args) -> int:
         "log_prob": res.log_prob,
         "method": str(res.method),
         "terms": res.terms,
+        "summed": res.summed,
+        "tail_bound": res.tail_bound,
         "clamped": res.clamped,
     }
     lines = [
@@ -128,6 +130,8 @@ def _cmd_pmf(args) -> int:
         f"log_prob: {res.log_prob!r}",
         f"method: {res.method}",
         f"terms: {res.terms}",
+        f"summed: {res.summed}",
+        f"tail_bound: {res.tail_bound!r}",
         f"clamped: {'true' if res.clamped else 'false'}",
     ]
     return _emit(args, payload, lines)

@@ -15,8 +15,10 @@ Three characterizations are provided:
   independent oracle for the other two and the forced ``enumerate``
   route.
 
-Every route refuses, with InputError, a solution set or walk frontier
-of more than MAX_POINTS points before allocating it.
+Every route refuses, with InputError, a solution set, walk frontier or
+block of line points of more than MAX_POINTS points before allocating
+it; the depth-first search also refuses to visit more than
+n * MAX_POINTS nodes.
 
 Plus the model preprocessing step that validates the input and removes
 zero columns.
@@ -47,8 +49,9 @@ __all__ = [
 ]
 
 # the most lattice points any route holds at once: a solution set, a
-# frontier of the free-coordinate walk or the output of the DFS.  At
-# 10**7 points a solution set already takes hundreds of MB in pmf.
+# frontier of the free-coordinate walk, a block of line points or the
+# output of the DFS.  At 10**7 points a solution set already takes
+# hundreds of MB in pmf.
 MAX_POINTS = 10_000_000
 
 _INT64_MAX = (1 << 63) - 1
@@ -131,22 +134,30 @@ class SolutionFamily:
             return self.jmax - self.jmin + 1
         return len(self.array)
 
-    def points(self) -> np.ndarray:
+    def points(self, lo: int | None = None, hi: int | None = None) -> np.ndarray:
         """Every solution as one row of a (count, n) float64 array.
 
-        Float64 holds counts exactly below 2**53 and larger ones to
-        within a rounding or two of float(k_i), so no entry can wrap as
-        int64 would.  A line is anchored at its exact integer start
-        point, so the broadcast steps stay small.  An empty family has
-        shape (0, 0).  InputError for more than MAX_POINTS points,
-        before any array is allocated.
+        For a line, lo and hi (default jmin and jmax) select the block
+        of points j = lo..hi; they are ignored for other kinds.  Float64
+        holds counts exactly below 2**53 and larger ones to within a
+        rounding or two of float(k_i), so no entry can wrap as int64
+        would.  A block is anchored at its exact integer start point,
+        so the broadcast steps stay small.  An empty family has shape
+        (0, 0).  InputError for more than MAX_POINTS points, before any
+        array is allocated.
         """
-        if self.count > MAX_POINTS:
-            raise _too_many(f"a solution set of {self.count} points")
+        if self.kind == "line":
+            lo = self.jmin if lo is None else lo
+            hi = self.jmax if hi is None else hi
+            count = hi - lo + 1
+        else:
+            count = self.count
+        if count > MAX_POINTS:
+            raise _too_many(f"a solution set of {count} points")
         try:
             if self.kind == "line":
-                start = [u + self.jmin * v for u, v in zip(self.base, self.direction)]
-                steps = np.arange(self.count, dtype=np.float64)[:, None]
+                start = [u + lo * v for u, v in zip(self.base, self.direction)]
+                steps = np.arange(count, dtype=np.float64)[:, None]
                 return np.array(start, dtype=np.float64) + steps * np.array(
                     self.direction, dtype=np.float64
                 )
@@ -437,7 +448,9 @@ def enumerate_solutions(a, b) -> SolutionFamily:
     Each column must contain a positive entry (preprocess removes zero
     columns), which bounds k_j by min_i floor(b_i / a_ij) and keeps the
     search finite.  Solutions come out in lexicographic order.
-    InputError once more than MAX_POINTS solutions are found.
+    InputError once more than MAX_POINTS solutions are found, or before
+    the search would visit more than n * MAX_POINTS nodes in all (the
+    budget a walk over n levels of at most MAX_POINTS points each has).
     """
     a = int_matrix(a)
     b = int_vector(b)
@@ -454,6 +467,9 @@ def enumerate_solutions(a, b) -> SolutionFamily:
     residual = [int(x) for x in b]
     current = [0] * n
     out = []
+    # nodes the search has committed to visit, checked before each loop
+    budget = n * MAX_POINTS
+    visited = [0]
 
     def rec(j: int) -> None:
         if j == n:
@@ -466,6 +482,11 @@ def enumerate_solutions(a, b) -> SolutionFamily:
         ub = min(residual[i] // col[i] for i in range(m) if col[i] > 0)
         if ub < 0:
             return
+        visited[0] += ub + 1
+        if visited[0] > budget:
+            raise InputError(
+                f"the enumerated search tree of more than {budget} nodes exceeds the cap "
+                f"of n * MAX_POINTS = {n} * {MAX_POINTS}")
         for k in range(ub + 1):
             current[j] = k
             rec(j + 1)

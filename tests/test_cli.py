@@ -6,6 +6,10 @@ it and failures carry real tracebacks.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,13 +241,22 @@ def test_sample_nan_z_survives_json(model1_file, capsys):
 
 def test_pmf_over_point_cap_exits_2(tmp_path, capsys):
     # a line of 10**11 points asked numpy for 745 GiB, one near 2**63
-    # points raised "array is too big": both tracebacks, exit 1
+    # points raised "array is too big": both tracebacks, exit 1.  The
+    # first is now summed around its mode and matches Poisson(2); the
+    # second has more than MAX_POINTS terms above its tail threshold on
+    # each side of its mode
     path = tmp_path / "ones2.json"
     path.write_text(json.dumps({"a": [[1, 1]], "lambda": [1, 1]}))
-    for b in ("100000000000", "9223372036854775000"):
-        assert run(["pmf", str(path), "--b", b]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "cap" in err
+    b = 10**11
+    assert run(["pmf", str(path), "--b", str(b), "--format", "json"]) == 0
+    out = _json_out(capsys)
+    assert out["terms"] == b + 1 and out["summed"] < 10**7
+    assert 0.0 < out["tail_bound"] <= 2.0**-60
+    assert math.isclose(out["log_prob"], b * math.log(2.0) - 2.0 - math.lgamma(b + 1),
+                        rel_tol=1e-12)
+    assert run(["pmf", str(path), "--b", "9223372036854775000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cap" in err
     # the same line is still described without its points
     assert run(["solve", str(path), "--b", "100000000000", "--format", "json"]) == 0
     assert _json_out(capsys)["count"] == 10**11 + 1
@@ -251,6 +264,37 @@ def test_pmf_over_point_cap_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"a": [[1, 1, 1]], "lambda": [1, 1, 1]}))
     assert run(["pmf", str(path), "--b", "100000"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_pmf_reports_summed_terms_and_tail_bound(tmp_path, capsys):
+    # E1 at b = (2e4, 2e4) is a line of 10**4 + 1 points, most of them
+    # far below the largest term
+    path = tmp_path / "e1.json"
+    path.write_text(json.dumps({"a": A1, "lambda": [1.2, 35.0, 2.1]}))
+    argv = ["pmf", str(path), "--b", "20000", "20000"]
+    assert run(argv + ["--format", "json"]) == 0
+    out = _json_out(capsys)
+    assert out["terms"] == 10_001
+    assert 0 < out["summed"] < out["terms"]
+    assert 0.0 < out["tail_bound"] <= 2.0**-60
+    assert run(argv) == 0
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert int(lines["terms"]) == 10_001
+    assert int(lines["summed"]) == out["summed"] < 10_001
+    assert float(lines["tail_bound"]) == out["tail_bound"] <= 2.0**-60
+
+
+def test_forced_enumerate_is_bounded(tmp_path):
+    # the depth-first search used to loop over all 2**65 values of k_0
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"a": [[1, 2**64, 2**64]], "lambda": [1, 1, 1]}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "linpois.cli", "pmf", str(path),
+                          "--b", str(2**65 + 3), "--method", "enumerate"],
+                         capture_output=True, text=True, timeout=60, env=env)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "cap" in out.stderr
 
 
 def test_sample_b_beyond_int64_exits_2(model1_file, capsys):

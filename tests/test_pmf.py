@@ -2,20 +2,23 @@
 dispatch and cross-method agreement, generating function."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import poisson
 
 import linpois as lp
 from linpois import MethodTag
 from linpois.errors import InputError, InternalInvariantError, MethodNotApplicableError
-from linpois.pmf import _summed
+from linpois.model import rate_constants
+from linpois.pmf import _log_terms, _summed
 
-from conftest import EXAMPLE1, EXAMPLE3
+from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
 
 REL = 1e-12  # cross-method agreement tolerance
 
@@ -102,21 +105,29 @@ def test_logsumexp_array_equals_list(ts):
 
 # ------------------------------------------- array term evaluation
 
-def reference_log_prob(rates, points):
-    """Independent oracle: each log term is the math.fsum of its
-    math.log and math.lgamma parts, and the terms are combined by a
-    max-shifted math.fsum."""
-    terms = []
-    for k in points:
-        if any(ki > 0 and lam == 0.0 for ki, lam in zip(k, rates)):
-            continue
-        parts = [ki * math.log(lam) for ki, lam in zip(k, rates) if lam > 0.0]
-        parts += [-lam for lam in rates] + [-math.lgamma(ki + 1) for ki in k]
-        terms.append(math.fsum(parts))
-    if not terms:
+def reference_term(k, rates):
+    """ln of one product term as the math.fsum of its math.log and
+    math.lgamma parts; -inf where a zero rate meets a positive count."""
+    if any(ki > 0 and lam == 0.0 for ki, lam in zip(k, rates)):
         return float("-inf")
-    hi = max(terms)
-    return hi + math.log(math.fsum(math.exp(t - hi) for t in terms))
+    parts = [ki * math.log(lam) for ki, lam in zip(k, rates) if lam > 0.0]
+    return math.fsum(parts + [-lam for lam in rates] + [-math.lgamma(ki + 1) for ki in k])
+
+
+def reference_log_sum(terms):
+    """ln of the sum of exp(t) over the finite terms, by a max-shifted
+    math.fsum."""
+    live = [t for t in terms if t > float("-inf")]
+    if not live:
+        return float("-inf")
+    hi = max(live)
+    return hi + math.log(math.fsum(math.exp(t - hi) for t in live))
+
+
+def reference_log_prob(rates, points):
+    """Independent oracle: reference_term for every point, combined by
+    reference_log_sum."""
+    return reference_log_sum([reference_term(k, rates) for k in points])
 
 
 def agrees_with_reference(res, ref):
@@ -166,6 +177,125 @@ def test_pmf_long_lines_match_fsum_reference(coeffs, size, lam):
     res = lp.pmf(model, [b])
     assert res.terms == len(points) <= 10_001
     assert agrees_with_reference(res, reference_log_prob(lam, points))
+
+
+def summed_blocks(model, b):
+    """pmf(model, b) and the (lo, hi) of every block of line points it
+    evaluated."""
+    blocks = []
+    points = lp.SolutionFamily.points
+
+    def spy(fam, lo=None, hi=None):
+        if fam.kind == "line":
+            blocks.append((lo, hi))
+        return points(fam, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp.SolutionFamily, "points", spy)
+        res = lp.pmf(model, b)
+    return res, blocks
+
+
+LINE_MATRICES = [EXAMPLE1, EXAMPLE2, [[1, 1]], [[1, 2]], [[2, 3]], [[1, 1, 2], [0, 1, 1]]]
+
+
+@st.composite
+def kernel_one_lines(draw):
+    """A model with a one-dimensional kernel and a b whose solution set
+    is a line of at most 10**4 points."""
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(LINE_MATRICES))
+    else:
+        m = draw(st.integers(1, 2))
+        a = [[draw(st.integers(1 if m == 1 else 0, 3)) for _ in range(m + 1)] for _ in range(m)]
+    n = len(a[0])
+    rates = [draw(st.sampled_from([0.0] + [0.5, 3.0, 37.5, 800.0, 5000.0] * 2)) for _ in range(n)]
+    scale = draw(st.sampled_from([3, 30, 300, 3000, 5000]))
+    k = [draw(st.integers(0, scale)) for _ in range(n)]
+    b = [sum(x * y for x, y in zip(row, k)) for row in a]
+    return a, rates, b
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@example(([[1, 1]], [5000.0, 5000.0], [9999]))
+@example(([[1, 100]], [5000.0, 37.5], [40_000]))
+@example(([[1, 1]], [37.5, 800.0], [3000]))
+@example((EXAMPLE1, [0.0, 5000.0, 800.0], [3000, 3000]))
+@example(([[1, 2]], [800.0, 0.0], [2000]))
+@given(kernel_one_lines())
+def test_windowed_line_sum_matches_full_sum(case):
+    """The line sum against an fsum over every point of the line, and
+    the reported tail bound against the mass it actually left out."""
+    a, rates, b = case
+    model = lp.PoissonModel(a, rates)
+    assume(model.method is MethodTag.SINGLE_INDEX)
+    fam, _ = lp.solution_family(model, b)
+    assume(fam.kind == "line" and fam.count <= 10_000)
+    lam = model.rates.tolist()
+    terms = [reference_term(k, lam) for k in fam.vectors()]
+    res, blocks = summed_blocks(model, b)
+    assert res.terms == fam.count
+    full = reference_log_sum(terms)
+    if full == float("-inf"):
+        assert res.log_prob == full and res.summed == 0 and res.tail_bound == 0.0
+        return
+    assert math.isclose(res.log_prob, full, rel_tol=REL, abs_tol=REL)
+    # the blocks tile one window [jlo, jhi] of the line
+    jlo, jhi = blocks[0][0], blocks[-1][1]
+    assert all(q[1] + 1 == r[0] for q, r in zip(blocks, blocks[1:]))
+    assert res.summed == jhi - jlo + 1 <= fam.count
+    kept = range(jlo - fam.jmin, jhi - fam.jmin + 1)
+    omitted = math.fsum(math.exp(t - res.log_prob)
+                        for i, t in enumerate(terms) if i not in kept)
+    assert omitted <= res.tail_bound <= 2.0**-60
+    if res.summed == fam.count:
+        assert res.tail_bound == 0.0
+
+
+def test_window_of_a_million_point_line():
+    """E1 at b = (2e6, 2e6): 10**6 + 1 points, about 1,800 of them above
+    the tail threshold.  The result equals the full sum, and the window
+    is evaluated in a small fraction of the memory the line would take."""
+    model = lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1])
+    b = [2 * 10**6, 2 * 10**6]
+    fam, _ = lp.solution_family(model, b)
+    assert fam.count == 10**6 + 1
+    res = lp.pmf(model, b)
+    tracemalloc.start()
+    try:
+        again = lp.pmf(model, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == res
+    assert res.terms == 10**6 + 1 and res.summed <= 10**4
+    assert peak < 1 << 20
+    # the full sum, one term per point, by scipy's log-gamma
+    k = fam.points()
+    lam = np.array([1.2, 35.0, 2.1])
+    logs = (k * np.log(lam) - lam - gammaln(k + 1.0)).sum(axis=1)
+    hi = float(logs.max())
+    full = hi + math.log(math.fsum(np.exp(logs - hi).tolist()))
+    assert math.isclose(res.log_prob, full, rel_tol=REL)
+    assert res.log_prob == lp.logsumexp(_log_terms(k, model.rates, *model.term_constants))
+
+
+def test_log_terms_table_equals_lgamma_map():
+    """The lgamma table for small counts gives the same bits as one
+    math.lgamma call per entry, and large counts keep the map."""
+    rng = np.random.default_rng(7)
+    lam = np.array([0.0, 0.3, 4.5, 1e4])
+    consts = rate_constants(lam)
+    cases = [rng.integers(0, 40, size=(50, 4)).astype(np.float64),
+             np.array([[0.0, 0, 0, 0]]),
+             np.array([[0.0, 1, 2, 3]]),
+             np.array([[0.0, 2.0**53 + 2, 3, 2.0**60], [0, 5, 2.0**64, 1]]),
+             rng.integers(0, 10**6, size=(8, 4)).astype(np.float64)]
+    for pts in cases:
+        lgam = np.array([math.lgamma(x) for x in (pts + 1.0).ravel().tolist()]).reshape(pts.shape)
+        want = (pts * consts[0] - lam - lgam).sum(axis=1)
+        want[pts @ consts[1] > 0.0] = float("-inf")
+        assert np.array_equal(_log_terms(pts, lam, *consts), want)
 
 
 def test_pmf_line_partly_live(model1):

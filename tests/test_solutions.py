@@ -7,6 +7,10 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,11 @@ from linpois.cli import run
 from linpois.errors import InputError
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, EXAMPLE3_INVERSE
+
+
+# the environment of a child interpreter that imports this checkout
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
 
 
 def family_set(fam):
@@ -406,8 +415,30 @@ def test_point_cap_on_every_route(monkeypatch):
     assert lp.pmf(model, [3]).terms == lp.pmf(model, [3], method="enumerate").terms == 10
     line = lp.PoissonModel([[1, 1]], [1.0, 1.0])
     assert lp.pmf(line, [13]).terms == 14
+    # a line is summed in blocks of at most MAX_POINTS points, so its
+    # length is not capped: 15 points in two blocks, against Poisson(2)
+    res = lp.pmf(line, [14])
+    assert res.terms == res.summed == 15
+    assert math.isclose(res.log_prob, 14 * math.log(2.0) - 2.0 - math.lgamma(15), rel_tol=1e-12)
+    # holding the whole line at once is still refused
+    fam, _ = lp.solution_family(line, [14])
     with pytest.raises(InputError, match="solution set of 15"):
-        lp.pmf(line, [14])
+        fam.points()
+
+
+def test_forced_dfs_is_bounded():
+    # six solutions, but the depth-first search used to loop over all
+    # 2**65 values of k_0; it must now refuse at once
+    code = ("import linpois as lp\n"
+            "m = lp.PoissonModel([[1, 2**64, 2**64]], [1.0, 1.0, 1.0])\n"
+            "try:\n"
+            "    lp.pmf(m, [2**65 + 3], method='enumerate')\n"
+            "except lp.InputError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env=SRC_ENV)
+    assert out.returncode == 0 and "cap" in out.stdout
+    assert lp.pmf(lp.PoissonModel([[1, 2**64, 2**64]], [1.0] * 3), [2**65 + 3]).terms == 6
 
 
 # ------------------------------------------------------ enumeration
