@@ -4,27 +4,21 @@ independent Poisson variables.
 Y = A X with A a natural-number matrix and X_i ~ Poisson(lambda_i).
 P(Y = b) is computed exactly in integer arithmetic up to the final
 log-space summation, which over a line of solutions stops at a
-certified tail bound of relative size below 2**-60.  The solution set
-of A k = b is read off the Smith normal form of A (a single point or a
-one-parameter line, by the dimension of the kernel of A) or, for larger
-kernels, walked over the free coordinates; a seeded Monte Carlo harness
-cross-checks the results.
+certified tail bound of relative size below 2**-60.  Each query takes
+one route, decided by the solution lattice of A k = b alone: the
+solution set is read off the Smith normal form of A (a single point or
+a one-parameter line, by the dimension of the kernel of A) or, for
+larger kernels, walked over the free coordinates.  A seeded Monte Carlo
+harness cross-checks the results.
 """
 
-from .errors import (
-    InputError,
-    InternalInvariantError,
-    LinpoisError,
-    MethodNotApplicableError,
-)
+from .errors import InputError, InternalInvariantError, LinpoisError
 from .intlinalg import (
     SnfDecomposition,
-    det_exact,
     format_matrix_text,
     int_identity,
     int_matrix,
     int_vector,
-    minor_gcd,
     parse_matrix_text,
     snf,
 )
@@ -38,9 +32,6 @@ from .pmf import (
     log_term,
     logsumexp,
     pmf,
-    pmf_enumerate,
-    pmf_invertible,
-    pmf_single_index,
     pmf_table,
     solution_family,
 )
@@ -49,7 +40,6 @@ from .solutions import (
     PreprocessReport,
     SolutionFamily,
     classify,
-    enumerate_solutions,
     preprocess,
     snf_family,
 )
@@ -59,15 +49,12 @@ __version__ = "0.1.0"
 __all__ = [
     "LinpoisError",
     "InputError",
-    "MethodNotApplicableError",
     "InternalInvariantError",
     "int_matrix",
     "int_identity",
     "int_vector",
     "SnfDecomposition",
     "snf",
-    "det_exact",
-    "minor_gcd",
     "parse_matrix_text",
     "format_matrix_text",
     "MethodTag",
@@ -75,7 +62,6 @@ __all__ = [
     "PreprocessReport",
     "classify",
     "snf_family",
-    "enumerate_solutions",
     "preprocess",
     "PoissonModel",
     "model_from_dict",
@@ -85,9 +71,6 @@ __all__ = [
     "logsumexp",
     "solution_family",
     "pmf",
-    "pmf_single_index",
-    "pmf_invertible",
-    "pmf_enumerate",
     "gf_eval",
     "gf_eval_series",
     "pmf_table",

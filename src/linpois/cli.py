@@ -3,8 +3,9 @@
 Subcommands: snf, solve, pmf, gf, sample.  Models are JSON files with
 keys "a" and "lambda"; with --matrix-format text the positional file is
 a whitespace matrix instead and rates come from --lambda.  Exit codes:
-0 success, 2 input error, 3 forced method not applicable, 4 internal
-invariant failure.  Probability zero is a success, not an error.
+0 success, 2 input error (argparse's usage errors included), 4 internal
+invariant failure.  Probability zero is a success, not an error.  The
+pmf and solve outputs name the route that answered in "method".
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import InputError, InternalInvariantError, LinpoisError, MethodNotApplicableError
+from .errors import InputError, InternalInvariantError, LinpoisError
 from .intlinalg import format_matrix_text, int_matrix, parse_matrix_text, snf
 from .model import PoissonModel, load_model_file
 from .montecarlo import verify
@@ -115,7 +116,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_pmf(args) -> int:
     model = _load_model(args)
-    res = pmf(model, args.b, method=None if args.method == "auto" else args.method)
+    res = pmf(model, args.b)
     payload = {
         "prob": res.prob,
         "log_prob": res.log_prob,
@@ -213,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pmf", help="P(Y = b)")
     _add_model_args(sp)
     sp.add_argument("--b", type=int, nargs="+", required=True, metavar="B")
-    sp.add_argument("--method", choices=("auto", "single-index", "invertible", "enumerate"),
-                    default="auto", help="force an evaluation path (exit 3 if inapplicable)")
     sp.set_defaults(func=_cmd_pmf)
 
     sp = sub.add_parser("gf", help="generating function G(z)")
@@ -239,9 +238,6 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MethodNotApplicableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except InternalInvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes, so keep the hierarchy flat
+The CLI maps these onto distinct exit codes (InputError and any other
+LinpoisError 2, InternalInvariantError 4), so keep the hierarchy flat
 and the categories coarse.
 """
 
@@ -11,10 +12,6 @@ class LinpoisError(Exception):
 
 class InputError(LinpoisError):
     """Invalid user input: bad file, bad dimensions, bad values."""
-
-
-class MethodNotApplicableError(LinpoisError):
-    """A forced evaluation method does not apply to the given model."""
 
 
 class InternalInvariantError(LinpoisError):

@@ -4,15 +4,14 @@ Matrices are numpy arrays with ``dtype=object`` holding Python ints.
 Object arrays keep numpy's indexing and ``dot`` while every entry stays
 exact; fixed-width dtypes are never used here because entries can grow
 far beyond 64 bits during elimination.  The Smith normal form is the
-one lattice representation the solvers use; ``det_exact`` and
-``minor_gcd`` are kept as independent oracles for it.
+one lattice representation and the one elimination routine the solvers
+use; the determinant and minor-gcd oracles that check it live with the
+tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -24,15 +23,9 @@ __all__ = [
     "int_vector",
     "SnfDecomposition",
     "snf",
-    "det_exact",
-    "minor_gcd",
     "parse_matrix_text",
     "format_matrix_text",
 ]
-
-# minor_gcd enumerates all i-by-i minors, which is exponential in the
-# matrix size; refuse anything past this bound.
-MINOR_GCD_MAX_DIM = 6
 
 
 def int_matrix(data) -> np.ndarray:
@@ -187,56 +180,6 @@ def snf(a) -> SnfDecomposition:
     if not np.array_equal(p @ a @ q, d):
         raise InternalInvariantError("snf: p @ a @ q != d")
     return SnfDecomposition(p=p, d=d, q=q, rank=len(divisors), divisors=tuple(divisors))
-
-
-def det_exact(a) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    a = int_matrix(a)
-    m, n = a.shape
-    if m != n:
-        raise InputError(f"determinant requires a square matrix, got {m}x{n}")
-    if n == 0:
-        return 1
-    w = [[a[i, j] for j in range(n)] for i in range(m)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if w[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if w[i][k] != 0), None)
-            if swap is None:
-                return 0
-            w[k], w[swap] = w[swap], w[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) // prev
-            w[i][k] = 0
-        prev = w[k][k]
-    return sign * w[n - 1][n - 1]
-
-
-def minor_gcd(a, i: int) -> int:
-    """gcd of the absolute values of all i-by-i minors.
-
-    Combinatorial-cost verification oracle for the elementary divisors:
-    refuses matrices with min(rows, cols) > MINOR_GCD_MAX_DIM.
-    """
-    a = int_matrix(a)
-    m, n = a.shape
-    if min(m, n) > MINOR_GCD_MAX_DIM:
-        raise InputError(
-            f"minor_gcd is an enumeration oracle, limited to min dim <= {MINOR_GCD_MAX_DIM}"
-        )
-    if not 1 <= i <= min(m, n):
-        raise InputError(f"minor order {i} out of range 1..{min(m, n)}")
-    g = 0
-    for rows in combinations(range(m), i):
-        for cols in combinations(range(n), i):
-            sub = a[np.ix_(rows, cols)]
-            g = math.gcd(g, abs(det_exact(sub)))
-            if g == 1:
-                return 1
-    return g
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

@@ -57,7 +57,8 @@ _MAX_ATTEMPTS = 1024
 
 
 def default_backend() -> str:
-    """Name of the sampling backend; numpy is the only one."""
+    """Name of the sampling backend; numpy is the only one.  Kept because
+    the benchmark records it with every run."""
     return "numpy"
 
 

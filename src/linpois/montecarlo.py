@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,6 +19,9 @@ from .model import PoissonModel
 from .pmf import pmf
 
 __all__ = ["RngState", "SampleReport", "sample_x", "sample_many", "verify"]
+
+# the most samples one hits_block call draws, as a (block, n) int64 array
+_SAMPLE_BLOCK = 1 << 20
 
 
 class RngState:
@@ -78,12 +82,21 @@ def _shard_bounds(n: int, shards: int):
     return [(i * n // shards, (i + 1) * n // shards) for i in range(shards)]
 
 
+def _count_hits(amat, target, rates, seed, lo: int, hi: int) -> int:
+    """Hits among samples [lo, hi), drawn _SAMPLE_BLOCK at a time."""
+    return sum(hits_block(amat, target, rates, seed, s, min(s + _SAMPLE_BLOCK, hi))
+               for s in range(lo, hi, _SAMPLE_BLOCK))
+
+
 def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> SampleReport:
     """Draw n_samples of X, count exact hits Y == b, report the z-score
     of the empirical frequency against pmf(model, b).
 
     Reproducible: the result depends only on (model, b, n_samples,
-    seed), not on threads, which merely shards the counter range.
+    seed), not on threads, which merely shards the counter range.  The
+    shards run on at most os.cpu_count() threads, and each draws its
+    samples in blocks of at most _SAMPLE_BLOCK, so memory stays bounded
+    for any n_samples.
     """
     n_samples = operator.index(n_samples)
     if n_samples < 1:
@@ -103,10 +116,11 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
 
     shards = _shard_bounds(n_samples, min(threads, n_samples))
     if len(shards) == 1:
-        hits = hits_block(amat, target, rates, seed, 0, n_samples)
+        hits = _count_hits(amat, target, rates, seed, 0, n_samples)
     else:
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            futs = [pool.submit(hits_block, amat, target, rates, seed, lo, hi) for lo, hi in shards]
+        with ThreadPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
+            futs = [pool.submit(_count_hits, amat, target, rates, seed, lo, hi)
+                    for lo, hi in shards]
             hits = sum(f.result() for f in futs)
 
     empirical = hits / n_samples

@@ -1,11 +1,11 @@
 """Probability evaluation for Y = A X.
 
 P(Y = b) is a sum of independent-Poisson product terms over the
-solution set of A k = b.  The solution set comes from the lattice layer:
-read off the Smith normal form as a singleton or a line, or, when the
-kernel of A has dimension 2 or more, walked over the free coordinates
-of the model's cached WalkPlan (a forced "enumerate" runs the
-depth-first search instead).  Log terms are formed in numpy passes over
+solution set of A k = b.  The solution set comes from the lattice layer,
+by one route that the query alone decides: read off the Smith normal
+form as a singleton or a line, or, when the kernel of A has dimension 2
+or more and b is on the lattice, walked over the free coordinates of
+the model's cached WalkPlan.  Log terms are formed in numpy passes over
 arrays of lattice points, never over tuples, and combined by a
 max-shifted log-sum whose inner sum is math.fsum.  fsum is correctly
 rounded, so the result does not depend on the order of the terms.
@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solutions
-from .errors import InputError, InternalInvariantError, MethodNotApplicableError
+from .errors import InputError, InternalInvariantError
 from .intlinalg import int_vector
 from .model import PoissonModel, rate_constants
-from .solutions import MethodTag, SolutionFamily, enumerate_solutions, snf_family, walk_family
+from .solutions import MethodTag, SolutionFamily, snf_family, walk_family
 
 __all__ = [
     "PmfResult",
@@ -44,9 +44,6 @@ __all__ = [
     "logsumexp",
     "solution_family",
     "pmf",
-    "pmf_single_index",
-    "pmf_invertible",
-    "pmf_enumerate",
     "gf_eval",
     "gf_eval_series",
     "pmf_table",
@@ -157,25 +154,6 @@ def logsumexp(terms) -> float:
     return hi + math.log(math.fsum(np.exp(t - hi).tolist()))
 
 
-def _resolve_method(model: PoissonModel, method) -> MethodTag:
-    if method is None or method == "auto":
-        return model.method
-    if isinstance(method, MethodTag):
-        tag = method
-    else:
-        try:
-            tag = MethodTag(method)
-        except ValueError:
-            raise InputError(f"unknown method {method!r}") from None
-    if tag is MethodTag.ENUMERATE:
-        return tag
-    if tag is not model.method:
-        raise MethodNotApplicableError(
-            f"method '{tag}' forced but model classifies as '{model.method}'"
-        )
-    return tag
-
-
 def _check_observation(model: PoissonModel, b) -> list[int] | None:
     """Validated b as a list of ints, or None if a negative entry makes
     P(Y=b) = 0."""
@@ -186,21 +164,16 @@ def _check_observation(model: PoissonModel, b) -> list[int] | None:
     return None if any(x < 0 for x in b) else b
 
 
-def solution_family(model: PoissonModel, b, method=None) -> tuple[SolutionFamily, MethodTag]:
-    """Solution set of A k = b via the chosen route, plus the route used.
+def solution_family(model: PoissonModel, b) -> tuple[SolutionFamily, MethodTag]:
+    """Solution set of A k = b, plus the model's route tag.
 
-    method None or "auto" uses the model's classification; a forced
-    method that does not apply raises MethodNotApplicableError.  Every
-    route but a forced ENUMERATE starts from the model's SNF; on the
-    lattice, a kernel of dimension 2 or more is walked over its free
-    coordinates.  A forced ENUMERATE runs the depth-first search.
+    The set is read off the model's SNF; on the lattice, a kernel of
+    dimension 2 or more is walked over its free coordinates.
     """
-    tag = _resolve_method(model, method)
+    tag = model.method
     b = _check_observation(model, b)
     if b is None:
         return SolutionFamily.empty(), tag
-    if method is not None and method != "auto" and tag is MethodTag.ENUMERATE:
-        return enumerate_solutions(model.a, b), tag
     fam = snf_family(model.snf, b)
     if fam is None:
         fam = walk_family(model.walk_plan, b)
@@ -357,33 +330,19 @@ def _line_sum(fam: SolutionFamily, model: PoissonModel, tag: MethodTag) -> PmfRe
     return _summed(t, tag, terms=fam.count, tail_logs=tail_logs)
 
 
-def pmf(model: PoissonModel, b, method=None) -> PmfResult:
-    """P(Y = b), dispatching on the model's classification.
+def pmf(model: PoissonModel, b) -> PmfResult:
+    """P(Y = b) over the solution family of A k = b.
 
     Negative entries, a violated dependent-row relation or a b off the
     lattice A Z^n give probability 0 (a valid query, not an error).
     A line is summed over a window around its mode (_window); every
-    other family over all its points.
+    other family over all its points.  The result's method tag names
+    the route that answered.
     """
-    fam, tag = solution_family(model, b, method)
+    fam, tag = solution_family(model, b)
     if fam.kind == "line":
         return _line_sum(fam, model, tag)
     return _summed(_log_terms(fam.points(), model.rates, *model.term_constants), tag)
-
-
-def pmf_single_index(model: PoissonModel, b) -> PmfResult:
-    """P(Y = b) via the one-parameter solution line."""
-    return pmf(model, b, method=MethodTag.SINGLE_INDEX)
-
-
-def pmf_invertible(model: PoissonModel, b) -> PmfResult:
-    """P(Y = b) via the single solution when A has a trivial kernel."""
-    return pmf(model, b, method=MethodTag.INVERTIBLE)
-
-
-def pmf_enumerate(model: PoissonModel, b) -> PmfResult:
-    """P(Y = b) by brute-force enumeration; reference for the others."""
-    return pmf(model, b, method=MethodTag.ENUMERATE)
 
 
 def _check_z(model: PoissonModel, z) -> np.ndarray:

@@ -1,24 +1,19 @@
 """Nonnegative integer solution sets of A k = b for natural-number matrices.
 
-Three characterizations are provided:
+One route, picked by the dimension of the kernel of A:
 
-* ``snf_family``, which reads the solution set off the Smith normal
-  form p A q = d: whether b is on the lattice (dependent rows
-  included), then a singleton when the kernel of A is trivial or a
-  line ``u + j v`` when it has dimension 1, for any elementary divisors;
-* ``walk_family``, for a kernel of dimension 2 or more with b on the
-  lattice: a breadth-first walk, in numpy array passes, over only the
-  n - r free coordinates of a ``WalkPlan``, whose r basis coordinates
-  are then solved exactly with the integer adjugate of a nonsingular
-  r x r block;
-* exhaustive depth-first enumeration over all n columns, the
-  independent oracle for the other two and the forced ``enumerate``
-  route.
+* ``snf_family`` reads the solution set off the Smith normal form
+  p A q = d: whether b is on the lattice (dependent rows included),
+  then a singleton when the kernel of A is trivial or a line
+  ``u + j v`` when it has dimension 1, for any elementary divisors;
+* ``walk_family`` takes over for a kernel of dimension 2 or more with b
+  on the lattice: a breadth-first walk, in numpy array passes, over
+  only the n - r free coordinates of a ``WalkPlan``, whose r basis
+  coordinates are then solved exactly with an integer matrix read off
+  the Smith form of a nonsingular r x r block.
 
-Every route refuses, with InputError, a solution set, walk frontier or
-block of line points of more than MAX_POINTS points before allocating
-it; the depth-first search also refuses to visit more than
-n * MAX_POINTS nodes.
+Both refuse, with InputError, a solution set, walk frontier or block of
+line points of more than MAX_POINTS points before allocating it.
 
 Plus the model preprocessing step that validates the input and removes
 zero columns.
@@ -27,13 +22,14 @@ zero columns.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, InternalInvariantError
-from .intlinalg import SnfDecomposition, det_exact, int_identity, int_matrix, int_vector, snf
+from .intlinalg import SnfDecomposition, int_identity, int_matrix, snf
 
 __all__ = [
     "MAX_POINTS",
@@ -44,14 +40,12 @@ __all__ = [
     "classify",
     "snf_family",
     "walk_family",
-    "enumerate_solutions",
     "preprocess",
 ]
 
 # the most lattice points any route holds at once: a solution set, a
-# frontier of the free-coordinate walk, a block of line points or the
-# output of the DFS.  At 10**7 points a solution set already takes
-# hundreds of MB in pmf.
+# frontier of the free-coordinate walk or a block of line points.  At
+# 10**7 points a solution set already takes hundreds of MB in pmf.
 MAX_POINTS = 10_000_000
 
 _INT64_MAX = (1 << 63) - 1
@@ -74,7 +68,8 @@ def _int_rows(rows) -> np.ndarray:
 
 
 class MethodTag(enum.Enum):
-    """Which evaluation route applies to a (preprocessed) matrix."""
+    """Which evaluation route answers queries on a (preprocessed) matrix;
+    ENUMERATE is the free-coordinate walk."""
 
     SINGLE_INDEX = "single-index"
     INVERTIBLE = "invertible"
@@ -201,8 +196,8 @@ def classify(dec: SnfDecomposition) -> MethodTag:
     """Evaluation route from the kernel dimension n - rank of A.
 
     0 -> INVERTIBLE (at most one solution), 1 -> SINGLE_INDEX (a line),
-    2 or more -> ENUMERATE.  Divisors and dependent rows do not matter:
-    snf_family handles both.
+    2 or more -> ENUMERATE (the free-coordinate walk).  Divisors and
+    dependent rows do not matter: snf_family handles both.
     """
     free = dec.q.shape[0] - dec.rank
     if free == 0:
@@ -228,10 +223,9 @@ def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
     dimension 0 gives at most one point; dimension 1 gives a line whose
     j-interval is cut out with exact integer floor/ceil, for any
     divisors.  For dimension 2 or more, returns None when b is on the
-    lattice, and the caller walks the free coordinates (walk_family); a
-    forced enumerate runs the depth-first search instead.  A line
-    unbounded on one side, from a zero column or a negative entry, is an
-    InputError.
+    lattice, and the caller walks the free coordinates (walk_family).
+    A line unbounded on one side, from a zero column or a negative
+    entry, is an InputError.
     """
     m, n = dec.d.shape
     r = dec.rank
@@ -287,10 +281,11 @@ class WalkPlan:
     The first rows of A that are independent of the earlier ones give
     ``rows``; their count is the rank r.  The first r columns that are
     independent on those rows give ``basis``, which meet them in a
-    nonsingular block B with determinant ``det`` and integer adjugate
-    ``adj`` (B adj = det I); the other n - r columns are ``free``.
-    When |det B| = 1 every basis solve is exact; otherwise walk_family
-    drops the leaves whose division by det B leaves a remainder.
+    nonsingular block B with ``det`` = |det B| and the integer matrix
+    ``adj`` = det B^-1 (B adj = det I); the other n - r columns are
+    ``free``.  When det = 1 every basis solve is exact; otherwise
+    walk_family drops the leaves whose division by det leaves a
+    remainder.
     InputError for a zero column or a negative entry: the box bound of
     the walk needs every column to have a positive entry and residuals
     that only fall.
@@ -356,19 +351,20 @@ class WalkPlan:
 
 
 def _det_adj(block) -> tuple[int, np.ndarray]:
-    """det B and the integer adjugate det B^-1 of a nonsingular block.
+    """|det B| and the integer matrix |det B| B^-1 of a nonsingular block.
 
-    With p B q = d from the Smith form, B^-1 = q d^-1 p, so
-    adj B = q diag(det / d_i) p: every d_i divides det = +-prod d_i.
+    With p B q = d from the Smith form, p and q unimodular, |det B| is
+    the product D of the divisors d_i and B^-1 = q d^-1 p, so
+    D B^-1 = q diag(D / d_i) p: every d_i divides D.
     """
-    det = det_exact(block)
     dec = snf(block)
+    det = math.prod(dec.divisors)
     scaled = dec.p.copy()
     for i, d in enumerate(dec.divisors):
         scaled[i, :] *= det // d
     adj = dec.q @ scaled
-    if det == 0 or not np.array_equal(block @ adj, det * int_identity(block.shape[0])):
-        raise InternalInvariantError("walk plan: B adj B != det B I")
+    if not np.array_equal(block @ adj, det * int_identity(block.shape[0])):
+        raise InternalInvariantError("walk plan: B adj B != |det B| I")
     return det, adj
 
 
@@ -428,8 +424,6 @@ def walk_family(plan: WalkPlan, b) -> SolutionFamily:
     num = state[:, plan.rows] @ adj_t
     if plan.det == 1:
         kb, keep = num, (num >= 0).all(axis=1)
-    elif plan.det == -1:
-        kb, keep = -num, (num <= 0).all(axis=1)
     else:
         kb = num // plan.det
         keep = (num % plan.det == 0).all(axis=1) & (kb >= 0).all(axis=1)
@@ -440,66 +434,6 @@ def walk_family(plan: WalkPlan, b) -> SolutionFamily:
     pts = state[:, m:]
     pts[:, plan.basis] = kb
     return SolutionFamily(kind="finite", array=pts)
-
-
-def enumerate_solutions(a, b) -> SolutionFamily:
-    """All k in N^n with A k = b, by depth-first search column by column.
-
-    Each column must contain a positive entry (preprocess removes zero
-    columns), which bounds k_j by min_i floor(b_i / a_ij) and keeps the
-    search finite.  Solutions come out in lexicographic order.
-    InputError once more than MAX_POINTS solutions are found, or before
-    the search would visit more than n * MAX_POINTS nodes in all (the
-    budget a walk over n levels of at most MAX_POINTS points each has).
-    """
-    a = int_matrix(a)
-    b = int_vector(b)
-    m, n = a.shape
-    if b.shape[0] != m:
-        raise InputError(f"observation length {b.shape[0]} != row count {m}")
-    cols = [[int(a[i, j]) for i in range(m)] for j in range(n)]
-    for j, col in enumerate(cols):
-        if all(x == 0 for x in col):
-            raise InputError(f"column {j} is all zero; preprocess the matrix first")
-    if any(int(x) < 0 for x in b):
-        return SolutionFamily.empty()
-
-    residual = [int(x) for x in b]
-    current = [0] * n
-    out = []
-    # nodes the search has committed to visit, checked before each loop
-    budget = n * MAX_POINTS
-    visited = [0]
-
-    def rec(j: int) -> None:
-        if j == n:
-            if all(r == 0 for r in residual):
-                if len(out) == MAX_POINTS:
-                    raise _too_many("the enumerated solution set")
-                out.append(tuple(current))
-            return
-        col = cols[j]
-        ub = min(residual[i] // col[i] for i in range(m) if col[i] > 0)
-        if ub < 0:
-            return
-        visited[0] += ub + 1
-        if visited[0] > budget:
-            raise InputError(
-                f"the enumerated search tree of more than {budget} nodes exceeds the cap "
-                f"of n * MAX_POINTS = {n} * {MAX_POINTS}")
-        for k in range(ub + 1):
-            current[j] = k
-            rec(j + 1)
-            for i in range(m):
-                residual[i] -= col[i]
-        for i in range(m):
-            residual[i] += (ub + 1) * col[i]
-        current[j] = 0
-
-    if n == 0:
-        return SolutionFamily.finite([()] if all(r == 0 for r in residual) else [])
-    rec(0)
-    return SolutionFamily.finite(out)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ import pytest
 
 from linpois.cli import run
 
+from oracle import enumerate_solutions, reference_log_prob
+
 A1 = [[1, 0, 1], [0, 2, 1]]
 
 
@@ -99,13 +101,11 @@ def test_solve_dependent_rows_empty(tmp_path, capsys):
 def test_pmf_auto_matches_enumerate(model1_file, capsys):
     assert run(["pmf", model1_file, "--b", "2", "2", "--format", "json"]) == 0
     auto = _json_out(capsys)
-    assert run(["pmf", model1_file, "--b", "2", "2", "--method", "enumerate",
-                "--format", "json"]) == 0
-    enum = _json_out(capsys)
+    enum = enumerate_solutions(A1, [2, 2])
     assert auto["method"] == "single-index"
-    assert enum["method"] == "enumerate"
-    assert auto["terms"] == enum["terms"] == 2
-    assert math.isclose(auto["prob"], enum["prob"], rel_tol=1e-12)
+    assert auto["terms"] == enum.count == 2
+    assert math.isclose(auto["log_prob"], reference_log_prob([1.0] * 3, enum.vectors()),
+                        rel_tol=1e-12)
     assert auto["clamped"] is False
 
 
@@ -143,8 +143,7 @@ def test_pmf_single_index_with_divisor_two(tmp_path, capsys):
     path = tmp_path / "d2.json"
     path.write_text(json.dumps({"a": [[2, 2]], "lambda": [1.0, 2.0]}))
     for b in (0, 2, 200):
-        assert run(["pmf", str(path), "--b", str(b), "--method", "single-index",
-                    "--format", "json"]) == 0
+        assert run(["pmf", str(path), "--b", str(b), "--format", "json"]) == 0
         out = _json_out(capsys)
         assert out["method"] == "single-index"
         assert out["terms"] == b // 2 + 1
@@ -155,10 +154,12 @@ def test_pmf_single_index_with_divisor_two(tmp_path, capsys):
 
 # ------------------------------------------------------ exit codes
 
-def test_forced_method_not_applicable_exits_3(model1_file, capsys):
-    assert run(["pmf", model1_file, "--b", "2", "2",
-                "--method", "invertible"]) == 3
-    assert "error:" in capsys.readouterr().err
+def test_pmf_method_flag_is_a_usage_error(model1_file, capsys):
+    # pmf has one route per query, so there is no --method to force one
+    with pytest.raises(SystemExit) as exc:
+        run(["pmf", model1_file, "--b", "2", "2", "--method", "enumerate"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method enumerate" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):
@@ -284,17 +285,19 @@ def test_pmf_reports_summed_terms_and_tail_bound(tmp_path, capsys):
     assert float(lines["tail_bound"]) == out["tail_bound"] <= 2.0**-60
 
 
-def test_forced_enumerate_is_bounded(tmp_path):
-    # the depth-first search used to loop over all 2**65 values of k_0
+def test_pmf_wide_entries_answer_at_once(tmp_path):
+    # six solutions, where a depth-first search over all columns would
+    # loop over all 2**65 values of k_0; the walk answers at once
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"a": [[1, 2**64, 2**64]], "lambda": [1, 1, 1]}))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-m", "linpois.cli", "pmf", str(path),
-                          "--b", str(2**65 + 3), "--method", "enumerate"],
+                          "--b", str(2**65 + 3), "--format", "json"],
                          capture_output=True, text=True, timeout=60, env=env)
-    assert out.returncode == 2
-    assert out.stderr.startswith("error:") and "cap" in out.stderr
+    assert out.returncode == 0
+    res = json.loads(out.stdout)
+    assert res["method"] == "enumerate" and res["terms"] == 6 and res["prob"] > 0.0
 
 
 def test_sample_b_beyond_int64_exits_2(model1_file, capsys):

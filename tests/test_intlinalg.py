@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: SNF, determinant, minor gcd.
+"""Exact integer linear algebra: SNF, and the determinant and minor-gcd
+oracles of tests/oracle.py.
 
 The heavier properties are checked against independent in-test oracles:
 plain Fraction Gaussian elimination for the determinant and the SNF
@@ -16,6 +17,7 @@ import linpois as lp
 from linpois.errors import InputError
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, EXAMPLE3_INVERSE
+from oracle import det_exact, minor_gcd
 
 
 # ---------------------------------------------------------- oracles
@@ -147,8 +149,8 @@ def test_snf_invariants(rows):
     dec = lp.snf(a)
     # reconstruction is checked inside snf; repeat here explicitly
     assert np.array_equal(dec.p @ a @ dec.q, dec.d)
-    assert abs(lp.det_exact(dec.p)) == 1
-    assert abs(lp.det_exact(dec.q)) == 1
+    assert abs(det_exact(dec.p)) == 1
+    assert abs(det_exact(dec.q)) == 1
     # diagonal, nonnegative, divisibility chain
     m, n = a.shape
     for i in range(m):
@@ -163,7 +165,7 @@ def test_snf_invariants(rows):
     # minor-gcd quotient oracle: d_i = gcd(i-minors) / gcd((i-1)-minors)
     prev = 1
     for i, d in enumerate(divs, start=1):
-        delta = lp.minor_gcd(a, i)
+        delta = minor_gcd(a, i)
         assert d == delta // prev
         prev = delta
 
@@ -171,22 +173,22 @@ def test_snf_invariants(rows):
 # ------------------------------------------------------ determinant
 
 def test_det_known_values():
-    assert lp.det_exact(EXAMPLE3) == 1
-    assert lp.det_exact([[1, 2], [2, 4]]) == 0
-    assert lp.det_exact(lp.int_identity(4)) == 1
+    assert det_exact(EXAMPLE3) == 1
+    assert det_exact([[1, 2], [2, 4]]) == 0
+    assert det_exact(lp.int_identity(4)) == 1
     with pytest.raises(InputError):
-        lp.det_exact(EXAMPLE1)
+        det_exact(EXAMPLE1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(square_matrices())
 def test_det_matches_fraction_elimination(rows):
-    assert lp.det_exact(rows) == frac_det(rows)
+    assert det_exact(rows) == frac_det(rows)
 
 
 @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
 def test_det_2x2_formula(a, b, c, d):
-    assert lp.det_exact([[a, b], [c, d]]) == a * d - b * c
+    assert det_exact([[a, b], [c, d]]) == a * d - b * c
 
 
 # ---------------------------------------------------------- inverse
@@ -202,18 +204,18 @@ def test_inverse_known_integer_inverse():
 
 def test_minor_gcd_by_hand():
     a = [[2, 4], [6, 8]]
-    assert lp.minor_gcd(a, 1) == 2
-    assert lp.minor_gcd(a, 2) == 8  # |2*8 - 4*6| = 8
+    assert minor_gcd(a, 1) == 2
+    assert minor_gcd(a, 2) == 8  # |2*8 - 4*6| = 8
     assert lp.snf(a).divisors == (2, 4)  # 2, 8/2
 
 
 def test_minor_gcd_guards():
     with pytest.raises(InputError):
-        lp.minor_gcd(lp.int_identity(7), 2)
+        minor_gcd(lp.int_identity(7), 2)
     with pytest.raises(InputError):
-        lp.minor_gcd([[1, 2], [3, 4]], 3)
+        minor_gcd([[1, 2], [3, 4]], 3)
     with pytest.raises(InputError):
-        lp.minor_gcd([[1, 2], [3, 4]], 0)
+        minor_gcd([[1, 2], [3, 4]], 0)
 
 
 # ------------------------------------------------------ text format

@@ -2,11 +2,14 @@
 agreement with the exact computation."""
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import linpois as lp
+from linpois import kernels, montecarlo
 from linpois.errors import InputError
 from linpois.montecarlo import RngState, _shard_bounds, sample_many, sample_x, verify
 
@@ -66,6 +69,39 @@ def test_verify_thread_invariance(model1):
     assert multi.empirical_prob == base.empirical_prob
     assert multi.z_score == base.z_score
     assert base.n_shards == 1 and multi.n_shards == 3
+
+
+def test_verify_threads_are_capped_by_the_cpu_count(model1, monkeypatch):
+    # --threads has no upper bound: 64 shards must not ask for 64 threads
+    asked = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2))
+
+    one = verify(model1, [1, 1], n_samples=64, seed=8)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+    many = verify(model1, [1, 1], n_samples=64, seed=8, threads=64)
+    assert asked and max(asked) <= os.cpu_count()
+    assert many.hits == one.hits and many.n_shards == 64
+
+
+def test_verify_draws_in_bounded_blocks(model1, monkeypatch):
+    # a shard's samples are drawn a block at a time, never all at once
+    want = verify(model1, [1, 1], n_samples=5_000, seed=21).hits
+    rows = []
+    draw = kernels._sample_np
+
+    def spy(seed, start, stop, params):
+        rows.append(stop - start)
+        return draw(seed, start, stop, params)
+
+    monkeypatch.setattr(montecarlo, "_SAMPLE_BLOCK", 1_000, raising=False)
+    monkeypatch.setattr(kernels, "_sample_np", spy)
+    for threads in (1, 2):
+        assert verify(model1, [1, 1], n_samples=5_000, seed=21, threads=threads).hits == want
+    assert max(rows) <= 1_000 and sum(rows) == 2 * 5_000
 
 
 def test_verify_z_formula(model1):

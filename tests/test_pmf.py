@@ -1,6 +1,7 @@
-"""Probability evaluation: log terms, stable summation, method
-dispatch and cross-method agreement, generating function."""
+"""Probability evaluation: log terms, stable summation, the one route
+per query against the oracles of tests/oracle.py, generating function."""
 
+import importlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,11 +15,12 @@ from scipy.stats import poisson
 
 import linpois as lp
 from linpois import MethodTag
-from linpois.errors import InputError, InternalInvariantError, MethodNotApplicableError
+from linpois.errors import InputError, InternalInvariantError
 from linpois.model import rate_constants
 from linpois.pmf import _log_terms, _summed
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
+from oracle import enumerate_solutions, reference_log_prob, reference_log_sum, reference_term
 
 REL = 1e-12  # cross-method agreement tolerance
 
@@ -105,31 +107,6 @@ def test_logsumexp_array_equals_list(ts):
 
 # ------------------------------------------- array term evaluation
 
-def reference_term(k, rates):
-    """ln of one product term as the math.fsum of its math.log and
-    math.lgamma parts; -inf where a zero rate meets a positive count."""
-    if any(ki > 0 and lam == 0.0 for ki, lam in zip(k, rates)):
-        return float("-inf")
-    parts = [ki * math.log(lam) for ki, lam in zip(k, rates) if lam > 0.0]
-    return math.fsum(parts + [-lam for lam in rates] + [-math.lgamma(ki + 1) for ki in k])
-
-
-def reference_log_sum(terms):
-    """ln of the sum of exp(t) over the finite terms, by a max-shifted
-    math.fsum."""
-    live = [t for t in terms if t > float("-inf")]
-    if not live:
-        return float("-inf")
-    hi = max(live)
-    return hi + math.log(math.fsum(math.exp(t - hi) for t in live))
-
-
-def reference_log_prob(rates, points):
-    """Independent oracle: reference_term for every point, combined by
-    reference_log_sum."""
-    return reference_log_sum([reference_term(k, rates) for k in points])
-
-
 def agrees_with_reference(res, ref):
     if ref == float("-inf"):
         return res.log_prob == ref and res.prob == 0.0
@@ -151,7 +128,7 @@ def test_pmf_matches_fsum_reference_on_enumeration(data):
     lam = [data.draw(st.sampled_from(RATES)) for _ in range(n)]
     model = lp.PoissonModel(rows, lam)
     b = [data.draw(st.integers(0, 12)) for _ in range(m)]
-    fam, _ = lp.solution_family(model, b, method="enumerate")
+    fam = enumerate_solutions(model.a, b)
     res = lp.pmf(model, b)
     assert res.terms == fam.count
     assert agrees_with_reference(res, reference_log_prob(model.rates.tolist(), fam.vectors()))
@@ -173,7 +150,7 @@ def test_pmf_long_lines_match_fsum_reference(coeffs, size, lam):
     assert model.method is MethodTag.SINGLE_INDEX
     points = [(k1, (b - a1 * k1) // a2) for k1 in range(b // a1 + 1) if (b - a1 * k1) % a2 == 0]
     if b <= 60:
-        assert set(points) == lp.enumerate_solutions([[a1, a2]], [b]).as_set()
+        assert set(points) == enumerate_solutions([[a1, a2]], [b]).as_set()
     res = lp.pmf(model, [b])
     assert res.terms == len(points) <= 10_001
     assert agrees_with_reference(res, reference_log_prob(lam, points))
@@ -371,14 +348,28 @@ def test_pmf_dimension_mismatch(model1):
         lp.pmf(model1, [1, 2, 3])
 
 
-def test_pmf_method_forcing(model1, model3):
-    assert lp.pmf_enumerate(model1, [2, 2]).method is MethodTag.ENUMERATE
-    with pytest.raises(MethodNotApplicableError):
-        lp.pmf_invertible(model1, [2, 2])
-    with pytest.raises(MethodNotApplicableError):
-        lp.pmf_single_index(model3, [1, 1, 1])
-    with pytest.raises(InputError):
-        lp.pmf(model1, [2, 2], method="fancy")
+def test_pmf_takes_no_method_option(model1, model3):
+    """The lattice alone picks the route, and the result names it."""
+    assert lp.pmf(model1, [2, 2]).method is MethodTag.SINGLE_INDEX
+    assert lp.pmf(model3, [1, 1, 1]).method is MethodTag.INVERTIBLE
+    ones = lp.PoissonModel([[1, 1, 1]], [1.0] * 3)
+    assert lp.pmf(ones, [2]).method is MethodTag.ENUMERATE
+    for method in ("enumerate", "auto", MethodTag.INVERTIBLE):
+        with pytest.raises(TypeError):
+            lp.pmf(model1, [2, 2], method=method)
+        with pytest.raises(TypeError):
+            lp.solution_family(model1, [2, 2], method=method)
+
+
+def test_removed_names_are_not_exported():
+    removed = ["pmf_single_index", "pmf_invertible", "pmf_enumerate",
+               "MethodNotApplicableError", "enumerate_solutions", "det_exact", "minor_gcd"]
+    for name in ("linpois", "linpois.errors", "linpois.intlinalg", "linpois.pmf",
+                 "linpois.solutions"):
+        mod = importlib.import_module(name)
+        for attr in removed:
+            assert not hasattr(mod, attr), f"{name}.{attr}"
+    assert not set(removed) & set(lp.__all__)
 
 
 def test_pmf_dependent_rows_checked_against_original_b():
@@ -393,7 +384,8 @@ def test_pmf_dependent_rows_checked_against_original_b():
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_method_agreement_with_enumeration(data):
-    """Whatever route classify picks must agree with brute force."""
+    """Whatever route classify picks must agree with brute force: the
+    fsum over every point of the depth-first search."""
     m = data.draw(st.integers(1, 3))
     n = data.draw(st.integers(1, 4))
     rows = [[data.draw(st.integers(0, 3)) for _ in range(n)] for _ in range(m)]
@@ -401,13 +393,11 @@ def test_method_agreement_with_enumeration(data):
     model = lp.PoissonModel(rows, lam)
     b = [data.draw(st.integers(0, 8)) for _ in range(m)]
     auto = lp.pmf(model, b)
-    ref = lp.pmf_enumerate(model, b)
-    assert rel_close(auto.prob, ref.prob)
-    assert auto.terms == ref.terms
-    if model.method is MethodTag.SINGLE_INDEX:
-        assert rel_close(lp.pmf_single_index(model, b).prob, ref.prob)
-    if model.method is MethodTag.INVERTIBLE:
-        assert rel_close(lp.pmf_invertible(model, b).prob, ref.prob)
+    brute = enumerate_solutions(model.a, b)
+    ref = reference_log_prob(model.rates.tolist(), brute.vectors())
+    assert rel_close(auto.prob, math.exp(ref))
+    assert auto.terms == brute.count
+    assert auto.method is model.method
 
 
 def test_preprocess_is_probability_preserving():

@@ -1,9 +1,9 @@
 """Solution families of A k = b: classification, the SNF solver
-(singleton and line), the free-coordinate walk, enumeration (the
-oracle), the cap on lattice points, and preprocessing."""
+(singleton and line), the free-coordinate walk, the cap on lattice
+points, and preprocessing, checked against the depth-first enumeration
+oracle of tests/oracle.py (itself tested here too)."""
 
 import contextlib
-import importlib
 import io
 import json
 import math
@@ -24,11 +24,14 @@ from linpois.cli import run
 from linpois.errors import InputError
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, EXAMPLE3_INVERSE
+from oracle import det_exact, enumerate_solutions, reference_log_prob
 
 
-# the environment of a child interpreter that imports this checkout
+# the environment of a child interpreter that imports this checkout and
+# the test oracles
 SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
-    [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    [str(Path(__file__).resolve().parents[1] / "src"), str(Path(__file__).resolve().parent),
+     os.environ.get("PYTHONPATH", "")]))
 
 
 def family_set(fam):
@@ -142,7 +145,7 @@ def test_single_index_equals_enumeration(data):
     a = lp.int_matrix(a)
     b = [data.draw(st.integers(0, 6)) for _ in range(a.shape[0])]
     fam = solve(a, b)
-    assert family_set(fam) == family_set(lp.enumerate_solutions(a, b))
+    assert family_set(fam) == family_set(enumerate_solutions(a, b))
 
 
 @settings(max_examples=120, deadline=None)
@@ -193,11 +196,11 @@ def test_solve_invertible_equals_enumeration(data):
     n = data.draw(st.integers(1, 3))
     rows = [[data.draw(st.integers(0, 3)) for _ in range(n)] for _ in range(n)]
     a = lp.int_matrix(rows)
-    if lp.det_exact(a) == 0 or any(all(a[i, j] == 0 for i in range(n)) for j in range(n)):
+    if det_exact(a) == 0 or any(all(a[i, j] == 0 for i in range(n)) for j in range(n)):
         return
     b = [data.draw(st.integers(0, 8)) for _ in range(n)]
     got = family_set(solve(a, b))
-    assert got == family_set(lp.enumerate_solutions(a, b))
+    assert got == family_set(enumerate_solutions(a, b))
 
 
 @st.composite
@@ -231,9 +234,9 @@ def test_snf_family_equals_enumeration(system):
         return
     dec = lp.snf(a)
     fam = lp.snf_family(dec, b)
-    want = family_set(lp.enumerate_solutions(a, b))
+    want = family_set(enumerate_solutions(a, b))
     if n - dec.rank >= 2:
-        # left to enumeration unless b is off the lattice
+        # left to the walk unless b is off the lattice
         assert fam is None or (fam.kind == "empty" and not want)
         return
     assert fam is not None
@@ -282,17 +285,16 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
     a, b, rates = system
     model = lp.PoissonModel(a, rates)
     assert model.method is MethodTag.ENUMERATE and model.n == a.shape[1]
-    want = lp.enumerate_solutions(a, b)
+    want = enumerate_solutions(a, b)
     fam, _ = lp.solution_family(model, b)
     assert fam.as_set() == want.as_set()
     assert fam.count == want.count
     # alone, without the lattice test of snf_family in front of it
     assert S.walk_family(model.walk_plan, b).as_set() == want.as_set()
     auto = lp.pmf(model, b)
-    forced = lp.pmf(model, b, method="enumerate")
-    assert auto.terms == forced.terms == want.count
-    assert auto.log_prob == forced.log_prob or math.isclose(
-        auto.log_prob, forced.log_prob, rel_tol=1e-12)
+    ref = reference_log_prob(model.rates.tolist(), want.vectors())
+    assert auto.terms == want.count
+    assert auto.log_prob == ref or math.isclose(auto.log_prob, ref, rel_tol=1e-12)
     path = tmp_path_factory.getbasetemp() / "walk-model.json"
     path.write_text(json.dumps({"a": a.tolist(), "lambda": rates}))
     out = _cli_solve(path, b)
@@ -314,7 +316,7 @@ def test_walk_plan_takes_first_independent_block():
     plan = S.WalkPlan([[2, 1, 1]])
     assert (plan.basis, plan.det, plan.adj) == ((0,), 2, ((1,),))
     for b in range(7):
-        assert S.walk_family(plan, [b]).solutions == lp.enumerate_solutions([[2, 1, 1]], [b]).solutions
+        assert S.walk_family(plan, [b]).solutions == enumerate_solutions([[2, 1, 1]], [b]).solutions
     plan = S.WalkPlan([[6, 10, 15, 4], [12, 20, 30, 8]])
     assert (plan.rows, plan.basis, plan.det) == ((0,), (0,), 6)
     # the walk's box bound needs a positive entry in every column and
@@ -364,35 +366,14 @@ def test_walk_wide_entries_use_python_ints():
     for a, k in cases:
         b = [int(x) for x in lp.int_matrix(a) @ lp.int_vector(k)]
         fam = S.walk_family(S.WalkPlan(a), b)
-        want = lp.enumerate_solutions(a, b)
+        want = enumerate_solutions(a, b)
         assert fam.array.dtype == object
         assert fam.solutions == want.solutions and tuple(k) in want.as_set()
     # the same entries with b small enough to prove int64 safe
     a = [[10**11, 10**11, 2 * 10**11]]
     fam = S.walk_family(S.WalkPlan(a), [4 * 10**11])
     assert fam.array.dtype == np.int64
-    assert fam.solutions == lp.enumerate_solutions(a, [4 * 10**11]).solutions
-
-
-def test_auto_route_never_calls_the_dfs(monkeypatch, tmp_path):
-    class Called(Exception):
-        pass
-
-    def refuse(*args):
-        raise Called
-
-    monkeypatch.setattr(importlib.import_module("linpois.pmf"), "enumerate_solutions", refuse)
-    cases = [([[1] * 5], [6]), ([[1, 1, 2], [2, 2, 4]], [4, 8]),
-             ([[1, 1, 1, 0], [0, 1, 2, 1]], [5, 7])]
-    for a, b in cases:
-        model = lp.PoissonModel(a, [1.0] * len(a[0]))
-        res = lp.pmf(model, b)
-        assert res.method is MethodTag.ENUMERATE and res.terms > 0
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps({"a": a, "lambda": [1.0] * len(a[0])}))
-        assert _cli_solve(path, b)["count"] == res.terms
-        with pytest.raises(Called):
-            lp.pmf(model, b, method="enumerate")
+    assert fam.solutions == enumerate_solutions(a, [4 * 10**11]).solutions
 
 
 # ------------------------------------------------------ point cap
@@ -410,9 +391,10 @@ def test_point_cap_on_every_route(monkeypatch):
     # k1 + k2 + k3 = 4 has 15 solutions, 4 has 15 leaves
     with pytest.raises(InputError, match="walk frontier"):
         lp.pmf(model, [4])
+    # the oracle's depth-first search honours the same cap
     with pytest.raises(InputError, match="enumerated"):
-        lp.pmf(model, [4], method="enumerate")
-    assert lp.pmf(model, [3]).terms == lp.pmf(model, [3], method="enumerate").terms == 10
+        enumerate_solutions(model.a, [4])
+    assert lp.pmf(model, [3]).terms == enumerate_solutions(model.a, [3]).count == 10
     line = lp.PoissonModel([[1, 1]], [1.0, 1.0])
     assert lp.pmf(line, [13]).terms == 14
     # a line is summed in blocks of at most MAX_POINTS points, so its
@@ -426,13 +408,14 @@ def test_point_cap_on_every_route(monkeypatch):
         fam.points()
 
 
-def test_forced_dfs_is_bounded():
-    # six solutions, but the depth-first search used to loop over all
-    # 2**65 values of k_0; it must now refuse at once
+def test_oracle_dfs_is_bounded():
+    # six solutions, but a depth-first search without a node budget
+    # loops over all 2**65 values of k_0; the oracle refuses at once,
+    # and the walk answers
     code = ("import linpois as lp\n"
-            "m = lp.PoissonModel([[1, 2**64, 2**64]], [1.0, 1.0, 1.0])\n"
+            "from oracle import enumerate_solutions\n"
             "try:\n"
-            "    lp.pmf(m, [2**65 + 3], method='enumerate')\n"
+            "    enumerate_solutions([[1, 2**64, 2**64]], [2**65 + 3])\n"
             "except lp.InputError as exc:\n"
             "    print(exc)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -444,25 +427,25 @@ def test_forced_dfs_is_bounded():
 # ------------------------------------------------------ enumeration
 
 def test_enumerate_known():
-    assert family_set(lp.enumerate_solutions(EXAMPLE1, [2, 2])) == {(0, 0, 2), (2, 1, 0)}
-    assert family_set(lp.enumerate_solutions(EXAMPLE1, [0, 0])) == {(0, 0, 0)}
-    assert family_set(lp.enumerate_solutions(lp.int_identity(2), [3, 1])) == {(3, 1)}
+    assert family_set(enumerate_solutions(EXAMPLE1, [2, 2])) == {(0, 0, 2), (2, 1, 0)}
+    assert family_set(enumerate_solutions(EXAMPLE1, [0, 0])) == {(0, 0, 0)}
+    assert family_set(enumerate_solutions(lp.int_identity(2), [3, 1])) == {(3, 1)}
 
 
 def test_enumerate_simplex_count():
     # k1 + k2 + k3 = 4 has C(6, 2) = 15 nonnegative solutions
-    fam = lp.enumerate_solutions([[1, 1, 1]], [4])
+    fam = enumerate_solutions([[1, 1, 1]], [4])
     assert fam.count == 15
     assert all(sum(k) == 4 for k in fam.vectors())
 
 
 def test_enumerate_negative_b_is_empty():
-    assert lp.enumerate_solutions(EXAMPLE1, [-1, 2]).kind == "empty"
+    assert enumerate_solutions(EXAMPLE1, [-1, 2]).kind == "empty"
 
 
 def test_enumerate_rejects_zero_column():
     with pytest.raises(InputError):
-        lp.enumerate_solutions([[1, 0], [1, 0]], [1, 1])
+        enumerate_solutions([[1, 0], [1, 0]], [1, 1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -475,7 +458,7 @@ def test_enumerate_solutions_are_valid_and_bounded(data):
     if any(all(a[i, j] == 0 for i in range(m)) for j in range(n)):
         return
     b = [data.draw(st.integers(0, 6)) for _ in range(m)]
-    fam = lp.enumerate_solutions(a, b)
+    fam = enumerate_solutions(a, b)
     bvec = lp.int_vector(b)
     cap = max(int(x) for x in b)
     seen = set()
@@ -572,7 +555,7 @@ def test_family_equality():
                 F.finite([(1, 1), (0, 3)])}) == 2
     assert F.empty() != "empty"
     plan = S.WalkPlan([[1, 1, 1]])
-    assert S.walk_family(plan, [2]) == lp.enumerate_solutions([[1, 1, 1]], [2])
+    assert S.walk_family(plan, [2]) == enumerate_solutions([[1, 1, 1]], [2])
 
 
 def test_family_points_match_vectors():
