@@ -2,10 +2,10 @@
 independent Poisson variables.
 
 Y = A X with A a natural-number matrix and X_i ~ Poisson(lambda_i).
-P(Y = b) is computed exactly in integer arithmetic up to the final
-log-space summation, which over a line of solutions stops at a
-certified tail bound of relative size below 2**-60.  Each query takes
-one route, decided by the solution lattice of A k = b alone: the
+The solutions of A k = b are found exactly in integer arithmetic, and
+P(Y = b) is summed over them in float64 log space, over a line stopping
+at a certified tail bound of relative size below 2**-60.  Each query
+takes one route, decided by the solution lattice of A k = b alone: the
 solution set is read off the Smith normal form of A (a single point or
 a one-parameter line, by the dimension of the kernel of A) or, for
 larger kernels, walked over the free coordinates.  A seeded Monte Carlo

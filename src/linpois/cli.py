@@ -56,11 +56,27 @@ def _load_model(args) -> PoissonModel:
     return load_model_file(args.model_file)
 
 
-def _emit(args, payload: dict, lines: list) -> int:
+def _text(value) -> str:
+    """One value of a JSON payload as text: a bool as true/false, a list
+    of ints joined by spaces, anything else by str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+def _lines(payload: dict) -> list:
+    return [f"{key}: {_text(value)}" for key, value in payload.items()]
+
+
+def _emit(args, payload: dict, lines: list | None = None) -> int:
+    """Print the payload as JSON, or as text: the given lines, by
+    default one "key: value" line per key of the payload."""
     if args.format == "json":
         print(json.dumps(payload, allow_nan=True))
     else:
-        for line in lines:
+        for line in _lines(payload) if lines is None else lines:
             print(line)
     return 0
 
@@ -69,26 +85,15 @@ def _mat(a) -> list:
     return [[int(x) for x in row] for row in a.tolist()] if a.size else a.tolist()
 
 
-def _ints(seq) -> str:
-    return " ".join(str(int(x)) for x in seq)
-
-
 def _cmd_snf(args) -> int:
     dec = snf(_load_matrix(args.matrix_file, args.matrix_format))
-    payload = {
-        "rank": dec.rank,
-        "divisors": [int(d) for d in dec.divisors],
-        "p": _mat(dec.p),
-        "d": _mat(dec.d),
-        "q": _mat(dec.q),
-    }
-    lines = [
-        f"rank: {dec.rank}",
-        f"divisors: {_ints(dec.divisors)}",
+    payload = {"rank": dec.rank, "divisors": [int(d) for d in dec.divisors]}
+    lines = _lines(payload) + [
         "P:", format_matrix_text(dec.p),
         "D:", format_matrix_text(dec.d),
         "Q:", format_matrix_text(dec.q),
     ]
+    payload.update(p=_mat(dec.p), d=_mat(dec.d), q=_mat(dec.q))
     return _emit(args, payload, lines)
 
 
@@ -96,28 +101,24 @@ def _cmd_solve(args) -> int:
     model = _load_model(args)
     fam, tag = solution_family(model, args.b)
     payload = {"method": str(tag), "kind": fam.kind, "count": fam.count}
-    lines = [f"method: {tag}", f"kind: {fam.kind}", f"count: {fam.count}"]
     if fam.kind == "line":
         payload["base"] = [int(x) for x in fam.base]
         payload["direction"] = [int(x) for x in fam.direction]
+        lines = _lines(payload) + [f"j-range: {fam.jmin} {fam.jmax}"]
         payload["jmin"] = fam.jmin
         payload["jmax"] = fam.jmax
-        lines += [
-            f"base: {_ints(fam.base)}",
-            f"direction: {_ints(fam.direction)}",
-            f"j-range: {fam.jmin} {fam.jmax}",
-        ]
-    elif fam.kind in ("singleton", "finite"):
-        sols = fam.solutions
-        payload["solutions"] = [list(k) for k in sols]
-        lines += [f"solution: {_ints(k)}" for k in sols]
+    else:
+        lines = _lines(payload)
+        if fam.count:
+            payload["solutions"] = [list(k) for k in fam.solutions]
+            lines += [f"solution: {_text(k)}" for k in payload["solutions"]]
     return _emit(args, payload, lines)
 
 
 def _cmd_pmf(args) -> int:
     model = _load_model(args)
     res = pmf(model, args.b)
-    payload = {
+    return _emit(args, {
         "prob": res.prob,
         "log_prob": res.log_prob,
         "method": str(res.method),
@@ -125,41 +126,25 @@ def _cmd_pmf(args) -> int:
         "summed": res.summed,
         "tail_bound": res.tail_bound,
         "clamped": res.clamped,
-    }
-    lines = [
-        f"prob: {res.prob!r}",
-        f"log_prob: {res.log_prob!r}",
-        f"method: {res.method}",
-        f"terms: {res.terms}",
-        f"summed: {res.summed}",
-        f"tail_bound: {res.tail_bound!r}",
-        f"clamped: {'true' if res.clamped else 'false'}",
-    ]
-    return _emit(args, payload, lines)
+    })
 
 
 def _cmd_gf(args) -> int:
     model = _load_model(args)
     value = gf_eval(model, args.z)
     payload = {"gf": value}
-    lines = [f"gf: {value!r}"]
     if args.check_degree is not None:
         series = gf_eval_series(model, args.z, args.check_degree)
         payload["gf_series"] = series
         payload["abs_diff"] = abs(value - series)
         payload["degree_bound"] = args.check_degree
-        lines += [
-            f"gf_series: {series!r}",
-            f"abs_diff: {abs(value - series)!r}",
-            f"degree_bound: {args.check_degree}",
-        ]
-    return _emit(args, payload, lines)
+    return _emit(args, payload)
 
 
 def _cmd_sample(args) -> int:
     model = _load_model(args)
     rep = verify(model, args.b, args.n, args.seed, threads=args.threads)
-    payload = {
+    return _emit(args, {
         "b": [int(x) for x in rep.b],
         "exact_prob": rep.exact_prob,
         "empirical_prob": rep.empirical_prob,
@@ -168,18 +153,7 @@ def _cmd_sample(args) -> int:
         "seed": rep.seed,
         "hits": rep.hits,
         "n_shards": rep.n_shards,
-    }
-    lines = [
-        f"b: {_ints(rep.b)}",
-        f"exact_prob: {rep.exact_prob!r}",
-        f"empirical_prob: {rep.empirical_prob!r}",
-        f"n_samples: {rep.n_samples}",
-        f"z_score: {rep.z_score!r}",
-        f"seed: {rep.seed}",
-        f"hits: {rep.hits}",
-        f"n_shards: {rep.n_shards}",
-    ]
-    return _emit(args, payload, lines)
+    })
 
 
 def _add_model_args(sp) -> None:

@@ -54,6 +54,10 @@ _INV53 = 2.0 ** -53
 PTRS_THRESHOLD = 30.0
 MAX_RATE = 2.0 ** 62
 _MAX_ATTEMPTS = 1024
+# a CDF table stops once its tail is at most _CDF_TAIL, or at
+# _CDF_MAX_LEN entries
+_CDF_TAIL = 1e-15
+_CDF_MAX_LEN = 512
 
 
 def default_backend() -> str:
@@ -118,12 +122,13 @@ def check_seed(seed) -> int:
 
 # ------------------------------------------------- per-coordinate prep
 
-def poisson_cdf_table(lam: float, tail: float = 1e-15, max_len: int = 512) -> np.ndarray:
-    """cdf[k] = P(Poisson(lam) <= k), truncated once the tail <= `tail`.
+def poisson_cdf_table(lam: float) -> np.ndarray:
+    """cdf[k] = P(Poisson(lam) <= k), truncated once the tail is at most
+    _CDF_TAIL or the table has _CDF_MAX_LEN entries.
 
     Built in Python, one float64 partial sum per entry.  A uniform
-    beyond the last entry clamps to the top bucket; with the default
-    tail that is a < 1e-15 per-draw event.
+    beyond the last entry clamps to the top bucket, a < 1e-15 per-draw
+    event.
     """
     lam = float(lam)
     if not math.isfinite(lam) or lam < 0.0:
@@ -132,7 +137,7 @@ def poisson_cdf_table(lam: float, tail: float = 1e-15, max_len: int = 512) -> np
     c = p
     out = [c]
     k = 0
-    while c < 1.0 - tail and k < max_len - 1:
+    while c < 1.0 - _CDF_TAIL and k < _CDF_MAX_LEN - 1:
         k += 1
         p *= lam / k
         c += p

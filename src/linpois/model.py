@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InputError
 from .intlinalg import SnfDecomposition, int_matrix, snf
-from .solutions import MethodTag, PreprocessReport, WalkPlan, classify, preprocess
+from .solutions import MethodTag, PreprocessReport, _WalkPlan, classify, preprocess
 
 __all__ = ["PoissonModel", "model_from_dict", "load_model_file"]
 
@@ -106,9 +106,9 @@ class PoissonModel:
         return rate_constants(self._rates)
 
     @cached_property
-    def walk_plan(self) -> WalkPlan:
+    def _walk_plan(self) -> _WalkPlan:
         # built on the first query that walks a kernel of dimension >= 2
-        return WalkPlan(self._a)
+        return _WalkPlan(self._a)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""

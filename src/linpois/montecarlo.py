@@ -93,10 +93,10 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
     of the empirical frequency against pmf(model, b).
 
     Reproducible: the result depends only on (model, b, n_samples,
-    seed), not on threads, which merely shards the counter range.  The
-    shards run on at most os.cpu_count() threads, and each draws its
-    samples in blocks of at most _SAMPLE_BLOCK, so memory stays bounded
-    for any n_samples.
+    seed), not on threads, which merely shards the counter range into
+    min(threads, n_samples, os.cpu_count()) shards, one thread each.
+    Each shard draws its samples in blocks of at most _SAMPLE_BLOCK, so
+    memory stays bounded for any n_samples.
     """
     n_samples = operator.index(n_samples)
     if n_samples < 1:
@@ -114,11 +114,11 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
     rates = model.rates_full
     amat = model.a_full
 
-    shards = _shard_bounds(n_samples, min(threads, n_samples))
+    shards = _shard_bounds(n_samples, min(threads, n_samples, os.cpu_count() or 1))
     if len(shards) == 1:
         hits = _count_hits(amat, target, rates, seed, 0, n_samples)
     else:
-        with ThreadPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
+        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
             futs = [pool.submit(_count_hits, amat, target, rates, seed, lo, hi)
                     for lo, hi in shards]
             hits = sum(f.result() for f in futs)

@@ -1,14 +1,16 @@
 """Probability evaluation for Y = A X.
 
 P(Y = b) is a sum of independent-Poisson product terms over the
-solution set of A k = b.  The solution set comes from the lattice layer,
-by one route that the query alone decides: read off the Smith normal
-form as a singleton or a line, or, when the kernel of A has dimension 2
-or more and b is on the lattice, walked over the free coordinates of
-the model's cached WalkPlan.  Log terms are formed in numpy passes over
-arrays of lattice points, never over tuples, and combined by a
-max-shifted log-sum whose inner sum is math.fsum.  fsum is correctly
-rounded, so the result does not depend on the order of the terms.
+solution set of A k = b.  solution_family builds that set by one route
+that the query alone decides: b is checked here, the Smith normal form
+decides whether b is on the lattice and reads off a singleton or a
+line, and, when the kernel of A has dimension 2 or more, the walk over
+the free coordinates of the model's cached walk plan (_walk_family)
+lists the points without checking b again.  Log terms are formed in
+numpy passes over arrays of lattice points, never over tuples, and
+combined by a max-shifted log-sum whose inner sum is math.fsum.  fsum
+is correctly rounded, so the result does not depend on the order of
+the terms.
 
 A singleton or finite family is summed over all its points.  A line
 u + j v is summed over a window around its mode instead: ln t(j) is
@@ -36,7 +38,7 @@ from . import solutions
 from .errors import InputError, InternalInvariantError
 from .intlinalg import int_vector
 from .model import PoissonModel, rate_constants
-from .solutions import MethodTag, SolutionFamily, snf_family, walk_family
+from .solutions import MethodTag, SolutionFamily, _walk_family, snf_family
 
 __all__ = [
     "PmfResult",
@@ -62,8 +64,6 @@ TAIL_EPS = 2.0 ** -60
 FIRST_BLOCK = 256
 # The most points of a line whose terms are formed in one numpy pass.
 _BLOCK = 1 << 16
-# Products of more factors than this fall back to lgamma in _log_rising.
-_RISING_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,9 @@ def solution_family(model: PoissonModel, b) -> tuple[SolutionFamily, MethodTag]:
     """Solution set of A k = b, plus the model's route tag.
 
     The set is read off the model's SNF; on the lattice, a kernel of
-    dimension 2 or more is walked over its free coordinates.
+    dimension 2 or more is walked over its free coordinates.  This is
+    the walk's one caller: it trusts the checks on b made here and the
+    lattice test of snf_family.
     """
     tag = model.method
     b = _check_observation(model, b)
@@ -176,7 +178,7 @@ def solution_family(model: PoissonModel, b) -> tuple[SolutionFamily, MethodTag]:
         return SolutionFamily.empty(), tag
     fam = snf_family(model.snf, b)
     if fam is None:
-        fam = walk_family(model.walk_plan, b)
+        fam = _walk_family(model._walk_plan, b)
     return fam, tag
 
 
@@ -219,26 +221,13 @@ def _live_span(fam: SolutionFamily, dead) -> tuple[int, int] | None:
     return (lo, hi) if lo <= hi else None
 
 
-def _log_rising(k: int, n: int) -> float:
-    """ln((k + n)! / k!) = ln prod_{i=1..n} (k + i), for ints k >= 0, n >= 1.
-
-    The product is exact in Python ints, so this is accurate at any k,
-    where a difference of two lgamma values loses all its digits at
-    large k.  Long products fall back to that difference; only the mode
-    search uses this, and the window does not rely on it.
-    """
-    if n > _RISING_TERMS:
-        return math.lgamma(k + n + 1) - math.lgamma(k + 1)
-    return math.log(math.prod(range(k + 1, k + n + 1)))
-
-
 def _window(fam: SolutionFamily, rates, log_rates, a: int, b: int) -> tuple[int, int]:
     """The block [lo, hi] of the live span [a, b] of a line to sum.
 
     A span of at most FIRST_BLOCK points is summed whole.  Otherwise
-    the mode of the terms t(j) is found by bisection on the sign of
-    ln t(j+1) - ln t(j), formed per column from _log_rising, and each
-    side of the block reaches FIRST_BLOCK // 2 points from the mode,
+    the mode of the terms t(j) is found by bisection on the sign of an
+    estimate of ln t(j+1) - ln t(j) from float ratios, and each side of
+    the block reaches FIRST_BLOCK // 2 points from the mode,
     doubling until its edge is the end of the span or a term below
     thr = ln t(mode) + ln(TAIL_EPS / L), L the line length, then
     bisecting back towards the last reach above thr.  ln t(j) is
@@ -253,19 +242,14 @@ def _window(fam: SolutionFamily, rates, log_rates, a: int, b: int) -> tuple[int,
     # zero-rate columns have count 0 on a span of more than one point
     cols = [(u, v, lr, r) for u, v, lr, r in zip(fam.base, fam.direction,
                                                   log_rates.tolist(), rates.tolist()) if r > 0.0]
-    up = [(u, v) for u, v, _, _ in cols if v > 0]
-    down = [(u, v) for u, v, _, _ in cols if v < 0]
-    slope = sum(v * lr for _, v, lr, _ in cols)
+    moving = [(u, v, (v + 1) / 2, r) for u, v, _, r in cols if v]
 
     def rise(j):
-        # ln t(j+1) - ln t(j): each moving column adds v ln l and the
-        # log of k(j)! / k(j+1)!
-        out = slope
-        for u, v in up:
-            out -= _log_rising(u + j * v, v)
-        for u, v in down:
-            out += _log_rising(u + (j + 1) * v, -v)
-        return out
+        # ln t(j+1) - ln t(j), each moving column's |v| factors of k!
+        # between k(j) and k(j+1) taken at their midpoint k(j) + (v+1)/2:
+        # exact for |v| = 1, strictly falling in j, no cancellation at
+        # large counts
+        return sum([v * math.log(r / (u + j * v + h)) for u, v, h, r in moving])
 
     def log_t(j):
         return sum([(u + j * v) * lr - r - math.lgamma(u + j * v + 1) for u, v, lr, r in cols])

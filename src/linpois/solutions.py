@@ -1,16 +1,15 @@
 """Nonnegative integer solution sets of A k = b for natural-number matrices.
 
-One route, picked by the dimension of the kernel of A:
-
-* ``snf_family`` reads the solution set off the Smith normal form
-  p A q = d: whether b is on the lattice (dependent rows included),
-  then a singleton when the kernel of A is trivial or a line
-  ``u + j v`` when it has dimension 1, for any elementary divisors;
-* ``walk_family`` takes over for a kernel of dimension 2 or more with b
-  on the lattice: a breadth-first walk, in numpy array passes, over
-  only the n - r free coordinates of a ``WalkPlan``, whose r basis
-  coordinates are then solved exactly with an integer matrix read off
-  the Smith form of a nonsingular r x r block.
+``snf_family`` reads the solution set off the Smith normal form
+p A q = d: whether b is on the lattice (dependent rows included), then
+a singleton when the kernel of A is trivial or a line ``u + j v`` when
+it has dimension 1, for any elementary divisors.  For a kernel of
+dimension 2 or more with b on the lattice, ``pmf.solution_family``
+finishes the set with ``_walk_family``: a breadth-first walk, in numpy
+array passes, over only the n - r free coordinates of a ``_WalkPlan``,
+whose r basis coordinates are then solved exactly with an integer
+matrix read off the Smith form of a nonsingular r x r block.  The walk
+trusts the lattice test and the caller's checks on b.
 
 Both refuse, with InputError, a solution set, walk frontier or block of
 line points of more than MAX_POINTS points before allocating it.
@@ -36,10 +35,8 @@ __all__ = [
     "MethodTag",
     "SolutionFamily",
     "PreprocessReport",
-    "WalkPlan",
     "classify",
     "snf_family",
-    "walk_family",
     "preprocess",
 ]
 
@@ -81,18 +78,19 @@ class MethodTag(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SolutionFamily:
-    """The set {k in N^n : A k = b} in one of four shapes.
+    """The set {k in N^n : A k = b} as a line or as a set of points.
 
-    kind is one of "empty", "singleton", "line", "finite".  A line is
-    {base + j * direction : jmin <= j <= jmax} with the bounds tight:
-    stepping one past either end makes some coordinate negative.  A
-    singleton or finite family holds its points as the rows of one
-    (count, n) integer array, int64 or, when an entry does not fit,
-    object; the rows are in no set order.  Two families are equal when
-    they have the same kind, line parameters and set of points.
+    A line is {base + j * direction : jmin <= j <= jmax} with the bounds
+    tight: stepping one past either end makes some coordinate negative.
+    Any other family holds its points as the rows of one (count, n)
+    integer array, int64 or, when an entry does not fit, object; the
+    rows are in no set order.  kind is "line", or from the number of
+    points "empty" (0), "singleton" (1) or "finite" (more), so the same
+    point set has the same kind whichever route built it.  Two families
+    are equal when they have the same kind, line parameters and set of
+    points.
     """
 
-    kind: str
     base: tuple[int, ...] | None = None
     direction: tuple[int, ...] | None = None
     jmin: int | None = None
@@ -101,16 +99,15 @@ class SolutionFamily:
 
     @classmethod
     def empty(cls) -> "SolutionFamily":
-        return cls(kind="empty")
+        return cls()
 
     @classmethod
     def singleton(cls, k) -> "SolutionFamily":
-        return cls(kind="singleton", array=_int_rows([[int(x) for x in k]]))
+        return cls(array=_int_rows([[int(x) for x in k]]))
 
     @classmethod
     def line(cls, u, v, jmin: int, jmax: int) -> "SolutionFamily":
         return cls(
-            kind="line",
             base=tuple(int(x) for x in u),
             direction=tuple(int(x) for x in v),
             jmin=int(jmin),
@@ -119,15 +116,19 @@ class SolutionFamily:
 
     @classmethod
     def finite(cls, sols) -> "SolutionFamily":
-        return cls(kind="finite", array=_int_rows([int(x) for x in k] for k in sols))
+        return cls(array=_int_rows([int(x) for x in k] for k in sols))
+
+    @property
+    def kind(self) -> str:
+        if self.base is not None:
+            return "line"
+        return ("empty", "singleton", "finite")[min(self.count, 2)]
 
     @property
     def count(self) -> int:
-        if self.kind == "empty":
-            return 0
-        if self.kind == "line":
+        if self.base is not None:
             return self.jmax - self.jmin + 1
-        return len(self.array)
+        return 0 if self.array is None else len(self.array)
 
     def points(self, lo: int | None = None, hi: int | None = None) -> np.ndarray:
         """Every solution as one row of a (count, n) float64 array.
@@ -223,7 +224,7 @@ def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
     dimension 0 gives at most one point; dimension 1 gives a line whose
     j-interval is cut out with exact integer floor/ceil, for any
     divisors.  For dimension 2 or more, returns None when b is on the
-    lattice, and the caller walks the free coordinates (walk_family).
+    lattice, and pmf.solution_family walks the free coordinates.
     A line unbounded on one side, from a zero column or a negative
     entry, is an InputError.
     """
@@ -275,8 +276,8 @@ def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
     return SolutionFamily.line(u, v, lo, hi)
 
 
-class WalkPlan:
-    """How walk_family splits the columns of a natural matrix.
+class _WalkPlan:
+    """How _walk_family splits the columns of a preprocessed matrix.
 
     The first rows of A that are independent of the earlier ones give
     ``rows``; their count is the rank r.  The first r columns that are
@@ -284,22 +285,15 @@ class WalkPlan:
     nonsingular block B with ``det`` = |det B| and the integer matrix
     ``adj`` = det B^-1 (B adj = det I); the other n - r columns are
     ``free``.  When det = 1 every basis solve is exact; otherwise
-    walk_family drops the leaves whose division by det leaves a
-    remainder.
-    InputError for a zero column or a negative entry: the box bound of
+    _walk_family drops the leaves whose division by det leaves a
+    remainder.  Built from PoissonModel.a, which preprocess has checked
+    for negative entries and stripped of zero columns: the box bound of
     the walk needs every column to have a positive entry and residuals
     that only fall.
     """
 
     def __init__(self, a):
-        a = int_matrix(a)
         m, n = a.shape
-        for j in range(n):
-            if not any(a[:, j]):
-                raise InputError(f"column {j} is all zero; preprocess the matrix first")
-        for (i, j), x in np.ndenumerate(a):
-            if x < 0:
-                raise InputError(f"matrix entry ({i},{j}) is negative")
         rows = []
         for i in range(m):
             if snf(a[rows + [i], :]).rank > len(rows):
@@ -316,16 +310,12 @@ class WalkPlan:
 
         self.n = n
         self.rows = tuple(rows)
-        self.others = tuple(i for i in range(m) if i not in rows)
         self.basis = tuple(basis)
         self.free = tuple(j for j in range(n) if j not in basis)
         self.det = det
         self.adj = tuple(tuple(int(x) for x in row) for row in adj.tolist())
-        # |adj res_R| <= max_row sum|adj| * max b, and a basis solution
-        # k_B >= 0 with B k_B = res_R has k_B <= max b, so a row outside
-        # R of A_B k_B is at most its sum over the basis columns * max b
-        self.growth = max([1] + [sum(map(abs, row)) for row in self.adj]
-                          + [sum(int(a[i, j]) for j in basis) for i in self.others])
+        # |adj res_R| <= max_row sum|adj| * max b
+        self.growth = max([1] + [sum(map(abs, row)) for row in self.adj])
         entries = [int(x) for x in a.ravel()] + [x for row in self.adj for x in row] + [det]
         fits = max(map(abs, entries), default=0) <= _INT64_MAX
         self._narrow = self._arrays(a, np.int64) if fits else None
@@ -345,9 +335,7 @@ class WalkPlan:
             else:
                 steps.append((pos, np.array(vals, dtype=dtype), m + j))
         r = len(self.basis)
-        adj_t = np.array(self.adj, dtype=dtype).reshape(r, r).T
-        other_t = np.array(a[np.ix_(self.others, self.basis)].T.tolist(), dtype=dtype)
-        return steps, adj_t, other_t.reshape(r, len(self.others))
+        return steps, np.array(self.adj, dtype=dtype).reshape(r, r).T
 
 
 def _det_adj(block) -> tuple[int, np.ndarray]:
@@ -368,41 +356,29 @@ def _det_adj(block) -> tuple[int, np.ndarray]:
     return det, adj
 
 
-def _rows_where(mask, *arrays):
-    if mask.all():
-        return arrays
-    rows = np.flatnonzero(mask)
-    return tuple(x.take(rows, axis=0) for x in arrays)
-
-
-def walk_family(plan: WalkPlan, b) -> SolutionFamily:
+def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:
     """All k in N^n with A k = b, walking only the free coordinates.
 
-    The walk state is one row [res | k] per partial solution.  It starts
-    at [b | 0] and expands one free column at a time to every value up
-    to the box bound min_i floor(res_i / a_ij), so residuals stay >= 0.
-    At the leaves the basis is solved exactly, det k_B = adj res_R, and
-    a leaf is kept when the division is exact, k_B >= 0, and
-    A_B k_B = res also holds on the rows outside R (dependent rows).
-    Arrays are int64 when (max b + 1) * max(plan.growth, MAX_POINTS)
-    proves every intermediate fits, object arrays of Python ints
-    otherwise.  InputError before a frontier of more than MAX_POINTS
-    points is allocated.
+    b is a list of m ints >= 0 on the lattice A Z^n (snf_family returned
+    None).  The walk state is one row [res | k] per partial solution.
+    It starts at [b | 0] and expands one free column at a time to every
+    value up to the box bound min_i floor(res_i / a_ij), so residuals
+    stay >= 0.  At the leaves the basis is solved exactly,
+    det k_B = adj res_R, and a leaf is kept when the division is exact
+    and k_B >= 0.  The rows outside R need no check: each is a rational
+    combination M A_R of the rows in R, and b = A k0 for an integer k0,
+    so A_R k = b_R gives M b_R = b on them.  Arrays are int64 when
+    (max b + 1) * max(plan.growth, MAX_POINTS) proves every
+    intermediate fits, object arrays of Python ints otherwise.
+    InputError before a frontier of more than MAX_POINTS points is
+    allocated.
     """
-    try:
-        b = [operator.index(x) for x in b]
-    except TypeError:
-        raise InputError("observation entries must be integers") from None
-    m = len(plan.rows) + len(plan.others)
-    if len(b) != m:
-        raise InputError(f"observation length {len(b)} != row count {m}")
-    if any(x < 0 for x in b):
-        return SolutionFamily.empty()
+    m = len(b)
     # frontier offsets are cumulative sums of up to MAX_POINTS counts of
     # at most max b + 1 each
     narrow = (plan._narrow is not None
               and (max(b) + 1) * max(plan.growth, MAX_POINTS) <= _INT64_MAX)
-    steps, adj_t, other_t = plan._narrow if narrow else plan._wide
+    steps, adj_t = plan._narrow if narrow else plan._wide
     state = np.array([b + [0] * plan.n], dtype=np.int64 if narrow else object)
     for pos, div, at in steps:
         if isinstance(pos, int):
@@ -427,13 +403,12 @@ def walk_family(plan: WalkPlan, b) -> SolutionFamily:
     else:
         kb = num // plan.det
         keep = (num % plan.det == 0).all(axis=1) & (kb >= 0).all(axis=1)
-    state, kb = _rows_where(keep, state, kb)
-    if plan.others:
-        # rows in R hold by construction: B k_B = res_R
-        state, kb = _rows_where((kb @ other_t == state[:, plan.others]).all(axis=1), state, kb)
+    if not keep.all():
+        rows = np.flatnonzero(keep)
+        state, kb = state.take(rows, axis=0), kb.take(rows, axis=0)
     pts = state[:, m:]
     pts[:, plan.basis] = kb
-    return SolutionFamily(kind="finite", array=pts)
+    return SolutionFamily(array=pts)
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,24 @@ def test_solve_dependent_rows_empty(tmp_path, capsys):
     assert out["kind"] == "empty" and out["count"] == 0
 
 
+def test_solve_walked_empty_set_is_empty(tmp_path, capsys):
+    # a kernel of dimension 2 with b = 1 on the lattice but no
+    # nonnegative point: the walk finds none
+    path = tmp_path / "w235.json"
+    path.write_text(json.dumps({"a": [[2, 3, 5]], "lambda": [1.0, 1.0, 1.0]}))
+    assert run(["solve", str(path), "--b", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["method: enumerate", "kind: empty", "count: 0"]
+
+
+def test_solve_walked_single_point_is_singleton(tmp_path, capsys):
+    # dependent rows and a zero column, walked: one point at b = 0
+    path = tmp_path / "dep0.json"
+    path.write_text(json.dumps({"a": [[1, 1, 2, 0], [2, 2, 4, 0]], "lambda": [1.0] * 4}))
+    assert run(["solve", str(path), "--b", "0", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "method: enumerate", "kind: singleton", "count: 1", "solution: 0 0 0"]
+
+
 # ------------------------------------------------------------- pmf
 
 def test_pmf_auto_matches_enumerate(model1_file, capsys):
@@ -315,4 +333,27 @@ def test_sample_threads_flag(model1_file, capsys):
     assert run(base + ["--threads", "4"]) == 0
     four = _json_out(capsys)
     assert four["hits"] == one["hits"]
-    assert four["n_shards"] == 4
+    assert four["n_shards"] == min(4, os.cpu_count() or 1)
+
+
+def test_text_lines_follow_the_json_keys(model1_file, capsys):
+    # pmf, sample and gf print one "key: value" line per JSON key, in
+    # order: a bool as true/false, a list of ints joined by spaces
+    for argv in (["pmf", model1_file, "--b", "2", "2"],
+                 ["pmf", model1_file, "--b", "0", "1"],
+                 ["sample", model1_file, "--b", "2", "2", "--n", "2000", "--seed", "5"],
+                 ["sample", model1_file, "--b", "0", "1", "--n", "100", "--seed", "5"],
+                 ["gf", model1_file, "--z", "0.5", "0.25"],
+                 ["gf", model1_file, "--z", "0.5", "0.25", "--check-degree", "10"]):
+        assert run(argv + ["--format", "json"]) == 0
+        payload = _json_out(capsys)
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        want = []
+        for key, value in payload.items():
+            if isinstance(value, bool):
+                value = "true" if value else "false"
+            elif isinstance(value, list):
+                value = " ".join(str(x) for x in value)
+            want.append(f"{key}: {value}")
+        assert lines == want

@@ -68,7 +68,7 @@ def test_verify_thread_invariance(model1):
     assert multi.hits == base.hits
     assert multi.empirical_prob == base.empirical_prob
     assert multi.z_score == base.z_score
-    assert base.n_shards == 1 and multi.n_shards == 3
+    assert base.n_shards == 1 and multi.n_shards == min(3, os.cpu_count() or 1)
 
 
 def test_verify_threads_are_capped_by_the_cpu_count(model1, monkeypatch):
@@ -83,8 +83,17 @@ def test_verify_threads_are_capped_by_the_cpu_count(model1, monkeypatch):
     one = verify(model1, [1, 1], n_samples=64, seed=8)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
     many = verify(model1, [1, 1], n_samples=64, seed=8, threads=64)
-    assert asked and max(asked) <= os.cpu_count()
-    assert many.hits == one.hits and many.n_shards == 64
+    assert many.hits == one.hits and many.n_shards == min(64, os.cpu_count() or 1)
+    # one thread per shard, and a pool only for more than one shard
+    assert asked == ([many.n_shards] if many.n_shards > 1 else [])
+
+
+def test_verify_shards_are_capped_by_the_cpu_count(model1):
+    # each shard rebuilds the CDF tables, so 20,000 shards took seconds
+    one = verify(model1, [2, 2], n_samples=20_000, seed=4)
+    many = verify(model1, [2, 2], n_samples=20_000, seed=4, threads=20_000)
+    assert many.n_shards <= (os.cpu_count() or 1)
+    assert many.hits == one.hits
 
 
 def test_verify_draws_in_bounded_blocks(model1, monkeypatch):

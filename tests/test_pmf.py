@@ -363,13 +363,16 @@ def test_pmf_takes_no_method_option(model1, model3):
 
 def test_removed_names_are_not_exported():
     removed = ["pmf_single_index", "pmf_invertible", "pmf_enumerate",
-               "MethodNotApplicableError", "enumerate_solutions", "det_exact", "minor_gcd"]
+               "MethodNotApplicableError", "enumerate_solutions", "det_exact", "minor_gcd",
+               "WalkPlan", "walk_family"]
     for name in ("linpois", "linpois.errors", "linpois.intlinalg", "linpois.pmf",
                  "linpois.solutions"):
         mod = importlib.import_module(name)
         for attr in removed:
             assert not hasattr(mod, attr), f"{name}.{attr}"
     assert not set(removed) & set(lp.__all__)
+    # the walk is a private step of solution_family
+    assert not hasattr(lp.PoissonModel, "walk_plan")
 
 
 def test_pmf_dependent_rows_checked_against_original_b():

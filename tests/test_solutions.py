@@ -289,8 +289,10 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
     fam, _ = lp.solution_family(model, b)
     assert fam.as_set() == want.as_set()
     assert fam.count == want.count
-    # alone, without the lattice test of snf_family in front of it
-    assert S.walk_family(model.walk_plan, b).as_set() == want.as_set()
+    # the walk alone, where solution_family hands it b: on the lattice
+    # and nonnegative
+    if min(b) >= 0 and lp.snf_family(model.snf, b) is None:
+        assert S._walk_family(model._walk_plan, b).as_set() == want.as_set()
     auto = lp.pmf(model, b)
     ref = reference_log_prob(model.rates.tolist(), want.vectors())
     assert auto.terms == want.count
@@ -299,42 +301,40 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
     path.write_text(json.dumps({"a": a.tolist(), "lambda": rates}))
     out = _cli_solve(path, b)
     assert out["count"] == want.count
-    if min(b) >= 0 and fam.kind == "finite":
-        assert out["kind"] == "finite"
+    assert out["kind"] == fam.kind == want.kind
+    if want.count:
         assert out["solutions"] == [list(k) for k in want.vectors()]
 
 
 def test_walk_plan_takes_first_independent_block():
     # dependent rows: one independent row, and column 0 alone has det 1
-    plan = S.WalkPlan([[1, 1, 2], [2, 2, 4]])
+    plan = S._WalkPlan(lp.int_matrix([[1, 1, 2], [2, 2, 4]]))
     assert (plan.rows, plan.basis, plan.free, plan.det) == ((0,), (0,), (1, 2), 1)
-    assert plan.others == (1,)
-    plan = S.WalkPlan([[1, 1, 1, 0], [0, 1, 2, 1]])
+    plan = S._WalkPlan(lp.int_matrix([[1, 1, 1, 0], [0, 1, 2, 1]]))
     assert plan.rows == (0, 1) and plan.free == (2, 3)
     assert plan.basis == (0, 1) and plan.det == 1 and plan.adj == ((1, -1), (0, 1))
     # column 0 has det 2 and stays: the walk drops the inexact leaves
-    plan = S.WalkPlan([[2, 1, 1]])
+    plan = S._WalkPlan(lp.int_matrix([[2, 1, 1]]))
     assert (plan.basis, plan.det, plan.adj) == ((0,), 2, ((1,),))
     for b in range(7):
-        assert S.walk_family(plan, [b]).solutions == enumerate_solutions([[2, 1, 1]], [b]).solutions
-    plan = S.WalkPlan([[6, 10, 15, 4], [12, 20, 30, 8]])
+        assert S._walk_family(plan, [b]).solutions == enumerate_solutions([[2, 1, 1]], [b]).solutions
+    plan = S._WalkPlan(lp.int_matrix([[6, 10, 15, 4], [12, 20, 30, 8]]))
     assert (plan.rows, plan.basis, plan.det) == ((0,), (0,), 6)
-    # the walk's box bound needs a positive entry in every column and
-    # residuals that only fall
-    for a in ([[1, 0, 1]], [[1, 1, 0, 0], [0, -1, 1, 1]], [[1, -1, -1]]):
-        with pytest.raises(InputError):
-            S.WalkPlan(a)
 
 
-def test_walk_checks_rows_outside_the_block():
-    # b = [3, 7] breaks row 1 = 2 * row 0; only the leaf check sees it
-    plan = S.WalkPlan([[1, 1, 2], [2, 2, 4]])
-    assert S.walk_family(plan, [3, 7]).count == 0
-    assert S.walk_family(plan, [3, 6]).solutions == (
+def test_dependent_rows_are_checked_before_the_walk():
+    # row 1 = 2 * row 0: b = [3, 7] is off the lattice, so snf_family
+    # answers it and the walk never sees it
+    model = lp.PoissonModel([[1, 1, 2], [2, 2, 4]], [1.0, 1.0, 1.0])
+    assert lp.snf_family(model.snf, [3, 7]) == lp.SolutionFamily.empty()
+    assert lp.solution_family(model, [3, 7])[0] == lp.SolutionFamily.empty()
+    assert lp.pmf(model, [3, 7]).prob == 0.0
+    assert lp.snf_family(model.snf, [3, 6]) is None
+    assert lp.solution_family(model, [3, 6])[0].solutions == (
         (0, 1, 1), (0, 3, 0), (1, 0, 1), (1, 2, 0), (2, 1, 0), (3, 0, 0))
-    assert S.walk_family(plan, [3, -1]).kind == "empty"
+    assert lp.solution_family(model, [3, -1])[0].kind == "empty"
     with pytest.raises(InputError):
-        S.walk_family(plan, [3])
+        lp.solution_family(model, [3])
 
 
 def test_walk_wide_entries_use_python_ints():
@@ -365,13 +365,13 @@ def test_walk_wide_entries_use_python_ints():
     ]
     for a, k in cases:
         b = [int(x) for x in lp.int_matrix(a) @ lp.int_vector(k)]
-        fam = S.walk_family(S.WalkPlan(a), b)
+        fam, tag = lp.solution_family(lp.PoissonModel(a, [1.0] * len(k)), b)
         want = enumerate_solutions(a, b)
-        assert fam.array.dtype == object
+        assert tag is MethodTag.ENUMERATE and fam.array.dtype == object
         assert fam.solutions == want.solutions and tuple(k) in want.as_set()
     # the same entries with b small enough to prove int64 safe
     a = [[10**11, 10**11, 2 * 10**11]]
-    fam = S.walk_family(S.WalkPlan(a), [4 * 10**11])
+    fam, _ = lp.solution_family(lp.PoissonModel(a, [1.0] * 3), [4 * 10**11])
     assert fam.array.dtype == np.int64
     assert fam.solutions == enumerate_solutions(a, [4 * 10**11]).solutions
 
@@ -542,20 +542,22 @@ def test_family_count_and_vectors():
 
 def test_family_equality():
     """Families compare by kind, line parameters and point set: the
-    rows of a finite family may come in any order."""
+    rows of a finite family may come in any order, and the kind of a
+    point set follows from its size, whichever route built it."""
     F = lp.SolutionFamily
     assert F.empty() == F.empty()
     assert F.line([0, 0, 2], [2, 1, -2], 0, 1) == F.line([0, 0, 2], [2, 1, -2], 0, 1)
     assert F.line([0, 0, 2], [2, 1, -2], 0, 1) != F.line([0, 0, 2], [2, 1, -2], 0, 2)
     assert F.singleton([1, 2]) == F.singleton([1, 2]) != F.singleton([2, 1])
     assert F.finite([(0, 3), (1, 1)]) == F.finite([(1, 1), (0, 3)])
-    assert F.finite([(1, 2)]) != F.singleton([1, 2]) and F.finite([]) != F.empty()
+    assert F.finite([(1, 2)]) == F.singleton([1, 2]) and F.finite([]) == F.empty()
+    assert (F.finite([]).kind, F.finite([(1, 2)]).kind) == ("empty", "singleton")
     assert F.finite([(2**70, 0)]) == F.finite([(2**70, 0)]) != F.finite([(0, 2**70)])
     assert len({F.empty(), F.empty(), F.finite([(0, 3), (1, 1)]),
                 F.finite([(1, 1), (0, 3)])}) == 2
     assert F.empty() != "empty"
-    plan = S.WalkPlan([[1, 1, 1]])
-    assert S.walk_family(plan, [2]) == enumerate_solutions([[1, 1, 1]], [2])
+    walked, _ = lp.solution_family(lp.PoissonModel([[1, 1, 1]], [1.0] * 3), [2])
+    assert walked == enumerate_solutions([[1, 1, 1]], [2])
 
 
 def test_family_points_match_vectors():
