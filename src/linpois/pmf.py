@@ -14,12 +14,13 @@ the terms.
 
 A singleton or finite family is summed over all its points.  A line
 u + j v is summed over a window around its mode instead: ln t(j) is
-concave in j, so the terms fall away from the mode on both sides, and
-the window stops where they drop below 2**-60 / L of the largest (L
-the line length).  The omitted mass is then below 2**-60 of the sum;
-PmfResult reports a bound on it as tail_bound, and the number of terms
-evaluated as summed.  The cost follows the spread of the terms around
-the mode, not the length of the line.
+concave in j, so the terms fall away from the mode on both sides.  The
+window is sized from the curvature at the mode and widened until its
+edge terms are below 2**-60 / L of the term at the mode (L the line
+length), all read from the terms it sums.  The omitted mass is then
+below 2**-60 of the sum; PmfResult reports a bound on it as tail_bound,
+and the number of terms evaluated as summed.  The cost follows the
+spread of the terms around the mode, not the length of the line.
 
 Also evaluates the probability generating function G(z) both in closed
 form and as a truncated series, the latter backed by an exact pmf table
@@ -59,8 +60,8 @@ NEG_INF = float("-inf")
 
 # A line sum may omit terms of total mass below TAIL_EPS times the sum.
 TAIL_EPS = 2.0 ** -60
-# A line of at most this many points is summed whole; on a longer one
-# the window search starts half this many points either side of the mode.
+# A line of at most this many points is summed whole, with no search
+# for its mode.
 FIRST_BLOCK = 256
 # The most points of a line whose terms are formed in one numpy pass.
 _BLOCK = 1 << 16
@@ -221,28 +222,40 @@ def _live_span(fam: SolutionFamily, dead) -> tuple[int, int] | None:
     return (lo, hi) if lo <= hi else None
 
 
-def _window(fam: SolutionFamily, rates, log_rates, a: int, b: int) -> tuple[int, int]:
-    """The block [lo, hi] of the live span [a, b] of a line to sum.
+def _line_sum(fam: SolutionFamily, model: PoissonModel, tag: MethodTag) -> PmfResult:
+    """P(Y = b) over a line: evaluate a window around the mode of the
+    terms t(j), then certify it on the terms it sums.
 
-    A span of at most FIRST_BLOCK points is summed whole.  Otherwise
-    the mode of the terms t(j) is found by bisection on the sign of an
-    estimate of ln t(j+1) - ln t(j) from float ratios, and each side of
-    the block reaches FIRST_BLOCK // 2 points from the mode,
-    doubling until its edge is the end of the span or a term below
-    thr = ln t(mode) + ln(TAIL_EPS / L), L the line length, then
-    bisecting back towards the last reach above thr.  ln t(j) is
-    concave in j, so the terms beyond an edge are each below the edge
-    term, whatever the accuracy of the mode: the block then holds the
-    true mode, and the mass it omits is under L t_edge < TAIL_EPS S.
-    The edges are probed with scalar terms before any array is formed.
-    InputError when one side would reach past MAX_POINTS points.
+    A live span [a, b] of at most FIRST_BLOCK points is summed whole.
+    Otherwise the mode is found by bisection on the sign of an estimate
+    of ln t(j+1) - ln t(j) from float ratios.  curv = sum v**2 / (k + 1)
+    over the moving columns at the mode is below the curvature of ln t
+    there (psi'(k+1) > 1/(k+1)), so ln t falls by D = ln(L / TAIL_EPS),
+    L the line length, about w = sqrt(2 D / curv) points out.  The terms
+    of [mode - r, mode + r], r = ceil(1.1 w) + 4, are formed in blocks
+    of at most min(_BLOCK, MAX_POINTS) points; a side whose edge term is
+    still at or above thr = ln t(mode) - D doubles its reach until it is
+    below or the span ends.  ln t(j) is concave in j, so every term
+    beyond an edge is below the edge term, whatever the accuracy of the
+    mode: the mass omitted is under L t_edge < TAIL_EPS S.  InputError
+    when w, or the reach of one side, exceeds MAX_POINTS.
     """
+    log_rates, dead = model.term_constants
+    span = _live_span(fam, dead)
+    if span is None:
+        return _summed([], tag, terms=fam.count)
+    a, b = span
+    step = min(_BLOCK, solutions.MAX_POINTS)
+
+    def blocks(lo, hi):
+        return [_log_terms(fam.points(j, min(j + step - 1, hi)), model.rates, log_rates, dead)
+                for j in range(lo, hi + 1, step)]
+
     if b - a < FIRST_BLOCK:
-        return a, b
+        return _summed(np.concatenate(blocks(a, b)), tag, terms=fam.count)
     # zero-rate columns have count 0 on a span of more than one point
-    cols = [(u, v, lr, r) for u, v, lr, r in zip(fam.base, fam.direction,
-                                                  log_rates.tolist(), rates.tolist()) if r > 0.0]
-    moving = [(u, v, (v + 1) / 2, r) for u, v, _, r in cols if v]
+    moving = [(u, v, (v + 1) / 2, r) for u, v, r in zip(fam.base, fam.direction,
+                                                        model.rates.tolist()) if v and r > 0.0]
 
     def rise(j):
         # ln t(j+1) - ln t(j), each moving column's |v| factors of k!
@@ -251,60 +264,42 @@ def _window(fam: SolutionFamily, rates, log_rates, a: int, b: int) -> tuple[int,
         # large counts
         return sum([v * math.log(r / (u + j * v + h)) for u, v, h, r in moving])
 
-    def log_t(j):
-        return sum([(u + j * v) * lr - r - math.lgamma(u + j * v + 1) for u, v, lr, r in cols])
-
-    lo, hi = a, b
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rise(mid) > 0.0:
-            lo = mid + 1
-        else:
-            hi = mid
-    mode = lo
-    thr = log_t(mode) + math.log(TAIL_EPS / fam.count)
-
-    def edge(step, end):
-        # the nearest j beyond which every term is below thr: double
-        # the reach until the probe is below thr or past the end, then
-        # bisect between the last two reaches
-        near, reach = 0, FIRST_BLOCK // 2
-        while (mode + step * reach - end) * step < 0 and log_t(mode + step * reach) >= thr:
-            near, reach = reach, 2 * reach
-            if reach > solutions.MAX_POINTS:
-                raise InputError(
-                    f"the terms above the tail threshold on one side of the line's mode "
-                    f"exceed the cap of MAX_POINTS = {solutions.MAX_POINTS} lattice points")
-        reach = min(reach, (end - mode) * step)
-        # a probe costs about as much as a few points of the block, so
-        # the bisection stops within 8 points of the crossing
-        while reach - near > 8:
-            mid = (near + reach) // 2
-            if log_t(mode + step * mid) >= thr:
-                near = mid
-            else:
-                reach = mid
-        return mode + step * reach
-
-    return edge(-1, a), edge(1, b)
-
-
-def _line_sum(fam: SolutionFamily, model: PoissonModel, tag: MethodTag) -> PmfResult:
-    """P(Y = b) over a line, summed over the window _window picks, in
-    blocks of at most min(_BLOCK, MAX_POINTS) points."""
-    log_rates, dead = model.term_constants
-    span = _live_span(fam, dead)
-    if span is None:
-        return _summed([], tag, terms=fam.count)
-    a, b = span
     try:
-        lo, hi = _window(fam, model.rates, log_rates, a, b)
+        lo, hi = a, b
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if rise(mid) > 0.0:
+                lo = mid + 1
+            else:
+                hi = mid
+        mode = lo
+        curv = sum([v * v / (u + mode * v + 1) for u, v, _, _ in moving])
     except OverflowError:
         raise InputError("solution counts exceed the float64 range") from None
-    step = min(_BLOCK, solutions.MAX_POINTS)
-    parts = [_log_terms(fam.points(j, min(j + step - 1, hi)), model.rates, log_rates, dead)
-             for j in range(lo, hi + 1, step)]
-    t = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    depth = math.log(fam.count / TAIL_EPS)
+    w = math.sqrt(2.0 * depth / curv) if curv > 0.0 else math.inf
+    cap = solutions.MAX_POINTS
+    too_wide = (f"the terms above the tail threshold on one side of the line's mode "
+                f"exceed the cap of MAX_POINTS = {cap} lattice points")
+    if w > cap:
+        raise InputError(too_wide)
+    r = math.ceil(1.1 * w) + 4
+    lo, hi = max(a, mode - r), min(b, mode + r)
+    parts = blocks(lo, hi)
+    thr = float(parts[(mode - lo) // step][(mode - lo) % step]) - depth
+    while lo > a and parts[0][0] >= thr:
+        reach = min(2 * (mode - lo), mode - a)
+        if reach > cap:
+            raise InputError(too_wide)
+        parts[:0] = blocks(mode - reach, lo - 1)
+        lo = mode - reach
+    while hi < b and parts[-1][-1] >= thr:
+        reach = min(2 * (hi - mode), b - mode)
+        if reach > cap:
+            raise InputError(too_wide)
+        parts += blocks(hi + 1, mode + reach)
+        hi = mode + reach
+    t = np.concatenate(parts)
     # every term beyond an edge is below the edge term
     tail_logs = []
     if lo > a:
@@ -319,8 +314,8 @@ def pmf(model: PoissonModel, b) -> PmfResult:
 
     Negative entries, a violated dependent-row relation or a b off the
     lattice A Z^n give probability 0 (a valid query, not an error).
-    A line is summed over a window around its mode (_window); every
-    other family over all its points.  The result's method tag names
+    A line is summed over a certified window around its mode
+    (_line_sum); every other family over all its points.  The result's method tag names
     the route that answered.
     """
     fam, tag = solution_family(model, b)
@@ -386,15 +381,15 @@ def pmf_table(model: PoissonModel, degree_bound: int) -> np.ndarray:
             # zero column: the variable marginalizes out entirely
             continue
         col = [int(model.a_full[i, j]) for i in range(m)]
-        lam = float(model.rates_full[j])
-        tmax = 0 if lam == 0.0 else min(B // c for c in col if c > 0)
-        loglam = math.log(lam) if lam > 0.0 else 0.0
+        lam = model.rates_full[j:j + 1]
+        tmax = 0 if lam[0] == 0.0 else min(B // c for c in col if c > 0)
+        # ln of the weights t ln lambda - lambda - ln t!, t = 0..tmax
+        logw = _log_terms(np.arange(tmax + 1.0)[:, None], lam, *rate_constants(lam))
         nxt = np.zeros_like(table)
-        for t in range(tmax + 1):
-            w = math.exp(t * loglam - lam - math.lgamma(t + 1))
+        for t, lw in enumerate(logw.tolist()):
             tgt = tuple(slice(t * c, B + 1) for c in col)
             src = tuple(slice(0, B + 1 - t * c) for c in col)
-            nxt[tgt] += w * table[src]
+            nxt[tgt] += math.exp(lw) * table[src]
         table = nxt
     return table
 

@@ -263,7 +263,9 @@ def test_pmf_over_point_cap_exits_2(tmp_path, capsys):
     # points raised "array is too big": both tracebacks, exit 1.  The
     # first is now summed around its mode and matches Poisson(2); the
     # second has more than MAX_POINTS terms above its tail threshold on
-    # each side of its mode
+    # each side of its mode.  At 10**18 and 3 * 10**18 the window search
+    # once read a tail bound of 2.0 off terms that rounded differently
+    # from the ones it summed, and answered with exit 0
     path = tmp_path / "ones2.json"
     path.write_text(json.dumps({"a": [[1, 1]], "lambda": [1, 1]}))
     b = 10**11
@@ -273,9 +275,10 @@ def test_pmf_over_point_cap_exits_2(tmp_path, capsys):
     assert 0.0 < out["tail_bound"] <= 2.0**-60
     assert math.isclose(out["log_prob"], b * math.log(2.0) - 2.0 - math.lgamma(b + 1),
                         rel_tol=1e-12)
-    assert run(["pmf", str(path), "--b", "9223372036854775000"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "cap" in err
+    for b in (10**18, 3 * 10**18, 9223372036854775000):
+        assert run(["pmf", str(path), "--b", str(b)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cap" in err
     # the same line is still described without its points
     assert run(["solve", str(path), "--b", "100000000000", "--format", "json"]) == 0
     assert _json_out(capsys)["count"] == 10**11 + 1

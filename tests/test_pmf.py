@@ -199,6 +199,7 @@ def kernel_one_lines(draw):
 @example(([[1, 1]], [37.5, 800.0], [3000]))
 @example((EXAMPLE1, [0.0, 5000.0, 800.0], [3000, 3000]))
 @example(([[1, 2]], [800.0, 0.0], [2000]))
+@example(([[1, 1]], [5.0, 800.0], [3000]))
 @given(kernel_one_lines())
 def test_windowed_line_sum_matches_full_sum(case):
     """The line sum against an fsum over every point of the line, and
@@ -218,6 +219,7 @@ def test_windowed_line_sum_matches_full_sum(case):
         return
     assert math.isclose(res.log_prob, full, rel_tol=REL, abs_tol=REL)
     # the blocks tile one window [jlo, jhi] of the line
+    blocks.sort()
     jlo, jhi = blocks[0][0], blocks[-1][1]
     assert all(q[1] + 1 == r[0] for q, r in zip(blocks, blocks[1:]))
     assert res.summed == jhi - jlo + 1 <= fam.count
@@ -227,6 +229,18 @@ def test_windowed_line_sum_matches_full_sum(case):
     assert omitted <= res.tail_bound <= 2.0**-60
     if res.summed == fam.count:
         assert res.tail_bound == 0.0
+
+
+def test_line_window_extends_past_its_curvature_guess():
+    """[[1, 1]] at rates (5, 800), b = 3000: the first count is about 18
+    at the mode, and its share 1/(k+1) of the curvature falls quickly as
+    it grows, so the first window stops short on that side (the other
+    reaches the span's end) and is extended once."""
+    model = lp.PoissonModel([[1, 1]], [5.0, 800.0])
+    res, blocks = summed_blocks(model, [3000])
+    assert len(blocks) == 2 and blocks[1][1] + 1 == blocks[0][0]
+    assert blocks[0][1] == 3000 and res.summed == 3001 - blocks[1][0]
+    assert 0.0 < res.tail_bound <= 2.0**-60
 
 
 def test_window_of_a_million_point_line():
