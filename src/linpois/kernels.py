@@ -10,7 +10,9 @@ uniforms consumed by one draw.
 
 Poisson draws: rates below 30 invert a CDF table precomputed in Python.
 Rates >= 30 use Hormann's PTRS transformed rejection (Insurance: Math.
-& Econ. 12, 1993), vectorised over the samples still rejected.  Rates
+& Econ. 12, 1993), vectorised over the samples still rejected; its
+accept test takes ln k! from model._log_factorials, the one ln k!
+routine, shared with pmf's log terms.  Rates
 above MAX_RATE = 2**62 are rejected with InputError: an accepted PTRS
 draw lies within a few sqrt(rate) of the rate, so below the ceiling
 every draw fits in int64 (past 2**63 the cast to int64 fails).
@@ -27,6 +29,7 @@ import operator
 import numpy as np
 
 from .errors import InputError, InternalInvariantError
+from .model import _log_factorials
 
 __all__ = [
     "default_backend",
@@ -205,8 +208,7 @@ def _draw_ptrs_np(bases, lam, loglam, pb, pa, pinv, pvr) -> np.ndarray:
             rr = np.flatnonzero(rest)
             lhs = np.log(v[rr]) + math.log(pinv) - np.log(pa / (us[rr] * us[rr]) + pb)
             kk = k[rr]
-            lgam = np.asarray([math.lgamma(x + 1.0) for x in kk])
-            accept[rr[lhs <= kk * loglam - lam - lgam]] = True
+            accept[rr[lhs <= kk * loglam - lam - _log_factorials(kk)]] = True
         out[todo[accept]] = k[accept]
         todo = todo[~accept]
         active = active[~accept]

@@ -29,6 +29,23 @@ def rate_constants(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return log_rates, dead if dead.any() else None
 
 
+def _log_factorials(k: np.ndarray) -> np.ndarray:
+    """ln k! for every entry of an array of counts >= 0 (int or float).
+
+    Each entry equals math.lgamma(k + 1.0) bit for bit, past 2**53 too.
+    When the counts are small next to the array (max + 1 <= size), a
+    table with one lgamma call per value 0..max is indexed instead of
+    calling lgamma once per entry.
+    """
+    top = float(k.max()) if k.size else 0.0
+    if top + 1.0 <= k.size:
+        table = np.fromiter(map(math.lgamma, memoryview(np.arange(1.0, top + 2.0))),
+                            dtype=np.float64, count=int(top) + 1)
+        return table[k.astype(np.intp)]
+    return np.fromiter(map(math.lgamma, memoryview((k + 1.0).ravel())),
+                       dtype=np.float64, count=k.size).reshape(k.shape)
+
+
 class PoissonModel:
     """Immutable model of Y = A X, X_i independent Poisson(lambda_i).
 

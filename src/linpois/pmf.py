@@ -38,7 +38,7 @@ import numpy as np
 from . import solutions
 from .errors import InputError, InternalInvariantError
 from .intlinalg import int_vector
-from .model import PoissonModel, rate_constants
+from .model import PoissonModel, _log_factorials, rate_constants
 from .solutions import MethodTag, SolutionFamily, _walk_family, snf_family
 
 __all__ = [
@@ -93,23 +93,16 @@ def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray,
     Row k gives sum_i [k_i ln l_i - l_i - ln k_i!]; log_rates and dead
     come from rate_constants.  A zero-rate column adds nothing at
     k_i = 0 (convention 0 ln 0 = 0) and makes the term -inf at k_i > 0.
-    Log-gamma keeps large counts finite.  Each column's part is formed
-    before the parts are added, so k ln l - l and ln k! cancel while
-    their magnitudes are close (exactly, near the mode), not after
-    rounding at the size of their sum over the columns.
+    ln k_i! comes from model._log_factorials, the one ln k! routine,
+    which the PTRS sampler also uses; log-gamma keeps large counts
+    finite.  Each column's part is formed before the parts are added,
+    so k ln l - l and ln k! cancel while their magnitudes are close
+    (exactly, near the mode), not after rounding at the size of their
+    sum over the columns.
     """
     if points.shape[0] == 0:
         return np.empty(0)
-    top = float(points.max()) if points.size else 0.0
-    if top + 1.0 <= points.size:
-        # small counts: one lgamma call per distinct value, not per entry
-        table = np.fromiter(map(math.lgamma, memoryview(np.arange(1.0, top + 2.0))),
-                            dtype=np.float64, count=int(top) + 1)
-        lgam = table[points.astype(np.intp)]
-    else:
-        lgam = np.fromiter(map(math.lgamma, memoryview((points + 1.0).ravel())),
-                           dtype=np.float64, count=points.size).reshape(points.shape)
-    out = (points * log_rates - rates - lgam).sum(axis=1)
+    out = (points * log_rates - rates - _log_factorials(points)).sum(axis=1)
     if dead is not None:
         # counts are >= 0, so a positive sum means a positive count
         out[points @ dead > 0.0] = NEG_INF

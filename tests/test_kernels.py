@@ -182,6 +182,37 @@ def test_sample_block_golden_draws():
     assert digest == "f11b63d1e6ee043f93064f1270f54e775db24d009d87b344549bb81fc8ca80ed"
 
 
+def test_sample_block_golden_draws_past_2_53():
+    # PTRS at rates where float64 no longer holds every count: the
+    # candidates and ln k! are formed from rounded floats, so any change
+    # in how ln k! rounds would show here
+    out = K.sample_block([2.0**55, K.MAX_RATE], 3, 0, 2000)
+    assert out[:2].tolist() == [[36028797154606208, 4611686017597286912],
+                                [36028796994569340, 4611686018117941760]]
+    assert [sum(col) for col in out.T.tolist()] == [72057594038070785248,
+                                                    9223372036823814924288]
+    digest = hashlib.sha256(out.astype("<i8").tobytes()).hexdigest()
+    assert digest == "5f713b451c902097aa950e075d98b7957178bb2bbba121f51d0fd559c4a0de7f"
+
+
+def test_ptrs_accept_test_reads_ln_factorial_table(monkeypatch):
+    # one lgamma call per candidate reaching the full accept test would
+    # be about 23,000 calls here; a table over the candidates' values
+    # needs a few hundred
+    calls = 0
+    lgamma = math.lgamma
+
+    def counting_lgamma(x):
+        nonlocal calls
+        calls += 1
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counting_lgamma)
+    out = K.sample_block([40.0], 0, 0, 50_000)
+    assert calls <= 1_000
+    assert abs(out.mean() - 40.0) < 0.2
+
+
 def test_hits_block_golden_count():
     hits = K.hits_block([[1, 0, 1], [0, 2, 1]], [2, 72], [1.2, 35.0, 2.1], 11, 0, 200_000)
     assert hits == 1440

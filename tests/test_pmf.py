@@ -16,7 +16,7 @@ from scipy.stats import poisson
 import linpois as lp
 from linpois import MethodTag
 from linpois.errors import InputError, InternalInvariantError
-from linpois.model import rate_constants
+from linpois.model import _log_factorials, rate_constants
 from linpois.pmf import _log_terms, _summed
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
@@ -287,6 +287,27 @@ def test_log_terms_table_equals_lgamma_map():
         want = (pts * consts[0] - lam - lgam).sum(axis=1)
         want[pts @ consts[1] > 0.0] = float("-inf")
         assert np.array_equal(_log_terms(pts, lam, *consts), want)
+
+
+def test_log_factorials_equal_lgamma_per_entry():
+    """The shared ln k! routine gives the bits of one math.lgamma(k + 1.0)
+    per entry, for int64 and float64 counts, on the table path
+    (max + 1 <= size) and the per-entry path, empty, and past 2**53."""
+    rng = np.random.default_rng(11)
+    small = rng.integers(0, 40, size=(60, 3))
+    big = np.array([0, 7, 2**53 - 1, 2**53 + 1, 2**53 + 3, 2**60 + 5, 2**62], dtype=np.int64)
+    cases = [small, rng.integers(0, 40, size=200), big, np.array([0]), np.array([3]),
+             np.arange(5), np.empty(0, dtype=np.int64), np.empty((4, 0), dtype=np.int64)]
+    for k in cases:
+        for pts in (k.astype(np.int64), k.astype(np.float64)):
+            want = np.array([math.lgamma(x + 1.0) for x in pts.ravel().tolist()],
+                            dtype=np.float64).reshape(pts.shape)
+            got = _log_factorials(pts)
+            assert got.dtype == np.float64 and got.shape == pts.shape
+            assert np.array_equal(got, want)
+    # both paths are taken: 200 counts below 40 index a table, the
+    # counts past 2**53 are mapped one by one
+    assert small.max() + 1 <= small.size and big.max() + 1 > big.size
 
 
 def test_pmf_line_partly_live(model1):
