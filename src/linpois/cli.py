@@ -5,7 +5,8 @@ keys "a" and "lambda"; with --matrix-format text the positional file is
 a whitespace matrix instead and rates come from --lambda.  Exit codes:
 0 success, 2 input error (argparse's usage errors included), 4 internal
 invariant failure.  Probability zero is a success, not an error.  The
-pmf and solve outputs name the route that answered in "method".
+pmf and solve outputs give the model's kernel class (model.method, from
+classify) in "method"; it does not say whether a walk ran for this b.
 """
 
 from __future__ import annotations

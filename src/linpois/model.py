@@ -15,18 +15,14 @@ from .solutions import MethodTag, PreprocessReport, _WalkPlan, classify, preproc
 __all__ = ["PoissonModel", "model_from_dict", "load_model_file"]
 
 
-def rate_constants(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The rate-only parts of every log term, for finite rates >= 0.
+def rate_constants(rates: np.ndarray) -> np.ndarray:
+    """ln(rate) per column, the rate-only part of every log term, for
+    finite rates > 0.
 
-    Returns ln(rate) per column (0.0 on a zero-rate column) and the 0/1
-    indicator of the zero-rate columns, None when every rate is
-    positive.  Logs come from math.log, one call per rate, so they match
-    a scalar evaluation bit for bit.
+    Logs come from math.log, one call per rate, so they match a scalar
+    evaluation bit for bit.
     """
-    log_rates = np.array([math.log(x) if x > 0.0 else 0.0 for x in rates.tolist()],
-                         dtype=np.float64)
-    dead = (rates == 0.0).astype(np.float64)
-    return log_rates, dead if dead.any() else None
+    return np.array([math.log(x) for x in rates.tolist()], dtype=np.float64)
 
 
 def _log_factorials(k: np.ndarray) -> np.ndarray:
@@ -49,12 +45,13 @@ def _log_factorials(k: np.ndarray) -> np.ndarray:
 class PoissonModel:
     """Immutable model of Y = A X, X_i independent Poisson(lambda_i).
 
-    The matrix is preprocessed on construction: zero columns are
+    The input is validated and preprocessed on construction: zero
+    columns and zero-rate columns, whose variables cannot move Y, are
     removed and listed in ``report``; every row is kept, since the SNF
     checks dependent rows.  ``a``/``rates`` refer to the reduced system
     used for evaluation; ``a_full``/``rates_full`` keep the original
-    shapes.  Derived objects (SNF, method tag, the rate constants of the
-    log terms, the plan of the free-coordinate walk) are cached on first
+    shapes.  Derived objects (SNF, method tag, the log rates of the
+    terms, the plan of the free-coordinate walk) are cached on first
     use.
     """
 
@@ -62,22 +59,15 @@ class PoissonModel:
         a_full = int_matrix(a)
         if a_full.shape[0] == 0 or a_full.shape[1] == 0:
             raise InputError("matrix needs at least one row and one column")
-        try:
-            rates_full = np.asarray(rates, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"rates are not numeric: {exc}") from None
-        a_red, rates_red, report = preprocess(a_full, rates_full)
         self._a_full = a_full
-        self._rates_full = rates_full
-        self._a = a_red
-        self._rates = rates_red
-        self._report = report
+        self._a, self._rates, self._report = preprocess(a_full, rates)
         self.name = name
         self.description = description
 
     @property
     def a(self) -> np.ndarray:
-        """Matrix without its zero columns; every row is kept."""
+        """Matrix without its zero columns and zero-rate columns; every
+        row is kept."""
         return self._a
 
     @property
@@ -94,7 +84,7 @@ class PoissonModel:
 
     @property
     def rates_full(self) -> np.ndarray:
-        return self._rates_full
+        return self._report.rates
 
     @property
     def n(self) -> int:
@@ -117,7 +107,7 @@ class PoissonModel:
         return classify(self.snf)
 
     @cached_property
-    def term_constants(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def term_constants(self) -> np.ndarray:
         # on first pmf call, not at build, so building a model costs only
         # preprocess and classify; preprocess already validated the rates
         return rate_constants(self._rates)

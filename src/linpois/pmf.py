@@ -6,11 +6,13 @@ that the query alone decides: b is checked here, the Smith normal form
 decides whether b is on the lattice and reads off a singleton or a
 line, and, when the kernel of A has dimension 2 or more, the walk over
 the free coordinates of the model's cached walk plan (_walk_family)
-lists the points without checking b again.  Log terms are formed in
-numpy passes over arrays of lattice points, never over tuples, and
-combined by a max-shifted log-sum whose inner sum is math.fsum.  fsum
-is correctly rounded, so the result does not depend on the order of
-the terms.
+lists the points without checking b again.  The model's reduced
+system has no zero-rate column (preprocess removes them with the zero
+columns), so every term of every point is finite.  Log terms are
+formed in numpy passes over arrays of lattice points, never over
+tuples, and combined by a max-shifted log-sum whose inner sum is
+math.fsum.  fsum is correctly rounded, so the result does not depend
+on the order of the terms.
 
 A singleton or finite family is summed over all its points.  A line
 u + j v is summed over a window around its mode instead: ln t(j) is
@@ -65,6 +67,9 @@ TAIL_EPS = 2.0 ** -60
 FIRST_BLOCK = 256
 # The most points of a line whose terms are formed in one numpy pass.
 _BLOCK = 1 << 16
+# The most work pmf_table may do, in entries of box-sized array passes.
+# With any column present this keeps the box to 2e7 entries.
+MAX_TABLE_WORK = 40_000_000
 
 
 @dataclass(frozen=True)
@@ -86,27 +91,20 @@ class PmfResult:
     tail_bound: float = 0.0
 
 
-def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray,
-               dead: np.ndarray | None) -> np.ndarray:
+def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray) -> np.ndarray:
     """ln of every product term, one per row of points.
 
-    Row k gives sum_i [k_i ln l_i - l_i - ln k_i!]; log_rates and dead
-    come from rate_constants.  A zero-rate column adds nothing at
-    k_i = 0 (convention 0 ln 0 = 0) and makes the term -inf at k_i > 0.
-    ln k_i! comes from model._log_factorials, the one ln k! routine,
-    which the PTRS sampler also uses; log-gamma keeps large counts
-    finite.  Each column's part is formed before the parts are added,
-    so k ln l - l and ln k! cancel while their magnitudes are close
-    (exactly, near the mode), not after rounding at the size of their
-    sum over the columns.
+    Row k gives sum_i [k_i ln l_i - l_i - ln k_i!] for rates l_i > 0;
+    log_rates comes from rate_constants.  ln k_i! comes from
+    model._log_factorials, the one ln k! routine, which the PTRS sampler
+    also uses; log-gamma keeps large counts finite.  Each column's part
+    is formed before the parts are added, so k ln l - l and ln k! cancel
+    while their magnitudes are close (exactly, near the mode), not
+    after rounding at the size of their sum over the columns.
     """
     if points.shape[0] == 0:
         return np.empty(0)
-    out = (points * log_rates - rates - _log_factorials(points)).sum(axis=1)
-    if dead is not None:
-        # counts are >= 0, so a positive sum means a positive count
-        out[points @ dead > 0.0] = NEG_INF
-    return out
+    return (points * log_rates - rates - _log_factorials(points)).sum(axis=1)
 
 
 def log_term(k, rates) -> float:
@@ -129,8 +127,11 @@ def log_term(k, rates) -> float:
         raise InputError("counts must be >= 0")
     if not np.all(np.isfinite(lam)) or np.any(lam < 0):
         raise InputError("rates must be finite and >= 0")
+    live = lam > 0.0
     point = SolutionFamily.finite([counts]).points()
-    return float(_log_terms(point, lam, *rate_constants(lam))[0])
+    if (point[:, ~live] > 0.0).any():
+        return NEG_INF
+    return float(_log_terms(point[:, live], lam[live], rate_constants(lam[live]))[0])
 
 
 def logsumexp(terms) -> float:
@@ -194,32 +195,11 @@ def _summed(log_terms, tag: MethodTag, terms: int | None = None, tail_logs=()) -
                      clamped=clamped, summed=summed, tail_bound=tail)
 
 
-def _live_span(fam: SolutionFamily, dead) -> tuple[int, int] | None:
-    """The j-range of a line on which no zero-rate column has a positive
-    count, or None when there is no such j.  A fixed zero-rate column
-    kills the line unless its count is 0; a moving one is 0 at one j at
-    most."""
-    lo, hi = fam.jmin, fam.jmax
-    if dead is None:
-        return lo, hi
-    for c in np.flatnonzero(dead).tolist():
-        u, v = fam.base[c], fam.direction[c]
-        if v == 0:
-            if u:
-                return None
-        elif u % v:
-            return None
-        else:
-            lo = max(lo, -u // v)
-            hi = min(hi, -u // v)
-    return (lo, hi) if lo <= hi else None
-
-
 def _line_sum(fam: SolutionFamily, model: PoissonModel, tag: MethodTag) -> PmfResult:
     """P(Y = b) over a line: evaluate a window around the mode of the
     terms t(j), then certify it on the terms it sums.
 
-    A live span [a, b] of at most FIRST_BLOCK points is summed whole.
+    A line [a, b] of at most FIRST_BLOCK points is summed whole.
     Otherwise the mode is found by bisection on the sign of an estimate
     of ln t(j+1) - ln t(j) from float ratios.  curv = sum v**2 / (k + 1)
     over the moving columns at the mode is below the curvature of ln t
@@ -233,22 +213,17 @@ def _line_sum(fam: SolutionFamily, model: PoissonModel, tag: MethodTag) -> PmfRe
     mode: the mass omitted is under L t_edge < TAIL_EPS S.  InputError
     when w, or the reach of one side, exceeds MAX_POINTS.
     """
-    log_rates, dead = model.term_constants
-    span = _live_span(fam, dead)
-    if span is None:
-        return _summed([], tag, terms=fam.count)
-    a, b = span
+    a, b = fam.jmin, fam.jmax
     step = min(_BLOCK, solutions.MAX_POINTS)
 
     def blocks(lo, hi):
-        return [_log_terms(fam.points(j, min(j + step - 1, hi)), model.rates, log_rates, dead)
-                for j in range(lo, hi + 1, step)]
+        return [_log_terms(fam.points(j, min(j + step - 1, hi)), model.rates,
+                           model.term_constants) for j in range(lo, hi + 1, step)]
 
     if b - a < FIRST_BLOCK:
         return _summed(np.concatenate(blocks(a, b)), tag, terms=fam.count)
-    # zero-rate columns have count 0 on a span of more than one point
     moving = [(u, v, (v + 1) / 2, r) for u, v, r in zip(fam.base, fam.direction,
-                                                        model.rates.tolist()) if v and r > 0.0]
+                                                        model.rates.tolist()) if v]
 
     def rise(j):
         # ln t(j+1) - ln t(j), each moving column's |v| factors of k!
@@ -308,13 +283,14 @@ def pmf(model: PoissonModel, b) -> PmfResult:
     Negative entries, a violated dependent-row relation or a b off the
     lattice A Z^n give probability 0 (a valid query, not an error).
     A line is summed over a certified window around its mode
-    (_line_sum); every other family over all its points.  The result's method tag names
-    the route that answered.
+    (_line_sum); every other family over all its points.  The result's
+    method is model.method, the kernel class that classify gives the
+    model's SNF; it is the same for every b, whether or not a walk ran.
     """
     fam, tag = solution_family(model, b)
     if fam.kind == "line":
         return _line_sum(fam, model, tag)
-    return _summed(_log_terms(fam.points(), model.rates, *model.term_constants), tag)
+    return _summed(_log_terms(fam.points(), model.rates, model.term_constants), tag)
 
 
 def _check_z(model: PoissonModel, z) -> np.ndarray:
@@ -353,31 +329,32 @@ def gf_eval(model: PoissonModel, z) -> float:
 def pmf_table(model: PoissonModel, degree_bound: int) -> np.ndarray:
     """Exact table of P(Y = b) for every b in the box [0, B]^m.
 
-    Built by convolving one Poisson variable at a time along its matrix
-    column.  Columns are nonnegative, so partial sums of any solution
-    never leave the box: each entry equals pmf(b) up to float rounding,
-    not just a truncation of it.  Size is (B+1)^m; small m only.
+    Built by convolving one Poisson variable at a time along its column
+    of the reduced matrix.  Columns are nonnegative, so partial sums of
+    any solution never leave the box: each entry equals pmf(b) up to
+    float rounding, not just a truncation of it.  A column adds
+    t_max + 1 shifted copies of the box, t_max = min_i floor(B / a_ij)
+    over its positive entries, so the work is counted as
+    (1 + sum_j (t_max_j + 1)) (B+1)^m; InputError when it exceeds
+    MAX_TABLE_WORK.
     """
     B = int(degree_bound)
     if B < 0:
         raise InputError("degree bound must be >= 0")
     m = model.m_full
-    if (B + 1) ** m > 20_000_000:
-        raise InputError(f"pmf table of shape {(B + 1,) * m} is too large")
-    removed = set(model.report.removed_columns)
+    cols = [[int(x) for x in model.a[:, j]] for j in range(model.n)]
+    tmax = [min(B // c for c in col if c > 0) for col in cols]
+    if (1 + sum(tmax) + len(tmax)) * (B + 1) ** m > MAX_TABLE_WORK:
+        raise InputError(f"pmf table of shape {(B + 1,) * m} over {model.n} columns exceeds "
+                         f"the work cap of MAX_TABLE_WORK = {MAX_TABLE_WORK:.0e}")
     # each column carries its own e^-lambda factor: one exp(-sum lambda)
     # up front would underflow to 0 once the rates add up past ~745
     table = np.zeros((B + 1,) * m)
     table[(0,) * m] = 1.0
-    for j in range(model.n_full):
-        if j in removed:
-            # zero column: the variable marginalizes out entirely
-            continue
-        col = [int(model.a_full[i, j]) for i in range(m)]
-        lam = model.rates_full[j:j + 1]
-        tmax = 0 if lam[0] == 0.0 else min(B // c for c in col if c > 0)
-        # ln of the weights t ln lambda - lambda - ln t!, t = 0..tmax
-        logw = _log_terms(np.arange(tmax + 1.0)[:, None], lam, *rate_constants(lam))
+    for j, (col, top) in enumerate(zip(cols, tmax)):
+        # ln of the weights t ln lambda - lambda - ln t!, t = 0..top
+        logw = _log_terms(np.arange(top + 1.0)[:, None], model.rates[j:j + 1],
+                          model.term_constants[j:j + 1])
         nxt = np.zeros_like(table)
         for t, lw in enumerate(logw.tolist()):
             tgt = tuple(slice(t * c, B + 1) for c in col)

@@ -15,7 +15,7 @@ Both refuse, with InputError, a solution set, walk frontier or block of
 line points of more than MAX_POINTS points before allocating it.
 
 Plus the model preprocessing step that validates the input and removes
-zero columns.
+the columns that cannot move Y: zero columns and zero-rate columns.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -413,8 +413,16 @@ def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:
 
 @dataclass(frozen=True)
 class PreprocessReport:
+    """What preprocess did to (A, rates).
+
+    removed_columns lists the columns whose variable cannot move Y:
+    zero columns of A and columns of rate 0.  rates is the full,
+    validated float64 rate vector; it takes no part in comparisons.
+    """
+
     original_shape: tuple[int, int]
-    removed_columns: tuple[int, ...] = ()
+    removed_columns: tuple[int, ...]
+    rates: np.ndarray = field(compare=False, repr=False)
 
     @property
     def is_trivial(self) -> bool:
@@ -422,17 +430,23 @@ class PreprocessReport:
 
 
 def preprocess(a, rates):
-    """Validate (A, rates) and remove the zero columns of A.
+    """Validate (A, rates) and remove every column whose variable cannot
+    move Y: the zero columns of A and the columns of rate 0.
 
     A zero column's Poisson variable is unconstrained and marginalizes
-    out with total probability 1, so removing it preserves every
-    probability.  Every row is kept: snf_family checks dependent rows.
+    out with total probability 1; a zero-rate variable is 0 almost
+    surely.  Either way the column's factor of the generating function
+    is 1, so removing it preserves every probability.  Every row is
+    kept: snf_family checks dependent rows.
 
     Returns (reduced matrix, reduced rates, PreprocessReport).
     """
     a = int_matrix(a)
     m, n = a.shape
-    rates = np.asarray(rates, dtype=np.float64)
+    try:
+        rates = np.asarray(rates, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"rates are not numeric: {exc}") from None
     if rates.ndim != 1 or rates.shape[0] != n:
         raise InputError(f"rate vector length {rates.shape} does not match {n} columns")
     if not np.all(np.isfinite(rates)) or np.any(rates < 0):
@@ -442,8 +456,8 @@ def preprocess(a, rates):
             if a[i, j] < 0:
                 raise InputError(f"matrix entry ({i},{j}) is negative")
 
-    keep_cols = [j for j in range(n) if any(a[i, j] != 0 for i in range(m))]
+    keep_cols = [j for j in range(n) if rates[j] > 0.0 and any(a[i, j] != 0 for i in range(m))]
     removed_cols = tuple(j for j in range(n) if j not in keep_cols)
     a_red = a[:, keep_cols] if keep_cols else np.empty((m, 0), dtype=object)
-    report = PreprocessReport(original_shape=(m, n), removed_columns=removed_cols)
+    report = PreprocessReport(original_shape=(m, n), removed_columns=removed_cols, rates=rates)
     return a_red, rates[keep_cols], report

@@ -2,8 +2,8 @@
 
 None of these is used by the package: brute-force enumeration of the
 solution set, an exact determinant by fraction-free elimination, the
-gcd of all minors (which fixes the elementary divisors), and one
-product term and a log-sum formed with math.fsum.
+gcd of all minors (which fixes the elementary divisors), one product
+term and a log-sum formed with math.fsum, and a model reduced by hand.
 """
 
 import math
@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from linpois import solutions
+from linpois import PoissonModel, solutions
 from linpois.errors import InputError
 from linpois.intlinalg import int_matrix, int_vector
 from linpois.solutions import SolutionFamily
@@ -157,3 +157,12 @@ def reference_log_prob(rates, points):
     """ln P(Y = b) from the points of the solution set: reference_term
     for every point, combined by reference_log_sum."""
     return reference_log_sum([reference_term(k, rates) for k in points])
+
+
+def hand_reduced(a, rates):
+    """The model of only the columns of a with a positive rate, built by
+    hand; None when no such column is left."""
+    live = [j for j, lam in enumerate(rates) if lam > 0.0]
+    if not live:
+        return None
+    return PoissonModel([[row[j] for j in live] for row in a], [rates[j] for j in live])

@@ -221,6 +221,14 @@ def test_gf_check_degree(model1_file, capsys):
     assert out["degree_bound"] == 40
 
 
+def test_gf_check_degree_past_the_work_cap_exits_2(tmp_path, capsys):
+    # a box of 10**6 + 1 entries, convolved 10**6 + 1 times: refused
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"a": [[1]], "lambda": [1.0]}))
+    assert run(["gf", str(path), "--z", "0.5", "--check-degree", "1000000"]) == 2
+    assert "work cap" in capsys.readouterr().err
+
+
 def test_gf_at_ones(model1_file, capsys):
     assert run(["gf", model1_file, "--z", "1", "1", "--format", "json"]) == 0
     assert math.isclose(_json_out(capsys)["gf"], 1.0, rel_tol=1e-12)

@@ -20,7 +20,8 @@ from linpois.model import _log_factorials, rate_constants
 from linpois.pmf import _log_terms, _summed
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
-from oracle import enumerate_solutions, reference_log_prob, reference_log_sum, reference_term
+from oracle import (enumerate_solutions, hand_reduced, reference_log_prob, reference_log_sum,
+                    reference_term)
 
 REL = 1e-12  # cross-method agreement tolerance
 
@@ -121,7 +122,9 @@ RATES = [0.0, 0.5, 1.0, 2.0, 37.5]
 @given(st.data())
 def test_pmf_matches_fsum_reference_on_enumeration(data):
     """Every route, with zero-rate columns, zero columns, dependent rows
-    and infeasible b, against the oracle over enumerate_solutions."""
+    and infeasible b, against the oracle over enumerate_solutions of
+    model.a, which has neither zero-rate nor zero columns, and against
+    the model reduced by hand."""
     m = data.draw(st.integers(1, 3))
     n = data.draw(st.integers(1, 4))
     rows = [[data.draw(st.integers(0, 3)) for _ in range(n)] for _ in range(m)]
@@ -132,6 +135,9 @@ def test_pmf_matches_fsum_reference_on_enumeration(data):
     res = lp.pmf(model, b)
     assert res.terms == fam.count
     assert agrees_with_reference(res, reference_log_prob(model.rates.tolist(), fam.vectors()))
+    hand = hand_reduced(rows, lam)
+    if hand is not None:
+        assert lp.pmf(hand, b) == res
 
 
 @settings(max_examples=30, deadline=None)
@@ -143,17 +149,23 @@ def test_pmf_matches_fsum_reference_on_enumeration(data):
 def test_pmf_long_lines_match_fsum_reference(coeffs, size, lam):
     """Lines of up to 1e4 terms.  The oracle's points come from a direct
     loop over k1, because enumerate_solutions visits a box quadratic in
-    b here; for small b that loop is checked against it."""
+    b here; for small b that loop is checked against it.  A zero-rate
+    column is dropped at build, so its model keeps only the points with
+    a zero count there, as the model reduced by hand does."""
     a1, a2 = coeffs
     b = a1 * a2 * size + (size % a1)
     model = lp.PoissonModel([[a1, a2]], lam)
-    assert model.method is MethodTag.SINGLE_INDEX
+    assert model.method is (MethodTag.INVERTIBLE if 0.0 in lam else MethodTag.SINGLE_INDEX)
     points = [(k1, (b - a1 * k1) // a2) for k1 in range(b // a1 + 1) if (b - a1 * k1) % a2 == 0]
     if b <= 60:
         assert set(points) == enumerate_solutions([[a1, a2]], [b]).as_set()
+    live = [k for k in points if all(x == 0 or r > 0.0 for x, r in zip(k, lam))]
     res = lp.pmf(model, [b])
-    assert res.terms == len(points) <= 10_001
+    assert res.terms == len(live) <= 10_001
     assert agrees_with_reference(res, reference_log_prob(lam, points))
+    hand = hand_reduced([[a1, a2]], lam)
+    if hand is not None:
+        assert lp.pmf(hand, [b]) == res
 
 
 def summed_blocks(model, b):
@@ -197,13 +209,15 @@ def kernel_one_lines(draw):
 @example(([[1, 1]], [5000.0, 5000.0], [9999]))
 @example(([[1, 100]], [5000.0, 37.5], [40_000]))
 @example(([[1, 1]], [37.5, 800.0], [3000]))
-@example((EXAMPLE1, [0.0, 5000.0, 800.0], [3000, 3000]))
-@example(([[1, 2]], [800.0, 0.0], [2000]))
+@example(([[1, 0, 1, 1], [0, 2, 1, 1]], [0.0, 5000.0, 800.0, 37.5], [3000, 3000]))
+@example(([[1, 2, 2]], [800.0, 0.0, 37.5], [2000]))
 @example(([[1, 1]], [5.0, 800.0], [3000]))
 @given(kernel_one_lines())
 def test_windowed_line_sum_matches_full_sum(case):
-    """The line sum against an fsum over every point of the line, and
-    the reported tail bound against the mass it actually left out."""
+    """The line sum against an fsum over every point of the line of
+    model.a, and the reported tail bound against the mass it actually
+    left out.  A zero-rate column is dropped at build, so a zero-rate
+    model is summed along a line only when its reduced system is one."""
     a, rates, b = case
     model = lp.PoissonModel(a, rates)
     assume(model.method is MethodTag.SINGLE_INDEX)
@@ -214,9 +228,6 @@ def test_windowed_line_sum_matches_full_sum(case):
     res, blocks = summed_blocks(model, b)
     assert res.terms == fam.count
     full = reference_log_sum(terms)
-    if full == float("-inf"):
-        assert res.log_prob == full and res.summed == 0 and res.tail_bound == 0.0
-        return
     assert math.isclose(res.log_prob, full, rel_tol=REL, abs_tol=REL)
     # the blocks tile one window [jlo, jhi] of the line
     blocks.sort()
@@ -268,14 +279,14 @@ def test_window_of_a_million_point_line():
     hi = float(logs.max())
     full = hi + math.log(math.fsum(np.exp(logs - hi).tolist()))
     assert math.isclose(res.log_prob, full, rel_tol=REL)
-    assert res.log_prob == lp.logsumexp(_log_terms(k, model.rates, *model.term_constants))
+    assert res.log_prob == lp.logsumexp(_log_terms(k, model.rates, model.term_constants))
 
 
 def test_log_terms_table_equals_lgamma_map():
     """The lgamma table for small counts gives the same bits as one
     math.lgamma call per entry, and large counts keep the map."""
     rng = np.random.default_rng(7)
-    lam = np.array([0.0, 0.3, 4.5, 1e4])
+    lam = np.array([2.5e-8, 0.3, 4.5, 1e4])
     consts = rate_constants(lam)
     cases = [rng.integers(0, 40, size=(50, 4)).astype(np.float64),
              np.array([[0.0, 0, 0, 0]]),
@@ -284,9 +295,8 @@ def test_log_terms_table_equals_lgamma_map():
              rng.integers(0, 10**6, size=(8, 4)).astype(np.float64)]
     for pts in cases:
         lgam = np.array([math.lgamma(x) for x in (pts + 1.0).ravel().tolist()]).reshape(pts.shape)
-        want = (pts * consts[0] - lam - lgam).sum(axis=1)
-        want[pts @ consts[1] > 0.0] = float("-inf")
-        assert np.array_equal(_log_terms(pts, lam, *consts), want)
+        want = (pts * consts - lam - lgam).sum(axis=1)
+        assert np.array_equal(_log_terms(pts, lam, consts), want)
 
 
 def test_log_factorials_equal_lgamma_per_entry():
@@ -311,14 +321,36 @@ def test_log_factorials_equal_lgamma_per_entry():
 
 
 def test_pmf_line_partly_live(model1):
-    # a zero rate on k1 leaves one live point of the 11 on the line
+    # a zero rate on k1 drops it at build: of the 11 points on the line
+    # of the full matrix, the one with k1 = 0 is the reduced singleton
     model = lp.PoissonModel(EXAMPLE1, [0.0, 1.5, 2.0])
+    assert model.report.removed_columns == (0,) and model.method is MethodTag.INVERTIBLE
     fam, _ = lp.solution_family(model, [20, 60])
-    assert fam.kind == "line" and fam.count == 11
+    assert fam.kind == "singleton" and list(fam.vectors()) == [(20, 20)]
     res = lp.pmf(model, [20, 60])
-    assert res.terms == 11
-    assert agrees_with_reference(res, reference_log_prob([0.0, 1.5, 2.0], fam.vectors()))
+    assert res.terms == 1
+    line = enumerate_solutions(EXAMPLE1, [20, 60])
+    assert line.count == 11
+    assert agrees_with_reference(res, reference_log_prob([0.0, 1.5, 2.0], line.vectors()))
     assert math.isclose(res.log_prob, lp.log_term([0, 20, 20], [0.0, 1.5, 2.0]), rel_tol=1e-15)
+
+
+def test_zero_rate_columns_are_dropped_at_build():
+    """[[1, 1, 1]] at rates (0, 1, 2) sums the 41-point line of [[1, 1]]
+    where the full matrix has 861 points; an all-zero-rate model is the
+    point mass at b = 0."""
+    model = lp.PoissonModel([[1, 1, 1]], [0.0, 1.0, 2.0])
+    assert (model.n, model.method, model.report.removed_columns) == (
+        2, MethodTag.SINGLE_INDEX, (0,))
+    res = lp.pmf(model, [40])
+    assert res.terms == 41
+    assert res == lp.pmf(lp.PoissonModel([[1, 1]], [1.0, 2.0]), [40])
+    assert math.isclose(res.prob, poisson.pmf(40, 3.0), rel_tol=REL)
+    none = lp.PoissonModel([[1, 1]], [0.0, 0.0])
+    assert none.n == 0 and none.report.removed_columns == (0, 1)
+    assert (lp.pmf(none, [0]).prob, lp.pmf(none, [0]).terms) == (1.0, 1)
+    for b in (1, 2, 40):
+        assert lp.pmf(none, [b]).prob == 0.0
 
 
 def test_pmf_zero_column_only_model():
@@ -338,6 +370,66 @@ def test_pmf_counts_beyond_int64(model1):
     assert math.isclose(res.log_prob, -3.9354535028702885e20, rel_tol=1e-12)
     with pytest.raises(InputError):
         lp.pmf(model1, [2, 10**400])
+
+
+# ------------------------------------------ Poisson moment identity
+
+def moment_gap(model, b):
+    """The largest relative gap, over the rows i with b_i > 0, in
+    b_i P(b) = sum_j a_ij l_j P(b - a_j), over the columns of the full
+    matrix, every probability from pmf.  It holds because
+    E[X_j; Y = b] = l_j P(Y = b - a_j) for a Poisson X_j, so it needs no
+    oracle.  Sides are compared in log space, since P(b) may underflow."""
+    a, lam = model.a_full, model.rates_full.tolist()
+    cols = [[int(x) for x in a[:, j]] for j in range(model.n_full)]
+    left = lp.pmf(model, b).log_prob
+    shifted = [lp.pmf(model, [x - c for x, c in zip(b, col)]).log_prob for col in cols]
+    gap = 0.0
+    for i, bi in enumerate(b):
+        if bi == 0:
+            continue
+        right = reference_log_sum([math.log(col[i] * r) + t
+                                   for col, r, t in zip(cols, lam, shifted) if col[i] and r])
+        if left == float("-inf"):
+            assert right == left
+            continue
+        gap = max(gap, abs(math.expm1(right - (math.log(bi) + left))))
+    return gap
+
+
+MOMENT_CASES = [
+    # (a, rates, b, route of the full model's reduced system)
+    (EXAMPLE3, [0.7, 1.3, 0.2], [25, 46, 34], MethodTag.INVERTIBLE),
+    (EXAMPLE1, [1.2, 35.0, 2.1], [20_000, 20_000], MethodTag.SINGLE_INDEX),
+    ([[1, 2, 3]], [100.0, 200.0, 300.0], [1400], MethodTag.ENUMERATE),
+    # zero-rate and zero columns: reduced to a line, a walk, a singleton
+    ([[1, 1, 0, 2, 1], [0, 1, 0, 1, 1]], [3.0, 0.0, 4.0, 2.0, 1.5], [30, 12],
+     MethodTag.SINGLE_INDEX),
+    ([[1, 1, 1, 1, 0]], [0.0, 5.0, 7.0, 9.0, 2.0], [60], MethodTag.ENUMERATE),
+    (EXAMPLE1, [0.0, 1.5, 2.0], [20, 60], MethodTag.INVERTIBLE),
+]
+
+
+@pytest.mark.parametrize("a, rates, b, tag", MOMENT_CASES)
+def test_moment_identity_on_every_route(a, rates, b, tag):
+    """E1 at (2e4, 2e4) is a line of 10,001 points and [[1, 2, 3]] at
+    1400 a walk of 164,034 points, past the reach of the DFS oracle."""
+    model = lp.PoissonModel(a, rates)
+    assert model.method is tag
+    assert lp.pmf(model, b).log_prob > float("-inf")
+    assert moment_gap(model, b) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_moment_identity_with_zero_rates_and_zero_columns(data):
+    m = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(1, 5))
+    rows = [[data.draw(st.integers(0, 3)) for _ in range(n)] for _ in range(m)]
+    lam = [data.draw(st.sampled_from([0.0, 0.5, 3.0, 37.5])) for _ in range(n)]
+    model = lp.PoissonModel(rows, lam)
+    b = [data.draw(st.integers(0, 40)) for _ in range(m)]
+    assert moment_gap(model, b) <= 1e-12
 
 
 # ----------------------------------------------------- pmf dispatch
@@ -570,6 +662,10 @@ def test_pmf_table_guards(model1):
         lp.pmf_table(model1, -1)
     with pytest.raises(InputError):
         lp.pmf_table(model1, 100_000)
+    # the box of 10**5 + 1 entries is small, but the convolution would
+    # add 10**5 + 1 shifted copies of it: refused before any work
+    with pytest.raises(InputError, match="work cap"):
+        lp.pmf_table(lp.PoissonModel([[1]], [1.0]), 10**5)
 
 
 # ------------------------------------------------- model validation

@@ -24,7 +24,7 @@ from linpois.cli import run
 from linpois.errors import InputError
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, EXAMPLE3_INVERSE
-from oracle import det_exact, enumerate_solutions, reference_log_prob
+from oracle import det_exact, enumerate_solutions, hand_reduced, reference_log_prob
 
 
 # the environment of a child interpreter that imports this checkout and
@@ -282,10 +282,15 @@ def _cli_solve(path, b):
 @settings(max_examples=300, deadline=None)
 @given(system=wide_kernel_systems())
 def test_walk_equals_enumeration(system, tmp_path_factory):
+    """The walk and the CLI against the depth-first search over model.a,
+    which keeps the columns of positive rate; the model reduced by hand
+    gives the same result."""
     a, b, rates = system
     model = lp.PoissonModel(a, rates)
-    assert model.method is MethodTag.ENUMERATE and model.n == a.shape[1]
-    want = enumerate_solutions(a, b)
+    assert model.n == sum(r > 0.0 for r in rates)
+    if model.n == a.shape[1]:
+        assert model.method is MethodTag.ENUMERATE
+    want = enumerate_solutions(model.a, b)
     fam, _ = lp.solution_family(model, b)
     assert fam.as_set() == want.as_set()
     assert fam.count == want.count
@@ -297,13 +302,22 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
     ref = reference_log_prob(model.rates.tolist(), want.vectors())
     assert auto.terms == want.count
     assert auto.log_prob == ref or math.isclose(auto.log_prob, ref, rel_tol=1e-12)
+    hand = hand_reduced(a, rates)
+    if hand is not None:
+        assert lp.pmf(hand, b) == auto
     path = tmp_path_factory.getbasetemp() / "walk-model.json"
     path.write_text(json.dumps({"a": a.tolist(), "lambda": rates}))
     out = _cli_solve(path, b)
     assert out["count"] == want.count
-    assert out["kind"] == fam.kind == want.kind
-    if want.count:
-        assert out["solutions"] == [list(k) for k in want.vectors()]
+    assert out["kind"] == fam.kind
+    if fam.kind == "line":
+        # zero rates can leave a kernel of dimension 1, read off as a line
+        assert (out["base"], out["direction"], out["jmin"], out["jmax"]) == (
+            [int(x) for x in fam.base], [int(x) for x in fam.direction], fam.jmin, fam.jmax)
+    else:
+        assert fam.kind == want.kind
+        if want.count:
+            assert out["solutions"] == [list(k) for k in want.vectors()]
 
 
 def test_walk_plan_takes_first_independent_block():
@@ -480,6 +494,18 @@ def test_preprocess_removes_zero_column():
     assert rep.original_shape == (2, 3)
 
 
+def test_preprocess_removes_zero_rate_columns():
+    # a zero-rate variable is 0 almost surely: dropped like a zero column
+    a, rates, rep = lp.preprocess([[1, 0, 2, 1], [1, 0, 1, 0]], [0.0, 4.0, 3.0, 0.0])
+    assert a.tolist() == [[2], [1]]
+    assert rates.tolist() == [3.0]
+    assert rep.removed_columns == (0, 1, 3)
+    assert rep.rates.tolist() == [0.0, 4.0, 3.0, 0.0]
+    model = lp.PoissonModel([[1, 0, 2, 1], [1, 0, 1, 0]], [0.0, 4.0, 3.0, 0.0])
+    assert model.n == 1 and model.rates_full.tolist() == [0.0, 4.0, 3.0, 0.0]
+    assert model.report == rep
+
+
 def test_preprocess_proportional_rows():
     a, rates, rep = lp.preprocess([[1, 2], [2, 4]], [1.0, 1.0])
     assert a.tolist() == [[1, 2], [2, 4]]
@@ -528,6 +554,10 @@ def test_preprocess_validation():
         lp.preprocess([[1, 2]], [1.0, -0.5])
     with pytest.raises(InputError):
         lp.preprocess([[1, 2]], [1.0, float("nan")])
+    # non-numeric rates: InputError, not numpy's ValueError or TypeError
+    for bad in (["x"], [{}]):
+        with pytest.raises(InputError):
+            lp.preprocess([[1]], bad)
 
 
 # --------------------------------------------------- family plumbing
