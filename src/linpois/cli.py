@@ -154,6 +154,7 @@ def _cmd_sample(args) -> int:
         "seed": rep.seed,
         "hits": rep.hits,
         "n_shards": rep.n_shards,
+        "draws": rep.draws,
     })
 
 

@@ -17,18 +17,43 @@ above MAX_RATE = 2**62 are rejected with InputError: an accepted PTRS
 draw lies within a few sqrt(rate) of the rate, so below the ceiling
 every draw fits in int64 (past 2**63 the cast to int64 fails).
 
-hits_block counts A x == b exactly: A x is never formed with int64
-wraparound; where it could wrap it is formed in Python ints.
+hits_block counts the samples with A x == b exactly, drawing each
+column only for the samples that can still reach b.  Columns that
+cannot move A x are never drawn: zero columns, and columns whose CDF
+table has one entry (rate 0), which always draw 0.  The CDF-table
+columns are drawn first and the PTRS columns, the costlier draws, last,
+each group in index order.  After column c a sample is kept only while
+  - x_c is at most the static cap min_i floor(b_i / a_ic) over the rows
+    i without negative entries;
+  - its residual r = b - (sum over the drawn columns of a_c x_c) is
+    >= 0 on those rows, which the columns still to draw can only lower;
+  - r is on the lattice of the columns still to draw: with p A' q = d
+    the Smith form of those columns (snf), d_i | (p r)_i for i < rank
+    and (p r)_i = 0 beyond.  With no column left that lattice is {0},
+    so the samples kept after the last column are the hits.
+A draw's key is s * n + c whichever samples are still alive, so every
+draw that is made equals the one sample_block makes, and a sample's
+fate depends only on its own draws: the count is that of drawing every
+sample in full, for any split of the samples into blocks.
+
+The residual never wraps int64.  Draws above the cap are clipped to it
+before a_ic x_c is formed, so on a row without negative entries each
+product is at most b_i and r_i stays in [-b_i, b_i].  On a row with a
+negative entry |r_i| <= |b_i| + sum_c |a_ic| max x_c; where that bound,
+or the bound of a lattice combination (p r)_i, leaves int64, the row or
+the combination is formed in Python ints.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
 import numpy as np
 
 from .errors import InputError, InternalInvariantError
+from .intlinalg import snf
 from .model import _log_factorials
 
 __all__ = [
@@ -255,15 +280,58 @@ def _int64_matrix(a) -> np.ndarray:
         raise InputError(f"matrix does not fit the sampling kernels: {exc}") from None
 
 
-def hits_block(a, b, rates, seed, start, stop) -> int:
+class BlockHits(int):
+    """Hit count of one block, as an int; ``draws`` is the number of
+    Poisson variates drawn to count it."""
+
+    def __new__(cls, hits: int, draws: int):
+        self = super().__new__(cls, hits)
+        self.draws = draws
+        return self
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice_checks(cols: tuple, m: int) -> tuple:
+    """Entry k: the tests that a residual r lies on the lattice spanned
+    by cols[k:] (each a tuple of m ints), from the Smith form p A q = d
+    of those columns: d_i | (p r)_i for i < rank and (p r)_i = 0 beyond.
+
+    Each test is (row i of p, d_i, or 0 for "= 0"); tests with d_i = 1
+    hold for every integer r and are left out.  The last entry, for no
+    columns, asks r = 0.  Cached, since verify counts one matrix in
+    several blocks.
+    """
+    out = []
+    for k in range(len(cols) + 1):
+        dec = snf([[col[i] for col in cols[k:]] for i in range(m)])
+        mods = list(dec.divisors) + [0] * (m - dec.rank)
+        out.append(tuple((tuple(map(int, row)), d)
+                          for row, d in zip(dec.p.tolist(), mods) if d != 1))
+    return tuple(out)
+
+
+def _lattice_misses(tests, res, bound) -> list:
+    """Masks of the residuals (rows res[i], |res[i]| <= bound[i]) that
+    fail each lattice test; a combination whose bound leaves int64 is
+    formed in Python ints."""
+    out = []
+    for coef, d in tests:
+        wide = sum(abs(c) * t for c, t in zip(coef, bound)) > _INT64_MAX
+        v = 0
+        for c, r in zip(coef, res):
+            if c:
+                v = v + c * (r.astype(object) if wide else r)
+        out.append(v % d != 0 if d else v != 0)
+    return out
+
+
+def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
     """Count samples s in [start, stop) with A x_s == b, exactly.
 
-    On a row i without negative entries a sample misses once
-    a_ic x_c > b_i, so samples above the column caps min_i floor(b_i / a_ic)
-    are dropped first.  Every row sum of the rest is bounded in Python
-    ints by sum_c |a_ic| max x_c; where a bound exceeds int64, A x is
-    formed in Python ints instead, so it never wraps and the count does
-    not depend on how the samples are split into blocks.
+    Columns are drawn one at a time, each only for the samples that can
+    still reach b; the count equals that of drawing every sample in full
+    (see the module docstring).  The result is an int that carries the
+    number of variates drawn as ``.draws``.
     """
     seed = check_seed(seed)
     start, stop = _check_range(start, stop)
@@ -277,24 +345,54 @@ def hits_block(a, b, rates, seed, start, stop) -> int:
     if bvec.shape[0] != amat.shape[0]:
         raise InputError(f"observation length {bvec.shape[0]} != row count {amat.shape[0]}")
     params = _coord_params(rates)
-    if len(params) != amat.shape[1]:
+    n = len(params)
+    if n != amat.shape[1]:
         raise InputError("rate vector length does not match matrix columns")
-    x = _sample_np(seed, start, stop, params)
-    rows = amat.tolist()
-    capping = [(row, bi) for row, bi in zip(rows, bvec.tolist()) if min(row, default=0) >= 0]
-    caps = [
-        min((bi // row[c] for row, bi in capping if row[c] > 0), default=_INT64_MAX)
-        for c in range(len(params))
-    ]
-    # column by column: numpy reductions along rows of n entries are slow
-    live = np.ones(len(x), dtype=bool)
-    for cap, col in zip(caps, x.T):
-        live &= col <= cap
-    x = x[live]
-    top = [int(col.max(initial=0)) for col in x.T]
-    if any(sum(abs(a_ic) * t for a_ic, t in zip(row, top)) > _INT64_MAX for row in rows):
-        x, amat = x.astype(object), amat.astype(object)
-    hit = np.ones(len(x), dtype=bool)
-    for bi, yi in zip(bvec.tolist(), (x @ amat.T).T):
-        hit &= yi == bi
-    return int(np.count_nonzero(hit))
+    rows, bl = amat.tolist(), bvec.tolist()
+    # a zero column, or a one-entry CDF table (rate 0: every draw is 0),
+    # never moves A x; the CDF-table columns go first, then PTRS
+    moving = [c for c in range(n) if any(row[c] for row in rows)
+              and (isinstance(params[c], tuple) or len(params[c]) > 1)]
+    order = sorted(moving, key=lambda c: isinstance(params[c], tuple))
+    checks = _lattice_checks(tuple(tuple(row[c] for row in rows) for c in order), len(rows))
+    signed = [min((row[c] for c in order), default=0) < 0 for row in rows]
+    bound = [abs(bi) for bi in bl]
+    # b is the residual before any draw and must pass the same tests
+    if any(bi < 0 for bi, neg in zip(bl, signed) if not neg) or np.any(_lattice_misses(
+            checks[0], [np.full(1, bi, dtype=np.int64) for bi in bl], bound)):
+        return BlockHits(0, 0)
+
+    svec = np.arange(start, stop, dtype=np.uint64)
+    res = [np.full(stop - start, bi, dtype=np.int64) for bi in bl]
+    draws = 0
+    for k, c in enumerate(order):
+        if not svec.size:
+            break
+        bases = _bases_np(seed, svec * np.uint64(n) + np.uint64(c))
+        param = params[c]
+        x = _draw_ptrs_np(bases, *param) if isinstance(param, tuple) else _draw_table_np(bases, param)
+        draws += x.size
+        # on a row without negative entries, a_ic x_c > b_i misses; the
+        # draws past the cap are clipped to it, so no product wraps
+        cap = min((bi // row[c] for row, bi, neg in zip(rows, bl, signed)
+                   if not neg and row[c] > 0), default=None)
+        misses = []
+        if cap is not None:
+            misses.append(x > cap)
+            x = np.minimum(x, cap)
+        top = int(x.max(initial=0))
+        for i, row in enumerate(rows):
+            if not row[c]:
+                continue
+            if signed[i]:
+                bound[i] += abs(row[c]) * top
+            wide = bound[i] > _INT64_MAX
+            res[i] = res[i] - row[c] * (x.astype(object) if wide else x)
+            if not signed[i]:
+                misses.append(res[i] < 0)
+        misses += _lattice_misses(checks[k + 1], res, bound)
+        if misses:
+            # one index array serves every row: faster than a mask per row
+            keep = np.flatnonzero(~np.logical_or.reduce(misses))
+            svec, res = svec[keep], [r[keep] for r in res]
+    return BlockHits(svec.size, draws)

@@ -20,7 +20,8 @@ from .pmf import pmf
 
 __all__ = ["RngState", "SampleReport", "sample_x", "sample_many", "verify"]
 
-# the most samples one hits_block call draws, as a (block, n) int64 array
+# the most samples one hits_block call draws, as int64 arrays of one
+# column each
 _SAMPLE_BLOCK = 1 << 20
 
 
@@ -66,7 +67,10 @@ def sample_many(rates, seed, n_samples: int, start: int = 0) -> np.ndarray:
 class SampleReport:
     """z_score is NaN when the exact probability is 0 or 1 (the normal
     approximation has no spread there).  n_shards records the layout of
-    contiguous sample blocks; results do not depend on it."""
+    contiguous sample blocks; results do not depend on it.  draws is the
+    number of Poisson variates drawn: a column is drawn only for the
+    samples that can still hit b, so it is at most n_samples times the
+    number of columns that can move Y."""
 
     b: tuple
     exact_prob: float
@@ -76,16 +80,18 @@ class SampleReport:
     seed: int
     hits: int
     n_shards: int
+    draws: int
 
 
 def _shard_bounds(n: int, shards: int):
     return [(i * n // shards, (i + 1) * n // shards) for i in range(shards)]
 
 
-def _count_hits(amat, target, rates, seed, lo: int, hi: int) -> int:
-    """Hits among samples [lo, hi), drawn _SAMPLE_BLOCK at a time."""
-    return sum(hits_block(amat, target, rates, seed, s, min(s + _SAMPLE_BLOCK, hi))
-               for s in range(lo, hi, _SAMPLE_BLOCK))
+def _count_hits(amat, target, rates, seed, lo: int, hi: int) -> tuple[int, int]:
+    """(hits, draws) among samples [lo, hi), drawn _SAMPLE_BLOCK at a time."""
+    blocks = [hits_block(amat, target, rates, seed, s, min(s + _SAMPLE_BLOCK, hi))
+              for s in range(lo, hi, _SAMPLE_BLOCK)]
+    return sum(blocks), sum(block.draws for block in blocks)
 
 
 def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> SampleReport:
@@ -116,12 +122,13 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
 
     shards = _shard_bounds(n_samples, min(threads, n_samples, os.cpu_count() or 1))
     if len(shards) == 1:
-        hits = _count_hits(amat, target, rates, seed, 0, n_samples)
+        hits, draws = _count_hits(amat, target, rates, seed, 0, n_samples)
     else:
         with ThreadPoolExecutor(max_workers=len(shards)) as pool:
             futs = [pool.submit(_count_hits, amat, target, rates, seed, lo, hi)
                     for lo, hi in shards]
-            hits = sum(f.result() for f in futs)
+            counts = [f.result() for f in futs]
+        hits, draws = map(sum, zip(*counts))
 
     empirical = hits / n_samples
     if 0.0 < exact < 1.0:
@@ -137,4 +144,5 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
         seed=seed,
         hits=hits,
         n_shards=len(shards),
+        draws=draws,
     )

@@ -250,8 +250,9 @@ def test_sample_json_schema_and_determinism(model1_file, capsys):
     second = _json_out(capsys)
     assert first == second
     assert set(first) == {"b", "exact_prob", "empirical_prob", "n_samples",
-                          "z_score", "seed", "hits", "n_shards"}
+                          "z_score", "seed", "hits", "n_shards", "draws"}
     assert first["b"] == [2, 2]
+    assert 0 < first["draws"] <= 3 * 20000
     assert first["n_samples"] == 20000
     assert abs(first["z_score"]) < 6
 

@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from linpois import kernels as K
 from linpois.errors import InputError
 from linpois.model import PoissonModel
 from linpois.montecarlo import verify
+
+from conftest import EXAMPLE3
 
 
 # ------------------------------------------------------ RNG contract
@@ -267,3 +271,73 @@ def test_hits_block_count_independent_of_shards():
                   for lo, hi in ((0, 1000), (1000, 2000)))
         assert one == two == sums.count(b)
     assert sums.count(sums[7]) >= 1
+
+
+def test_hits_block_skips_columns_that_cannot_move_y():
+    # the zero column was drawn too, by PTRS at rate 1e6, although its
+    # draws cannot change A x
+    x = K.sample_block([1.0, 1e6], 13, 0, 20_000)
+    hits = K.hits_block([[1, 0]], [2], [1.0, 1e6], 13, 0, 20_000)
+    assert hits == int(np.count_nonzero(x[:, 0] == 2)) > 0
+    assert hits.draws == 20_000
+    rep = verify(PoissonModel([[1, 0]], [1.0, 1e6]), [2], 20_000, 13)
+    assert rep.hits == hits and rep.draws == 20_000
+    # a rate-0 column is not drawn either
+    assert K.hits_block([[1, 1]], [2], [1.0, 0.0], 13, 0, 20_000).draws == 20_000
+
+
+# small nonnegative matrices: random ones (with zero columns), and ones
+# with non-unit divisors or a dependent row (E3 plus row 0 + row 2)
+_MATRICES = st.one_of(
+    st.sampled_from([[[2, 2]], [[2, 4, 0]], EXAMPLE3 + [[1, 6, 11]]]),
+    st.integers(1, 3).flatmap(lambda m: st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                           min_size=m, max_size=m))),
+)
+# rate 0, CDF inversion below 30, PTRS from 30 up
+_RATES = st.sampled_from([0.0, 0.4, 1.5, 4.0, 35.0, 80.0])
+_SAMPLES = 400
+
+
+def _check_hits(a, rates, seed, s, shift):
+    # b is the image of sample s, moved by shift; the count is checked
+    # against Python ints
+    x = K.sample_block(rates, seed, 0, _SAMPLES).tolist()
+    image = [[sum(aij * xj for aij, xj in zip(row, xs)) for row in a] for xs in x]
+    b = [y + d for y, d in zip(image[s], shift)]
+    hits = K.hits_block(a, b, rates, seed, 0, _SAMPLES)
+    assert hits == image.count(b)
+    moving = sum(1 for c in range(len(rates)) if rates[c] > 0 and any(row[c] for row in a))
+    assert hits.draws <= _SAMPLES * moving
+    return hits
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_MATRICES, data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_hits_block_equals_python_count(a, data, seed):
+    n, m = len(a[0]), len(a)
+    rates = data.draw(st.lists(_RATES, min_size=n, max_size=n))
+    s = data.draw(st.integers(0, _SAMPLES - 1))
+    # unshifted, b is on the lattice and hit at least once; a shift can
+    # move it off the lattice or below 0
+    shift = data.draw(st.one_of(st.just([0] * m),
+                                st.lists(st.integers(-2, 2), min_size=m, max_size=m)))
+    _check_hits(a, rates, seed, s, shift)
+
+
+@pytest.mark.parametrize("a,rates,shift,on", [
+    ([[2, 2]], [1.0, 40.0], [0], True),
+    ([[2, 2]], [1.0, 40.0], [1], False),
+    ([[2, 4, 0]], [3.0, 0.5, 2.0], [0], True),
+    ([[2, 4, 0]], [3.0, 0.5, 2.0], [2], True),
+    ([[2, 4, 0]], [3.0, 0.5, 2.0], [-1], False),
+    (EXAMPLE3 + [[1, 6, 11]], [2.0, 0.5, 35.0], [0, 0, 0, 0], True),
+    (EXAMPLE3 + [[1, 6, 11]], [2.0, 0.5, 35.0], [0, 0, 0, 1], False),
+])
+def test_hits_block_divisors_and_dependent_rows(a, rates, shift, on):
+    hits = _check_hits(a, rates, 5, 17, shift)
+    if not any(shift):
+        assert hits > 0
+    if not on:
+        # the lattice test on all drawable columns fails before any draw
+        assert hits == hits.draws == 0

@@ -97,20 +97,36 @@ def test_verify_shards_are_capped_by_the_cpu_count(model1):
 
 
 def test_verify_draws_in_bounded_blocks(model1, monkeypatch):
-    # a shard's samples are drawn a block at a time, never all at once
-    want = verify(model1, [1, 1], n_samples=5_000, seed=21).hits
+    # a shard's samples are drawn a block at a time, never all at once;
+    # hits_block draws one column at a time through the draw routines
+    want = verify(model1, [1, 1], n_samples=5_000, seed=21)
     rows = []
-    draw = kernels._sample_np
 
-    def spy(seed, start, stop, params):
-        rows.append(stop - start)
-        return draw(seed, start, stop, params)
+    def spying(draw):
+        def spy(bases, *param):
+            rows.append(len(bases))
+            return draw(bases, *param)
+        return spy
 
     monkeypatch.setattr(montecarlo, "_SAMPLE_BLOCK", 1_000, raising=False)
-    monkeypatch.setattr(kernels, "_sample_np", spy)
+    for name in ("_draw_table_np", "_draw_ptrs_np"):
+        monkeypatch.setattr(kernels, name, spying(getattr(kernels, name)))
     for threads in (1, 2):
-        assert verify(model1, [1, 1], n_samples=5_000, seed=21, threads=threads).hits == want
-    assert max(rows) <= 1_000 and sum(rows) == 2 * 5_000
+        rep = verify(model1, [1, 1], n_samples=5_000, seed=21, threads=threads)
+        assert rep.hits == want.hits and rep.draws == want.draws
+    assert max(rows) <= 1_000 and sum(rows) == 2 * want.draws
+
+
+def test_verify_reports_draws(model1):
+    # one variate per sample for the first column, fewer for the others
+    one = verify(model1, [2, 2], n_samples=30_000, seed=9, threads=1)
+    two = verify(model1, [2, 2], n_samples=30_000, seed=9, threads=2)
+    assert one.draws == two.draws
+    assert 30_000 < one.draws < 3 * 30_000
+    # off the lattice of all drawable columns, or below 0 on a row
+    # without negative entries: nothing is drawn
+    assert verify(lp.PoissonModel([[2, 2]], [1.0, 1.0]), [3], 1_000, 1).draws == 0
+    assert verify(model1, [-1, 2], 1_000, 1).draws == 0
 
 
 def test_verify_z_formula(model1):
