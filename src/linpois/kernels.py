@@ -8,14 +8,29 @@ are assigned key = sample_index * n_coords + coord, so any block of
 samples can be generated independently and out of order; t counts the
 uniforms consumed by one draw.
 
-Poisson draws: rates below 30 invert a CDF table precomputed in Python.
+Poisson draws: rates below 30 invert a CDF table precomputed in Python,
+read through a guide table (indexed search: Chen & Asau, AIIE Trans.
+6(2), 1974; Devroye 1986, III.2.4).  For a table of L entries the guide
+has G = 64 * 2^ceil(log2 L) buckets; G is a power of two, so j =
+floor(u * G) is exact and j/G <= u < (j+1)/G.  With
+    lo[j] = min(#{cdf <= j/G}, L - 1),  hi[j] = min(#{cdf < (j+1)/G}, L - 1)
+every u in bucket j draws a value in [lo[j], hi[j]], and where they are
+equal (no entry strictly inside the bucket) the draw is lo[j].  Only
+the uniforms of the other buckets, at most L - 1 of the G, are searched
+in the CDF, so every draw equals min(#{cdf <= u}, L - 1) bit for bit.
+The guide is built from the CDF table on each call.
+
 Rates >= 30 use Hormann's PTRS transformed rejection (Insurance: Math.
-& Econ. 12, 1993), vectorised over the samples still rejected; its
-accept test takes ln k! from model._log_factorials, the one ln k!
-routine, shared with pmf's log terms.  Rates
-above MAX_RATE = 2**62 are rejected with InputError: an accepted PTRS
-draw lies within a few sqrt(rate) of the rate, so below the ceiling
-every draw fits in int64 (past 2**63 the cast to int64 fails).
+& Econ. 12, 1993), vectorised over the samples still rejected.  Round r
+evaluates attempts 2^(r-1) - 1 .. 2^r - 2 of every row left in one pass,
+and a row keeps its first accepted attempt, so the draws are those of
+one attempt at a time; a row that makes _MAX_ATTEMPTS attempts without
+acceptance raises.  The accept test takes ln k! from
+model._log_factorials, the one ln k! routine, shared with pmf's log
+terms.  Rates above MAX_RATE = 2**62 are rejected with InputError: an
+accepted PTRS draw lies within a few sqrt(rate) of the rate, so below
+the ceiling every draw fits in int64 (past 2**63 the cast to int64
+fails).
 
 hits_block counts the samples with A x == b exactly, drawing each
 column only for the samples that can still reach b.  Columns that
@@ -31,6 +46,12 @@ each group in index order.  After column c a sample is kept only while
     the Smith form of those columns (snf), d_i | (p r)_i for i < rank
     and (p r)_i = 0 beyond.  With no column left that lattice is {0},
     so the samples kept after the last column are the hits.
+Before the first column every residual is b, so these tests depend on
+the draw x alone: when top + 1 <= the number of samples (top the
+largest draw, past the cap counted as cap + 1), they run once on x =
+0..top, a sample is kept by its value's result, and the survivors'
+residuals are gathered from the per-value rows.  Otherwise the same
+tests run per sample.
 A draw's key is s * n + c whichever samples are still alive, so every
 draw that is made equals the one sample_block makes, and a sample's
 fate depends only on its own draws: the count is that of drawing every
@@ -39,9 +60,9 @@ sample in full, for any split of the samples into blocks.
 The residual never wraps int64.  Draws above the cap are clipped to it
 before a_ic x_c is formed, so on a row without negative entries each
 product is at most b_i and r_i stays in [-b_i, b_i].  On a row with a
-negative entry |r_i| <= |b_i| + sum_c |a_ic| max x_c; where that bound,
-or the bound of a lattice combination (p r)_i, leaves int64, the row or
-the combination is formed in Python ints.
+negative entry |r_i| <= |b_i| + sum_c |a_ic| max x_c; where that bound
+leaves int64, the row is formed in Python ints, and so is a lattice
+combination (p r)_i whose bound, a coefficient or divisor leaves int64.
 """
 
 from __future__ import annotations
@@ -131,10 +152,14 @@ def _bases_np(seed: int, keys: np.ndarray) -> np.ndarray:
     return _mix64_np(np.uint64(seed & _MASK64) + _U_GOLDEN * (keys + _U_ONE))
 
 
-def _uniforms_np(bases: np.ndarray, t: int) -> np.ndarray:
-    # offset computed in Python ints: scalar uint64 arithmetic in numpy
+def _uniforms_np(bases: np.ndarray, t) -> np.ndarray:
+    """Uniform t of each stream; for a list of t, one row per t."""
+    # offsets computed in Python ints: scalar uint64 arithmetic in numpy
     # warns on the intended wraparound
-    off = np.uint64((_GOLDEN_I * (t + 1)) & _MASK64)
+    if isinstance(t, list):
+        off = np.array([(_GOLDEN_I * (s + 1)) & _MASK64 for s in t], dtype=np.uint64)[:, None]
+    else:
+        off = np.uint64((_GOLDEN_I * (t + 1)) & _MASK64)
     return (_mix64_np(bases + off) >> _U_R11).astype(np.float64) * _INV53
 
 
@@ -203,27 +228,61 @@ def _coord_params(rates) -> list:
 
 # -------------------------------------------------------------- draws
 
+def _guide(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of a CDF table with L entries: G = 64 * 2^ceil(log2 L)
+    buckets, entry j the draw min(#{cdf <= u}, L - 1) shared by every u
+    in [j/G, (j+1)/G), or -1 where that bucket holds an entry of cdf[:-1]
+    strictly inside it and the draws differ."""
+    top = len(cdf) - 1
+    size = 64 << top.bit_length()
+    # exact: size is a power of two, so cdf_k <= j/G iff ceil(s_k) <= j
+    # and cdf_k < (j+1)/G iff floor(s_k) <= j
+    s = cdf[:top] * size
+    steps = np.minimum(np.ceil(s), size).astype(np.intp)
+    guide = np.repeat(np.arange(top + 1, dtype=np.int64), np.diff(steps, prepend=0, append=size))
+    f = np.floor(s)
+    guide[f[(f < s) & (f < size)].astype(np.intp)] = -1
+    return guide
+
+
+def _invert_cdf(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """min(#{cdf <= u}, len(cdf) - 1) for each u in [0, 1): read from the
+    guide table, with a binary search only for the uniforms whose bucket
+    holds a CDF entry (at most len(cdf) - 1 of the G buckets)."""
+    guide = _guide(cdf)
+    # exact: u * G only shifts the exponent, so j/G <= u < (j+1)/G
+    out = guide[(u * len(guide)).astype(np.intp)]
+    amb = np.flatnonzero(out < 0)
+    out[amb] = np.minimum(np.searchsorted(cdf, u[amb], side="right"), len(cdf) - 1)
+    return out
+
+
 def _draw_table_np(bases: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    u = _uniforms_np(bases, 0)
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, len(cdf) - 1).astype(np.int64)
+    return _invert_cdf(_uniforms_np(bases, 0), cdf)
 
 
 def _draw_ptrs_np(bases, lam, loglam, pb, pa, pinv, pvr) -> np.ndarray:
     out = np.zeros(bases.shape[0], dtype=np.int64)
     todo = np.arange(bases.shape[0])
     active = bases
-    t = 0
+    done = 0
+    width = 1
     while todo.size:
-        if t >= 2 * _MAX_ATTEMPTS:
+        if done >= _MAX_ATTEMPTS:
             raise InternalInvariantError("rejection sampler made no progress")
-        u = _uniforms_np(active, t) - 0.5
-        v = _uniforms_np(active, t + 1)
-        t += 2
+        # every row left makes its attempts done .. done + w - 1 in one
+        # pass, w doubling each round; attempt a reads uniforms 2a and
+        # 2a + 1, and sits in row a - done of the (w, rows left) arrays
+        shape = (min(width, _MAX_ATTEMPTS - done), todo.size)
+        att = range(done, done + shape[0])
+        u, v = _uniforms_np(active, [2 * a for a in att] + [2 * a + 1 for a in att]).reshape(2, -1)
+        u = u - 0.5
+        done += shape[0]
+        width *= 2
         us = 0.5 - np.abs(u)
         # us ~ 0 would blow up the division; reject the attempt instead
         good = us >= 1e-12
-        k = np.zeros(todo.shape[0], dtype=np.int64)
+        k = np.zeros(u.shape[0], dtype=np.int64)
         k[good] = np.floor(
             (2.0 * pa / us[good] + pb) * u[good] + lam + 0.43
         ).astype(np.int64)
@@ -234,9 +293,16 @@ def _draw_ptrs_np(bases, lam, loglam, pb, pa, pinv, pvr) -> np.ndarray:
             lhs = np.log(v[rr]) + math.log(pinv) - np.log(pa / (us[rr] * us[rr]) + pb)
             kk = k[rr]
             accept[rr[lhs <= kk * loglam - lam - _log_factorials(kk)]] = True
-        out[todo[accept]] = k[accept]
-        todo = todo[~accept]
-        active = active[~accept]
+        # a row keeps its first accepted attempt, as if made one by one:
+        # accepts after the first are cleared
+        accept = accept.reshape(shape)
+        seen = accept[0].copy()
+        for later in accept[1:]:
+            later &= ~seen
+            seen |= later
+        out[todo[accept.nonzero()[1]]] = k.reshape(shape)[accept]
+        todo = todo[~seen]
+        active = active[~seen]
     return out
 
 
@@ -311,16 +377,18 @@ def _lattice_checks(cols: tuple, m: int) -> tuple:
 
 
 def _lattice_misses(tests, res, bound) -> list:
-    """Masks of the residuals (rows res[i], |res[i]| <= bound[i]) that
-    fail each lattice test; a combination whose bound leaves int64 is
-    formed in Python ints."""
+    """Masks of the residuals (rows res[i], arrays or ints with
+    |res[i]| <= bound[i]) that fail each lattice test; a combination
+    whose bound, one of whose coefficients, or whose divisor leaves int64
+    is formed in Python ints (numpy cannot take such an int as an int64
+    operand, even against zero residuals)."""
     out = []
     for coef, d in tests:
-        wide = sum(abs(c) * t for c, t in zip(coef, bound)) > _INT64_MAX
+        wide = d > _INT64_MAX or sum(abs(c) * max(t, 1) for c, t in zip(coef, bound)) > _INT64_MAX
         v = 0
         for c, r in zip(coef, res):
             if c:
-                v = v + c * (r.astype(object) if wide else r)
+                v = v + c * (np.asarray(r, dtype=object) if wide else r)
         out.append(v % d != 0 if d else v != 0)
     return out
 
@@ -358,12 +426,13 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
     signed = [min((row[c] for c in order), default=0) < 0 for row in rows]
     bound = [abs(bi) for bi in bl]
     # b is the residual before any draw and must pass the same tests
-    if any(bi < 0 for bi, neg in zip(bl, signed) if not neg) or np.any(_lattice_misses(
-            checks[0], [np.full(1, bi, dtype=np.int64) for bi in bl], bound)):
+    if any(bi < 0 for bi, neg in zip(bl, signed) if not neg) or any(
+            _lattice_misses(checks[0], bl, bound)):
         return BlockHits(0, 0)
 
     svec = np.arange(start, stop, dtype=np.uint64)
-    res = [np.full(stop - start, bi, dtype=np.int64) for bi in bl]
+    # a row's residual stays the int b_i until a drawn column touches it
+    res = list(bl)
     draws = 0
     for k, c in enumerate(order):
         if not svec.size:
@@ -376,11 +445,24 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
         # draws past the cap are clipped to it, so no product wraps
         cap = min((bi // row[c] for row, bi, neg in zip(rows, bl, signed)
                    if not neg and row[c] > 0), default=None)
+        top = int(x.max(initial=0))
+        over = cap is not None and top > cap
+        if over:
+            # cap + 1 stands for every draw past the cap: they all miss
+            x = np.minimum(x, cap + 1)
+            top = cap + 1
+        # before the first column every residual is b, so a sample's fate
+        # depends on its draw alone: when there are no more values than
+        # samples, the tests run once on each value 0..top, and `at`, the
+        # samples' draws, maps each sample to its value's row
+        at = None
+        if k == 0 and top + 1 <= x.size:
+            at, x = x, np.arange(top + 1, dtype=np.int64)
         misses = []
-        if cap is not None:
+        if over:
             misses.append(x > cap)
             x = np.minimum(x, cap)
-        top = int(x.max(initial=0))
+            top = cap
         for i, row in enumerate(rows):
             if not row[c]:
                 continue
@@ -391,8 +473,15 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
             if not signed[i]:
                 misses.append(res[i] < 0)
         misses += _lattice_misses(checks[k + 1], res, bound)
-        if misses:
+        if misses or at is not None:
+            # a test on rows no drawn column has touched yet gives one bool
+            dead = np.zeros(x.shape, dtype=bool)
+            for miss in misses:
+                dead |= miss
+            alive = ~dead
             # one index array serves every row: faster than a mask per row
-            keep = np.flatnonzero(~np.logical_or.reduce(misses))
-            svec, res = svec[keep], [r[keep] for r in res]
+            keep = np.flatnonzero(alive if at is None else alive[at])
+            sel = keep if at is None else at[keep]
+            svec = svec[keep]
+            res = [r[sel] if isinstance(r, np.ndarray) else r for r in res]
     return BlockHits(svec.size, draws)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from linpois import kernels as K
-from linpois.errors import InputError
+from linpois.errors import InputError, InternalInvariantError
 from linpois.model import PoissonModel
 from linpois.montecarlo import verify
 
@@ -77,6 +77,63 @@ def test_poisson_cdf_table_rejects_bad_rate():
         K.poisson_cdf_table(-1.0)
     with pytest.raises(InputError):
         K.poisson_cdf_table(float("inf"))
+
+
+# ---------------------------------------------- guide-table inversion
+
+def _searched(u, cdf):
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+def _edge_uniforms(cdf):
+    # every entry and its float neighbours, every bucket edge j/G and the
+    # float just below it, and both ends of [0, 1)
+    size = len(K._guide(cdf))
+    edges = np.arange(size) / size
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                        edges, np.nextafter(edges, -1.0), [0.0, 1.0 - 2.0 ** -53]])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-9, 0.4, 2.5, 29.99])
+def test_invert_cdf_equals_search_at_every_edge(lam):
+    cdf = K.poisson_cdf_table(lam)
+    size = len(K._guide(cdf))
+    # a power of two, so j = floor(u * G) is exact
+    assert size >= 64 * len(cdf) and size & (size - 1) == 0
+    u = _edge_uniforms(cdf)
+    assert np.array_equal(K._invert_cdf(u, cdf), _searched(u, cdf))
+
+
+def test_invert_cdf_searches_only_ambiguous_buckets(monkeypatch):
+    # at most len(cdf) - 1 of the G >= 64 len(cdf) buckets hold an entry
+    searched = []
+    search = np.searchsorted
+
+    def counting(table, u, side):
+        searched.append(len(u))
+        return search(table, u, side=side)
+
+    monkeypatch.setattr(K.np, "searchsorted", counting)
+    out = K.sample_block([2.5, 29.99], 4, 0, 100_000)
+    assert len(searched) == 2 and sum(searched) <= 2 * 100_000 / 64
+    monkeypatch.undo()
+    assert np.array_equal(out, K.sample_block([2.5, 29.99], 4, 0, 100_000))
+
+
+# table entries: any floats in [0, 1], and bucket edges i/256, which a
+# repeat count can turn into runs of equal entries
+_TABLE_ENTRY = st.one_of(st.floats(0.0, 1.0), st.integers(0, 256).map(lambda i: i / 256))
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(st.tuples(_TABLE_ENTRY, st.integers(1, 3)), min_size=1, max_size=80),
+       mantissas=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=200))
+def test_invert_cdf_equals_search_on_any_table(entries, mantissas):
+    cdf = np.sort(np.repeat([e for e, _ in entries], [r for _, r in entries]))
+    u = np.concatenate([np.asarray(mantissas, dtype=np.float64) * 2.0 ** -53,
+                        _edge_uniforms(cdf)])
+    assert np.array_equal(K._invert_cdf(u, cdf), _searched(u, cdf))
 
 
 # ---------------------------------------------------- draw behavior
@@ -217,6 +274,57 @@ def test_ptrs_accept_test_reads_ln_factorial_table(monkeypatch):
     assert abs(out.mean() - 40.0) < 0.2
 
 
+def _ptrs_one_attempt_at_a_time(seed, key, lam):
+    # scalar PTRS on uniform53, attempt after attempt until one passes
+    pb, pa, pinv, pvr = K._ptrs_params(lam)
+    for att in range(K._MAX_ATTEMPTS):
+        u = K.uniform53(seed, key, 2 * att) - 0.5
+        v = K.uniform53(seed, key, 2 * att + 1)
+        us = 0.5 - abs(u)
+        if us < 1e-12:
+            continue
+        k = math.floor((2.0 * pa / us + pb) * u + lam + 0.43)
+        if us >= 0.07 and v <= pvr:
+            return k
+        if k < 0 or (us < 0.013 and v > us):
+            continue
+        lhs = math.log(v) + math.log(pinv) - math.log(pa / (us * us) + pb)
+        if lhs <= float(k) * math.log(lam) - lam - math.lgamma(float(k) + 1.0):
+            return k
+    raise AssertionError("no attempt accepted")
+
+
+@pytest.mark.parametrize("lam", [30.0, 45.0, 1e6])
+def test_ptrs_rows_take_their_first_accepted_attempt(lam):
+    # the rounds evaluate 1, 2, 4, ... attempts per row left; each row
+    # must keep the attempt a one-at-a-time sampler stops at
+    seed = 77
+    out = K.sample_block([lam], seed, 0, 300)[:, 0].tolist()
+    assert out == [_ptrs_one_attempt_at_a_time(seed, key, lam) for key in range(300)]
+
+
+def test_ptrs_attempt_cap_is_per_row(monkeypatch):
+    # with parameters no attempt passes, every row makes attempts
+    # 0 .. _MAX_ATTEMPTS - 1 (uniforms 0 .. 2 _MAX_ATTEMPTS - 1), then
+    # the sampler raises
+    monkeypatch.setattr(K, "_MAX_ATTEMPTS", 6)
+    seen = []
+    uniforms = K._uniforms_np
+
+    def spy(bases, t):
+        seen.extend(np.repeat(t, len(bases)).tolist())
+        return uniforms(bases, t)
+
+    monkeypatch.setattr(K, "_uniforms_np", spy)
+    lam = 40.0
+    pb, pa, _, _ = K._ptrs_params(lam)
+    bases = K._bases_np(1, np.arange(10, dtype=np.uint64))
+    # v_r = -1 fails the quick test and 1/alpha = 1e300 the full one
+    with pytest.raises(InternalInvariantError):
+        K._draw_ptrs_np(bases, lam, math.log(lam), pb, pa, 1e300, -1.0)
+    assert sorted(seen) == sorted(list(range(12)) * 10)
+
+
 def test_hits_block_golden_count():
     hits = K.hits_block([[1, 0, 1], [0, 2, 1]], [2, 72], [1.2, 35.0, 2.1], 11, 0, 200_000)
     assert hits == 1440
@@ -284,6 +392,58 @@ def test_hits_block_skips_columns_that_cannot_move_y():
     assert rep.hits == hits and rep.draws == 20_000
     # a rate-0 column is not drawn either
     assert K.hits_block([[1, 1]], [2], [1.0, 0.0], 13, 0, 20_000).draws == 20_000
+
+
+def _python_count(a, b, rates, seed, start, stop):
+    x = K.sample_block(rates, seed, start, stop).tolist()
+    return sum(1 for xs in x if [sum(aij * xj for aij, xj in zip(row, xs)) for row in a] == b)
+
+
+@pytest.mark.parametrize("a,rates,stop,b", [
+    # the first drawn column is PTRS
+    ([[1, 1]], [35.0, 80.0], 2000, None),
+    # 1 to 3 samples at rate 1e6: more values than samples, so the first
+    # column's tests run per sample
+    ([[1, 2]], [1e6, 45.0], 1, None),
+    ([[1, 2]], [1e6, 45.0], 2, None),
+    ([[1, 1], [0, 3]], [1e6, 1e6], 3, None),
+    # a negative entry, and entries of 2**62, in the first column
+    ([[1, -1]], [2.0, 3.0], 2000, None),
+    ([[2**62, -2**62]], [2.0, 3.0], 2000, [0]),
+    ([[2**62, -2**62]], [2.0, 3.0], 2000, [2**62]),
+    # values above the cap: x0 <= 1, x0 = 0, and 2**62 x0 <= 2**62 + 3
+    ([[3, 1]], [4.0, 1.0], 2000, [4]),
+    ([[3, 1]], [4.0, 1.0], 2000, [2]),
+    ([[2**62, 1], [0, 3]], [1.0, 4.0], 2000, [2**62 + 3, 9]),
+    # a first column that leaves rows untouched, and one row left alone
+    ([[0, 1], [2, 0], [0, 0]], [3.0, 2.0], 2000, None),
+])
+def test_hits_block_first_column_per_value(a, rates, stop, b):
+    # b, unless given, is the image of the block's first sample
+    seed, start = 23, 40
+    image = b is None
+    if image:
+        x = K.sample_block(rates, seed, start, start + 1)[0].tolist()
+        b = [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
+    want = _python_count(a, b, rates, seed, start, start + stop)
+    assert want > 0 or not image
+    assert K.hits_block(a, b, rates, seed, start, start + stop) == want
+
+
+@pytest.mark.parametrize("a,b,rates,seed", [
+    # a lattice test whose divisor leaves int64
+    ([[-1, 3, -2**62], [-2, -1, 1]], [-1000097, -2000194], [1e6, 1e-9, 0.4],
+     11614452468344930604),
+    # lattice tests with a coefficient past int64, on residuals bounded
+    # by 0: before any draw, and after the first column
+    ([[2**61, 2**61], [3, 2**62]], [0, 0], [1e-9, 0.4], 5),
+    ([[3, 1, 4], [1, 4, 2], [1, 0, 2**62]], [0, 0, 0], [0.4, 1.5, 0.4], 5),
+])
+def test_hits_block_lattice_tests_past_int64(a, b, rates, seed):
+    # numpy takes no int past int64 as an operand: each raised OverflowError
+    want = _python_count(a, b, rates, seed, 0, 400)
+    assert want > 0
+    assert K.hits_block(a, b, rates, seed, 0, 400) == want
 
 
 # small nonnegative matrices: random ones (with zero columns), and ones
