@@ -21,16 +21,12 @@ in the CDF, so every draw equals min(#{cdf <= u}, L - 1) bit for bit.
 The guide is built from the CDF table on each call.
 
 Rates >= 30 use Hormann's PTRS transformed rejection (Insurance: Math.
-& Econ. 12, 1993), vectorised over the samples still rejected.  Round r
-evaluates attempts 2^(r-1) - 1 .. 2^r - 2 of every row left in one pass,
-and a row keeps its first accepted attempt, so the draws are those of
-one attempt at a time; a row that makes _MAX_ATTEMPTS attempts without
-acceptance raises.  The accept test takes ln k! from
-model._log_factorials, the one ln k! routine, shared with pmf's log
-terms.  Rates above MAX_RATE = 2**62 are rejected with InputError: an
-accepted PTRS draw lies within a few sqrt(rate) of the rate, so below
-the ceiling every draw fits in int64 (past 2**63 the cast to int64
-fails).
+& Econ. 12, 1993), vectorised over the samples still rejected; its
+accept test takes ln k! from model._log_factorials, the one ln k!
+routine, shared with pmf's log terms.  Rates
+above MAX_RATE = 2**62 are rejected with InputError: an accepted PTRS
+draw lies within a few sqrt(rate) of the rate, so below the ceiling
+every draw fits in int64 (past 2**63 the cast to int64 fails).
 
 hits_block counts the samples with A x == b exactly, drawing each
 column only for the samples that can still reach b.  Columns that
@@ -152,14 +148,10 @@ def _bases_np(seed: int, keys: np.ndarray) -> np.ndarray:
     return _mix64_np(np.uint64(seed & _MASK64) + _U_GOLDEN * (keys + _U_ONE))
 
 
-def _uniforms_np(bases: np.ndarray, t) -> np.ndarray:
-    """Uniform t of each stream; for a list of t, one row per t."""
-    # offsets computed in Python ints: scalar uint64 arithmetic in numpy
+def _uniforms_np(bases: np.ndarray, t: int) -> np.ndarray:
+    # offset computed in Python ints: scalar uint64 arithmetic in numpy
     # warns on the intended wraparound
-    if isinstance(t, list):
-        off = np.array([(_GOLDEN_I * (s + 1)) & _MASK64 for s in t], dtype=np.uint64)[:, None]
-    else:
-        off = np.uint64((_GOLDEN_I * (t + 1)) & _MASK64)
+    off = np.uint64((_GOLDEN_I * (t + 1)) & _MASK64)
     return (_mix64_np(bases + off) >> _U_R11).astype(np.float64) * _INV53
 
 
@@ -265,24 +257,17 @@ def _draw_ptrs_np(bases, lam, loglam, pb, pa, pinv, pvr) -> np.ndarray:
     out = np.zeros(bases.shape[0], dtype=np.int64)
     todo = np.arange(bases.shape[0])
     active = bases
-    done = 0
-    width = 1
+    t = 0
     while todo.size:
-        if done >= _MAX_ATTEMPTS:
+        if t >= 2 * _MAX_ATTEMPTS:
             raise InternalInvariantError("rejection sampler made no progress")
-        # every row left makes its attempts done .. done + w - 1 in one
-        # pass, w doubling each round; attempt a reads uniforms 2a and
-        # 2a + 1, and sits in row a - done of the (w, rows left) arrays
-        shape = (min(width, _MAX_ATTEMPTS - done), todo.size)
-        att = range(done, done + shape[0])
-        u, v = _uniforms_np(active, [2 * a for a in att] + [2 * a + 1 for a in att]).reshape(2, -1)
-        u = u - 0.5
-        done += shape[0]
-        width *= 2
+        u = _uniforms_np(active, t) - 0.5
+        v = _uniforms_np(active, t + 1)
+        t += 2
         us = 0.5 - np.abs(u)
         # us ~ 0 would blow up the division; reject the attempt instead
         good = us >= 1e-12
-        k = np.zeros(u.shape[0], dtype=np.int64)
+        k = np.zeros(todo.shape[0], dtype=np.int64)
         k[good] = np.floor(
             (2.0 * pa / us[good] + pb) * u[good] + lam + 0.43
         ).astype(np.int64)
@@ -293,16 +278,9 @@ def _draw_ptrs_np(bases, lam, loglam, pb, pa, pinv, pvr) -> np.ndarray:
             lhs = np.log(v[rr]) + math.log(pinv) - np.log(pa / (us[rr] * us[rr]) + pb)
             kk = k[rr]
             accept[rr[lhs <= kk * loglam - lam - _log_factorials(kk)]] = True
-        # a row keeps its first accepted attempt, as if made one by one:
-        # accepts after the first are cleared
-        accept = accept.reshape(shape)
-        seen = accept[0].copy()
-        for later in accept[1:]:
-            later &= ~seen
-            seen |= later
-        out[todo[accept.nonzero()[1]]] = k.reshape(shape)[accept]
-        todo = todo[~seen]
-        active = active[~seen]
+        out[todo[accept]] = k[accept]
+        todo = todo[~accept]
+        active = active[~accept]
     return out
 
 

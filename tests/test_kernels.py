@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from linpois import kernels as K
-from linpois.errors import InputError, InternalInvariantError
+from linpois.errors import InputError
 from linpois.model import PoissonModel
 from linpois.montecarlo import verify
 
@@ -272,57 +272,6 @@ def test_ptrs_accept_test_reads_ln_factorial_table(monkeypatch):
     out = K.sample_block([40.0], 0, 0, 50_000)
     assert calls <= 1_000
     assert abs(out.mean() - 40.0) < 0.2
-
-
-def _ptrs_one_attempt_at_a_time(seed, key, lam):
-    # scalar PTRS on uniform53, attempt after attempt until one passes
-    pb, pa, pinv, pvr = K._ptrs_params(lam)
-    for att in range(K._MAX_ATTEMPTS):
-        u = K.uniform53(seed, key, 2 * att) - 0.5
-        v = K.uniform53(seed, key, 2 * att + 1)
-        us = 0.5 - abs(u)
-        if us < 1e-12:
-            continue
-        k = math.floor((2.0 * pa / us + pb) * u + lam + 0.43)
-        if us >= 0.07 and v <= pvr:
-            return k
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        lhs = math.log(v) + math.log(pinv) - math.log(pa / (us * us) + pb)
-        if lhs <= float(k) * math.log(lam) - lam - math.lgamma(float(k) + 1.0):
-            return k
-    raise AssertionError("no attempt accepted")
-
-
-@pytest.mark.parametrize("lam", [30.0, 45.0, 1e6])
-def test_ptrs_rows_take_their_first_accepted_attempt(lam):
-    # the rounds evaluate 1, 2, 4, ... attempts per row left; each row
-    # must keep the attempt a one-at-a-time sampler stops at
-    seed = 77
-    out = K.sample_block([lam], seed, 0, 300)[:, 0].tolist()
-    assert out == [_ptrs_one_attempt_at_a_time(seed, key, lam) for key in range(300)]
-
-
-def test_ptrs_attempt_cap_is_per_row(monkeypatch):
-    # with parameters no attempt passes, every row makes attempts
-    # 0 .. _MAX_ATTEMPTS - 1 (uniforms 0 .. 2 _MAX_ATTEMPTS - 1), then
-    # the sampler raises
-    monkeypatch.setattr(K, "_MAX_ATTEMPTS", 6)
-    seen = []
-    uniforms = K._uniforms_np
-
-    def spy(bases, t):
-        seen.extend(np.repeat(t, len(bases)).tolist())
-        return uniforms(bases, t)
-
-    monkeypatch.setattr(K, "_uniforms_np", spy)
-    lam = 40.0
-    pb, pa, _, _ = K._ptrs_params(lam)
-    bases = K._bases_np(1, np.arange(10, dtype=np.uint64))
-    # v_r = -1 fails the quick test and 1/alpha = 1e300 the full one
-    with pytest.raises(InternalInvariantError):
-        K._draw_ptrs_np(bases, lam, math.log(lam), pb, pa, 1e300, -1.0)
-    assert sorted(seen) == sorted(list(range(12)) * 10)
 
 
 def test_hits_block_golden_count():
