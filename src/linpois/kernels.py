@@ -28,16 +28,19 @@ above MAX_RATE = 2**62 are rejected with InputError: an accepted PTRS
 draw lies within a few sqrt(rate) of the rate, so below the ceiling
 every draw fits in int64 (past 2**63 the cast to int64 fails).
 
-hits_block counts the samples with A x == b exactly, drawing each
-column only for the samples that can still reach b.  Columns that
-cannot move A x are never drawn: zero columns, and columns whose CDF
-table has one entry (rate 0), which always draw 0.  The CDF-table
-columns are drawn first and the PTRS columns, the costlier draws, last,
-each group in index order.  After column c a sample is kept only while
-  - x_c is at most the static cap min_i floor(b_i / a_ic) over the rows
-    i without negative entries;
+hits_block counts the samples with A x == b exactly, for a matrix of
+natural numbers (a negative entry is an InputError, as in preprocess),
+drawing each column only for the samples that can still reach b.
+Columns that cannot move A x are never drawn, and the int64 and
+MAX_RATE limits apply only to the columns that are: zero columns, and
+columns whose CDF table has one entry (rate 0), which always draw 0,
+are left out first.  The CDF-table columns are drawn first and the PTRS
+columns, the costlier draws, last, each group in index order.  After
+column c a sample is kept only while
+  - x_c is at most the cap min_i floor(b_i / a_ic) over the rows i
+    with a_ic > 0 (every moving column has one);
   - its residual r = b - (sum over the drawn columns of a_c x_c) is
-    >= 0 on those rows, which the columns still to draw can only lower;
+    >= 0, which the columns still to draw can only lower;
   - r is on the lattice of the columns still to draw: with p A' q = d
     the Smith form of those columns (snf), d_i | (p r)_i for i < rank
     and (p r)_i = 0 beyond.  With no column left that lattice is {0},
@@ -53,12 +56,10 @@ draw that is made equals the one sample_block makes, and a sample's
 fate depends only on its own draws: the count is that of drawing every
 sample in full, for any split of the samples into blocks.
 
-The residual never wraps int64.  Draws above the cap are clipped to it
-before a_ic x_c is formed, so on a row without negative entries each
-product is at most b_i and r_i stays in [-b_i, b_i].  On a row with a
-negative entry |r_i| <= |b_i| + sum_c |a_ic| max x_c; where that bound
-leaves int64, the row is formed in Python ints, and so is a lattice
-combination (p r)_i whose bound, a coefficient or divisor leaves int64.
+The residual never wraps int64: draws above the cap are clipped to it
+before a_ic x_c is formed, so each product is at most b_i and r_i stays
+in [-b_i, b_i].  A lattice combination (p r)_i whose bound, a
+coefficient or divisor leaves int64 is formed in Python ints.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ import operator
 import numpy as np
 
 from .errors import InputError, InternalInvariantError
-from .intlinalg import snf
+from .intlinalg import int_matrix, snf
 from .model import _log_factorials
 
 __all__ = [
@@ -198,9 +199,8 @@ def _ptrs_params(lam: float) -> tuple:
     return b, a, inv_alpha, vr
 
 
-def _coord_params(rates) -> list:
-    """One entry per coordinate: its CDF table for rates below
-    PTRS_THRESHOLD, else the PTRS tuple (lam, log lam, b, a, 1/alpha, v_r)."""
+def _rate_list(rates) -> list:
+    """The rate vector as Python floats, each finite and >= 0."""
     try:
         rates = np.asarray(rates, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -209,13 +209,17 @@ def _coord_params(rates) -> list:
         raise InputError("rates must be a vector")
     if not np.all(np.isfinite(rates)) or np.any(rates < 0):
         raise InputError("rates must be finite and >= 0")
-    if np.any(rates > MAX_RATE):
+    return rates.tolist()
+
+
+def _coord_param(lam: float):
+    """A coordinate's CDF table for rates below PTRS_THRESHOLD, else the
+    PTRS tuple (lam, log lam, b, a, 1/alpha, v_r)."""
+    if lam > MAX_RATE:
         raise InputError(f"rates above {MAX_RATE:.0f} (2**62) cannot be sampled in int64")
-    return [
-        (lam, math.log(lam), *_ptrs_params(lam)) if lam >= PTRS_THRESHOLD
-        else poisson_cdf_table(lam)
-        for lam in rates.tolist()
-    ]
+    if lam >= PTRS_THRESHOLD:
+        return (lam, math.log(lam), *_ptrs_params(lam))
+    return poisson_cdf_table(lam)
 
 
 # -------------------------------------------------------------- draws
@@ -314,14 +318,7 @@ def sample_block(rates, seed, start, stop) -> np.ndarray:
     """
     seed = check_seed(seed)
     start, stop = _check_range(start, stop)
-    return _sample_np(seed, start, stop, _coord_params(rates))
-
-
-def _int64_matrix(a) -> np.ndarray:
-    try:
-        return np.asarray(a.tolist() if isinstance(a, np.ndarray) else a, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise InputError(f"matrix does not fit the sampling kernels: {exc}") from None
+    return _sample_np(seed, start, stop, [_coord_param(lam) for lam in _rate_list(rates)])
 
 
 class BlockHits(int):
@@ -372,40 +369,48 @@ def _lattice_misses(tests, res, bound) -> list:
 
 
 def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
-    """Count samples s in [start, stop) with A x_s == b, exactly.
+    """Count samples s in [start, stop) with A x_s == b, exactly, for a
+    matrix A of natural numbers.
 
     Columns are drawn one at a time, each only for the samples that can
     still reach b; the count equals that of drawing every sample in full
-    (see the module docstring).  The result is an int that carries the
+    (see the module docstring).  A negative entry is an InputError
+    before any draw; the int64 and MAX_RATE limits apply only to the
+    columns that can move A x.  The result is an int that carries the
     number of variates drawn as ``.draws``.
     """
     seed = check_seed(seed)
     start, stop = _check_range(start, stop)
-    amat = _int64_matrix(a)
-    if amat.ndim != 2:
-        raise InputError("matrix must be 2-D")
+    amat = int_matrix(a)
+    m, n = amat.shape
+    rows = amat.tolist()
+    if any(x < 0 for row in rows for x in row):
+        raise InputError("matrix entries must be natural numbers for sampling")
     try:
-        bvec = np.asarray([operator.index(x) for x in b], dtype=np.int64)
+        bl = np.asarray([operator.index(x) for x in b], dtype=np.int64).tolist()
     except OverflowError:
         raise InputError("observation entries must fit in int64 for sampling") from None
-    if bvec.shape[0] != amat.shape[0]:
-        raise InputError(f"observation length {bvec.shape[0]} != row count {amat.shape[0]}")
-    params = _coord_params(rates)
-    n = len(params)
-    if n != amat.shape[1]:
+    if len(bl) != m:
+        raise InputError(f"observation length {len(bl)} != row count {m}")
+    rates = _rate_list(rates)
+    if len(rates) != n:
         raise InputError("rate vector length does not match matrix columns")
-    rows, bl = amat.tolist(), bvec.tolist()
     # a zero column, or a one-entry CDF table (rate 0: every draw is 0),
-    # never moves A x; the CDF-table columns go first, then PTRS
-    moving = [c for c in range(n) if any(row[c] for row in rows)
-              and (isinstance(params[c], tuple) or len(params[c]) > 1)]
-    order = sorted(moving, key=lambda c: isinstance(params[c], tuple))
-    checks = _lattice_checks(tuple(tuple(row[c] for row in rows) for c in order), len(rows))
-    signed = [min((row[c] for c in order), default=0) < 0 for row in rows]
-    bound = [abs(bi) for bi in bl]
+    # never moves A x and is never drawn, so it need not fit the limits;
+    # the CDF-table columns go first, then PTRS
+    params = {}
+    for c, lam in enumerate(rates):
+        if any(row[c] for row in rows):
+            param = _coord_param(lam)
+            if isinstance(param, tuple) or len(param) > 1:
+                params[c] = param
+    order = sorted(params, key=lambda c: isinstance(params[c], tuple))
+    if any(row[c] > _INT64_MAX for row in rows for c in order):
+        raise InputError("matrix does not fit the sampling kernels: "
+                         "an entry of a drawn column exceeds int64")
+    checks = _lattice_checks(tuple(tuple(row[c] for row in rows) for c in order), m)
     # b is the residual before any draw and must pass the same tests
-    if any(bi < 0 for bi, neg in zip(bl, signed) if not neg) or any(
-            _lattice_misses(checks[0], bl, bound)):
+    if min(bl, default=0) < 0 or any(_lattice_misses(checks[0], bl, bl)):
         return BlockHits(0, 0)
 
     svec = np.arange(start, stop, dtype=np.uint64)
@@ -419,12 +424,11 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
         param = params[c]
         x = _draw_ptrs_np(bases, *param) if isinstance(param, tuple) else _draw_table_np(bases, param)
         draws += x.size
-        # on a row without negative entries, a_ic x_c > b_i misses; the
-        # draws past the cap are clipped to it, so no product wraps
-        cap = min((bi // row[c] for row, bi, neg in zip(rows, bl, signed)
-                   if not neg and row[c] > 0), default=None)
+        # a_ic x_c > b_i misses; the draws past the cap are clipped to it,
+        # so no product exceeds b_i
+        cap = min(bi // row[c] for row, bi in zip(rows, bl) if row[c])
         top = int(x.max(initial=0))
-        over = cap is not None and top > cap
+        over = top > cap
         if over:
             # cap + 1 stands for every draw past the cap: they all miss
             x = np.minimum(x, cap + 1)
@@ -440,26 +444,19 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
         if over:
             misses.append(x > cap)
             x = np.minimum(x, cap)
-            top = cap
         for i, row in enumerate(rows):
-            if not row[c]:
-                continue
-            if signed[i]:
-                bound[i] += abs(row[c]) * top
-            wide = bound[i] > _INT64_MAX
-            res[i] = res[i] - row[c] * (x.astype(object) if wide else x)
-            if not signed[i]:
+            if row[c]:
+                res[i] = res[i] - row[c] * x
                 misses.append(res[i] < 0)
-        misses += _lattice_misses(checks[k + 1], res, bound)
-        if misses or at is not None:
-            # a test on rows no drawn column has touched yet gives one bool
-            dead = np.zeros(x.shape, dtype=bool)
-            for miss in misses:
-                dead |= miss
-            alive = ~dead
-            # one index array serves every row: faster than a mask per row
-            keep = np.flatnonzero(alive if at is None else alive[at])
-            sel = keep if at is None else at[keep]
-            svec = svec[keep]
-            res = [r[sel] if isinstance(r, np.ndarray) else r for r in res]
+        misses += _lattice_misses(checks[k + 1], res, bl)
+        # a test on rows no drawn column has touched yet gives one bool
+        dead = np.zeros(x.shape, dtype=bool)
+        for miss in misses:
+            dead |= miss
+        alive = ~dead
+        # one index array serves every row: faster than a mask per row
+        keep = np.flatnonzero(alive if at is None else alive[at])
+        sel = keep if at is None else at[keep]
+        svec = svec[keep]
+        res = [r[sel] if isinstance(r, np.ndarray) else r for r in res]
     return BlockHits(svec.size, draws)

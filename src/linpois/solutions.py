@@ -8,8 +8,8 @@ dimension 2 or more with b on the lattice, ``pmf.solution_family``
 finishes the set with ``_walk_family``: a breadth-first walk, in numpy
 array passes, over only the n - r free coordinates of a ``_WalkPlan``,
 whose r basis coordinates are then solved exactly with an integer
-matrix read off the Smith form of a nonsingular r x r block.  The walk
-trusts the lattice test and the caller's checks on b.
+matrix read off the Smith form of the m x r block of basis columns.
+The walk trusts the lattice test and the caller's checks on b.
 
 Both refuse, with InputError, a solution set, walk frontier or block of
 line points of more than MAX_POINTS points before allocating it.
@@ -21,7 +21,6 @@ the columns that cannot move Y: zero columns and zero-rate columns.
 from __future__ import annotations
 
 import enum
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -279,13 +278,12 @@ def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
 class _WalkPlan:
     """How _walk_family splits the columns of a preprocessed matrix.
 
-    The first rows of A that are independent of the earlier ones give
-    ``rows``; their count is the rank r.  The first r columns that are
-    independent on those rows give ``basis``, which meet them in a
-    nonsingular block B with ``det`` = |det B| and the integer matrix
-    ``adj`` = det B^-1 (B adj = det I); the other n - r columns are
-    ``free``.  When det = 1 every basis solve is exact; otherwise
-    _walk_family drops the leaves whose division by det leaves a
+    The first r = rank A columns that are independent of the earlier
+    ones give ``basis``, an m x r block B of full column rank, with
+    ``det`` = D, the last Smith divisor of B, and the r x m integer
+    matrix ``adj`` with adj B = D I; the other n - r columns are
+    ``free``.  When D = 1 every basis solve is exact; otherwise
+    _walk_family drops the leaves whose division by D leaves a
     remainder.  Built from PoissonModel.a, which preprocess has checked
     for negative entries and stripped of zero columns: the box bound of
     the walk needs every column to have a positive entry and residuals
@@ -293,28 +291,22 @@ class _WalkPlan:
     """
 
     def __init__(self, a):
-        m, n = a.shape
-        rows = []
-        for i in range(m):
-            if snf(a[rows + [i], :]).rank > len(rows):
-                rows.append(i)
-        rank = len(rows)
-        sub = a[rows, :]
+        n = a.shape[1]
+        rank = snf(a).rank
         basis = []
         for j in range(n):
-            if len(basis) < rank and snf(sub[:, basis + [j]]).rank > len(basis):
+            if len(basis) < rank and snf(a[:, basis + [j]]).rank > len(basis):
                 basis.append(j)
         if len(basis) != rank:
-            raise InternalInvariantError("walk plan: no nonsingular block of full rank")
-        det, adj = _det_adj(sub[:, basis])
+            raise InternalInvariantError("walk plan: no basis block of full rank")
+        det, adj = _det_adj(a[:, basis])
 
         self.n = n
-        self.rows = tuple(rows)
         self.basis = tuple(basis)
         self.free = tuple(j for j in range(n) if j not in basis)
         self.det = det
         self.adj = tuple(tuple(int(x) for x in row) for row in adj.tolist())
-        # |adj res_R| <= max_row sum|adj| * max b
+        # |adj res| <= max_row sum|adj| * max b
         self.growth = max([1] + [sum(map(abs, row)) for row in self.adj])
         entries = [int(x) for x in a.ravel()] + [x for row in self.adj for x in row] + [det]
         fits = max(map(abs, entries), default=0) <= _INT64_MAX
@@ -334,25 +326,26 @@ class _WalkPlan:
                 steps.append((pos[0], vals[0], m + j))
             else:
                 steps.append((pos, np.array(vals, dtype=dtype), m + j))
-        r = len(self.basis)
-        return steps, np.array(self.adj, dtype=dtype).reshape(r, r).T
+        return steps, np.array(self.adj, dtype=dtype).reshape(len(self.basis), m).T
 
 
 def _det_adj(block) -> tuple[int, np.ndarray]:
-    """|det B| and the integer matrix |det B| B^-1 of a nonsingular block.
+    """D, the last Smith divisor of an m x r block B of full column
+    rank, and an r x m integer matrix adj with adj B = D I.
 
-    With p B q = d from the Smith form, p and q unimodular, |det B| is
-    the product D of the divisors d_i and B^-1 = q d^-1 p, so
-    D B^-1 = q diag(D / d_i) p: every d_i divides D.
+    With p B q = d from the Smith form, p and q unimodular, the first r
+    rows of p B are d_r q^-1 with d_r = diag(d_1..d_r), so
+    adj = q diag(D / d_i) p[:r] gives adj B = D I: every d_i divides D.
     """
     dec = snf(block)
-    det = math.prod(dec.divisors)
-    scaled = dec.p.copy()
+    r = block.shape[1]
+    det = max(dec.divisors, default=1)
+    scaled = dec.p[:r, :].copy()
     for i, d in enumerate(dec.divisors):
         scaled[i, :] *= det // d
     adj = dec.q @ scaled
-    if not np.array_equal(block @ adj, det * int_identity(block.shape[0])):
-        raise InternalInvariantError("walk plan: B adj B != |det B| I")
+    if not np.array_equal(adj @ block, det * int_identity(r)):
+        raise InternalInvariantError("walk plan: adj B != D I")
     return det, adj
 
 
@@ -363,11 +356,11 @@ def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:
     None).  The walk state is one row [res | k] per partial solution.
     It starts at [b | 0] and expands one free column at a time to every
     value up to the box bound min_i floor(res_i / a_ij), so residuals
-    stay >= 0.  At the leaves the basis is solved exactly,
-    det k_B = adj res_R, and a leaf is kept when the division is exact
-    and k_B >= 0.  The rows outside R need no check: each is a rational
-    combination M A_R of the rows in R, and b = A k0 for an integer k0,
-    so A_R k = b_R gives M b_R = b on them.  Arrays are int64 when
+    stay >= 0.  At the leaves the basis is solved exactly from all m
+    rows, D k_B = adj res, and a leaf is kept when the division is exact
+    and k_B >= 0.  Then B k_B = res, every row included: b = A k0 for an
+    integer k0, so res lies in the column space of A, which the basis
+    columns span, and adj B = D I.  Arrays are int64 when
     (max b + 1) * max(plan.growth, MAX_POINTS) proves every
     intermediate fits, object arrays of Python ints otherwise.
     InputError before a frontier of more than MAX_POINTS points is
@@ -397,7 +390,7 @@ def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:
             state[:, pos] -= k if div == 1 else k * div
         else:
             state[:, pos] -= k[:, None] * div
-    num = state[:, plan.rows] @ adj_t
+    num = state[:, :m] @ adj_t
     if plan.det == 1:
         kb, keep = num, (num >= 0).all(axis=1)
     else:

@@ -337,6 +337,19 @@ def test_sample_b_beyond_int64_exits_2(model1_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sample_ignores_rate_of_a_zero_column(tmp_path, capsys):
+    # the zero column is never drawn, so its rate past MAX_RATE does not
+    # stop the sampler; the hits are those of a rate-1 zero column
+    path = tmp_path / "zero-col.json"
+    argv = ["sample", str(path), "--b", "2", "--n", "5000", "--seed", "4", "--format", "json"]
+    hits = []
+    for rate in (1e30, 1.0):
+        path.write_text(json.dumps({"a": [[1, 0]], "lambda": [1.0, rate]}))
+        assert run(argv) == 0
+        hits.append(_json_out(capsys)["hits"])
+    assert hits[0] == hits[1] > 0
+
+
 def test_sample_threads_flag(model1_file, capsys):
     base = ["sample", model1_file, "--b", "1", "1", "--n", "30000",
             "--seed", "9", "--format", "json"]

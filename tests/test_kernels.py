@@ -303,15 +303,36 @@ def test_hits_block_masked_rows_count_exactly():
     assert K.hits_block(a, b, [1.0, 4.0], 8, 0, 20_000) == direct
 
 
-def test_hits_block_negative_entries():
-    # a row with a negative entry caps nothing: x0 - x1 = 0 at any size
-    x = K.sample_block([2.0, 2.0], 3, 0, 5000)
-    direct = int(np.count_nonzero(x[:, 0] == x[:, 1]))
-    assert K.hits_block([[1, -1]], [0], [2.0, 2.0], 3, 0, 5000) == direct
-    # where the bound on A x leaves int64, A x is formed in Python ints
-    assert K.hits_block([[2**62, -2**62]], [0], [2.0, 2.0], 3, 0, 5000) == direct
-    assert K.hits_block([[2**62, -2**62]], [2**62], [2.0, 2.0], 3, 0, 5000) == int(
-        np.count_nonzero(x[:, 0] == x[:, 1] + 1))
+def test_hits_block_negative_entries(monkeypatch):
+    # the matrix must be of natural numbers, as in preprocess: a negative
+    # entry is refused before any draw, also in a column that never
+    # moves A x (its rate is 0)
+    drawn = []
+    for name in ("_draw_table_np", "_draw_ptrs_np"):
+        monkeypatch.setattr(K, name, lambda *args: drawn.append(args))
+    for a, b, rates in [
+        ([[1, -1]], [0], [2.0, 2.0]),
+        ([[2**62, -2**62]], [0], [2.0, 2.0]),
+        ([[-1, 3, -2**62], [-2, -1, 1]], [-1000097, -2000194], [1e6, 1e-9, 0.4]),
+        ([[1, -1]], [2], [1.0, 0.0]),
+    ]:
+        with pytest.raises(InputError, match="natural numbers"):
+            K.hits_block(a, b, rates, 3, 0, 5000)
+    assert drawn == []
+
+
+def test_verify_checks_limits_on_drawn_columns_only():
+    # the second columns are dropped by preprocess and never drawn, yet
+    # an entry past int64 or a rate past MAX_RATE there made verify and
+    # CLI sample refuse a model that pmf answers; draw keys are
+    # s * n + c, so the count is that of a rate-1 zero column
+    want = K.hits_block([[1, 0]], [2], [1.0, 1.0], 9, 0, 20_000)
+    assert want > 0 and want.draws == 20_000
+    for a, rates in (([[1, 2**70]], [1.0, 0.0]), ([[1, 0]], [1.0, 1e30])):
+        hits = K.hits_block(a, [2], rates, 9, 0, 20_000)
+        assert hits == want and hits.draws == want.draws
+        rep = verify(PoissonModel(a, rates), [2], 20_000, 9)
+        assert rep.hits == want and rep.draws == want.draws
 
 
 def test_hits_block_count_independent_of_shards():
@@ -356,16 +377,12 @@ def _python_count(a, b, rates, seed, start, stop):
     ([[1, 2]], [1e6, 45.0], 1, None),
     ([[1, 2]], [1e6, 45.0], 2, None),
     ([[1, 1], [0, 3]], [1e6, 1e6], 3, None),
-    # a negative entry, and entries of 2**62, in the first column
-    ([[1, -1]], [2.0, 3.0], 2000, None),
-    ([[2**62, -2**62]], [2.0, 3.0], 2000, [0]),
-    ([[2**62, -2**62]], [2.0, 3.0], 2000, [2**62]),
+    # a first column that leaves rows untouched, and one row left alone
+    ([[0, 1], [2, 0], [0, 0]], [3.0, 2.0], 2000, None),
     # values above the cap: x0 <= 1, x0 = 0, and 2**62 x0 <= 2**62 + 3
     ([[3, 1]], [4.0, 1.0], 2000, [4]),
     ([[3, 1]], [4.0, 1.0], 2000, [2]),
     ([[2**62, 1], [0, 3]], [1.0, 4.0], 2000, [2**62 + 3, 9]),
-    # a first column that leaves rows untouched, and one row left alone
-    ([[0, 1], [2, 0], [0, 0]], [3.0, 2.0], 2000, None),
 ])
 def test_hits_block_first_column_per_value(a, rates, stop, b):
     # b, unless given, is the image of the block's first sample
@@ -380,16 +397,20 @@ def test_hits_block_first_column_per_value(a, rates, stop, b):
 
 
 @pytest.mark.parametrize("a,b,rates,seed", [
-    # a lattice test whose divisor leaves int64
-    ([[-1, 3, -2**62], [-2, -1, 1]], [-1000097, -2000194], [1e6, 1e-9, 0.4],
-     11614452468344930604),
+    # a lattice test whose divisor leaves int64 before any draw: the
+    # Smith divisors are 1 and 3 * 2**62
+    ([[2**62, 0], [0, 3]], [0, 3], [1e-9, 0.4], 5),
     # lattice tests with a coefficient past int64, on residuals bounded
     # by 0: before any draw, and after the first column
     ([[2**61, 2**61], [3, 2**62]], [0, 0], [1e-9, 0.4], 5),
     ([[3, 1, 4], [1, 4, 2], [1, 0, 2**62]], [0, 0, 0], [0.4, 1.5, 0.4], 5),
+    # after the first column, a divisor of 2**64 with coefficients and
+    # residuals that fit int64
+    ([[1, 2**32, 1], [0, 0, 2**32]], [1, 0], [0.4, 1e-9, 1e-9], 5),
 ])
 def test_hits_block_lattice_tests_past_int64(a, b, rates, seed):
-    # numpy takes no int past int64 as an operand: each raised OverflowError
+    # numpy takes no int past int64 as an operand, so these combinations
+    # must be formed in Python ints
     want = _python_count(a, b, rates, seed, 0, 400)
     assert want > 0
     assert K.hits_block(a, b, rates, seed, 0, 400) == want

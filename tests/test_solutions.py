@@ -321,11 +321,11 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
 
 
 def test_walk_plan_takes_first_independent_block():
-    # dependent rows: one independent row, and column 0 alone has det 1
+    # dependent rows: rank 1, and column 0 alone has D = 1
     plan = S._WalkPlan(lp.int_matrix([[1, 1, 2], [2, 2, 4]]))
-    assert (plan.rows, plan.basis, plan.free, plan.det) == ((0,), (0,), (1, 2), 1)
+    assert (plan.basis, plan.free, plan.det) == ((0,), (1, 2), 1)
     plan = S._WalkPlan(lp.int_matrix([[1, 1, 1, 0], [0, 1, 2, 1]]))
-    assert plan.rows == (0, 1) and plan.free == (2, 3)
+    assert plan.free == (2, 3)
     assert plan.basis == (0, 1) and plan.det == 1 and plan.adj == ((1, -1), (0, 1))
     # column 0 has det 2 and stays: the walk drops the inexact leaves
     plan = S._WalkPlan(lp.int_matrix([[2, 1, 1]]))
@@ -333,7 +333,20 @@ def test_walk_plan_takes_first_independent_block():
     for b in range(7):
         assert S._walk_family(plan, [b]).solutions == enumerate_solutions([[2, 1, 1]], [b]).solutions
     plan = S._WalkPlan(lp.int_matrix([[6, 10, 15, 4], [12, 20, 30, 8]]))
-    assert (plan.rows, plan.basis, plan.det) == ((0,), (0,), 6)
+    assert (plan.basis, plan.det) == ((0,), 6)
+
+
+def test_walk_plan_solves_leaves_from_every_row():
+    # row 2 = row 0 + row 1; the basis block [[2, 0], [0, 2], [2, 2]] has
+    # Smith divisors 2 and 2, so D = 2 and adj has one column per row
+    a = [[2, 0, 2, 1, 1], [0, 2, 2, 1, 3], [2, 2, 4, 2, 4]]
+    plan = S._WalkPlan(lp.int_matrix(a))
+    assert (plan.basis, plan.free, plan.det) == ((0, 1), (2, 3, 4), 2)
+    block = np.array([row[:2] for row in a], dtype=object)
+    assert np.array_equal(np.array(plan.adj, dtype=object) @ block, 2 * np.eye(2, dtype=int))
+    for k in [(0, 0, 0, 1, 0), (1, 0, 0, 1, 1), (2, 1, 2, 0, 1), (2, 2, 2, 2, 2)]:
+        b = [sum(x * y for x, y in zip(row, k)) for row in a]
+        assert S._walk_family(plan, b).solutions == enumerate_solutions(a, b).solutions
 
 
 def test_dependent_rows_are_checked_before_the_walk():
