@@ -23,10 +23,11 @@ The guide is built from the CDF table on each call.
 Rates >= 30 use Hormann's PTRS transformed rejection (Insurance: Math.
 & Econ. 12, 1993), vectorised over the samples still rejected; its
 accept test takes ln k! from model._log_factorials, the one ln k!
-routine, shared with pmf's log terms.  Rates
-above MAX_RATE = 2**62 are rejected with InputError: an accepted PTRS
-draw lies within a few sqrt(rate) of the rate, so below the ceiling
-every draw fits in int64 (past 2**63 the cast to int64 fails).
+routine, shared with pmf's log terms: candidates below 2**20 are read
+from its process-wide table once it covers them.  Rates above
+MAX_RATE = 2**62 are rejected with InputError: an accepted PTRS draw
+lies within a few sqrt(rate) of the rate, so below the ceiling every
+draw fits in int64 (past 2**63 the cast to int64 fails).
 
 hits_block counts the samples with A x == b exactly, for a matrix of
 natural numbers (a negative entry is an InputError, as in preprocess),
@@ -304,10 +305,15 @@ def _sample_np(seed: int, start: int, stop: int, params: list) -> np.ndarray:
 # ------------------------------------------------------------- public
 
 def _check_range(start, stop) -> tuple[int, int]:
-    start = operator.index(start)
-    stop = operator.index(stop)
-    if start < 0 or stop < start:
-        raise InputError("need 0 <= start <= stop")
+    try:
+        start = operator.index(start)
+        stop = operator.index(stop)
+    except TypeError:
+        raise InputError("start and stop must be integers") from None
+    # sample indices are uint64; np.arange of 2**63 or more uint64s
+    # returns an empty array instead of failing
+    if not 0 <= start <= stop <= _MASK64 or stop - start > _INT64_MAX:
+        raise InputError("need 0 <= start <= stop < 2**64 and stop - start < 2**63")
     return start, stop
 
 
@@ -388,6 +394,8 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
         raise InputError("matrix entries must be natural numbers for sampling")
     try:
         bl = np.asarray([operator.index(x) for x in b], dtype=np.int64).tolist()
+    except TypeError:
+        raise InputError("observation must be a vector of integers") from None
     except OverflowError:
         raise InputError("observation entries must fit in int64 for sampling") from None
     if len(bl) != m:

@@ -25,21 +25,43 @@ def rate_constants(rates: np.ndarray) -> np.ndarray:
     return np.array([math.log(x) for x in rates.tolist()], dtype=np.float64)
 
 
+# Entry j is ln j! = math.lgamma(j + 1.0), for j below the length.  One
+# table serves the whole process; _log_factorials extends it on demand,
+# never past _LN_FACT_CAP entries (8 MiB).  An extension builds a new
+# array and rebinds the name, so a reader keeps a consistent snapshot.
+_LN_FACT_CAP = 1 << 20
+_ln_fact = np.empty(0)
+
+
 def _log_factorials(k: np.ndarray) -> np.ndarray:
     """ln k! for every entry of an array of counts >= 0 (int or float).
 
     Each entry equals math.lgamma(k + 1.0) bit for bit, past 2**53 too.
-    When the counts are small next to the array (max + 1 <= size), a
-    table with one lgamma call per value 0..max is indexed instead of
-    calling lgamma once per entry.
+    Counts within the process-wide table _ln_fact are read from it.  A
+    larger count extends the table to max(max + 1, twice its length)
+    entries when that adds at most max(size, length) entries and stays
+    within _LN_FACT_CAP, so no call makes more lgamma calls than the
+    per-entry map or the table built so far would; otherwise lgamma is
+    called once per entry.
     """
-    top = float(k.max()) if k.size else 0.0
-    if top + 1.0 <= k.size:
-        table = np.fromiter(map(math.lgamma, memoryview(np.arange(1.0, top + 2.0))),
-                            dtype=np.float64, count=int(top) + 1)
-        return table[k.astype(np.intp)]
-    return np.fromiter(map(math.lgamma, memoryview((k + 1.0).ravel())),
-                       dtype=np.float64, count=k.size).reshape(k.shape)
+    global _ln_fact
+    table = _ln_fact
+    if not k.size:
+        return np.empty(k.shape)
+    top = float(k.max())
+    n = len(table)
+    if top >= n:
+        grown = min(max(top + 1.0, 2.0 * n), _LN_FACT_CAP)
+        if top >= grown or grown - n > max(k.size, n):
+            return np.fromiter(map(math.lgamma, memoryview((k + 1.0).ravel())),
+                               dtype=np.float64, count=k.size).reshape(k.shape)
+        more = np.fromiter(map(math.lgamma, memoryview(np.arange(n + 1.0, grown + 1.0))),
+                           dtype=np.float64, count=int(grown) - n)
+        table = np.concatenate((table, more))
+        # unless another thread has bound a longer table meanwhile
+        if len(_ln_fact) < len(table):
+            _ln_fact = table
+    return table[k.astype(np.intp)]
 
 
 class PoissonModel:

@@ -97,7 +97,9 @@ def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray) -> 
     Row k gives sum_i [k_i ln l_i - l_i - ln k_i!] for rates l_i > 0;
     log_rates comes from rate_constants.  ln k_i! comes from
     model._log_factorials, the one ln k! routine, which the PTRS sampler
-    also uses; log-gamma keeps large counts finite.  Each column's part
+    also uses: it reads the process-wide table of math.lgamma(j + 1.0)
+    and calls lgamma per entry only past what that table may grow to;
+    log-gamma keeps large counts finite.  Each column's part
     is formed before the parts are added, so k ln l - l and ln k! cancel
     while their magnitudes are close (exactly, near the mode), not
     after rounding at the size of their sum over the columns.

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from linpois import kernels as K
+from linpois import model as model_module
 from linpois.errors import InputError
 from linpois.model import PoissonModel
 from linpois.montecarlo import verify
@@ -219,6 +220,29 @@ def test_hits_block_validation():
         K.hits_block([[1, 1]], [2**63], [1.0, 1.0], 0, 0, 10)
 
 
+# hits_block and sample_block are public: a bad argument passed to them
+# directly, not through verify, is an InputError, never a Python or
+# numpy exception
+
+@pytest.mark.parametrize("b", [[1.5], 5])  # TypeError from operator.index, from iter
+def test_hits_block_non_integer_observation(b):
+    with pytest.raises(InputError):
+        K.hits_block([[1]], b, [1.0], 1, 0, 10)
+
+
+@pytest.mark.parametrize("start, stop", [
+    (0.0, 10),  # TypeError from _check_range
+    (0, 2**70),  # numpy's ValueError from np.arange
+    (2**64, 2**64 + 10),  # OverflowError from np.arange
+    (0, 2**63),  # np.arange gave no samples: hits_block counted 0 hits
+])
+def test_kernel_bad_index_range(start, stop):
+    with pytest.raises(InputError):
+        K.hits_block([[1]], [1], [1.0], 1, start, stop)
+    with pytest.raises(InputError):
+        K.sample_block([1.0], 1, start, stop)
+
+
 def test_rate_ceiling():
     # past 2**63 the PTRS cast to int64 fails and every draw was INT64_MIN
     with pytest.raises(InputError):
@@ -258,8 +282,9 @@ def test_sample_block_golden_draws_past_2_53():
 
 def test_ptrs_accept_test_reads_ln_factorial_table(monkeypatch):
     # one lgamma call per candidate reaching the full accept test would
-    # be about 23,000 calls here; a table over the candidates' values
-    # needs a few hundred
+    # be about 23,000 calls here; the process-wide ln k! table, grown
+    # from empty over the candidates' values, needs a few hundred
+    monkeypatch.setattr(model_module, "_ln_fact", np.empty(0))
     calls = 0
     lgamma = math.lgamma
 
@@ -272,6 +297,9 @@ def test_ptrs_accept_test_reads_ln_factorial_table(monkeypatch):
     out = K.sample_block([40.0], 0, 0, 50_000)
     assert calls <= 1_000
     assert abs(out.mean() - 40.0) < 0.2
+    # both paths are taken: the first round's candidates grow the table,
+    # which the later, smaller rounds read without a call
+    assert 0 < calls == len(model_module._ln_fact)
 
 
 def test_hits_block_golden_count():

@@ -4,6 +4,7 @@ per query against the oracles of tests/oracle.py, generating function."""
 import importlib
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.stats import poisson
 
 import linpois as lp
 from linpois import MethodTag
+from linpois import model as model_module
 from linpois.errors import InputError, InternalInvariantError
 from linpois.model import _log_factorials, rate_constants
 from linpois.pmf import _log_terms, _summed
@@ -282,9 +284,14 @@ def test_window_of_a_million_point_line():
     assert res.log_prob == lp.logsumexp(_log_terms(k, model.rates, model.term_constants))
 
 
-def test_log_terms_table_equals_lgamma_map():
+def _fresh_ln_fact(monkeypatch):
+    monkeypatch.setattr(model_module, "_ln_fact", np.empty(0))
+
+
+def test_log_terms_table_equals_lgamma_map(monkeypatch):
     """The lgamma table for small counts gives the same bits as one
     math.lgamma call per entry, and large counts keep the map."""
+    _fresh_ln_fact(monkeypatch)
     rng = np.random.default_rng(7)
     lam = np.array([2.5e-8, 0.3, 4.5, 1e4])
     consts = rate_constants(lam)
@@ -299,10 +306,11 @@ def test_log_terms_table_equals_lgamma_map():
         assert np.array_equal(_log_terms(pts, lam, consts), want)
 
 
-def test_log_factorials_equal_lgamma_per_entry():
+def test_log_factorials_equal_lgamma_per_entry(monkeypatch):
     """The shared ln k! routine gives the bits of one math.lgamma(k + 1.0)
-    per entry, for int64 and float64 counts, on the table path
-    (max + 1 <= size) and the per-entry path, empty, and past 2**53."""
+    per entry, for int64 and float64 counts, on the table path and the
+    per-entry path, empty, and past 2**53."""
+    _fresh_ln_fact(monkeypatch)
     rng = np.random.default_rng(11)
     small = rng.integers(0, 40, size=(60, 3))
     big = np.array([0, 7, 2**53 - 1, 2**53 + 1, 2**53 + 3, 2**60 + 5, 2**62], dtype=np.int64)
@@ -315,9 +323,108 @@ def test_log_factorials_equal_lgamma_per_entry():
             got = _log_factorials(pts)
             assert got.dtype == np.float64 and got.shape == pts.shape
             assert np.array_equal(got, want)
-    # both paths are taken: 200 counts below 40 index a table, the
-    # counts past 2**53 are mapped one by one
-    assert small.max() + 1 <= small.size and big.max() + 1 > big.size
+    # both paths are taken: the first 180 counts below 40 grow the empty
+    # table to max + 1 <= 180 entries, which the 200 counts below 40
+    # then index; the counts past 2**53 are past the cap and are mapped
+    # one by one
+    assert small.max() + 1 <= small.size and big.max() >= model_module._LN_FACT_CAP
+    assert len(model_module._ln_fact) == small.max() + 1
+
+
+def test_ln_fact_table_grows_with_lgamma_bits(monkeypatch):
+    """Each growth extends the process-wide table to max(max + 1, twice
+    its length) entries, every one equal to math.lgamma(j + 1.0); a
+    call whose extension would exceed max(size, length) maps instead."""
+    _fresh_ln_fact(monkeypatch)
+    steps = [(np.arange(10), 10),  # empty: max + 1 <= size
+             (np.array([15, 0, 1, 2, 3]), 20),  # doubling adds 10 <= length
+             (np.arange(100) % 91, 91),  # max + 1 > twice 20; adds 71 <= size
+             (np.array([150]), 182),  # doubling adds 91 <= length
+             (np.array([2000, 1]), 182),  # would add 1,819 > max(2, 182): mapped
+             (np.array([[181.0, 0.0]]), 182)]  # read
+    for k, length in steps:
+        got = _log_factorials(k)
+        assert np.array_equal(got, np.array([math.lgamma(x + 1.0) for x in k.ravel().tolist()])
+                              .reshape(k.shape))
+        assert len(model_module._ln_fact) == length
+        assert np.array_equal(model_module._ln_fact,
+                              [math.lgamma(j + 1.0) for j in range(length)])
+
+
+def test_ln_fact_growth_bound_on_lgamma_calls(monkeypatch):
+    """A spy on math.lgamma: no call makes more lgamma calls than
+    max(its number of counts, the table's length before it), and a call
+    that makes any either maps all its counts or grows the table."""
+    _fresh_ln_fact(monkeypatch)
+    calls = 0
+    lgamma = math.lgamma
+
+    def counting_lgamma(x):
+        nonlocal calls
+        calls += 1
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counting_lgamma)
+    rng = np.random.default_rng(5)
+    grew = mapped = 0
+    for _ in range(300):
+        size = int(rng.integers(1, 400))
+        top = int(np.exp(rng.uniform(0.0, math.log(50_000))))
+        k = rng.integers(0, top + 1, size=size)
+        before = len(model_module._ln_fact)
+        calls = 0
+        _log_factorials(k)
+        after = len(model_module._ln_fact)
+        assert calls <= max(k.size, before)
+        if calls:
+            assert calls == after - before or (calls == k.size and after == before)
+        grew += after > before
+        mapped += calls == k.size and after == before
+    assert grew >= 5 and mapped >= 5
+
+
+def test_ln_fact_cap(monkeypatch):
+    """Counts at and past the cap of 2**20 entries, and past 2**53, are
+    mapped one by one, and the table never holds more than the cap."""
+    _fresh_ln_fact(monkeypatch)
+    cap = model_module._LN_FACT_CAP
+    assert cap == 1 << 20
+    _log_factorials(np.arange(cap // 2))
+    assert len(model_module._ln_fact) == cap // 2
+    # doubling from half the cap stops at the cap
+    _log_factorials(np.array([cap - 1]))
+    assert len(model_module._ln_fact) == cap
+    for k in (np.array([cap]), np.array([cap + 5, 3]), np.arange(cap + 1),
+              np.array([0, 2**53 + 2, 2**60], dtype=np.int64),
+              np.array([2.0**53 + 2, 1.0, 2.0**64])):
+        got = _log_factorials(k)
+        assert len(model_module._ln_fact) == cap
+        want = np.array([math.lgamma(x + 1.0) for x in k.astype(np.float64).tolist()])
+        assert np.array_equal(got, want)
+    table = model_module._ln_fact
+    assert np.array_equal(table[-3:], [math.lgamma(cap - 2.0), math.lgamma(cap - 1.0),
+                                       math.lgamma(float(cap))])
+
+
+def test_ln_fact_table_shared_by_threads(monkeypatch):
+    """pmf and verify(threads=2), run from 4 threads at once while the
+    table grows from empty, return what serial calls return."""
+    model = lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1])
+    bs = [[2 * s, 2 * s + 30] for s in (5, 40, 300, 2_000, 9_000)]
+    jobs = [("pmf", b) for b in bs] + [("verify", [10, 72]), ("verify", [3, 70])]
+
+    def run(job):
+        kind, b = job
+        if kind == "pmf":
+            return lp.pmf(model, b)
+        return lp.verify(model, b, 20_000, 17, threads=2)
+
+    serial = [run(job) for job in jobs]
+    for _ in range(3):
+        _fresh_ln_fact(monkeypatch)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(run, jobs * 2)) == serial * 2
+    assert len(model_module._ln_fact) <= model_module._LN_FACT_CAP
 
 
 def test_pmf_line_partly_live(model1):
