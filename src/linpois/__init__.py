@@ -4,11 +4,13 @@ independent Poisson variables.
 Y = A X with A a natural-number matrix and X_i ~ Poisson(lambda_i).
 The solutions of A k = b are found exactly in integer arithmetic, and
 P(Y = b) is summed over them in float64 log space, over a line stopping
-at a certified tail bound of relative size below 2**-60.  Each query
-takes one route, decided by the solution lattice of A k = b alone: the
-solution set is read off the Smith normal form of A (a single point or
-a one-parameter line, by the dimension of the kernel of A) or, for
-larger kernels, walked over the free coordinates.  A seeded Monte Carlo
+at a certified tail bound of relative size below 2**-60.  The solution
+set is read off the Smith normal form of A (a single point or a
+one-parameter line, by the dimension of the kernel of A).  A larger
+kernel is walked over its free coordinates, unless A has rank 1: then
+A k = b is one row w k = t, and the Panjer recurrence over s = 0..t
+gives P(Y = b) when its step cap and error bound allow.  The route depends
+on the model and b alone; no option picks it.  A seeded Monte Carlo
 harness cross-checks the results.
 """
 

@@ -6,7 +6,9 @@ a whitespace matrix instead and rates come from --lambda.  Exit codes:
 0 success, 2 input error (argparse's usage errors included), 4 internal
 invariant failure.  Probability zero is a success, not an error.  The
 pmf and solve outputs give the model's kernel class (model.method, from
-classify) in "method"; it does not say whether a walk ran for this b.
+classify) in "method"; it does not say which route answered this b:
+for an "enumerate" model, pmf may walk the points or, when A has rank
+1, run the recurrence, where "summed" counts its t + 1 entries.
 """
 
 from __future__ import annotations

@@ -105,6 +105,12 @@ _MAX_ATTEMPTS = 1024
 # _CDF_MAX_LEN entries
 _CDF_TAIL = 1e-15
 _CDF_MAX_LEN = 512
+# the most entries of one array a call allocates: sample_block's rows
+# times columns, hits_block's rows.  2**30 int64 entries are 8 GiB, past
+# the memory of most machines (numpy raises MemoryError below that when
+# memory runs out, and ValueError only past 2**63 bytes); verify draws
+# 2**20 samples a call
+MAX_BLOCK = 1 << 30
 
 
 def default_backend() -> str:
@@ -304,7 +310,10 @@ def _sample_np(seed: int, start: int, stop: int, params: list) -> np.ndarray:
 
 # ------------------------------------------------------------- public
 
-def _check_range(start, stop) -> tuple[int, int]:
+def _check_range(start, stop, width: int = 1) -> tuple[int, int]:
+    """start and stop as ints, refused before any allocation when the
+    call's largest array, (stop - start) x width entries, would exceed
+    MAX_BLOCK."""
     try:
         start = operator.index(start)
         stop = operator.index(stop)
@@ -314,6 +323,9 @@ def _check_range(start, stop) -> tuple[int, int]:
     # returns an empty array instead of failing
     if not 0 <= start <= stop <= _MASK64 or stop - start > _INT64_MAX:
         raise InputError("need 0 <= start <= stop < 2**64 and stop - start < 2**63")
+    if (stop - start) * width > MAX_BLOCK:
+        raise InputError(f"{stop - start} samples of {width} column(s) exceed the cap of "
+                         f"MAX_BLOCK = {MAX_BLOCK} entries per call; draw them in blocks")
     return start, stop
 
 
@@ -321,10 +333,12 @@ def sample_block(rates, seed, start, stop) -> np.ndarray:
     """Samples with indices [start, stop) as a (stop-start, n) int64 array.
 
     Identical output for any block decomposition of the same index range.
+    InputError when the array would hold more than MAX_BLOCK entries.
     """
     seed = check_seed(seed)
-    start, stop = _check_range(start, stop)
-    return _sample_np(seed, start, stop, [_coord_param(lam) for lam in _rate_list(rates)])
+    rates = _rate_list(rates)
+    start, stop = _check_range(start, stop, max(len(rates), 1))
+    return _sample_np(seed, start, stop, [_coord_param(lam) for lam in rates])
 
 
 class BlockHits(int):
@@ -382,8 +396,9 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
     still reach b; the count equals that of drawing every sample in full
     (see the module docstring).  A negative entry is an InputError
     before any draw; the int64 and MAX_RATE limits apply only to the
-    columns that can move A x.  The result is an int that carries the
-    number of variates drawn as ``.draws``.
+    columns that can move A x.  InputError for more than MAX_BLOCK
+    samples.  The result is an int that carries the number of variates
+    drawn as ``.draws``.
     """
     seed = check_seed(seed)
     start, stop = _check_range(start, stop)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InputError
 from .intlinalg import SnfDecomposition, int_matrix, snf
-from .solutions import MethodTag, PreprocessReport, _WalkPlan, classify, preprocess
+from .solutions import MethodTag, PreprocessReport, _RowPlan, _WalkPlan, classify, preprocess
 
 __all__ = ["PoissonModel", "model_from_dict", "load_model_file"]
 
@@ -73,8 +73,8 @@ class PoissonModel:
     checks dependent rows.  ``a``/``rates`` refer to the reduced system
     used for evaluation; ``a_full``/``rates_full`` keep the original
     shapes.  Derived objects (SNF, method tag, the log rates of the
-    terms, the plan of the free-coordinate walk) are cached on first
-    use.
+    terms, the plans of the free-coordinate walk and of the rank-1
+    recurrence) are cached on first use.
     """
 
     def __init__(self, a, rates, name: str | None = None, description: str | None = None):
@@ -138,6 +138,16 @@ class PoissonModel:
     def _walk_plan(self) -> _WalkPlan:
         # built on the first query that walks a kernel of dimension >= 2
         return _WalkPlan(self._a)
+
+    @cached_property
+    def _row_plan(self) -> _RowPlan | None:
+        # the recurrence's plan when the kernel has dimension >= 2, A has
+        # rank 1 and the rates total at most 2**200, else None; built on
+        # the first pmf query, not at build.  Past that total no sum of
+        # rates may overflow, and pmf's error bound declines every b.
+        if self.snf.rank != 1 or self.n < 3 or sum(self._rates.tolist()) > 2.0 ** 200:
+            return None
+        return _RowPlan(self._a, self._rates)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""

@@ -24,6 +24,16 @@ below 2**-60 of the sum; PmfResult reports a bound on it as tail_bound,
 and the number of terms evaluated as summed.  The cost follows the
 spread of the terms around the mode, not the length of the line.
 
+A rank-1 A whose kernel has dimension 2 or more is answered without
+listing its points: every row is a multiple of one primitive row w, so
+P(Y = b) is P(w X = t), which the Panjer recurrence (H. H. Panjer,
+ASTIN Bulletin 12, 1981; the one-row case of Sontag & Zeilberger's
+recurrence) gives in t steps of positive terms, and the coin-change
+recurrence counts the points exactly.  It answers only when its n (t+1)
+steps are within MAX_POINTS and its documented bound on the relative
+error is at most RECURRENCE_TOL = 1e-12; otherwise the points are
+walked (_recurrence).
+
 Also evaluates the probability generating function G(z) both in closed
 form and as a truncated series, the latter backed by an exact pmf table
 over a box of observations.
@@ -34,6 +44,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,6 +81,19 @@ _BLOCK = 1 << 16
 # The most work pmf_table may do, in entries of box-sized array passes.
 # With any column present this keeps the box to 2e7 entries.
 MAX_TABLE_WORK = 40_000_000
+# The rank-1 recurrence answers only while its bound on the relative
+# error of prob is at most this; otherwise the lattice points are walked.
+RECURRENCE_TOL = 1e-12
+_EPS = 2.0 ** -53
+# fdlibm's ln 2 = _LN2_HI + _LN2_LO: _LN2_HI has 32 significant bits, so
+# its product with an int below 2**20 is exact
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+# the recurrence's ranges: the smallest coefficient, kept values before
+# a shift, and the smallest nonzero value after one
+_COEF_MIN = 2.0 ** -200
+_SMALL, _HUGE = 2.0 ** -300, 2.0 ** 300
+_TINY = 2.0 ** -700
 
 
 @dataclass(frozen=True)
@@ -78,9 +102,11 @@ class PmfResult:
     to 0 while log_prob stays informative.  clamped marks a prob that
     was rounded down to 1 from within CLAMP_TOL.  terms counts the
     lattice points of the solution set; summed counts the terms
-    evaluated, fewer than terms when a line sum stops at its tail bound.
-    tail_bound bounds the omitted mass relative to prob (0.0 when
-    nothing is omitted; below TAIL_EPS otherwise)."""
+    evaluated, fewer than terms when a line sum stops at its tail bound,
+    and the t + 1 entries P(0..t) of the rank-1 recurrence (0 when
+    there is no point) when that answers.  tail_bound bounds the
+    omitted mass relative to prob (0.0 when nothing is omitted; below
+    TAIL_EPS otherwise)."""
 
     log_prob: float
     prob: float
@@ -165,24 +191,21 @@ def solution_family(model: PoissonModel, b) -> tuple[SolutionFamily, MethodTag]:
     """Solution set of A k = b, plus the model's route tag.
 
     The set is read off the model's SNF; on the lattice, a kernel of
-    dimension 2 or more is walked over its free coordinates.  This is
-    the walk's one caller: it trusts the checks on b made here and the
-    lattice test of snf_family.
+    dimension 2 or more is walked over its free coordinates.  This and
+    pmf's rank-1 branch are the walk's callers: both trust the checks
+    on b of _check_observation and the lattice test of snf_family.
     """
     tag = model.method
     b = _check_observation(model, b)
-    if b is None:
-        return SolutionFamily.empty(), tag
-    fam = snf_family(model.snf, b)
+    fam = SolutionFamily.empty() if b is None else snf_family(model.snf, b)
     if fam is None:
         fam = _walk_family(model._walk_plan, b)
     return fam, tag
 
 
-def _summed(log_terms, tag: MethodTag, terms: int | None = None, tail_logs=()) -> PmfResult:
-    """The result from the summed log terms; terms defaults to their
-    number, and tail_logs are ln of bounds on the omitted mass."""
-    lp = logsumexp(log_terms)
+def _result(lp: float, tag: MethodTag, terms: int, summed: int, tail: float = 0.0) -> PmfResult:
+    """The result for log_prob lp, with prob clamped to 1 from within
+    CLAMP_TOL."""
     prob = math.exp(lp)
     clamped = False
     if prob > 1.0:
@@ -191,10 +214,109 @@ def _summed(log_terms, tag: MethodTag, terms: int | None = None, tail_logs=()) -
             clamped = True
         else:
             raise InternalInvariantError(f"probability {prob!r} exceeds 1 beyond tolerance")
+    return PmfResult(log_prob=lp, prob=prob, method=tag, terms=terms, clamped=clamped,
+                     summed=summed, tail_bound=tail)
+
+
+def _summed(log_terms, tag: MethodTag, terms: int | None = None, tail_logs=()) -> PmfResult:
+    """The result from the summed log terms; terms defaults to their
+    number, and tail_logs are ln of bounds on the omitted mass."""
+    lp = logsumexp(log_terms)
     summed = len(log_terms)
     tail = math.fsum(math.exp(x - lp) for x in tail_logs) if tail_logs else 0.0
-    return PmfResult(log_prob=lp, prob=prob, method=tag, terms=summed if terms is None else terms,
-                     clamped=clamped, summed=summed, tail_bound=tail)
+    return _result(lp, tag, summed if terms is None else terms, summed, tail)
+
+
+def _count_points(w, t: int) -> int:
+    """The number of k in N^n with w k = t, in Python ints: the
+    coin-change recurrence, one pass per column, each a running sum
+    along every residue class modulo w_j."""
+    c = [1] + [0] * t
+    for wj in w:
+        if wj == 1:
+            c = list(accumulate(c))
+            continue
+        for r in range(min(wj, t + 1)):
+            c[r::wj] = accumulate(c[r::wj])
+    return c[t]
+
+
+def _shift_window(u: list, lo: int, hi: int) -> int | None:
+    """Scale u[lo:hi] by 2**-e so that its largest value lies in
+    [1/2, 1) and return e, or None, leaving u as it is, when a nonzero
+    value would fall below _TINY."""
+    e = math.frexp(max(u[lo:hi]))[1]
+    window = [math.ldexp(x, -e) for x in u[lo:hi]]
+    if min([x for x in window if x]) < _TINY:
+        return None
+    u[lo:hi] = window
+    return e
+
+
+def _recurrence(model: PoissonModel, b: list[int]) -> PmfResult | None:
+    """P(Y = b) for a rank-1 A whose kernel has dimension 2 or more, by
+    the Panjer recurrence; None when the route declines the query.
+
+    b is checked and on the lattice (pmf).  Every row is g_i w
+    (solutions._RowPlan), so A k = b is w k = t with t = b[row] / g.
+    Y' = w X has the generating function exp(sum_j l_j (z^w_j - 1)),
+    whose derivative gives s P(s) = sum_j w_j l_j P(s - w_j) for
+    s = 1..t, a sum of terms >= 0.  Columns of one weight share one
+    coefficient.  The values u(s) = P(s) e^(sum l) are kept as floats
+    times a common power of two: when a new value leaves
+    [2**-300, 2**300], the last top values (top the largest weight up
+    to t) are shifted so their largest lies in [1/2, 1).  The shifts
+    are exact, and no product or quotient leaves the normal range while
+    every coefficient lies in [2**-200, 2**212] (the rates total at
+    most 2**200, and no weight past 2**12 is used), every kept value is
+    0 or at least 2**-700 and t < 2**11.  Each step then rounds five
+    times (two for the coefficient, the product, math.fsum and the
+    division), and the recursion is at most t deep, so u(t) is within
+    about 5 t 2**-53 relative.  log_prob is the correctly rounded
+    math.fsum of ln u(t), the shift times fdlibm's two-part ln 2 and the
+    negated rates, so it is within
+        bound = 2**-53 (5 (t + 1) + 2 |ln u(t)| + |log_prob| + 1) + |shift| 2**-80
+    of ln P(Y = b), the last term from the split of ln 2; prob is
+    within about bound relative, plus the rounding of exp.
+
+    The route declines, and pmf walks the lattice points instead, when
+    5 (t + 1) 2**-53 or the bound exceeds RECURRENCE_TOL, when its
+    n (t + 1) steps exceed MAX_POINTS, or when a coefficient or a kept
+    value leaves the ranges above.  Its cost is t steps of one term per
+    distinct weight, however few points the walk would visit, and t is
+    at most about 1,800.  terms is the exact number of lattice points,
+    counted by _count_points; summed is the t + 1 entries computed, or
+    0 when there are no points.
+    """
+    plan = model._row_plan
+    t = b[plan.row] // plan.g
+    if len(plan.w) * (t + 1) > solutions.MAX_POINTS or 5 * (t + 1) * _EPS > RECURRENCE_TOL:
+        return None
+    steps = [(wt, c) for wt, c in plan.steps if wt <= t]
+    if any(c < _COEF_MIN for _, c in steps):
+        return None
+    count = _count_points(plan.w, t)
+    if count == 0:
+        return _result(NEG_INF, model.method, 0, 0)
+    # u[top + s] = u(s) / 2**shift; the first top entries pad s < 0.
+    # With a point, steps is empty only at t = 0, which has no step.
+    top = steps[-1][0] if steps else 0
+    u = [0.0] * top + [1.0] + [0.0] * t
+    shift = 0
+    for s in range(1, t + 1):
+        at = top + s
+        v = u[at] = math.fsum([c * u[at - wt] for wt, c in steps]) / s
+        if v > _HUGE or 0.0 < v < _SMALL:
+            e = _shift_window(u, at - top + 1, at + 1)
+            if e is None:
+                return None
+            shift += e
+    ln_u = math.log(u[top + t])
+    lp = math.fsum([ln_u, shift * _LN2_HI, shift * _LN2_LO] + plan.neg_rates)
+    bound = _EPS * (5 * (t + 1) + 2 * abs(ln_u) + abs(lp) + 1) + abs(shift) * 2.0 ** -80
+    if abs(shift) >= 1 << 20 or bound > RECURRENCE_TOL:
+        return None
+    return _result(lp, model.method, count, t + 1)
 
 
 def _line_sum(fam: SolutionFamily, model: PoissonModel, tag: MethodTag) -> PmfResult:
@@ -284,12 +406,25 @@ def pmf(model: PoissonModel, b) -> PmfResult:
 
     Negative entries, a violated dependent-row relation or a b off the
     lattice A Z^n give probability 0 (a valid query, not an error).
-    A line is summed over a certified window around its mode
-    (_line_sum); every other family over all its points.  The result's
-    method is model.method, the kernel class that classify gives the
-    model's SNF; it is the same for every b, whether or not a walk ran.
+    A rank-1 A whose kernel has dimension 2 or more is answered by the
+    recurrence (_recurrence) when its step cap and error bound allow, a line
+    is summed over a certified window around its mode (_line_sum), and
+    every other family over all its points.  The result's method is
+    model.method, the kernel class that classify gives the model's SNF;
+    it is the same for every b, whichever route answered.
     """
-    fam, tag = solution_family(model, b)
+    if model._row_plan is None:
+        fam, tag = solution_family(model, b)
+    else:
+        # solution_family's steps, with the recurrence tried before the walk
+        tag = model.method
+        b = _check_observation(model, b)
+        fam = SolutionFamily.empty() if b is None else snf_family(model.snf, b)
+        if fam is None:
+            res = _recurrence(model, b)
+            if res is not None:
+                return res
+            fam = _walk_family(model._walk_plan, b)
     if fam.kind == "line":
         return _line_sum(fam, model, tag)
     return _summed(_log_terms(fam.points(), model.rates, model.term_constants), tag)

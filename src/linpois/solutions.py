@@ -10,6 +10,9 @@ array passes, over only the n - r free coordinates of a ``_WalkPlan``,
 whose r basis coordinates are then solved exactly with an integer
 matrix read off the Smith form of the m x r block of basis columns.
 The walk trusts the lattice test and the caller's checks on b.
+``_RowPlan`` reduces a matrix of rank 1 to one primitive row, for
+pmf's recurrence, which answers such a kernel without the walk when
+its step cap and error bound allow.
 
 Both refuse, with InputError, a solution set, walk frontier or block of
 line points of more than MAX_POINTS points before allocating it.
@@ -21,6 +24,7 @@ the columns that cannot move Y: zero columns and zero-rate columns.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -40,8 +44,9 @@ __all__ = [
 ]
 
 # the most lattice points any route holds at once: a solution set, a
-# frontier of the free-coordinate walk or a block of line points.  At
-# 10**7 points a solution set already takes hundreds of MB in pmf.
+# frontier of the free-coordinate walk or a block of line points; also
+# the most steps, n (t + 1), of pmf's rank-1 recurrence.  At 10**7
+# points a solution set already takes hundreds of MB in pmf.
 MAX_POINTS = 10_000_000
 
 _INT64_MAX = (1 << 63) - 1
@@ -64,8 +69,9 @@ def _int_rows(rows) -> np.ndarray:
 
 
 class MethodTag(enum.Enum):
-    """Which evaluation route answers queries on a (preprocessed) matrix;
-    ENUMERATE is the free-coordinate walk."""
+    """The kernel class of a (preprocessed) matrix; ENUMERATE is a
+    kernel of dimension 2 or more, which pmf walks or, for rank 1,
+    answers by its recurrence."""
 
     SINGLE_INDEX = "single-index"
     INVERTIBLE = "invertible"
@@ -196,7 +202,8 @@ def classify(dec: SnfDecomposition) -> MethodTag:
     """Evaluation route from the kernel dimension n - rank of A.
 
     0 -> INVERTIBLE (at most one solution), 1 -> SINGLE_INDEX (a line),
-    2 or more -> ENUMERATE (the free-coordinate walk).  Divisors and
+    2 or more -> ENUMERATE (the free-coordinate walk, or pmf's rank-1
+    recurrence).  Divisors and
     dependent rows do not matter: snf_family handles both.
     """
     free = dec.q.shape[0] - dec.rank
@@ -327,6 +334,39 @@ class _WalkPlan:
             else:
                 steps.append((pos, np.array(vals, dtype=dtype), m + j))
         return steps, np.array(self.adj, dtype=dtype).reshape(len(self.basis), m).T
+
+
+class _RowPlan:
+    """A k = b for a preprocessed matrix of rank 1, as one row w k = t.
+
+    Every row of such a matrix is g_i w for one primitive row w: the
+    first nonzero row divided by the gcd of its entries (an integer
+    multiple of a row whose entries have gcd 1 is integral only for an
+    integer multiple).  Preprocess has removed the zero columns, so
+    every w_j >= 1.  ``row`` is that first nonzero row and ``g`` its
+    multiplier, so a b on the lattice A Z^n = g Z has t = b[row] // g.
+    ``steps`` holds one (weight, weight * math.fsum of the rates of its
+    columns) pair per distinct w_j up to MAX_WEIGHT, in increasing
+    order; ``neg_rates`` are the rates negated.  The walk plan of the
+    same matrix takes column 0 as its basis and every other column as
+    free.
+    """
+
+    # pmf's error bound keeps t below 2**11, so no larger weight enters
+    # a step of its recurrence
+    MAX_WEIGHT = 1 << 12
+
+    def __init__(self, a, rates):
+        rows = [[int(x) for x in row] for row in a.tolist()]
+        self.row = next(i for i, row in enumerate(rows) if any(row))
+        self.g = math.gcd(*rows[self.row])
+        self.w = tuple(x // self.g for x in rows[self.row])
+        if any(row != [row[0] // self.w[0] * x for x in self.w] for row in rows):
+            raise InternalInvariantError("row plan: a row is not a multiple of the primitive row")
+        lam = rates.tolist()
+        self.steps = tuple((wt, wt * math.fsum([r for r, x in zip(lam, self.w) if x == wt]))
+                           for wt in sorted(set(self.w)) if wt <= self.MAX_WEIGHT)
+        self.neg_rates = [-r for r in lam]
 
 
 def _det_adj(block) -> tuple[int, np.ndarray]:

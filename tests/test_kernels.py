@@ -3,6 +3,7 @@ pinned to golden values, and exact hit counts."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from linpois import kernels as K
 from linpois import model as model_module
 from linpois.errors import InputError
 from linpois.model import PoissonModel
-from linpois.montecarlo import verify
+from linpois.montecarlo import sample_many, verify
 
 from conftest import EXAMPLE3
 
@@ -241,6 +242,43 @@ def test_kernel_bad_index_range(start, stop):
         K.hits_block([[1]], [1], [1.0], 1, start, stop)
     with pytest.raises(InputError):
         K.sample_block([1.0], 1, start, stop)
+
+
+@pytest.mark.parametrize("stop", [2**40, 2**62])  # numpy's MemoryError, ValueError
+def test_kernel_huge_valid_index_range(stop):
+    with pytest.raises(InputError, match="MAX_BLOCK"):
+        K.hits_block([[1]], [1], [1.0], 1, 0, stop)
+    with pytest.raises(InputError, match="MAX_BLOCK"):
+        K.sample_block([1.0], 1, 0, stop)
+    with pytest.raises(InputError, match="MAX_BLOCK"):
+        sample_many([1.0], 1, stop)
+
+
+def test_kernel_block_cap_keeps_large_draws():
+    # sample_many([1.0] * 2, 1, 10**7) worked under numpy alone; the cap
+    # check passes it (checked without drawing 160 MB)
+    assert K.MAX_BLOCK == 2**30
+    assert K._check_range(0, 10**7, 2) == (0, 10**7)
+    assert K._check_range(0, 2**30) == (0, 2**30)
+    with pytest.raises(InputError, match="MAX_BLOCK"):
+        K._check_range(0, 2**29 + 1, 2)
+
+
+def test_kernel_block_cap_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(K, "MAX_BLOCK", 12)
+    # sample_block counts rows times columns, hits_block rows
+    assert K.sample_block([1.0, 2.0], 1, 0, 6).shape == (6, 2)
+    assert K.hits_block([[1, 1]], [1], [1.0, 2.0], 1, 0, 12) >= 0
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="MAX_BLOCK = 12"):
+            K.sample_block([1.0, 2.0], 1, 0, 7)
+        with pytest.raises(InputError, match="MAX_BLOCK = 12"):
+            K.hits_block([[1, 1]], [1], [1.0, 2.0], 1, 0, 13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_rate_ceiling():

@@ -5,6 +5,7 @@ import importlib
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from scipy.stats import poisson
 import linpois as lp
 from linpois import MethodTag
 from linpois import model as model_module
+from linpois import solutions as S
 from linpois.errors import InputError, InternalInvariantError
 from linpois.model import _log_factorials, rate_constants
 from linpois.pmf import _log_terms, _summed
@@ -24,6 +26,8 @@ from linpois.pmf import _log_terms, _summed
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
 from oracle import (enumerate_solutions, hand_reduced, reference_log_prob, reference_log_sum,
                     reference_term)
+
+P = importlib.import_module("linpois.pmf")
 
 REL = 1e-12  # cross-method agreement tolerance
 
@@ -509,22 +513,51 @@ MOMENT_CASES = [
     (EXAMPLE3, [0.7, 1.3, 0.2], [25, 46, 34], MethodTag.INVERTIBLE),
     (EXAMPLE1, [1.2, 35.0, 2.1], [20_000, 20_000], MethodTag.SINGLE_INDEX),
     ([[1, 2, 3]], [100.0, 200.0, 300.0], [1400], MethodTag.ENUMERATE),
-    # zero-rate and zero columns: reduced to a line, a walk, a singleton
+    # zero-rate and zero columns: reduced to a line, a rank-1 kernel of
+    # dimension 2, a singleton
     ([[1, 1, 0, 2, 1], [0, 1, 0, 1, 1]], [3.0, 0.0, 4.0, 2.0, 1.5], [30, 12],
      MethodTag.SINGLE_INDEX),
     ([[1, 1, 1, 1, 0]], [0.0, 5.0, 7.0, 9.0, 2.0], [60], MethodTag.ENUMERATE),
     (EXAMPLE1, [0.0, 1.5, 2.0], [20, 60], MethodTag.INVERTIBLE),
+    # rank 2, walked: 140,701 points at b, and one reduced from zero-rate
+    # and zero columns
+    ([[1, 1, 0, 2], [0, 1, 1, 1]], [100.0, 200.0, 150.0, 250.0], [800, 600],
+     MethodTag.ENUMERATE),
+    ([[1, 1, 0, 2, 0, 1], [0, 1, 1, 1, 0, 2]], [3.0, 0.0, 4.0, 2.0, 5.0, 1.5], [30, 40],
+     MethodTag.ENUMERATE),
+    # rank 1 with dependent rows of gcd > 1, and with sum l > 745, where
+    # e**-sum(l) underflows
+    ([[2, 2, 4], [3, 3, 6]], [1.5, 2.5, 4.0], [60, 90], MethodTag.ENUMERATE),
+    ([[1, 1, 1, 1]], [200.0, 200.0, 200.0, 160.0], [760], MethodTag.ENUMERATE),
 ]
 
 
+def walk_spy(monkeypatch):
+    """Record the b of every _walk_family call made through linpois.pmf."""
+    calls = []
+
+    def spy(plan, b):
+        calls.append(b)
+        return walk(plan, b)
+
+    walk = P._walk_family
+    monkeypatch.setattr(P, "_walk_family", spy)
+    return calls
+
+
 @pytest.mark.parametrize("a, rates, b, tag", MOMENT_CASES)
-def test_moment_identity_on_every_route(a, rates, b, tag):
-    """E1 at (2e4, 2e4) is a line of 10,001 points and [[1, 2, 3]] at
-    1400 a walk of 164,034 points, past the reach of the DFS oracle."""
+def test_moment_identity_on_every_route(a, rates, b, tag, monkeypatch):
+    """E1 at (2e4, 2e4) is a line of 10,001 points, [[1, 2, 3]] at 1400
+    a recurrence over 164,034 points, past the reach of the DFS oracle,
+    and the rank-2 model at (800, 600) a walk of 140,701 points.  A
+    kernel of dimension 2 or more is walked unless A has rank 1; every
+    rank-1 case here is answered by the recurrence."""
     model = lp.PoissonModel(a, rates)
     assert model.method is tag
+    calls = walk_spy(monkeypatch)
     assert lp.pmf(model, b).log_prob > float("-inf")
     assert moment_gap(model, b) <= 1e-12
+    assert bool(calls) is (tag is MethodTag.ENUMERATE and model._row_plan is None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -537,6 +570,150 @@ def test_moment_identity_with_zero_rates_and_zero_columns(data):
     model = lp.PoissonModel(rows, lam)
     b = [data.draw(st.integers(0, 40)) for _ in range(m)]
     assert moment_gap(model, b) <= 1e-12
+
+
+# ------------------------------------------------ rank-1 recurrence
+
+def walked(model, b):
+    """pmf's answer from the walk: every lattice point, summed."""
+    fam, tag = lp.solution_family(model, b)
+    return _summed(_log_terms(fam.points(), model.rates, model.term_constants), tag)
+
+
+def rel_gap(x, y):
+    """Relative gap of two probabilities given by their logs."""
+    if x == y:
+        return 0.0
+    return abs(math.expm1(x - y))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@example(w=[5, 2, 2, 2, 2, 2, 2], g=[1], lam=[1.0] * 7, t=3, shift=0)  # no point: 0 terms
+@example(w=[2, 4, 0, 6], g=[0, 3, 6], lam=[0.3, 2.5, 1.0, 0.0], t=7, shift=0)
+@example(w=[1, 2, 3], g=[2], lam=[1.0] * 5, t=0, shift=0)  # no step
+@given(w=st.lists(st.integers(0, 4), min_size=3, max_size=5),
+       g=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       lam=st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5, 7.0]), min_size=5, max_size=5),
+       t=st.integers(0, 30), shift=st.sampled_from([0, 0, 0, 1, -1, -40]))
+def test_recurrence_matches_walk(w, g, lam, t, shift):
+    """Rank-1 models with zero columns, zero rates, dependent rows, rows
+    of gcd > 1 and zero rows; b on the lattice, off it (shift 1 on the
+    last row, or -1 on the first) or negative (-40).  pmf answers every
+    one of them without walking."""
+    rows = [[gi * x for x in w] for gi in g]
+    lam = lam[:len(w)]
+    model = lp.PoissonModel(rows, lam)
+    assume(model._row_plan is not None)
+    b = [gi * t for gi in g]
+    if shift > 0:
+        b[-1] += shift
+    elif shift < 0:
+        b[0] += shift
+    ref = walked(model, b)
+    with mock.patch.object(P, "_walk_family", side_effect=AssertionError("pmf walked")):
+        res = lp.pmf(model, b)
+    assert res.terms == ref.terms
+    assert rel_gap(res.log_prob, ref.log_prob) <= REL
+    if res.terms:
+        plan = model._row_plan
+        assert res.summed == b[plan.row] // plan.g + 1
+    else:
+        assert res == ref
+    assert res.tail_bound == 0.0 and res.method is ref.method
+
+
+def test_recurrence_counts_and_sums_past_the_walk():
+    """1x8 all ones at rate 1 is Poisson(8): at b = 60 the walk would
+    hold 869,648,208 points and its frontier is refused, the recurrence
+    takes 61 steps.  The reference is 40-digit mpmath."""
+    res = lp.pmf(lp.PoissonModel([[1] * 8], [1.0] * 8), [60])
+    assert res.terms == math.comb(67, 7) == 869_648_208
+    assert res.summed == 61
+    assert rel_gap(res.log_prob, -71.86168092288143549218663) <= REL
+
+
+@pytest.mark.parametrize("rates, b, want", [
+    # sum l = 760: e**-760 underflows, the values are shifted down
+    ([200.0, 200.0, 200.0, 160.0], 760, -4.235707398961340285920657),
+    # sum l = 1 at b = 400: 1/400! underflows, the values are shifted up
+    ([0.25] * 4, 400, -2001.500697983241389116455),
+])
+def test_recurrence_beyond_the_float_range(rates, b, want):
+    """Poisson(sum l) at b against 40-digit mpmath."""
+    assert math.exp(-sum(rates)) == 0.0 or math.exp(want) == 0.0
+    res = P._recurrence(lp.PoissonModel([[1] * 4], rates), [b])
+    assert res is not None and res.terms == math.comb(b + 3, 3)
+    assert rel_gap(res.log_prob, want) <= REL
+
+
+def test_recurrence_step_cap(monkeypatch):
+    # n (t + 1) = 3 * 21 = 63 steps
+    model = lp.PoissonModel([[1, 1, 2]], [1.0, 2.0, 3.0])
+    monkeypatch.setattr(S, "MAX_POINTS", 63)
+    assert P._recurrence(model, [20]).terms == 121
+    monkeypatch.setattr(S, "MAX_POINTS", 62)
+    assert P._recurrence(model, [20]) is None
+    # pmf walks instead, and its frontier of 121 points is refused too
+    with pytest.raises(InputError, match="walk frontier"):
+        lp.pmf(model, [20])
+
+
+@pytest.mark.parametrize("a, rates, b", [
+    # 5 (t + 1) 2**-53 > RECURRENCE_TOL: t = 2300 is walked
+    ([[1, 1, 1]], [1.0, 1.0, 1.0], [2300]),
+    # the coefficient of weight 1 is below 2**-200
+    ([[1, 2, 2]], [1e-70, 1.0, 1.0], [30]),
+    # rates past 2**200 in total: the model has no row plan
+    ([[1, 1, 10**400]], [1.0, 1.0, 1e300], [30]),
+])
+def test_recurrence_declines_to_the_walk(a, rates, b, monkeypatch):
+    model = lp.PoissonModel(a, rates)
+    calls = walk_spy(monkeypatch)
+    assert lp.pmf(model, b) == walked(model, b)
+    assert len(calls) == 2  # pmf's walk and walked's
+
+
+@pytest.mark.parametrize("b", [[0], [30], [5000]])
+def test_recurrence_skips_weights_past_t(b, monkeypatch):
+    """Weight 5000 never enters a step at t = 30, and is past MAX_WEIGHT;
+    b = 5000 is declined by the error bound and walked."""
+    model = lp.PoissonModel([[1, 2, 5000]], [1.5, 0.5, 2.0])
+    assert model._row_plan.steps == ((1, 1.5), (2, 1.0))
+    calls = walk_spy(monkeypatch)
+    res = lp.pmf(model, b)
+    assert len(calls) == (b == [5000])
+    calls.clear()
+    ref = walked(model, b)
+    assert res.terms == ref.terms
+    assert rel_gap(res.log_prob, ref.log_prob) <= REL
+
+
+@pytest.mark.parametrize("w, rates, t", [
+    ([1, 1, 1], [0.5, 1.5, 2.0], 40),  # one weight
+    ([1, 2, 2], [0.5, 1.5, 2.0], 40),  # two
+    ([1, 2, 3, 3], [0.5, 1.5, 2.0, 0.25], 40),  # three
+])
+def test_recurrence_equals_plain_fsum_loop(w, rates, t):
+    """With no shift needed, the recurrence is this loop bit for bit:
+    one coefficient per weight, the weight times math.fsum of its
+    rates, and math.fsum of the step's terms divided by s."""
+    coef = {x: x * math.fsum([r for r, y in zip(rates, w) if y == x]) for x in set(w)}
+    p = [1.0]
+    for s in range(1, t + 1):
+        p.append(math.fsum([c * p[s - x] for x, c in sorted(coef.items()) if x <= s]) / s)
+    want = math.fsum([math.log(p[t]), 0.0, 0.0] + [-r for r in rates])
+    res = P._recurrence(lp.PoissonModel([w], rates), [t])
+    assert res.log_prob == want
+
+
+def test_recurrence_window_shift():
+    u = [2.0 ** 301, 0.0, 2.0 ** -300]
+    assert P._shift_window(u, 0, 3) == 302
+    assert u == [0.5, 0.0, 2.0 ** -602]
+    # a nonzero value below _TINY after the shift: u is left as it was
+    u = [2.0 ** 301, 2.0 ** -400]
+    assert P._shift_window(u, 0, 2) is None
+    assert u == [2.0 ** 301, 2.0 ** -400]
 
 
 # ----------------------------------------------------- pmf dispatch

@@ -406,7 +406,8 @@ def test_walk_wide_entries_use_python_ints():
 # ------------------------------------------------------ point cap
 
 def test_walk_frontier_cap():
-    # the second free column would expand 10**4 + 1 rows to ~5 * 10**7
+    # the second free column would expand 10**4 + 1 rows to ~5 * 10**7;
+    # pmf walks, since the recurrence's error bound declines t = 10**4
     model = lp.PoissonModel([[1] * 6], [1.0] * 6)
     with pytest.raises(InputError, match="walk frontier"):
         lp.pmf(model, [10**4])
@@ -415,13 +416,19 @@ def test_walk_frontier_cap():
 def test_point_cap_on_every_route(monkeypatch):
     monkeypatch.setattr(S, "MAX_POINTS", 14)
     model = lp.PoissonModel([[1, 1, 1]], [1.0] * 3)
-    # k1 + k2 + k3 = 4 has 15 solutions, 4 has 15 leaves
+    # k1 + k2 + k3 = 4 has 15 solutions, 4 has 15 leaves; the rank-1
+    # recurrence would take 3 * 5 = 15 steps, past the cap, so pmf walks
     with pytest.raises(InputError, match="walk frontier"):
         lp.pmf(model, [4])
+    with pytest.raises(InputError, match="walk frontier"):
+        S._walk_family(model._walk_plan, [4])
     # the oracle's depth-first search honours the same cap
     with pytest.raises(InputError, match="enumerated"):
         enumerate_solutions(model.a, [4])
     assert lp.pmf(model, [3]).terms == enumerate_solutions(model.a, [3]).count == 10
+    # pmf answers [3] by the rank-1 recurrence in 12 steps; the walk
+    # itself stays under the cap there
+    assert S._walk_family(model._walk_plan, [3]).count == 10
     line = lp.PoissonModel([[1, 1]], [1.0, 1.0])
     assert lp.pmf(line, [13]).terms == 14
     # a line is summed in blocks of at most MAX_POINTS points, so its
