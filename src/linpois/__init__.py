@@ -24,9 +24,9 @@ from .intlinalg import (
     parse_matrix_text,
     snf,
 )
-from .kernels import default_backend, poisson_cdf_table, uniform53
+from .kernels import default_backend, poisson_cdf_table
 from .model import PoissonModel, load_model_file, model_from_dict
-from .montecarlo import RngState, SampleReport, sample_many, sample_x, verify
+from .montecarlo import SampleReport, sample_many, verify
 from .pmf import (
     PmfResult,
     gf_eval,
@@ -76,13 +76,10 @@ __all__ = [
     "gf_eval",
     "gf_eval_series",
     "pmf_table",
-    "RngState",
     "SampleReport",
-    "sample_x",
     "sample_many",
     "verify",
     "default_backend",
-    "uniform53",
     "poisson_cdf_table",
     "__version__",
 ]

@@ -102,8 +102,8 @@ def _cmd_snf(args) -> int:
 
 def _cmd_solve(args) -> int:
     model = _load_model(args)
-    fam, tag = solution_family(model, args.b)
-    payload = {"method": str(tag), "kind": fam.kind, "count": fam.count}
+    fam = solution_family(model, args.b)
+    payload = {"method": str(model.method), "kind": fam.kind, "count": fam.count}
     if fam.kind == "line":
         payload["base"] = [int(x) for x in fam.base]
         payload["direction"] = [int(x) for x in fam.direction]
@@ -113,7 +113,8 @@ def _cmd_solve(args) -> int:
     else:
         lines = _lines(payload)
         if fam.count:
-            payload["solutions"] = [list(k) for k in fam.solutions]
+            # rows of exact ints, int64 or object, in lexicographic order
+            payload["solutions"] = sorted(fam.array.tolist())
             lines += [f"solution: {_text(k)}" for k in payload["solutions"]]
     return _emit(args, payload, lines)
 

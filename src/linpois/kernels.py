@@ -6,7 +6,9 @@ RNG contract (counter-based, splittable, platform-independent):
 with mix64 the SplitMix64 finalizer and C = 0x9E3779B97F4A7C15.  Keys
 are assigned key = sample_index * n_coords + coord, so any block of
 samples can be generated independently and out of order; t counts the
-uniforms consumed by one draw.
+uniforms consumed by one draw.  The tests keep a scalar Python
+reference of this contract (tests/oracle.py) that the array generator
+must match bit for bit.
 
 Poisson draws: rates below 30 invert a CDF table precomputed in Python,
 read through a guide table (indexed search: Chen & Asau, AIIE Trans.
@@ -77,8 +79,6 @@ from .model import _log_factorials
 
 __all__ = [
     "default_backend",
-    "mix64",
-    "uniform53",
     "poisson_cdf_table",
     "sample_block",
     "hits_block",
@@ -120,28 +120,6 @@ def default_backend() -> str:
 
 
 # ---------------------------------------------------------------- RNG
-
-def mix64(x: int) -> int:
-    """SplitMix64 finalizer on a 64-bit word (reference implementation)."""
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
-
-
-def uniform53(seed: int, key: int, t: int) -> float:
-    """The t-th uniform of stream (seed, key), in [0, 1).
-
-    Reference implementation of the documented contract; the array
-    generator must reproduce it bit for bit.
-    """
-    base = mix64((seed + _GOLDEN_I * (key + 1)) & _MASK64)
-    x = mix64((base + _GOLDEN_I * (t + 1)) & _MASK64)
-    return (x >> 11) * _INV53
-
 
 def _mix64_np(x: np.ndarray) -> np.ndarray:
     x = x ^ (x >> _U_R30)

@@ -18,44 +18,18 @@ from .kernels import check_seed, hits_block, sample_block
 from .model import PoissonModel
 from .pmf import pmf
 
-__all__ = ["RngState", "SampleReport", "sample_x", "sample_many", "verify"]
+__all__ = ["SampleReport", "sample_many", "verify"]
 
 # the most samples one hits_block call draws, as int64 arrays of one
 # column each
 _SAMPLE_BLOCK = 1 << 20
 
 
-class RngState:
-    """Stream position: a fixed seed plus the index of the next sample.
-
-    Counter-based, so a state at any index can be constructed directly;
-    drawing never mutates global state.
-    """
-
-    __slots__ = ("seed", "counter")
-
-    def __init__(self, seed, counter: int = 0):
-        self.seed = check_seed(seed)
-        counter = operator.index(counter)
-        if counter < 0:
-            raise InputError("counter must be >= 0")
-        self.counter = counter
-
-    def __repr__(self) -> str:
-        return f"RngState(seed={self.seed}, counter={self.counter})"
-
-
-def sample_x(rates, state: RngState) -> np.ndarray:
-    """One vector of independent Poisson(rates) draws; advances state."""
-    block = sample_block(rates, state.seed, state.counter, state.counter + 1)
-    state.counter += 1
-    return block[0]
-
-
 def sample_many(rates, seed, n_samples: int, start: int = 0) -> np.ndarray:
     """(n_samples, n) draws with sample indices [start, start + n_samples).
 
-    Equals stacking sample_x calls from the same starting state.
+    Row s equals the one-row sample_block(rates, seed, start + s,
+    start + s + 1): each sample is a pure function of its index.
     """
     n_samples = operator.index(n_samples)
     if n_samples < 0:

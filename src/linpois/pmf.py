@@ -1,12 +1,13 @@
 """Probability evaluation for Y = A X.
 
 P(Y = b) is a sum of independent-Poisson product terms over the
-solution set of A k = b.  solution_family builds that set by one route
-that the query alone decides: b is checked here, the Smith normal form
-decides whether b is on the lattice and reads off a singleton or a
-line, and, when the kernel of A has dimension 2 or more, the walk over
-the free coordinates of the model's cached walk plan (_walk_family)
-lists the points without checking b again.  The model's reduced
+solution set of A k = b.  pmf and solution_family share one query step
+(_lattice_family): b is checked, and the Smith normal form decides
+whether b is on the lattice and reads off a singleton or a line.  When
+the kernel of A has dimension 2 or more, solution_family walks the free
+coordinates of the model's cached walk plan (_walk_family), which lists
+the points without checking b again; pmf first tries the rank-1
+recurrence below, and walks only when it declines.  The model's reduced
 system has no zero-rate column (preprocess removes them with the zero
 columns), so every term of every point is finite.  Log terms are
 formed in numpy passes over arrays of lattice points, never over
@@ -177,30 +178,32 @@ def logsumexp(terms) -> float:
     return hi + math.log(math.fsum(np.exp(t - hi).tolist()))
 
 
-def _check_observation(model: PoissonModel, b) -> list[int] | None:
-    """Validated b as a list of ints, or None if a negative entry makes
-    P(Y=b) = 0."""
+def _lattice_family(model: PoissonModel, b) -> tuple[list[int] | None, SolutionFamily | None]:
+    """The query step of pmf and solution_family: b checked, then the
+    SNF lattice test.
+
+    Returns b as a list of ints and its solution family, read off the
+    model's SNF; the family is None when the kernel of A has dimension
+    2 or more and b is on the lattice, which is then to be walked (or,
+    in pmf, answered by the recurrence).  A negative entry of b gives
+    (None, the empty family).  _walk_family and _recurrence trust these
+    checks.
+    """
     b = int_vector(b)
     if b.shape[0] != model.m_full:
         raise InputError(f"observation length {b.shape[0]} != row count {model.m_full}")
     b = b.tolist()
-    return None if any(x < 0 for x in b) else b
+    if any(x < 0 for x in b):
+        return None, SolutionFamily.empty()
+    return b, snf_family(model.snf, b)
 
 
-def solution_family(model: PoissonModel, b) -> tuple[SolutionFamily, MethodTag]:
-    """Solution set of A k = b, plus the model's route tag.
-
-    The set is read off the model's SNF; on the lattice, a kernel of
-    dimension 2 or more is walked over its free coordinates.  This and
-    pmf's rank-1 branch are the walk's callers: both trust the checks
-    on b of _check_observation and the lattice test of snf_family.
-    """
-    tag = model.method
-    b = _check_observation(model, b)
-    fam = SolutionFamily.empty() if b is None else snf_family(model.snf, b)
-    if fam is None:
-        fam = _walk_family(model._walk_plan, b)
-    return fam, tag
+def solution_family(model: PoissonModel, b) -> SolutionFamily:
+    """Solution set of A k = b, read off the model's SNF; on the
+    lattice, a kernel of dimension 2 or more is walked over its free
+    coordinates.  The model's route tag is model.method."""
+    b, fam = _lattice_family(model, b)
+    return _walk_family(model._walk_plan, b) if fam is None else fam
 
 
 def _result(lp: float, tag: MethodTag, terms: int, summed: int, tail: float = 0.0) -> PmfResult:
@@ -257,7 +260,8 @@ def _recurrence(model: PoissonModel, b: list[int]) -> PmfResult | None:
     """P(Y = b) for a rank-1 A whose kernel has dimension 2 or more, by
     the Panjer recurrence; None when the route declines the query.
 
-    b is checked and on the lattice (pmf).  Every row is g_i w
+    b is checked and on the lattice (_lattice_family); None at once
+    when the model has no row plan (model._row_plan).  Every row is g_i w
     (solutions._RowPlan), so A k = b is w k = t with t = b[row] / g.
     Y' = w X has the generating function exp(sum_j l_j (z^w_j - 1)),
     whose derivative gives s P(s) = sum_j w_j l_j P(s - w_j) for
@@ -289,6 +293,8 @@ def _recurrence(model: PoissonModel, b: list[int]) -> PmfResult | None:
     0 when there are no points.
     """
     plan = model._row_plan
+    if plan is None:
+        return None
     t = b[plan.row] // plan.g
     if len(plan.w) * (t + 1) > solutions.MAX_POINTS or 5 * (t + 1) * _EPS > RECURRENCE_TOL:
         return None
@@ -319,7 +325,7 @@ def _recurrence(model: PoissonModel, b: list[int]) -> PmfResult | None:
     return _result(lp, model.method, count, t + 1)
 
 
-def _line_sum(fam: SolutionFamily, model: PoissonModel, tag: MethodTag) -> PmfResult:
+def _line_sum(fam: SolutionFamily, model: PoissonModel) -> PmfResult:
     """P(Y = b) over a line: evaluate a window around the mode of the
     terms t(j), then certify it on the terms it sums.
 
@@ -345,7 +351,7 @@ def _line_sum(fam: SolutionFamily, model: PoissonModel, tag: MethodTag) -> PmfRe
                            model.term_constants) for j in range(lo, hi + 1, step)]
 
     if b - a < FIRST_BLOCK:
-        return _summed(np.concatenate(blocks(a, b)), tag, terms=fam.count)
+        return _summed(np.concatenate(blocks(a, b)), model.method, terms=fam.count)
     moving = [(u, v, (v + 1) / 2, r) for u, v, r in zip(fam.base, fam.direction,
                                                         model.rates.tolist()) if v]
 
@@ -398,7 +404,7 @@ def _line_sum(fam: SolutionFamily, model: PoissonModel, tag: MethodTag) -> PmfRe
         tail_logs.append(math.log(lo - a) + float(t[0]))
     if hi < b:
         tail_logs.append(math.log(b - hi) + float(t[-1]))
-    return _summed(t, tag, terms=fam.count, tail_logs=tail_logs)
+    return _summed(t, model.method, terms=fam.count, tail_logs=tail_logs)
 
 
 def pmf(model: PoissonModel, b) -> PmfResult:
@@ -406,28 +412,24 @@ def pmf(model: PoissonModel, b) -> PmfResult:
 
     Negative entries, a violated dependent-row relation or a b off the
     lattice A Z^n give probability 0 (a valid query, not an error).
-    A rank-1 A whose kernel has dimension 2 or more is answered by the
-    recurrence (_recurrence) when its step cap and error bound allow, a line
-    is summed over a certified window around its mode (_line_sum), and
-    every other family over all its points.  The result's method is
+    After the query step it shares with solution_family
+    (_lattice_family), a rank-1 A whose kernel has dimension 2 or more
+    is answered by the recurrence (_recurrence) when its step cap and
+    error bound allow, and otherwise walked; a line is summed over a
+    certified window around its mode (_line_sum), and every other
+    family over all its points.  The result's method is
     model.method, the kernel class that classify gives the model's SNF;
     it is the same for every b, whichever route answered.
     """
-    if model._row_plan is None:
-        fam, tag = solution_family(model, b)
-    else:
-        # solution_family's steps, with the recurrence tried before the walk
-        tag = model.method
-        b = _check_observation(model, b)
-        fam = SolutionFamily.empty() if b is None else snf_family(model.snf, b)
-        if fam is None:
-            res = _recurrence(model, b)
-            if res is not None:
-                return res
-            fam = _walk_family(model._walk_plan, b)
+    b, fam = _lattice_family(model, b)
+    if fam is None:
+        res = _recurrence(model, b)
+        if res is not None:
+            return res
+        fam = _walk_family(model._walk_plan, b)
     if fam.kind == "line":
-        return _line_sum(fam, model, tag)
-    return _summed(_log_terms(fam.points(), model.rates, model.term_constants), tag)
+        return _line_sum(fam, model)
+    return _summed(_log_terms(fam.points(), model.rates, model.term_constants), model.method)
 
 
 def _check_z(model: PoissonModel, z) -> np.ndarray:
@@ -473,9 +475,13 @@ def pmf_table(model: PoissonModel, degree_bound: int) -> np.ndarray:
     t_max + 1 shifted copies of the box, t_max = min_i floor(B / a_ij)
     over its positive entries, so the work is counted as
     (1 + sum_j (t_max_j + 1)) (B+1)^m; InputError when it exceeds
-    MAX_TABLE_WORK.
+    MAX_TABLE_WORK, and when degree_bound is not an int >= 0 (a float
+    or a string is refused, not truncated or parsed).
     """
-    B = int(degree_bound)
+    try:
+        B = operator.index(degree_bound)
+    except TypeError:
+        raise InputError("degree bound must be an integer") from None
     if B < 0:
         raise InputError("degree bound must be >= 0")
     m = model.m_full
@@ -503,10 +509,12 @@ def pmf_table(model: PoissonModel, degree_bound: int) -> np.ndarray:
 
 def gf_eval_series(model: PoissonModel, z, degree_bound: int = 40) -> float:
     """Truncated series sum_{b in [0,B]^m} P(Y=b) z^b, for cross-checks
-    against gf_eval; the omitted tail is nonnegative."""
+    against gf_eval; the omitted tail is nonnegative.  InputError, as in
+    pmf_table, for a degree_bound that is not an int >= 0."""
     z = _check_z(model, z)
-    table = pmf_table(model, degree_bound)
-    out = table
+    out = pmf_table(model, degree_bound)
+    # B + 1 powers per axis, B the bound pmf_table validated
+    powers = np.arange(out.shape[0])
     for zi in z:
-        out = np.tensordot(zi ** np.arange(degree_bound + 1), out, axes=(0, 0))
+        out = np.tensordot(zi ** powers, out, axes=(0, 0))
     return float(out)

@@ -5,10 +5,11 @@ p A q = d: whether b is on the lattice (dependent rows included), then
 a singleton when the kernel of A is trivial or a line ``u + j v`` when
 it has dimension 1, for any elementary divisors.  For a kernel of
 dimension 2 or more with b on the lattice, ``pmf.solution_family``
-finishes the set with ``_walk_family``: a breadth-first walk, in numpy
-array passes, over only the n - r free coordinates of a ``_WalkPlan``,
-whose r basis coordinates are then solved exactly with an integer
-matrix read off the Smith form of the m x r block of basis columns.
+(and ``pmf.pmf``, when its rank-1 recurrence declines) finishes the set
+with ``_walk_family``: a breadth-first walk, in numpy array passes,
+over only the n - r free coordinates of a ``_WalkPlan``, whose r basis
+coordinates are then solved exactly with an integer matrix read off
+the Smith form of the m x r block of basis columns.
 The walk trusts the lattice test and the caller's checks on b.
 ``_RowPlan`` reduces a matrix of rank 1 to one primitive row, for
 pmf's recurrence, which answers such a kernel without the walk when
@@ -91,9 +92,7 @@ class SolutionFamily:
     integer array, int64 or, when an entry does not fit, object; the
     rows are in no set order.  kind is "line", or from the number of
     points "empty" (0), "singleton" (1) or "finite" (more), so the same
-    point set has the same kind whichever route built it.  Two families
-    are equal when they have the same kind, line parameters and set of
-    points.
+    point set has the same kind whichever route built it.
     """
 
     base: tuple[int, ...] | None = None
@@ -168,35 +167,6 @@ class SolutionFamily:
         except OverflowError:
             raise InputError("solution counts exceed the float64 range") from None
 
-    def vectors(self):
-        """Iterate every solution vector as a tuple of ints: a line in
-        the order of j, a singleton or finite family lexicographically."""
-        if self.kind == "line":
-            for j in range(self.jmin, self.jmax + 1):
-                yield tuple(u + j * v for u, v in zip(self.base, self.direction))
-        elif self.array is not None:
-            yield from sorted(map(tuple, self.array.tolist()))
-
-    @property
-    def solutions(self) -> tuple[tuple[int, ...], ...]:
-        """The points of a singleton or finite family as tuples in
-        lexicographic order; () for a line or an empty family."""
-        return () if self.kind == "line" else tuple(self.vectors())
-
-    def as_set(self) -> frozenset:
-        return frozenset(self.vectors())
-
-    def _key(self):
-        return (self.kind, self.base, self.direction, self.jmin, self.jmax, self.solutions)
-
-    def __eq__(self, other):
-        if not isinstance(other, SolutionFamily):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 def classify(dec: SnfDecomposition) -> MethodTag:
     """Evaluation route from the kernel dimension n - rank of A.
@@ -230,7 +200,7 @@ def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
     dimension 0 gives at most one point; dimension 1 gives a line whose
     j-interval is cut out with exact integer floor/ceil, for any
     divisors.  For dimension 2 or more, returns None when b is on the
-    lattice, and pmf.solution_family walks the free coordinates.
+    lattice, and pmf.solution_family or pmf.pmf takes over.
     A line unbounded on one side, from a zero column or a negative
     entry, is an InputError.
     """
@@ -456,10 +426,6 @@ class PreprocessReport:
     original_shape: tuple[int, int]
     removed_columns: tuple[int, ...]
     rates: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.removed_columns
 
 
 def preprocess(a, rates):

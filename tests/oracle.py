@@ -1,9 +1,11 @@
 """Independent reference implementations the tests compare against.
 
 None of these is used by the package: brute-force enumeration of the
-solution set, an exact determinant by fraction-free elimination, the
-gcd of all minors (which fixes the elementary divisors), one product
-term and a log-sum formed with math.fsum, and a model reduced by hand.
+solution set, the points of a solution family as a set, an exact
+determinant by fraction-free elimination, the gcd of all minors (which
+fixes the elementary divisors), one product term and a log-sum formed
+with math.fsum, a model reduced by hand, and the scalar reference of
+the sampling kernels' RNG contract (mix64, uniform53).
 """
 
 import math
@@ -15,6 +17,10 @@ from linpois import PoissonModel, solutions
 from linpois.errors import InputError
 from linpois.intlinalg import int_matrix, int_vector
 from linpois.solutions import SolutionFamily
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN_I = 0x9E3779B97F4A7C15
+_INV53 = 2.0 ** -53
 
 # minor_gcd enumerates all i-by-i minors, which is exponential in the
 # matrix size; refuse anything past this bound.
@@ -82,6 +88,21 @@ def enumerate_solutions(a, b) -> SolutionFamily:
         return SolutionFamily.finite([()] if all(r == 0 for r in residual) else [])
     rec(0)
     return SolutionFamily.finite(out)
+
+
+def line_points(fam) -> list:
+    """The points base + j * direction of a line family as tuples of
+    Python ints, in the order j = jmin..jmax."""
+    return [tuple(u + j * v for u, v in zip(fam.base, fam.direction))
+            for j in range(fam.jmin, fam.jmax + 1)]
+
+
+def family_set(fam) -> set:
+    """The points of a SolutionFamily as a set of tuples of Python ints:
+    line_points on a line, the rows of its array otherwise."""
+    if fam.base is not None:
+        return set(line_points(fam))
+    return set() if fam.array is None else set(map(tuple, fam.array.tolist()))
 
 
 def det_exact(a) -> int:
@@ -166,3 +187,25 @@ def hand_reduced(a, rates):
     if not live:
         return None
     return PoissonModel([[row[j] for j in live] for row in a], [rates[j] for j in live])
+
+
+def mix64(x: int) -> int:
+    """SplitMix64 finalizer on a 64-bit word (reference implementation)."""
+    x &= _MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    x ^= x >> 31
+    return x
+
+
+def uniform53(seed: int, key: int, t: int) -> float:
+    """The t-th uniform of stream (seed, key), in [0, 1).
+
+    Reference implementation of the documented contract; the array
+    generator must reproduce it bit for bit.
+    """
+    base = mix64((seed + _GOLDEN_I * (key + 1)) & _MASK64)
+    x = mix64((base + _GOLDEN_I * (t + 1)) & _MASK64)
+    return (x >> 11) * _INV53

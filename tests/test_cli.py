@@ -16,7 +16,7 @@ import pytest
 
 from linpois.cli import run
 
-from oracle import enumerate_solutions, reference_log_prob
+from oracle import enumerate_solutions, family_set, reference_log_prob
 
 A1 = [[1, 0, 1], [0, 2, 1]]
 
@@ -114,6 +114,23 @@ def test_solve_walked_single_point_is_singleton(tmp_path, capsys):
         "method: enumerate", "kind: singleton", "count: 1", "solution: 0 0 0"]
 
 
+def test_solve_lists_wide_entries_exactly(tmp_path, capsys):
+    # entries past int64 are walked on an object array; solve lists its
+    # six points as exact ints in lexicographic order
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"a": [[1, 2**64, 2**64]], "lambda": [1.0] * 3}))
+    want = [[3, 0, 2], [3, 1, 1], [3, 2, 0],
+            [2**64 + 3, 0, 1], [2**64 + 3, 1, 0], [2**65 + 3, 0, 0]]
+    assert run(["solve", str(path), "--b", str(2**65 + 3), "--format", "json"]) == 0
+    out = _json_out(capsys)
+    assert (out["method"], out["kind"], out["count"]) == ("enumerate", "finite", 6)
+    assert out["solutions"] == want
+    assert all(type(x) is int for k in out["solutions"] for x in k)
+    assert run(["solve", str(path), "--b", str(2**65 + 3)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("solution:")]
+    assert lines == [f"solution: {' '.join(map(str, k))}" for k in want]
+
+
 # ------------------------------------------------------------- pmf
 
 def test_pmf_auto_matches_enumerate(model1_file, capsys):
@@ -122,7 +139,7 @@ def test_pmf_auto_matches_enumerate(model1_file, capsys):
     enum = enumerate_solutions(A1, [2, 2])
     assert auto["method"] == "single-index"
     assert auto["terms"] == enum.count == 2
-    assert math.isclose(auto["log_prob"], reference_log_prob([1.0] * 3, enum.vectors()),
+    assert math.isclose(auto["log_prob"], reference_log_prob([1.0] * 3, family_set(enum)),
                         rel_tol=1e-12)
     assert auto["clamped"] is False
 

@@ -18,6 +18,7 @@ from linpois.model import PoissonModel
 from linpois.montecarlo import sample_many, verify
 
 from conftest import EXAMPLE3
+from oracle import mix64, uniform53
 
 
 # ------------------------------------------------------ RNG contract
@@ -27,16 +28,16 @@ def test_mix64_matches_published_splitmix64_stream():
     # three are standard reference values
     C = 0x9E3779B97F4A7C15
     expect = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-    got = [K.mix64((i * C) & (2**64 - 1)) for i in (1, 2, 3)]
+    got = [mix64((i * C) & (2**64 - 1)) for i in (1, 2, 3)]
     assert got == expect
 
 
 def test_uniform53_range_and_determinism():
-    us = [K.uniform53(9, key, t) for key in range(40) for t in range(4)]
+    us = [uniform53(9, key, t) for key in range(40) for t in range(4)]
     assert all(0.0 <= u < 1.0 for u in us)
-    assert K.uniform53(9, 3, 7) == K.uniform53(9, 3, 7)
-    assert K.uniform53(9, 3, 7) != K.uniform53(9, 4, 7)
-    assert K.uniform53(9, 3, 7) != K.uniform53(10, 3, 7)
+    assert uniform53(9, 3, 7) == uniform53(9, 3, 7)
+    assert uniform53(9, 3, 7) != uniform53(9, 4, 7)
+    assert uniform53(9, 3, 7) != uniform53(10, 3, 7)
     # no trivially repeated values in a small slice of the stream
     assert len(set(us)) == len(us)
 
@@ -47,7 +48,7 @@ def test_numpy_uniforms_match_reference():
     bases = K._bases_np(seed, keys)
     for t in (0, 1, 7):
         got = K._uniforms_np(bases, t)
-        ref = [K.uniform53(seed, int(k), t) for k in keys]
+        ref = [uniform53(seed, int(k), t) for k in keys]
         assert got.tolist() == ref
 
 

@@ -11,37 +11,19 @@ import pytest
 import linpois as lp
 from linpois import kernels, montecarlo
 from linpois.errors import InputError
-from linpois.montecarlo import RngState, _shard_bounds, sample_many, sample_x, verify
-
-
-def test_rng_state_counter_advances():
-    st = RngState(seed=5)
-    a = sample_x([1.0, 2.0], st)
-    b = sample_x([1.0, 2.0], st)
-    assert st.counter == 2
-    # same seed, fresh state reproduces the stream
-    st2 = RngState(seed=5)
-    assert np.array_equal(sample_x([1.0, 2.0], st2), a)
-    assert np.array_equal(sample_x([1.0, 2.0], st2), b)
-
-
-def test_rng_state_validation():
-    with pytest.raises(InputError):
-        RngState(seed=-1)
-    with pytest.raises(InputError):
-        RngState(seed=0, counter=-3)
+from linpois.montecarlo import _shard_bounds, sample_many, verify
 
 
 def test_sample_x_zero_rates():
-    st = RngState(seed=0)
-    assert sample_x([0.0, 0.0, 0.0], st).tolist() == [0, 0, 0]
+    assert sample_many([0.0, 0.0, 0.0], 0, 1).tolist() == [[0, 0, 0]]
 
 
 def test_sample_many_equals_repeated_sample_x():
+    # each sample is a pure function of its index: one block of ten
+    # equals ten one-row blocks
     rates = [0.5, 3.0]
     block = sample_many(rates, 88, 10)
-    st = RngState(seed=88)
-    singles = np.vstack([sample_x(rates, st) for _ in range(10)])
+    singles = np.vstack([kernels.sample_block(rates, 88, s, s + 1) for s in range(10)])
     assert np.array_equal(block, singles)
 
 

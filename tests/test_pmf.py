@@ -24,8 +24,8 @@ from linpois.model import _log_factorials, rate_constants
 from linpois.pmf import _log_terms, _summed
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
-from oracle import (enumerate_solutions, hand_reduced, reference_log_prob, reference_log_sum,
-                    reference_term)
+from oracle import (enumerate_solutions, family_set, hand_reduced, line_points,
+                    reference_log_prob, reference_log_sum, reference_term)
 
 P = importlib.import_module("linpois.pmf")
 
@@ -140,7 +140,7 @@ def test_pmf_matches_fsum_reference_on_enumeration(data):
     fam = enumerate_solutions(model.a, b)
     res = lp.pmf(model, b)
     assert res.terms == fam.count
-    assert agrees_with_reference(res, reference_log_prob(model.rates.tolist(), fam.vectors()))
+    assert agrees_with_reference(res, reference_log_prob(model.rates.tolist(), family_set(fam)))
     hand = hand_reduced(rows, lam)
     if hand is not None:
         assert lp.pmf(hand, b) == res
@@ -164,7 +164,7 @@ def test_pmf_long_lines_match_fsum_reference(coeffs, size, lam):
     assert model.method is (MethodTag.INVERTIBLE if 0.0 in lam else MethodTag.SINGLE_INDEX)
     points = [(k1, (b - a1 * k1) // a2) for k1 in range(b // a1 + 1) if (b - a1 * k1) % a2 == 0]
     if b <= 60:
-        assert set(points) == enumerate_solutions([[a1, a2]], [b]).as_set()
+        assert set(points) == family_set(enumerate_solutions([[a1, a2]], [b]))
     live = [k for k in points if all(x == 0 or r > 0.0 for x, r in zip(k, lam))]
     res = lp.pmf(model, [b])
     assert res.terms == len(live) <= 10_001
@@ -227,10 +227,10 @@ def test_windowed_line_sum_matches_full_sum(case):
     a, rates, b = case
     model = lp.PoissonModel(a, rates)
     assume(model.method is MethodTag.SINGLE_INDEX)
-    fam, _ = lp.solution_family(model, b)
+    fam = lp.solution_family(model, b)
     assume(fam.kind == "line" and fam.count <= 10_000)
     lam = model.rates.tolist()
-    terms = [reference_term(k, lam) for k in fam.vectors()]
+    terms = [reference_term(k, lam) for k in line_points(fam)]
     res, blocks = summed_blocks(model, b)
     assert res.terms == fam.count
     full = reference_log_sum(terms)
@@ -266,7 +266,7 @@ def test_window_of_a_million_point_line():
     is evaluated in a small fraction of the memory the line would take."""
     model = lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1])
     b = [2 * 10**6, 2 * 10**6]
-    fam, _ = lp.solution_family(model, b)
+    fam = lp.solution_family(model, b)
     assert fam.count == 10**6 + 1
     res = lp.pmf(model, b)
     tracemalloc.start()
@@ -436,13 +436,13 @@ def test_pmf_line_partly_live(model1):
     # of the full matrix, the one with k1 = 0 is the reduced singleton
     model = lp.PoissonModel(EXAMPLE1, [0.0, 1.5, 2.0])
     assert model.report.removed_columns == (0,) and model.method is MethodTag.INVERTIBLE
-    fam, _ = lp.solution_family(model, [20, 60])
-    assert fam.kind == "singleton" and list(fam.vectors()) == [(20, 20)]
+    fam = lp.solution_family(model, [20, 60])
+    assert fam.kind == "singleton" and family_set(fam) == {(20, 20)}
     res = lp.pmf(model, [20, 60])
     assert res.terms == 1
     line = enumerate_solutions(EXAMPLE1, [20, 60])
     assert line.count == 11
-    assert agrees_with_reference(res, reference_log_prob([0.0, 1.5, 2.0], line.vectors()))
+    assert agrees_with_reference(res, reference_log_prob([0.0, 1.5, 2.0], family_set(line)))
     assert math.isclose(res.log_prob, lp.log_term([0, 20, 20], [0.0, 1.5, 2.0]), rel_tol=1e-15)
 
 
@@ -576,8 +576,8 @@ def test_moment_identity_with_zero_rates_and_zero_columns(data):
 
 def walked(model, b):
     """pmf's answer from the walk: every lattice point, summed."""
-    fam, tag = lp.solution_family(model, b)
-    return _summed(_log_terms(fam.points(), model.rates, model.term_constants), tag)
+    fam = lp.solution_family(model, b)
+    return _summed(_log_terms(fam.points(), model.rates, model.term_constants), model.method)
 
 
 def rel_gap(x, y):
@@ -775,15 +775,19 @@ def test_pmf_takes_no_method_option(model1, model3):
 def test_removed_names_are_not_exported():
     removed = ["pmf_single_index", "pmf_invertible", "pmf_enumerate",
                "MethodNotApplicableError", "enumerate_solutions", "det_exact", "minor_gcd",
-               "WalkPlan", "walk_family"]
+               "WalkPlan", "walk_family", "RngState", "sample_x", "mix64", "uniform53"]
     for name in ("linpois", "linpois.errors", "linpois.intlinalg", "linpois.pmf",
-                 "linpois.solutions"):
+                 "linpois.solutions", "linpois.montecarlo", "linpois.kernels"):
         mod = importlib.import_module(name)
         for attr in removed:
             assert not hasattr(mod, attr), f"{name}.{attr}"
     assert not set(removed) & set(lp.__all__)
     # the walk is a private step of solution_family
     assert not hasattr(lp.PoissonModel, "walk_plan")
+    # a family is a record: its points are read from its fields
+    for attr in ("vectors", "solutions", "as_set"):
+        assert not hasattr(lp.SolutionFamily, attr)
+    assert not hasattr(lp.PreprocessReport, "is_trivial")
 
 
 def test_pmf_dependent_rows_checked_against_original_b():
@@ -808,7 +812,7 @@ def test_method_agreement_with_enumeration(data):
     b = [data.draw(st.integers(0, 8)) for _ in range(m)]
     auto = lp.pmf(model, b)
     brute = enumerate_solutions(model.a, b)
-    ref = reference_log_prob(model.rates.tolist(), brute.vectors())
+    ref = reference_log_prob(model.rates.tolist(), family_set(brute))
     assert rel_close(auto.prob, math.exp(ref))
     assert auto.terms == brute.count
     assert auto.method is model.method
@@ -950,6 +954,19 @@ def test_pmf_table_guards(model1):
     # add 10**5 + 1 shifted copies of it: refused before any work
     with pytest.raises(InputError, match="work cap"):
         lp.pmf_table(lp.PoissonModel([[1]], [1.0]), 10**5)
+
+
+def test_degree_bound_must_be_an_int(model1):
+    # a float was truncated and a string parsed by pmf_table, and
+    # gf_eval_series leaked numpy's ValueError or a TypeError
+    for bad in (2.5, "3", None):
+        with pytest.raises(InputError, match="integer"):
+            lp.pmf_table(model1, bad)
+        with pytest.raises(InputError, match="integer"):
+            lp.gf_eval_series(model1, [0.5, 0.5], bad)
+    assert lp.pmf_table(model1, np.int64(3)).shape == (4, 4)
+    assert lp.gf_eval_series(model1, [0.5, 0.5], np.int64(3)) == lp.gf_eval_series(
+        model1, [0.5, 0.5], 3)
 
 
 # ------------------------------------------------- model validation

@@ -24,7 +24,8 @@ from linpois.cli import run
 from linpois.errors import InputError
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, EXAMPLE3_INVERSE
-from oracle import det_exact, enumerate_solutions, hand_reduced, reference_log_prob
+from oracle import (det_exact, enumerate_solutions, family_set, hand_reduced, line_points,
+                    reference_log_prob)
 
 
 # the environment of a child interpreter that imports this checkout and
@@ -32,10 +33,6 @@ from oracle import det_exact, enumerate_solutions, hand_reduced, reference_log_p
 SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [str(Path(__file__).resolve().parents[1] / "src"), str(Path(__file__).resolve().parent),
      os.environ.get("PYTHONPATH", "")]))
-
-
-def family_set(fam):
-    return set(fam.vectors())
 
 
 def solve(a, b):
@@ -52,7 +49,7 @@ def _single_index_pool():
         m = int(rng.integers(1, 4))
         cand = rng.integers(0, 4, size=(m, m + 1))
         a, _, rep = lp.preprocess(cand, [1.0] * (m + 1))
-        if rep.is_trivial and lp.classify(lp.snf(a)) is MethodTag.SINGLE_INDEX:
+        if not rep.removed_columns and lp.classify(lp.snf(a)) is MethodTag.SINGLE_INDEX:
             pool.append(a)
     return pool
 
@@ -291,15 +288,15 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
     if model.n == a.shape[1]:
         assert model.method is MethodTag.ENUMERATE
     want = enumerate_solutions(model.a, b)
-    fam, _ = lp.solution_family(model, b)
-    assert fam.as_set() == want.as_set()
+    fam = lp.solution_family(model, b)
+    assert family_set(fam) == family_set(want)
     assert fam.count == want.count
     # the walk alone, where solution_family hands it b: on the lattice
     # and nonnegative
     if min(b) >= 0 and lp.snf_family(model.snf, b) is None:
-        assert S._walk_family(model._walk_plan, b).as_set() == want.as_set()
+        assert family_set(S._walk_family(model._walk_plan, b)) == family_set(want)
     auto = lp.pmf(model, b)
-    ref = reference_log_prob(model.rates.tolist(), want.vectors())
+    ref = reference_log_prob(model.rates.tolist(), family_set(want))
     assert auto.terms == want.count
     assert auto.log_prob == ref or math.isclose(auto.log_prob, ref, rel_tol=1e-12)
     hand = hand_reduced(a, rates)
@@ -317,7 +314,7 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
     else:
         assert fam.kind == want.kind
         if want.count:
-            assert out["solutions"] == [list(k) for k in want.vectors()]
+            assert out["solutions"] == [list(k) for k in sorted(family_set(want))]
 
 
 def test_walk_plan_takes_first_independent_block():
@@ -331,7 +328,8 @@ def test_walk_plan_takes_first_independent_block():
     plan = S._WalkPlan(lp.int_matrix([[2, 1, 1]]))
     assert (plan.basis, plan.det, plan.adj) == ((0,), 2, ((1,),))
     for b in range(7):
-        assert S._walk_family(plan, [b]).solutions == enumerate_solutions([[2, 1, 1]], [b]).solutions
+        fam, want = S._walk_family(plan, [b]), enumerate_solutions([[2, 1, 1]], [b])
+        assert family_set(fam) == family_set(want) and fam.count == want.count
     plan = S._WalkPlan(lp.int_matrix([[6, 10, 15, 4], [12, 20, 30, 8]]))
     assert (plan.basis, plan.det) == ((0,), 6)
 
@@ -346,20 +344,22 @@ def test_walk_plan_solves_leaves_from_every_row():
     assert np.array_equal(np.array(plan.adj, dtype=object) @ block, 2 * np.eye(2, dtype=int))
     for k in [(0, 0, 0, 1, 0), (1, 0, 0, 1, 1), (2, 1, 2, 0, 1), (2, 2, 2, 2, 2)]:
         b = [sum(x * y for x, y in zip(row, k)) for row in a]
-        assert S._walk_family(plan, b).solutions == enumerate_solutions(a, b).solutions
+        fam, want = S._walk_family(plan, b), enumerate_solutions(a, b)
+        assert family_set(fam) == family_set(want) and fam.count == want.count
 
 
 def test_dependent_rows_are_checked_before_the_walk():
     # row 1 = 2 * row 0: b = [3, 7] is off the lattice, so snf_family
     # answers it and the walk never sees it
     model = lp.PoissonModel([[1, 1, 2], [2, 2, 4]], [1.0, 1.0, 1.0])
-    assert lp.snf_family(model.snf, [3, 7]) == lp.SolutionFamily.empty()
-    assert lp.solution_family(model, [3, 7])[0] == lp.SolutionFamily.empty()
+    for fam in (lp.snf_family(model.snf, [3, 7]), lp.solution_family(model, [3, 7])):
+        assert fam.kind == "empty" and family_set(fam) == set()
     assert lp.pmf(model, [3, 7]).prob == 0.0
     assert lp.snf_family(model.snf, [3, 6]) is None
-    assert lp.solution_family(model, [3, 6])[0].solutions == (
-        (0, 1, 1), (0, 3, 0), (1, 0, 1), (1, 2, 0), (2, 1, 0), (3, 0, 0))
-    assert lp.solution_family(model, [3, -1])[0].kind == "empty"
+    fam = lp.solution_family(model, [3, 6])
+    assert fam.count == 6 and family_set(fam) == {
+        (0, 1, 1), (0, 3, 0), (1, 0, 1), (1, 2, 0), (2, 1, 0), (3, 0, 0)}
+    assert lp.solution_family(model, [3, -1]).kind == "empty"
     with pytest.raises(InputError):
         lp.solution_family(model, [3])
 
@@ -369,21 +369,21 @@ def test_walk_wide_entries_use_python_ints():
     proven safe run the walk on object arrays of Python ints."""
     a = [[1, 2**64, 2**64]]
     model = lp.PoissonModel(a, [1.0, 1.0, 1.0])
-    fam, tag = lp.solution_family(model, [2**65 + 3])
-    assert tag is MethodTag.ENUMERATE and fam.array.dtype == object
-    assert fam.solutions == (
+    fam = lp.solution_family(model, [2**65 + 3])
+    assert model.method is MethodTag.ENUMERATE and fam.array.dtype == object
+    assert fam.count == 6 and family_set(fam) == {
         (3, 0, 2), (3, 1, 1), (3, 2, 0),
         (2**64 + 3, 0, 1), (2**64 + 3, 1, 0), (2**65 + 3, 0, 0),
-    )
+    }
     res = lp.pmf(model, [2**65 + 3])
     # the oracle: three terms with k_0 = 3 dominate; the others vanish
     big = [-3.0 - math.lgamma(k0 + 1) - math.lgamma(k1 + 1) - math.lgamma(k2 + 1)
-           for k0, k1, k2 in fam.solutions]
+           for k0, k1, k2 in family_set(fam)]
     hi = max(big)
     ref = hi + math.log(math.fsum(math.exp(t - hi) for t in big))
     assert res.terms == 6 and math.isclose(res.log_prob, ref, rel_tol=1e-12)
     # k_1 + k_2 = s for s = 0..3: 1 + 2 + 3 + 4 points
-    assert lp.solution_family(model, [2**65 + 2**64 + 3])[0].count == 10
+    assert lp.solution_family(model, [2**65 + 2**64 + 3]).count == 10
 
     cases = [
         ([[2**64, 2**64 + 1, 2**65]], [1, 1, 1]),
@@ -392,15 +392,18 @@ def test_walk_wide_entries_use_python_ints():
     ]
     for a, k in cases:
         b = [int(x) for x in lp.int_matrix(a) @ lp.int_vector(k)]
-        fam, tag = lp.solution_family(lp.PoissonModel(a, [1.0] * len(k)), b)
+        model = lp.PoissonModel(a, [1.0] * len(k))
+        fam = lp.solution_family(model, b)
         want = enumerate_solutions(a, b)
-        assert tag is MethodTag.ENUMERATE and fam.array.dtype == object
-        assert fam.solutions == want.solutions and tuple(k) in want.as_set()
+        assert model.method is MethodTag.ENUMERATE and fam.array.dtype == object
+        assert family_set(fam) == family_set(want) and fam.count == want.count
+        assert tuple(k) in family_set(want)
     # the same entries with b small enough to prove int64 safe
     a = [[10**11, 10**11, 2 * 10**11]]
-    fam, _ = lp.solution_family(lp.PoissonModel(a, [1.0] * 3), [4 * 10**11])
+    fam = lp.solution_family(lp.PoissonModel(a, [1.0] * 3), [4 * 10**11])
+    want = enumerate_solutions(a, [4 * 10**11])
     assert fam.array.dtype == np.int64
-    assert fam.solutions == enumerate_solutions(a, [4 * 10**11]).solutions
+    assert family_set(fam) == family_set(want) and fam.count == want.count
 
 
 # ------------------------------------------------------ point cap
@@ -437,7 +440,7 @@ def test_point_cap_on_every_route(monkeypatch):
     assert res.terms == res.summed == 15
     assert math.isclose(res.log_prob, 14 * math.log(2.0) - 2.0 - math.lgamma(15), rel_tol=1e-12)
     # holding the whole line at once is still refused
-    fam, _ = lp.solution_family(line, [14])
+    fam = lp.solution_family(line, [14])
     with pytest.raises(InputError, match="solution set of 15"):
         fam.points()
 
@@ -470,7 +473,7 @@ def test_enumerate_simplex_count():
     # k1 + k2 + k3 = 4 has C(6, 2) = 15 nonnegative solutions
     fam = enumerate_solutions([[1, 1, 1]], [4])
     assert fam.count == 15
-    assert all(sum(k) == 4 for k in fam.vectors())
+    assert all(sum(k) == 4 for k in family_set(fam))
 
 
 def test_enumerate_negative_b_is_empty():
@@ -495,10 +498,9 @@ def test_enumerate_solutions_are_valid_and_bounded(data):
     fam = enumerate_solutions(a, b)
     bvec = lp.int_vector(b)
     cap = max(int(x) for x in b)
-    seen = set()
-    for k in fam.vectors():
-        assert k not in seen
-        seen.add(k)
+    points = [tuple(k) for k in fam.array.tolist()]
+    assert len(points) == len(family_set(fam))
+    for k in points:
         assert all(x >= 0 for x in k)
         assert max(k) <= cap
         assert all(x == y for x, y in zip(a @ np.array(k, dtype=object), bvec))
@@ -530,9 +532,9 @@ def test_preprocess_proportional_rows():
     a, rates, rep = lp.preprocess([[1, 2], [2, 4]], [1.0, 1.0])
     assert a.tolist() == [[1, 2], [2, 4]]
     model = lp.PoissonModel([[1, 2], [2, 4]], [1.0, 1.0])
-    assert family_set(lp.solution_family(model, [3, 6])[0]) == {(3, 0), (1, 1)}
+    assert family_set(lp.solution_family(model, [3, 6])) == {(3, 0), (1, 1)}
     assert lp.pmf(model, [3, 6]).prob > 0
-    assert lp.solution_family(model, [3, 7])[0].kind == "empty"
+    assert lp.solution_family(model, [3, 7]).kind == "empty"
     assert lp.pmf(model, [3, 7]).prob == 0.0
 
 
@@ -541,16 +543,16 @@ def test_preprocess_mixed_dependence():
     a, rates, rep = lp.preprocess([[1, 0], [0, 1], [1, 1]], [1.0, 1.0])
     assert a.tolist() == [[1, 0], [0, 1], [1, 1]]
     model = lp.PoissonModel([[1, 0], [0, 1], [1, 1]], [1.0, 1.0])
-    assert family_set(lp.solution_family(model, [2, 3, 5])[0]) == {(2, 3)}
+    assert family_set(lp.solution_family(model, [2, 3, 5])) == {(2, 3)}
     assert lp.pmf(model, [2, 3, 5]).prob > 0
-    assert lp.solution_family(model, [2, 3, 6])[0].kind == "empty"
+    assert lp.solution_family(model, [2, 3, 6]).kind == "empty"
     assert lp.pmf(model, [2, 3, 6]).prob == 0.0
 
 
 def test_preprocess_full_rank_is_trivial():
     a, rates, rep = lp.preprocess(EXAMPLE1, [1.0, 1.0, 1.0])
     assert a.tolist() == lp.int_matrix(EXAMPLE1).tolist()
-    assert rep.is_trivial
+    assert rep.removed_columns == ()
 
 
 def test_preprocess_zero_matrix():
@@ -559,9 +561,9 @@ def test_preprocess_zero_matrix():
     assert rates.shape == (0,)
     assert rep.removed_columns == (0, 1)
     model = lp.PoissonModel([[0, 0]], [1.0, 2.0])
-    assert family_set(lp.solution_family(model, [0])[0]) == {()}
+    assert family_set(lp.solution_family(model, [0])) == {()}
     assert lp.pmf(model, [0]).prob == 1.0
-    assert lp.solution_family(model, [1])[0].kind == "empty"
+    assert lp.solution_family(model, [1]).kind == "empty"
     assert lp.pmf(model, [1]).prob == 0.0
 
 
@@ -585,29 +587,35 @@ def test_preprocess_validation():
 def test_family_count_and_vectors():
     line = lp.SolutionFamily.line([0, 0, 2], [2, 1, -2], 0, 1)
     assert line.count == 2
-    assert list(line.vectors()) == [(0, 0, 2), (2, 1, 0)]
+    assert line.points().tolist() == [[0, 0, 2], [2, 1, 0]]
+    assert family_set(line) == {(0, 0, 2), (2, 1, 0)}
     assert lp.SolutionFamily.empty().count == 0
-    assert lp.SolutionFamily.singleton([1, 2]).solutions == ((1, 2),)
+    assert family_set(lp.SolutionFamily.singleton([1, 2])) == {(1, 2)}
 
 
 def test_family_equality():
-    """Families compare by kind, line parameters and point set: the
-    rows of a finite family may come in any order, and the kind of a
-    point set follows from its size, whichever route built it."""
+    """A family is its kind and its point set: the rows of a finite
+    family may come in any order, and the kind of a point set follows
+    from its size, whichever route built it."""
     F = lp.SolutionFamily
-    assert F.empty() == F.empty()
-    assert F.line([0, 0, 2], [2, 1, -2], 0, 1) == F.line([0, 0, 2], [2, 1, -2], 0, 1)
-    assert F.line([0, 0, 2], [2, 1, -2], 0, 1) != F.line([0, 0, 2], [2, 1, -2], 0, 2)
-    assert F.singleton([1, 2]) == F.singleton([1, 2]) != F.singleton([2, 1])
-    assert F.finite([(0, 3), (1, 1)]) == F.finite([(1, 1), (0, 3)])
-    assert F.finite([(1, 2)]) == F.singleton([1, 2]) and F.finite([]) == F.empty()
+
+    def key(fam):
+        return fam.kind, frozenset(family_set(fam))
+
+    assert key(F.empty()) == key(F.empty())
+    assert key(F.line([0, 0, 2], [2, 1, -2], 0, 1)) == key(F.line([0, 0, 2], [2, 1, -2], 0, 1))
+    assert key(F.line([0, 0, 2], [2, 1, -2], 0, 1)) != key(F.line([0, 0, 2], [2, 1, -2], 0, 2))
+    assert key(F.singleton([1, 2])) == key(F.singleton([1, 2])) != key(F.singleton([2, 1]))
+    assert key(F.finite([(0, 3), (1, 1)])) == key(F.finite([(1, 1), (0, 3)]))
+    assert key(F.finite([(1, 2)])) == key(F.singleton([1, 2]))
+    assert key(F.finite([])) == key(F.empty())
     assert (F.finite([]).kind, F.finite([(1, 2)]).kind) == ("empty", "singleton")
-    assert F.finite([(2**70, 0)]) == F.finite([(2**70, 0)]) != F.finite([(0, 2**70)])
-    assert len({F.empty(), F.empty(), F.finite([(0, 3), (1, 1)]),
-                F.finite([(1, 1), (0, 3)])}) == 2
+    assert key(F.finite([(2**70, 0)])) == key(F.finite([(2**70, 0)])) != key(F.finite([(0, 2**70)]))
+    assert len({key(F.empty()), key(F.empty()), key(F.finite([(0, 3), (1, 1)])),
+                key(F.finite([(1, 1), (0, 3)]))}) == 2
     assert F.empty() != "empty"
-    walked, _ = lp.solution_family(lp.PoissonModel([[1, 1, 1]], [1.0] * 3), [2])
-    assert walked == enumerate_solutions([[1, 1, 1]], [2])
+    walked = lp.solution_family(lp.PoissonModel([[1, 1, 1]], [1.0] * 3), [2])
+    assert key(walked) == key(enumerate_solutions([[1, 1, 1]], [2]))
 
 
 def test_family_points_match_vectors():
@@ -622,7 +630,11 @@ def test_family_points_match_vectors():
     for fam in families:
         pts = fam.points()
         assert pts.dtype == np.float64
-        assert [tuple(int(x) for x in row) for row in pts.tolist()] == list(fam.vectors())
+        rows = [tuple(int(x) for x in row) for row in pts.tolist()]
+        assert len(rows) == fam.count and set(rows) == family_set(fam)
+        if fam.kind == "line":
+            # in the order of j
+            assert rows == line_points(fam)
     assert lp.SolutionFamily.finite([()]).points().shape == (1, 0)
     for empty in (lp.SolutionFamily.empty(), lp.SolutionFamily.finite([])):
         assert empty.points().shape == (0, 0)
