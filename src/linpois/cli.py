@@ -147,7 +147,7 @@ def _cmd_gf(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = _load_model(args)
-    rep = verify(model, args.b, args.n, args.seed, threads=args.threads)
+    rep = verify(model, args.b, args.n, args.seed)
     return _emit(args, {
         "b": [int(x) for x in rep.b],
         "exact_prob": rep.exact_prob,
@@ -156,7 +156,6 @@ def _cmd_sample(args) -> int:
         "z_score": rep.z_score,
         "seed": rep.seed,
         "hits": rep.hits,
-        "n_shards": rep.n_shards,
         "draws": rep.draws,
     })
 
@@ -207,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=int, nargs="+", required=True, metavar="B")
     sp.add_argument("--n", type=int, required=True, help="number of samples")
     sp.add_argument("--seed", type=int, required=True, help="unsigned 64-bit seed")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_cmd_sample)
 
     return parser

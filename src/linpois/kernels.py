@@ -6,9 +6,12 @@ RNG contract (counter-based, splittable, platform-independent):
 with mix64 the SplitMix64 finalizer and C = 0x9E3779B97F4A7C15.  Keys
 are assigned key = sample_index * n_coords + coord, so any block of
 samples can be generated independently and out of order; t counts the
-uniforms consumed by one draw.  The tests keep a scalar Python
-reference of this contract (tests/oracle.py) that the array generator
-must match bit for bit.
+uniforms consumed by one draw.  The array kernels form seed + C *
+(key + 1) for the samples s of a column c as one multiply and one add,
+s * (C * n) + (seed + C * (c + 1)) mod 2^64, and mix each fresh array
+in place with one scratch array for the shifts.  The tests keep a
+scalar Python reference of this contract (tests/oracle.py) that the
+array generator must match bit for bit.
 
 Poisson draws: rates below 30 invert a CDF table precomputed in Python,
 read through a guide table (indexed search: Chen & Asau, AIIE Trans.
@@ -88,14 +91,12 @@ _MASK64 = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1
 _GOLDEN_I = 0x9E3779B97F4A7C15
 
-_U_GOLDEN = np.uint64(_GOLDEN_I)
 _U_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _U_M2 = np.uint64(0x94D049BB133111EB)
 _U_R30 = np.uint64(30)
 _U_R27 = np.uint64(27)
 _U_R31 = np.uint64(31)
 _U_R11 = np.uint64(11)
-_U_ONE = np.uint64(1)
 _INV53 = 2.0 ** -53
 
 PTRS_THRESHOLD = 30.0
@@ -122,23 +123,37 @@ def default_backend() -> str:
 # ---------------------------------------------------------------- RNG
 
 def _mix64_np(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> _U_R30)
-    x = x * _U_M1
-    x = x ^ (x >> _U_R27)
-    x = x * _U_M2
-    x = x ^ (x >> _U_R31)
+    """SplitMix64 finalizer of each word of the uint64 array x, in place:
+    x is overwritten and returned; the shifts share one scratch array."""
+    t = x >> _U_R30
+    x ^= t
+    x *= _U_M1
+    np.right_shift(x, _U_R27, out=t)
+    x ^= t
+    x *= _U_M2
+    np.right_shift(x, _U_R31, out=t)
+    x ^= t
     return x
 
 
-def _bases_np(seed: int, keys: np.ndarray) -> np.ndarray:
-    return _mix64_np(np.uint64(seed & _MASK64) + _U_GOLDEN * (keys + _U_ONE))
+def _bases_np(seed: int, svec: np.ndarray, n: int, c: int) -> np.ndarray:
+    """base(seed, s * n + c) for each sample index s of svec.
+
+    seed + C * (s * n + c + 1) is formed as svec * (C * n) + (seed +
+    C * (c + 1)), the same value mod 2^64, with both constants reduced
+    in Python ints: scalar uint64 arithmetic in numpy warns on the
+    intended wraparound."""
+    x = svec * np.uint64((_GOLDEN_I * n) & _MASK64)
+    x += np.uint64((seed + _GOLDEN_I * (c + 1)) & _MASK64)
+    return _mix64_np(x)
 
 
 def _uniforms_np(bases: np.ndarray, t: int) -> np.ndarray:
-    # offset computed in Python ints: scalar uint64 arithmetic in numpy
-    # warns on the intended wraparound
-    off = np.uint64((_GOLDEN_I * (t + 1)) & _MASK64)
-    return (_mix64_np(bases + off) >> _U_R11).astype(np.float64) * _INV53
+    """The t-th uniform of each base; bases is left unchanged."""
+    x = _mix64_np(bases + np.uint64((_GOLDEN_I * (t + 1)) & _MASK64))
+    x >>= _U_R11
+    # below 2^53 every word converts to float64 exactly
+    return np.multiply(x, _INV53)
 
 
 def check_seed(seed) -> int:
@@ -278,7 +293,7 @@ def _sample_np(seed: int, start: int, stop: int, params: list) -> np.ndarray:
     out = np.zeros((stop - start, n), dtype=np.int64)
     svec = np.arange(start, stop, dtype=np.uint64)
     for c, param in enumerate(params):
-        bases = _bases_np(seed, svec * np.uint64(n) + np.uint64(c))
+        bases = _bases_np(seed, svec, n, c)
         if isinstance(param, tuple):
             out[:, c] = _draw_ptrs_np(bases, *param)
         else:
@@ -421,7 +436,7 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
     for k, c in enumerate(order):
         if not svec.size:
             break
-        bases = _bases_np(seed, svec * np.uint64(n) + np.uint64(c))
+        bases = _bases_np(seed, svec, n, c)
         param = params[c]
         x = _draw_ptrs_np(bases, *param) if isinstance(param, tuple) else _draw_table_np(bases, param)
         draws += x.size

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +38,10 @@ def sample_many(rates, seed, n_samples: int, start: int = 0) -> np.ndarray:
 @dataclass(frozen=True)
 class SampleReport:
     """z_score is NaN when the exact probability is 0 or 1 (the normal
-    approximation has no spread there).  n_shards records the layout of
-    contiguous sample blocks; results do not depend on it.  draws is the
-    number of Poisson variates drawn: a column is drawn only for the
-    samples that can still hit b, so it is at most n_samples times the
-    number of columns that can move Y."""
+    approximation has no spread there).  draws is the number of Poisson
+    variates drawn: a column is drawn only for the samples that can
+    still hit b, so it is at most n_samples times the number of columns
+    that can move Y."""
 
     b: tuple
     exact_prob: float
@@ -53,19 +50,7 @@ class SampleReport:
     z_score: float
     seed: int
     hits: int
-    n_shards: int
     draws: int
-
-
-def _shard_bounds(n: int, shards: int):
-    return [(i * n // shards, (i + 1) * n // shards) for i in range(shards)]
-
-
-def _count_hits(amat, target, rates, seed, lo: int, hi: int) -> tuple[int, int]:
-    """(hits, draws) among samples [lo, hi), drawn _SAMPLE_BLOCK at a time."""
-    blocks = [hits_block(amat, target, rates, seed, s, min(s + _SAMPLE_BLOCK, hi))
-              for s in range(lo, hi, _SAMPLE_BLOCK)]
-    return sum(blocks), sum(block.draws for block in blocks)
 
 
 def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> SampleReport:
@@ -73,14 +58,16 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
     of the empirical frequency against pmf(model, b).
 
     Reproducible: the result depends only on (model, b, n_samples,
-    seed), not on threads, which merely shards the counter range into
-    min(threads, n_samples, os.cpu_count()) shards, one thread each.
-    Each shard draws its samples in blocks of at most _SAMPLE_BLOCK, so
-    memory stays bounded for any n_samples.
+    seed).  The samples are counted in the calling thread, in blocks of
+    at most _SAMPLE_BLOCK, so memory stays bounded for any n_samples;
+    sample indices are uint64, so n_samples above 2**64 - 1 is an
+    InputError before any draw.  threads has no effect and must be
+    >= 1: it is kept only because the benchmark's mc-verify workload
+    passes it, and goes once that workload drops it (ROADMAP item 1).
     """
     n_samples = operator.index(n_samples)
-    if n_samples < 1:
-        raise InputError("n_samples must be >= 1")
+    if not 1 <= n_samples < 1 << 64:
+        raise InputError("n_samples must be >= 1 and fit in an unsigned 64-bit integer")
     threads = operator.index(threads)
     if threads < 1:
         raise InputError("threads must be >= 1")
@@ -93,16 +80,11 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
     exact = pmf(model, target).prob
     rates = model.rates_full
     amat = model.a_full
-
-    shards = _shard_bounds(n_samples, min(threads, n_samples, os.cpu_count() or 1))
-    if len(shards) == 1:
-        hits, draws = _count_hits(amat, target, rates, seed, 0, n_samples)
-    else:
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            futs = [pool.submit(_count_hits, amat, target, rates, seed, lo, hi)
-                    for lo, hi in shards]
-            counts = [f.result() for f in futs]
-        hits, draws = map(sum, zip(*counts))
+    hits = draws = 0
+    for lo in range(0, n_samples, _SAMPLE_BLOCK):
+        block = hits_block(amat, target, rates, seed, lo, min(lo + _SAMPLE_BLOCK, n_samples))
+        hits += block
+        draws += block.draws
 
     empirical = hits / n_samples
     if 0.0 < exact < 1.0:
@@ -117,6 +99,5 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
         z_score=z,
         seed=seed,
         hits=hits,
-        n_shards=len(shards),
         draws=draws,
     )

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from linpois import montecarlo
 from linpois.cli import run
 
 from oracle import enumerate_solutions, family_set, reference_log_prob
@@ -267,7 +268,7 @@ def test_sample_json_schema_and_determinism(model1_file, capsys):
     second = _json_out(capsys)
     assert first == second
     assert set(first) == {"b", "exact_prob", "empirical_prob", "n_samples",
-                          "z_score", "seed", "hits", "n_shards", "draws"}
+                          "z_score", "seed", "hits", "draws"}
     assert first["b"] == [2, 2]
     assert 0 < first["draws"] <= 3 * 20000
     assert first["n_samples"] == 20000
@@ -367,15 +368,23 @@ def test_sample_ignores_rate_of_a_zero_column(tmp_path, capsys):
     assert hits[0] == hits[1] > 0
 
 
-def test_sample_threads_flag(model1_file, capsys):
-    base = ["sample", model1_file, "--b", "1", "1", "--n", "30000",
-            "--seed", "9", "--format", "json"]
-    assert run(base) == 0
-    one = _json_out(capsys)
-    assert run(base + ["--threads", "4"]) == 0
-    four = _json_out(capsys)
-    assert four["hits"] == one["hits"]
-    assert four["n_shards"] == min(4, os.cpu_count() or 1)
+def test_sample_threads_flag_is_a_usage_error(model1_file, capsys):
+    # verify counts in the calling thread, so there is no --threads
+    with pytest.raises(SystemExit) as exc:
+        run(["sample", model1_file, "--b", "1", "1", "--n", "300", "--seed", "9",
+             "--threads", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+
+
+def test_sample_n_past_uint64_exits_2(model1_file, capsys, monkeypatch):
+    # sample indices must fit uint64; refused before any draw
+    def no_draw(*args):
+        raise AssertionError("hits_block called")
+
+    monkeypatch.setattr(montecarlo, "hits_block", no_draw)
+    assert run(["sample", model1_file, "--b", "1", "1", "--n", str(2**70), "--seed", "9"]) == 2
+    assert "unsigned 64-bit" in capsys.readouterr().err
 
 
 def test_text_lines_follow_the_json_keys(model1_file, capsys):

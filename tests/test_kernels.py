@@ -45,11 +45,35 @@ def test_uniform53_range_and_determinism():
 def test_numpy_uniforms_match_reference():
     seed = 123456789
     keys = np.arange(1000, dtype=np.uint64)
-    bases = K._bases_np(seed, keys)
+    bases = K._bases_np(seed, keys, 1, 0)
     for t in (0, 1, 7):
         got = K._uniforms_np(bases, t)
         ref = [uniform53(seed, int(k), t) for k in keys]
         assert got.tolist() == ref
+
+
+def test_numpy_bases_match_reference_where_keys_wrap():
+    # _bases_np folds s * n + c into one multiply and one add mod 2**64;
+    # near the top of the index range s * n + c passes 2**64
+    seed, n = 2**64 - 3, 7
+    svec = np.arange(2**64 - 1000, 2**64 - 1, 97, dtype=np.uint64)
+    assert int(svec[0]) * n > 2**64
+    for c in (0, 3, 6):
+        bases = K._bases_np(seed, svec, n, c)
+        assert bases.tolist() == [mix64(seed + 0x9E3779B97F4A7C15 * (int(s) * n + c + 1))
+                                  for s in svec.tolist()]
+        for t in (0, 5):
+            assert K._uniforms_np(bases, t).tolist() == [
+                uniform53(seed, int(s) * n + c, t) for s in svec.tolist()]
+
+
+def test_numpy_uniforms_leave_bases_unchanged():
+    # the kernels mix in place; PTRS reads the same bases for t and t + 1
+    bases = K._bases_np(11, np.arange(500, dtype=np.uint64), 3, 2)
+    kept = bases.copy()
+    first = K._uniforms_np(bases, 4)
+    assert np.array_equal(K._uniforms_np(bases, 4), first)
+    assert np.array_equal(bases, kept)
 
 
 def test_check_seed():

@@ -1,9 +1,12 @@
-"""Monte Carlo verification: reproducibility, sharding, and statistical
-agreement with the exact computation."""
+"""Monte Carlo verification: reproducibility, block-split invariance,
+and statistical agreement with the exact computation."""
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ import pytest
 import linpois as lp
 from linpois import kernels, montecarlo
 from linpois.errors import InputError
-from linpois.montecarlo import _shard_bounds, sample_many, verify
+from linpois.montecarlo import sample_many, verify
 
 
 def test_sample_x_zero_rates():
@@ -27,15 +30,6 @@ def test_sample_many_equals_repeated_sample_x():
     assert np.array_equal(block, singles)
 
 
-def test_shard_bounds_partition():
-    for n, s in [(10, 3), (7, 7), (5, 1), (1000, 8)]:
-        bounds = _shard_bounds(n, s)
-        assert bounds[0][0] == 0 and bounds[-1][1] == n
-        for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):
-            assert a1 == b0
-        assert sum(hi - lo for lo, hi in bounds) == n
-
-
 def test_verify_reproducible(model1):
     r1 = verify(model1, [2, 2], n_samples=20_000, seed=31415)
     r2 = verify(model1, [2, 2], n_samples=20_000, seed=31415)
@@ -45,41 +39,33 @@ def test_verify_reproducible(model1):
 
 
 def test_verify_thread_invariance(model1):
+    # threads has no effect: 20,000 once asked for 20,000 shards, each
+    # rebuilding the CDF tables, and took seconds
     base = verify(model1, [2, 2], n_samples=30_000, seed=555, threads=1)
-    multi = verify(model1, [2, 2], n_samples=30_000, seed=555, threads=3)
-    assert multi.hits == base.hits
-    assert multi.empirical_prob == base.empirical_prob
-    assert multi.z_score == base.z_score
-    assert base.n_shards == 1 and multi.n_shards == min(3, os.cpu_count() or 1)
+    assert base.hits > 0
+    for threads in (2, 64, 20_000):
+        assert verify(model1, [2, 2], n_samples=30_000, seed=555, threads=threads) == base
 
 
-def test_verify_threads_are_capped_by_the_cpu_count(model1, monkeypatch):
-    # --threads has no upper bound: 64 shards must not ask for 64 threads
-    asked = []
+def test_verify_starts_no_thread(model1, monkeypatch):
+    want = verify(model1, [1, 1], n_samples=5_000, seed=8)
 
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers=None):
-            asked.append(max_workers)
-            super().__init__(max_workers=min(max_workers, 2))
+    def refuse(self):
+        raise AssertionError("verify started a thread")
 
-    one = verify(model1, [1, 1], n_samples=64, seed=8)
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
-    many = verify(model1, [1, 1], n_samples=64, seed=8, threads=64)
-    assert many.hits == one.hits and many.n_shards == min(64, os.cpu_count() or 1)
-    # one thread per shard, and a pool only for more than one shard
-    assert asked == ([many.n_shards] if many.n_shards > 1 else [])
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert verify(model1, [1, 1], n_samples=5_000, seed=8, threads=2) == want
 
 
-def test_verify_shards_are_capped_by_the_cpu_count(model1):
-    # each shard rebuilds the CDF tables, so 20,000 shards took seconds
-    one = verify(model1, [2, 2], n_samples=20_000, seed=4)
-    many = verify(model1, [2, 2], n_samples=20_000, seed=4, threads=20_000)
-    assert many.n_shards <= (os.cpu_count() or 1)
-    assert many.hits == one.hits
+def test_import_loads_no_thread_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, linpois; sys.exit('concurrent.futures' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_verify_draws_in_bounded_blocks(model1, monkeypatch):
-    # a shard's samples are drawn a block at a time, never all at once;
+    # the samples are drawn a block at a time, never all at once;
     # hits_block draws one column at a time through the draw routines
     want = verify(model1, [1, 1], n_samples=5_000, seed=21)
     rows = []
@@ -141,6 +127,19 @@ def test_verify_validation(model1):
         verify(model1, [2, 2], n_samples=10, seed=1, threads=0)
     with pytest.raises(InputError):
         verify(model1, [2, 2, 2], n_samples=10, seed=1)
+
+
+def test_verify_refuses_sample_indices_past_uint64(model1, monkeypatch):
+    # 2**70 samples ran on, 2**20 at a time, for about 2**44 blocks
+    # before the indices passed the kernels' uint64 limit: now refused
+    # before any draw
+    def no_draw(*args):
+        raise AssertionError("hits_block called")
+
+    monkeypatch.setattr(montecarlo, "hits_block", no_draw)
+    for n in (2**64, 2**70):
+        with pytest.raises(InputError, match="unsigned 64-bit"):
+            verify(model1, [2, 2], n_samples=n, seed=1)
 
 
 @pytest.mark.parametrize("which,bs", [
