@@ -47,6 +47,22 @@ def test_verify_thread_invariance(model1):
         assert verify(model1, [2, 2], n_samples=30_000, seed=555, threads=threads) == base
 
 
+def test_verify_shards_are_capped_by_the_cpu_count(model1, monkeypatch):
+    # each piece of work rebuilds the CDF tables, so 20,000 shards took
+    # seconds; threads no longer splits the samples, whatever the cpu count
+    one = verify(model1, [2, 2], n_samples=20_000, seed=4)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-2:])
+        return kernels.hits_block(*args)
+
+    monkeypatch.setattr(montecarlo, "hits_block", counting)
+    many = verify(model1, [2, 2], n_samples=20_000, seed=4, threads=20_000)
+    assert calls == [(0, 20_000)]
+    assert many.hits == one.hits and many == one
+
+
 def test_verify_starts_no_thread(model1, monkeypatch):
     want = verify(model1, [1, 1], n_samples=5_000, seed=8)
 
