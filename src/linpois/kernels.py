@@ -16,14 +16,15 @@ array generator must match bit for bit.
 Poisson draws: rates below 30 invert a CDF table precomputed in Python,
 read through a guide table (indexed search: Chen & Asau, AIIE Trans.
 6(2), 1974; Devroye 1986, III.2.4).  For a table of L entries the guide
-has G = 64 * 2^ceil(log2 L) buckets; G is a power of two, so j =
-floor(u * G) is exact and j/G <= u < (j+1)/G.  With
+has G = 2^g = 64 * 2^ceil(log2 L) buckets.  The bucket j = floor(u * G)
+of u = (w >> 11) * 2^-53 is w >> (64 - g), the top g bits of the word
+w: exact, as G <= 64 * 512 = 2^15 <= 2^53, and j/G <= u < (j+1)/G.  With
     lo[j] = min(#{cdf <= j/G}, L - 1),  hi[j] = min(#{cdf < (j+1)/G}, L - 1)
 every u in bucket j draws a value in [lo[j], hi[j]], and where they are
 equal (no entry strictly inside the bucket) the draw is lo[j].  Only
-the uniforms of the other buckets, at most L - 1 of the G, are searched
-in the CDF, so every draw equals min(#{cdf <= u}, L - 1) bit for bit.
-The guide is built from the CDF table on each call.
+the words of the other buckets, at most L - 1 of the G, are made floats
+u and searched in the CDF, so every draw equals min(#{cdf <= u}, L - 1)
+bit for bit.  The guide is built on each call.
 
 Rates >= 30 use Hormann's PTRS transformed rejection (Insurance: Math.
 & Econ. 12, 1993), vectorised over the samples still rejected; its
@@ -52,11 +53,11 @@ column c a sample is kept only while
     and (p r)_i = 0 beyond.  With no column left that lattice is {0},
     so the samples kept after the last column are the hits.
 Before the first column every residual is b, so these tests depend on
-the draw x alone: when top + 1 <= the number of samples (top the
-largest draw, past the cap counted as cap + 1), they run once on x =
-0..top, a sample is kept by its value's result, and the survivors'
-residuals are gathered from the per-value rows.  Otherwise the same
-tests run per sample.
+the draw x alone: they run once per value 0..top and a sample is kept
+by its value's result.  top is len(cdf) - 1 for a table column, with no
+scan of the draws, else the largest draw, clipped to cap + 1 (for every
+draw past the cap) when it reaches the number of samples; with more
+values than samples the tests run per sample.
 A draw's key is s * n + c whichever samples are still alive, so every
 draw that is made equals the one sample_block makes, and a sample's
 fate depends only on its own draws: the count is that of drawing every
@@ -122,10 +123,10 @@ def default_backend() -> str:
 
 # ---------------------------------------------------------------- RNG
 
-def _mix64_np(x: np.ndarray) -> np.ndarray:
+def _mix64_np(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     """SplitMix64 finalizer of each word of the uint64 array x, in place:
-    x is overwritten and returned; the shifts share one scratch array."""
-    t = x >> _U_R30
+    x is returned; the shifts share one scratch array, t if given."""
+    t = np.right_shift(x, _U_R30, out=t)
     x ^= t
     x *= _U_M1
     np.right_shift(x, _U_R27, out=t)
@@ -136,14 +137,17 @@ def _mix64_np(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _bases_np(seed: int, svec: np.ndarray, n: int, c: int) -> np.ndarray:
-    """base(seed, s * n + c) for each sample index s of svec.
+def _bases_np(seed: int, svec, n: int, c: int) -> np.ndarray:
+    """base(seed, s * n + c) for each sample index s of svec, a uint64
+    array or a range (whose indices are formed in the output array).
 
     seed + C * (s * n + c + 1) is formed as svec * (C * n) + (seed +
     C * (c + 1)), the same value mod 2^64, with both constants reduced
     in Python ints: scalar uint64 arithmetic in numpy warns on the
     intended wraparound."""
-    x = svec * np.uint64((_GOLDEN_I * n) & _MASK64)
+    fresh = isinstance(svec, range)
+    keys = np.arange(svec.start, svec.stop, dtype=np.uint64) if fresh else svec
+    x = np.multiply(keys, np.uint64((_GOLDEN_I * n) & _MASK64), out=keys if fresh else None)
     x += np.uint64((seed + _GOLDEN_I * (c + 1)) & _MASK64)
     return _mix64_np(x)
 
@@ -241,23 +245,25 @@ def _guide(cdf: np.ndarray) -> np.ndarray:
     return guide
 
 
-def _invert_cdf(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """min(#{cdf <= u}, len(cdf) - 1) for each u in [0, 1): read from the
-    guide table, with a binary search only for the uniforms whose bucket
-    holds a CDF entry (at most len(cdf) - 1 of the G buckets)."""
+def _draw_table_np(bases: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """min(#{cdf <= u}, len(cdf) - 1) for the first uniform u of each
+    base, written over bases and returned; u is formed and searched only
+    for the words in a guide bucket that holds a CDF entry."""
     guide = _guide(cdf)
-    # exact: u * G only shifts the exponent, so j/G <= u < (j+1)/G
-    out = guide[(u * len(guide)).astype(np.intp)]
-    amb = np.flatnonzero(out < 0)
-    out[amb] = np.minimum(np.searchsorted(cdf, u[amb], side="right"), len(cdf) - 1)
+    bases += np.uint64(_GOLDEN_I)
+    j = np.empty_like(bases)
+    w = _mix64_np(bases, j)
+    # G = 2^g: floor(u * G) = w >> (64 - g), below 2^15
+    j = np.right_shift(w, np.uint64(65 - len(guide).bit_length()), out=j).view(np.int64)
+    amb = np.flatnonzero((guide < 0)[j])
+    u = np.multiply(w[amb] >> _U_R11, _INV53)
+    out = np.take(guide, j, out=w.view(np.int64), mode="clip")
+    out[amb] = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
     return out
 
 
-def _draw_table_np(bases: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    return _invert_cdf(_uniforms_np(bases, 0), cdf)
-
-
-def _draw_ptrs_np(bases, lam, loglam, pb, pa, pinv, pvr) -> np.ndarray:
+def _draw_ptrs_np(bases, param) -> np.ndarray:
+    lam, loglam, pb, pa, pinv, pvr = param
     out = np.zeros(bases.shape[0], dtype=np.int64)
     todo = np.arange(bases.shape[0])
     active = bases
@@ -285,19 +291,6 @@ def _draw_ptrs_np(bases, lam, loglam, pb, pa, pinv, pvr) -> np.ndarray:
         out[todo[accept]] = k[accept]
         todo = todo[~accept]
         active = active[~accept]
-    return out
-
-
-def _sample_np(seed: int, start: int, stop: int, params: list) -> np.ndarray:
-    n = len(params)
-    out = np.zeros((stop - start, n), dtype=np.int64)
-    svec = np.arange(start, stop, dtype=np.uint64)
-    for c, param in enumerate(params):
-        bases = _bases_np(seed, svec, n, c)
-        if isinstance(param, tuple):
-            out[:, c] = _draw_ptrs_np(bases, *param)
-        else:
-            out[:, c] = _draw_table_np(bases, param)
     return out
 
 
@@ -330,8 +323,15 @@ def sample_block(rates, seed, start, stop) -> np.ndarray:
     """
     seed = check_seed(seed)
     rates = _rate_list(rates)
-    start, stop = _check_range(start, stop, max(len(rates), 1))
-    return _sample_np(seed, start, stop, [_coord_param(lam) for lam in rates])
+    n = len(rates)
+    start, stop = _check_range(start, stop, max(n, 1))
+    params = [_coord_param(lam) for lam in rates]
+    out = np.zeros((stop - start, n), dtype=np.int64)
+    svec = np.arange(start, stop, dtype=np.uint64)
+    for c, param in enumerate(params):
+        draw = _draw_ptrs_np if isinstance(param, tuple) else _draw_table_np
+        out[:, c] = draw(_bases_np(seed, svec, n, c), param)
+    return out
 
 
 class BlockHits(int):
@@ -429,35 +429,33 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
     if min(bl, default=0) < 0 or any(_lattice_misses(checks[0], bl, bl)):
         return BlockHits(0, 0)
 
-    svec = np.arange(start, stop, dtype=np.uint64)
+    # the live samples' indices: a range until the first column prunes any
+    svec = range(start, stop)
     # a row's residual stays the int b_i until a drawn column touches it
     res = list(bl)
     draws = 0
     for k, c in enumerate(order):
-        if not svec.size:
+        if not len(svec):
             break
-        bases = _bases_np(seed, svec, n, c)
         param = params[c]
-        x = _draw_ptrs_np(bases, *param) if isinstance(param, tuple) else _draw_table_np(bases, param)
+        table = not isinstance(param, tuple)
+        # unnamed bases: a table draw is written over them, freed with x
+        x = (_draw_table_np if table else _draw_ptrs_np)(_bases_np(seed, svec, n, c), param)
         draws += x.size
         # a_ic x_c > b_i misses; the draws past the cap are clipped to it,
         # so no product exceeds b_i
         cap = min(bi // row[c] for row, bi in zip(rows, bl) if row[c])
-        top = int(x.max(initial=0))
-        over = top > cap
-        if over:
-            # cap + 1 stands for every draw past the cap: they all miss
-            x = np.minimum(x, cap + 1)
-            top = cap + 1
-        # before the first column every residual is b, so a sample's fate
-        # depends on its draw alone: when there are no more values than
-        # samples, the tests run once on each value 0..top, and `at`, the
+        top = len(param) - 1 if k == 0 and table else int(x.max(initial=0))
+        # the first column's tests run once per value 0..top; `at`, the
         # samples' draws, maps each sample to its value's row
         at = None
-        if k == 0 and top + 1 <= x.size:
+        if k == 0 and min(top, cap + 1) < x.size:
+            if top >= x.size:
+                # cap + 1 stands for every draw past the cap: they all miss
+                x, top = np.minimum(x, cap + 1), cap + 1
             at, x = x, np.arange(top + 1, dtype=np.int64)
         misses = []
-        if over:
+        if top > cap:
             misses.append(x > cap)
             x = np.minimum(x, cap)
         for i, row in enumerate(rows):
@@ -473,6 +471,8 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
         # one index array serves every row: faster than a mask per row
         keep = np.flatnonzero(alive if at is None else alive[at])
         sel = keep if at is None else at[keep]
-        svec = svec[keep]
+        # free the draws before the survivors' residuals are gathered
+        at = None
         res = [r[sel] if isinstance(r, np.ndarray) else r for r in res]
-    return BlockHits(svec.size, draws)
+        svec = keep.view(np.uint64) + np.uint64(start) if isinstance(svec, range) else svec[keep]
+    return BlockHits(len(svec), draws)

@@ -450,6 +450,9 @@ def preprocess(a, rates):
         raise InputError(f"rate vector length {rates.shape} does not match {n} columns")
     if not np.all(np.isfinite(rates)) or np.any(rates < 0):
         raise InputError("rates must be finite and >= 0")
+    # -sum(rates) enters every log term and the generating function
+    if math.isinf(sum(rates.tolist())):
+        raise InputError("the rate total exceeds the float64 range (about 1.8e308)")
     for i in range(m):
         for j in range(n):
             if a[i, j] < 0:

@@ -200,6 +200,29 @@ def mix64(x: int) -> int:
     return x
 
 
+def _unxorshift(y: int, s: int) -> int:
+    # x ^ (x >> s) = y: x = y ^ (y >> s) ^ (y >> 2s) ^ ...
+    x = y
+    for _ in range(64 // s):
+        x = y ^ (x >> s)
+    return x
+
+
+# inverses mod 2^64 of mix64's odd multipliers
+_M1_INV = pow(0xBF58476D1CE4E5B9, -1, 1 << 64)
+_M2_INV = pow(0x94D049BB133111EB, -1, 1 << 64)
+
+
+def unmix64(x: int) -> int:
+    """The word whose mix64 is x: each xor-shift and each odd multiply
+    of mix64 is a bijection of 64-bit words."""
+    x = _unxorshift(x & _MASK64, 31)
+    x = (x * _M2_INV) & _MASK64
+    x = _unxorshift(x, 27)
+    x = (x * _M1_INV) & _MASK64
+    return _unxorshift(x, 30)
+
+
 def uniform53(seed: int, key: int, t: int) -> float:
     """The t-th uniform of stream (seed, key), in [0, 1).
 

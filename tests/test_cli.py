@@ -228,6 +228,18 @@ def test_malformed_matrix_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["pmf", "--b", "3"], ["gf", "--z", "0.5"],
+                                  ["sample", "--b", "3", "--n", "100", "--seed", "1"]])
+def test_rate_total_past_the_float_range_exits_2(tmp_path, capsys, argv):
+    # -sum(rates) overflows to -inf: no b can be answered, so the model
+    # is refused before any command runs
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"a": [[1, 1]], "lambda": [1e308, 1e308]}))
+    assert run([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "rate total" in captured.err and captured.out == ""
+
+
 # -------------------------------------------------------------- gf
 
 def test_gf_check_degree(model1_file, capsys):

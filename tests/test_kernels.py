@@ -18,7 +18,7 @@ from linpois.model import PoissonModel
 from linpois.montecarlo import sample_many, verify
 
 from conftest import EXAMPLE3
-from oracle import mix64, uniform53
+from oracle import mix64, uniform53, unmix64
 
 
 # ------------------------------------------------------ RNG contract
@@ -65,6 +65,10 @@ def test_numpy_bases_match_reference_where_keys_wrap():
         for t in (0, 5):
             assert K._uniforms_np(bases, t).tolist() == [
                 uniform53(seed, int(s) * n + c, t) for s in svec.tolist()]
+    # hits_block's first column passes its samples as a range
+    keys = range(2**64 - 1000, 2**64 - 1)
+    whole = np.arange(keys.start, keys.stop, dtype=np.uint64)
+    assert np.array_equal(K._bases_np(seed, keys, n, 3), K._bases_np(seed, whole, n, 3))
 
 
 def test_numpy_uniforms_leave_bases_unchanged():
@@ -107,44 +111,65 @@ def test_poisson_cdf_table_rejects_bad_rate():
 
 
 # ---------------------------------------------- guide-table inversion
+#
+# _draw_table_np reads the first word w = mix64(base + C) of each base;
+# unmix64 gives the base of any chosen word, so every word below is
+# drawn exactly.  The reference is min(#{cdf <= u}, L - 1), u = (w >> 11)
+# * 2**-53, the draw the RNG contract defines.
 
-def _searched(u, cdf):
+_C = 0x9E3779B97F4A7C15
+
+
+def _draw_words(words, cdf):
+    bases = np.array([(unmix64(w) - _C) % 2**64 for w in words], dtype=np.uint64)
+    return K._draw_table_np(bases, cdf)
+
+
+def _searched(words, cdf):
+    u = np.array([(w >> 11) * 2.0 ** -53 for w in words])
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
-def _edge_uniforms(cdf):
-    # every entry and its float neighbours, every bucket edge j/G and the
-    # float just below it, and both ends of [0, 1)
-    size = len(K._guide(cdf))
-    edges = np.arange(size) / size
-    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
-                        edges, np.nextafter(edges, -1.0), [0.0, 1.0 - 2.0 ** -53]])
-    return u[(u >= 0.0) & (u < 1.0)]
+def _entry_words(cdf):
+    # the least word whose uniform reaches each entry, and the word below
+    words = [math.ceil(c * 2.0 ** 53) << 11 for c in cdf.tolist()]
+    return [w + d for w in words for d in (-1, 0) if 0 <= w + d < 2**64]
+
+
+def _edge_words(edges, g):
+    # bucket j of G = 2**g buckets starts at word j * 2**(64 - g)
+    words = [j << (64 - g) for j in edges]
+    return [w + d for w in words for d in (-1, 0, 1) if 0 <= w + d < 2**64]
 
 
 @pytest.mark.parametrize("lam", [0.0, 1e-9, 0.4, 2.5, 29.99])
 def test_invert_cdf_equals_search_at_every_edge(lam):
     cdf = K.poisson_cdf_table(lam)
     size = len(K._guide(cdf))
-    # a power of two, so j = floor(u * G) is exact
+    # a power of two, so the bucket floor(u * G) is the word's top g bits
     assert size >= 64 * len(cdf) and size & (size - 1) == 0
-    u = _edge_uniforms(cdf)
-    assert np.array_equal(K._invert_cdf(u, cdf), _searched(u, cdf))
+    g = size.bit_length() - 1
+    words = _edge_words(range(size + 1), g) + _entry_words(cdf) + [2**64 - 1]
+    assert np.array_equal(_draw_words(words, cdf), _searched(words, cdf))
 
 
 def test_invert_cdf_searches_only_ambiguous_buckets(monkeypatch):
-    # at most len(cdf) - 1 of the G >= 64 len(cdf) buckets hold an entry
+    # at most len(cdf) - 1 of the G >= 64 len(cdf) buckets hold an entry,
+    # and only the uniforms of those buckets are searched
     searched = []
     search = np.searchsorted
 
     def counting(table, u, side):
-        searched.append(len(u))
+        searched.append((table, u))
         return search(table, u, side=side)
 
     monkeypatch.setattr(K.np, "searchsorted", counting)
     out = K.sample_block([2.5, 29.99], 4, 0, 100_000)
-    assert len(searched) == 2 and sum(searched) <= 2 * 100_000 / 64
     monkeypatch.undo()
+    assert len(searched) == 2 and sum(len(u) for _, u in searched) <= 2 * 100_000 / 64
+    for table, u in searched:
+        guide = K._guide(table)
+        assert u.size and np.all(guide[(u * len(guide)).astype(np.intp)] == -1)
     assert np.array_equal(out, K.sample_block([2.5, 29.99], 4, 0, 100_000))
 
 
@@ -154,13 +179,15 @@ _TABLE_ENTRY = st.one_of(st.floats(0.0, 1.0), st.integers(0, 256).map(lambda i: 
 
 
 @settings(max_examples=150, deadline=None)
-@given(entries=st.lists(st.tuples(_TABLE_ENTRY, st.integers(1, 3)), min_size=1, max_size=80),
-       mantissas=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=200))
-def test_invert_cdf_equals_search_on_any_table(entries, mantissas):
-    cdf = np.sort(np.repeat([e for e, _ in entries], [r for _, r in entries]))
-    u = np.concatenate([np.asarray(mantissas, dtype=np.float64) * 2.0 ** -53,
-                        _edge_uniforms(cdf)])
-    assert np.array_equal(K._invert_cdf(u, cdf), _searched(u, cdf))
+@given(entries=st.lists(st.tuples(_TABLE_ENTRY, st.integers(1, 3)), min_size=1, max_size=512),
+       words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+def test_invert_cdf_equals_search_on_any_table(entries, words):
+    cdf = np.sort(np.repeat([e for e, _ in entries], [r for _, r in entries]))[:512]
+    g = len(K._guide(cdf)).bit_length() - 1
+    # the edges of every bucket that holds an entry, and of its neighbours
+    held = {min(int(c * 2**g), 2**g - 1) + d for c in cdf.tolist() for d in (-1, 0, 1)}
+    words = words + _entry_words(cdf) + _edge_words(sorted(held), g)
+    assert np.array_equal(_draw_words(words, cdf), _searched(words, cdf))
 
 
 # ---------------------------------------------------- draw behavior
@@ -485,6 +512,18 @@ def test_hits_block_first_column_per_value(a, rates, stop, b):
     want = _python_count(a, b, rates, seed, start, start + stop)
     assert want > 0 or not image
     assert K.hits_block(a, b, rates, seed, start, start + stop) == want
+
+
+@pytest.mark.parametrize("b", [[1], [2], [3]])
+def test_hits_block_first_column_reaches_the_table_top(monkeypatch, b):
+    # the first column's values run to len(cdf) - 1 without a scan of the
+    # draws; a table cut at 3 entries draws its top, 2, about 3 times in 4
+    monkeypatch.setattr(K, "_CDF_MAX_LEN", 3)
+    assert len(K.poisson_cdf_table(4.0)) == 3
+    a, rates = [[1, 1]], [4.0, 1.0]
+    assert np.mean(K.sample_block(rates, 23, 0, 2000)[:, 0] == 2) > 0.7
+    want = _python_count(a, b, rates, 23, 0, 2000)
+    assert want > 0 and K.hits_block(a, b, rates, 23, 0, 2000) == want
 
 
 @pytest.mark.parametrize("a,b,rates,seed", [

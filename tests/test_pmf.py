@@ -464,6 +464,19 @@ def test_zero_rate_columns_are_dropped_at_build():
         assert lp.pmf(none, [b]).prob == 0.0
 
 
+def test_rate_total_past_the_float_range_is_refused():
+    """-sum(rates) enters every log term and G(z): a total past the
+    float64 range is refused at build, zero columns' rates included,
+    while a total just below it is answered without overflow."""
+    for a in ([[1, 1]], [[1, 0]]):
+        with pytest.raises(InputError, match="rate total"):
+            lp.PoissonModel(a, [1e308, 1e308])
+    model = lp.PoissonModel([[1, 1]], [1e308, 7e307])
+    res = lp.pmf(model, [3])
+    assert math.isfinite(res.log_prob) and res.log_prob < -1e308
+    assert (lp.gf_eval(model, [0.5]), lp.gf_eval(model, [1.0])) == (0.0, 1.0)
+
+
 def test_pmf_zero_column_only_model():
     model = lp.PoissonModel([[0, 0]], [1.0, 2.0])
     assert model.n == 0
