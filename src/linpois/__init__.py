@@ -10,8 +10,9 @@ one-parameter line, by the dimension of the kernel of A).  A larger
 kernel is walked over its free coordinates, unless A has rank 1: then
 A k = b is one row w k = t, and the Panjer recurrence over s = 0..t
 gives P(Y = b) when its step cap and error bound allow.  The route depends
-on the model and b alone; no option picks it.  A seeded Monte Carlo
-harness cross-checks the results.
+on the model and b alone; no option picks it, and each result names it
+(PmfResult.route).  A seeded Monte Carlo harness cross-checks the
+results.
 """
 
 from .errors import InputError, InternalInvariantError, LinpoisError
@@ -37,14 +38,7 @@ from .pmf import (
     pmf_table,
     solution_family,
 )
-from .solutions import (
-    MethodTag,
-    PreprocessReport,
-    SolutionFamily,
-    classify,
-    preprocess,
-    snf_family,
-)
+from .solutions import PreprocessReport, SolutionFamily, preprocess, snf_family
 
 __version__ = "0.1.0"
 
@@ -59,10 +53,8 @@ __all__ = [
     "snf",
     "parse_matrix_text",
     "format_matrix_text",
-    "MethodTag",
     "SolutionFamily",
     "PreprocessReport",
-    "classify",
     "snf_family",
     "preprocess",
     "PoissonModel",

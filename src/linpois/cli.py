@@ -5,10 +5,9 @@ keys "a" and "lambda"; with --matrix-format text the positional file is
 a whitespace matrix instead and rates come from --lambda.  Exit codes:
 0 success, 2 input error (argparse's usage errors included), 4 internal
 invariant failure.  Probability zero is a success, not an error.  The
-pmf and solve outputs give the model's kernel class (model.method, from
-classify) in "method"; it does not say which route answered this b:
-for an "enumerate" model, pmf may walk the points or, when A has rank
-1, run the recurrence, where "summed" counts its t + 1 entries.
+pmf output names the route that answered this b in "route" ("empty",
+"singleton", "line", "walk" or "recurrence", where "summed" counts the
+recurrence's t + 1 entries); solve gives the family's "kind".
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ def _cmd_snf(args) -> int:
 def _cmd_solve(args) -> int:
     model = _load_model(args)
     fam = solution_family(model, args.b)
-    payload = {"method": str(model.method), "kind": fam.kind, "count": fam.count}
+    payload = {"kind": fam.kind, "count": fam.count}
     if fam.kind == "line":
         payload["base"] = [int(x) for x in fam.base]
         payload["direction"] = [int(x) for x in fam.direction]
@@ -125,7 +124,7 @@ def _cmd_pmf(args) -> int:
     return _emit(args, {
         "prob": res.prob,
         "log_prob": res.log_prob,
-        "method": str(res.method),
+        "route": res.route,
         "terms": res.terms,
         "summed": res.summed,
         "tail_bound": res.tail_bound,

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InputError
 from .intlinalg import SnfDecomposition, int_matrix, snf
-from .solutions import MethodTag, PreprocessReport, _RowPlan, _WalkPlan, classify, preprocess
+from .solutions import PreprocessReport, _RowPlan, _WalkPlan, preprocess
 
 __all__ = ["PoissonModel", "model_from_dict", "load_model_file"]
 
@@ -72,9 +72,9 @@ class PoissonModel:
     removed and listed in ``report``; every row is kept, since the SNF
     checks dependent rows.  ``a``/``rates`` refer to the reduced system
     used for evaluation; ``a_full``/``rates_full`` keep the original
-    shapes.  Derived objects (SNF, method tag, the log rates of the
-    terms, the plans of the free-coordinate walk and of the rank-1
-    recurrence) are cached on first use.
+    shapes.  Derived objects (SNF, the log rates of the terms, the plans
+    of the free-coordinate walk and of the rank-1 recurrence) are cached
+    on first use.
     """
 
     def __init__(self, a, rates, name: str | None = None, description: str | None = None):
@@ -125,13 +125,15 @@ class PoissonModel:
         return snf(self._a)
 
     @cached_property
-    def method(self) -> MethodTag:
-        return classify(self.snf)
+    def method(self) -> str:
+        # the old kernel class by n - rank; nothing in src/ reads it, only
+        # perfbench's model builds, and it goes with ROADMAP item 1
+        return ("invertible", "single-index", "enumerate")[min(self.n - self.snf.rank, 2)]
 
     @cached_property
     def term_constants(self) -> np.ndarray:
         # on first pmf call, not at build, so building a model costs only
-        # preprocess and classify; preprocess already validated the rates
+        # preprocess; preprocess already validated the rates
         return rate_constants(self._rates)
 
     @cached_property

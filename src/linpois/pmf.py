@@ -13,7 +13,8 @@ columns), so every term of every point is finite.  Log terms are
 formed in numpy passes over arrays of lattice points, never over
 tuples, and combined by a max-shifted log-sum whose inner sum is
 math.fsum.  fsum is correctly rounded, so the result does not depend
-on the order of the terms.
+on the order of the terms.  Each result names the route that answered
+it (PmfResult.route).
 
 A singleton or finite family is summed over all its points.  A line
 u + j v is summed over a window around its mode instead: ln t(j) is
@@ -53,7 +54,7 @@ from . import solutions
 from .errors import InputError, InternalInvariantError
 from .intlinalg import int_vector
 from .model import PoissonModel, _log_factorials, rate_constants
-from .solutions import MethodTag, SolutionFamily, _walk_family, snf_family
+from .solutions import SolutionFamily, _walk_family, snf_family
 
 __all__ = [
     "PmfResult",
@@ -107,11 +108,14 @@ class PmfResult:
     and the t + 1 entries P(0..t) of the rank-1 recurrence (0 when
     there is no point) when that answers.  tail_bound bounds the
     omitted mass relative to prob (0.0 when nothing is omitted; below
-    TAIL_EPS otherwise)."""
+    TAIL_EPS otherwise).  route names what answered: "recurrence" or
+    "walk" for a kernel of dimension 2 or more on the lattice, else the
+    kind of the family read off the Smith form, "empty" (b negative or
+    off the lattice), "singleton" or "line"."""
 
     log_prob: float
     prob: float
-    method: MethodTag
+    route: str
     terms: int
     clamped: bool = False
     summed: int = 0
@@ -201,12 +205,12 @@ def _lattice_family(model: PoissonModel, b) -> tuple[list[int] | None, SolutionF
 def solution_family(model: PoissonModel, b) -> SolutionFamily:
     """Solution set of A k = b, read off the model's SNF; on the
     lattice, a kernel of dimension 2 or more is walked over its free
-    coordinates.  The model's route tag is model.method."""
+    coordinates."""
     b, fam = _lattice_family(model, b)
     return _walk_family(model._walk_plan, b) if fam is None else fam
 
 
-def _result(lp: float, tag: MethodTag, terms: int, summed: int, tail: float = 0.0) -> PmfResult:
+def _result(lp: float, route: str, terms: int, summed: int, tail: float = 0.0) -> PmfResult:
     """The result for log_prob lp, with prob clamped to 1 from within
     CLAMP_TOL."""
     prob = math.exp(lp)
@@ -217,17 +221,17 @@ def _result(lp: float, tag: MethodTag, terms: int, summed: int, tail: float = 0.
             clamped = True
         else:
             raise InternalInvariantError(f"probability {prob!r} exceeds 1 beyond tolerance")
-    return PmfResult(log_prob=lp, prob=prob, method=tag, terms=terms, clamped=clamped,
+    return PmfResult(log_prob=lp, prob=prob, route=route, terms=terms, clamped=clamped,
                      summed=summed, tail_bound=tail)
 
 
-def _summed(log_terms, tag: MethodTag, terms: int | None = None, tail_logs=()) -> PmfResult:
+def _summed(log_terms, route: str, terms: int | None = None, tail_logs=()) -> PmfResult:
     """The result from the summed log terms; terms defaults to their
     number, and tail_logs are ln of bounds on the omitted mass."""
     lp = logsumexp(log_terms)
     summed = len(log_terms)
     tail = math.fsum(math.exp(x - lp) for x in tail_logs) if tail_logs else 0.0
-    return _result(lp, tag, summed if terms is None else terms, summed, tail)
+    return _result(lp, route, summed if terms is None else terms, summed, tail)
 
 
 def _count_points(w, t: int) -> int:
@@ -303,7 +307,7 @@ def _recurrence(model: PoissonModel, b: list[int]) -> PmfResult | None:
         return None
     count = _count_points(plan.w, t)
     if count == 0:
-        return _result(NEG_INF, model.method, 0, 0)
+        return _result(NEG_INF, "recurrence", 0, 0)
     # u[top + s] = u(s) / 2**shift; the first top entries pad s < 0.
     # With a point, steps is empty only at t = 0, which has no step.
     top = steps[-1][0] if steps else 0
@@ -322,7 +326,7 @@ def _recurrence(model: PoissonModel, b: list[int]) -> PmfResult | None:
     bound = _EPS * (5 * (t + 1) + 2 * abs(ln_u) + abs(lp) + 1) + abs(shift) * 2.0 ** -80
     if abs(shift) >= 1 << 20 or bound > RECURRENCE_TOL:
         return None
-    return _result(lp, model.method, count, t + 1)
+    return _result(lp, "recurrence", count, t + 1)
 
 
 def _line_sum(fam: SolutionFamily, model: PoissonModel) -> PmfResult:
@@ -351,7 +355,7 @@ def _line_sum(fam: SolutionFamily, model: PoissonModel) -> PmfResult:
                            model.term_constants) for j in range(lo, hi + 1, step)]
 
     if b - a < FIRST_BLOCK:
-        return _summed(np.concatenate(blocks(a, b)), model.method, terms=fam.count)
+        return _summed(np.concatenate(blocks(a, b)), "line", terms=fam.count)
     moving = [(u, v, (v + 1) / 2, r) for u, v, r in zip(fam.base, fam.direction,
                                                         model.rates.tolist()) if v]
 
@@ -404,7 +408,7 @@ def _line_sum(fam: SolutionFamily, model: PoissonModel) -> PmfResult:
         tail_logs.append(math.log(lo - a) + float(t[0]))
     if hi < b:
         tail_logs.append(math.log(b - hi) + float(t[-1]))
-    return _summed(t, model.method, terms=fam.count, tail_logs=tail_logs)
+    return _summed(t, "line", terms=fam.count, tail_logs=tail_logs)
 
 
 def pmf(model: PoissonModel, b) -> PmfResult:
@@ -417,19 +421,19 @@ def pmf(model: PoissonModel, b) -> PmfResult:
     is answered by the recurrence (_recurrence) when its step cap and
     error bound allow, and otherwise walked; a line is summed over a
     certified window around its mode (_line_sum), and every other
-    family over all its points.  The result's method is
-    model.method, the kernel class that classify gives the model's SNF;
-    it is the same for every b, whichever route answered.
+    family over all its points.  The result's route names which of
+    these answered this b (PmfResult).
     """
     b, fam = _lattice_family(model, b)
+    route = "walk" if fam is None else fam.kind
     if fam is None:
         res = _recurrence(model, b)
         if res is not None:
             return res
         fam = _walk_family(model._walk_plan, b)
-    if fam.kind == "line":
+    if route == "line":
         return _line_sum(fam, model)
-    return _summed(_log_terms(fam.points(), model.rates, model.term_constants), model.method)
+    return _summed(_log_terms(fam.points(), model.rates, model.term_constants), route)
 
 
 def _check_z(model: PoissonModel, z) -> np.ndarray:
@@ -449,7 +453,9 @@ def gf_eval(model: PoissonModel, z) -> float:
 
     Equals exp(sum_j l_j prod_i z_i^{a_ij} - sum_j l_j); the subtracted
     rate total normalizes G(1) = 1.  Convention 0^0 = 1 for zero
-    exponents at z_i = 0.
+    exponents at z_i = 0.  An exponent past 2**63 is capped there, which
+    keeps every factor: z_i**(2**63) is already 0.0 for z_i < 1, and 1.0
+    at z_i = 1.
     """
     z = _check_z(model, z)
     a = model.a_full
@@ -460,7 +466,7 @@ def gf_eval(model: PoissonModel, z) -> float:
         for i in range(model.m_full):
             e = int(a[i, j])
             if e:
-                prod *= float(z[i]) ** e
+                prod *= float(z[i]) ** min(e, 1 << 63)
         s += float(lam[j]) * prod
     return math.exp(s - float(np.sum(lam)))
 

@@ -24,7 +24,6 @@ the columns that cannot move Y: zero columns and zero-rate columns.
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 from dataclasses import dataclass, field
@@ -36,10 +35,8 @@ from .intlinalg import SnfDecomposition, int_identity, int_matrix, snf
 
 __all__ = [
     "MAX_POINTS",
-    "MethodTag",
     "SolutionFamily",
     "PreprocessReport",
-    "classify",
     "snf_family",
     "preprocess",
 ]
@@ -67,19 +64,6 @@ def _int_rows(rows) -> np.ndarray:
     except OverflowError:
         arr = np.array(rows, dtype=object)
     return arr.reshape(len(rows), n)
-
-
-class MethodTag(enum.Enum):
-    """The kernel class of a (preprocessed) matrix; ENUMERATE is a
-    kernel of dimension 2 or more, which pmf walks or, for rank 1,
-    answers by its recurrence."""
-
-    SINGLE_INDEX = "single-index"
-    INVERTIBLE = "invertible"
-    ENUMERATE = "enumerate"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,22 +150,6 @@ class SolutionFamily:
             return self.array.astype(np.float64)
         except OverflowError:
             raise InputError("solution counts exceed the float64 range") from None
-
-
-def classify(dec: SnfDecomposition) -> MethodTag:
-    """Evaluation route from the kernel dimension n - rank of A.
-
-    0 -> INVERTIBLE (at most one solution), 1 -> SINGLE_INDEX (a line),
-    2 or more -> ENUMERATE (the free-coordinate walk, or pmf's rank-1
-    recurrence).  Divisors and
-    dependent rows do not matter: snf_family handles both.
-    """
-    free = dec.q.shape[0] - dec.rank
-    if free == 0:
-        return MethodTag.INVERTIBLE
-    if free == 1:
-        return MethodTag.SINGLE_INDEX
-    return MethodTag.ENUMERATE
 
 
 def _ceil_div(p: int, q: int) -> int:

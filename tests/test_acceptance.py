@@ -13,7 +13,7 @@ from scipy.stats import poisson
 
 import linpois as lp
 from linpois.pmf import pmf
-from linpois.solutions import MethodTag, snf_family
+from linpois.solutions import snf_family
 
 from oracle import det_exact, enumerate_solutions, family_set, minor_gcd, reference_log_prob
 
@@ -42,7 +42,7 @@ def rel_ok(got, want, tol=REL):
 
 def test_criterion_1_line_reduction_vs_enumeration(model1):
     with criterion(1, cap=1.0):
-        assert model1.method is MethodTag.SINGLE_INDEX
+        assert model1.n - model1.snf.rank == 1
         rng = np.random.default_rng(101)
         for _ in range(50):
             b = rng.integers(0, 11, size=2)
@@ -50,15 +50,14 @@ def test_criterion_1_line_reduction_vs_enumeration(model1):
             brute = enumerate_solutions(model1.a, b)
             assert family_set(fam) == family_set(brute)
             res = pmf(model1, b)
-            assert res.method is MethodTag.SINGLE_INDEX and res.terms == brute.count
+            assert res.route == fam.kind and res.terms == brute.count
             ref = reference_log_prob(model1.rates.tolist(), family_set(brute))
             assert rel_ok(res.prob, math.exp(ref))
 
 
 def test_criterion_2_wide_system_reduction(model2):
     with criterion(2, cap=5.0):
-        assert model2.method is MethodTag.SINGLE_INDEX
-        assert model2.snf.rank == 3
+        assert (model2.n, model2.snf.rank) == (4, 3)
         assert tuple(int(d) for d in model2.snf.divisors) == (1, 1, 1)
         a = np.array([[int(x) for x in row] for row in model2.a], dtype=np.int64)
         rng = np.random.default_rng(202)
@@ -70,7 +69,7 @@ def test_criterion_2_wide_system_reduction(model2):
             assert tuple(int(x) for x in k) in family_set(fam)
             assert family_set(fam) == family_set(brute)
             res = pmf(model2, b)
-            assert res.method is MethodTag.SINGLE_INDEX and res.terms == brute.count
+            assert res.route == fam.kind and res.terms == brute.count
             ref = reference_log_prob(model2.rates.tolist(), family_set(brute))
             assert res.prob > 0
             assert rel_ok(res.prob, math.exp(ref))
@@ -81,7 +80,7 @@ def test_criterion_3_invertible_closed_form():
         a = [[1, 5, 3], [2, 10, 5], [0, 1, 8]]
         rates = [0.7, 1.3, 0.2]
         model = lp.PoissonModel(a, rates, name="unimodular-3x3")
-        assert model.method is MethodTag.INVERTIBLE
+        assert model.n == model.snf.rank == 3
         assert det_exact(model.a) == 1
         inv = [[75, -37, -5], [-16, 8, 1], [2, -1, 0]]
         for i in range(3):
@@ -98,7 +97,7 @@ def test_criterion_3_invertible_closed_form():
             assert fam.kind == "singleton" and family_set(fam) == {want}
             res = pmf(model, b)
             want = float(np.prod([poisson.pmf(int(k[i]), rates[i]) for i in range(3)]))
-            assert res.terms == 1
+            assert res.terms == 1 and res.route == "singleton"
             assert rel_ok(res.prob, want)
 
 

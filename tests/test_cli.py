@@ -4,6 +4,7 @@ Everything runs in-process through linpois.cli.run so coverage tools see
 it and failures carry real tracebacks.
 """
 
+import importlib
 import json
 import math
 import os
@@ -67,7 +68,7 @@ def test_snf_text(matrix1_file, capsys):
 def test_solve_line_family(model1_file, capsys):
     assert run(["solve", model1_file, "--b", "2", "2", "--format", "json"]) == 0
     out = _json_out(capsys)
-    assert out["method"] == "single-index"
+    assert "method" not in out
     assert out["kind"] == "line"
     assert out["count"] == 2
     base = np.array(out["base"])
@@ -103,7 +104,7 @@ def test_solve_walked_empty_set_is_empty(tmp_path, capsys):
     path = tmp_path / "w235.json"
     path.write_text(json.dumps({"a": [[2, 3, 5]], "lambda": [1.0, 1.0, 1.0]}))
     assert run(["solve", str(path), "--b", "1"]) == 0
-    assert capsys.readouterr().out.splitlines() == ["method: enumerate", "kind: empty", "count: 0"]
+    assert capsys.readouterr().out.splitlines() == ["kind: empty", "count: 0"]
 
 
 def test_solve_walked_single_point_is_singleton(tmp_path, capsys):
@@ -112,7 +113,7 @@ def test_solve_walked_single_point_is_singleton(tmp_path, capsys):
     path.write_text(json.dumps({"a": [[1, 1, 2, 0], [2, 2, 4, 0]], "lambda": [1.0] * 4}))
     assert run(["solve", str(path), "--b", "0", "0"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "method: enumerate", "kind: singleton", "count: 1", "solution: 0 0 0"]
+        "kind: singleton", "count: 1", "solution: 0 0 0"]
 
 
 def test_solve_lists_wide_entries_exactly(tmp_path, capsys):
@@ -124,7 +125,7 @@ def test_solve_lists_wide_entries_exactly(tmp_path, capsys):
             [2**64 + 3, 0, 1], [2**64 + 3, 1, 0], [2**65 + 3, 0, 0]]
     assert run(["solve", str(path), "--b", str(2**65 + 3), "--format", "json"]) == 0
     out = _json_out(capsys)
-    assert (out["method"], out["kind"], out["count"]) == ("enumerate", "finite", 6)
+    assert (out["kind"], out["count"]) == ("finite", 6)
     assert out["solutions"] == want
     assert all(type(x) is int for k in out["solutions"] for x in k)
     assert run(["solve", str(path), "--b", str(2**65 + 3)]) == 0
@@ -138,7 +139,7 @@ def test_pmf_auto_matches_enumerate(model1_file, capsys):
     assert run(["pmf", model1_file, "--b", "2", "2", "--format", "json"]) == 0
     auto = _json_out(capsys)
     enum = enumerate_solutions(A1, [2, 2])
-    assert auto["method"] == "single-index"
+    assert auto["route"] == "line"
     assert auto["terms"] == enum.count == 2
     assert math.isclose(auto["log_prob"], reference_log_prob([1.0] * 3, family_set(enum)),
                         rel_tol=1e-12)
@@ -160,7 +161,7 @@ def test_pmf_negative_b_is_success(model1_file, capsys):
 def test_pmf_text_output(model1_file, capsys):
     assert run(["pmf", model1_file, "--b", "2", "2"]) == 0
     out = capsys.readouterr().out
-    assert "method: single-index" in out
+    assert "route: line" in out
     assert "clamped: false" in out
 
 
@@ -181,7 +182,8 @@ def test_pmf_single_index_with_divisor_two(tmp_path, capsys):
     for b in (0, 2, 200):
         assert run(["pmf", str(path), "--b", str(b), "--format", "json"]) == 0
         out = _json_out(capsys)
-        assert out["method"] == "single-index"
+        # one point at b = 0
+        assert out["route"] == ("singleton" if b == 0 else "line")
         assert out["terms"] == b // 2 + 1
         # 2 (X1 + X2) = b with X1 + X2 ~ Poisson(3)
         assert math.isclose(out["prob"], math.exp(-3.0) * 3.0 ** (b // 2) / math.factorial(b // 2),
@@ -257,6 +259,15 @@ def test_gf_check_degree_past_the_work_cap_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"a": [[1]], "lambda": [1.0]}))
     assert run(["gf", str(path), "--z", "0.5", "--check-degree", "1000000"]) == 2
     assert "work cap" in capsys.readouterr().err
+
+
+def test_gf_entry_past_the_float_range_exits_0(tmp_path, capsys):
+    # z**e for e = 10**400 raised OverflowError, a traceback and exit 1
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"a": [[10**400]], "lambda": [1.0]}))
+    for extra in ([], ["--check-degree", "3"]):
+        assert run(["gf", str(path), "--z", "0.5", "--format", "json", *extra]) == 0
+        assert math.isclose(_json_out(capsys)["gf"], math.exp(-1.0), rel_tol=1e-15)
 
 
 def test_gf_at_ones(model1_file, capsys):
@@ -357,7 +368,17 @@ def test_pmf_wide_entries_answer_at_once(tmp_path):
                          capture_output=True, text=True, timeout=60, env=env)
     assert out.returncode == 0
     res = json.loads(out.stdout)
-    assert res["method"] == "enumerate" and res["terms"] == 6 and res["prob"] > 0.0
+    assert res["route"] == "walk" and res["terms"] == 6 and res["prob"] > 0.0
+
+
+def test_console_script_runs_pmf(model1_file, capsys):
+    # the [project.scripts] entry point, resolved as an installer would
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, _, attr = tomllib.loads(pyproject)["project"]["scripts"]["linpois"].partition(":")
+    main = getattr(importlib.import_module(module), attr)
+    assert main(["pmf", model1_file, "--b", "2", "2", "--format", "json"]) == 0
+    assert _json_out(capsys)["route"] == "line"
 
 
 def test_sample_b_beyond_int64_exits_2(model1_file, capsys):

@@ -1,4 +1,4 @@
-"""Solution families of A k = b: classification, the SNF solver
+"""Solution families of A k = b: the SNF solver
 (singleton and line), the free-coordinate walk, the cap on lattice
 points, and preprocessing, checked against the depth-first enumeration
 oracle of tests/oracle.py (itself tested here too)."""
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linpois as lp
-from linpois import MethodTag
 from linpois import solutions as S
 from linpois.cli import run
 from linpois.errors import InputError
@@ -39,7 +38,7 @@ def solve(a, b):
     return lp.snf_family(lp.snf(a), b)
 
 
-# deterministic pool of matrices classifying as single-index, found by
+# deterministic pool of matrices with a kernel of dimension 1, found by
 # seeded search over small natural matrices (rank = rows = cols-1, any
 # elementary divisors)
 def _single_index_pool():
@@ -49,7 +48,7 @@ def _single_index_pool():
         m = int(rng.integers(1, 4))
         cand = rng.integers(0, 4, size=(m, m + 1))
         a, _, rep = lp.preprocess(cand, [1.0] * (m + 1))
-        if not rep.removed_columns and lp.classify(lp.snf(a)) is MethodTag.SINGLE_INDEX:
+        if not rep.removed_columns and lp.snf(a).rank == m:
             pool.append(a)
     return pool
 
@@ -57,32 +56,25 @@ def _single_index_pool():
 SINGLE_INDEX_POOL = _single_index_pool()
 
 
-# ---------------------------------------------------------- classify
+# ------------------------------------------------------------ routes
 
-def test_classify_known():
-    assert lp.classify(lp.snf(EXAMPLE1)) is MethodTag.SINGLE_INDEX
-    assert lp.classify(lp.snf(EXAMPLE3)) is MethodTag.INVERTIBLE
-    # m = 1, n = 4: a kernel of dimension 3
-    assert lp.classify(lp.snf([[1, 1, 1, 1]])) is MethodTag.ENUMERATE
-
-
-def test_classify_rejects_dependent_rows():
-    """Dependent rows are not rejected: the route is chosen by n - rank."""
-    assert lp.classify(lp.snf([[1, 2], [2, 4]])) is MethodTag.SINGLE_INDEX
-    assert lp.classify(lp.snf([[1, 0, 1], [2, 0, 2]])) is MethodTag.ENUMERATE
+def test_dependent_rows_keep_the_line_route():
+    """Dependent rows are not rejected: the route follows n - rank."""
+    assert lp.pmf(lp.PoissonModel([[1, 2], [2, 4]], [1.0, 1.0]), [4, 8]).route == "line"
     # the model removes the zero column first, which leaves a line
     model = lp.PoissonModel([[1, 0, 1], [2, 0, 2]], [1.0, 1.0, 1.0])
-    assert model.method is MethodTag.SINGLE_INDEX
     assert model.a.tolist() == [[1, 1], [2, 2]]
+    assert lp.pmf(model, [3, 6]).route == "line"
 
 
-def test_classify_divisor_gate():
+def test_divisors_above_one_keep_the_line_route():
     """A divisor above 1 does not gate the line route."""
-    a = [[2, 0, 0], [0, 2, 0]]
-    dec = lp.snf(a)
-    assert dec.divisors == (2, 2)
-    assert lp.classify(dec) is MethodTag.SINGLE_INDEX
-    assert lp.classify(lp.snf([[2, 2]])) is MethodTag.SINGLE_INDEX
+    a = [[2, 2, 0], [0, 2, 2]]
+    assert lp.snf(a).divisors == (2, 2)
+    # k1 + k2 = 2, k2 + k3 = 2: three points
+    res = lp.pmf(lp.PoissonModel(a, [1.0, 1.0, 1.0]), [4, 4])
+    assert (res.route, res.terms) == ("line", 3)
+    assert lp.pmf(lp.PoissonModel([[2, 2]], [1.0, 1.0]), [4]).route == "line"
 
 
 # ------------------------------------------------------ single index
@@ -285,8 +277,6 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
     a, b, rates = system
     model = lp.PoissonModel(a, rates)
     assert model.n == sum(r > 0.0 for r in rates)
-    if model.n == a.shape[1]:
-        assert model.method is MethodTag.ENUMERATE
     want = enumerate_solutions(model.a, b)
     fam = lp.solution_family(model, b)
     assert family_set(fam) == family_set(want)
@@ -298,6 +288,8 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
     auto = lp.pmf(model, b)
     ref = reference_log_prob(model.rates.tolist(), family_set(want))
     assert auto.terms == want.count
+    if model.n == a.shape[1]:
+        assert auto.route in ("empty", "walk", "recurrence")
     assert auto.log_prob == ref or math.isclose(auto.log_prob, ref, rel_tol=1e-12)
     hand = hand_reduced(a, rates)
     if hand is not None:
@@ -370,7 +362,7 @@ def test_walk_wide_entries_use_python_ints():
     a = [[1, 2**64, 2**64]]
     model = lp.PoissonModel(a, [1.0, 1.0, 1.0])
     fam = lp.solution_family(model, [2**65 + 3])
-    assert model.method is MethodTag.ENUMERATE and fam.array.dtype == object
+    assert fam.array.dtype == object
     assert fam.count == 6 and family_set(fam) == {
         (3, 0, 2), (3, 1, 1), (3, 2, 0),
         (2**64 + 3, 0, 1), (2**64 + 3, 1, 0), (2**65 + 3, 0, 0),
@@ -382,6 +374,7 @@ def test_walk_wide_entries_use_python_ints():
     hi = max(big)
     ref = hi + math.log(math.fsum(math.exp(t - hi) for t in big))
     assert res.terms == 6 and math.isclose(res.log_prob, ref, rel_tol=1e-12)
+    assert res.route == "walk"
     # k_1 + k_2 = s for s = 0..3: 1 + 2 + 3 + 4 points
     assert lp.solution_family(model, [2**65 + 2**64 + 3]).count == 10
 
@@ -395,7 +388,7 @@ def test_walk_wide_entries_use_python_ints():
         model = lp.PoissonModel(a, [1.0] * len(k))
         fam = lp.solution_family(model, b)
         want = enumerate_solutions(a, b)
-        assert model.method is MethodTag.ENUMERATE and fam.array.dtype == object
+        assert fam.array.dtype == object
         assert family_set(fam) == family_set(want) and fam.count == want.count
         assert tuple(k) in family_set(want)
     # the same entries with b small enough to prove int64 safe
