@@ -25,20 +25,19 @@ from .intlinalg import (
     parse_matrix_text,
     snf,
 )
-from .kernels import default_backend, poisson_cdf_table
+from .kernels import default_backend
 from .model import PoissonModel, load_model_file, model_from_dict
-from .montecarlo import SampleReport, sample_many, verify
+from .montecarlo import SampleReport, verify
 from .pmf import (
     PmfResult,
     gf_eval,
     gf_eval_series,
-    log_term,
     logsumexp,
     pmf,
     pmf_table,
     solution_family,
 )
-from .solutions import PreprocessReport, SolutionFamily, preprocess, snf_family
+from .solutions import PreprocessReport, SolutionFamily, preprocess
 
 __version__ = "0.1.0"
 
@@ -55,13 +54,11 @@ __all__ = [
     "format_matrix_text",
     "SolutionFamily",
     "PreprocessReport",
-    "snf_family",
     "preprocess",
     "PoissonModel",
     "model_from_dict",
     "load_model_file",
     "PmfResult",
-    "log_term",
     "logsumexp",
     "solution_family",
     "pmf",
@@ -69,9 +66,7 @@ __all__ = [
     "gf_eval_series",
     "pmf_table",
     "SampleReport",
-    "sample_many",
     "verify",
     "default_backend",
-    "poisson_cdf_table",
     "__version__",
 ]

@@ -31,9 +31,12 @@ Rates >= 30 use Hormann's PTRS transformed rejection (Insurance: Math.
 accept test takes ln k! from model._log_factorials, the one ln k!
 routine, shared with pmf's log terms: candidates below 2**20 are read
 from its process-wide table once it covers them.  Rates above
-MAX_RATE = 2**62 are rejected with InputError: an accepted PTRS draw
-lies within a few sqrt(rate) of the rate, so below the ceiling every
-draw fits in int64 (past 2**63 the cast to int64 fails).
+MAX_RATE = 2**34 are rejected with InputError.  The accept test
+compares against k ln lam - lam - ln k!, whose parts near k = lam
+round by about 2 * 2**-53 * lam ln lam in absolute terms: 9e-5 at
+2**34, but about 0.7 at 1e14, and past about 1e15 the draws no longer
+have the Poisson variance.  Below the ceiling every draw is also exact
+in float64 and fits in int64.
 
 hits_block counts the samples with A x == b exactly, for a matrix of
 natural numbers (a negative entry is an InputError, as in preprocess),
@@ -83,7 +86,6 @@ from .model import _log_factorials
 
 __all__ = [
     "default_backend",
-    "poisson_cdf_table",
     "sample_block",
     "hits_block",
 ]
@@ -101,7 +103,7 @@ _U_R11 = np.uint64(11)
 _INV53 = 2.0 ** -53
 
 PTRS_THRESHOLD = 30.0
-MAX_RATE = 2.0 ** 62
+MAX_RATE = 2.0 ** 34
 _MAX_ATTEMPTS = 1024
 # a CDF table stops once its tail is at most _CDF_TAIL, or at
 # _CDF_MAX_LEN entries
@@ -172,17 +174,15 @@ def check_seed(seed) -> int:
 
 # ------------------------------------------------- per-coordinate prep
 
-def poisson_cdf_table(lam: float) -> np.ndarray:
-    """cdf[k] = P(Poisson(lam) <= k), truncated once the tail is at most
-    _CDF_TAIL or the table has _CDF_MAX_LEN entries.
+def _cdf_table(lam: float) -> np.ndarray:
+    """cdf[k] = P(Poisson(lam) <= k) for a rate lam checked by
+    _rate_list, truncated once the tail is at most _CDF_TAIL or the
+    table has _CDF_MAX_LEN entries.
 
     Built in Python, one float64 partial sum per entry.  A uniform
     beyond the last entry clamps to the top bucket, a < 1e-15 per-draw
     event.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise InputError("rate must be finite and >= 0")
     p = math.exp(-lam)
     c = p
     out = [c]
@@ -220,10 +220,11 @@ def _coord_param(lam: float):
     """A coordinate's CDF table for rates below PTRS_THRESHOLD, else the
     PTRS tuple (lam, log lam, b, a, 1/alpha, v_r)."""
     if lam > MAX_RATE:
-        raise InputError(f"rates above {MAX_RATE:.0f} (2**62) cannot be sampled in int64")
+        raise InputError(f"rates above {MAX_RATE:.0f} (2**34) cannot be sampled: "
+                         "the rejection sampler's accept test loses its accuracy")
     if lam >= PTRS_THRESHOLD:
         return (lam, math.log(lam), *_ptrs_params(lam))
-    return poisson_cdf_table(lam)
+    return _cdf_table(lam)
 
 
 # -------------------------------------------------------------- draws
@@ -334,16 +335,6 @@ def sample_block(rates, seed, start, stop) -> np.ndarray:
     return out
 
 
-class BlockHits(int):
-    """Hit count of one block, as an int; ``draws`` is the number of
-    Poisson variates drawn to count it."""
-
-    def __new__(cls, hits: int, draws: int):
-        self = super().__new__(cls, hits)
-        self.draws = draws
-        return self
-
-
 @functools.lru_cache(maxsize=64)
 def _lattice_checks(cols: tuple, m: int) -> tuple:
     """Entry k: the tests that a residual r lies on the lattice spanned
@@ -381,7 +372,7 @@ def _lattice_misses(tests, res, bound) -> list:
     return out
 
 
-def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
+def hits_block(a, b, rates, seed, start, stop) -> tuple[int, int]:
     """Count samples s in [start, stop) with A x_s == b, exactly, for a
     matrix A of natural numbers.
 
@@ -390,8 +381,8 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
     (see the module docstring).  A negative entry is an InputError
     before any draw; the int64 and MAX_RATE limits apply only to the
     columns that can move A x.  InputError for more than MAX_BLOCK
-    samples.  The result is an int that carries the number of variates
-    drawn as ``.draws``.
+    samples.  Returns (hits, draws), draws the number of Poisson
+    variates drawn to count them.
     """
     seed = check_seed(seed)
     start, stop = _check_range(start, stop)
@@ -427,7 +418,7 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
     checks = _lattice_checks(tuple(tuple(row[c] for row in rows) for c in order), m)
     # b is the residual before any draw and must pass the same tests
     if min(bl, default=0) < 0 or any(_lattice_misses(checks[0], bl, bl)):
-        return BlockHits(0, 0)
+        return 0, 0
 
     # the live samples' indices: a range until the first column prunes any
     svec = range(start, stop)
@@ -475,4 +466,4 @@ def hits_block(a, b, rates, seed, start, stop) -> BlockHits:
         at = None
         res = [r[sel] if isinstance(r, np.ndarray) else r for r in res]
         svec = keep.view(np.uint64) + np.uint64(start) if isinstance(svec, range) else svec[keep]
-    return BlockHits(len(svec), draws)
+    return len(svec), draws

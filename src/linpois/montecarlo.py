@@ -8,31 +8,17 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError
 from .intlinalg import int_vector
-from .kernels import check_seed, hits_block, sample_block
+from .kernels import check_seed, hits_block
 from .model import PoissonModel
 from .pmf import pmf
 
-__all__ = ["SampleReport", "sample_many", "verify"]
+__all__ = ["SampleReport", "verify"]
 
 # the most samples one hits_block call draws, as int64 arrays of one
 # column each
 _SAMPLE_BLOCK = 1 << 20
-
-
-def sample_many(rates, seed, n_samples: int, start: int = 0) -> np.ndarray:
-    """(n_samples, n) draws with sample indices [start, start + n_samples).
-
-    Row s equals the one-row sample_block(rates, seed, start + s,
-    start + s + 1): each sample is a pure function of its index.
-    """
-    n_samples = operator.index(n_samples)
-    if n_samples < 0:
-        raise InputError("n_samples must be >= 0")
-    return sample_block(rates, seed, start, start + n_samples)
 
 
 @dataclass(frozen=True)
@@ -82,9 +68,9 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
     amat = model.a_full
     hits = draws = 0
     for lo in range(0, n_samples, _SAMPLE_BLOCK):
-        block = hits_block(amat, target, rates, seed, lo, min(lo + _SAMPLE_BLOCK, n_samples))
-        hits += block
-        draws += block.draws
+        h, d = hits_block(amat, target, rates, seed, lo, min(lo + _SAMPLE_BLOCK, n_samples))
+        hits += h
+        draws += d
 
     empirical = hits / n_samples
     if 0.0 < exact < 1.0:

@@ -53,12 +53,11 @@ import numpy as np
 from . import solutions
 from .errors import InputError, InternalInvariantError
 from .intlinalg import int_vector
-from .model import PoissonModel, _log_factorials, rate_constants
-from .solutions import SolutionFamily, _walk_family, snf_family
+from .model import PoissonModel, _log_factorials
+from .solutions import SolutionFamily, _snf_family, _walk_family
 
 __all__ = [
     "PmfResult",
-    "log_term",
     "logsumexp",
     "solution_family",
     "pmf",
@@ -140,33 +139,6 @@ def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray) -> 
     return (points * log_rates - rates - _log_factorials(points)).sum(axis=1)
 
 
-def log_term(k, rates) -> float:
-    """ln of one product term: sum_i [k_i ln l_i - l_i - ln k_i!].
-
-    Convention 0*ln 0 = 0, so a zero-rate coordinate with k_i = 0
-    contributes nothing; k_i > 0 there makes the whole term -inf.
-    """
-    try:
-        counts = [operator.index(x) for x in k]
-    except TypeError:
-        raise InputError("counts must be integers") from None
-    try:
-        lam = np.asarray(rates, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"rates are not numeric: {exc}") from None
-    if lam.ndim != 1 or len(counts) != lam.shape[0]:
-        raise InputError(f"count vector length {len(counts)} != rate vector length {lam.size}")
-    if any(x < 0 for x in counts):
-        raise InputError("counts must be >= 0")
-    if not np.all(np.isfinite(lam)) or np.any(lam < 0):
-        raise InputError("rates must be finite and >= 0")
-    live = lam > 0.0
-    point = SolutionFamily.finite([counts]).points()
-    if (point[:, ~live] > 0.0).any():
-        return NEG_INF
-    return float(_log_terms(point[:, live], lam[live], rate_constants(lam[live]))[0])
-
-
 def logsumexp(terms) -> float:
     """ln sum_i exp(t_i) for a list or 1-D array, max-shifted.
 
@@ -199,7 +171,7 @@ def _lattice_family(model: PoissonModel, b) -> tuple[list[int] | None, SolutionF
     b = b.tolist()
     if any(x < 0 for x in b):
         return None, SolutionFamily.empty()
-    return b, snf_family(model.snf, b)
+    return b, _snf_family(model.snf, b)
 
 
 def solution_family(model: PoissonModel, b) -> SolutionFamily:
@@ -212,17 +184,13 @@ def solution_family(model: PoissonModel, b) -> SolutionFamily:
 
 def _result(lp: float, route: str, terms: int, summed: int, tail: float = 0.0) -> PmfResult:
     """The result for log_prob lp, with prob clamped to 1 from within
-    CLAMP_TOL."""
+    CLAMP_TOL.  lp is tested before exp is taken, which would overflow
+    for a large lp."""
+    if lp > math.log1p(CLAMP_TOL):
+        raise InternalInvariantError(f"log probability {lp!r} exceeds ln(1 + CLAMP_TOL)")
     prob = math.exp(lp)
-    clamped = False
-    if prob > 1.0:
-        if prob <= 1.0 + CLAMP_TOL:
-            prob = 1.0
-            clamped = True
-        else:
-            raise InternalInvariantError(f"probability {prob!r} exceeds 1 beyond tolerance")
-    return PmfResult(log_prob=lp, prob=prob, route=route, terms=terms, clamped=clamped,
-                     summed=summed, tail_bound=tail)
+    return PmfResult(log_prob=lp, prob=min(prob, 1.0), route=route, terms=terms,
+                     clamped=prob > 1.0, summed=summed, tail_bound=tail)
 
 
 def _summed(log_terms, route: str, terms: int | None = None, tail_logs=()) -> PmfResult:
@@ -451,24 +419,22 @@ def _check_z(model: PoissonModel, z) -> np.ndarray:
 def gf_eval(model: PoissonModel, z) -> float:
     """Generating function G(z) = E[prod_i z_i^{Y_i}] in closed form.
 
-    Equals exp(sum_j l_j prod_i z_i^{a_ij} - sum_j l_j); the subtracted
-    rate total normalizes G(1) = 1.  Convention 0^0 = 1 for zero
-    exponents at z_i = 0.  An exponent past 2**63 is capped there, which
-    keeps every factor: z_i**(2**63) is already 0.0 for z_i < 1, and 1.0
-    at z_i = 1.
+    G(z) = exp(sum_j l_j (prod_i z_i^{a_ij} - 1)).  Each column's term
+    is formed as l_j expm1(sum_i a_ij ln z_i) and the terms are added by
+    math.fsum, so prod - 1 does not cancel near z = 1 at large rates.  A
+    z_i = 0 with a_ij > 0 makes the term -l_j; a zero exponent gives
+    0^0 = 1.  An exponent past 2**63 is capped there, which keeps every
+    term: 2**63 ln z_i is at most about -1024 for z_i < 1, where expm1
+    is already -1.0, and 0 at z_i = 1.
     """
     z = _check_z(model, z)
-    a = model.a_full
-    lam = model.rates_full
-    s = 0.0
-    for j in range(model.n_full):
-        prod = 1.0
-        for i in range(model.m_full):
-            e = int(a[i, j])
-            if e:
-                prod *= float(z[i]) ** min(e, 1 << 63)
-        s += float(lam[j]) * prod
-    return math.exp(s - float(np.sum(lam)))
+    ln_z = [math.log(x) if x > 0.0 else NEG_INF for x in z.tolist()]
+    rows = model.a_full.tolist()
+    terms = []
+    for j, r in enumerate(model.rates_full.tolist()):
+        s = math.fsum([min(row[j], 1 << 63) * lz for row, lz in zip(rows, ln_z) if row[j]])
+        terms.append(r * math.expm1(s))
+    return math.exp(math.fsum(terms))
 
 
 def pmf_table(model: PoissonModel, degree_bound: int) -> np.ndarray:

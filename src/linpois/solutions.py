@@ -1,6 +1,6 @@
 """Nonnegative integer solution sets of A k = b for natural-number matrices.
 
-``snf_family`` reads the solution set off the Smith normal form
+``_snf_family`` reads the solution set off the Smith normal form
 p A q = d: whether b is on the lattice (dependent rows included), then
 a singleton when the kernel of A is trivial or a line ``u + j v`` when
 it has dimension 1, for any elementary divisors.  For a kernel of
@@ -10,7 +10,8 @@ with ``_walk_family``: a breadth-first walk, in numpy array passes,
 over only the n - r free coordinates of a ``_WalkPlan``, whose r basis
 coordinates are then solved exactly with an integer matrix read off
 the Smith form of the m x r block of basis columns.
-The walk trusts the lattice test and the caller's checks on b.
+Both trust the checks that pmf's query step made on b, and the walk
+also the lattice test.
 ``_RowPlan`` reduces a matrix of rank 1 to one primitive row, for
 pmf's recurrence, which answers such a kernel without the walk when
 its step cap and error bound allow.
@@ -37,7 +38,6 @@ __all__ = [
     "MAX_POINTS",
     "SolutionFamily",
     "PreprocessReport",
-    "snf_family",
     "preprocess",
 ]
 
@@ -157,29 +157,23 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
+def _snf_family(dec: SnfDecomposition, b: list[int]) -> SolutionFamily | None:
     """Nonnegative solutions of A k = b from the Smith form p A q = d.
 
-    With c = p b and r = rank, b lies in the lattice A Z^n iff d_i | c_i
-    for i < r and c_i = 0 for i >= r.  The last m - r rows of p span the
-    integer left kernel of A, so the second test is also the consistency
-    check for dependent rows.  Every integer solution is then
-    k = q (y; t) with y_i = c_i / d_i and t in Z^(n-r).  Kernel
-    dimension 0 gives at most one point; dimension 1 gives a line whose
-    j-interval is cut out with exact integer floor/ceil, for any
-    divisors.  For dimension 2 or more, returns None when b is on the
-    lattice, and pmf.solution_family or pmf.pmf takes over.
-    A line unbounded on one side, from a zero column or a negative
-    entry, is an InputError.
+    b is a list of m ints, checked by pmf's query step
+    (pmf._lattice_family), and A is a preprocessed matrix: natural
+    numbers, no zero column.  With c = p b and r = rank, b lies in the
+    lattice A Z^n iff d_i | c_i for i < r and c_i = 0 for i >= r.  The
+    last m - r rows of p span the integer left kernel of A, so the
+    second test is also the consistency check for dependent rows.
+    Every integer solution is then k = q (y; t) with y_i = c_i / d_i
+    and t in Z^(n-r).  Kernel dimension 0 gives at most one point;
+    dimension 1 gives a line whose j-interval is cut out with exact
+    integer floor/ceil, for any divisors.  For dimension 2 or more,
+    returns None when b is on the lattice, for the caller to walk.
     """
-    m, n = dec.d.shape
+    n = dec.d.shape[1]
     r = dec.rank
-    try:
-        b = [operator.index(x) for x in b]
-    except TypeError:
-        raise InputError("observation entries must be integers") from None
-    if len(b) != m:
-        raise InputError(f"observation length {len(b)} != row count {m}")
     c = [sum(map(operator.mul, row, b)) for row in dec.p.tolist()]
     if any(ci % di for ci, di in zip(c, dec.divisors)) or any(c[r:]):
         return SolutionFamily.empty()
@@ -206,13 +200,8 @@ def snf_family(dec: SnfDecomposition, b) -> SolutionFamily | None:
             return SolutionFamily.empty()
     if lo is None or hi is None:
         # a natural-number matrix without zero columns has a kernel
-        # direction with entries of both signs; a one-signed one comes
-        # from the caller's zero column or negative entry
-        raise InputError(
-            "infinitely many nonnegative solutions: the kernel direction is one-signed, "
-            "so the matrix has a zero column or a negative entry (PoissonModel removes "
-            "zero columns and rejects negative entries)"
-        )
+        # direction with entries of both signs
+        raise InternalInvariantError("the kernel direction of a preprocessed matrix is one-signed")
     if lo > hi:
         return SolutionFamily.empty()
     if lo == hi:
@@ -330,7 +319,7 @@ def _det_adj(block) -> tuple[int, np.ndarray]:
 def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:
     """All k in N^n with A k = b, walking only the free coordinates.
 
-    b is a list of m ints >= 0 on the lattice A Z^n (snf_family returned
+    b is a list of m ints >= 0 on the lattice A Z^n (_snf_family returned
     None).  The walk state is one row [res | k] per partial solution.
     It starts at [b | 0] and expands one free column at a time to every
     value up to the box bound min_i floor(res_i / a_ij), so residuals
@@ -404,7 +393,7 @@ def preprocess(a, rates):
     out with total probability 1; a zero-rate variable is 0 almost
     surely.  Either way the column's factor of the generating function
     is 1, so removing it preserves every probability.  Every row is
-    kept: snf_family checks dependent rows.
+    kept: _snf_family checks dependent rows.
 
     Returns (reduced matrix, reduced rates, PreprocessReport).
     """

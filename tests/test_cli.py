@@ -371,6 +371,19 @@ def test_pmf_wide_entries_answer_at_once(tmp_path):
     assert res["route"] == "walk" and res["terms"] == 6 and res["prob"] > 0.0
 
 
+def test_pmf_huge_counts_exit_4_without_a_traceback(tmp_path):
+    # the cancelled log_prob came out large and positive, and exp raised
+    # OverflowError: a traceback and exit 1
+    path = tmp_path / "huge-rate.json"
+    path.write_text(json.dumps({"a": [[1]], "lambda": [1e40]}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "linpois.cli", "pmf", str(path),
+                          "--b", str(10**40)], capture_output=True, text=True, timeout=60, env=env)
+    assert out.returncode == 4
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
 def test_console_script_runs_pmf(model1_file, capsys):
     # the [project.scripts] entry point, resolved as an installer would
     tomllib = pytest.importorskip("tomllib")
@@ -399,6 +412,14 @@ def test_sample_ignores_rate_of_a_zero_column(tmp_path, capsys):
         assert run(argv) == 0
         hits.append(_json_out(capsys)["hits"])
     assert hits[0] == hits[1] > 0
+
+
+def test_sample_rate_past_the_ceiling_exits_2(tmp_path, capsys):
+    # the rejection sampler drew from the wrong law at rate 1e15
+    path = tmp_path / "big-rate.json"
+    path.write_text(json.dumps({"a": [[1]], "lambda": [1e15]}))
+    assert run(["sample", str(path), "--b", "1", "--n", "100", "--seed", "1"]) == 2
+    assert "2**34" in capsys.readouterr().err
 
 
 def test_sample_threads_flag_is_a_usage_error(model1_file, capsys):

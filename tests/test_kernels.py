@@ -15,7 +15,7 @@ from linpois import kernels as K
 from linpois import model as model_module
 from linpois.errors import InputError
 from linpois.model import PoissonModel
-from linpois.montecarlo import sample_many, verify
+from linpois.montecarlo import verify
 
 from conftest import EXAMPLE3
 from oracle import mix64, uniform53, unmix64
@@ -96,7 +96,7 @@ def test_default_backend():
 
 def test_poisson_cdf_table_matches_scipy():
     for lam in (0.0, 0.3, 1.0, 7.5, 29.9):
-        table = K.poisson_cdf_table(lam)
+        table = K._cdf_table(lam)
         ref = poisson.cdf(np.arange(len(table)), lam)
         assert np.allclose(table, ref, rtol=0, atol=5e-14)
         assert table[-1] >= 1 - 1e-15
@@ -104,10 +104,13 @@ def test_poisson_cdf_table_matches_scipy():
 
 
 def test_poisson_cdf_table_rejects_bad_rate():
-    with pytest.raises(InputError):
-        K.poisson_cdf_table(-1.0)
-    with pytest.raises(InputError):
-        K.poisson_cdf_table(float("inf"))
+    # rates reach the CDF table only through _rate_list, which refuses
+    # these before any table is built
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(InputError):
+            K.sample_block([bad], 1, 0, 5)
+        with pytest.raises(InputError):
+            K.hits_block([[1]], [1], [bad], 1, 0, 5)
 
 
 # ---------------------------------------------- guide-table inversion
@@ -144,7 +147,7 @@ def _edge_words(edges, g):
 
 @pytest.mark.parametrize("lam", [0.0, 1e-9, 0.4, 2.5, 29.99])
 def test_invert_cdf_equals_search_at_every_edge(lam):
-    cdf = K.poisson_cdf_table(lam)
+    cdf = K._cdf_table(lam)
     size = len(K._guide(cdf))
     # a power of two, so the bucket floor(u * G) is the word's top g bits
     assert size >= 64 * len(cdf) and size & (size - 1) == 0
@@ -253,7 +256,7 @@ def test_hits_block_matches_direct_count():
     a = [[1, 0, 1], [0, 2, 1]]
     b = [2, 2]
     rates = [1.0, 1.0, 1.0]
-    hits = K.hits_block(a, b, rates, 2020, 0, 50_000)
+    hits, _ = K.hits_block(a, b, rates, 2020, 0, 50_000)
     x = K.sample_block(rates, 2020, 0, 50_000)
     y = x @ np.array(a, dtype=np.int64).T
     assert hits == int(np.count_nonzero(np.all(y == b, axis=1)))
@@ -302,12 +305,10 @@ def test_kernel_huge_valid_index_range(stop):
         K.hits_block([[1]], [1], [1.0], 1, 0, stop)
     with pytest.raises(InputError, match="MAX_BLOCK"):
         K.sample_block([1.0], 1, 0, stop)
-    with pytest.raises(InputError, match="MAX_BLOCK"):
-        sample_many([1.0], 1, stop)
 
 
 def test_kernel_block_cap_keeps_large_draws():
-    # sample_many([1.0] * 2, 1, 10**7) worked under numpy alone; the cap
+    # sample_block([1.0] * 2, 1, 0, 10**7) worked under numpy alone; the cap
     # check passes it (checked without drawing 160 MB)
     assert K.MAX_BLOCK == 2**30
     assert K._check_range(0, 10**7, 2) == (0, 10**7)
@@ -320,7 +321,7 @@ def test_kernel_block_cap_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(K, "MAX_BLOCK", 12)
     # sample_block counts rows times columns, hits_block rows
     assert K.sample_block([1.0, 2.0], 1, 0, 6).shape == (6, 2)
-    assert K.hits_block([[1, 1]], [1], [1.0, 2.0], 1, 0, 12) >= 0
+    assert K.hits_block([[1, 1]], [1], [1.0, 2.0], 1, 0, 12)[0] >= 0
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match="MAX_BLOCK = 12"):
@@ -343,6 +344,22 @@ def test_rate_ceiling():
     assert np.all(np.abs(top - K.MAX_RATE) <= 10 * math.sqrt(K.MAX_RATE))
 
 
+def test_ptrs_law_holds_up_to_the_rate_ceiling():
+    # the accept test's k ln lam - lam - ln k! rounds by about
+    # 2 * 2**-53 * lam ln lam: var/lam of these draws read 0.88 at 1e15,
+    # which was accepted
+    for bad in (1e15, 2.0**53):
+        with pytest.raises(InputError, match="2\\*\\*34"):
+            K.sample_block([bad], 7, 0, 5)
+    # the sample variance over lam has a standard error of about
+    # sqrt(2 / n) = 0.0022 here
+    n = 400_000
+    for seed in (7, 8):
+        x = K.sample_block([K.MAX_RATE], seed, 0, n)[:, 0]
+        assert abs(x.var() / K.MAX_RATE - 1.0) <= 0.01
+        assert abs(x.mean() - K.MAX_RATE) <= 5.0 * math.sqrt(K.MAX_RATE / n)
+
+
 # ------------------------------------------------------ golden draws
 
 def test_sample_block_golden_draws():
@@ -355,19 +372,6 @@ def test_sample_block_golden_draws():
     assert out.sum(axis=0).tolist() == [0, 919, 13484, 90123, 89746, 134922, 2999963708]
     digest = hashlib.sha256(out.astype("<i8").tobytes()).hexdigest()
     assert digest == "f11b63d1e6ee043f93064f1270f54e775db24d009d87b344549bb81fc8ca80ed"
-
-
-def test_sample_block_golden_draws_past_2_53():
-    # PTRS at rates where float64 no longer holds every count: the
-    # candidates and ln k! are formed from rounded floats, so any change
-    # in how ln k! rounds would show here
-    out = K.sample_block([2.0**55, K.MAX_RATE], 3, 0, 2000)
-    assert out[:2].tolist() == [[36028797154606208, 4611686017597286912],
-                                [36028796994569340, 4611686018117941760]]
-    assert [sum(col) for col in out.T.tolist()] == [72057594038070785248,
-                                                    9223372036823814924288]
-    digest = hashlib.sha256(out.astype("<i8").tobytes()).hexdigest()
-    assert digest == "5f713b451c902097aa950e075d98b7957178bb2bbba121f51d0fd559c4a0de7f"
 
 
 def test_ptrs_accept_test_reads_ln_factorial_table(monkeypatch):
@@ -394,7 +398,7 @@ def test_ptrs_accept_test_reads_ln_factorial_table(monkeypatch):
 
 def test_hits_block_golden_count():
     hits = K.hits_block([[1, 0, 1], [0, 2, 1]], [2, 72], [1.2, 35.0, 2.1], 11, 0, 200_000)
-    assert hits == 1440
+    assert hits == (1440, 324_882)
 
 
 # ------------------------------------------------ exact hit counting
@@ -405,7 +409,7 @@ def test_hits_block_huge_entry_counts_exactly():
     # against P(X = 0) = e^-4 ~ 0.018
     seed = 31
     zeros = int(np.count_nonzero(K.sample_block([4.0], seed, 0, 20_000) == 0))
-    assert K.hits_block([[2**62]], [0], [4.0], seed, 0, 20_000) == zeros
+    assert K.hits_block([[2**62]], [0], [4.0], seed, 0, 20_000)[0] == zeros
     rep = verify(PoissonModel([[2**62]], [4.0]), [0], 20_000, seed)
     assert rep.hits == zeros
     assert abs(rep.z_score) <= 5.0
@@ -418,7 +422,7 @@ def test_hits_block_masked_rows_count_exactly():
     x = K.sample_block([1.0, 4.0], 8, 0, 20_000)
     direct = sum(1 for x0, x1 in x.tolist() if 2**62 * x0 + x1 == b[0] and 3 * x1 == b[1])
     assert direct > 0
-    assert K.hits_block(a, b, [1.0, 4.0], 8, 0, 20_000) == direct
+    assert K.hits_block(a, b, [1.0, 4.0], 8, 0, 20_000)[0] == direct
 
 
 def test_hits_block_negative_entries(monkeypatch):
@@ -445,25 +449,25 @@ def test_verify_checks_limits_on_drawn_columns_only():
     # CLI sample refuse a model that pmf answers; draw keys are
     # s * n + c, so the count is that of a rate-1 zero column
     want = K.hits_block([[1, 0]], [2], [1.0, 1.0], 9, 0, 20_000)
-    assert want > 0 and want.draws == 20_000
+    assert want[0] > 0 and want[1] == 20_000
     for a, rates in (([[1, 2**70]], [1.0, 0.0]), ([[1, 0]], [1.0, 1e30])):
-        hits = K.hits_block(a, [2], rates, 9, 0, 20_000)
-        assert hits == want and hits.draws == want.draws
+        assert K.hits_block(a, [2], rates, 9, 0, 20_000) == want
         rep = verify(PoissonModel(a, rates), [2], 20_000, 9)
-        assert rep.hits == want and rep.draws == want.draws
+        assert (rep.hits, rep.draws) == want
 
 
 def test_hits_block_count_independent_of_shards():
-    # rates near 2**62: whether the bound max x0 + max x1 exceeds int64
-    # depends on the draws of a shard, so one shard raised InputError
-    # where two shards counted
-    r = 4.6116860022928256e18
+    # at rates near 2**62 whether the bound max x0 + max x1 exceeded
+    # int64 depended on the draws of a shard, so one shard raised
+    # InputError where two shards counted; such rates are now refused
+    with pytest.raises(InputError):
+        K.hits_block([[1, 1]], [2**62], [4.6116860022928256e18] * 2, 2, 0, 2000)
+    r = K.MAX_RATE
     x = K.sample_block([r, r], 2, 0, 2000)
-    assert int(x[:, 0].max()) + int(x[:, 1].max()) > 2**63 - 1
     sums = [int(x0) + int(x1) for x0, x1 in x.tolist()]
-    for b in (9223372004585651200, sums[7]):
-        one = K.hits_block([[1, 1]], [b], [r, r], 2, 0, 2000)
-        two = sum(K.hits_block([[1, 1]], [b], [r, r], 2, lo, hi)
+    for b in (2 * int(r), sums[7]):
+        one = K.hits_block([[1, 1]], [b], [r, r], 2, 0, 2000)[0]
+        two = sum(K.hits_block([[1, 1]], [b], [r, r], 2, lo, hi)[0]
                   for lo, hi in ((0, 1000), (1000, 2000)))
         assert one == two == sums.count(b)
     assert sums.count(sums[7]) >= 1
@@ -473,13 +477,13 @@ def test_hits_block_skips_columns_that_cannot_move_y():
     # the zero column was drawn too, by PTRS at rate 1e6, although its
     # draws cannot change A x
     x = K.sample_block([1.0, 1e6], 13, 0, 20_000)
-    hits = K.hits_block([[1, 0]], [2], [1.0, 1e6], 13, 0, 20_000)
+    hits, draws = K.hits_block([[1, 0]], [2], [1.0, 1e6], 13, 0, 20_000)
     assert hits == int(np.count_nonzero(x[:, 0] == 2)) > 0
-    assert hits.draws == 20_000
+    assert draws == 20_000
     rep = verify(PoissonModel([[1, 0]], [1.0, 1e6]), [2], 20_000, 13)
     assert rep.hits == hits and rep.draws == 20_000
     # a rate-0 column is not drawn either
-    assert K.hits_block([[1, 1]], [2], [1.0, 0.0], 13, 0, 20_000).draws == 20_000
+    assert K.hits_block([[1, 1]], [2], [1.0, 0.0], 13, 0, 20_000)[1] == 20_000
 
 
 def _python_count(a, b, rates, seed, start, stop):
@@ -511,7 +515,7 @@ def test_hits_block_first_column_per_value(a, rates, stop, b):
         b = [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
     want = _python_count(a, b, rates, seed, start, start + stop)
     assert want > 0 or not image
-    assert K.hits_block(a, b, rates, seed, start, start + stop) == want
+    assert K.hits_block(a, b, rates, seed, start, start + stop)[0] == want
 
 
 @pytest.mark.parametrize("b", [[1], [2], [3]])
@@ -519,11 +523,11 @@ def test_hits_block_first_column_reaches_the_table_top(monkeypatch, b):
     # the first column's values run to len(cdf) - 1 without a scan of the
     # draws; a table cut at 3 entries draws its top, 2, about 3 times in 4
     monkeypatch.setattr(K, "_CDF_MAX_LEN", 3)
-    assert len(K.poisson_cdf_table(4.0)) == 3
+    assert len(K._cdf_table(4.0)) == 3
     a, rates = [[1, 1]], [4.0, 1.0]
     assert np.mean(K.sample_block(rates, 23, 0, 2000)[:, 0] == 2) > 0.7
     want = _python_count(a, b, rates, 23, 0, 2000)
-    assert want > 0 and K.hits_block(a, b, rates, 23, 0, 2000) == want
+    assert want > 0 and K.hits_block(a, b, rates, 23, 0, 2000)[0] == want
 
 
 @pytest.mark.parametrize("a,b,rates,seed", [
@@ -543,7 +547,7 @@ def test_hits_block_lattice_tests_past_int64(a, b, rates, seed):
     # must be formed in Python ints
     want = _python_count(a, b, rates, seed, 0, 400)
     assert want > 0
-    assert K.hits_block(a, b, rates, seed, 0, 400) == want
+    assert K.hits_block(a, b, rates, seed, 0, 400)[0] == want
 
 
 # small nonnegative matrices: random ones (with zero columns), and ones
@@ -565,11 +569,11 @@ def _check_hits(a, rates, seed, s, shift):
     x = K.sample_block(rates, seed, 0, _SAMPLES).tolist()
     image = [[sum(aij * xj for aij, xj in zip(row, xs)) for row in a] for xs in x]
     b = [y + d for y, d in zip(image[s], shift)]
-    hits = K.hits_block(a, b, rates, seed, 0, _SAMPLES)
+    hits, draws = K.hits_block(a, b, rates, seed, 0, _SAMPLES)
     assert hits == image.count(b)
     moving = sum(1 for c in range(len(rates)) if rates[c] > 0 and any(row[c] for row in a))
-    assert hits.draws <= _SAMPLES * moving
-    return hits
+    assert draws <= _SAMPLES * moving
+    return hits, draws
 
 
 @settings(max_examples=80, deadline=None)
@@ -595,9 +599,9 @@ def test_hits_block_equals_python_count(a, data, seed):
     (EXAMPLE3 + [[1, 6, 11]], [2.0, 0.5, 35.0], [0, 0, 0, 1], False),
 ])
 def test_hits_block_divisors_and_dependent_rows(a, rates, shift, on):
-    hits = _check_hits(a, rates, 5, 17, shift)
+    hits, draws = _check_hits(a, rates, 5, 17, shift)
     if not any(shift):
         assert hits > 0
     if not on:
         # the lattice test on all drawable columns fails before any draw
-        assert hits == hits.draws == 0
+        assert hits == draws == 0

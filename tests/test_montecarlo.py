@@ -14,18 +14,18 @@ import pytest
 import linpois as lp
 from linpois import kernels, montecarlo
 from linpois.errors import InputError
-from linpois.montecarlo import sample_many, verify
+from linpois.montecarlo import verify
 
 
 def test_sample_x_zero_rates():
-    assert sample_many([0.0, 0.0, 0.0], 0, 1).tolist() == [[0, 0, 0]]
+    assert kernels.sample_block([0.0, 0.0, 0.0], 0, 0, 1).tolist() == [[0, 0, 0]]
 
 
 def test_sample_many_equals_repeated_sample_x():
     # each sample is a pure function of its index: one block of ten
     # equals ten one-row blocks
     rates = [0.5, 3.0]
-    block = sample_many(rates, 88, 10)
+    block = kernels.sample_block(rates, 88, 0, 10)
     singles = np.vstack([kernels.sample_block(rates, 88, s, s + 1) for s in range(10)])
     assert np.array_equal(block, singles)
 

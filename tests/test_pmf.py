@@ -39,49 +39,59 @@ def rel_close(x, y, tol=REL):
     return abs(x - y) <= tol * max(abs(x), abs(y))
 
 
-# --------------------------------------------------------- log_term
+# --------------------------------------------------------- log terms
+
+def log_term(k, rates):
+    """ln of one product term, sum_i [k_i ln l_i - l_i - ln k_i!]: the
+    log_prob of pmf on an identity model, whose solution set is k."""
+    return lp.pmf(lp.PoissonModel(lp.int_identity(len(k)), rates), k).log_prob
+
 
 def test_log_term_known_values():
-    assert lp.log_term([0, 0, 0], [1.0, 1.0, 1.0]) == -3.0
-    got = lp.log_term([2, 1, 0], [1.0, 1.0, 1.0])
+    assert log_term([0, 0, 0], [1.0, 1.0, 1.0]) == -3.0
+    got = log_term([2, 1, 0], [1.0, 1.0, 1.0])
     assert math.isclose(got, math.log(0.5) - 3.0, rel_tol=1e-15)
-    got = lp.log_term([0, 5], [0.0, 2.0])
+    got = log_term([0, 5], [0.0, 2.0])
     assert math.isclose(got, 5 * math.log(2) - 2 - math.log(120), rel_tol=1e-14)
 
 
 def test_log_term_zero_rate_point_mass():
-    assert lp.log_term([1], [0.0]) == float("-inf")
-    assert lp.log_term([0], [0.0]) == 0.0
+    assert log_term([1], [0.0]) == float("-inf")
+    assert log_term([0], [0.0]) == 0.0
 
 
 def test_log_term_validation():
+    # the model checks the rates and pmf's query step the counts
     with pytest.raises(InputError):
-        lp.log_term([-1], [1.0])
-    with pytest.raises(InputError):
-        lp.log_term([1], [-1.0])
-    with pytest.raises(InputError):
-        lp.log_term([1, 2], [1.0])
-    with pytest.raises(InputError):
-        lp.log_term([0.5], [1.0])
-    with pytest.raises(InputError):
-        lp.log_term([10**400], [1.0])
+        lp.PoissonModel([[1]], [-1.0])
+    model = lp.PoissonModel([[1]], [1.0])
+    for bad in ([1, 2], [0.5], [10**400]):
+        with pytest.raises(InputError):
+            lp.pmf(model, bad)
+    # a negative count is a query of probability 0, not an error
+    assert lp.pmf(model, [-1]).log_prob == float("-inf")
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 20),
-                          st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1),
-                                           Fraction(3, 2), Fraction(2), Fraction(4)])),
+                          st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2),
+                                           Fraction(1), Fraction(3, 2), Fraction(2),
+                                           Fraction(4)])),
                 min_size=1, max_size=5))
 def test_log_term_matches_exact_rational(pairs):
     """Oracle: lambda^k / k! as an exact Fraction, log via big-int
-    math.log; the e^-lambda part is exact because every rate is dyadic."""
+    math.log; the e^-lambda part is exact because every rate is dyadic.
+    A zero rate is a point mass at 0: 0^0 = 1, and 0^k = 0 for k > 0."""
     ks = [k for k, _ in pairs]
     lams = [lam for _, lam in pairs]
+    got = log_term(ks, [float(x) for x in lams])
     frac = Fraction(1)
     for k, lam in pairs:
         frac *= lam**k / math.factorial(k)
+    if frac == 0:
+        assert got == float("-inf")
+        return
     expect = math.log(frac.numerator) - math.log(frac.denominator) - float(sum(lams))
-    got = lp.log_term(ks, [float(x) for x in lams])
     assert math.isclose(got, expect, rel_tol=1e-13, abs_tol=1e-13)
 
 
@@ -446,7 +456,7 @@ def test_pmf_line_partly_live(model1):
     line = enumerate_solutions(EXAMPLE1, [20, 60])
     assert line.count == 11
     assert agrees_with_reference(res, reference_log_prob([0.0, 1.5, 2.0], family_set(line)))
-    assert math.isclose(res.log_prob, lp.log_term([0, 20, 20], [0.0, 1.5, 2.0]), rel_tol=1e-15)
+    assert math.isclose(res.log_prob, log_term([0, 20, 20], [0.0, 1.5, 2.0]), rel_tol=1e-15)
 
 
 def test_zero_rate_columns_are_dropped_at_build():
@@ -812,13 +822,22 @@ def test_removed_names_are_not_exported():
     removed = ["pmf_single_index", "pmf_invertible", "pmf_enumerate",
                "MethodNotApplicableError", "enumerate_solutions", "det_exact", "minor_gcd",
                "WalkPlan", "walk_family", "RngState", "sample_x", "mix64", "uniform53",
-               "MethodTag", "classify"]
+               "MethodTag", "classify", "log_term", "sample_many", "snf_family",
+               "poisson_cdf_table", "BlockHits"]
     for name in ("linpois", "linpois.errors", "linpois.intlinalg", "linpois.pmf",
                  "linpois.solutions", "linpois.montecarlo", "linpois.kernels"):
         mod = importlib.import_module(name)
         for attr in removed:
             assert not hasattr(mod, attr), f"{name}.{attr}"
-    assert not set(removed) & set(lp.__all__)
+        assert not set(removed) & set(getattr(mod, "__all__", ())), name
+    assert sorted(lp.__all__) == sorted([
+        "LinpoisError", "InputError", "InternalInvariantError", "int_matrix", "int_identity",
+        "int_vector", "SnfDecomposition", "snf", "parse_matrix_text", "format_matrix_text",
+        "SolutionFamily", "PreprocessReport", "preprocess", "PoissonModel", "model_from_dict",
+        "load_model_file", "PmfResult", "logsumexp", "solution_family", "pmf", "gf_eval",
+        "gf_eval_series", "pmf_table", "SampleReport", "verify", "default_backend",
+        "__version__"])
+    assert all(hasattr(lp, name) for name in lp.__all__)
     # the walk is a private step of solution_family
     assert not hasattr(lp.PoissonModel, "walk_plan")
     # a family is a record: its points are read from its fields
@@ -917,6 +936,16 @@ def test_prob_clamp():
         _summed([math.log(0.6), math.log(0.6)], "walk")
 
 
+@pytest.mark.parametrize("e", [40, 200])
+def test_huge_counts_refuse_a_log_prob_above_zero(e):
+    """The log terms cancel at b = 10**e near the rate, and came out
+    large and positive: exp(log_prob) raised OverflowError.  log_prob is
+    now tested before exp is taken."""
+    model = lp.PoissonModel([[1]], [float(10**e)])
+    with pytest.raises(InternalInvariantError, match="exceeds"):
+        lp.pmf(model, [10**e])
+
+
 def test_prob_matches_exp_log_prob(model2):
     b = [int(x) for x in model2.a_full @ lp.int_vector([1, 1, 1, 1])]
     res = lp.pmf(model2, b)
@@ -945,6 +974,16 @@ def test_gf_entry_past_the_float_range():
     # G = exp(0.5 * 1 + 2 * 0 - 3)
     mixed = lp.PoissonModel([[1, 10**400]], [1.0, 2.0])
     assert rel_close(lp.gf_eval(mixed, [0.5]), math.exp(-2.5))
+
+
+@pytest.mark.parametrize("lam, z", [(1e16, 1 - 2.0**-46), (1e15, 1 - 2.0**-43),
+                                     (1e12, 1 - 2.0**-33)])
+def test_gf_near_one_at_large_rates(lam, z):
+    """G(z) = exp(lam (z - 1)) for [[1]]: lam * z and lam cancelled when
+    subtracted, and G came out 11.5%, 6.4% and 3.9e-5 high.  z - 1 is
+    exact here, so the reference rounds only in the product and exp."""
+    got = lp.gf_eval(lp.PoissonModel([[1]], [lam]), [z])
+    assert rel_close(got, math.exp(lam * (z - 1.0)))
 
 
 def test_gf_at_zero_is_constant_term(model1):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import linpois as lp
 from linpois import solutions as S
 from linpois.cli import run
-from linpois.errors import InputError
+from linpois.errors import InputError, InternalInvariantError
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, EXAMPLE3_INVERSE
 from oracle import (det_exact, enumerate_solutions, family_set, hand_reduced, line_points,
@@ -35,7 +35,8 @@ SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 
 
 def solve(a, b):
-    return lp.snf_family(lp.snf(a), b)
+    # b as pmf's query step hands it on: a list of ints
+    return S._snf_family(lp.snf(a), [int(x) for x in b])
 
 
 # deterministic pool of matrices with a kernel of dimension 1, found by
@@ -81,18 +82,18 @@ def test_divisors_above_one_keep_the_line_route():
 
 def test_parametrize_known_solution_sets():
     dec = lp.snf(EXAMPLE1)
-    fam = lp.snf_family(dec, [2, 2])
+    fam = S._snf_family(dec, [2, 2])
     assert family_set(fam) == {(0, 0, 2), (2, 1, 0)}
     assert fam.count == 2
     # k3 = 1 - 2 k2 forces k1 = -1; no nonnegative solution
-    assert lp.snf_family(dec, [0, 1]).kind == "empty"
-    assert lp.snf_family(dec, [0, 0]).kind == "singleton"
+    assert S._snf_family(dec, [0, 1]).kind == "empty"
+    assert S._snf_family(dec, [0, 0]).kind == "singleton"
     # divisor 2: 2 k1 + 2 k2 = b is a line of b/2 + 1 points for even b
     dec = lp.snf([[2, 2]])
-    fam = lp.snf_family(dec, [200])
+    fam = S._snf_family(dec, [200])
     assert fam.kind == "line" and fam.count == 101
     assert family_set(fam) == {(j, 100 - j) for j in range(101)}
-    assert lp.snf_family(dec, [201]).kind == "empty"
+    assert S._snf_family(dec, [201]).kind == "empty"
 
 
 @given(st.integers(0, 12), st.integers(0, 12))
@@ -112,19 +113,26 @@ def test_parametrize_rejects_wrong_shape():
     # is left to enumeration
     assert family_set(solve(EXAMPLE3, [1, 2, 3])) == set()
     assert solve([[1, 1, 1]], [4]) is None
-    with pytest.raises(InputError):
-        solve(EXAMPLE1, [1, 2, 3])
-    with pytest.raises(InputError):
-        solve(EXAMPLE1, [1, 2.5])
+    # b is checked once, by the query step that solution_family and pmf
+    # share
+    model = lp.PoissonModel(EXAMPLE1, [1.0, 1.0, 1.0])
+    for bad in ([1, 2, 3], [1, 2.5]):
+        with pytest.raises(InputError):
+            lp.solution_family(model, bad)
 
 
 def test_unbounded_line_is_an_input_error():
     # a zero column or a negative entry makes the kernel direction
-    # one-signed: infinitely many solutions, a caller's input error
-    with pytest.raises(InputError, match="one-signed"):
-        solve([[1, 0]], [1])
-    with pytest.raises(InputError, match="one-signed"):
-        solve([[1, -1]], [0])
+    # one-signed: infinitely many solutions.  The model refuses the
+    # negative entry and removes the zero column, so the Smith-form step
+    # never sees either
+    with pytest.raises(InputError, match="negative"):
+        lp.PoissonModel([[1, -1]], [1.0, 1.0])
+    fam = lp.solution_family(lp.PoissonModel([[1, 0]], [1.0, 1.0]), [1])
+    assert family_set(fam) == {(1,)}
+    for a, b in (([[1, 0]], [1]), ([[1, -1]], [0])):
+        with pytest.raises(InternalInvariantError, match="one-signed"):
+            solve(a, b)
 
 
 @settings(max_examples=120, deadline=None)
@@ -222,7 +230,7 @@ def test_snf_family_equals_enumeration(system):
     if any(all(a[i, j] == 0 for i in range(m)) for j in range(n)):
         return
     dec = lp.snf(a)
-    fam = lp.snf_family(dec, b)
+    fam = S._snf_family(dec, b)
     want = family_set(enumerate_solutions(a, b))
     if n - dec.rank >= 2:
         # left to the walk unless b is off the lattice
@@ -283,7 +291,7 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
     assert fam.count == want.count
     # the walk alone, where solution_family hands it b: on the lattice
     # and nonnegative
-    if min(b) >= 0 and lp.snf_family(model.snf, b) is None:
+    if min(b) >= 0 and S._snf_family(model.snf, b) is None:
         assert family_set(S._walk_family(model._walk_plan, b)) == family_set(want)
     auto = lp.pmf(model, b)
     ref = reference_log_prob(model.rates.tolist(), family_set(want))
@@ -341,13 +349,13 @@ def test_walk_plan_solves_leaves_from_every_row():
 
 
 def test_dependent_rows_are_checked_before_the_walk():
-    # row 1 = 2 * row 0: b = [3, 7] is off the lattice, so snf_family
+    # row 1 = 2 * row 0: b = [3, 7] is off the lattice, so _snf_family
     # answers it and the walk never sees it
     model = lp.PoissonModel([[1, 1, 2], [2, 2, 4]], [1.0, 1.0, 1.0])
-    for fam in (lp.snf_family(model.snf, [3, 7]), lp.solution_family(model, [3, 7])):
+    for fam in (S._snf_family(model.snf, [3, 7]), lp.solution_family(model, [3, 7])):
         assert fam.kind == "empty" and family_set(fam) == set()
     assert lp.pmf(model, [3, 7]).prob == 0.0
-    assert lp.snf_family(model.snf, [3, 6]) is None
+    assert S._snf_family(model.snf, [3, 6]) is None
     fam = lp.solution_family(model, [3, 6])
     assert fam.count == 6 and family_set(fam) == {
         (0, 1, 1), (0, 3, 0), (1, 0, 1), (1, 2, 0), (2, 1, 0), (3, 0, 0)}
