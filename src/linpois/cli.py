@@ -4,10 +4,12 @@ Subcommands: snf, solve, pmf, gf, sample.  Models are JSON files with
 keys "a" and "lambda"; with --matrix-format text the positional file is
 a whitespace matrix instead and rates come from --lambda.  Exit codes:
 0 success, 2 input error (argparse's usage errors included), 4 internal
-invariant failure.  Probability zero is a success, not an error.  The
-pmf output names the route that answered this b in "route" ("empty",
-"singleton", "line", "walk" or "recurrence", where "summed" counts the
-recurrence's t + 1 entries); solve gives the family's "kind".
+invariant failure.  Probability zero is a success, not an error.  pmf
+and sample print every field of the PmfResult or SampleReport that the
+library returned, in field order, so a field added to either record
+shows up in both formats with no edit here: ROADMAP item 1 changes the
+log terms in model._log_poisson, the one routine that forms them, and
+reports its error bound in PmfResult.  solve gives the family's "kind".
 """
 
 from __future__ import annotations
@@ -15,32 +17,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import InputError, InternalInvariantError, LinpoisError
 from .intlinalg import format_matrix_text, int_matrix, parse_matrix_text, snf
-from .model import PoissonModel, load_model_file
+from .model import PoissonModel, _read_file, load_model_file
 from .montecarlo import verify
 from .pmf import gf_eval, gf_eval_series, pmf, solution_family
 
-__all__ = ["build_parser", "run", "main"]
-
-
-def _read_file(path) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+__all__ = ["build_parser", "main"]
 
 
 def _load_matrix(path, fmt):
-    text = _read_file(path)
     if fmt == "text":
-        return parse_matrix_text(text)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
+        return parse_matrix_text(_read_file(path))
+    data = _read_file(path, as_json=True)
     if isinstance(data, dict):
         if "a" not in data:
             raise InputError(f"{path}: JSON matrix object needs key 'a'")
@@ -60,10 +51,10 @@ def _load_model(args) -> PoissonModel:
 
 def _text(value) -> str:
     """One value of a JSON payload as text: a bool as true/false, a list
-    of ints joined by spaces, anything else by str."""
+    or tuple of ints joined by spaces, anything else by str."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return " ".join(map(str, value))
     return str(value)
 
@@ -83,19 +74,15 @@ def _emit(args, payload: dict, lines: list | None = None) -> int:
     return 0
 
 
-def _mat(a) -> list:
-    return [[int(x) for x in row] for row in a.tolist()] if a.size else a.tolist()
-
-
 def _cmd_snf(args) -> int:
     dec = snf(_load_matrix(args.matrix_file, args.matrix_format))
-    payload = {"rank": dec.rank, "divisors": [int(d) for d in dec.divisors]}
+    payload = {"rank": dec.rank, "divisors": list(dec.divisors)}
     lines = _lines(payload) + [
         "P:", format_matrix_text(dec.p),
         "D:", format_matrix_text(dec.d),
         "Q:", format_matrix_text(dec.q),
     ]
-    payload.update(p=_mat(dec.p), d=_mat(dec.d), q=_mat(dec.q))
+    payload.update(p=dec.p.tolist(), d=dec.d.tolist(), q=dec.q.tolist())
     return _emit(args, payload, lines)
 
 
@@ -104,8 +91,8 @@ def _cmd_solve(args) -> int:
     fam = solution_family(model, args.b)
     payload = {"kind": fam.kind, "count": fam.count}
     if fam.kind == "line":
-        payload["base"] = [int(x) for x in fam.base]
-        payload["direction"] = [int(x) for x in fam.direction]
+        payload["base"] = list(fam.base)
+        payload["direction"] = list(fam.direction)
         lines = _lines(payload) + [f"j-range: {fam.jmin} {fam.jmax}"]
         payload["jmin"] = fam.jmin
         payload["jmax"] = fam.jmax
@@ -119,17 +106,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_pmf(args) -> int:
-    model = _load_model(args)
-    res = pmf(model, args.b)
-    return _emit(args, {
-        "prob": res.prob,
-        "log_prob": res.log_prob,
-        "route": res.route,
-        "terms": res.terms,
-        "summed": res.summed,
-        "tail_bound": res.tail_bound,
-        "clamped": res.clamped,
-    })
+    return _emit(args, asdict(pmf(_load_model(args), args.b)))
 
 
 def _cmd_gf(args) -> int:
@@ -145,21 +122,12 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model = _load_model(args)
-    rep = verify(model, args.b, args.n, args.seed)
-    return _emit(args, {
-        "b": [int(x) for x in rep.b],
-        "exact_prob": rep.exact_prob,
-        "empirical_prob": rep.empirical_prob,
-        "n_samples": rep.n_samples,
-        "z_score": rep.z_score,
-        "seed": rep.seed,
-        "hits": rep.hits,
-        "draws": rep.draws,
-    })
+    return _emit(args, asdict(verify(_load_model(args), args.b, args.n, args.seed)))
 
 
-def _add_model_args(sp) -> None:
+def _model_command(sub, name: str, summary: str, func):
+    """The subparser of a command that reads a model file."""
+    sp = sub.add_parser(name, help=summary)
     sp.add_argument("model_file", help="JSON model file (or matrix text with --matrix-format text)")
     sp.add_argument(
         "--matrix-format", choices=("json", "text"), default="json",
@@ -168,6 +136,8 @@ def _add_model_args(sp) -> None:
     sp.add_argument("--lambda", dest="rates", type=float, nargs="+", metavar="RATE",
                     help="rates, only with --matrix-format text")
     sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.set_defaults(func=func)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,48 +153,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_snf)
 
-    sp = sub.add_parser("solve", help="solution family of A k = b")
-    _add_model_args(sp)
+    sp = _model_command(sub, "solve", "solution family of A k = b", _cmd_solve)
     sp.add_argument("--b", type=int, nargs="+", required=True, metavar="B")
-    sp.set_defaults(func=_cmd_solve)
 
-    sp = sub.add_parser("pmf", help="P(Y = b)")
-    _add_model_args(sp)
+    sp = _model_command(sub, "pmf", "P(Y = b)", _cmd_pmf)
     sp.add_argument("--b", type=int, nargs="+", required=True, metavar="B")
-    sp.set_defaults(func=_cmd_pmf)
 
-    sp = sub.add_parser("gf", help="generating function G(z)")
-    _add_model_args(sp)
+    sp = _model_command(sub, "gf", "generating function G(z)", _cmd_gf)
     sp.add_argument("--z", type=float, nargs="+", required=True, metavar="Z")
     sp.add_argument("--check-degree", type=int, default=None, metavar="B",
                     help="also evaluate the truncated series up to degree B per axis")
-    sp.set_defaults(func=_cmd_gf)
 
-    sp = sub.add_parser("sample", help="Monte Carlo check of P(Y = b)")
-    _add_model_args(sp)
+    sp = _model_command(sub, "sample", "Monte Carlo check of P(Y = b)", _cmd_sample)
     sp.add_argument("--b", type=int, nargs="+", required=True, metavar="B")
     sp.add_argument("--n", type=int, required=True, help="number of samples")
     sp.add_argument("--seed", type=int, required=True, help="unsigned 64-bit seed")
-    sp.set_defaults(func=_cmd_sample)
 
     return parser
 
 
-def run(argv=None) -> int:
+def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InternalInvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except LinpoisError as exc:
-        # InputError and anything else user-facing
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def main(argv=None) -> int:
-    return run(argv)
+        # a library bug, or an InputError and anything else user-facing
+        return 4 if isinstance(exc, InternalInvariantError) else 2
 
 
 if __name__ == "__main__":

@@ -27,12 +27,13 @@ u and searched in the CDF, so every draw equals min(#{cdf <= u}, L - 1)
 bit for bit.  The guide is built on each call.
 
 Rates >= 30 use Hormann's PTRS transformed rejection (Insurance: Math.
-& Econ. 12, 1993), vectorised over the samples still rejected; its
-accept test takes ln k! from model._log_factorials, the one ln k!
-routine, shared with pmf's log terms: candidates below 2**20 are read
-from its process-wide table once it covers them.  Rates above
-MAX_RATE = 2**34 are rejected with InputError.  The accept test
-compares against k ln lam - lam - ln k!, whose parts near k = lam
+& Econ. 12, 1993), vectorised over the samples still rejected.  Its
+accept test compares against ln P(X = k) = k ln lam - lam - ln k! from
+model._log_poisson, the one routine that forms the Poisson log term,
+shared with pmf's log terms, so ROADMAP item 1's cancellation-free form
+changes that routine alone; its ln k! reads the process-wide table for
+candidates below 2**20 once it covers them.  Rates above MAX_RATE =
+2**34 are rejected with InputError.  That log term's parts near k = lam
 round by about 2 * 2**-53 * lam ln lam in absolute terms: 9e-5 at
 2**34, but about 0.7 at 1e14, and past about 1e15 the draws no longer
 have the Poisson variance.  Below the ceiling every draw is also exact
@@ -82,7 +83,8 @@ import numpy as np
 
 from .errors import InputError, InternalInvariantError
 from .intlinalg import int_matrix, snf
-from .model import _log_factorials
+from .model import _log_poisson
+from .solutions import _rate_vector
 
 __all__ = [
     "default_backend",
@@ -176,8 +178,8 @@ def check_seed(seed) -> int:
 
 def _cdf_table(lam: float) -> np.ndarray:
     """cdf[k] = P(Poisson(lam) <= k) for a rate lam checked by
-    _rate_list, truncated once the tail is at most _CDF_TAIL or the
-    table has _CDF_MAX_LEN entries.
+    solutions._rate_vector, truncated once the tail is at most _CDF_TAIL
+    or the table has _CDF_MAX_LEN entries.
 
     Built in Python, one float64 partial sum per entry.  A uniform
     beyond the last entry clamps to the top bucket, a < 1e-15 per-draw
@@ -201,19 +203,6 @@ def _ptrs_params(lam: float) -> tuple:
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     vr = 0.9277 - 3.6224 / (b - 2.0)
     return b, a, inv_alpha, vr
-
-
-def _rate_list(rates) -> list:
-    """The rate vector as Python floats, each finite and >= 0."""
-    try:
-        rates = np.asarray(rates, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"rates are not numeric: {exc}") from None
-    if rates.ndim != 1:
-        raise InputError("rates must be a vector")
-    if not np.all(np.isfinite(rates)) or np.any(rates < 0):
-        raise InputError("rates must be finite and >= 0")
-    return rates.tolist()
 
 
 def _coord_param(lam: float):
@@ -288,7 +277,7 @@ def _draw_ptrs_np(bases, param) -> np.ndarray:
             rr = np.flatnonzero(rest)
             lhs = np.log(v[rr]) + math.log(pinv) - np.log(pa / (us[rr] * us[rr]) + pb)
             kk = k[rr]
-            accept[rr[lhs <= kk * loglam - lam - _log_factorials(kk)]] = True
+            accept[rr[lhs <= _log_poisson(kk, lam, loglam)]] = True
         out[todo[accept]] = k[accept]
         todo = todo[~accept]
         active = active[~accept]
@@ -323,7 +312,7 @@ def sample_block(rates, seed, start, stop) -> np.ndarray:
     InputError when the array would hold more than MAX_BLOCK entries.
     """
     seed = check_seed(seed)
-    rates = _rate_list(rates)
+    rates = _rate_vector(rates).tolist()
     n = len(rates)
     start, stop = _check_range(start, stop, max(n, 1))
     params = [_coord_param(lam) for lam in rates]
@@ -372,20 +361,13 @@ def _lattice_misses(tests, res, bound) -> list:
     return out
 
 
-def hits_block(a, b, rates, seed, start, stop) -> tuple[int, int]:
-    """Count samples s in [start, stop) with A x_s == b, exactly, for a
-    matrix A of natural numbers.
+def _hit_plan(a, b, rates) -> tuple:
+    """hits_block's checks of A, b and the rates, before any draw.
 
-    Columns are drawn one at a time, each only for the samples that can
-    still reach b; the count equals that of drawing every sample in full
-    (see the module docstring).  A negative entry is an InputError
-    before any draw; the int64 and MAX_RATE limits apply only to the
-    columns that can move A x.  InputError for more than MAX_BLOCK
-    samples.  Returns (hits, draws), draws the number of Poisson
-    variates drawn to count them.
+    Returns (rows of A, b as a list of ints, the column count, the drawn
+    columns' parameters by column, those columns in drawing order, and
+    their lattice tests).  verify runs it before pmf.
     """
-    seed = check_seed(seed)
-    start, stop = _check_range(start, stop)
     amat = int_matrix(a)
     m, n = amat.shape
     rows = amat.tolist()
@@ -399,7 +381,7 @@ def hits_block(a, b, rates, seed, start, stop) -> tuple[int, int]:
         raise InputError("observation entries must fit in int64 for sampling") from None
     if len(bl) != m:
         raise InputError(f"observation length {len(bl)} != row count {m}")
-    rates = _rate_list(rates)
+    rates = _rate_vector(rates).tolist()
     if len(rates) != n:
         raise InputError("rate vector length does not match matrix columns")
     # a zero column, or a one-entry CDF table (rate 0: every draw is 0),
@@ -416,6 +398,24 @@ def hits_block(a, b, rates, seed, start, stop) -> tuple[int, int]:
         raise InputError("matrix does not fit the sampling kernels: "
                          "an entry of a drawn column exceeds int64")
     checks = _lattice_checks(tuple(tuple(row[c] for row in rows) for c in order), m)
+    return rows, bl, n, params, order, checks
+
+
+def hits_block(a, b, rates, seed, start, stop) -> tuple[int, int]:
+    """Count samples s in [start, stop) with A x_s == b, exactly, for a
+    matrix A of natural numbers.
+
+    Columns are drawn one at a time, each only for the samples that can
+    still reach b; the count equals that of drawing every sample in full
+    (see the module docstring).  A negative entry is an InputError
+    before any draw; the int64 and MAX_RATE limits apply only to the
+    columns that can move A x.  InputError for more than MAX_BLOCK
+    samples.  Returns (hits, draws), draws the number of Poisson
+    variates drawn to count them.
+    """
+    seed = check_seed(seed)
+    start, stop = _check_range(start, stop)
+    rows, bl, n, params, order, checks = _hit_plan(a, b, rates)
     # b is the residual before any draw and must pass the same tests
     if min(bl, default=0) < 0 or any(_lattice_misses(checks[0], bl, bl)):
         return 0, 0

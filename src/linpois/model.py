@@ -64,6 +64,14 @@ def _log_factorials(k: np.ndarray) -> np.ndarray:
     return table[k.astype(np.intp)]
 
 
+def _log_poisson(k: np.ndarray, lam, log_lam) -> np.ndarray:
+    """ln P(X = k) = k ln lam - lam - ln k!, X ~ Poisson(lam), for an array
+    k of counts >= 0 (int or float); lam > 0 and log_lam = ln lam
+    broadcast against k.  The one place this term is formed: pmf's log
+    terms and table weights and the PTRS accept test all call it."""
+    return k * log_lam - lam - _log_factorials(k)
+
+
 class PoissonModel:
     """Immutable model of Y = A X, X_i independent Poisson(lambda_i).
 
@@ -184,12 +192,17 @@ def model_from_dict(data) -> PoissonModel:
     )
 
 
-def load_model_file(path) -> PoissonModel:
+def _read_file(path, as_json: bool = False):
+    """The text of a file, or its parsed JSON content; InputError when it
+    cannot be read, is not UTF-8 or is not JSON."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read model file {path}: {exc}") from None
+            return json.load(fh) if as_json else fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise InputError(f"model file {path} is not valid JSON: {exc}") from None
-    return model_from_dict(data)
+        raise InputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def load_model_file(path) -> PoissonModel:
+    return model_from_dict(_read_file(path, as_json=True))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .intlinalg import int_vector
-from .kernels import check_seed, hits_block
+from .kernels import _hit_plan, check_seed, hits_block
 from .model import PoissonModel
 from .pmf import pmf
 
@@ -47,9 +47,12 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
     seed).  The samples are counted in the calling thread, in blocks of
     at most _SAMPLE_BLOCK, so memory stays bounded for any n_samples;
     sample indices are uint64, so n_samples above 2**64 - 1 is an
-    InputError before any draw.  threads has no effect and must be
-    >= 1: it is kept only because the benchmark's mc-verify workload
-    passes it, and goes once that workload drops it (ROADMAP item 1).
+    InputError before any draw.  Every check of the sampler
+    (kernels._hit_plan) runs before pmf, so a query the sampler refuses
+    is an InputError whatever pmf would make of it.  threads has no
+    effect and must be >= 1: it is kept only because the benchmark's
+    mc-verify workload passes it, and goes once that workload drops it
+    (ROADMAP item 1).
     """
     n_samples = operator.index(n_samples)
     if not 1 <= n_samples < 1 << 64:
@@ -58,14 +61,11 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
     if threads < 1:
         raise InputError("threads must be >= 1")
     seed = check_seed(seed)
-    bv = int_vector(b)
-    if bv.shape[0] != model.m_full:
-        raise InputError(f"observation length {bv.shape[0]} != row count {model.m_full}")
-    target = tuple(int(x) for x in bv)
-
-    exact = pmf(model, target).prob
+    target = tuple(int_vector(b).tolist())
     rates = model.rates_full
     amat = model.a_full
+    _hit_plan(amat, target, rates)
+    exact = pmf(model, target).prob
     hits = draws = 0
     for lo in range(0, n_samples, _SAMPLE_BLOCK):
         h, d = hits_block(amat, target, rates, seed, lo, min(lo + _SAMPLE_BLOCK, n_samples))

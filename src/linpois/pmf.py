@@ -53,7 +53,7 @@ import numpy as np
 from . import solutions
 from .errors import InputError, InternalInvariantError
 from .intlinalg import int_vector
-from .model import PoissonModel, _log_factorials
+from .model import PoissonModel, _log_poisson
 from .solutions import SolutionFamily, _snf_family, _walk_family
 
 __all__ = [
@@ -125,18 +125,17 @@ def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray) -> 
     """ln of every product term, one per row of points.
 
     Row k gives sum_i [k_i ln l_i - l_i - ln k_i!] for rates l_i > 0;
-    log_rates comes from rate_constants.  ln k_i! comes from
-    model._log_factorials, the one ln k! routine, which the PTRS sampler
-    also uses: it reads the process-wide table of math.lgamma(j + 1.0)
-    and calls lgamma per entry only past what that table may grow to;
-    log-gamma keeps large counts finite.  Each column's part
-    is formed before the parts are added, so k ln l - l and ln k! cancel
+    log_rates comes from rate_constants.  Each column's part is
+    model._log_poisson, the one routine that forms the Poisson log term
+    (the PTRS sampler's accept test calls it too), so ROADMAP item 1's
+    cancellation-free form changes that routine alone.  Each part is
+    formed before the parts are added, so k ln l - l and ln k! cancel
     while their magnitudes are close (exactly, near the mode), not
     after rounding at the size of their sum over the columns.
     """
     if points.shape[0] == 0:
         return np.empty(0)
-    return (points * log_rates - rates - _log_factorials(points)).sum(axis=1)
+    return _log_poisson(points, rates, log_rates).sum(axis=1)
 
 
 def logsumexp(terms) -> float:
@@ -468,8 +467,7 @@ def pmf_table(model: PoissonModel, degree_bound: int) -> np.ndarray:
     table[(0,) * m] = 1.0
     for j, (col, top) in enumerate(zip(cols, tmax)):
         # ln of the weights t ln lambda - lambda - ln t!, t = 0..top
-        logw = _log_terms(np.arange(top + 1.0)[:, None], model.rates[j:j + 1],
-                          model.term_constants[j:j + 1])
+        logw = _log_poisson(np.arange(top + 1.0), model.rates[j], model.term_constants[j])
         nxt = np.zeros_like(table)
         for t, lw in enumerate(logw.tolist()):
             tgt = tuple(slice(t * c, B + 1) for c in col)

@@ -102,10 +102,6 @@ class SolutionFamily:
             jmax=int(jmax),
         )
 
-    @classmethod
-    def finite(cls, sols) -> "SolutionFamily":
-        return cls(array=_int_rows([int(x) for x in k] for k in sols))
-
     @property
     def kind(self) -> str:
         if self.base is not None:
@@ -385,6 +381,20 @@ class PreprocessReport:
     rates: np.ndarray = field(compare=False, repr=False)
 
 
+def _rate_vector(rates) -> np.ndarray:
+    """The rates as a float64 vector, each finite and >= 0: the one rate
+    check, shared by preprocess and the sampling kernels."""
+    try:
+        rates = np.asarray(rates, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"rates are not numeric: {exc}") from None
+    if rates.ndim != 1:
+        raise InputError("rates must be a vector")
+    if not np.all(np.isfinite(rates)) or np.any(rates < 0):
+        raise InputError("rates must be finite and >= 0")
+    return rates
+
+
 def preprocess(a, rates):
     """Validate (A, rates) and remove every column whose variable cannot
     move Y: the zero columns of A and the columns of rate 0.
@@ -399,14 +409,9 @@ def preprocess(a, rates):
     """
     a = int_matrix(a)
     m, n = a.shape
-    try:
-        rates = np.asarray(rates, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"rates are not numeric: {exc}") from None
-    if rates.ndim != 1 or rates.shape[0] != n:
-        raise InputError(f"rate vector length {rates.shape} does not match {n} columns")
-    if not np.all(np.isfinite(rates)) or np.any(rates < 0):
-        raise InputError("rates must be finite and >= 0")
+    rates = _rate_vector(rates)
+    if rates.shape[0] != n:
+        raise InputError(f"rate vector length {rates.shape[0]} does not match {n} columns")
     # -sum(rates) enters every log term and the generating function
     if math.isinf(sum(rates.tolist())):
         raise InputError("the rate total exceeds the float64 range (about 1.8e308)")

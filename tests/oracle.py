@@ -1,11 +1,12 @@
 """Independent reference implementations the tests compare against.
 
 None of these is used by the package: brute-force enumeration of the
-solution set, the points of a solution family as a set, an exact
-determinant by fraction-free elimination, the gcd of all minors (which
-fixes the elementary divisors), one product term and a log-sum formed
-with math.fsum, a model reduced by hand, and the scalar reference of
-the sampling kernels' RNG contract (mix64, uniform53).
+solution set, a family built from a list of points, the points of a
+solution family as a set, an exact determinant by fraction-free
+elimination, the gcd of all minors (which fixes the elementary
+divisors), one product term and a log-sum formed with math.fsum, a
+model reduced by hand, and the scalar reference of the sampling
+kernels' RNG contract (mix64, uniform53).
 """
 
 import math
@@ -85,9 +86,16 @@ def enumerate_solutions(a, b) -> SolutionFamily:
         current[j] = 0
 
     if n == 0:
-        return SolutionFamily.finite([()] if all(r == 0 for r in residual) else [])
+        return finite_family([()] if all(r == 0 for r in residual) else [])
     rec(0)
-    return SolutionFamily.finite(out)
+    return finite_family(out)
+
+
+def finite_family(sols) -> SolutionFamily:
+    """The family of the given points (sequences of ints), held as the
+    package holds a set of points: the rows of one int64 array, or
+    object when an entry does not fit."""
+    return SolutionFamily(array=solutions._int_rows([int(x) for x in k] for k in sols))
 
 
 def line_points(fam) -> list:

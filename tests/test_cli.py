@@ -1,9 +1,10 @@
 """Command line interface: subcommands, formats, and exit codes.
 
-Everything runs in-process through linpois.cli.run so coverage tools see
+Everything runs in-process through linpois.cli.main so coverage tools see
 it and failures carry real tracebacks.
 """
 
+import dataclasses
 import importlib
 import json
 import math
@@ -15,8 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import linpois as lp
 from linpois import montecarlo
-from linpois.cli import run
+from linpois.cli import main
+from linpois.errors import InputError
 
 from oracle import enumerate_solutions, family_set, reference_log_prob
 
@@ -44,7 +47,7 @@ def _json_out(capsys):
 # ------------------------------------------------------------- snf
 
 def test_snf_json(matrix1_file, capsys):
-    assert run(["snf", matrix1_file, "--format", "json"]) == 0
+    assert main(["snf", matrix1_file, "--format", "json"]) == 0
     out = _json_out(capsys)
     assert out["rank"] == 2
     assert out["divisors"] == [1, 1]
@@ -55,7 +58,7 @@ def test_snf_json(matrix1_file, capsys):
 
 
 def test_snf_text(matrix1_file, capsys):
-    assert run(["snf", matrix1_file]) == 0
+    assert main(["snf", matrix1_file]) == 0
     out = capsys.readouterr().out
     assert "rank: 2" in out
     assert "divisors: 1 1" in out
@@ -66,7 +69,7 @@ def test_snf_text(matrix1_file, capsys):
 # ----------------------------------------------------------- solve
 
 def test_solve_line_family(model1_file, capsys):
-    assert run(["solve", model1_file, "--b", "2", "2", "--format", "json"]) == 0
+    assert main(["solve", model1_file, "--b", "2", "2", "--format", "json"]) == 0
     out = _json_out(capsys)
     assert "method" not in out
     assert out["kind"] == "line"
@@ -78,13 +81,13 @@ def test_solve_line_family(model1_file, capsys):
 
 
 def test_solve_empty(model1_file, capsys):
-    assert run(["solve", model1_file, "--b", "0", "1", "--format", "json"]) == 0
+    assert main(["solve", model1_file, "--b", "0", "1", "--format", "json"]) == 0
     out = _json_out(capsys)
     assert out["kind"] == "empty" and out["count"] == 0
 
 
 def test_solve_text(model1_file, capsys):
-    assert run(["solve", model1_file, "--b", "2", "2"]) == 0
+    assert main(["solve", model1_file, "--b", "2", "2"]) == 0
     out = capsys.readouterr().out
     assert "kind: line" in out
     assert "count: 2" in out
@@ -93,7 +96,7 @@ def test_solve_text(model1_file, capsys):
 def test_solve_dependent_rows_empty(tmp_path, capsys):
     path = tmp_path / "dep.json"
     path.write_text(json.dumps({"a": [[1, 2], [2, 4]], "lambda": [1.0, 1.0]}))
-    assert run(["solve", str(path), "--b", "3", "7", "--format", "json"]) == 0
+    assert main(["solve", str(path), "--b", "3", "7", "--format", "json"]) == 0
     out = _json_out(capsys)
     assert out["kind"] == "empty" and out["count"] == 0
 
@@ -103,7 +106,7 @@ def test_solve_walked_empty_set_is_empty(tmp_path, capsys):
     # nonnegative point: the walk finds none
     path = tmp_path / "w235.json"
     path.write_text(json.dumps({"a": [[2, 3, 5]], "lambda": [1.0, 1.0, 1.0]}))
-    assert run(["solve", str(path), "--b", "1"]) == 0
+    assert main(["solve", str(path), "--b", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == ["kind: empty", "count: 0"]
 
 
@@ -111,7 +114,7 @@ def test_solve_walked_single_point_is_singleton(tmp_path, capsys):
     # dependent rows and a zero column, walked: one point at b = 0
     path = tmp_path / "dep0.json"
     path.write_text(json.dumps({"a": [[1, 1, 2, 0], [2, 2, 4, 0]], "lambda": [1.0] * 4}))
-    assert run(["solve", str(path), "--b", "0", "0"]) == 0
+    assert main(["solve", str(path), "--b", "0", "0"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "kind: singleton", "count: 1", "solution: 0 0 0"]
 
@@ -123,12 +126,12 @@ def test_solve_lists_wide_entries_exactly(tmp_path, capsys):
     path.write_text(json.dumps({"a": [[1, 2**64, 2**64]], "lambda": [1.0] * 3}))
     want = [[3, 0, 2], [3, 1, 1], [3, 2, 0],
             [2**64 + 3, 0, 1], [2**64 + 3, 1, 0], [2**65 + 3, 0, 0]]
-    assert run(["solve", str(path), "--b", str(2**65 + 3), "--format", "json"]) == 0
+    assert main(["solve", str(path), "--b", str(2**65 + 3), "--format", "json"]) == 0
     out = _json_out(capsys)
     assert (out["kind"], out["count"]) == ("finite", 6)
     assert out["solutions"] == want
     assert all(type(x) is int for k in out["solutions"] for x in k)
-    assert run(["solve", str(path), "--b", str(2**65 + 3)]) == 0
+    assert main(["solve", str(path), "--b", str(2**65 + 3)]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("solution:")]
     assert lines == [f"solution: {' '.join(map(str, k))}" for k in want]
 
@@ -136,7 +139,7 @@ def test_solve_lists_wide_entries_exactly(tmp_path, capsys):
 # ------------------------------------------------------------- pmf
 
 def test_pmf_auto_matches_enumerate(model1_file, capsys):
-    assert run(["pmf", model1_file, "--b", "2", "2", "--format", "json"]) == 0
+    assert main(["pmf", model1_file, "--b", "2", "2", "--format", "json"]) == 0
     auto = _json_out(capsys)
     enum = enumerate_solutions(A1, [2, 2])
     assert auto["route"] == "line"
@@ -147,29 +150,29 @@ def test_pmf_auto_matches_enumerate(model1_file, capsys):
 
 
 def test_pmf_zero_probability_is_success(model1_file, capsys):
-    assert run(["pmf", model1_file, "--b", "0", "1", "--format", "json"]) == 0
+    assert main(["pmf", model1_file, "--b", "0", "1", "--format", "json"]) == 0
     out = _json_out(capsys)
     assert out["prob"] == 0.0
     assert out["log_prob"] == -math.inf
 
 
 def test_pmf_negative_b_is_success(model1_file, capsys):
-    assert run(["pmf", model1_file, "--b", "-1", "2", "--format", "json"]) == 0
+    assert main(["pmf", model1_file, "--b", "-1", "2", "--format", "json"]) == 0
     assert _json_out(capsys)["prob"] == 0.0
 
 
 def test_pmf_text_output(model1_file, capsys):
-    assert run(["pmf", model1_file, "--b", "2", "2"]) == 0
+    assert main(["pmf", model1_file, "--b", "2", "2"]) == 0
     out = capsys.readouterr().out
     assert "route: line" in out
     assert "clamped: false" in out
 
 
 def test_pmf_matrix_text_with_rates(matrix1_file, capsys):
-    assert run(["pmf", matrix1_file, "--matrix-format", "text",
+    assert main(["pmf", matrix1_file, "--matrix-format", "text",
                 "--lambda", "1", "1", "1", "--b", "2", "2",
                 "--format", "json"]) == 0
-    run(["pmf", matrix1_file, "--matrix-format", "text",
+    main(["pmf", matrix1_file, "--matrix-format", "text",
          "--lambda", "1", "1", "1", "--b", "2", "2", "--format", "json"])
     first, second = capsys.readouterr().out.strip().splitlines()
     assert json.loads(first) == json.loads(second)
@@ -180,7 +183,7 @@ def test_pmf_single_index_with_divisor_two(tmp_path, capsys):
     path = tmp_path / "d2.json"
     path.write_text(json.dumps({"a": [[2, 2]], "lambda": [1.0, 2.0]}))
     for b in (0, 2, 200):
-        assert run(["pmf", str(path), "--b", str(b), "--format", "json"]) == 0
+        assert main(["pmf", str(path), "--b", str(b), "--format", "json"]) == 0
         out = _json_out(capsys)
         # one point at b = 0
         assert out["route"] == ("singleton" if b == 0 else "line")
@@ -195,38 +198,54 @@ def test_pmf_single_index_with_divisor_two(tmp_path, capsys):
 def test_pmf_method_flag_is_a_usage_error(model1_file, capsys):
     # pmf has one route per query, so there is no --method to force one
     with pytest.raises(SystemExit) as exc:
-        run(["pmf", model1_file, "--b", "2", "2", "--method", "enumerate"])
+        main(["pmf", model1_file, "--b", "2", "2", "--method", "enumerate"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --method enumerate" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):
-    assert run(["pmf", "/nonexistent/model.json", "--b", "1"]) == 2
+    assert main(["pmf", "/nonexistent/model.json", "--b", "1"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_wrong_b_length_exits_2(model1_file, capsys):
-    assert run(["pmf", model1_file, "--b", "1", "2", "3"]) == 2
+    assert main(["pmf", model1_file, "--b", "1", "2", "3"]) == 2
     capsys.readouterr()
 
 
 def test_unknown_model_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"a": A1, "lambda": [1, 1, 1], "rate": 2}))
-    assert run(["pmf", str(path), "--b", "1", "1"]) == 2
+    assert main(["pmf", str(path), "--b", "1", "1"]) == 2
     capsys.readouterr()
 
 
 def test_text_matrix_without_rates_exits_2(matrix1_file, capsys):
-    assert run(["pmf", matrix1_file, "--matrix-format", "text",
+    assert main(["pmf", matrix1_file, "--matrix-format", "text",
                 "--b", "1", "1"]) == 2
     capsys.readouterr()
+
+
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # the one file reader let UnicodeDecodeError through: a traceback and
+    # exit 1, for model files and matrix files alike
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00 not text")
+    for argv in (["pmf", str(path), "--b", "1"],
+                 ["pmf", str(path), "--matrix-format", "text", "--lambda", "1", "--b", "1"],
+                 ["snf", str(path)],
+                 ["snf", str(path), "--matrix-format", "json"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and "utf-8" in err
+    with pytest.raises(InputError, match="cannot read"):
+        lp.load_model_file(path)
 
 
 def test_malformed_matrix_exits_2(tmp_path, capsys):
     path = tmp_path / "ragged.txt"
     path.write_text("1 2\n3\n")
-    assert run(["snf", str(path)]) == 2
+    assert main(["snf", str(path)]) == 2
     capsys.readouterr()
 
 
@@ -237,7 +256,7 @@ def test_rate_total_past_the_float_range_exits_2(tmp_path, capsys, argv):
     # is refused before any command runs
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"a": [[1, 1]], "lambda": [1e308, 1e308]}))
-    assert run([argv[0], str(path), *argv[1:]]) == 2
+    assert main([argv[0], str(path), *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert "rate total" in captured.err and captured.out == ""
 
@@ -245,7 +264,7 @@ def test_rate_total_past_the_float_range_exits_2(tmp_path, capsys, argv):
 # -------------------------------------------------------------- gf
 
 def test_gf_check_degree(model1_file, capsys):
-    assert run(["gf", model1_file, "--z", "0.5", "0.25",
+    assert main(["gf", model1_file, "--z", "0.5", "0.25",
                 "--check-degree", "40", "--format", "json"]) == 0
     out = _json_out(capsys)
     assert out["abs_diff"] <= 1e-9
@@ -257,7 +276,7 @@ def test_gf_check_degree_past_the_work_cap_exits_2(tmp_path, capsys):
     # a box of 10**6 + 1 entries, convolved 10**6 + 1 times: refused
     path = tmp_path / "one.json"
     path.write_text(json.dumps({"a": [[1]], "lambda": [1.0]}))
-    assert run(["gf", str(path), "--z", "0.5", "--check-degree", "1000000"]) == 2
+    assert main(["gf", str(path), "--z", "0.5", "--check-degree", "1000000"]) == 2
     assert "work cap" in capsys.readouterr().err
 
 
@@ -266,17 +285,17 @@ def test_gf_entry_past_the_float_range_exits_0(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"a": [[10**400]], "lambda": [1.0]}))
     for extra in ([], ["--check-degree", "3"]):
-        assert run(["gf", str(path), "--z", "0.5", "--format", "json", *extra]) == 0
+        assert main(["gf", str(path), "--z", "0.5", "--format", "json", *extra]) == 0
         assert math.isclose(_json_out(capsys)["gf"], math.exp(-1.0), rel_tol=1e-15)
 
 
 def test_gf_at_ones(model1_file, capsys):
-    assert run(["gf", model1_file, "--z", "1", "1", "--format", "json"]) == 0
+    assert main(["gf", model1_file, "--z", "1", "1", "--format", "json"]) == 0
     assert math.isclose(_json_out(capsys)["gf"], 1.0, rel_tol=1e-12)
 
 
 def test_gf_wrong_z_length_exits_2(model1_file, capsys):
-    assert run(["gf", model1_file, "--z", "0.5"]) == 2
+    assert main(["gf", model1_file, "--z", "0.5"]) == 2
     capsys.readouterr()
 
 
@@ -285,9 +304,9 @@ def test_gf_wrong_z_length_exits_2(model1_file, capsys):
 def test_sample_json_schema_and_determinism(model1_file, capsys):
     argv = ["sample", model1_file, "--b", "2", "2", "--n", "20000",
             "--seed", "2024", "--format", "json"]
-    assert run(argv) == 0
+    assert main(argv) == 0
     first = _json_out(capsys)
-    assert run(argv) == 0
+    assert main(argv) == 0
     second = _json_out(capsys)
     assert first == second
     assert set(first) == {"b", "exact_prob", "empirical_prob", "n_samples",
@@ -301,7 +320,7 @@ def test_sample_json_schema_and_determinism(model1_file, capsys):
 def test_sample_nan_z_survives_json(model1_file, capsys):
     # unreachable b: exact probability 0, z undefined; json mode emits
     # NaN (non-strict JSON) and Python reads it back
-    assert run(["sample", model1_file, "--b", "0", "1", "--n", "1000",
+    assert main(["sample", model1_file, "--b", "0", "1", "--n", "1000",
                 "--seed", "1", "--format", "json"]) == 0
     out = _json_out(capsys)
     assert out["exact_prob"] == 0.0
@@ -319,22 +338,22 @@ def test_pmf_over_point_cap_exits_2(tmp_path, capsys):
     path = tmp_path / "ones2.json"
     path.write_text(json.dumps({"a": [[1, 1]], "lambda": [1, 1]}))
     b = 10**11
-    assert run(["pmf", str(path), "--b", str(b), "--format", "json"]) == 0
+    assert main(["pmf", str(path), "--b", str(b), "--format", "json"]) == 0
     out = _json_out(capsys)
     assert out["terms"] == b + 1 and out["summed"] < 10**7
     assert 0.0 < out["tail_bound"] <= 2.0**-60
     assert math.isclose(out["log_prob"], b * math.log(2.0) - 2.0 - math.lgamma(b + 1),
                         rel_tol=1e-12)
     for b in (10**18, 3 * 10**18, 9223372036854775000):
-        assert run(["pmf", str(path), "--b", str(b)]) == 2
+        assert main(["pmf", str(path), "--b", str(b)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cap" in err
     # the same line is still described without its points
-    assert run(["solve", str(path), "--b", "100000000000", "--format", "json"]) == 0
+    assert main(["solve", str(path), "--b", "100000000000", "--format", "json"]) == 0
     assert _json_out(capsys)["count"] == 10**11 + 1
     # a kernel of dimension 2: the walk refuses its second frontier
     path.write_text(json.dumps({"a": [[1, 1, 1]], "lambda": [1, 1, 1]}))
-    assert run(["pmf", str(path), "--b", "100000"]) == 2
+    assert main(["pmf", str(path), "--b", "100000"]) == 2
     assert "cap" in capsys.readouterr().err
 
 
@@ -344,12 +363,12 @@ def test_pmf_reports_summed_terms_and_tail_bound(tmp_path, capsys):
     path = tmp_path / "e1.json"
     path.write_text(json.dumps({"a": A1, "lambda": [1.2, 35.0, 2.1]}))
     argv = ["pmf", str(path), "--b", "20000", "20000"]
-    assert run(argv + ["--format", "json"]) == 0
+    assert main(argv + ["--format", "json"]) == 0
     out = _json_out(capsys)
     assert out["terms"] == 10_001
     assert 0 < out["summed"] < out["terms"]
     assert 0.0 < out["tail_bound"] <= 2.0**-60
-    assert run(argv) == 0
+    assert main(argv) == 0
     lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
     assert int(lines["terms"]) == 10_001
     assert int(lines["summed"]) == out["summed"] < 10_001
@@ -389,14 +408,15 @@ def test_console_script_runs_pmf(model1_file, capsys):
     tomllib = pytest.importorskip("tomllib")
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     module, _, attr = tomllib.loads(pyproject)["project"]["scripts"]["linpois"].partition(":")
-    main = getattr(importlib.import_module(module), attr)
-    assert main(["pmf", model1_file, "--b", "2", "2", "--format", "json"]) == 0
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is main
+    assert entry(["pmf", model1_file, "--b", "2", "2", "--format", "json"]) == 0
     assert _json_out(capsys)["route"] == "line"
 
 
 def test_sample_b_beyond_int64_exits_2(model1_file, capsys):
     # the exact pmf handles any b; the int64 sampling kernels cannot
-    assert run(["sample", model1_file, "--b", "2", str(2**63), "--n", "100",
+    assert main(["sample", model1_file, "--b", "2", str(2**63), "--n", "100",
                 "--seed", "1"]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -409,7 +429,7 @@ def test_sample_ignores_rate_of_a_zero_column(tmp_path, capsys):
     hits = []
     for rate in (1e30, 1.0):
         path.write_text(json.dumps({"a": [[1, 0]], "lambda": [1.0, rate]}))
-        assert run(argv) == 0
+        assert main(argv) == 0
         hits.append(_json_out(capsys)["hits"])
     assert hits[0] == hits[1] > 0
 
@@ -418,14 +438,26 @@ def test_sample_rate_past_the_ceiling_exits_2(tmp_path, capsys):
     # the rejection sampler drew from the wrong law at rate 1e15
     path = tmp_path / "big-rate.json"
     path.write_text(json.dumps({"a": [[1]], "lambda": [1e15]}))
-    assert run(["sample", str(path), "--b", "1", "--n", "100", "--seed", "1"]) == 2
+    assert main(["sample", str(path), "--b", "1", "--n", "100", "--seed", "1"]) == 2
     assert "2**34" in capsys.readouterr().err
+
+
+def test_sample_huge_rate_and_count_exits_2(tmp_path, capsys):
+    # verify asked pmf first, whose cancelled log term at b = 10**40
+    # exceeded ln(1 + CLAMP_TOL): exit 4, where b = 1 exited 2 on the
+    # sampler's rate ceiling.  The sampler's checks now come first
+    path = tmp_path / "huge-rate.json"
+    path.write_text(json.dumps({"a": [[1]], "lambda": [1e40]}))
+    for b, reason in ((1, "2**34"), (10**40, "int64")):
+        assert main(["sample", str(path), "--b", str(b), "--n", "100", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err and "CLAMP_TOL" not in err
 
 
 def test_sample_threads_flag_is_a_usage_error(model1_file, capsys):
     # verify counts in the calling thread, so there is no --threads
     with pytest.raises(SystemExit) as exc:
-        run(["sample", model1_file, "--b", "1", "1", "--n", "300", "--seed", "9",
+        main(["sample", model1_file, "--b", "1", "1", "--n", "300", "--seed", "9",
              "--threads", "4"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
@@ -437,7 +469,7 @@ def test_sample_n_past_uint64_exits_2(model1_file, capsys, monkeypatch):
         raise AssertionError("hits_block called")
 
     monkeypatch.setattr(montecarlo, "hits_block", no_draw)
-    assert run(["sample", model1_file, "--b", "1", "1", "--n", str(2**70), "--seed", "9"]) == 2
+    assert main(["sample", model1_file, "--b", "1", "1", "--n", str(2**70), "--seed", "9"]) == 2
     assert "unsigned 64-bit" in capsys.readouterr().err
 
 
@@ -450,9 +482,9 @@ def test_text_lines_follow_the_json_keys(model1_file, capsys):
                  ["sample", model1_file, "--b", "0", "1", "--n", "100", "--seed", "5"],
                  ["gf", model1_file, "--z", "0.5", "0.25"],
                  ["gf", model1_file, "--z", "0.5", "0.25", "--check-degree", "10"]):
-        assert run(argv + ["--format", "json"]) == 0
+        assert main(argv + ["--format", "json"]) == 0
         payload = _json_out(capsys)
-        assert run(argv) == 0
+        assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         want = []
         for key, value in payload.items():
@@ -462,3 +494,36 @@ def test_text_lines_follow_the_json_keys(model1_file, capsys):
                 value = " ".join(str(x) for x in value)
             want.append(f"{key}: {value}")
         assert lines == want
+
+
+@pytest.mark.parametrize("b", [[2, 2], [0, 1]])
+def test_pmf_and_sample_print_their_records(model1_file, capsys, b):
+    """pmf and sample print every field of the PmfResult or SampleReport
+    the API returns, in field order: the JSON keys are the record's
+    fields and the values its values (a NaN z-score as NaN, the b tuple
+    as a list), and text mode prints one "name: value" line per field."""
+    model = lp.load_model_file(model1_file)
+    argv_b = ["--b", *map(str, b)]
+    for argv, record in ((["pmf", model1_file, *argv_b], lp.pmf(model, b)),
+                         (["sample", model1_file, *argv_b, "--n", "2000", "--seed", "5"],
+                          lp.verify(model, b, 2000, 5))):
+        names = [f.name for f in dataclasses.fields(record)]
+        values = [getattr(record, name) for name in names]
+        assert main(argv + ["--format", "json"]) == 0
+        out = _json_out(capsys)
+        assert list(out) == names
+        for got, want in zip(out.values(), values):
+            if isinstance(want, float) and math.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert got == (list(want) if isinstance(want, tuple) else want)
+                assert type(got) is type(want) or isinstance(want, tuple)
+        assert main(argv) == 0
+        want_lines = []
+        for name, value in zip(names, values):
+            if isinstance(value, bool):
+                value = "true" if value else "false"
+            elif isinstance(value, tuple):
+                value = " ".join(map(str, value))
+            want_lines.append(f"{name}: {value}")
+        assert capsys.readouterr().out.splitlines() == want_lines

@@ -396,6 +396,32 @@ def test_ptrs_accept_test_reads_ln_factorial_table(monkeypatch):
     assert 0 < calls == len(model_module._ln_fact)
 
 
+def test_ptrs_accept_test_is_the_one_log_term(monkeypatch):
+    # the accept test compares against model._log_poisson of the int64
+    # candidates, which gives the bits of the scalar log term; draws made
+    # against that scalar formula are the same draws
+    seen = []
+    real = K._log_poisson
+
+    def spy(k, lam, log_lam):
+        out = real(k, lam, log_lam)
+        seen.append((k.dtype, lam, log_lam, k.tolist(), out.tolist()))
+        return out
+
+    def scalar(k, lam, log_lam):
+        return np.array([x * log_lam - lam - math.lgamma(x + 1.0) for x in map(float, k.tolist())])
+
+    rates = [30.0, 45.5, 1e4, K.MAX_RATE]
+    monkeypatch.setattr(K, "_log_poisson", spy)
+    out = K.sample_block(rates, 5, 0, 20_000)
+    assert {lam for _, lam, *_ in seen} == set(rates)
+    for dtype, lam, log_lam, ks, got in seen:
+        assert dtype == np.int64 and log_lam == math.log(lam)
+        assert got == scalar(np.array(ks), lam, log_lam).tolist()
+    monkeypatch.setattr(K, "_log_poisson", scalar)
+    assert np.array_equal(K.sample_block(rates, 5, 0, 20_000), out)
+
+
 def test_hits_block_golden_count():
     hits = K.hits_block([[1, 0, 1], [0, 2, 1]], [2, 72], [1.2, 35.0, 2.1], 11, 0, 200_000)
     assert hits == (1440, 324_882)

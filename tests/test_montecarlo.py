@@ -63,6 +63,24 @@ def test_verify_shards_are_capped_by_the_cpu_count(model1, monkeypatch):
     assert many.hits == one.hits and many == one
 
 
+def test_verify_runs_the_sampler_checks_before_pmf(monkeypatch):
+    # pmf of [[1]] at rate 1e40 and b = 10**40 raised its own internal
+    # error before the sampler refused the query; now the sampler's
+    # checks (rate ceiling, int64 fit of b) come first and pmf is not asked
+    model = lp.PoissonModel([[1]], [1e40])
+
+    def no_pmf(*args):
+        raise AssertionError("pmf called")
+
+    monkeypatch.setattr(montecarlo, "pmf", no_pmf)
+    with pytest.raises(InputError, match=r"2\*\*34"):
+        verify(model, [1], n_samples=100, seed=1)
+    with pytest.raises(InputError, match="int64"):
+        verify(model, [10**40], n_samples=100, seed=1)
+    with pytest.raises(InputError, match="row count"):
+        verify(lp.PoissonModel([[1]], [1.0]), [1, 1], n_samples=100, seed=1)
+
+
 def test_verify_starts_no_thread(model1, monkeypatch):
     want = verify(model1, [1, 1], n_samples=5_000, seed=8)
 

@@ -19,9 +19,9 @@ from scipy.stats import poisson
 import linpois as lp
 from linpois import model as model_module
 from linpois import solutions as S
-from linpois.cli import run
+from linpois.cli import main
 from linpois.errors import InputError, InternalInvariantError
-from linpois.model import _log_factorials, rate_constants
+from linpois.model import _log_factorials, _log_poisson, rate_constants
 from linpois.pmf import _log_terms, _summed
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
@@ -321,6 +321,27 @@ def test_log_terms_table_equals_lgamma_map(monkeypatch):
         lgam = np.array([math.lgamma(x) for x in (pts + 1.0).ravel().tolist()]).reshape(pts.shape)
         want = (pts * consts - lam - lgam).sum(axis=1)
         assert np.array_equal(_log_terms(pts, lam, consts), want)
+
+
+def test_one_routine_forms_the_poisson_log_term(monkeypatch):
+    """model._log_poisson gives the bits of k ln lam - lam - lgamma(k + 1)
+    formed per entry in Python floats, and of _log_terms over a
+    one-column array, for int64 and float64 counts: k = 0, counts the
+    ln k! table serves, counts past its cap and past 2**53."""
+    _fresh_ln_fact(monkeypatch)
+    cap = model_module._LN_FACT_CAP
+    grids = [list(range(41)),
+             [0, 1, cap - 1, cap, cap + 5, 10**7, 2**40, 2**53 + 2, 2**62]]
+    for lam in (2.5e-8, 0.3, 29.9, 30.0, 45.5, 1e4, 2.0**34, 1e15):
+        log_lam = math.log(lam)
+        consts = rate_constants(np.array([lam]))
+        assert consts[0] == log_lam
+        for ks in grids:
+            want = [k * log_lam - lam - math.lgamma(k + 1.0) for k in map(float, ks)]
+            for dtype in (np.int64, np.float64):
+                assert _log_poisson(np.array(ks, dtype=dtype), lam, log_lam).tolist() == want
+            col = np.array(ks, dtype=np.float64)[:, None]
+            assert _log_terms(col, np.array([lam]), consts).tolist() == want
 
 
 def test_log_factorials_equal_lgamma_per_entry(monkeypatch):
@@ -812,7 +833,7 @@ def test_result_names_its_route(a, rates, b, route, tmp_path, capsys):
     assert res.route == route
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"a": a, "lambda": rates}))
-    assert run(["pmf", str(path), "--b", *map(str, b), "--format", "json"]) == 0
+    assert main(["pmf", str(path), "--b", *map(str, b), "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["route"] == route and "method" not in out
     assert (out["log_prob"], out["terms"], out["summed"]) == (res.log_prob, res.terms, res.summed)
@@ -841,8 +862,10 @@ def test_removed_names_are_not_exported():
     # the walk is a private step of solution_family
     assert not hasattr(lp.PoissonModel, "walk_plan")
     # a family is a record: its points are read from its fields
-    for attr in ("vectors", "solutions", "as_set"):
+    for attr in ("vectors", "solutions", "as_set", "finite"):
         assert not hasattr(lp.SolutionFamily, attr)
+    # the console script's entry point is the one CLI function
+    assert not hasattr(importlib.import_module("linpois.cli"), "run")
     assert not hasattr(lp.PreprocessReport, "is_trivial")
     # a result names its route, not the model's kernel class
     fields = [f.name for f in dataclasses.fields(lp.PmfResult)]

@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 import linpois as lp
 from linpois import solutions as S
-from linpois.cli import run
+from linpois.cli import main
 from linpois.errors import InputError, InternalInvariantError
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, EXAMPLE3_INVERSE
-from oracle import (det_exact, enumerate_solutions, family_set, hand_reduced, line_points,
-                    reference_log_prob)
+from oracle import (det_exact, enumerate_solutions, family_set, finite_family, hand_reduced,
+                    line_points, reference_log_prob)
 
 
 # the environment of a child interpreter that imports this checkout and
@@ -272,7 +272,7 @@ def wide_kernel_systems(draw):
 def _cli_solve(path, b):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert run(["solve", str(path), "--b", *map(str, b), "--format", "json"]) == 0
+        assert main(["solve", str(path), "--b", *map(str, b), "--format", "json"]) == 0
     return json.loads(out.getvalue())
 
 
@@ -607,13 +607,14 @@ def test_family_equality():
     assert key(F.line([0, 0, 2], [2, 1, -2], 0, 1)) == key(F.line([0, 0, 2], [2, 1, -2], 0, 1))
     assert key(F.line([0, 0, 2], [2, 1, -2], 0, 1)) != key(F.line([0, 0, 2], [2, 1, -2], 0, 2))
     assert key(F.singleton([1, 2])) == key(F.singleton([1, 2])) != key(F.singleton([2, 1]))
-    assert key(F.finite([(0, 3), (1, 1)])) == key(F.finite([(1, 1), (0, 3)]))
-    assert key(F.finite([(1, 2)])) == key(F.singleton([1, 2]))
-    assert key(F.finite([])) == key(F.empty())
-    assert (F.finite([]).kind, F.finite([(1, 2)]).kind) == ("empty", "singleton")
-    assert key(F.finite([(2**70, 0)])) == key(F.finite([(2**70, 0)])) != key(F.finite([(0, 2**70)]))
-    assert len({key(F.empty()), key(F.empty()), key(F.finite([(0, 3), (1, 1)])),
-                key(F.finite([(1, 1), (0, 3)]))}) == 2
+    assert key(finite_family([(0, 3), (1, 1)])) == key(finite_family([(1, 1), (0, 3)]))
+    assert key(finite_family([(1, 2)])) == key(F.singleton([1, 2]))
+    assert key(finite_family([])) == key(F.empty())
+    assert (finite_family([]).kind, finite_family([(1, 2)]).kind) == ("empty", "singleton")
+    wide = key(finite_family([(2**70, 0)]))
+    assert wide == key(finite_family([(2**70, 0)])) != key(finite_family([(0, 2**70)]))
+    assert len({key(F.empty()), key(F.empty()), key(finite_family([(0, 3), (1, 1)])),
+                key(finite_family([(1, 1), (0, 3)]))}) == 2
     assert F.empty() != "empty"
     walked = lp.solution_family(lp.PoissonModel([[1, 1, 1]], [1.0] * 3), [2])
     assert key(walked) == key(enumerate_solutions([[1, 1, 1]], [2]))
@@ -625,8 +626,8 @@ def test_family_points_match_vectors():
         lp.SolutionFamily.line([0, 0, 2], [2, 1, -2], 0, 1),
         lp.SolutionFamily.line([-(2**60), 5, 2**61 + 4], [1, 0, -2], 2**60, 2**60 + 2),
         lp.SolutionFamily.singleton([1, 2]),
-        lp.SolutionFamily.finite([(0, 3), (1, 1)]),
-        lp.SolutionFamily.finite([()]),
+        finite_family([(0, 3), (1, 1)]),
+        finite_family([()]),
     ]
     for fam in families:
         pts = fam.points()
@@ -636,8 +637,8 @@ def test_family_points_match_vectors():
         if fam.kind == "line":
             # in the order of j
             assert rows == line_points(fam)
-    assert lp.SolutionFamily.finite([()]).points().shape == (1, 0)
-    for empty in (lp.SolutionFamily.empty(), lp.SolutionFamily.finite([])):
+    assert finite_family([()]).points().shape == (1, 0)
+    for empty in (lp.SolutionFamily.empty(), finite_family([])):
         assert empty.points().shape == (0, 0)
     with pytest.raises(InputError):
         lp.SolutionFamily.singleton([10**400]).points()
