@@ -39,15 +39,15 @@ round by about 2 * 2**-53 * lam ln lam in absolute terms: 9e-5 at
 have the Poisson variance.  Below the ceiling every draw is also exact
 in float64 and fits in int64.
 
-hits_block counts the samples with A x == b exactly, for a matrix of
-natural numbers (a negative entry is an InputError, as in preprocess),
-drawing each column only for the samples that can still reach b.
-Columns that cannot move A x are never drawn, and the int64 and
-MAX_RATE limits apply only to the columns that are: zero columns, and
-columns whose CDF table has one entry (rate 0), which always draw 0,
-are left out first.  The CDF-table columns are drawn first and the PTRS
-columns, the costlier draws, last, each group in index order.  After
-column c a sample is kept only while
+hits_block counts the samples with A x == b exactly, for a PoissonModel,
+drawing each column only for the samples that can still reach b.  The
+columns preprocess removed (zero, or rate 0) and those whose CDF table
+has one entry (every draw 0) cannot move A x and are never drawn, so
+the int64 and MAX_RATE limits apply only to the others.  The CDF-table
+columns are drawn first and the PTRS columns, the costlier draws, last,
+each group in index order.  This plan and the lattice tests below are
+built once per model (PoissonModel._draw_plan).  After column c a
+sample is kept only while
   - x_c is at most the cap min_i floor(b_i / a_ic) over the rows i
     with a_ic > 0 (every moving column has one);
   - its residual r = b - (sum over the drawn columns of a_c x_c) is
@@ -62,10 +62,10 @@ by its value's result.  top is len(cdf) - 1 for a table column, with no
 scan of the draws, else the largest draw, clipped to cap + 1 (for every
 draw past the cap) when it reaches the number of samples; with more
 values than samples the tests run per sample.
-A draw's key is s * n + c whichever samples are still alive, so every
-draw that is made equals the one sample_block makes, and a sample's
-fate depends only on its own draws: the count is that of drawing every
-sample in full, for any split of the samples into blocks.
+A draw's key is s * n + c in the full matrix whichever samples are
+still alive, so every draw that is made equals the one sample_block
+makes, and a sample's fate depends only on its own draws: the count is
+that of drawing every sample in full, for any split into blocks.
 
 The residual never wraps int64: draws above the cap are clipped to it
 before a_ic x_c is formed, so each product is at most b_i and r_i stays
@@ -75,15 +75,14 @@ coefficient or divisor leaves int64 is formed in Python ints.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 
 import numpy as np
 
 from .errors import InputError, InternalInvariantError
-from .intlinalg import int_matrix, snf
-from .model import _log_poisson
+from .intlinalg import snf
+from .model import PoissonModel, _log_poisson
 from .solutions import _rate_vector
 
 __all__ = [
@@ -197,23 +196,17 @@ def _cdf_table(lam: float) -> np.ndarray:
     return np.asarray(out, dtype=np.float64)
 
 
-def _ptrs_params(lam: float) -> tuple:
-    b = 0.931 + 2.53 * math.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    vr = 0.9277 - 3.6224 / (b - 2.0)
-    return b, a, inv_alpha, vr
-
-
 def _coord_param(lam: float):
     """A coordinate's CDF table for rates below PTRS_THRESHOLD, else the
     PTRS tuple (lam, log lam, b, a, 1/alpha, v_r)."""
     if lam > MAX_RATE:
         raise InputError(f"rates above {MAX_RATE:.0f} (2**34) cannot be sampled: "
                          "the rejection sampler's accept test loses its accuracy")
-    if lam >= PTRS_THRESHOLD:
-        return (lam, math.log(lam), *_ptrs_params(lam))
-    return _cdf_table(lam)
+    if lam < PTRS_THRESHOLD:
+        return _cdf_table(lam)
+    b = 0.931 + 2.53 * math.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    return lam, math.log(lam), b, a, 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2.0)
 
 
 # -------------------------------------------------------------- draws
@@ -324,16 +317,14 @@ def sample_block(rates, seed, start, stop) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _lattice_checks(cols: tuple, m: int) -> tuple:
+def _lattice_checks(cols: list, m: int) -> tuple:
     """Entry k: the tests that a residual r lies on the lattice spanned
-    by cols[k:] (each a tuple of m ints), from the Smith form p A q = d
+    by cols[k:] (each a list of m ints), from the Smith form p A q = d
     of those columns: d_i | (p r)_i for i < rank and (p r)_i = 0 beyond.
 
     Each test is (row i of p, d_i, or 0 for "= 0"); tests with d_i = 1
     hold for every integer r and are left out.  The last entry, for no
-    columns, asks r = 0.  Cached, since verify counts one matrix in
-    several blocks.
+    columns, asks r = 0.
     """
     out = []
     for k in range(len(cols) + 1):
@@ -361,81 +352,76 @@ def _lattice_misses(tests, res, bound) -> list:
     return out
 
 
-def _hit_plan(a, b, rates) -> tuple:
-    """hits_block's checks of A, b and the rates, before any draw.
+def _draw_plan(model) -> tuple:
+    """hits_block's plan for a model, its PoissonModel._draw_plan: the
+    drawn columns in drawing order, each (index in the full matrix,
+    entries, draw parameter), and their lattice tests."""
+    rows = model.a_full.tolist()
+    kept = (c for c in range(model.n_full) if c not in model.report.removed_columns)
+    drawn = []
+    for c, lam in zip(kept, model.rates.tolist()):
+        param = _coord_param(lam)
+        if isinstance(param, tuple) or len(param) > 1:
+            drawn.append((c, [row[c] for row in rows], param))
+    # the CDF-table columns go first, then PTRS; the sort is stable
+    drawn.sort(key=lambda col: isinstance(col[2], tuple))
+    if any(x > _INT64_MAX for _, col, _ in drawn for x in col):
+        raise InputError("matrix does not fit the sampling kernels: "
+                         "an entry of a drawn column exceeds int64")
+    return drawn, _lattice_checks([col for _, col, _ in drawn], model.m_full)
 
-    Returns (rows of A, b as a list of ints, the column count, the drawn
-    columns' parameters by column, those columns in drawing order, and
-    their lattice tests).  verify runs it before pmf.
-    """
-    amat = int_matrix(a)
-    m, n = amat.shape
-    rows = amat.tolist()
-    if any(x < 0 for row in rows for x in row):
-        raise InputError("matrix entries must be natural numbers for sampling")
+
+def _hit_target(model, b) -> tuple:
+    """hits_block's checks of b, then of the model's plan: b as a list of
+    ints, the drawn columns and their lattice tests.  verify runs it
+    before pmf."""
+    if not isinstance(model, PoissonModel):
+        raise InputError("hits_block samples a PoissonModel")
     try:
         bl = np.asarray([operator.index(x) for x in b], dtype=np.int64).tolist()
     except TypeError:
         raise InputError("observation must be a vector of integers") from None
     except OverflowError:
         raise InputError("observation entries must fit in int64 for sampling") from None
-    if len(bl) != m:
-        raise InputError(f"observation length {len(bl)} != row count {m}")
-    rates = _rate_vector(rates).tolist()
-    if len(rates) != n:
-        raise InputError("rate vector length does not match matrix columns")
-    # a zero column, or a one-entry CDF table (rate 0: every draw is 0),
-    # never moves A x and is never drawn, so it need not fit the limits;
-    # the CDF-table columns go first, then PTRS
-    params = {}
-    for c, lam in enumerate(rates):
-        if any(row[c] for row in rows):
-            param = _coord_param(lam)
-            if isinstance(param, tuple) or len(param) > 1:
-                params[c] = param
-    order = sorted(params, key=lambda c: isinstance(params[c], tuple))
-    if any(row[c] > _INT64_MAX for row in rows for c in order):
-        raise InputError("matrix does not fit the sampling kernels: "
-                         "an entry of a drawn column exceeds int64")
-    checks = _lattice_checks(tuple(tuple(row[c] for row in rows) for c in order), m)
-    return rows, bl, n, params, order, checks
+    if len(bl) != model.m_full:
+        raise InputError(f"observation length {len(bl)} != row count {model.m_full}")
+    return bl, *model._draw_plan
 
 
-def hits_block(a, b, rates, seed, start, stop) -> tuple[int, int]:
+def hits_block(model, b, seed, start, stop) -> tuple[int, int]:
     """Count samples s in [start, stop) with A x_s == b, exactly, for a
-    matrix A of natural numbers.
+    PoissonModel of Y = A X.
 
     Columns are drawn one at a time, each only for the samples that can
     still reach b; the count equals that of drawing every sample in full
-    (see the module docstring).  A negative entry is an InputError
-    before any draw; the int64 and MAX_RATE limits apply only to the
-    columns that can move A x.  InputError for more than MAX_BLOCK
-    samples.  Returns (hits, draws), draws the number of Poisson
-    variates drawn to count them.
+    (see the module docstring).  The int64 and MAX_RATE limits apply
+    only to the columns that can move A x.  InputError for more than
+    MAX_BLOCK samples.  Returns (hits, draws), draws the number of
+    Poisson variates drawn to count them.
     """
     seed = check_seed(seed)
     start, stop = _check_range(start, stop)
-    rows, bl, n, params, order, checks = _hit_plan(a, b, rates)
+    bl, drawn, checks = _hit_target(model, b)
     # b is the residual before any draw and must pass the same tests
     if min(bl, default=0) < 0 or any(_lattice_misses(checks[0], bl, bl)):
         return 0, 0
 
+    n = model.n_full
     # the live samples' indices: a range until the first column prunes any
     svec = range(start, stop)
     # a row's residual stays the int b_i until a drawn column touches it
     res = list(bl)
     draws = 0
-    for k, c in enumerate(order):
+    for k, (c, col, param) in enumerate(drawn):
         if not len(svec):
             break
-        param = params[c]
         table = not isinstance(param, tuple)
         # unnamed bases: a table draw is written over them, freed with x
         x = (_draw_table_np if table else _draw_ptrs_np)(_bases_np(seed, svec, n, c), param)
         draws += x.size
         # a_ic x_c > b_i misses; the draws past the cap are clipped to it,
         # so no product exceeds b_i
-        cap = min(bi // row[c] for row, bi in zip(rows, bl) if row[c])
+        cap = min(bi // aic for aic, bi in zip(col, bl) if aic)
         top = len(param) - 1 if k == 0 and table else int(x.max(initial=0))
         # the first column's tests run once per value 0..top; `at`, the
         # samples' draws, maps each sample to its value's row
@@ -449,9 +435,9 @@ def hits_block(a, b, rates, seed, start, stop) -> tuple[int, int]:
         if top > cap:
             misses.append(x > cap)
             x = np.minimum(x, cap)
-        for i, row in enumerate(rows):
-            if row[c]:
-                res[i] = res[i] - row[c] * x
+        for i, aic in enumerate(col):
+            if aic:
+                res[i] = res[i] - aic * x
                 misses.append(res[i] < 0)
         misses += _lattice_misses(checks[k + 1], res, bl)
         # a test on rows no drawn column has touched yet gives one bool

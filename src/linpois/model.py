@@ -81,8 +81,8 @@ class PoissonModel:
     checks dependent rows.  ``a``/``rates`` refer to the reduced system
     used for evaluation; ``a_full``/``rates_full`` keep the original
     shapes.  Derived objects (SNF, the log rates of the terms, the plans
-    of the free-coordinate walk and of the rank-1 recurrence) are cached
-    on first use.
+    of the free-coordinate walk, of the rank-1 recurrence and of the
+    sampler) are cached on first use.
     """
 
     def __init__(self, a, rates, name: str | None = None, description: str | None = None):
@@ -135,7 +135,7 @@ class PoissonModel:
     @cached_property
     def method(self) -> str:
         # the old kernel class by n - rank; nothing in src/ reads it, only
-        # perfbench's model builds, and it goes with ROADMAP item 1
+        # perfbench's model builds, and it goes with ROADMAP items 2 and 6
         return ("invertible", "single-index", "enumerate")[min(self.n - self.snf.rank, 2)]
 
     @cached_property
@@ -158,6 +158,13 @@ class PoissonModel:
         if self.snf.rank != 1 or self.n < 3 or sum(self._rates.tolist()) > 2.0 ** 200:
             return None
         return _RowPlan(self._a, self._rates)
+
+    @cached_property
+    def _draw_plan(self) -> tuple:
+        # kernels.hits_block's plan, built on the first sample, not at
+        # build; imported here, as kernels imports this module
+        from .kernels import _draw_plan
+        return _draw_plan(self)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""

@@ -5,12 +5,13 @@ against pmf via a z-score."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InputError
 from .intlinalg import int_vector
-from .kernels import _hit_plan, check_seed, hits_block
+from .kernels import _hit_target, check_seed, hits_block
 from .model import PoissonModel
 from .pmf import pmf
 
@@ -47,28 +48,28 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
     seed).  The samples are counted in the calling thread, in blocks of
     at most _SAMPLE_BLOCK, so memory stays bounded for any n_samples;
     sample indices are uint64, so n_samples above 2**64 - 1 is an
-    InputError before any draw.  Every check of the sampler
-    (kernels._hit_plan) runs before pmf, so a query the sampler refuses
-    is an InputError whatever pmf would make of it.  threads has no
-    effect and must be >= 1: it is kept only because the benchmark's
-    mc-verify workload passes it, and goes once that workload drops it
-    (ROADMAP item 1).
+    InputError before any draw.  Every check of the sampler, on b and
+    on the model's drawing plan (kernels._hit_target), runs before pmf,
+    so a query the sampler refuses is an InputError whatever pmf would
+    make of it; the plan is built once per model.  threads has no effect
+    and must be >= 1: it is kept only because the benchmark's mc-verify
+    workload passes it, and goes once that workload drops it (ROADMAP
+    items 2 and 6).
     """
-    n_samples = operator.index(n_samples)
-    if not 1 <= n_samples < 1 << 64:
-        raise InputError("n_samples must be >= 1 and fit in an unsigned 64-bit integer")
-    threads = operator.index(threads)
-    if threads < 1:
-        raise InputError("threads must be >= 1")
+    # ints as int_vector takes them: no bool, float or string
+    for name, value in (("n_samples", n_samples), ("threads", threads)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise InputError(f"{name} must be an integer >= 1")
+    n_samples = int(n_samples)
+    if n_samples >= 1 << 64:
+        raise InputError("n_samples must fit in an unsigned 64-bit integer")
     seed = check_seed(seed)
     target = tuple(int_vector(b).tolist())
-    rates = model.rates_full
-    amat = model.a_full
-    _hit_plan(amat, target, rates)
+    _hit_target(model, target)
     exact = pmf(model, target).prob
     hits = draws = 0
     for lo in range(0, n_samples, _SAMPLE_BLOCK):
-        h, d = hits_block(amat, target, rates, seed, lo, min(lo + _SAMPLE_BLOCK, n_samples))
+        h, d = hits_block(model, target, seed, lo, min(lo + _SAMPLE_BLOCK, n_samples))
         hits += h
         draws += d
 

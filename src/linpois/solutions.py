@@ -26,6 +26,7 @@ the columns that cannot move Y: zero columns and zero-rate columns.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -382,17 +383,21 @@ class PreprocessReport:
 
 
 def _rate_vector(rates) -> np.ndarray:
-    """The rates as a float64 vector, each finite and >= 0: the one rate
-    check, shared by preprocess and the sampling kernels."""
-    try:
-        rates = np.asarray(rates, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"rates are not numeric: {exc}") from None
-    if rates.ndim != 1:
+    """The rates as a float64 vector, each a real number (not a bool or
+    a string, which numpy would convert), finite and >= 0: the one rate
+    check, shared by preprocess and kernels.sample_block."""
+    arr = np.asarray(rates, dtype=object)
+    if arr.ndim != 1:
         raise InputError("rates must be a vector")
-    if not np.all(np.isfinite(rates)) or np.any(rates < 0):
-        raise InputError("rates must be finite and >= 0")
-    return rates
+    for i, x in enumerate(arr.tolist()):
+        # float and int first: the numbers.Real test is several times slower
+        real = type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
+        if not real or not 0 <= x < math.inf:
+            raise InputError(f"rate {i} is not a finite real number >= 0: {x!r}")
+    try:
+        return arr.astype(np.float64)
+    except OverflowError:
+        raise InputError("a rate exceeds the float64 range (about 1.8e308)") from None
 
 
 def preprocess(a, rates):

@@ -261,6 +261,17 @@ def test_rate_total_past_the_float_range_exits_2(tmp_path, capsys, argv):
     assert "rate total" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["pmf", "--b", "2", "72"],
+                                  ["sample", "--b", "2", "72", "--n", "100", "--seed", "1"]])
+def test_rates_that_are_not_numbers_exit_2(tmp_path, capsys, argv):
+    # numpy read the string and the bool as the rates 1.5 and 1: exit 0
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"a": A1, "lambda": ["1.5", True, 1]}))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: rate 0") and captured.out == ""
+
+
 # -------------------------------------------------------------- gf
 
 def test_gf_check_degree(model1_file, capsys):

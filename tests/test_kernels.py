@@ -104,13 +104,14 @@ def test_poisson_cdf_table_matches_scipy():
 
 
 def test_poisson_cdf_table_rejects_bad_rate():
-    # rates reach the CDF table only through _rate_list, which refuses
-    # these before any table is built
+    # rates reach the CDF table only through solutions._rate_vector, in
+    # sample_block or in the PoissonModel that hits_block samples, which
+    # refuses these before any table is built
     for bad in (-1.0, float("inf"), float("nan")):
         with pytest.raises(InputError):
             K.sample_block([bad], 1, 0, 5)
         with pytest.raises(InputError):
-            K.hits_block([[1]], [1], [bad], 1, 0, 5)
+            PoissonModel([[1]], [bad])
 
 
 # ---------------------------------------------- guide-table inversion
@@ -256,7 +257,7 @@ def test_hits_block_matches_direct_count():
     a = [[1, 0, 1], [0, 2, 1]]
     b = [2, 2]
     rates = [1.0, 1.0, 1.0]
-    hits, _ = K.hits_block(a, b, rates, 2020, 0, 50_000)
+    hits, _ = K.hits_block(PoissonModel(a, rates), b, 2020, 0, 50_000)
     x = K.sample_block(rates, 2020, 0, 50_000)
     y = x @ np.array(a, dtype=np.int64).T
     assert hits == int(np.count_nonzero(np.all(y == b, axis=1)))
@@ -264,16 +265,19 @@ def test_hits_block_matches_direct_count():
 
 
 def test_hits_block_validation():
-    with pytest.raises(InputError):
-        K.hits_block([[1, 1]], [1, 2], [1.0, 1.0], 0, 0, 10)
-    with pytest.raises(InputError):
-        K.hits_block([[1, 1]], [1], [1.0], 0, 0, 10)
+    model = PoissonModel([[1, 1]], [1.0, 1.0])
+    with pytest.raises(InputError, match="row count"):
+        K.hits_block(model, [1, 2], 0, 0, 10)
     with pytest.raises(InputError):
         K.sample_block([1.0], 0, 5, 2)
     with pytest.raises(InputError):
         K.sample_block([-1.0], 0, 0, 2)
-    with pytest.raises(InputError):
-        K.hits_block([[1, 1]], [2**63], [1.0, 1.0], 0, 0, 10)
+    with pytest.raises(InputError, match="int64"):
+        K.hits_block(model, [2**63], 0, 0, 10)
+    # A and the rates are checked once, by the model that hits_block
+    # samples; a bare matrix is refused, not read
+    with pytest.raises(InputError, match="PoissonModel"):
+        K.hits_block([[1]], [1], 0, 0, 10)
 
 
 # hits_block and sample_block are public: a bad argument passed to them
@@ -283,7 +287,7 @@ def test_hits_block_validation():
 @pytest.mark.parametrize("b", [[1.5], 5])  # TypeError from operator.index, from iter
 def test_hits_block_non_integer_observation(b):
     with pytest.raises(InputError):
-        K.hits_block([[1]], b, [1.0], 1, 0, 10)
+        K.hits_block(PoissonModel([[1]], [1.0]), b, 1, 0, 10)
 
 
 @pytest.mark.parametrize("start, stop", [
@@ -294,7 +298,7 @@ def test_hits_block_non_integer_observation(b):
 ])
 def test_kernel_bad_index_range(start, stop):
     with pytest.raises(InputError):
-        K.hits_block([[1]], [1], [1.0], 1, start, stop)
+        K.hits_block(PoissonModel([[1]], [1.0]), [1], 1, start, stop)
     with pytest.raises(InputError):
         K.sample_block([1.0], 1, start, stop)
 
@@ -302,7 +306,7 @@ def test_kernel_bad_index_range(start, stop):
 @pytest.mark.parametrize("stop", [2**40, 2**62])  # numpy's MemoryError, ValueError
 def test_kernel_huge_valid_index_range(stop):
     with pytest.raises(InputError, match="MAX_BLOCK"):
-        K.hits_block([[1]], [1], [1.0], 1, 0, stop)
+        K.hits_block(PoissonModel([[1]], [1.0]), [1], 1, 0, stop)
     with pytest.raises(InputError, match="MAX_BLOCK"):
         K.sample_block([1.0], 1, 0, stop)
 
@@ -321,13 +325,13 @@ def test_kernel_block_cap_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(K, "MAX_BLOCK", 12)
     # sample_block counts rows times columns, hits_block rows
     assert K.sample_block([1.0, 2.0], 1, 0, 6).shape == (6, 2)
-    assert K.hits_block([[1, 1]], [1], [1.0, 2.0], 1, 0, 12)[0] >= 0
+    assert K.hits_block(PoissonModel([[1, 1]], [1.0, 2.0]), [1], 1, 0, 12)[0] >= 0
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match="MAX_BLOCK = 12"):
             K.sample_block([1.0, 2.0], 1, 0, 7)
         with pytest.raises(InputError, match="MAX_BLOCK = 12"):
-            K.hits_block([[1, 1]], [1], [1.0, 2.0], 1, 0, 13)
+            K.hits_block(PoissonModel([[1, 1]], [1.0, 2.0]), [1], 1, 0, 13)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -339,7 +343,7 @@ def test_rate_ceiling():
     with pytest.raises(InputError):
         K.sample_block([1e19], 1, 0, 5)
     with pytest.raises(InputError):
-        K.hits_block([[1]], [1], [K.MAX_RATE * 2], 1, 0, 5)
+        K.hits_block(PoissonModel([[1]], [K.MAX_RATE * 2]), [1], 1, 0, 5)
     top = K.sample_block([K.MAX_RATE], 1, 0, 200)
     assert np.all(np.abs(top - K.MAX_RATE) <= 10 * math.sqrt(K.MAX_RATE))
 
@@ -423,7 +427,8 @@ def test_ptrs_accept_test_is_the_one_log_term(monkeypatch):
 
 
 def test_hits_block_golden_count():
-    hits = K.hits_block([[1, 0, 1], [0, 2, 1]], [2, 72], [1.2, 35.0, 2.1], 11, 0, 200_000)
+    model = PoissonModel([[1, 0, 1], [0, 2, 1]], [1.2, 35.0, 2.1])
+    hits = K.hits_block(model, [2, 72], 11, 0, 200_000)
     assert hits == (1440, 324_882)
 
 
@@ -435,7 +440,7 @@ def test_hits_block_huge_entry_counts_exactly():
     # against P(X = 0) = e^-4 ~ 0.018
     seed = 31
     zeros = int(np.count_nonzero(K.sample_block([4.0], seed, 0, 20_000) == 0))
-    assert K.hits_block([[2**62]], [0], [4.0], seed, 0, 20_000)[0] == zeros
+    assert K.hits_block(PoissonModel([[2**62]], [4.0]), [0], seed, 0, 20_000)[0] == zeros
     rep = verify(PoissonModel([[2**62]], [4.0]), [0], 20_000, seed)
     assert rep.hits == zeros
     assert abs(rep.z_score) <= 5.0
@@ -448,13 +453,13 @@ def test_hits_block_masked_rows_count_exactly():
     x = K.sample_block([1.0, 4.0], 8, 0, 20_000)
     direct = sum(1 for x0, x1 in x.tolist() if 2**62 * x0 + x1 == b[0] and 3 * x1 == b[1])
     assert direct > 0
-    assert K.hits_block(a, b, [1.0, 4.0], 8, 0, 20_000)[0] == direct
+    assert K.hits_block(PoissonModel(a, [1.0, 4.0]), b, 8, 0, 20_000)[0] == direct
 
 
 def test_hits_block_negative_entries(monkeypatch):
-    # the matrix must be of natural numbers, as in preprocess: a negative
-    # entry is refused before any draw, also in a column that never
-    # moves A x (its rate is 0)
+    # the matrix must be of natural numbers: the model that hits_block
+    # samples refuses a negative entry, also in a column that never
+    # moves A x (its rate is 0), so nothing is drawn
     drawn = []
     for name in ("_draw_table_np", "_draw_ptrs_np"):
         monkeypatch.setattr(K, name, lambda *args: drawn.append(args))
@@ -464,8 +469,8 @@ def test_hits_block_negative_entries(monkeypatch):
         ([[-1, 3, -2**62], [-2, -1, 1]], [-1000097, -2000194], [1e6, 1e-9, 0.4]),
         ([[1, -1]], [2], [1.0, 0.0]),
     ]:
-        with pytest.raises(InputError, match="natural numbers"):
-            K.hits_block(a, b, rates, 3, 0, 5000)
+        with pytest.raises(InputError, match="negative"):
+            K.hits_block(PoissonModel(a, rates), b, 3, 0, 5000)
     assert drawn == []
 
 
@@ -474,10 +479,10 @@ def test_verify_checks_limits_on_drawn_columns_only():
     # an entry past int64 or a rate past MAX_RATE there made verify and
     # CLI sample refuse a model that pmf answers; draw keys are
     # s * n + c, so the count is that of a rate-1 zero column
-    want = K.hits_block([[1, 0]], [2], [1.0, 1.0], 9, 0, 20_000)
+    want = K.hits_block(PoissonModel([[1, 0]], [1.0, 1.0]), [2], 9, 0, 20_000)
     assert want[0] > 0 and want[1] == 20_000
     for a, rates in (([[1, 2**70]], [1.0, 0.0]), ([[1, 0]], [1.0, 1e30])):
-        assert K.hits_block(a, [2], rates, 9, 0, 20_000) == want
+        assert K.hits_block(PoissonModel(a, rates), [2], 9, 0, 20_000) == want
         rep = verify(PoissonModel(a, rates), [2], 20_000, 9)
         assert (rep.hits, rep.draws) == want
 
@@ -487,13 +492,14 @@ def test_hits_block_count_independent_of_shards():
     # int64 depended on the draws of a shard, so one shard raised
     # InputError where two shards counted; such rates are now refused
     with pytest.raises(InputError):
-        K.hits_block([[1, 1]], [2**62], [4.6116860022928256e18] * 2, 2, 0, 2000)
+        K.hits_block(PoissonModel([[1, 1]], [4.6116860022928256e18] * 2), [2**62], 2, 0, 2000)
     r = K.MAX_RATE
     x = K.sample_block([r, r], 2, 0, 2000)
     sums = [int(x0) + int(x1) for x0, x1 in x.tolist()]
+    model = PoissonModel([[1, 1]], [r, r])
     for b in (2 * int(r), sums[7]):
-        one = K.hits_block([[1, 1]], [b], [r, r], 2, 0, 2000)[0]
-        two = sum(K.hits_block([[1, 1]], [b], [r, r], 2, lo, hi)[0]
+        one = K.hits_block(model, [b], 2, 0, 2000)[0]
+        two = sum(K.hits_block(model, [b], 2, lo, hi)[0]
                   for lo, hi in ((0, 1000), (1000, 2000)))
         assert one == two == sums.count(b)
     assert sums.count(sums[7]) >= 1
@@ -503,13 +509,13 @@ def test_hits_block_skips_columns_that_cannot_move_y():
     # the zero column was drawn too, by PTRS at rate 1e6, although its
     # draws cannot change A x
     x = K.sample_block([1.0, 1e6], 13, 0, 20_000)
-    hits, draws = K.hits_block([[1, 0]], [2], [1.0, 1e6], 13, 0, 20_000)
+    hits, draws = K.hits_block(PoissonModel([[1, 0]], [1.0, 1e6]), [2], 13, 0, 20_000)
     assert hits == int(np.count_nonzero(x[:, 0] == 2)) > 0
     assert draws == 20_000
     rep = verify(PoissonModel([[1, 0]], [1.0, 1e6]), [2], 20_000, 13)
     assert rep.hits == hits and rep.draws == 20_000
     # a rate-0 column is not drawn either
-    assert K.hits_block([[1, 1]], [2], [1.0, 0.0], 13, 0, 20_000)[1] == 20_000
+    assert K.hits_block(PoissonModel([[1, 1]], [1.0, 0.0]), [2], 13, 0, 20_000)[1] == 20_000
 
 
 def _python_count(a, b, rates, seed, start, stop):
@@ -541,7 +547,7 @@ def test_hits_block_first_column_per_value(a, rates, stop, b):
         b = [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
     want = _python_count(a, b, rates, seed, start, start + stop)
     assert want > 0 or not image
-    assert K.hits_block(a, b, rates, seed, start, start + stop)[0] == want
+    assert K.hits_block(PoissonModel(a, rates), b, seed, start, start + stop)[0] == want
 
 
 @pytest.mark.parametrize("b", [[1], [2], [3]])
@@ -553,7 +559,7 @@ def test_hits_block_first_column_reaches_the_table_top(monkeypatch, b):
     a, rates = [[1, 1]], [4.0, 1.0]
     assert np.mean(K.sample_block(rates, 23, 0, 2000)[:, 0] == 2) > 0.7
     want = _python_count(a, b, rates, 23, 0, 2000)
-    assert want > 0 and K.hits_block(a, b, rates, 23, 0, 2000)[0] == want
+    assert want > 0 and K.hits_block(PoissonModel(a, rates), b, 23, 0, 2000)[0] == want
 
 
 @pytest.mark.parametrize("a,b,rates,seed", [
@@ -573,7 +579,7 @@ def test_hits_block_lattice_tests_past_int64(a, b, rates, seed):
     # must be formed in Python ints
     want = _python_count(a, b, rates, seed, 0, 400)
     assert want > 0
-    assert K.hits_block(a, b, rates, seed, 0, 400)[0] == want
+    assert K.hits_block(PoissonModel(a, rates), b, seed, 0, 400)[0] == want
 
 
 # small nonnegative matrices: random ones (with zero columns), and ones
@@ -595,7 +601,7 @@ def _check_hits(a, rates, seed, s, shift):
     x = K.sample_block(rates, seed, 0, _SAMPLES).tolist()
     image = [[sum(aij * xj for aij, xj in zip(row, xs)) for row in a] for xs in x]
     b = [y + d for y, d in zip(image[s], shift)]
-    hits, draws = K.hits_block(a, b, rates, seed, 0, _SAMPLES)
+    hits, draws = K.hits_block(PoissonModel(a, rates), b, seed, 0, _SAMPLES)
     assert hits == image.count(b)
     moving = sum(1 for c in range(len(rates)) if rates[c] > 0 and any(row[c] for row in a))
     assert draws <= _SAMPLES * moving

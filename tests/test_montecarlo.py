@@ -163,6 +163,35 @@ def test_verify_validation(model1):
         verify(model1, [2, 2, 2], n_samples=10, seed=1)
 
 
+@pytest.mark.parametrize("kwargs", [{"n_samples": 1.5}, {"threads": 2.0},
+                                    {"n_samples": True}, {"threads": True}, {"n_samples": "10"}])
+def test_verify_counts_are_integers(model1, kwargs):
+    # a float count raised numpy's or Python's TypeError, and
+    # n_samples=True ran one sample
+    args = {"n_samples": 100, "threads": 1, **kwargs}
+    with pytest.raises(InputError, match="must be an integer"):
+        verify(model1, [1, 1], seed=1, **args)
+
+
+def test_verify_builds_one_plan_per_model(monkeypatch):
+    # the sampler's plan (a CDF table or PTRS parameters per drawn
+    # column, and the lattice tests) was rebuilt before pmf and in every
+    # block: 6 builds per call here
+    model = lp.PoissonModel([[1, 0, 1], [0, 2, 1]], [1.2, 35.0, 2.1])
+    built = []
+    coord_param = kernels._coord_param
+
+    def counting(lam):
+        built.append(lam)
+        return coord_param(lam)
+
+    monkeypatch.setattr(kernels, "_coord_param", counting)
+    monkeypatch.setattr(montecarlo, "_SAMPLE_BLOCK", 1_000)
+    first = verify(model, [2, 72], n_samples=5_000, seed=11)
+    assert verify(model, [2, 72], n_samples=5_000, seed=11) == first
+    assert sorted(built) == [1.2, 2.1, 35.0]
+
+
 def test_verify_refuses_sample_indices_past_uint64(model1, monkeypatch):
     # 2**70 samples ran on, 2**20 at a time, for about 2**44 blocks
     # before the indices passed the kernels' uint64 limit: now refused

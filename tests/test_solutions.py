@@ -583,6 +583,22 @@ def test_preprocess_validation():
             lp.preprocess([[1]], bad)
 
 
+@pytest.mark.parametrize("rates", [
+    ["1.5", True, 1],  # numpy read these as the rates (1.5, 1, 1)
+    [True, 1, 1],  # np.asarray gives plain int64: no bool dtype to see
+    [1.0, b"2", 1.0],
+    np.array([True, True, False]),
+    [1.0, 2.0, 10**400],  # OverflowError from numpy's float conversion
+])
+def test_rates_are_real_numbers(rates):
+    # the one rate check refuses what is not a real number, as int_matrix
+    # refuses a bool entry, in the model and in a JSON model alike
+    with pytest.raises(InputError, match="rate"):
+        lp.PoissonModel(EXAMPLE1, rates)
+    with pytest.raises(InputError, match="rate"):
+        lp.model_from_dict({"a": EXAMPLE1, "lambda": rates})
+
+
 # --------------------------------------------------- family plumbing
 
 def test_family_count_and_vectors():
