@@ -7,6 +7,10 @@ far beyond 64 bits during elimination.  The Smith normal form is the
 one lattice representation and the one elimination routine the solvers
 use; the determinant and minor-gcd oracles that check it live with the
 tests.
+
+The package's one integer rule lives here (_is_int): an int or a numpy
+integer, never a bool.  int_matrix and int_vector apply it to every
+entry, _int_arg to every scalar count, index, seed and degree bound.
 """
 
 from __future__ import annotations
@@ -28,24 +32,52 @@ __all__ = [
 ]
 
 
+_UINT64_MAX = (1 << 64) - 1
+
+
+def _is_int(v) -> bool:
+    # the one integer rule; np.bool_ is not a numpy integer
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _int_arg(value, what: str, lo: int = 0, u64: bool = True) -> int:
+    """value as an int by the integer rule, InputError unless value >= lo
+    and, when u64, value < 2**64: seeds, sample indices and sample counts
+    are unsigned 64-bit words in the kernels."""
+    if not _is_int(value):
+        raise InputError(f"{what} must be an integer")
+    value = int(value)
+    if value < lo:
+        raise InputError(f"{what} must be >= {lo}")
+    if u64 and value > _UINT64_MAX:
+        raise InputError(f"{what} must fit in an unsigned 64-bit integer")
+    return value
+
+
+_to_int = np.frompyfunc(int, 1, 1)  # int() of each entry of an object array
+
+
+def _int_array(data, ndim: int) -> np.ndarray:
+    """*data* as an object array of Python ints with ndim dimensions,
+    every entry checked by the integer rule."""
+    arr = np.asarray(data, dtype=object)
+    if arr.ndim != ndim:
+        want = "a vector" if ndim == 1 else "a 2-D matrix, rows of equal length"
+        raise InputError(f"expected {want}, got ndim={arr.ndim}")
+    for k, v in enumerate(arr.flat):
+        if not _is_int(v):
+            at = k if ndim == 1 else divmod(k, arr.shape[1])
+            raise InputError(f"entry {at} is not an integer: {v!r}")
+    return _to_int(arr)
+
+
 def int_matrix(data) -> np.ndarray:
     """Validate *data* as a 2-D integer matrix and return an object array.
 
     Every entry is converted to a Python int, so later arithmetic is
     arbitrary precision even when the input came in as numpy int64.
     """
-    arr = np.asarray(data, dtype=object)
-    if arr.ndim != 2:
-        raise InputError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    rows, cols = arr.shape
-    out = np.empty((rows, cols), dtype=object)
-    for i in range(rows):
-        for j in range(cols):
-            v = arr[i, j]
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise InputError(f"entry ({i},{j}) is not an integer: {v!r}")
-            out[i, j] = int(v)
-    return out
+    return _int_array(data, 2)
 
 
 def int_identity(n: int) -> np.ndarray:
@@ -57,15 +89,7 @@ def int_identity(n: int) -> np.ndarray:
 
 def int_vector(data) -> np.ndarray:
     """1-D counterpart of :func:`int_matrix`."""
-    arr = np.asarray(data, dtype=object)
-    if arr.ndim != 1:
-        raise InputError(f"expected a vector, got ndim={arr.ndim}")
-    out = np.empty(arr.shape[0], dtype=object)
-    for i, v in enumerate(arr):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise InputError(f"entry {i} is not an integer: {v!r}")
-        out[i] = int(v)
-    return out
+    return _int_array(data, 1)
 
 
 @dataclass(frozen=True)
@@ -196,9 +220,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
             raise InputError(f"matrix line {lineno}: {exc}") from None
     if not rows:
         raise InputError("matrix text is empty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise InputError("matrix rows have inconsistent lengths")
+    # int_matrix refuses rows of unequal length
     return int_matrix(rows)
 
 

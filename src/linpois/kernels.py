@@ -76,14 +76,13 @@ coefficient or divisor leaves int64 is formed in Python ints.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
 from .errors import InputError, InternalInvariantError
-from .intlinalg import snf
+from .intlinalg import _int_arg, snf
 from .model import PoissonModel, _log_poisson
-from .solutions import _rate_vector
+from .solutions import _real_vector
 
 __all__ = [
     "default_backend",
@@ -163,21 +162,11 @@ def _uniforms_np(bases: np.ndarray, t: int) -> np.ndarray:
     return np.multiply(x, _INV53)
 
 
-def check_seed(seed) -> int:
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise InputError("seed must be an integer") from None
-    if not 0 <= seed <= _MASK64:
-        raise InputError("seed must fit in an unsigned 64-bit integer")
-    return seed
-
-
 # ------------------------------------------------- per-coordinate prep
 
 def _cdf_table(lam: float) -> np.ndarray:
     """cdf[k] = P(Poisson(lam) <= k) for a rate lam checked by
-    solutions._rate_vector, truncated once the tail is at most _CDF_TAIL
+    solutions._real_vector, truncated once the tail is at most _CDF_TAIL
     or the table has _CDF_MAX_LEN entries.
 
     Built in Python, one float64 partial sum per entry.  A uniform
@@ -280,18 +269,14 @@ def _draw_ptrs_np(bases, param) -> np.ndarray:
 # ------------------------------------------------------------- public
 
 def _check_range(start, stop, width: int = 1) -> tuple[int, int]:
-    """start and stop as ints, refused before any allocation when the
-    call's largest array, (stop - start) x width entries, would exceed
-    MAX_BLOCK."""
-    try:
-        start = operator.index(start)
-        stop = operator.index(stop)
-    except TypeError:
-        raise InputError("start and stop must be integers") from None
-    # sample indices are uint64; np.arange of 2**63 or more uint64s
-    # returns an empty array instead of failing
-    if not 0 <= start <= stop <= _MASK64 or stop - start > _INT64_MAX:
-        raise InputError("need 0 <= start <= stop < 2**64 and stop - start < 2**63")
+    """start and stop as unsigned 64-bit ints (intlinalg._int_arg), refused
+    before any allocation when the call's largest array, (stop - start)
+    x width entries, would exceed MAX_BLOCK."""
+    start = _int_arg(start, "start")
+    stop = _int_arg(stop, "stop", start)
+    # np.arange of 2**63 or more uint64s returns an empty array, no error
+    if stop - start > _INT64_MAX:
+        raise InputError("need stop - start < 2**63")
     if (stop - start) * width > MAX_BLOCK:
         raise InputError(f"{stop - start} samples of {width} column(s) exceed the cap of "
                          f"MAX_BLOCK = {MAX_BLOCK} entries per call; draw them in blocks")
@@ -302,10 +287,12 @@ def sample_block(rates, seed, start, stop) -> np.ndarray:
     """Samples with indices [start, stop) as a (stop-start, n) int64 array.
 
     Identical output for any block decomposition of the same index range.
+    seed, start and stop are unsigned 64-bit ints and rates reals >= 0
+    (intlinalg._int_arg, solutions._real_vector: a bool is refused).
     InputError when the array would hold more than MAX_BLOCK entries.
     """
-    seed = check_seed(seed)
-    rates = _rate_vector(rates).tolist()
+    seed = _int_arg(seed, "seed")
+    rates = _real_vector(rates, "rate").tolist()
     n = len(rates)
     start, stop = _check_range(start, stop, max(n, 1))
     params = [_coord_param(lam) for lam in rates]
@@ -373,18 +360,13 @@ def _draw_plan(model) -> tuple:
 
 def _hit_target(model, b) -> tuple:
     """hits_block's checks of b, then of the model's plan: b as a list of
-    ints, the drawn columns and their lattice tests.  verify runs it
-    before pmf."""
+    ints (PoissonModel._observation) that fit int64, the drawn columns
+    and their lattice tests.  verify runs it before pmf."""
     if not isinstance(model, PoissonModel):
         raise InputError("hits_block samples a PoissonModel")
-    try:
-        bl = np.asarray([operator.index(x) for x in b], dtype=np.int64).tolist()
-    except TypeError:
-        raise InputError("observation must be a vector of integers") from None
-    except OverflowError:
-        raise InputError("observation entries must fit in int64 for sampling") from None
-    if len(bl) != model.m_full:
-        raise InputError(f"observation length {len(bl)} != row count {model.m_full}")
+    bl = model._observation(b)
+    if any(not -_INT64_MAX - 1 <= x <= _INT64_MAX for x in bl):
+        raise InputError("observation entries must fit in int64 for sampling")
     return bl, *model._draw_plan
 
 
@@ -395,11 +377,12 @@ def hits_block(model, b, seed, start, stop) -> tuple[int, int]:
     Columns are drawn one at a time, each only for the samples that can
     still reach b; the count equals that of drawing every sample in full
     (see the module docstring).  The int64 and MAX_RATE limits apply
-    only to the columns that can move A x.  InputError for more than
+    only to the columns that can move A x.  seed, start and stop are
+    checked as in sample_block, and b as in pmf; InputError for more than
     MAX_BLOCK samples.  Returns (hits, draws), draws the number of
     Poisson variates drawn to count them.
     """
-    seed = check_seed(seed)
+    seed = _int_arg(seed, "seed")
     start, stop = _check_range(start, stop)
     bl, drawn, checks = _hit_target(model, b)
     # b is the residual before any draw and must pass the same tests

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .intlinalg import SnfDecomposition, int_matrix, snf
+from .intlinalg import SnfDecomposition, int_matrix, int_vector, snf
 from .solutions import PreprocessReport, _RowPlan, _WalkPlan, preprocess
 
 __all__ = ["PoissonModel", "model_from_dict", "load_model_file"]
@@ -127,6 +127,14 @@ class PoissonModel:
     @property
     def n_full(self) -> int:
         return self._a_full.shape[1]
+
+    def _observation(self, b) -> list:
+        """b as a list of m_full ints by int_vector's rule: the one check
+        of an observation, for pmf's query step and the sampler."""
+        b = int_vector(b).tolist()
+        if len(b) != self.m_full:
+            raise InputError(f"observation length {len(b)} != row count {self.m_full}")
+        return b
 
     @cached_property
     def snf(self) -> SnfDecomposition:

@@ -7,11 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InputError
-from .intlinalg import int_vector
-from .kernels import _hit_target, check_seed, hits_block
+from .intlinalg import _int_arg
+from .kernels import _hit_target, hits_block
 from .model import PoissonModel
 from .pmf import pmf
 
@@ -46,26 +43,21 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
 
     Reproducible: the result depends only on (model, b, n_samples,
     seed).  The samples are counted in the calling thread, in blocks of
-    at most _SAMPLE_BLOCK, so memory stays bounded for any n_samples;
-    sample indices are uint64, so n_samples above 2**64 - 1 is an
-    InputError before any draw.  Every check of the sampler, on b and
-    on the model's drawing plan (kernels._hit_target), runs before pmf,
-    so a query the sampler refuses is an InputError whatever pmf would
-    make of it; the plan is built once per model.  threads has no effect
-    and must be >= 1: it is kept only because the benchmark's mc-verify
-    workload passes it, and goes once that workload drops it (ROADMAP
-    items 2 and 6).
+    at most _SAMPLE_BLOCK, so memory stays bounded for any n_samples.
+    n_samples, seed and threads follow the integer rule
+    (intlinalg._int_arg: no bool, float or string); sample indices are
+    uint64, so n_samples of 2**64 or more is an InputError before any
+    draw.  b is checked once, with the model's drawing plan, by
+    kernels._hit_target, before pmf, so a query the sampler refuses is
+    an InputError whatever pmf would make of it; the plan is built once
+    per model.  threads has no effect and must be >= 1: it is kept only
+    because the benchmark's mc-verify workload passes it, and goes once
+    that workload drops it (ROADMAP items 2 and 6).
     """
-    # ints as int_vector takes them: no bool, float or string
-    for name, value in (("n_samples", n_samples), ("threads", threads)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise InputError(f"{name} must be an integer >= 1")
-    n_samples = int(n_samples)
-    if n_samples >= 1 << 64:
-        raise InputError("n_samples must fit in an unsigned 64-bit integer")
-    seed = check_seed(seed)
-    target = tuple(int_vector(b).tolist())
-    _hit_target(model, target)
+    n_samples = _int_arg(n_samples, "n_samples", 1)
+    _int_arg(threads, "threads", 1, u64=False)
+    seed = _int_arg(seed, "seed")
+    target = tuple(_hit_target(model, b)[0])
     exact = pmf(model, target).prob
     hits = draws = 0
     for lo in range(0, n_samples, _SAMPLE_BLOCK):

@@ -44,7 +44,6 @@ over a box of observations.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -52,9 +51,9 @@ import numpy as np
 
 from . import solutions
 from .errors import InputError, InternalInvariantError
-from .intlinalg import int_vector
+from .intlinalg import _int_arg
 from .model import PoissonModel, _log_poisson
-from .solutions import SolutionFamily, _snf_family, _walk_family
+from .solutions import SolutionFamily, _real_vector, _snf_family, _walk_family
 
 __all__ = [
     "PmfResult",
@@ -154,8 +153,8 @@ def logsumexp(terms) -> float:
 
 
 def _lattice_family(model: PoissonModel, b) -> tuple[list[int] | None, SolutionFamily | None]:
-    """The query step of pmf and solution_family: b checked, then the
-    SNF lattice test.
+    """The query step of pmf and solution_family: b checked
+    (PoissonModel._observation), then the SNF lattice test.
 
     Returns b as a list of ints and its solution family, read off the
     model's SNF; the family is None when the kernel of A has dimension
@@ -164,10 +163,7 @@ def _lattice_family(model: PoissonModel, b) -> tuple[list[int] | None, SolutionF
     (None, the empty family).  _walk_family and _recurrence trust these
     checks.
     """
-    b = int_vector(b)
-    if b.shape[0] != model.m_full:
-        raise InputError(f"observation length {b.shape[0]} != row count {model.m_full}")
-    b = b.tolist()
+    b = model._observation(b)
     if any(x < 0 for x in b):
         return None, SolutionFamily.empty()
     return b, _snf_family(model.snf, b)
@@ -403,18 +399,6 @@ def pmf(model: PoissonModel, b) -> PmfResult:
     return _summed(_log_terms(fam.points(), model.rates, model.term_constants), route)
 
 
-def _check_z(model: PoissonModel, z) -> np.ndarray:
-    try:
-        z = np.asarray(z, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"z is not numeric: {exc}") from None
-    if z.ndim != 1 or z.shape[0] != model.m_full:
-        raise InputError(f"z must be a vector of length {model.m_full}")
-    if not np.all(np.isfinite(z)) or np.any(z < 0.0) or np.any(z > 1.0):
-        raise InputError("z entries must lie in [0, 1]")
-    return z
-
-
 def gf_eval(model: PoissonModel, z) -> float:
     """Generating function G(z) = E[prod_i z_i^{Y_i}] in closed form.
 
@@ -424,9 +408,10 @@ def gf_eval(model: PoissonModel, z) -> float:
     z_i = 0 with a_ij > 0 makes the term -l_j; a zero exponent gives
     0^0 = 1.  An exponent past 2**63 is capped there, which keeps every
     term: 2**63 ln z_i is at most about -1024 for z_i < 1, where expm1
-    is already -1.0, and 0 at z_i = 1.
+    is already -1.0, and 0 at z_i = 1.  z is a vector of m reals in
+    [0, 1] (solutions._real_vector: a bool, string or complex is refused).
     """
-    z = _check_z(model, z)
+    z = _real_vector(z, "z", 1.0, model.m_full)
     ln_z = [math.log(x) if x > 0.0 else NEG_INF for x in z.tolist()]
     rows = model.a_full.tolist()
     terms = []
@@ -446,15 +431,11 @@ def pmf_table(model: PoissonModel, degree_bound: int) -> np.ndarray:
     t_max + 1 shifted copies of the box, t_max = min_i floor(B / a_ij)
     over its positive entries, so the work is counted as
     (1 + sum_j (t_max_j + 1)) (B+1)^m; InputError when it exceeds
-    MAX_TABLE_WORK, and when degree_bound is not an int >= 0 (a float
-    or a string is refused, not truncated or parsed).
+    MAX_TABLE_WORK, and when degree_bound is not an int >= 0 by the
+    integer rule (intlinalg._int_arg: a float, a string or a bool is
+    refused, not truncated, parsed or read as 1).
     """
-    try:
-        B = operator.index(degree_bound)
-    except TypeError:
-        raise InputError("degree bound must be an integer") from None
-    if B < 0:
-        raise InputError("degree bound must be >= 0")
+    B = _int_arg(degree_bound, "degree bound", u64=False)
     m = model.m_full
     cols = [[int(x) for x in model.a[:, j]] for j in range(model.n)]
     tmax = [min(B // c for c in col if c > 0) for col in cols]
@@ -481,7 +462,7 @@ def gf_eval_series(model: PoissonModel, z, degree_bound: int = 40) -> float:
     """Truncated series sum_{b in [0,B]^m} P(Y=b) z^b, for cross-checks
     against gf_eval; the omitted tail is nonnegative.  InputError, as in
     pmf_table, for a degree_bound that is not an int >= 0."""
-    z = _check_z(model, z)
+    z = _real_vector(z, "z", 1.0, model.m_full)
     out = pmf_table(model, degree_bound)
     # B + 1 powers per axis, B the bound pmf_table validated
     powers = np.arange(out.shape[0])

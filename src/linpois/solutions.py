@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -382,22 +383,26 @@ class PreprocessReport:
     rates: np.ndarray = field(compare=False, repr=False)
 
 
-def _rate_vector(rates) -> np.ndarray:
-    """The rates as a float64 vector, each a real number (not a bool or
-    a string, which numpy would convert), finite and >= 0: the one rate
-    check, shared by preprocess and kernels.sample_block."""
-    arr = np.asarray(rates, dtype=object)
-    if arr.ndim != 1:
-        raise InputError("rates must be a vector")
+def _real_vector(values, what: str, hi: float = sys.float_info.max, size=None) -> np.ndarray:
+    """values as a float64 vector of size entries (any number if None),
+    each a real number (not a bool, a string or a complex, which numpy
+    would convert) in [0, hi]: the one check of a real vector.  The
+    rates take hi = the largest float (preprocess and
+    kernels.sample_block), so an int past the float64 range is refused
+    before conversion; pmf's z takes hi = 1."""
+    arr = np.asarray(values, dtype=object)
+    if arr.ndim != 1 or size not in (None, len(arr)):
+        tail = "" if size is None else f" of length {size}"
+        raise InputError(f"{what} must be a vector{tail}")
     for i, x in enumerate(arr.tolist()):
+        # a numpy scalar is compared as a Python number: numpy would round hi to its type
+        x = x.item() if isinstance(x, np.generic) else x
         # float and int first: the numbers.Real test is several times slower
         real = type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
-        if not real or not 0 <= x < math.inf:
-            raise InputError(f"rate {i} is not a finite real number >= 0: {x!r}")
-    try:
-        return arr.astype(np.float64)
-    except OverflowError:
-        raise InputError("a rate exceeds the float64 range (about 1.8e308)") from None
+        if not real or not 0 <= x <= hi:
+            # no repr: that of an int past 4300 digits raises ValueError
+            raise InputError(f"{what} {i} is not a real number in [0, {hi:g}]")
+    return arr.astype(np.float64)
 
 
 def preprocess(a, rates):
@@ -414,9 +419,7 @@ def preprocess(a, rates):
     """
     a = int_matrix(a)
     m, n = a.shape
-    rates = _rate_vector(rates)
-    if rates.shape[0] != n:
-        raise InputError(f"rate vector length {rates.shape[0]} does not match {n} columns")
+    rates = _real_vector(rates, "rate", size=n)
     # -sum(rates) enters every log term and the generating function
     if math.isinf(sum(rates.tolist())):
         raise InputError("the rate total exceeds the float64 range (about 1.8e308)")

@@ -57,6 +57,18 @@ def test_snf_json(matrix1_file, capsys):
     assert np.array_equal(p @ np.array(A1) @ q, d)
 
 
+def test_snf_reads_a_json_matrix(tmp_path, capsys):
+    # a bare list of rows, or an object with key "a" such as a model file
+    path = tmp_path / "m.json"
+    for data in ([[2, 4], [6, 8]], {"a": [[2, 4], [6, 8]], "lambda": [1.0, 1.0]}):
+        path.write_text(json.dumps(data))
+        assert main(["snf", str(path), "--matrix-format", "json", "--format", "json"]) == 0
+        assert _json_out(capsys)["divisors"] == [2, 4]
+    path.write_text(json.dumps({"b": [[2]]}))
+    assert main(["snf", str(path), "--matrix-format", "json"]) == 2
+    assert "needs key 'a'" in capsys.readouterr().err
+
+
 def test_snf_text(matrix1_file, capsys):
     assert main(["snf", matrix1_file]) == 0
     out = capsys.readouterr().out
@@ -224,6 +236,11 @@ def test_text_matrix_without_rates_exits_2(matrix1_file, capsys):
     assert main(["pmf", matrix1_file, "--matrix-format", "text",
                 "--b", "1", "1"]) == 2
     capsys.readouterr()
+
+
+def test_lambda_with_a_json_model_exits_2(model1_file, capsys):
+    assert main(["pmf", model1_file, "--lambda", "1", "1", "1", "--b", "1", "1"]) == 2
+    assert "--lambda only applies" in capsys.readouterr().err
 
 
 def test_file_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -33,3 +33,30 @@ def test_pyproject_declares_only_numpy():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     names = [re.split(r"[\s<>=!~;\[]", dep)[0] for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports but neither uses nor lists in __all__;
+    from __future__ imports are exempt."""
+    tree = ast.parse(source)
+    imported, used, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+def test_source_has_no_unused_import():
+    assert _unused_imports("import os\nimport numpy as np\nfrom .a import b, c\n"
+                           "__all__ = ['c']\nnp.zeros(b)\n") == ["os"]
+    sources = sorted((ROOT / "src" / "linpois").glob("*.py"))
+    for path in sources:
+        assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name

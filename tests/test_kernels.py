@@ -81,11 +81,18 @@ def test_numpy_uniforms_leave_bases_unchanged():
 
 
 def test_check_seed():
-    assert K.check_seed(0) == 0
-    assert K.check_seed(2**64 - 1) == 2**64 - 1
-    for bad in (-1, 2**64, 1.5, "x"):
-        with pytest.raises(InputError):
-            K.check_seed(bad)
+    # one seed rule for every entry point: an int in [0, 2**64), never a
+    # bool (True was read as seed 1 by sample_block, hits_block and verify)
+    model = PoissonModel([[1]], [1.0])
+    for good in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        assert K.sample_block([1.0], good, 0, 3).shape == (3, 1)
+    for bad in (-1, 2**64, 1.5, "x", True, np.bool_(True)):
+        with pytest.raises(InputError, match="seed"):
+            K.sample_block([1.0], bad, 0, 3)
+        with pytest.raises(InputError, match="seed"):
+            K.hits_block(model, [1], bad, 0, 3)
+        with pytest.raises(InputError, match="seed"):
+            verify(model, [1], 10, bad)
 
 
 def test_default_backend():
@@ -104,7 +111,7 @@ def test_poisson_cdf_table_matches_scipy():
 
 
 def test_poisson_cdf_table_rejects_bad_rate():
-    # rates reach the CDF table only through solutions._rate_vector, in
+    # rates reach the CDF table only through solutions._real_vector, in
     # sample_block or in the PoissonModel that hits_block samples, which
     # refuses these before any table is built
     for bad in (-1.0, float("inf"), float("nan")):
@@ -284,7 +291,8 @@ def test_hits_block_validation():
 # directly, not through verify, is an InputError, never a Python or
 # numpy exception
 
-@pytest.mark.parametrize("b", [[1.5], 5])  # TypeError from operator.index, from iter
+# [1.5] and 5 raised TypeError; [True] was counted as b = [1]
+@pytest.mark.parametrize("b", [[1.5], 5, [True], [np.bool_(True)], ["1"]])
 def test_hits_block_non_integer_observation(b):
     with pytest.raises(InputError):
         K.hits_block(PoissonModel([[1]], [1.0]), b, 1, 0, 10)
@@ -295,6 +303,7 @@ def test_hits_block_non_integer_observation(b):
     (0, 2**70),  # numpy's ValueError from np.arange
     (2**64, 2**64 + 10),  # OverflowError from np.arange
     (0, 2**63),  # np.arange gave no samples: hits_block counted 0 hits
+    (False, True),  # drew sample 0 as the range [0, 1)
 ])
 def test_kernel_bad_index_range(start, stop):
     with pytest.raises(InputError):

@@ -527,6 +527,9 @@ def test_pmf_counts_beyond_int64(model1):
     assert math.isclose(res.log_prob, -3.9354535028702885e20, rel_tol=1e-12)
     with pytest.raises(InputError):
         lp.pmf(model1, [2, 10**400])
+    # a line of 10**400 + 1 points: its mode search leaves the float range
+    with pytest.raises(InputError, match="float64 range"):
+        lp.pmf(lp.PoissonModel([[1, 1]], [1.0, 1.0]), [10**400])
 
 
 # ------------------------------------------ Poisson moment identity
@@ -1016,7 +1019,9 @@ def test_gf_at_zero_is_constant_term(model1):
 
 
 def test_gf_validation(model1):
-    for bad in ([0.5], [0.5, 1.5], [-0.1, 0.5], [0.2, float("nan")]):
+    # a string z entry was parsed, True read as 1.0 and 0.5 + 0j as 0.5
+    for bad in ([0.5], [0.5, 1.5], [-0.1, 0.5], [0.2, float("nan")], ["0.5", 0.5],
+                [True, 0.5], [0.5 + 0j, 0.5], [np.bool_(False), 0.5], 0.5, [[0.5, 0.5]]):
         with pytest.raises(InputError):
             lp.gf_eval(model1, bad)
         with pytest.raises(InputError):
@@ -1073,8 +1078,9 @@ def test_pmf_table_guards(model1):
 
 def test_degree_bound_must_be_an_int(model1):
     # a float was truncated and a string parsed by pmf_table, and
-    # gf_eval_series leaked numpy's ValueError or a TypeError
-    for bad in (2.5, "3", None):
+    # gf_eval_series leaked numpy's ValueError or a TypeError; True was
+    # read as a degree bound of 1
+    for bad in (2.5, "3", None, True, np.bool_(True)):
         with pytest.raises(InputError, match="integer"):
             lp.pmf_table(model1, bad)
         with pytest.raises(InputError, match="integer"):
@@ -1097,6 +1103,12 @@ def test_model_validation_errors():
         lp.PoissonModel([[1, 2]], ["a", "b"])
     with pytest.raises(InputError):
         lp.PoissonModel([[-1, 2]], [1.0, 1.0])
+    for a, rates in (([[]], []), (np.zeros((0, 2), dtype=int), [1.0, 1.0])):
+        with pytest.raises(InputError, match="at least one row and one column"):
+            lp.PoissonModel(a, rates)
+    for rates in ([[1.0, 1.0]], 1.0):
+        with pytest.raises(InputError, match="rate must be a vector"):
+            lp.PoissonModel([[1, 2]], rates)
 
 
 def test_model_from_dict_validation():

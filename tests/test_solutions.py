@@ -589,6 +589,8 @@ def test_preprocess_validation():
     [1.0, b"2", 1.0],
     np.array([True, True, False]),
     [1.0, 2.0, 10**400],  # OverflowError from numpy's float conversion
+    [1.0, 2.0, -10**5000],  # ValueError from the repr in the message
+    [1.0, np.float32("inf"), 1.0],  # float max rounds to inf in float32
 ])
 def test_rates_are_real_numbers(rates):
     # the one rate check refuses what is not a real number, as int_matrix
