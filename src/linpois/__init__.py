@@ -37,7 +37,7 @@ from .pmf import (
     pmf_table,
     solution_family,
 )
-from .solutions import PreprocessReport, SolutionFamily, preprocess
+from .solutions import SolutionFamily
 
 __version__ = "0.1.0"
 
@@ -53,8 +53,6 @@ __all__ = [
     "parse_matrix_text",
     "format_matrix_text",
     "SolutionFamily",
-    "PreprocessReport",
-    "preprocess",
     "PoissonModel",
     "model_from_dict",
     "load_model_file",

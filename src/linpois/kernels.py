@@ -41,7 +41,7 @@ in float64 and fits in int64.
 
 hits_block counts the samples with A x == b exactly, for a PoissonModel,
 drawing each column only for the samples that can still reach b.  The
-columns preprocess removed (zero, or rate 0) and those whose CDF table
+columns the model leaves out (zero, or rate 0) and those whose CDF table
 has one entry (every draw 0) cannot move A x and are never drawn, so
 the int64 and MAX_RATE limits apply only to the others.  The CDF-table
 columns are drawn first and the PTRS columns, the costlier draws, last,
@@ -274,9 +274,6 @@ def _check_range(start, stop, width: int = 1) -> tuple[int, int]:
     x width entries, would exceed MAX_BLOCK."""
     start = _int_arg(start, "start")
     stop = _int_arg(stop, "stop", start)
-    # np.arange of 2**63 or more uint64s returns an empty array, no error
-    if stop - start > _INT64_MAX:
-        raise InputError("need stop - start < 2**63")
     if (stop - start) * width > MAX_BLOCK:
         raise InputError(f"{stop - start} samples of {width} column(s) exceed the cap of "
                          f"MAX_BLOCK = {MAX_BLOCK} entries per call; draw them in blocks")
@@ -342,14 +339,14 @@ def _lattice_misses(tests, res, bound) -> list:
 def _draw_plan(model) -> tuple:
     """hits_block's plan for a model, its PoissonModel._draw_plan: the
     drawn columns in drawing order, each (index in the full matrix,
-    entries, draw parameter), and their lattice tests."""
-    rows = model.a_full.tolist()
-    kept = (c for c in range(model.n_full) if c not in model.report.removed_columns)
+    entries, draw parameter), and their lattice tests.  The columns are
+    those of the reduced system, model.a and model.rates, zipped with
+    their indices in the full matrix, which the draw keys use."""
     drawn = []
-    for c, lam in zip(kept, model.rates.tolist()):
+    for c, col, lam in zip(model._kept, model.a.T.tolist(), model.rates.tolist()):
         param = _coord_param(lam)
         if isinstance(param, tuple) or len(param) > 1:
-            drawn.append((c, [row[c] for row in rows], param))
+            drawn.append((c, col, param))
     # the CDF-table columns go first, then PTRS; the sort is stable
     drawn.sort(key=lambda col: isinstance(col[2], tuple))
     if any(x > _INT64_MAX for _, col, _ in drawn for x in col):

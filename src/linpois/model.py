@@ -10,19 +10,39 @@ import numpy as np
 
 from .errors import InputError
 from .intlinalg import SnfDecomposition, int_matrix, int_vector, snf
-from .solutions import PreprocessReport, _RowPlan, _WalkPlan, preprocess
+from .solutions import _real_vector, _RowPlan, _WalkPlan
 
 __all__ = ["PoissonModel", "model_from_dict", "load_model_file"]
 
 
-def rate_constants(rates: np.ndarray) -> np.ndarray:
-    """ln(rate) per column, the rate-only part of every log term, for
-    finite rates > 0.
+def preprocess(a, rates) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The one check of a model's input, and the columns that can move Y.
 
-    Logs come from math.log, one call per rate, so they match a scalar
-    evaluation bit for bit.
+    A must be a matrix of natural numbers (int_matrix, then >= 0) with
+    at least one row and one column, and rates one real >= 0 per column
+    (solutions._real_vector) with a total inside the float64 range.
+    Returns (A as an object array of Python ints, the rates as float64,
+    kept), kept the indices of the columns with a nonzero entry and a
+    positive rate.  A zero column's Poisson variable is unconstrained
+    and marginalizes out with total probability 1; a zero-rate variable
+    is 0 almost surely.  Either way the column's factor of the
+    generating function is 1, so leaving it out preserves every
+    probability.  Every row is kept: _snf_family checks dependent rows.
     """
-    return np.array([math.log(x) for x in rates.tolist()], dtype=np.float64)
+    a = int_matrix(a)
+    m, n = a.shape
+    if m == 0 or n == 0:
+        raise InputError("matrix needs at least one row and one column")
+    rates = _real_vector(rates, "rate", size=n)
+    # -sum(rates) enters every log term and the generating function
+    if math.isinf(sum(rates.tolist())):
+        raise InputError("the rate total exceeds the float64 range (about 1.8e308)")
+    for i in range(m):
+        for j in range(n):
+            if a[i, j] < 0:
+                raise InputError(f"matrix entry ({i},{j}) is negative")
+    kept = [j for j in range(n) if rates[j] > 0.0 and any(a[i, j] != 0 for i in range(m))]
+    return a, rates, kept
 
 
 # Entry j is ln j! = math.lgamma(j + 1.0), for j below the length.  One
@@ -75,22 +95,22 @@ def _log_poisson(k: np.ndarray, lam, log_lam) -> np.ndarray:
 class PoissonModel:
     """Immutable model of Y = A X, X_i independent Poisson(lambda_i).
 
-    The input is validated and preprocessed on construction: zero
+    The input is checked once on construction, by preprocess.  Zero
     columns and zero-rate columns, whose variables cannot move Y, are
-    removed and listed in ``report``; every row is kept, since the SNF
-    checks dependent rows.  ``a``/``rates`` refer to the reduced system
-    used for evaluation; ``a_full``/``rates_full`` keep the original
-    shapes.  Derived objects (SNF, the log rates of the terms, the plans
-    of the free-coordinate walk, of the rank-1 recurrence and of the
-    sampler) are cached on first use.
+    left out of the reduced system ``a``/``rates`` that every route
+    reads, and listed in ``removed_columns``; every row is kept, since
+    the SNF checks dependent rows.  ``a_full``/``rates_full`` keep the
+    checked input in its original shape.  Derived objects (SNF, the log
+    rates of the terms, the plans of the free-coordinate walk, of the
+    rank-1 recurrence and of the sampler) are cached on first use.
     """
 
     def __init__(self, a, rates, name: str | None = None, description: str | None = None):
-        a_full = int_matrix(a)
-        if a_full.shape[0] == 0 or a_full.shape[1] == 0:
-            raise InputError("matrix needs at least one row and one column")
-        self._a_full = a_full
-        self._a, self._rates, self._report = preprocess(a_full, rates)
+        # preprocess is read from the module globals, where a traced
+        # benchmark run replaces it
+        self._a_full, self._rates_full, self._kept = preprocess(a, rates)
+        self._a = self._a_full[:, self._kept]
+        self._rates = self._rates_full[self._kept]
         self.name = name
         self.description = description
 
@@ -105,16 +125,19 @@ class PoissonModel:
         return self._rates
 
     @property
-    def report(self) -> PreprocessReport:
-        return self._report
-
-    @property
     def a_full(self) -> np.ndarray:
         return self._a_full
 
     @property
     def rates_full(self) -> np.ndarray:
-        return self._report.rates
+        return self._rates_full
+
+    @property
+    def removed_columns(self) -> tuple[int, ...]:
+        """The columns of a_full left out of a, in increasing order: the
+        zero columns and the columns of rate 0."""
+        kept = set(self._kept)
+        return tuple(j for j in range(self.n_full) if j not in kept)
 
     @property
     def n(self) -> int:
@@ -148,14 +171,16 @@ class PoissonModel:
 
     @cached_property
     def term_constants(self) -> np.ndarray:
-        # on first pmf call, not at build, so building a model costs only
-        # preprocess; preprocess already validated the rates
-        return rate_constants(self._rates)
+        """ln(rate) per column of the reduced system, the rate-only part
+        of every log term; one math.log call per rate, so they match a
+        scalar evaluation bit for bit.  Built on the first pmf call, not
+        at build."""
+        return np.array([math.log(x) for x in self._rates.tolist()], dtype=np.float64)
 
     @cached_property
     def _walk_plan(self) -> _WalkPlan:
         # built on the first query that walks a kernel of dimension >= 2
-        return _WalkPlan(self._a)
+        return _WalkPlan(self._a, self.snf.rank)
 
     @cached_property
     def _row_plan(self) -> _RowPlan | None:

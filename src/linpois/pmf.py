@@ -8,8 +8,8 @@ the kernel of A has dimension 2 or more, solution_family walks the free
 coordinates of the model's cached walk plan (_walk_family), which lists
 the points without checking b again; pmf first tries the rank-1
 recurrence below, and walks only when it declines.  The model's reduced
-system has no zero-rate column (preprocess removes them with the zero
-columns), so every term of every point is finite.  Log terms are
+system has no zero-rate column (the model leaves them out with the
+zero columns), so every term of every point is finite.  Log terms are
 formed in numpy passes over arrays of lattice points, never over
 tuples, and combined by a max-shifted log-sum whose inner sum is
 math.fsum.  fsum is correctly rounded, so the result does not depend
@@ -124,7 +124,7 @@ def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray) -> 
     """ln of every product term, one per row of points.
 
     Row k gives sum_i [k_i ln l_i - l_i - ln k_i!] for rates l_i > 0;
-    log_rates comes from rate_constants.  Each column's part is
+    log_rates is PoissonModel.term_constants.  Each column's part is
     model._log_poisson, the one routine that forms the Poisson log term
     (the PTRS sampler's accept test calls it too), so ROADMAP item 1's
     cancellation-free form changes that routine alone.  Each part is
@@ -203,9 +203,6 @@ def _count_points(w, t: int) -> int:
     along every residue class modulo w_j."""
     c = [1] + [0] * t
     for wj in w:
-        if wj == 1:
-            c = list(accumulate(c))
-            continue
         for r in range(min(wj, t + 1)):
             c[r::wj] = accumulate(c[r::wj])
     return c[t]
@@ -410,12 +407,15 @@ def gf_eval(model: PoissonModel, z) -> float:
     term: 2**63 ln z_i is at most about -1024 for z_i < 1, where expm1
     is already -1.0, and 0 at z_i = 1.  z is a vector of m reals in
     [0, 1] (solutions._real_vector: a bool, string or complex is refused).
+    The sum runs over the reduced system, model.a and model.rates: a
+    column the model leaves out has the term 0.0 or -0.0 (a zero column
+    or rate), which leaves the fsum unchanged.
     """
     z = _real_vector(z, "z", 1.0, model.m_full)
     ln_z = [math.log(x) if x > 0.0 else NEG_INF for x in z.tolist()]
-    rows = model.a_full.tolist()
+    rows = model.a.tolist()
     terms = []
-    for j, r in enumerate(model.rates_full.tolist()):
+    for j, r in enumerate(model.rates.tolist()):
         s = math.fsum([min(row[j], 1 << 63) * lz for row, lz in zip(rows, ln_z) if row[j]])
         terms.append(r * math.expm1(s))
     return math.exp(math.fsum(terms))

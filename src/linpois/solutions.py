@@ -19,8 +19,8 @@ its step cap and error bound allow.
 Both refuse, with InputError, a solution set, walk frontier or block of
 line points of more than MAX_POINTS points before allocating it.
 
-Plus the model preprocessing step that validates the input and removes
-the columns that cannot move Y: zero columns and zero-rate columns.
+Plus the one check of a real vector (_real_vector), for the rates of a
+model and of the sampler and for pmf's z.
 """
 
 from __future__ import annotations
@@ -29,18 +29,16 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, InternalInvariantError
-from .intlinalg import SnfDecomposition, int_identity, int_matrix, snf
+from .intlinalg import SnfDecomposition, int_identity, snf
 
 __all__ = [
     "MAX_POINTS",
     "SolutionFamily",
-    "PreprocessReport",
-    "preprocess",
 ]
 
 # the most lattice points any route holds at once: a solution set, a
@@ -216,15 +214,14 @@ class _WalkPlan:
     matrix ``adj`` with adj B = D I; the other n - r columns are
     ``free``.  When D = 1 every basis solve is exact; otherwise
     _walk_family drops the leaves whose division by D leaves a
-    remainder.  Built from PoissonModel.a, which preprocess has checked
-    for negative entries and stripped of zero columns: the box bound of
+    remainder.  Built from PoissonModel.a, whose entries preprocess has
+    checked to be >= 0 and which has no zero column: the box bound of
     the walk needs every column to have a positive entry and residuals
-    that only fall.
+    that only fall; and from the rank of its Smith form, model.snf.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, rank: int):
         n = a.shape[1]
-        rank = snf(a).rank
         basis = []
         for j in range(n):
             if len(basis) < rank and snf(a[:, basis + [j]]).rank > len(basis):
@@ -369,25 +366,11 @@ def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:
     return SolutionFamily(array=pts)
 
 
-@dataclass(frozen=True)
-class PreprocessReport:
-    """What preprocess did to (A, rates).
-
-    removed_columns lists the columns whose variable cannot move Y:
-    zero columns of A and columns of rate 0.  rates is the full,
-    validated float64 rate vector; it takes no part in comparisons.
-    """
-
-    original_shape: tuple[int, int]
-    removed_columns: tuple[int, ...]
-    rates: np.ndarray = field(compare=False, repr=False)
-
-
 def _real_vector(values, what: str, hi: float = sys.float_info.max, size=None) -> np.ndarray:
     """values as a float64 vector of size entries (any number if None),
     each a real number (not a bool, a string or a complex, which numpy
     would convert) in [0, hi]: the one check of a real vector.  The
-    rates take hi = the largest float (preprocess and
+    rates take hi = the largest float (model.preprocess and
     kernels.sample_block), so an int past the float64 range is refused
     before conversion; pmf's z takes hi = 1."""
     arr = np.asarray(values, dtype=object)
@@ -403,33 +386,3 @@ def _real_vector(values, what: str, hi: float = sys.float_info.max, size=None) -
             # no repr: that of an int past 4300 digits raises ValueError
             raise InputError(f"{what} {i} is not a real number in [0, {hi:g}]")
     return arr.astype(np.float64)
-
-
-def preprocess(a, rates):
-    """Validate (A, rates) and remove every column whose variable cannot
-    move Y: the zero columns of A and the columns of rate 0.
-
-    A zero column's Poisson variable is unconstrained and marginalizes
-    out with total probability 1; a zero-rate variable is 0 almost
-    surely.  Either way the column's factor of the generating function
-    is 1, so removing it preserves every probability.  Every row is
-    kept: _snf_family checks dependent rows.
-
-    Returns (reduced matrix, reduced rates, PreprocessReport).
-    """
-    a = int_matrix(a)
-    m, n = a.shape
-    rates = _real_vector(rates, "rate", size=n)
-    # -sum(rates) enters every log term and the generating function
-    if math.isinf(sum(rates.tolist())):
-        raise InputError("the rate total exceeds the float64 range (about 1.8e308)")
-    for i in range(m):
-        for j in range(n):
-            if a[i, j] < 0:
-                raise InputError(f"matrix entry ({i},{j}) is negative")
-
-    keep_cols = [j for j in range(n) if rates[j] > 0.0 and any(a[i, j] != 0 for i in range(m))]
-    removed_cols = tuple(j for j in range(n) if j not in keep_cols)
-    a_red = a[:, keep_cols] if keep_cols else np.empty((m, 0), dtype=object)
-    report = PreprocessReport(original_shape=(m, n), removed_columns=removed_cols, rates=rates)
-    return a_red, rates[keep_cols], report

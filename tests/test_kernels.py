@@ -328,6 +328,11 @@ def test_kernel_block_cap_keeps_large_draws():
     assert K._check_range(0, 2**30) == (0, 2**30)
     with pytest.raises(InputError, match="MAX_BLOCK"):
         K._check_range(0, 2**29 + 1, 2)
+    # the cap refuses every range of 2**63 samples or more, which
+    # np.arange would turn into an empty array
+    for start, stop in ((0, 2**63), (1, 2**64 - 1)):
+        with pytest.raises(InputError, match="MAX_BLOCK"):
+            K._check_range(start, stop)
 
 
 def test_kernel_block_cap_refuses_before_allocating(monkeypatch):

@@ -21,7 +21,7 @@ from linpois import model as model_module
 from linpois import solutions as S
 from linpois.cli import main
 from linpois.errors import InputError, InternalInvariantError
-from linpois.model import _log_factorials, _log_poisson, rate_constants
+from linpois.model import _log_factorials, _log_poisson
 from linpois.pmf import _log_terms, _summed
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
@@ -311,7 +311,7 @@ def test_log_terms_table_equals_lgamma_map(monkeypatch):
     _fresh_ln_fact(monkeypatch)
     rng = np.random.default_rng(7)
     lam = np.array([2.5e-8, 0.3, 4.5, 1e4])
-    consts = rate_constants(lam)
+    consts = lp.PoissonModel(lp.int_identity(4), lam).term_constants
     cases = [rng.integers(0, 40, size=(50, 4)).astype(np.float64),
              np.array([[0.0, 0, 0, 0]]),
              np.array([[0.0, 1, 2, 3]]),
@@ -334,8 +334,8 @@ def test_one_routine_forms_the_poisson_log_term(monkeypatch):
              [0, 1, cap - 1, cap, cap + 5, 10**7, 2**40, 2**53 + 2, 2**62]]
     for lam in (2.5e-8, 0.3, 29.9, 30.0, 45.5, 1e4, 2.0**34, 1e15):
         log_lam = math.log(lam)
-        consts = rate_constants(np.array([lam]))
-        assert consts[0] == log_lam
+        consts = lp.PoissonModel([[1]], [lam]).term_constants
+        assert consts.tolist() == [log_lam]
         for ks in grids:
             want = [k * log_lam - lam - math.lgamma(k + 1.0) for k in map(float, ks)]
             for dtype in (np.int64, np.float64):
@@ -469,7 +469,7 @@ def test_pmf_line_partly_live(model1):
     # a zero rate on k1 drops it at build: of the 11 points on the line
     # of the full matrix, the one with k1 = 0 is the reduced singleton
     model = lp.PoissonModel(EXAMPLE1, [0.0, 1.5, 2.0])
-    assert model.report.removed_columns == (0,)
+    assert model.removed_columns == (0,)
     fam = lp.solution_family(model, [20, 60])
     assert fam.kind == "singleton" and family_set(fam) == {(20, 20)}
     res = lp.pmf(model, [20, 60])
@@ -485,13 +485,13 @@ def test_zero_rate_columns_are_dropped_at_build():
     where the full matrix has 861 points; an all-zero-rate model is the
     point mass at b = 0."""
     model = lp.PoissonModel([[1, 1, 1]], [0.0, 1.0, 2.0])
-    assert (model.n, model.report.removed_columns) == (2, (0,))
+    assert (model.n, model.removed_columns) == (2, (0,))
     res = lp.pmf(model, [40])
     assert res.terms == 41 and res.route == "line"
     assert res == lp.pmf(lp.PoissonModel([[1, 1]], [1.0, 2.0]), [40])
     assert math.isclose(res.prob, poisson.pmf(40, 3.0), rel_tol=REL)
     none = lp.PoissonModel([[1, 1]], [0.0, 0.0])
-    assert none.n == 0 and none.report.removed_columns == (0, 1)
+    assert none.n == 0 and none.removed_columns == (0, 1)
     assert (lp.pmf(none, [0]).prob, lp.pmf(none, [0]).terms) == (1.0, 1)
     for b in (1, 2, 40):
         assert lp.pmf(none, [b]).prob == 0.0
@@ -847,9 +847,9 @@ def test_removed_names_are_not_exported():
                "MethodNotApplicableError", "enumerate_solutions", "det_exact", "minor_gcd",
                "WalkPlan", "walk_family", "RngState", "sample_x", "mix64", "uniform53",
                "MethodTag", "classify", "log_term", "sample_many", "snf_family",
-               "poisson_cdf_table", "BlockHits"]
+               "poisson_cdf_table", "BlockHits", "PreprocessReport", "rate_constants"]
     for name in ("linpois", "linpois.errors", "linpois.intlinalg", "linpois.pmf",
-                 "linpois.solutions", "linpois.montecarlo", "linpois.kernels"):
+                 "linpois.solutions", "linpois.montecarlo", "linpois.kernels", "linpois.model"):
         mod = importlib.import_module(name)
         for attr in removed:
             assert not hasattr(mod, attr), f"{name}.{attr}"
@@ -857,7 +857,7 @@ def test_removed_names_are_not_exported():
     assert sorted(lp.__all__) == sorted([
         "LinpoisError", "InputError", "InternalInvariantError", "int_matrix", "int_identity",
         "int_vector", "SnfDecomposition", "snf", "parse_matrix_text", "format_matrix_text",
-        "SolutionFamily", "PreprocessReport", "preprocess", "PoissonModel", "model_from_dict",
+        "SolutionFamily", "PoissonModel", "model_from_dict",
         "load_model_file", "PmfResult", "logsumexp", "solution_family", "pmf", "gf_eval",
         "gf_eval_series", "pmf_table", "SampleReport", "verify", "default_backend",
         "__version__"])
@@ -869,7 +869,10 @@ def test_removed_names_are_not_exported():
         assert not hasattr(lp.SolutionFamily, attr)
     # the console script's entry point is the one CLI function
     assert not hasattr(importlib.import_module("linpois.cli"), "run")
-    assert not hasattr(lp.PreprocessReport, "is_trivial")
+    # the model is the one record of its reduced system; preprocess,
+    # whose tuple changed meaning, is reached only through linpois.model
+    assert not hasattr(lp.PoissonModel, "report") and not hasattr(lp, "preprocess")
+    assert callable(model_module.preprocess)
     # a result names its route, not the model's kernel class
     fields = [f.name for f in dataclasses.fields(lp.PmfResult)]
     assert fields == ["log_prob", "prob", "route", "terms", "clamped", "summed", "tail_bound"]

@@ -21,6 +21,7 @@ import linpois as lp
 from linpois import solutions as S
 from linpois.cli import main
 from linpois.errors import InputError, InternalInvariantError
+from linpois.model import preprocess
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, EXAMPLE3_INVERSE
 from oracle import (det_exact, enumerate_solutions, family_set, finite_family, hand_reduced,
@@ -48,8 +49,8 @@ def _single_index_pool():
     while len(pool) < 8:
         m = int(rng.integers(1, 4))
         cand = rng.integers(0, 4, size=(m, m + 1))
-        a, _, rep = lp.preprocess(cand, [1.0] * (m + 1))
-        if not rep.removed_columns and lp.snf(a).rank == m:
+        a, _, kept = preprocess(cand, [1.0] * (m + 1))
+        if len(kept) == m + 1 and lp.snf(a).rank == m:
             pool.append(a)
     return pool
 
@@ -317,20 +318,25 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
             assert out["solutions"] == [list(k) for k in sorted(family_set(want))]
 
 
+def _plan(a):
+    # the walk plan of a model with unit rates, built from its Smith form's rank
+    return lp.PoissonModel(a, [1.0] * len(a[0]))._walk_plan
+
+
 def test_walk_plan_takes_first_independent_block():
     # dependent rows: rank 1, and column 0 alone has D = 1
-    plan = S._WalkPlan(lp.int_matrix([[1, 1, 2], [2, 2, 4]]))
+    plan = _plan([[1, 1, 2], [2, 2, 4]])
     assert (plan.basis, plan.free, plan.det) == ((0,), (1, 2), 1)
-    plan = S._WalkPlan(lp.int_matrix([[1, 1, 1, 0], [0, 1, 2, 1]]))
+    plan = _plan([[1, 1, 1, 0], [0, 1, 2, 1]])
     assert plan.free == (2, 3)
     assert plan.basis == (0, 1) and plan.det == 1 and plan.adj == ((1, -1), (0, 1))
     # column 0 has det 2 and stays: the walk drops the inexact leaves
-    plan = S._WalkPlan(lp.int_matrix([[2, 1, 1]]))
+    plan = _plan([[2, 1, 1]])
     assert (plan.basis, plan.det, plan.adj) == ((0,), 2, ((1,),))
     for b in range(7):
         fam, want = S._walk_family(plan, [b]), enumerate_solutions([[2, 1, 1]], [b])
         assert family_set(fam) == family_set(want) and fam.count == want.count
-    plan = S._WalkPlan(lp.int_matrix([[6, 10, 15, 4], [12, 20, 30, 8]]))
+    plan = _plan([[6, 10, 15, 4], [12, 20, 30, 8]])
     assert (plan.basis, plan.det) == ((0,), 6)
 
 
@@ -338,7 +344,7 @@ def test_walk_plan_solves_leaves_from_every_row():
     # row 2 = row 0 + row 1; the basis block [[2, 0], [0, 2], [2, 2]] has
     # Smith divisors 2 and 2, so D = 2 and adj has one column per row
     a = [[2, 0, 2, 1, 1], [0, 2, 2, 1, 3], [2, 2, 4, 2, 4]]
-    plan = S._WalkPlan(lp.int_matrix(a))
+    plan = _plan(a)
     assert (plan.basis, plan.free, plan.det) == ((0, 1), (2, 3, 4), 2)
     block = np.array([row[:2] for row in a], dtype=object)
     assert np.array_equal(np.array(plan.adj, dtype=object) @ block, 2 * np.eye(2, dtype=int))
@@ -510,28 +516,30 @@ def test_enumerate_solutions_are_valid_and_bounded(data):
 # ------------------------------------------------------- preprocess
 
 def test_preprocess_removes_zero_column():
-    a, rates, rep = lp.preprocess([[1, 0, 1], [0, 0, 1]], [1.0, 9.0, 2.0])
-    assert a.tolist() == [[1, 1], [0, 1]]
-    assert rates.tolist() == [1.0, 2.0]
-    assert rep.removed_columns == (1,)
-    assert rep.original_shape == (2, 3)
+    a, rates, kept = preprocess([[1, 0, 1], [0, 0, 1]], [1.0, 9.0, 2.0])
+    assert a.tolist() == [[1, 0, 1], [0, 0, 1]] and a.dtype == object
+    assert rates.tolist() == [1.0, 9.0, 2.0] and rates.dtype == np.float64
+    assert kept == [0, 2]
+    model = lp.PoissonModel([[1, 0, 1], [0, 0, 1]], [1.0, 9.0, 2.0])
+    assert model.a.tolist() == [[1, 1], [0, 1]] and model.rates.tolist() == [1.0, 2.0]
+    assert model.removed_columns == (1,)
+    assert (model.m_full, model.n_full) == (2, 3)
 
 
 def test_preprocess_removes_zero_rate_columns():
     # a zero-rate variable is 0 almost surely: dropped like a zero column
-    a, rates, rep = lp.preprocess([[1, 0, 2, 1], [1, 0, 1, 0]], [0.0, 4.0, 3.0, 0.0])
-    assert a.tolist() == [[2], [1]]
-    assert rates.tolist() == [3.0]
-    assert rep.removed_columns == (0, 1, 3)
-    assert rep.rates.tolist() == [0.0, 4.0, 3.0, 0.0]
+    a, rates, kept = preprocess([[1, 0, 2, 1], [1, 0, 1, 0]], [0.0, 4.0, 3.0, 0.0])
+    assert kept == [2]
     model = lp.PoissonModel([[1, 0, 2, 1], [1, 0, 1, 0]], [0.0, 4.0, 3.0, 0.0])
+    assert model.a.tolist() == [[2], [1]] and model.rates.tolist() == [3.0]
+    assert model.removed_columns == (0, 1, 3)
     assert model.n == 1 and model.rates_full.tolist() == [0.0, 4.0, 3.0, 0.0]
-    assert model.report == rep
+    assert model.a_full.tolist() == a.tolist() and model.rates_full.tolist() == rates.tolist()
 
 
 def test_preprocess_proportional_rows():
-    a, rates, rep = lp.preprocess([[1, 2], [2, 4]], [1.0, 1.0])
-    assert a.tolist() == [[1, 2], [2, 4]]
+    a, rates, kept = preprocess([[1, 2], [2, 4]], [1.0, 1.0])
+    assert a.tolist() == [[1, 2], [2, 4]] and kept == [0, 1]
     model = lp.PoissonModel([[1, 2], [2, 4]], [1.0, 1.0])
     assert family_set(lp.solution_family(model, [3, 6])) == {(3, 0), (1, 1)}
     assert lp.pmf(model, [3, 6]).prob > 0
@@ -541,8 +549,8 @@ def test_preprocess_proportional_rows():
 
 def test_preprocess_mixed_dependence():
     # row2 = row0 + row1
-    a, rates, rep = lp.preprocess([[1, 0], [0, 1], [1, 1]], [1.0, 1.0])
-    assert a.tolist() == [[1, 0], [0, 1], [1, 1]]
+    a, rates, kept = preprocess([[1, 0], [0, 1], [1, 1]], [1.0, 1.0])
+    assert a.tolist() == [[1, 0], [0, 1], [1, 1]] and kept == [0, 1]
     model = lp.PoissonModel([[1, 0], [0, 1], [1, 1]], [1.0, 1.0])
     assert family_set(lp.solution_family(model, [2, 3, 5])) == {(2, 3)}
     assert lp.pmf(model, [2, 3, 5]).prob > 0
@@ -551,17 +559,19 @@ def test_preprocess_mixed_dependence():
 
 
 def test_preprocess_full_rank_is_trivial():
-    a, rates, rep = lp.preprocess(EXAMPLE1, [1.0, 1.0, 1.0])
+    a, rates, kept = preprocess(EXAMPLE1, [1.0, 1.0, 1.0])
     assert a.tolist() == lp.int_matrix(EXAMPLE1).tolist()
-    assert rep.removed_columns == ()
+    assert kept == [0, 1, 2]
+    assert lp.PoissonModel(EXAMPLE1, [1.0, 1.0, 1.0]).removed_columns == ()
 
 
 def test_preprocess_zero_matrix():
-    a, rates, rep = lp.preprocess([[0, 0]], [1.0, 2.0])
-    assert a.shape == (1, 0)
-    assert rates.shape == (0,)
-    assert rep.removed_columns == (0, 1)
+    a, rates, kept = preprocess([[0, 0]], [1.0, 2.0])
+    assert kept == []
     model = lp.PoissonModel([[0, 0]], [1.0, 2.0])
+    assert model.a.shape == (1, 0) and model.a.dtype == object
+    assert model.rates.shape == (0,)
+    assert model.removed_columns == (0, 1)
     assert family_set(lp.solution_family(model, [0])) == {()}
     assert lp.pmf(model, [0]).prob == 1.0
     assert lp.solution_family(model, [1]).kind == "empty"
@@ -570,17 +580,21 @@ def test_preprocess_zero_matrix():
 
 def test_preprocess_validation():
     with pytest.raises(InputError):
-        lp.preprocess([[1, 2]], [1.0])
+        preprocess([[1, 2]], [1.0])
     with pytest.raises(InputError):
-        lp.preprocess([[1, -2]], [1.0, 1.0])
+        preprocess([[1, -2]], [1.0, 1.0])
     with pytest.raises(InputError):
-        lp.preprocess([[1, 2]], [1.0, -0.5])
+        preprocess([[1, 2]], [1.0, -0.5])
     with pytest.raises(InputError):
-        lp.preprocess([[1, 2]], [1.0, float("nan")])
+        preprocess([[1, 2]], [1.0, float("nan")])
     # non-numeric rates: InputError, not numpy's ValueError or TypeError
     for bad in (["x"], [{}]):
         with pytest.raises(InputError):
-            lp.preprocess([[1]], bad)
+            preprocess([[1]], bad)
+    # the shape check is one of the input checks, ahead of the rates
+    for empty in ([[]], [[], []]):
+        with pytest.raises(InputError, match="at least one row and one column"):
+            preprocess(empty, [])
 
 
 @pytest.mark.parametrize("rates", [
