@@ -31,7 +31,6 @@ from .montecarlo import SampleReport, verify
 from .pmf import (
     PmfResult,
     gf_eval,
-    gf_eval_series,
     logsumexp,
     pmf,
     pmf_table,
@@ -61,7 +60,6 @@ __all__ = [
     "solution_family",
     "pmf",
     "gf_eval",
-    "gf_eval_series",
     "pmf_table",
     "SampleReport",
     "verify",

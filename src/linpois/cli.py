@@ -23,7 +23,7 @@ from .errors import InputError, InternalInvariantError, LinpoisError
 from .intlinalg import format_matrix_text, int_matrix, parse_matrix_text, snf
 from .model import PoissonModel, _read_file, load_model_file
 from .montecarlo import verify
-from .pmf import gf_eval, gf_eval_series, pmf, solution_family
+from .pmf import gf_eval, pmf, solution_family
 
 __all__ = ["build_parser", "main"]
 
@@ -110,15 +110,7 @@ def _cmd_pmf(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    model = _load_model(args)
-    value = gf_eval(model, args.z)
-    payload = {"gf": value}
-    if args.check_degree is not None:
-        series = gf_eval_series(model, args.z, args.check_degree)
-        payload["gf_series"] = series
-        payload["abs_diff"] = abs(value - series)
-        payload["degree_bound"] = args.check_degree
-    return _emit(args, payload)
+    return _emit(args, {"gf": gf_eval(_load_model(args), args.z)})
 
 
 def _cmd_sample(args) -> int:
@@ -161,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _model_command(sub, "gf", "generating function G(z)", _cmd_gf)
     sp.add_argument("--z", type=float, nargs="+", required=True, metavar="Z")
-    sp.add_argument("--check-degree", type=int, default=None, metavar="B",
-                    help="also evaluate the truncated series up to degree B per axis")
 
     sp = _model_command(sub, "sample", "Monte Carlo check of P(Y = b)", _cmd_sample)
     sp.add_argument("--b", type=int, nargs="+", required=True, metavar="B")

@@ -166,7 +166,7 @@ class PoissonModel:
     @cached_property
     def method(self) -> str:
         # the old kernel class by n - rank; nothing in src/ reads it, only
-        # perfbench's model builds, and it goes with ROADMAP items 2 and 6
+        # perfbench's model builds, and it goes with ROADMAP items 3 and 9
         return ("invertible", "single-index", "enumerate")[min(self.n - self.snf.rank, 2)]
 
     @cached_property

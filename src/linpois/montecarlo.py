@@ -52,7 +52,7 @@ def verify(model: PoissonModel, b, n_samples: int, seed, threads: int = 1) -> Sa
     an InputError whatever pmf would make of it; the plan is built once
     per model.  threads has no effect and must be >= 1: it is kept only
     because the benchmark's mc-verify workload passes it, and goes once
-    that workload drops it (ROADMAP items 2 and 6).
+    that workload drops it (ROADMAP items 3 and 9).
     """
     n_samples = _int_arg(n_samples, "n_samples", 1)
     _int_arg(threads, "threads", 1, u64=False)

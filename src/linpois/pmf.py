@@ -36,9 +36,8 @@ steps are within MAX_POINTS and its documented bound on the relative
 error is at most RECURRENCE_TOL = 1e-12; otherwise the points are
 walked (_recurrence).
 
-Also evaluates the probability generating function G(z) both in closed
-form and as a truncated series, the latter backed by an exact pmf table
-over a box of observations.
+Also evaluates the probability generating function G(z) in closed
+form, and an exact pmf table over a box of observations.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ __all__ = [
     "solution_family",
     "pmf",
     "gf_eval",
-    "gf_eval_series",
     "pmf_table",
 ]
 
@@ -456,16 +454,3 @@ def pmf_table(model: PoissonModel, degree_bound: int) -> np.ndarray:
             nxt[tgt] += math.exp(lw) * table[src]
         table = nxt
     return table
-
-
-def gf_eval_series(model: PoissonModel, z, degree_bound: int = 40) -> float:
-    """Truncated series sum_{b in [0,B]^m} P(Y=b) z^b, for cross-checks
-    against gf_eval; the omitted tail is nonnegative.  InputError, as in
-    pmf_table, for a degree_bound that is not an int >= 0."""
-    z = _real_vector(z, "z", 1.0, model.m_full)
-    out = pmf_table(model, degree_bound)
-    # B + 1 powers per axis, B the bound pmf_table validated
-    powers = np.arange(out.shape[0])
-    for zi in z:
-        out = np.tensordot(zi ** powers, out, axes=(0, 0))
-    return float(out)

@@ -5,16 +5,22 @@ solution set, a family built from a list of points, the points of a
 solution family as a set, an exact determinant by fraction-free
 elimination, the gcd of all minors (which fixes the elementary
 divisors), one product term and a log-sum formed with math.fsum, a
-model reduced by hand, and the scalar reference of the sampling
-kernels' RNG contract (mix64, uniform53).
+model reduced by hand, the Poisson log probability to 40 digits in
+decimal arithmetic, the truncated generating-function series, and the
+scalar reference of the sampling kernels' RNG contract (mix64,
+uniform53).
 """
 
 import math
+import operator
+from decimal import Decimal, getcontext, localcontext
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from linpois import PoissonModel, solutions
+from linpois import PoissonModel, pmf_table, solutions
 from linpois.errors import InputError
 from linpois.intlinalg import int_matrix, int_vector
 from linpois.solutions import SolutionFamily
@@ -195,6 +201,93 @@ def hand_reduced(a, rates):
     if not live:
         return None
     return PoissonModel([[row[j] for j in live] for row in a], [rates[j] for j in live])
+
+
+# log_poisson's significant digits, and the count from which ln k! is
+# the Stirling series: at k >= 40 its first omitted term,
+# |B_40| / (40 * 39 * k**39), is below 1e-49
+DIGITS = 40
+STIRLING_FROM = 40
+
+
+def _bernoulli(top: int) -> list:
+    """B_0..B_top as Fractions, from sum_{j=0}^{m} C(m+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for m in range(1, top + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+# B_2n / (2n (2n - 1)) for n = 1..19, the coefficient of k**-(2n - 1)
+# in ln k! - (k + 1/2) ln k + k - ln(2 pi) / 2
+_STIRLING = [bn / (i * (i - 1)) for i, bn in enumerate(_bernoulli(38)) if i >= 2 and i % 2 == 0]
+
+
+@lru_cache(maxsize=None)
+def _half_ln_2pi(digits: int) -> Decimal:
+    """ln(2 pi) / 2 to digits significant digits; pi by Machin's formula
+    16 acot 5 - 4 acot 239 in integer fixed point with 10 guard digits."""
+    one = 10 ** (digits + 10)
+
+    def acot(x):
+        total = term = one // x
+        n, sign = 3, -1
+        while term:
+            term //= x * x
+            total += sign * (term // n)
+            n, sign = n + 2, -sign
+        return total
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        pi = Decimal(16 * acot(5) - 4 * acot(239)).scaleb(-(digits + 10))
+        return (2 * pi).ln() / 2
+
+
+def ln_factorial(k: int) -> Decimal:
+    """ln k! at the precision of the current decimal context: the ln of
+    the exact k! below STIRLING_FROM, the Stirling series with the exact
+    Bernoulli numbers up to B_38 from there on."""
+    if k < STIRLING_FROM:
+        return Decimal(math.factorial(k)).ln()
+    x = Decimal(k)
+    s = (x + Decimal("0.5")) * x.ln() - x + _half_ln_2pi(getcontext().prec)
+    for n, c in enumerate(_STIRLING):
+        s += Decimal(c.numerator) / (c.denominator * x ** (2 * n + 1))
+    return s
+
+
+def log_poisson(k, lam) -> Decimal:
+    """ln(lam**k e**-lam / k!), the log probability of count k under
+    Poisson(lam), to about DIGITS significant digits.
+
+    lam is taken as the exact value of its float.  The work runs at
+    DIGITS plus the digits of k: the parts of k ln lam - lam - ln k!
+    grow like k and cancel down to about ln k, and the extra digits
+    cover what the cancellation loses.  At lam = 0 it is 0 for k = 0
+    and -Infinity above.  The result keeps every digit of that
+    precision; arithmetic on it rounds to the current context.
+    """
+    k = operator.index(k)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + len(str(k))
+        x = Decimal(float(lam))
+        if x == 0:
+            return Decimal(0) if k == 0 else Decimal("-Infinity")
+        return k * x.ln() - x - ln_factorial(k)
+
+
+def gf_eval_series(model: PoissonModel, z, degree_bound: int = 40) -> float:
+    """Truncated series sum_{b in [0,B]^m} P(Y=b) z^b, for cross-checks
+    against gf_eval; the omitted tail is nonnegative.  InputError, as in
+    pmf_table, for a degree_bound that is not an int >= 0."""
+    z = solutions._real_vector(z, "z", 1.0, model.m_full)
+    out = pmf_table(model, degree_bound)
+    # B + 1 powers per axis, B the bound pmf_table validated
+    powers = np.arange(out.shape[0])
+    for zi in z:
+        out = np.tensordot(zi ** powers, out, axes=(0, 0))
+    return float(out)
 
 
 def mix64(x: int) -> int:

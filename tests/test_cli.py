@@ -291,30 +291,21 @@ def test_rates_that_are_not_numbers_exit_2(tmp_path, capsys, argv):
 
 # -------------------------------------------------------------- gf
 
-def test_gf_check_degree(model1_file, capsys):
-    assert main(["gf", model1_file, "--z", "0.5", "0.25",
-                "--check-degree", "40", "--format", "json"]) == 0
-    out = _json_out(capsys)
-    assert out["abs_diff"] <= 1e-9
-    assert math.isclose(out["gf"], out["gf_series"], rel_tol=1e-9)
-    assert out["degree_bound"] == 40
-
-
-def test_gf_check_degree_past_the_work_cap_exits_2(tmp_path, capsys):
-    # a box of 10**6 + 1 entries, convolved 10**6 + 1 times: refused
-    path = tmp_path / "one.json"
-    path.write_text(json.dumps({"a": [[1]], "lambda": [1.0]}))
-    assert main(["gf", str(path), "--z", "0.5", "--check-degree", "1000000"]) == 2
-    assert "work cap" in capsys.readouterr().err
+def test_gf_check_degree_flag_is_a_usage_error(model1_file, capsys):
+    # the truncated series is a test oracle (tests/oracle.py), so gf has
+    # no --check-degree to print it
+    with pytest.raises(SystemExit) as exc:
+        main(["gf", model1_file, "--z", "0.5", "0.5", "--check-degree", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --check-degree 3" in capsys.readouterr().err
 
 
 def test_gf_entry_past_the_float_range_exits_0(tmp_path, capsys):
     # z**e for e = 10**400 raised OverflowError, a traceback and exit 1
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"a": [[10**400]], "lambda": [1.0]}))
-    for extra in ([], ["--check-degree", "3"]):
-        assert main(["gf", str(path), "--z", "0.5", "--format", "json", *extra]) == 0
-        assert math.isclose(_json_out(capsys)["gf"], math.exp(-1.0), rel_tol=1e-15)
+    assert main(["gf", str(path), "--z", "0.5", "--format", "json"]) == 0
+    assert math.isclose(_json_out(capsys)["gf"], math.exp(-1.0), rel_tol=1e-15)
 
 
 def test_gf_at_ones(model1_file, capsys):
@@ -508,8 +499,7 @@ def test_text_lines_follow_the_json_keys(model1_file, capsys):
                  ["pmf", model1_file, "--b", "0", "1"],
                  ["sample", model1_file, "--b", "2", "2", "--n", "2000", "--seed", "5"],
                  ["sample", model1_file, "--b", "0", "1", "--n", "100", "--seed", "5"],
-                 ["gf", model1_file, "--z", "0.5", "0.25"],
-                 ["gf", model1_file, "--z", "0.5", "0.25", "--check-degree", "10"]):
+                 ["gf", model1_file, "--z", "0.5", "0.25"]):
         assert main(argv + ["--format", "json"]) == 0
         payload = _json_out(capsys)
         assert main(argv) == 0

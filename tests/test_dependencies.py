@@ -1,4 +1,5 @@
-"""The package needs numpy and the standard library, nothing else."""
+"""The package needs numpy and the standard library, nothing else; the
+tests add pytest and hypothesis, and their oracles are their own."""
 
 import ast
 import re
@@ -28,11 +29,28 @@ def test_source_imports_only_stdlib_and_numpy():
         assert _imported_roots(path) <= ALLOWED, path.name
 
 
+def test_test_imports_only_stdlib_numpy_pytest_and_hypothesis():
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert tests
+    allowed = ALLOWED | {"pytest", "hypothesis", "oracle", "conftest"}
+    for path in tests:
+        assert _imported_roots(path) <= allowed, path.name
+
+
+def _names(deps) -> list:
+    return [re.split(r"[\s<>=!~;\[]", dep)[0] for dep in deps]
+
+
 def test_pyproject_declares_only_numpy():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    names = [re.split(r"[\s<>=!~;\[]", dep)[0] for dep in project["dependencies"]]
-    assert names == ["numpy"]
+    assert _names(project["dependencies"]) == ["numpy"]
+
+
+def test_test_extra_is_pytest_and_hypothesis():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert sorted(_names(project["optional-dependencies"]["test"])) == ["hypothesis", "pytest"]
 
 
 def _unused_imports(source: str) -> list:

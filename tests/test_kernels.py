@@ -4,12 +4,12 @@ pinned to golden values, and exact hit counts."""
 import hashlib
 import math
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import poisson
 
 from linpois import kernels as K
 from linpois import model as model_module
@@ -18,7 +18,7 @@ from linpois.model import PoissonModel
 from linpois.montecarlo import verify
 
 from conftest import EXAMPLE3
-from oracle import mix64, uniform53, unmix64
+from oracle import log_poisson, mix64, uniform53, unmix64
 
 
 # ------------------------------------------------------ RNG contract
@@ -101,10 +101,16 @@ def test_default_backend():
 
 # ------------------------------------------------------- CDF tables
 
-def test_poisson_cdf_table_matches_scipy():
+def poisson_cdf(top, lam):
+    """P(X <= q) for X ~ Poisson(lam), q = 0..top: the Decimal partial
+    sums of the oracle's terms, as floats."""
+    return [float(p) for p in accumulate(log_poisson(k, lam).exp() for k in range(top + 1))]
+
+
+def test_poisson_cdf_table_matches_the_oracle():
     for lam in (0.0, 0.3, 1.0, 7.5, 29.9):
         table = K._cdf_table(lam)
-        ref = poisson.cdf(np.arange(len(table)), lam)
+        ref = poisson_cdf(len(table) - 1, lam)
         assert np.allclose(table, ref, rtol=0, atol=5e-14)
         assert table[-1] >= 1 - 1e-15
         assert np.all(np.diff(table) >= 0)
@@ -246,8 +252,9 @@ def test_sample_moments_rejection_regime():
     # var estimator sd ~ lam * sqrt(2/n)
     assert abs(out.var() - lam) <= 5.0 * lam * math.sqrt(2.0 / n)
     # distribution check at two quantiles against the exact CDF
+    cdf = poisson_cdf(52, lam)
     for q in (40, 45, 52):
-        p = poisson.cdf(q, lam)
+        p = cdf[q]
         emp = np.mean(out <= q)
         assert abs(emp - p) <= 4.5 * math.sqrt(p * (1 - p) / n)
 

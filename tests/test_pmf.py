@@ -7,14 +7,13 @@ import json
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
-from scipy.stats import poisson
 
 import linpois as lp
 from linpois import model as model_module
@@ -25,8 +24,9 @@ from linpois.model import _log_factorials, _log_poisson
 from linpois.pmf import _log_terms, _summed
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
-from oracle import (enumerate_solutions, family_set, hand_reduced, line_points,
-                    reference_log_prob, reference_log_sum, reference_term)
+from oracle import (STIRLING_FROM, enumerate_solutions, family_set, gf_eval_series, hand_reduced,
+                    line_points, ln_factorial, log_poisson, reference_log_prob,
+                    reference_log_sum, reference_term)
 
 P = importlib.import_module("linpois.pmf")
 
@@ -291,10 +291,11 @@ def test_window_of_a_million_point_line():
     assert again == res
     assert res.terms == 10**6 + 1 and res.summed <= 10**4
     assert peak < 1 << 20
-    # the full sum, one term per point, by scipy's log-gamma
+    # the full sum, one term per point, ln k! by math.lgamma
     k = fam.points()
     lam = np.array([1.2, 35.0, 2.1])
-    logs = (k * np.log(lam) - lam - gammaln(k + 1.0)).sum(axis=1)
+    ln_fact = np.array([math.lgamma(j + 1.0) for j in range(int(k.max()) + 1)])
+    logs = (k * np.log(lam) - lam - ln_fact[k.astype(np.int64)]).sum(axis=1)
     hi = float(logs.max())
     full = hi + math.log(math.fsum(np.exp(logs - hi).tolist()))
     assert math.isclose(res.log_prob, full, rel_tol=REL)
@@ -489,7 +490,7 @@ def test_zero_rate_columns_are_dropped_at_build():
     res = lp.pmf(model, [40])
     assert res.terms == 41 and res.route == "line"
     assert res == lp.pmf(lp.PoissonModel([[1, 1]], [1.0, 2.0]), [40])
-    assert math.isclose(res.prob, poisson.pmf(40, 3.0), rel_tol=REL)
+    assert math.isclose(res.prob, float(log_poisson(40, 3.0).exp()), rel_tol=REL)
     none = lp.PoissonModel([[1, 1]], [0.0, 0.0])
     assert none.n == 0 and none.removed_columns == (0, 1)
     assert (lp.pmf(none, [0]).prob, lp.pmf(none, [0]).terms) == (1.0, 1)
@@ -675,21 +676,21 @@ def test_recurrence_matches_walk(w, g, lam, t, shift):
 def test_recurrence_counts_and_sums_past_the_walk():
     """1x8 all ones at rate 1 is Poisson(8): at b = 60 the walk would
     hold 869,648,208 points and its frontier is refused, the recurrence
-    takes 61 steps.  The reference is 40-digit mpmath."""
+    takes 61 steps.  The reference is the 40-digit oracle."""
     res = lp.pmf(lp.PoissonModel([[1] * 8], [1.0] * 8), [60])
     assert res.terms == math.comb(67, 7) == 869_648_208
     assert res.summed == 61
-    assert rel_gap(res.log_prob, -71.86168092288143549218663) <= REL
+    assert rel_gap(res.log_prob, float(log_poisson(60, 8.0))) <= REL
 
 
 @pytest.mark.parametrize("rates, b, want", [
     # sum l = 760: e**-760 underflows, the values are shifted down
-    ([200.0, 200.0, 200.0, 160.0], 760, -4.235707398961340285920657),
+    ([200.0, 200.0, 200.0, 160.0], 760, float(log_poisson(760, 760.0))),
     # sum l = 1 at b = 400: 1/400! underflows, the values are shifted up
-    ([0.25] * 4, 400, -2001.500697983241389116455),
+    ([0.25] * 4, 400, float(log_poisson(400, 1.0))),
 ])
 def test_recurrence_beyond_the_float_range(rates, b, want):
-    """Poisson(sum l) at b against 40-digit mpmath."""
+    """Poisson(sum l) at b against the 40-digit oracle."""
     assert math.exp(-sum(rates)) == 0.0 or math.exp(want) == 0.0
     res = P._recurrence(lp.PoissonModel([[1] * 4], rates), [b])
     assert res is not None and res.terms == math.comb(b + 3, 3)
@@ -761,6 +762,41 @@ def test_recurrence_window_shift():
     u = [2.0 ** 301, 2.0 ** -400]
     assert P._shift_window(u, 0, 2) is None
     assert u == [2.0 ** 301, 2.0 ** -400]
+
+
+# ------------------------------------- large counts, 40-digit oracle
+
+def test_oracle_matches_mpmath_and_exact_factorials():
+    """log_poisson against three 40-digit mpmath values, to 20 digits
+    and more; ln_factorial's Stirling series against the ln of the exact
+    k! just past the switch and further out."""
+    for k, lam, want in ((60, 8.0, "-71.861680922881435492186629"),
+                         (760, 760.0, "-4.235707398961340285920657"),
+                         (400, 1.0, "-2001.500697983241389116455")):
+        want = Decimal(want)
+        assert abs(log_poisson(k, lam) - want) <= Decimal("1e-20") * abs(want)
+    with localcontext() as ctx:
+        ctx.prec = 45
+        for k in (STIRLING_FROM - 1, STIRLING_FROM, STIRLING_FROM + 1, 100, 1000):
+            exact = Decimal(math.factorial(k)).ln()
+            assert abs(ln_factorial(k) - exact) <= Decimal("1e-40") * exact
+    assert log_poisson(0, 0.0) == 0 and log_poisson(3, 0.0) == Decimal("-Infinity")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("a, rates, b, route", [
+    *[pytest.param([[1]], [float(10**e)], [10**e], "singleton", id=f"singleton-1e{e}")
+      for e in (12, 15, 16, 20)],
+    pytest.param([[1, 1]], [1e12, 1e12], [2 * 10**12], "line", id="line-2e12"),
+])
+def test_large_counts_match_the_oracle(a, rates, b, route):
+    """P(Y = b) at lambda = b = 10**e (singleton) and on a line at
+    2 * 10**12, within 1e-12 relative of the 40-digit oracle: Y is
+    Poisson(sum lambda) for an all-ones row.  The float64 log terms
+    cancel at such counts; at e = 16 and 20 pmf returned prob 1.0."""
+    res = lp.pmf(lp.PoissonModel(a, rates), b)
+    assert res.route == route
+    assert rel_gap(res.log_prob, float(log_poisson(b[0], sum(rates)))) <= REL
 
 
 # ----------------------------------------------------- pmf dispatch
@@ -847,7 +883,8 @@ def test_removed_names_are_not_exported():
                "MethodNotApplicableError", "enumerate_solutions", "det_exact", "minor_gcd",
                "WalkPlan", "walk_family", "RngState", "sample_x", "mix64", "uniform53",
                "MethodTag", "classify", "log_term", "sample_many", "snf_family",
-               "poisson_cdf_table", "BlockHits", "PreprocessReport", "rate_constants"]
+               "poisson_cdf_table", "BlockHits", "PreprocessReport", "rate_constants",
+               "gf_eval_series"]
     for name in ("linpois", "linpois.errors", "linpois.intlinalg", "linpois.pmf",
                  "linpois.solutions", "linpois.montecarlo", "linpois.kernels", "linpois.model"):
         mod = importlib.import_module(name)
@@ -859,8 +896,7 @@ def test_removed_names_are_not_exported():
         "int_vector", "SnfDecomposition", "snf", "parse_matrix_text", "format_matrix_text",
         "SolutionFamily", "PoissonModel", "model_from_dict",
         "load_model_file", "PmfResult", "logsumexp", "solution_family", "pmf", "gf_eval",
-        "gf_eval_series", "pmf_table", "SampleReport", "verify", "default_backend",
-        "__version__"])
+        "pmf_table", "SampleReport", "verify", "default_backend", "__version__"])
     assert all(hasattr(lp, name) for name in lp.__all__)
     # the walk is a private step of solution_family
     assert not hasattr(lp.PoissonModel, "walk_plan")
@@ -932,7 +968,7 @@ def test_marginal_collapse_matches_poisson_sum():
         res = [lp.pmf(model, [b]) for b in range(21)]
         assert {r.route for r in res} == routes
         for b, r in enumerate(res):
-            assert rel_close(r.prob, poisson.pmf(b, total))
+            assert rel_close(r.prob, float(log_poisson(b, total).exp()))
 
 
 def test_normalization_partial_sum(model1):
@@ -999,7 +1035,7 @@ def test_gf_entry_past_the_float_range():
     model = lp.PoissonModel([[10**400]], [1.0])
     assert lp.gf_eval(model, [0.5]) == lp.gf_eval(model, [0.0]) == math.exp(-1.0)
     assert lp.gf_eval(model, [1.0]) == 1.0
-    assert rel_close(lp.gf_eval_series(model, [0.5], 3), math.exp(-1.0))
+    assert rel_close(gf_eval_series(model, [0.5], 3), math.exp(-1.0))
     # G = exp(0.5 * 1 + 2 * 0 - 3)
     mixed = lp.PoissonModel([[1, 10**400]], [1.0, 2.0])
     assert rel_close(lp.gf_eval(mixed, [0.5]), math.exp(-2.5))
@@ -1015,6 +1051,13 @@ def test_gf_near_one_at_large_rates(lam, z):
     assert rel_close(got, math.exp(lam * (z - 1.0)))
 
 
+def test_gf_eval_matches_the_series_oracle(model1):
+    direct = lp.gf_eval(model1, [0.5, 0.25])
+    series = gf_eval_series(model1, [0.5, 0.25], 40)
+    assert abs(direct - series) <= 1e-9
+    assert math.isclose(direct, series, rel_tol=1e-9)
+
+
 def test_gf_at_zero_is_constant_term(model1):
     assert rel_close(lp.gf_eval(model1, [0.0, 0.0]), lp.pmf(model1, [0, 0]).prob)
     withzero = lp.PoissonModel([[1, 0], [0, 0]], [1.0, 4.0])
@@ -1028,7 +1071,7 @@ def test_gf_validation(model1):
         with pytest.raises(InputError):
             lp.gf_eval(model1, bad)
         with pytest.raises(InputError):
-            lp.gf_eval_series(model1, bad, 10)
+            gf_eval_series(model1, bad, 10)
 
 
 def test_gf_series_close_on_awkward_models():
@@ -1041,7 +1084,7 @@ def test_gf_series_close_on_awkward_models():
     for model in models:
         for z in ([0.5] * model.m_full, [0.1] * model.m_full):
             direct = lp.gf_eval(model, z)
-            series = lp.gf_eval_series(model, z, 40)
+            series = gf_eval_series(model, z, 40)
             assert abs(direct - series) <= 1e-9
             assert series <= direct + 1e-15  # dropped tail is nonnegative
 
@@ -1062,10 +1105,10 @@ def test_pmf_table_large_rates_do_not_underflow():
     assert want > 0.014
     assert rel_close(table[800], want)
     for b in (700, 900):
-        assert rel_close(table[b], poisson.pmf(b, 800.0), 1e-9)
+        assert rel_close(table[b], float(log_poisson(b, 800.0).exp()), 1e-9)
     direct = lp.gf_eval(model, [0.5])
     assert direct > 1e-174
-    assert rel_close(lp.gf_eval_series(model, [0.5], 900), direct, 1e-11)
+    assert rel_close(gf_eval_series(model, [0.5], 900), direct, 1e-11)
 
 
 def test_pmf_table_guards(model1):
@@ -1087,9 +1130,9 @@ def test_degree_bound_must_be_an_int(model1):
         with pytest.raises(InputError, match="integer"):
             lp.pmf_table(model1, bad)
         with pytest.raises(InputError, match="integer"):
-            lp.gf_eval_series(model1, [0.5, 0.5], bad)
+            gf_eval_series(model1, [0.5, 0.5], bad)
     assert lp.pmf_table(model1, np.int64(3)).shape == (4, 4)
-    assert lp.gf_eval_series(model1, [0.5, 0.5], np.int64(3)) == lp.gf_eval_series(
+    assert gf_eval_series(model1, [0.5, 0.5], np.int64(3)) == gf_eval_series(
         model1, [0.5, 0.5], 3)
 
 
