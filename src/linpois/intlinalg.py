@@ -16,6 +16,7 @@ entry, _int_arg to every scalar count, index, seed and degree bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,7 +98,10 @@ class SnfDecomposition:
     """Smith normal form ``p @ a @ q == d`` with unimodular ``p``, ``q``.
 
     ``d`` is diagonal, ``divisors`` are its positive nonzero diagonal
-    entries and satisfy ``divisors[i] | divisors[i+1]``.
+    entries and satisfy ``divisors[i] | divisors[i+1]``.  ``p_rows`` and
+    ``q_rows`` hold the rows of ``p`` and ``q`` as tuples of Python
+    ints, read once, on first use, for the per-query lattice step
+    (solutions._snf_family), which then converts no object array.
     """
 
     p: np.ndarray
@@ -105,6 +109,14 @@ class SnfDecomposition:
     q: np.ndarray
     rank: int
     divisors: tuple[int, ...]
+
+    @cached_property
+    def p_rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.p.tolist()))
+
+    @cached_property
+    def q_rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.q.tolist()))
 
 
 def _min_abs_pivot(d: np.ndarray, t: int):

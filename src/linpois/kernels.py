@@ -314,8 +314,7 @@ def _lattice_checks(cols: list, m: int) -> tuple:
     for k in range(len(cols) + 1):
         dec = snf([[col[i] for col in cols[k:]] for i in range(m)])
         mods = list(dec.divisors) + [0] * (m - dec.rank)
-        out.append(tuple((tuple(map(int, row)), d)
-                          for row, d in zip(dec.p.tolist(), mods) if d != 1))
+        out.append(tuple((row, d) for row, d in zip(dec.p_rows, mods) if d != 1))
     return tuple(out)
 
 

@@ -10,11 +10,13 @@ the points without checking b again; pmf first tries the rank-1
 recurrence below, and walks only when it declines.  The model's reduced
 system has no zero-rate column (the model leaves them out with the
 zero columns), so every term of every point is finite.  Log terms are
-formed in numpy passes over arrays of lattice points, never over
-tuples, and combined by a max-shifted log-sum whose inner sum is
-math.fsum.  fsum is correctly rounded, so the result does not depend
-on the order of the terms.  Each result names the route that answered
-it (PmfResult.route).
+formed in numpy passes over column-major arrays of lattice points,
+never over tuples, each pass along one contiguous column, and combined
+by a max-shifted log-sum whose inner sum is math.fsum.  fsum is
+correctly rounded, so the result does not depend on the order of the
+terms; its cost does, through the number of partials it keeps, so a
+line's window is handed over from the mode outward.  Each result names
+the route that answered it (PmfResult.route).
 
 A singleton or finite family is summed over all its points.  A line
 u + j v is summed over a window around its mode instead: ln t(j) is
@@ -23,7 +25,9 @@ window is sized from the curvature at the mode and widened until its
 edge terms are below 2**-60 / L of the term at the mode (L the line
 length), all read from the terms it sums.  The omitted mass is then
 below 2**-60 of the sum; PmfResult reports a bound on it as tail_bound,
-and the number of terms evaluated as summed.  The cost follows the
+and the number of terms evaluated as summed.  The window's terms go to
+the log-sum as two falling runs, from the mode up and from the mode
+down, which math.fsum adds with few partials.  The cost follows the
 spread of the terms around the mode, not the length of the line.
 
 A rank-1 A whose kernel has dimension 2 or more is answered without
@@ -66,6 +70,7 @@ __all__ = [
 # probabilities may exceed 1 by accumulated rounding; anything worse
 # than this is a genuine bug, not roundoff
 CLAMP_TOL = 1e-12
+_LOG1P_CLAMP = math.log1p(CLAMP_TOL)
 
 NEG_INF = float("-inf")
 
@@ -76,6 +81,9 @@ TAIL_EPS = 2.0 ** -60
 FIRST_BLOCK = 256
 # The most points of a line whose terms are formed in one numpy pass.
 _BLOCK = 1 << 16
+# numpy's sum over a contiguous row of this many entries or more is
+# pairwise, not left to right (_log_terms)
+_PAIRWISE = 8
 # The most work pmf_table may do, in entries of box-sized array passes.
 # With any column present this keeps the box to 2e7 entries.
 MAX_TABLE_WORK = 40_000_000
@@ -129,10 +137,20 @@ def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray) -> 
     formed before the parts are added, so k ln l - l and ln k! cancel
     while their magnitudes are close (exactly, near the mode), not
     after rounding at the size of their sum over the columns.
+
+    points come column-major (SolutionFamily.points), so every pass,
+    the row sum included, runs along contiguous columns.  numpy adds a
+    column-major row left to right, and a row-major one of fewer than
+    _PAIRWISE parts too, but a wider row-major one in its pairwise
+    order; rows that wide are summed row-major, so each term has the
+    same bits in either layout.
     """
     if points.shape[0] == 0:
         return np.empty(0)
-    return _log_poisson(points, rates, log_rates).sum(axis=1)
+    parts = _log_poisson(points, rates, log_rates)
+    if parts.shape[1] >= _PAIRWISE:
+        parts = np.ascontiguousarray(parts)
+    return parts.sum(axis=1)
 
 
 def logsumexp(terms) -> float:
@@ -187,7 +205,7 @@ def _result(lp: float, route: str, terms: int, summed: int, tail: float = 0.0) -
     """The result for log_prob lp, with prob clamped to 1 from within
     CLAMP_TOL.  lp is tested before exp is taken, which would overflow
     for a large lp."""
-    if lp > math.log1p(CLAMP_TOL):
+    if lp > _LOG1P_CLAMP:
         raise InternalInvariantError(f"log probability {lp!r} exceeds ln(1 + CLAMP_TOL)")
     prob = math.exp(lp)
     return PmfResult(log_prob=lp, prob=min(prob, 1.0), route=route, terms=terms,
@@ -312,6 +330,14 @@ def _line_sum(fam: SolutionFamily, model: PoissonModel) -> PmfResult:
     beyond an edge is below the edge term, whatever the accuracy of the
     mode: the mass omitted is under L t_edge < TAIL_EPS S.  InputError
     when w, or the reach of one side, exceeds MAX_POINTS.
+
+    The tail bounds are read off the edge terms, and the window's terms
+    are then handed to logsumexp from the mode outward: [mode..hi], then
+    [lo..mode-1] reversed, built by the one np.concatenate of the
+    blocks.  These are two falling runs, on which math.fsum keeps few
+    partials, so it runs several times faster than in the order of j;
+    its correctly rounded sum, and so every field of the result, is the
+    same in any order.
     """
     a, b = fam.jmin, fam.jmax
     step = min(_BLOCK, solutions.MAX_POINTS)
@@ -321,7 +347,9 @@ def _line_sum(fam: SolutionFamily, model: PoissonModel) -> PmfResult:
                            model.term_constants) for j in range(lo, hi + 1, step)]
 
     if b - a < FIRST_BLOCK:
-        return _summed(np.concatenate(blocks(a, b)), "line", terms=fam.count)
+        parts = blocks(a, b)
+        t = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return _summed(t, "line", terms=fam.count)
     moving = [(u, v, (v + 1) / 2, r) for u, v, r in zip(fam.base, fam.direction,
                                                         model.rates.tolist()) if v]
 
@@ -354,12 +382,16 @@ def _line_sum(fam: SolutionFamily, model: PoissonModel) -> PmfResult:
     r = math.ceil(1.1 * w) + 4
     lo, hi = max(a, mode - r), min(b, mode + r)
     parts = blocks(lo, hi)
-    thr = float(parts[(mode - lo) // step][(mode - lo) % step]) - depth
+    # the mode is entry at of block mb
+    mb, at = divmod(mode - lo, step)
+    thr = float(parts[mb][at]) - depth
     while lo > a and parts[0][0] >= thr:
         reach = min(2 * (mode - lo), mode - a)
         if reach > cap:
             raise InputError(too_wide)
-        parts[:0] = blocks(mode - reach, lo - 1)
+        more = blocks(mode - reach, lo - 1)
+        parts[:0] = more
+        mb += len(more)
         lo = mode - reach
     while hi < b and parts[-1][-1] >= thr:
         reach = min(2 * (hi - mode), b - mode)
@@ -367,13 +399,15 @@ def _line_sum(fam: SolutionFamily, model: PoissonModel) -> PmfResult:
             raise InputError(too_wide)
         parts += blocks(hi + 1, mode + reach)
         hi = mode + reach
-    t = np.concatenate(parts)
     # every term beyond an edge is below the edge term
     tail_logs = []
     if lo > a:
-        tail_logs.append(math.log(lo - a) + float(t[0]))
+        tail_logs.append(math.log(lo - a) + float(parts[0][0]))
     if hi < b:
-        tail_logs.append(math.log(b - hi) + float(t[-1]))
+        tail_logs.append(math.log(b - hi) + float(parts[-1][-1]))
+    # from the mode outward, [mode..hi] then [lo..mode-1] reversed
+    t = np.concatenate([parts[mb][at:], *parts[mb + 1:], parts[mb][:at][::-1],
+                        *[p[::-1] for p in reversed(parts[:mb])]])
     return _summed(t, "line", terms=fam.count, tail_logs=tail_logs)
 
 

@@ -115,16 +115,19 @@ class SolutionFamily:
         return 0 if self.array is None else len(self.array)
 
     def points(self, lo: int | None = None, hi: int | None = None) -> np.ndarray:
-        """Every solution as one row of a (count, n) float64 array.
+        """Every solution as one row of a (count, n) float64 array, in
+        column-major (Fortran) order.
 
         For a line, lo and hi (default jmin and jmax) select the block
         of points j = lo..hi; they are ignored for other kinds.  Float64
         holds counts exactly below 2**53 and larger ones to within a
         rounding or two of float(k_i), so no entry can wrap as int64
         would.  A block is anchored at its exact integer start point,
-        so the broadcast steps stay small.  An empty family has shape
-        (0, 0).  InputError for more than MAX_POINTS points, before any
-        array is allocated.
+        so the broadcast steps stay small.  Each column is contiguous,
+        so the passes that form the log terms (pmf._log_terms) run along
+        contiguous memory.  An empty family has shape (0, 0).
+        InputError for more than MAX_POINTS points, before any array is
+        allocated.
         """
         if self.kind == "line":
             lo = self.jmin if lo is None else lo
@@ -137,13 +140,13 @@ class SolutionFamily:
         try:
             if self.kind == "line":
                 start = [u + lo * v for u, v in zip(self.base, self.direction)]
-                steps = np.arange(count, dtype=np.float64)[:, None]
-                return np.array(start, dtype=np.float64) + steps * np.array(
-                    self.direction, dtype=np.float64
-                )
+                start = np.array(start, dtype=np.float64)[:, None]
+                direction = np.array(self.direction, dtype=np.float64)[:, None]
+                # the transpose of an (n, count) array is column-major
+                return (start + direction * np.arange(count, dtype=np.float64)).T
             if self.array is None:
                 return np.empty((0, 0))
-            return self.array.astype(np.float64)
+            return self.array.astype(np.float64, order="F")
         except OverflowError:
             raise InputError("solution counts exceed the float64 range") from None
 
@@ -168,15 +171,15 @@ def _snf_family(dec: SnfDecomposition, b: list[int]) -> SolutionFamily | None:
     integer floor/ceil, for any divisors.  For dimension 2 or more,
     returns None when b is on the lattice, for the caller to walk.
     """
-    n = dec.d.shape[1]
+    q = dec.q_rows
+    n = len(q)
     r = dec.rank
-    c = [sum(map(operator.mul, row, b)) for row in dec.p.tolist()]
+    c = [sum(map(operator.mul, row, b)) for row in dec.p_rows]
     if any(ci % di for ci, di in zip(c, dec.divisors)) or any(c[r:]):
         return SolutionFamily.empty()
     if n - r > 1:
         return None
     y = [ci // di for ci, di in zip(c, dec.divisors)]
-    q = dec.q.tolist()
     # map stops after r entries: u = q[:, :r] @ y, the solution at t = 0
     u = [sum(map(operator.mul, row, y)) for row in q]
     if r == n:
@@ -202,7 +205,8 @@ def _snf_family(dec: SnfDecomposition, b: list[int]) -> SolutionFamily | None:
         return SolutionFamily.empty()
     if lo == hi:
         return SolutionFamily.singleton(u_i + lo * v_i for u_i, v_i in zip(u, v))
-    return SolutionFamily.line(u, v, lo, hi)
+    # u, v, lo and hi are Python ints already: no int() pass
+    return SolutionFamily(base=tuple(u), direction=tuple(v), jmin=lo, jmax=hi)
 
 
 class _WalkPlan:
@@ -368,11 +372,12 @@ def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:
 
 def _real_vector(values, what: str, hi: float = sys.float_info.max, size=None) -> np.ndarray:
     """values as a float64 vector of size entries (any number if None),
-    each a real number (not a bool, a string or a complex, which numpy
-    would convert) in [0, hi]: the one check of a real vector.  The
-    rates take hi = the largest float (model.preprocess and
-    kernels.sample_block), so an int past the float64 range is refused
-    before conversion; pmf's z takes hi = 1."""
+    each a real number (not a bool, a string, a complex or a NaN, which
+    numpy would convert) in [0, hi]: the one check of a real vector.
+    An error names the entry as what[i].  The rates take hi = the
+    largest float (model.preprocess and kernels.sample_block), so an
+    int past the float64 range is refused before conversion; pmf's z
+    takes hi = 1."""
     arr = np.asarray(values, dtype=object)
     if arr.ndim != 1 or size not in (None, len(arr)):
         tail = "" if size is None else f" of length {size}"
@@ -382,7 +387,9 @@ def _real_vector(values, what: str, hi: float = sys.float_info.max, size=None) -
         x = x.item() if isinstance(x, np.generic) else x
         # float and int first: the numbers.Real test is several times slower
         real = type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
-        if not real or not 0 <= x <= hi:
-            # no repr: that of an int past 4300 digits raises ValueError
-            raise InputError(f"{what} {i} is not a real number in [0, {hi:g}]")
+        # no repr of x: that of an int past 4300 digits raises ValueError
+        if not real or x != x:
+            raise InputError(f"{what}[{i}] is not a real number")
+        if not 0 <= x <= hi:
+            raise InputError(f"{what}[{i}] is out of [0, {hi:g}]")
     return arr.astype(np.float64)

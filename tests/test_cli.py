@@ -340,7 +340,7 @@ TYPOS = {"a": A1, "lambda": ["1.5", True, 1]}
 NOT_UTF8 = b"\xff\xfe\x00 not text"
 UTF8_ERR = "cannot read FILE: 'utf-8' codec can't decode"
 TOTAL_ERR = "the rate total exceeds the float64 range"
-TYPO_ERR = "error: rate 0 is not a real number"
+TYPO_ERR = "error: rate[0] is not a real number"
 CAP_ERR = "the cap of MAX_POINTS"
 RATE_ERR = "rates above 17179869184 (2**34) cannot be sampled"
 
@@ -417,7 +417,7 @@ TABLE = [
     Row("gf_entry_past_the_float_range_exits_0", {"a": [[10**400]], "lambda": [1.0]},
         "gf FILE --z 0.5 --format json", 0, out={"gf": math.exp(-1.0)}),
     Row("gf_wrong_z_length_exits_2", MODEL1, "gf FILE --z 0.5", 2, "z must be a vector of length"),
-    Row("gf_z_above_one_exits_2", MODEL1, "gf FILE --z 0.5 1.5", 2, "not a real number in [0, 1]"),
+    Row("gf_z_above_one_exits_2", MODEL1, "gf FILE --z 0.5 1.5", 2, "error: z[1] is out of [0, 1]"),
     # the int64 sampling kernels cannot take every b that pmf answers;
     # PTRS drew from the wrong law at rate 1e15.  verify asked pmf
     # first, which exits 4 at b = 10**40; the sampler's checks now come first

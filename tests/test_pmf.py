@@ -287,6 +287,67 @@ def test_line_window_extends_past_its_curvature_guess():
     assert 0.0 < res.tail_bound <= 2.0**-60
 
 
+def _fields(res):
+    """The fields of a result, each float by its bits."""
+    return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(res)]
+
+
+def _natural_order_sum(model, b, blocks):
+    """_summed over the window that a line sum evaluated, its terms in
+    the order of j, with the tail bounds read off its edge terms."""
+    fam = lp.solution_family(model, b)
+    lo, hi = min(q[0] for q in blocks), max(q[1] for q in blocks)
+    t = _log_terms(fam.points(lo, hi), model.rates, model.term_constants)
+    tails = [math.log(left) + float(x)
+             for left, x in ((lo - fam.jmin, t[0]), (fam.jmax - hi, t[-1])) if left]
+    return _summed(t, "line", terms=fam.count, tail_logs=tails)
+
+
+@pytest.mark.parametrize("block", ["default", 16])
+def test_mode_outward_order_keeps_every_field(monkeypatch, block):
+    """A line longer than FIRST_BLOCK hands its window to logsumexp from
+    the mode outward.  On 200 seeded lines every field of the result
+    equals that of _summed over the same window in the order of j, and
+    the terms handed over run from the mode outward.  Blocks of 16
+    points split each window into many, and the mode's block moves when
+    the first case's window is extended."""
+    if block != "default":
+        monkeypatch.setattr(P, "_BLOCK", block)
+    rng = np.random.default_rng(28)
+    # extended once on one side (test_line_window_extends_past_its_curvature_guess)
+    cases = [([[1, 1]], [5.0, 800.0], [3000])]
+    while len(cases) < 200:
+        a = LINE_MATRICES[rng.integers(len(LINE_MATRICES))]
+        rates = np.exp(rng.uniform(math.log(0.1), math.log(5000.0), len(a[0]))).tolist()
+        k = rng.integers(0, int(10 ** rng.uniform(2.5, 4.5)), len(a[0]))
+        b = (np.array(a) @ k).tolist()
+        if lp.solution_family(lp.PoissonModel(a, rates), b).count > P.FIRST_BLOCK:
+            cases.append((a, rates, b))
+    handed = []
+    logsumexp = P.logsumexp
+
+    def spy(terms):
+        handed.append(np.asarray(terms))
+        return logsumexp(terms)
+
+    monkeypatch.setattr(P, "logsumexp", spy)
+    cut = 0
+    for a, rates, b in cases:
+        model = lp.PoissonModel(a, rates)
+        res, blocks = summed_blocks(model, b)
+        assert res.route == "line" and res.terms > P.FIRST_BLOCK
+        assert _fields(res) == _fields(_natural_order_sum(model, b, blocks))
+        cut += res.tail_bound > 0.0
+        # pmf handed logsumexp the window as [mode..hi], then [lo..mode-1]
+        # reversed, the mode at the largest term
+        t, natural = handed[-2:]
+        mode = [i for i in np.flatnonzero(natural == t[0])
+                if np.array_equal(t, np.concatenate((natural[i:], natural[:i][::-1])))]
+        assert len(mode) == 1 and natural[mode[0]] == natural.max()
+    # most windows stop short of the line's ends, so the tail bounds count
+    assert cut >= 100
+
+
 def test_window_of_a_million_point_line():
     """E1 at b = (2e6, 2e6): 10**6 + 1 points, about 1,800 of them above
     the tail threshold.  The result equals the full sum, and the window
@@ -336,6 +397,21 @@ def test_log_terms_table_equals_lgamma_map(monkeypatch):
         lgam = np.array([math.lgamma(x) for x in (pts + 1.0).ravel().tolist()]).reshape(pts.shape)
         want = (pts * consts - lam - lgam).sum(axis=1)
         assert np.array_equal(_log_terms(pts, lam, consts), want)
+
+
+def test_log_terms_same_bits_in_either_layout():
+    """_log_terms gives every term the same bits on column-major points,
+    as SolutionFamily.points returns them, as on row-major ones, for 1
+    to 12 columns: numpy adds a row-major row of _PAIRWISE or more
+    parts in pairwise order, not left to right."""
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        lam = np.exp(rng.uniform(-5.0, 8.0, n))
+        consts = lp.PoissonModel(lp.int_identity(n), lam).term_constants
+        pts = rng.integers(0, 3000, (300, n)).astype(np.float64)
+        rows = _log_terms(np.ascontiguousarray(pts), lam, consts)
+        assert _log_terms(np.asfortranarray(pts), lam, consts).tobytes() == rows.tobytes()
+        assert rows.tobytes() == _log_poisson(pts, lam, consts).sum(axis=1).tobytes()
 
 
 def test_one_routine_forms_the_poisson_log_term(monkeypatch):

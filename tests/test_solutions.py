@@ -413,6 +413,43 @@ def test_walk_wide_entries_use_python_ints():
     assert family_set(fam) == family_set(want) and fam.count == want.count
 
 
+def test_points_are_column_major():
+    """points() is column-major and equals a row-major reference for a
+    line block, a singleton and a walked family."""
+    line = lp.SolutionFamily.line([0, 3, 600], [2, 1, -2], 0, 300)
+    start = np.array([2 * 7, 3 + 7, 600 - 2 * 7], dtype=np.float64)
+    steps = np.arange(290 - 7 + 1, dtype=np.float64)[:, None]
+    walked = lp.solution_family(lp.PoissonModel([[1, 1, 1, 2]], [1.0] * 4), [9])
+    assert walked.kind == "finite" and walked.count > 1
+    cases = [
+        (line.points(7, 290), start + steps * np.array(line.direction, dtype=np.float64)),
+        (lp.SolutionFamily.singleton([1, 2]).points(), np.array([[1.0, 2.0]])),
+        (walked.points(), walked.array.astype(np.float64)),
+    ]
+    for pts, rows in cases:
+        assert pts.flags.f_contiguous and rows.flags.c_contiguous
+        assert pts.dtype == np.float64 and np.array_equal(pts, rows)
+
+
+def test_snf_rows_are_read_once_and_serve_every_b():
+    """The Smith transforms' rows are read as Python ints on the first
+    query, not at model build, and one decomposition answers every b."""
+    model = lp.PoissonModel(EXAMPLE2, [1.0] * 4)
+    dec = model.snf
+    assert "p_rows" not in vars(dec) and "q_rows" not in vars(dec)
+    rng = np.random.default_rng(3)
+    bs = [(np.array(EXAMPLE2) @ rng.integers(0, 6, 4)).tolist() for _ in range(6)] + [[1, 2, 3]]
+    fams = [S._snf_family(dec, b) for b in bs]
+    rows = dec.p_rows, dec.q_rows
+    assert rows[0] == tuple(map(tuple, dec.p.tolist()))
+    assert rows[1] == tuple(map(tuple, dec.q.tolist()))
+    assert all(type(x) is int for r in rows[0] + rows[1] for x in r)
+    for b, fam in zip(bs, fams):
+        assert family_set(fam) == family_set(enumerate_solutions(EXAMPLE2, b))
+    S._snf_family(dec, bs[0])
+    assert dec.p_rows is rows[0] and dec.q_rows is rows[1]
+
+
 # ------------------------------------------------------ point cap
 
 def test_walk_frontier_cap():
@@ -613,6 +650,20 @@ def test_rates_are_real_numbers(rates):
         lp.PoissonModel(EXAMPLE1, rates)
     with pytest.raises(InputError, match="rate"):
         lp.model_from_dict({"a": EXAMPLE1, "lambda": rates})
+
+
+@pytest.mark.parametrize("rates, err", [
+    ([1.0, "1.5", 1.0], "rate[1] is not a real number"),
+    ([1.0, 1.0, math.nan], "rate[2] is not a real number"),
+    ([-0.5, 1.0, 1.0], "rate[0] is out of [0, 1.79769e+308]"),
+    ([1.0, 1.0, 10**400], "rate[2] is out of [0, 1.79769e+308]"),
+])
+def test_rate_errors_name_the_entry(rates, err):
+    # an entry is named as rate[i]; a real number out of range is not
+    # called "not a real number"
+    with pytest.raises(InputError) as exc:
+        lp.PoissonModel(EXAMPLE1, rates)
+    assert str(exc.value) == err
 
 
 # --------------------------------------------------- family plumbing
