@@ -16,7 +16,6 @@ entry, _int_arg to every scalar count, index, seed and degree bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -93,15 +92,14 @@ def int_vector(data) -> np.ndarray:
     return _int_array(data, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnfDecomposition:
     """Smith normal form ``p @ a @ q == d`` with unimodular ``p``, ``q``.
 
     ``d`` is diagonal, ``divisors`` are its positive nonzero diagonal
-    entries and satisfy ``divisors[i] | divisors[i+1]``.  ``p_rows`` and
-    ``q_rows`` hold the rows of ``p`` and ``q`` as tuples of Python
-    ints, read once, on first use, for the per-query lattice step
-    (solutions._snf_family), which then converts no object array.
+    entries and satisfy ``divisors[i] | divisors[i+1]``.  Equality and
+    hashing are by identity: those generated over the array fields would
+    raise.
     """
 
     p: np.ndarray
@@ -109,14 +107,6 @@ class SnfDecomposition:
     q: np.ndarray
     rank: int
     divisors: tuple[int, ...]
-
-    @cached_property
-    def p_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.p.tolist()))
-
-    @cached_property
-    def q_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.q.tolist()))
 
 
 def _min_abs_pivot(d: np.ndarray, t: int):

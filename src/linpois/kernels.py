@@ -82,7 +82,7 @@ import numpy as np
 from .errors import InputError, InternalInvariantError
 from .intlinalg import _int_arg, snf
 from .model import PoissonModel, _log_poisson
-from .solutions import _real_vector
+from .solutions import _lattice_tests, _real_vector
 
 __all__ = [
     "default_backend",
@@ -303,19 +303,12 @@ def sample_block(rates, seed, start, stop) -> np.ndarray:
 
 def _lattice_checks(cols: list, m: int) -> tuple:
     """Entry k: the tests that a residual r lies on the lattice spanned
-    by cols[k:] (each a list of m ints), from the Smith form p A q = d
-    of those columns: d_i | (p r)_i for i < rank and (p r)_i = 0 beyond.
-
-    Each test is (row i of p, d_i, or 0 for "= 0"); tests with d_i = 1
-    hold for every integer r and are left out.  The last entry, for no
-    columns, asks r = 0.
+    by cols[k:] (each a list of m ints), built from the Smith form of
+    those columns by solutions._lattice_tests, which also builds pmf's.
+    The last entry, for no columns, asks r = 0.
     """
-    out = []
-    for k in range(len(cols) + 1):
-        dec = snf([[col[i] for col in cols[k:]] for i in range(m)])
-        mods = list(dec.divisors) + [0] * (m - dec.rank)
-        out.append(tuple((row, d) for row, d in zip(dec.p_rows, mods) if d != 1))
-    return tuple(out)
+    return tuple(_lattice_tests(snf([[col[i] for col in cols[k:]] for i in range(m)]))
+                 for k in range(len(cols) + 1))
 
 
 def _lattice_misses(tests, res, bound) -> list:

@@ -9,8 +9,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .intlinalg import SnfDecomposition, int_matrix, int_vector, snf
-from .solutions import _real_vector, _RowPlan, _WalkPlan
+from .intlinalg import SnfDecomposition, _is_int, int_matrix, int_vector, snf
+from .solutions import _QueryPlan, _real_vector, _RowPlan, _WalkPlan
 
 __all__ = ["PoissonModel", "model_from_dict", "load_model_file"]
 
@@ -110,8 +110,9 @@ class PoissonModel:
     reads, and listed in ``removed_columns``; every row is kept, since
     the SNF checks dependent rows.  ``a_full``/``rates_full`` keep the
     checked input in its original shape.  Derived objects (SNF, the log
-    rates of the terms, the plans of the free-coordinate walk, of the
-    rank-1 recurrence and of the sampler) are cached on first use.
+    rates of the terms, the plans of pmf's lattice step, of the
+    free-coordinate walk, of the rank-1 recurrence and of the sampler)
+    are cached on first use.
     """
 
     def __init__(self, a, rates, name: str | None = None, description: str | None = None):
@@ -162,8 +163,14 @@ class PoissonModel:
 
     def _observation(self, b) -> list:
         """b as a list of m_full ints by int_vector's rule: the one check
-        of an observation, for pmf's query step and the sampler."""
-        b = int_vector(b).tolist()
+        of an observation, for pmf's query step and the sampler.  A list
+        or tuple whose entries pass the integer rule is converted
+        directly; anything else goes through int_vector, which names
+        what is wrong."""
+        if isinstance(b, (list, tuple)) and all(map(_is_int, b)):
+            b = list(map(int, b))
+        else:
+            b = int_vector(b).tolist()
         if len(b) != self.m_full:
             raise InputError(f"observation length {len(b)} != row count {self.m_full}")
         return b
@@ -185,6 +192,11 @@ class PoissonModel:
         scalar evaluation bit for bit.  Built on the first pmf call, not
         at build."""
         return np.array([math.log(x) for x in self._rates.tolist()], dtype=np.float64)
+
+    @cached_property
+    def _query_plan(self) -> _QueryPlan:
+        # pmf's lattice step, read off the SNF on the first query, not at build
+        return _QueryPlan(self.snf)
 
     @cached_property
     def _walk_plan(self) -> _WalkPlan:

@@ -178,19 +178,20 @@ def logsumexp(terms) -> float:
 
 def _lattice_family(model: PoissonModel, b) -> tuple[list[int] | None, SolutionFamily | None]:
     """The query step of pmf and solution_family: b checked
-    (PoissonModel._observation), then the SNF lattice test.
+    (PoissonModel._observation), then the lattice test of the model's
+    query plan (PoissonModel._query_plan, read off its SNF once).
 
-    Returns b as a list of ints and its solution family, read off the
-    model's SNF; the family is None when the kernel of A has dimension
+    Returns b as a list of ints and its solution family, read off that
+    plan; the family is None when the kernel of A has dimension
     2 or more and b is on the lattice, which is then to be walked (or,
     in pmf, answered by the recurrence).  A negative entry of b gives
     (None, the empty family).  _walk_family and _recurrence trust these
     checks.
     """
     b = model._observation(b)
-    if any(x < 0 for x in b):
+    if min(b) < 0:
         return None, SolutionFamily.empty()
-    return b, _snf_family(model.snf, b)
+    return b, _snf_family(model._query_plan, b)
 
 
 def solution_family(model: PoissonModel, b) -> SolutionFamily:

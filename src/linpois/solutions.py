@@ -1,8 +1,9 @@
 """Nonnegative integer solution sets of A k = b for natural-number matrices.
 
-``_snf_family`` reads the solution set off the Smith normal form
-p A q = d: whether b is on the lattice (dependent rows included), then
-a singleton when the kernel of A is trivial or a line ``u + j v`` when
+``_snf_family`` reads the solution set off a model's ``_QueryPlan``,
+what the Smith normal form p A q = d gives for every b, built once:
+whether b is on the lattice (dependent rows included), then a
+singleton when the kernel of A is trivial or a line ``u + j v`` when
 it has dimension 1, for any elementary divisors.  For a kernel of
 dimension 2 or more with b on the lattice, ``pmf.solution_family``
 (and ``pmf.pmf``, when its rank-1 recurrence declines) finishes the set
@@ -151,62 +152,103 @@ class SolutionFamily:
             raise InputError("solution counts exceed the float64 range") from None
 
 
-def _ceil_div(p: int, q: int) -> int:
-    # ceil(p / q) for q > 0
-    return -((-p) // q)
+def _lattice_tests(dec: SnfDecomposition) -> tuple:
+    """The tests that an integer vector b lies on the lattice A Z^n,
+    from the Smith form p A q = d: d_i | (p b)_i for i < rank and
+    (p b)_i = 0 beyond.  The last m - r rows of p span the integer left
+    kernel of A, so the second test is also the consistency check for
+    dependent rows.  Each test is (row i of p as Python ints, d_i, or 0
+    for "= 0"); a test with d_i = 1 holds for every integer b and is
+    left out.  The one builder of these tests, for pmf's query step
+    (_QueryPlan) and the sampler's residuals (kernels._lattice_checks).
+    """
+    mods = list(dec.divisors) + [0] * (len(dec.p) - dec.rank)
+    return tuple((row, d) for row, d in zip(map(tuple, dec.p.tolist()), mods) if d != 1)
 
 
-def _snf_family(dec: SnfDecomposition, b: list[int]) -> SolutionFamily | None:
-    """Nonnegative solutions of A k = b from the Smith form p A q = d.
+def _scaled_inverse(dec: SnfDecomposition) -> tuple[int, np.ndarray]:
+    """D, the last divisor of the Smith form p A q = d (1 with none),
+    and the integer matrix U = q[:, :r] diag(D / d_i) p[:r], r = rank.
+
+    With p A = d q^-1, each b = A k has (p b)_i = d_i y_i for i < r,
+    y = q^-1 k, so U b = D q[:, :r] y: D times the integer solution
+    whose last n - r coordinates in the basis q are 0.  Every d_i
+    divides D, so U is integral.  For A of full column rank, U A = D I.
+    """
+    r = dec.rank
+    det = max(dec.divisors, default=1)
+    scaled = dec.p[:r, :].copy()
+    for i, d in enumerate(dec.divisors):
+        scaled[i, :] *= det // d
+    return det, dec.q[:, :r] @ scaled
+
+
+class _QueryPlan:
+    """What pmf's query step reads off the Smith form p A q = d of a
+    preprocessed matrix for every b, built once per model on its first
+    query (PoissonModel._query_plan), not at build.
+
+    ``tests`` are the lattice tests that can fail (_lattice_tests) and
+    ``free`` = n - r the kernel dimension.  When free <= 1, ``det`` = D
+    and ``rows`` = U of _scaled_inverse, as rows of Python ints, so the
+    solution at t = 0 is u = U b / D, exact on the lattice.  When
+    free = 1, ``direction`` is the kernel direction v = q[:, r], split
+    into ``pos``, (i, v_i) for v_i > 0, ``neg``, (i, -v_i) for v_i < 0,
+    and ``zero``, the i with v_i = 0.  A natural-number matrix without
+    zero columns has a kernel direction with entries of both signs;
+    InternalInvariantError otherwise.
+    """
+
+    def __init__(self, dec: SnfDecomposition):
+        r = dec.rank
+        self.tests = _lattice_tests(dec)
+        self.free = len(dec.q) - r
+        if self.free > 1:
+            return
+        self.det, rows = _scaled_inverse(dec)
+        self.rows = tuple(map(tuple, rows.tolist()))
+        if not self.free:
+            return
+        self.direction = tuple(dec.q[:, r].tolist())
+        self.pos = tuple((i, v) for i, v in enumerate(self.direction) if v > 0)
+        self.neg = tuple((i, -v) for i, v in enumerate(self.direction) if v < 0)
+        self.zero = tuple(i for i, v in enumerate(self.direction) if v == 0)
+        if not (self.pos and self.neg):
+            raise InternalInvariantError("the kernel direction of a preprocessed matrix is one-signed")
+
+
+def _snf_family(plan: _QueryPlan, b: list[int]) -> SolutionFamily | None:
+    """Nonnegative solutions of A k = b from a model's query plan.
 
     b is a list of m ints, checked by pmf's query step
     (pmf._lattice_family), and A is a preprocessed matrix: natural
-    numbers, no zero column.  With c = p b and r = rank, b lies in the
-    lattice A Z^n iff d_i | c_i for i < r and c_i = 0 for i >= r.  The
-    last m - r rows of p span the integer left kernel of A, so the
-    second test is also the consistency check for dependent rows.
-    Every integer solution is then k = q (y; t) with y_i = c_i / d_i
-    and t in Z^(n-r).  Kernel dimension 0 gives at most one point;
-    dimension 1 gives a line whose j-interval is cut out with exact
-    integer floor/ceil, for any divisors.  For dimension 2 or more,
-    returns None when b is on the lattice, for the caller to walk.
+    numbers, no zero column.  b lies in the lattice A Z^n iff it passes
+    plan.tests.  Every integer solution is then k = u + q[:, r:] t with
+    u = U b / D and t in Z^(n-r).  Kernel dimension 0 gives at most one
+    point; dimension 1 gives a line u + j v whose j-interval is cut out
+    with exact integer floor/ceil, for any divisors.  For dimension 2 or
+    more, returns None when b is on the lattice, for the caller to walk.
     """
-    q = dec.q_rows
-    n = len(q)
-    r = dec.rank
-    c = [sum(map(operator.mul, row, b)) for row in dec.p_rows]
-    if any(ci % di for ci, di in zip(c, dec.divisors)) or any(c[r:]):
-        return SolutionFamily.empty()
-    if n - r > 1:
-        return None
-    y = [ci // di for ci, di in zip(c, dec.divisors)]
-    # map stops after r entries: u = q[:, :r] @ y, the solution at t = 0
-    u = [sum(map(operator.mul, row, y)) for row in q]
-    if r == n:
-        return SolutionFamily.singleton(u) if all(x >= 0 for x in u) else SolutionFamily.empty()
-    v = [row[r] for row in q]
-
-    lo = None
-    hi = None
-    for u_i, v_i in zip(u, v):
-        if v_i > 0:
-            bound = _ceil_div(-u_i, v_i)
-            lo = bound if lo is None else max(lo, bound)
-        elif v_i < 0:
-            bound = u_i // (-v_i)
-            hi = bound if hi is None else min(hi, bound)
-        elif u_i < 0:
+    for row, d in plan.tests:
+        c = sum(map(operator.mul, row, b))
+        if c % d if d else c:
             return SolutionFamily.empty()
-    if lo is None or hi is None:
-        # a natural-number matrix without zero columns has a kernel
-        # direction with entries of both signs
-        raise InternalInvariantError("the kernel direction of a preprocessed matrix is one-signed")
-    if lo > hi:
+    if plan.free > 1:
+        return None
+    u = [sum(map(operator.mul, row, b)) // plan.det for row in plan.rows]
+    if not plan.free:
+        return SolutionFamily.singleton(u) if min(u, default=0) >= 0 else SolutionFamily.empty()
+    # u_i + j v_i >= 0: j >= ceil(-u_i / v_i) = -(u_i // v_i) for v_i > 0,
+    # j <= u_i // -v_i for v_i < 0, and u_i >= 0 for v_i = 0
+    lo = max([-(u[i] // v) for i, v in plan.pos])
+    hi = min([u[i] // w for i, w in plan.neg])
+    if lo > hi or any(u[i] < 0 for i in plan.zero):
         return SolutionFamily.empty()
+    v = plan.direction
     if lo == hi:
         return SolutionFamily.singleton(u_i + lo * v_i for u_i, v_i in zip(u, v))
     # u, v, lo and hi are Python ints already: no int() pass
-    return SolutionFamily(base=tuple(u), direction=tuple(v), jmin=lo, jmax=hi)
+    return SolutionFamily(base=tuple(u), direction=v, jmin=lo, jmax=hi)
 
 
 class _WalkPlan:
@@ -232,7 +274,10 @@ class _WalkPlan:
                 basis.append(j)
         if len(basis) != rank:
             raise InternalInvariantError("walk plan: no basis block of full rank")
-        det, adj = _det_adj(a[:, basis])
+        # adj = U of the block's Smith form, q diag(D / d_i) p[:r] here
+        det, adj = _scaled_inverse(snf(a[:, basis]))
+        if not np.array_equal(adj @ a[:, basis], det * int_identity(rank)):
+            raise InternalInvariantError("walk plan: adj B != D I")
 
         self.n = n
         self.basis = tuple(basis)
@@ -293,26 +338,6 @@ class _RowPlan:
         self.steps = tuple((wt, wt * math.fsum([r for r, x in zip(lam, self.w) if x == wt]))
                            for wt in sorted(set(self.w)) if wt <= self.MAX_WEIGHT)
         self.neg_rates = [-r for r in lam]
-
-
-def _det_adj(block) -> tuple[int, np.ndarray]:
-    """D, the last Smith divisor of an m x r block B of full column
-    rank, and an r x m integer matrix adj with adj B = D I.
-
-    With p B q = d from the Smith form, p and q unimodular, the first r
-    rows of p B are d_r q^-1 with d_r = diag(d_1..d_r), so
-    adj = q diag(D / d_i) p[:r] gives adj B = D I: every d_i divides D.
-    """
-    dec = snf(block)
-    r = block.shape[1]
-    det = max(dec.divisors, default=1)
-    scaled = dec.p[:r, :].copy()
-    for i, d in enumerate(dec.divisors):
-        scaled[i, :] *= det // d
-    adj = dec.q @ scaled
-    if not np.array_equal(adj @ block, det * int_identity(r)):
-        raise InternalInvariantError("walk plan: adj B != D I")
-    return det, adj
 
 
 def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:

@@ -142,6 +142,15 @@ def test_snf_deterministic():
     assert np.array_equal(d1.d, d2.d)
 
 
+def test_snf_compares_and_hashes_by_identity():
+    # the generated __eq__ compared the arrays (ValueError) and the
+    # generated __hash__ hashed them (TypeError)
+    a = [[4, 6, 2], [6, 4, 8]]
+    d1, d2 = lp.snf(a), lp.snf(a)
+    assert d1 == d1 and d1 != d2
+    assert len({d1, d2, d1}) == 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(int_matrices())
 def test_snf_invariants(rows):

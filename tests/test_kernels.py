@@ -4,6 +4,7 @@ pinned to golden values, and exact hit counts."""
 import hashlib
 import math
 import tracemalloc
+from collections import Counter
 from itertools import accumulate
 
 import numpy as np
@@ -16,6 +17,7 @@ from linpois import model as model_module
 from linpois.errors import InputError
 from linpois.model import PoissonModel
 from linpois.montecarlo import verify
+from linpois.pmf import pmf
 
 from conftest import EXAMPLE3
 from oracle import log_poisson, mix64, uniform53, unmix64
@@ -658,3 +660,39 @@ def test_hits_block_divisors_and_dependent_rows(a, rates, shift, on):
     if not on:
         # the lattice test on all drawable columns fails before any draw
         assert hits == draws == 0
+
+
+def test_hits_block_and_pmf_share_the_lattice_tests():
+    """One builder makes the lattice tests of pmf's query plan and of
+    the sampler.  With CDF-table rates every kept column is drawn, in
+    the order of the reduced system, so the sampler's first test set is
+    the plan's.  On random b, hits_block counts 0 hits exactly where pmf
+    finds no point (route "empty", or a walk of no point), and draws
+    nothing where a test fails."""
+    rng = np.random.default_rng(11)
+    seen = Counter()
+    for _ in range(16):
+        m, n = int(rng.integers(1, 3)), int(rng.integers(1, 5))
+        a = rng.integers(0, 4, size=(m, n))
+        a[int(rng.integers(m))] *= int(rng.integers(1, 4))
+        if rng.random() < 0.3:
+            a = np.vstack([a, 2 * a[0]])
+        model = PoissonModel(a, rng.uniform(0.5, 3.0, n))
+        drawn, checks = model._draw_plan
+        assert [c for c, _, _ in drawn] == model._kept
+        tests = model._query_plan.tests
+        assert checks[0] == tests
+        for _ in range(10):
+            b = [int(x) for x in rng.integers(-1, 7, len(a))]
+            res = pmf(model, b)
+            # too rare for the block to hit with certainty
+            if 0.0 < res.prob < 1e-3:
+                continue
+            hits, draws = K.hits_block(model, b, 3, 0, 1 << 14)
+            assert (hits == 0) == (res.terms == 0), (a, b)
+            pb = [(sum(x * y for x, y in zip(row, b)), d) for row, d in tests]
+            if any(c % d if d else c for c, d in pb):
+                assert res.route == "empty" and draws == 0
+                seen["off the lattice"] += 1
+            seen["hit" if hits else "no point"] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 5, seen

@@ -5,11 +5,13 @@ import importlib
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linpois as lp
 from linpois import intlinalg, kernels
+from linpois.errors import InputError
 
 from conftest import EXAMPLE1, EXAMPLE2
 
@@ -106,3 +108,36 @@ def test_benchmark_hooks_are_reached(monkeypatch):
     wide = lp.PoissonModel([[1, 0, 1]], [1.0, 1.0, 1.0])
     assert (wide.n_full, wide.n) == (3, 2)
     assert kernels.default_backend() == lp.default_backend() == "numpy"
+
+
+# PoissonModel._observation, the one check of an observation: a list or
+# a tuple of integers is converted directly, anything else through
+# int_vector; both give Python ints, and every refusal names what is
+# wrong
+OBSERVED = lp.PoissonModel(EXAMPLE1, [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("b", [
+    [2, 7], (2, 7), np.array([2, 7]), np.array([2, 7], dtype=np.uint64),
+    [np.int64(2), np.uint8(7)], (np.int32(2), 7)])
+def test_observation_gives_python_ints(b):
+    out = OBSERVED._observation(b)
+    assert type(out) is list and out == [2, 7] and all(type(x) is int for x in out)
+
+
+@pytest.mark.parametrize("b, message", [
+    ([1, True], "entry 1 is not an integer: True"),
+    ([np.bool_(True), 1], f"entry 0 is not an integer: {np.bool_(True)!r}"),
+    ((1, 2.0), "entry 1 is not an integer: 2.0"),
+    (np.array([1.5, 2.0]), "entry 0 is not an integer: 1.5"),
+    (["1", 2], "entry 0 is not an integer: '1'"),
+    ("12", "expected a vector, got ndim=0"),
+    ([[1, 2]], "expected a vector, got ndim=2"),
+    ([1, 2, 3], "observation length 3 != row count 2"),
+    ((1,), "observation length 1 != row count 2"),
+])
+def test_observation_refusals_keep_their_message(b, message):
+    for query in (OBSERVED._observation, lambda b: lp.pmf(OBSERVED, b)):
+        with pytest.raises(InputError) as err:
+            query(b)
+        assert str(err.value) == message

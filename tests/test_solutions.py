@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 
 def solve(a, b):
     # b as pmf's query step hands it on: a list of ints
-    return S._snf_family(lp.snf(a), [int(x) for x in b])
+    return S._snf_family(S._QueryPlan(lp.snf(a)), [int(x) for x in b])
 
 
 # deterministic pool of matrices with a kernel of dimension 1, found by
@@ -82,19 +83,19 @@ def test_divisors_above_one_keep_the_line_route():
 # ------------------------------------------------------ single index
 
 def test_parametrize_known_solution_sets():
-    dec = lp.snf(EXAMPLE1)
-    fam = S._snf_family(dec, [2, 2])
+    plan = S._QueryPlan(lp.snf(EXAMPLE1))
+    fam = S._snf_family(plan, [2, 2])
     assert family_set(fam) == {(0, 0, 2), (2, 1, 0)}
     assert fam.count == 2
     # k3 = 1 - 2 k2 forces k1 = -1; no nonnegative solution
-    assert S._snf_family(dec, [0, 1]).kind == "empty"
-    assert S._snf_family(dec, [0, 0]).kind == "singleton"
+    assert S._snf_family(plan, [0, 1]).kind == "empty"
+    assert S._snf_family(plan, [0, 0]).kind == "singleton"
     # divisor 2: 2 k1 + 2 k2 = b is a line of b/2 + 1 points for even b
-    dec = lp.snf([[2, 2]])
-    fam = S._snf_family(dec, [200])
+    plan = S._QueryPlan(lp.snf([[2, 2]]))
+    fam = S._snf_family(plan, [200])
     assert fam.kind == "line" and fam.count == 101
     assert family_set(fam) == {(j, 100 - j) for j in range(101)}
-    assert S._snf_family(dec, [201]).kind == "empty"
+    assert S._snf_family(plan, [201]).kind == "empty"
 
 
 @given(st.integers(0, 12), st.integers(0, 12))
@@ -231,7 +232,7 @@ def test_snf_family_equals_enumeration(system):
     if any(all(a[i, j] == 0 for i in range(m)) for j in range(n)):
         return
     dec = lp.snf(a)
-    fam = S._snf_family(dec, b)
+    fam = S._snf_family(S._QueryPlan(dec), b)
     want = family_set(enumerate_solutions(a, b))
     if n - dec.rank >= 2:
         # left to the walk unless b is off the lattice
@@ -292,7 +293,7 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
     assert fam.count == want.count
     # the walk alone, where solution_family hands it b: on the lattice
     # and nonnegative
-    if min(b) >= 0 and S._snf_family(model.snf, b) is None:
+    if min(b) >= 0 and S._snf_family(model._query_plan, b) is None:
         assert family_set(S._walk_family(model._walk_plan, b)) == family_set(want)
     auto = lp.pmf(model, b)
     ref = reference_log_prob(model.rates.tolist(), family_set(want))
@@ -358,10 +359,10 @@ def test_dependent_rows_are_checked_before_the_walk():
     # row 1 = 2 * row 0: b = [3, 7] is off the lattice, so _snf_family
     # answers it and the walk never sees it
     model = lp.PoissonModel([[1, 1, 2], [2, 2, 4]], [1.0, 1.0, 1.0])
-    for fam in (S._snf_family(model.snf, [3, 7]), lp.solution_family(model, [3, 7])):
+    for fam in (S._snf_family(model._query_plan, [3, 7]), lp.solution_family(model, [3, 7])):
         assert fam.kind == "empty" and family_set(fam) == set()
     assert lp.pmf(model, [3, 7]).prob == 0.0
-    assert S._snf_family(model.snf, [3, 6]) is None
+    assert S._snf_family(model._query_plan, [3, 6]) is None
     fam = lp.solution_family(model, [3, 6])
     assert fam.count == 6 and family_set(fam) == {
         (0, 1, 1), (0, 3, 0), (1, 0, 1), (1, 2, 0), (2, 1, 0), (3, 0, 0)}
@@ -431,23 +432,81 @@ def test_points_are_column_major():
         assert pts.dtype == np.float64 and np.array_equal(pts, rows)
 
 
-def test_snf_rows_are_read_once_and_serve_every_b():
-    """The Smith transforms' rows are read as Python ints on the first
-    query, not at model build, and one decomposition answers every b."""
+def test_query_plan_is_built_once_and_serves_every_b():
+    """pmf's query plan is read off the Smith form on the first query,
+    not at model build, and one plan answers every b."""
     model = lp.PoissonModel(EXAMPLE2, [1.0] * 4)
-    dec = model.snf
-    assert "p_rows" not in vars(dec) and "q_rows" not in vars(dec)
+    model.snf
+    assert "_query_plan" not in vars(model)
     rng = np.random.default_rng(3)
     bs = [(np.array(EXAMPLE2) @ rng.integers(0, 6, 4)).tolist() for _ in range(6)] + [[1, 2, 3]]
-    fams = [S._snf_family(dec, b) for b in bs]
-    rows = dec.p_rows, dec.q_rows
-    assert rows[0] == tuple(map(tuple, dec.p.tolist()))
-    assert rows[1] == tuple(map(tuple, dec.q.tolist()))
-    assert all(type(x) is int for r in rows[0] + rows[1] for x in r)
+    fams = [lp.solution_family(model, b) for b in bs]
+    plan = model._query_plan
+    assert all(type(x) is int for row in plan.rows for x in row)
+    assert all(type(x) is int for row, d in plan.tests for x in row + (d,))
     for b, fam in zip(bs, fams):
         assert family_set(fam) == family_set(enumerate_solutions(EXAMPLE2, b))
-    S._snf_family(dec, bs[0])
-    assert dec.p_rows is rows[0] and dec.q_rows is rows[1]
+    lp.pmf(model, bs[0])
+    assert model._query_plan is plan
+
+
+def _plan_models():
+    """Seeded natural matrices, reduced by the model, none of them a
+    benchmark model: a row scaled by 2 or 3 gives Smith divisors above
+    1, an appended combination of rows a dependent row."""
+    rng = np.random.default_rng(2029)
+    models = []
+    for _ in range(80):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        a = rng.integers(0, 4, size=(m, n))
+        if rng.random() < 0.5:
+            a[int(rng.integers(m))] *= int(rng.integers(2, 4))
+        if rng.random() < 0.3:
+            a = np.vstack([a, a[0] * int(rng.integers(1, 3)) + a[-1]])
+        model = lp.PoissonModel(a, [1.0] * n)
+        if model.n:
+            models.append(model)
+    return models
+
+
+def test_query_plan_equals_enumeration():
+    """The plan's family equals the oracle's on seeded models with
+    divisors above 1 (so u = U b / D divides), dependent rows, kernel
+    directions with zero entries and kernel dimensions 0, 1 and 2 or
+    more, at b on the lattice, off it and negative."""
+    rng = np.random.default_rng(7)
+    seen = Counter()
+    for model in _plan_models():
+        a, plan = model.a, model._query_plan
+        m, n = a.shape
+        bs = []
+        for _ in range(4):
+            b = [int(x) for x in a @ lp.int_vector(rng.integers(0, 4, n))]
+            bs.append(b)
+            b = list(b)
+            b[int(rng.integers(m))] += int(rng.integers(-2, 3))
+            bs.append(b)
+        bs.append([int(x) for x in rng.integers(-2, 6, m)])
+        for b in bs:
+            fam = S._snf_family(plan, b)
+            want = family_set(enumerate_solutions(a, b))
+            assert family_set(lp.solution_family(model, b)) == want
+            seen["negative b"] += min(b) < 0
+            # (p b)_i for each test that can fail: d_i | (p b)_i, or (p b)_i = 0
+            pb = [(sum(x * y for x, y in zip(row, b)), d) for row, d in plan.tests]
+            seen["off the lattice"] += any(c % d if d else c for c, d in pb)
+            if plan.free > 1:
+                assert fam is None or (fam.kind == "empty" and not want)
+                seen["kernel dimension >= 2"] += fam is None
+                continue
+            assert family_set(fam) == want
+            if want:
+                seen[f"kernel dimension {plan.free}"] += 1
+                seen["divisor above 1"] += plan.det > 1
+                seen["dependent rows"] += model.snf.rank < m
+                seen["zero entry in the direction"] += plan.free == 1 and bool(plan.zero)
+    # every case occurs, with a solution where it has one
+    assert len(seen) == 8 and min(seen.values()) >= 5, seen
 
 
 # ------------------------------------------------------ point cap
