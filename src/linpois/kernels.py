@@ -348,11 +348,10 @@ def _draw_plan(model) -> tuple:
 
 
 def _hit_target(model, b) -> tuple:
-    """hits_block's checks of b, then of the model's plan: b as a list of
-    ints (PoissonModel._observation) that fit int64, the drawn columns
-    and their lattice tests.  verify runs it before pmf."""
-    if not isinstance(model, PoissonModel):
-        raise InputError("hits_block samples a PoissonModel")
+    """hits_block's checks of the model and b, then the model's plan: b
+    as a list of ints (PoissonModel._observation) that fit int64, the
+    drawn columns and their lattice tests.  verify runs it before pmf."""
+    PoissonModel._check(model)
     bl = model._observation(b)
     if any(not -_INT64_MAX - 1 <= x <= _INT64_MAX for x in bl):
         raise InputError("observation entries must fit in int64 for sampling")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InputError
 from .intlinalg import SnfDecomposition, _is_int, int_matrix, int_vector, snf
-from .solutions import _QueryPlan, _real_vector, _RowPlan, _WalkPlan
+from .solutions import _QueryPlan, _real_vector
 
 __all__ = ["PoissonModel", "model_from_dict", "load_model_file"]
 
@@ -110,8 +110,7 @@ class PoissonModel:
     reads, and listed in ``removed_columns``; every row is kept, since
     the SNF checks dependent rows.  ``a_full``/``rates_full`` keep the
     checked input in its original shape.  Derived objects (SNF, the log
-    rates of the terms, the plans of pmf's lattice step, of the
-    free-coordinate walk, of the rank-1 recurrence and of the sampler)
+    rates of the terms, pmf's query plan and the sampler's draw plan)
     are cached on first use.
     """
 
@@ -175,6 +174,12 @@ class PoissonModel:
             raise InputError(f"observation length {len(b)} != row count {self.m_full}")
         return b
 
+    @staticmethod
+    def _check(model) -> None:
+        # the one check that an argument is a model, for every entry point
+        if not isinstance(model, PoissonModel):
+            raise InputError(f"expected a PoissonModel, got {type(model).__name__}")
+
     @cached_property
     def snf(self) -> SnfDecomposition:
         return snf(self._a)
@@ -195,23 +200,8 @@ class PoissonModel:
 
     @cached_property
     def _query_plan(self) -> _QueryPlan:
-        # pmf's lattice step, read off the SNF on the first query, not at build
-        return _QueryPlan(self.snf)
-
-    @cached_property
-    def _walk_plan(self) -> _WalkPlan:
-        # built on the first query that walks a kernel of dimension >= 2
-        return _WalkPlan(self._a, self.snf.rank)
-
-    @cached_property
-    def _row_plan(self) -> _RowPlan | None:
-        # the recurrence's plan when the kernel has dimension >= 2, A has
-        # rank 1 and the rates total at most 2**200, else None; built on
-        # the first pmf query, not at build.  Past that total no sum of
-        # rates may overflow, and pmf's error bound declines every b.
-        if self.snf.rank != 1 or self.n < 3 or sum(self._rates.tolist()) > 2.0 ** 200:
-            return None
-        return _RowPlan(self._a, self._rates)
+        # pmf's one plan, read off the SNF on the first query, not at build
+        return _QueryPlan(self.snf, self._a, self._rates)
 
     @cached_property
     def _draw_plan(self) -> tuple:

@@ -2,21 +2,21 @@
 
 P(Y = b) is a sum of independent-Poisson product terms over the
 solution set of A k = b.  pmf and solution_family share one query step
-(_lattice_family): b is checked, and the Smith normal form decides
-whether b is on the lattice and reads off a singleton or a line.  When
-the kernel of A has dimension 2 or more, solution_family walks the free
-coordinates of the model's cached walk plan (_walk_family), which lists
-the points without checking b again; pmf first tries the rank-1
-recurrence below, and walks only when it declines.  The model's reduced
-system has no zero-rate column (the model leaves them out with the
-zero columns), so every term of every point is finite.  Log terms are
-formed in numpy passes over column-major arrays of lattice points,
-never over tuples, each pass along one contiguous column, and combined
-by a max-shifted log-sum whose inner sum is math.fsum.  fsum is
-correctly rounded, so the result does not depend on the order of the
-terms; its cost does, through the number of partials it keeps, so a
-line's window is handed over from the mode outward.  Each result names
-the route that answered it (PmfResult.route).
+(_lattice_family): the model and b are checked, and the model's query
+plan decides whether b is on the lattice and reads off a singleton or a
+line.  When the kernel of A has dimension 2 or more, solution_family
+walks the free coordinates with the plan's walk plan (_walk_family),
+which does not check b again; pmf first tries the rank-1 recurrence
+below, and walks only when it declines.  The model's reduced system has
+no zero-rate column (the model leaves them out with the zero columns),
+so every term of every point is finite.  Log terms are formed in numpy
+passes over column-major arrays of lattice points, never over tuples,
+each pass along one contiguous column, and combined by a max-shifted
+log-sum whose inner sum is math.fsum.  fsum is correctly rounded, so
+the result does not depend on the order of the terms; its cost does,
+through the number of partials it keeps, so a line's window is handed
+over from the mode outward.  Each result names the route that answered
+it (PmfResult.route).
 
 A singleton or finite family is summed over all its points.  A line
 u + j v is summed over a window around its mode instead: ln t(j) is
@@ -177,9 +177,9 @@ def logsumexp(terms) -> float:
 
 
 def _lattice_family(model: PoissonModel, b) -> tuple[list[int] | None, SolutionFamily | None]:
-    """The query step of pmf and solution_family: b checked
-    (PoissonModel._observation), then the lattice test of the model's
-    query plan (PoissonModel._query_plan, read off its SNF once).
+    """The query step of pmf and solution_family: the model and b checked
+    (PoissonModel._check and _observation), then the lattice test of the
+    model's query plan (PoissonModel._query_plan, read off its SNF once).
 
     Returns b as a list of ints and its solution family, read off that
     plan; the family is None when the kernel of A has dimension
@@ -188,6 +188,7 @@ def _lattice_family(model: PoissonModel, b) -> tuple[list[int] | None, SolutionF
     (None, the empty family).  _walk_family and _recurrence trust these
     checks.
     """
+    PoissonModel._check(model)
     b = model._observation(b)
     if min(b) < 0:
         return None, SolutionFamily.empty()
@@ -199,7 +200,7 @@ def solution_family(model: PoissonModel, b) -> SolutionFamily:
     lattice, a kernel of dimension 2 or more is walked over its free
     coordinates."""
     b, fam = _lattice_family(model, b)
-    return _walk_family(model._walk_plan, b) if fam is None else fam
+    return _walk_family(model._query_plan.walk, b) if fam is None else fam
 
 
 def _result(lp: float, route: str, terms: int, summed: int, tail: float = 0.0) -> PmfResult:
@@ -245,13 +246,13 @@ def _shift_window(u: list, lo: int, hi: int) -> int | None:
     return e
 
 
-def _recurrence(model: PoissonModel, b: list[int]) -> PmfResult | None:
+def _recurrence(plan: solutions._QueryPlan, b: list[int]) -> PmfResult | None:
     """P(Y = b) for a rank-1 A whose kernel has dimension 2 or more, by
     the Panjer recurrence; None when the route declines the query.
 
     b is checked and on the lattice (_lattice_family); None at once
-    when the model has no row plan (model._row_plan).  Every row is g_i w
-    (solutions._RowPlan), so A k = b is w k = t with t = b[row] / g.
+    when plan, the model's query plan, has no primitive row w.  Every
+    row is g_i w, so A k = b is w k = t with t = b[row] / g.
     Y' = w X has the generating function exp(sum_j l_j (z^w_j - 1)),
     whose derivative gives s P(s) = sum_j w_j l_j P(s - w_j) for
     s = 1..t, a sum of terms >= 0.  Columns of one weight share one
@@ -281,8 +282,7 @@ def _recurrence(model: PoissonModel, b: list[int]) -> PmfResult | None:
     counted by _count_points; summed is the t + 1 entries computed, or
     0 when there are no points.
     """
-    plan = model._row_plan
-    if plan is None:
+    if plan.w is None:
         return None
     t = b[plan.row] // plan.g
     if len(plan.w) * (t + 1) > solutions.MAX_POINTS or 5 * (t + 1) * _EPS > RECURRENCE_TOL:
@@ -428,10 +428,10 @@ def pmf(model: PoissonModel, b) -> PmfResult:
     b, fam = _lattice_family(model, b)
     route = "walk" if fam is None else fam.kind
     if fam is None:
-        res = _recurrence(model, b)
+        res = _recurrence(model._query_plan, b)
         if res is not None:
             return res
-        fam = _walk_family(model._walk_plan, b)
+        fam = _walk_family(model._query_plan.walk, b)
     if route == "line":
         return _line_sum(fam, model)
     return _summed(_log_terms(fam.points(), model.rates, model.term_constants), route)
@@ -452,6 +452,7 @@ def gf_eval(model: PoissonModel, z) -> float:
     column the model leaves out has the term 0.0 or -0.0 (a zero column
     or rate), which leaves the fsum unchanged.
     """
+    PoissonModel._check(model)
     z = _real_vector(z, "z", 1.0, model.m_full)
     ln_z = [math.log(x) if x > 0.0 else NEG_INF for x in z.tolist()]
     rows = model.a.tolist()
@@ -476,6 +477,7 @@ def pmf_table(model: PoissonModel, degree_bound: int) -> np.ndarray:
     integer rule (intlinalg._int_arg: a float, a string or a bool is
     refused, not truncated, parsed or read as 1).
     """
+    PoissonModel._check(model)
     B = _int_arg(degree_bound, "degree bound", u64=False)
     m = model.m_full
     cols = [[int(x) for x in model.a[:, j]] for j in range(model.n)]

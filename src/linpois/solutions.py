@@ -1,21 +1,17 @@
 """Nonnegative integer solution sets of A k = b for natural-number matrices.
 
-``_snf_family`` reads the solution set off a model's ``_QueryPlan``,
-what the Smith normal form p A q = d gives for every b, built once:
-whether b is on the lattice (dependent rows included), then a
+``_QueryPlan`` is the one plan of pmf and solution_family, read off a
+model's Smith normal form p A q = d once.  ``_snf_family`` reads from
+it whether b is on the lattice (dependent rows included), then a
 singleton when the kernel of A is trivial or a line ``u + j v`` when
-it has dimension 1, for any elementary divisors.  For a kernel of
-dimension 2 or more with b on the lattice, ``pmf.solution_family``
-(and ``pmf.pmf``, when its rank-1 recurrence declines) finishes the set
-with ``_walk_family``: a breadth-first walk, in numpy array passes,
-over only the n - r free coordinates of a ``_WalkPlan``, whose r basis
-coordinates are then solved exactly with an integer matrix read off
-the Smith form of the m x r block of basis columns.
-Both trust the checks that pmf's query step made on b, and the walk
-also the lattice test.
-``_RowPlan`` reduces a matrix of rank 1 to one primitive row, for
-pmf's recurrence, which answers such a kernel without the walk when
-its step cap and error bound allow.
+it has dimension 1, for any elementary divisors.  A kernel of
+dimension 2 or more is answered by pmf's rank-1 recurrence from the
+plan's primitive row, or walked by ``_walk_family`` with the plan's
+``_WalkPlan``: a breadth-first walk, in numpy array passes, over only
+the n - r free coordinates, whose r basis coordinates are then solved
+exactly with an integer matrix read off the Smith form of the m x r
+block of basis columns.  Both trust the checks that pmf's query step
+made on b, and the walk also the lattice test.
 
 Both refuse, with InputError, a solution set, walk frontier or block of
 line points of more than MAX_POINTS points before allocating it.
@@ -31,6 +27,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -184,9 +181,9 @@ def _scaled_inverse(dec: SnfDecomposition) -> tuple[int, np.ndarray]:
 
 
 class _QueryPlan:
-    """What pmf's query step reads off the Smith form p A q = d of a
-    preprocessed matrix for every b, built once per model on its first
-    query (PoissonModel._query_plan), not at build.
+    """How pmf answers each b on a preprocessed matrix A, read off its
+    Smith form p A q = d: the one plan of pmf and solution_family, built
+    once per model on its first query (PoissonModel._query_plan).
 
     ``tests`` are the lattice tests that can fail (_lattice_tests) and
     ``free`` = n - r the kernel dimension.  When free <= 1, ``det`` = D
@@ -197,13 +194,43 @@ class _QueryPlan:
     and ``zero``, the i with v_i = 0.  A natural-number matrix without
     zero columns has a kernel direction with entries of both signs;
     InternalInvariantError otherwise.
+
+    ``w`` is None unless free >= 2, A has rank 1 and its rates total at
+    most 2**200 (past that a sum of rates may overflow, and pmf's error
+    bound declines every b).  Then each row is g_i w for the primitive
+    row ``w`` of pmf's recurrence: row ``row``, the first nonzero one,
+    divided by ``g``, the gcd of its entries (a multiple of a row of
+    gcd 1 is integral only for an integer multiple); every w_j >= 1.  A
+    b on the lattice has t = b[row] // g.  ``steps`` holds one (weight,
+    weight * math.fsum of the rates of its columns) pair per distinct
+    w_j up to MAX_WEIGHT, in increasing order; ``neg_rates`` are the
+    rates negated.  For free >= 2, ``walk`` is the _WalkPlan of A, built
+    on the first walk.
     """
 
-    def __init__(self, dec: SnfDecomposition):
+    # pmf's error bound keeps t below 2**11, so no larger weight enters
+    # a step of its recurrence
+    MAX_WEIGHT = 1 << 12
+    w = None
+
+    def __init__(self, dec: SnfDecomposition, a, rates):
         r = dec.rank
         self.tests = _lattice_tests(dec)
         self.free = len(dec.q) - r
         if self.free > 1:
+            self._a = a
+            lam = rates.tolist()
+            if r != 1 or sum(lam) > 2.0 ** 200:
+                return
+            rows = a.tolist()
+            self.row = next(i for i, row in enumerate(rows) if any(row))
+            self.g = math.gcd(*rows[self.row])
+            self.w = tuple(x // self.g for x in rows[self.row])
+            if any(row != [row[0] // self.w[0] * x for x in self.w] for row in rows):
+                raise InternalInvariantError("query plan: a row is not a multiple of the primitive row")
+            self.steps = tuple((wt, wt * math.fsum([x for x, y in zip(lam, self.w) if y == wt]))
+                               for wt in sorted(set(self.w)) if wt <= self.MAX_WEIGHT)
+            self.neg_rates = [-x for x in lam]
             return
         self.det, rows = _scaled_inverse(dec)
         self.rows = tuple(map(tuple, rows.tolist()))
@@ -215,6 +242,10 @@ class _QueryPlan:
         self.zero = tuple(i for i, v in enumerate(self.direction) if v == 0)
         if not (self.pos and self.neg):
             raise InternalInvariantError("the kernel direction of a preprocessed matrix is one-signed")
+
+    @cached_property
+    def walk(self) -> _WalkPlan:
+        return _WalkPlan(self._a, self._a.shape[1] - self.free)
 
 
 def _snf_family(plan: _QueryPlan, b: list[int]) -> SolutionFamily | None:
@@ -260,10 +291,10 @@ class _WalkPlan:
     matrix ``adj`` with adj B = D I; the other n - r columns are
     ``free``.  When D = 1 every basis solve is exact; otherwise
     _walk_family drops the leaves whose division by D leaves a
-    remainder.  Built from PoissonModel.a, whose entries preprocess has
-    checked to be >= 0 and which has no zero column: the box bound of
-    the walk needs every column to have a positive entry and residuals
-    that only fall; and from the rank of its Smith form, model.snf.
+    remainder.  Built by _QueryPlan.walk from a preprocessed matrix,
+    whose entries are >= 0 and which has no zero column: the box bound
+    of the walk needs every column to have a positive entry and
+    residuals that only fall; and from the rank of its Smith form.
     """
 
     def __init__(self, a, rank: int):
@@ -305,39 +336,6 @@ class _WalkPlan:
             else:
                 steps.append((pos, np.array(vals, dtype=dtype), m + j))
         return steps, np.array(self.adj, dtype=dtype).reshape(len(self.basis), m).T
-
-
-class _RowPlan:
-    """A k = b for a preprocessed matrix of rank 1, as one row w k = t.
-
-    Every row of such a matrix is g_i w for one primitive row w: the
-    first nonzero row divided by the gcd of its entries (an integer
-    multiple of a row whose entries have gcd 1 is integral only for an
-    integer multiple).  Preprocess has removed the zero columns, so
-    every w_j >= 1.  ``row`` is that first nonzero row and ``g`` its
-    multiplier, so a b on the lattice A Z^n = g Z has t = b[row] // g.
-    ``steps`` holds one (weight, weight * math.fsum of the rates of its
-    columns) pair per distinct w_j up to MAX_WEIGHT, in increasing
-    order; ``neg_rates`` are the rates negated.  The walk plan of the
-    same matrix takes column 0 as its basis and every other column as
-    free.
-    """
-
-    # pmf's error bound keeps t below 2**11, so no larger weight enters
-    # a step of its recurrence
-    MAX_WEIGHT = 1 << 12
-
-    def __init__(self, a, rates):
-        rows = [[int(x) for x in row] for row in a.tolist()]
-        self.row = next(i for i, row in enumerate(rows) if any(row))
-        self.g = math.gcd(*rows[self.row])
-        self.w = tuple(x // self.g for x in rows[self.row])
-        if any(row != [row[0] // self.w[0] * x for x in self.w] for row in rows):
-            raise InternalInvariantError("row plan: a row is not a multiple of the primitive row")
-        lam = rates.tolist()
-        self.steps = tuple((wt, wt * math.fsum([r for r, x in zip(lam, self.w) if x == wt]))
-                           for wt in sorted(set(self.w)) if wt <= self.MAX_WEIGHT)
-        self.neg_rates = [-r for r in lam]
 
 
 def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:

@@ -141,3 +141,25 @@ def test_observation_refusals_keep_their_message(b, message):
         with pytest.raises(InputError) as err:
             query(b)
         assert str(err.value) == message
+
+
+# every entry point that takes a model, with valid other arguments
+MODEL_ENTRIES = {
+    "pmf": lambda x: lp.pmf(x, [1]),
+    "solution_family": lambda x: lp.solution_family(x, [1]),
+    "gf_eval": lambda x: lp.gf_eval(x, [0.5]),
+    "pmf_table": lambda x: lp.pmf_table(x, 3),
+    "hits_block": lambda x: kernels.hits_block(x, [1], 0, 0, 10),
+    "verify": lambda x: lp.verify(x, [1], 100, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODEL_ENTRIES))
+@pytest.mark.parametrize("arg", [None, [[1]], {"a": [[1]], "lambda": [1.0]}],
+                         ids=["none", "matrix", "dict"])
+def test_entry_points_refuse_a_non_model(entry, arg):
+    """A non-model argument is an InputError (exit 2), not an
+    AttributeError traceback from inside the entry point."""
+    with pytest.raises(InputError, match="PoissonModel"):
+        MODEL_ENTRIES[entry](arg)
+    MODEL_ENTRIES[entry](lp.PoissonModel([[1]], [1.0]))

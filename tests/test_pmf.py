@@ -758,7 +758,7 @@ def test_recurrence_matches_walk(w, g, lam, t, shift):
     rows = [[gi * x for x in w] for gi in g]
     lam = lam[:len(w)]
     model = lp.PoissonModel(rows, lam)
-    assume(model._row_plan is not None)
+    assume(model._query_plan.w is not None)
     b = [gi * t for gi in g]
     if shift > 0:
         b[-1] += shift
@@ -770,7 +770,7 @@ def test_recurrence_matches_walk(w, g, lam, t, shift):
     assert res.terms == ref.terms
     assert rel_gap(res.log_prob, ref.log_prob) <= REL
     if res.terms:
-        plan = model._row_plan
+        plan = model._query_plan
         assert res.summed == b[plan.row] // plan.g + 1
     else:
         assert dataclasses.replace(res, route="walk") == ref
@@ -796,7 +796,7 @@ def test_recurrence_counts_and_sums_past_the_walk():
 def test_recurrence_beyond_the_float_range(rates, b, want):
     """Poisson(sum l) at b against the 40-digit oracle."""
     assert math.exp(-sum(rates)) == 0.0 or math.exp(want) == 0.0
-    res = P._recurrence(lp.PoissonModel([[1] * 4], rates), [b])
+    res = P._recurrence(lp.PoissonModel([[1] * 4], rates)._query_plan, [b])
     assert res is not None and res.terms == math.comb(b + 3, 3)
     assert rel_gap(res.log_prob, want) <= REL
 
@@ -805,9 +805,9 @@ def test_recurrence_step_cap(monkeypatch):
     # n (t + 1) = 3 * 21 = 63 steps
     model = lp.PoissonModel([[1, 1, 2]], [1.0, 2.0, 3.0])
     monkeypatch.setattr(S, "MAX_POINTS", 63)
-    assert P._recurrence(model, [20]).terms == 121
+    assert P._recurrence(model._query_plan, [20]).terms == 121
     monkeypatch.setattr(S, "MAX_POINTS", 62)
-    assert P._recurrence(model, [20]) is None
+    assert P._recurrence(model._query_plan, [20]) is None
     # pmf walks instead, and its frontier of 121 points is refused too
     with pytest.raises(InputError, match="walk frontier"):
         lp.pmf(model, [20])
@@ -818,7 +818,7 @@ def test_recurrence_step_cap(monkeypatch):
     ([[1, 1, 1]], [1.0, 1.0, 1.0], [2300]),
     # the coefficient of weight 1 is below 2**-200
     ([[1, 2, 2]], [1e-70, 1.0, 1.0], [30]),
-    # rates past 2**200 in total: the model has no row plan
+    # rates past 2**200 in total: the query plan has no primitive row
     ([[1, 1, 10**400]], [1.0, 1.0, 1e300], [30]),
 ])
 def test_recurrence_declines_to_the_walk(a, rates, b):
@@ -832,7 +832,7 @@ def test_recurrence_skips_weights_past_t(b):
     """Weight 5000 never enters a step at t = 30, and is past MAX_WEIGHT;
     b = 5000 is declined by the error bound and walked."""
     model = lp.PoissonModel([[1, 2, 5000]], [1.5, 0.5, 2.0])
-    assert model._row_plan.steps == ((1, 1.5), (2, 1.0))
+    assert model._query_plan.steps == ((1, 1.5), (2, 1.0))
     res = lp.pmf(model, b)
     assert res.route == ("walk" if b == [5000] else "recurrence")
     ref = walked(model, b)
@@ -854,7 +854,7 @@ def test_recurrence_equals_plain_fsum_loop(w, rates, t):
     for s in range(1, t + 1):
         p.append(math.fsum([c * p[s - x] for x, c in sorted(coef.items()) if x <= s]) / s)
     want = math.fsum([math.log(p[t]), 0.0, 0.0] + [-r for r in rates])
-    res = P._recurrence(lp.PoissonModel([w], rates), [t])
+    res = P._recurrence(lp.PoissonModel([w], rates)._query_plan, [t])
     assert res.log_prob == want
 
 

@@ -36,9 +36,16 @@ SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
      os.environ.get("PYTHONPATH", "")]))
 
 
+def query_plan(a):
+    # the plan of a raw matrix, which a model might reduce or refuse, at
+    # unit rates
+    a = lp.int_matrix(a)
+    return S._QueryPlan(lp.snf(a), a, np.ones(a.shape[1]))
+
+
 def solve(a, b):
     # b as pmf's query step hands it on: a list of ints
-    return S._snf_family(S._QueryPlan(lp.snf(a)), [int(x) for x in b])
+    return S._snf_family(query_plan(a), [int(x) for x in b])
 
 
 # deterministic pool of matrices with a kernel of dimension 1, found by
@@ -83,7 +90,7 @@ def test_divisors_above_one_keep_the_line_route():
 # ------------------------------------------------------ single index
 
 def test_parametrize_known_solution_sets():
-    plan = S._QueryPlan(lp.snf(EXAMPLE1))
+    plan = query_plan(EXAMPLE1)
     fam = S._snf_family(plan, [2, 2])
     assert family_set(fam) == {(0, 0, 2), (2, 1, 0)}
     assert fam.count == 2
@@ -91,7 +98,7 @@ def test_parametrize_known_solution_sets():
     assert S._snf_family(plan, [0, 1]).kind == "empty"
     assert S._snf_family(plan, [0, 0]).kind == "singleton"
     # divisor 2: 2 k1 + 2 k2 = b is a line of b/2 + 1 points for even b
-    plan = S._QueryPlan(lp.snf([[2, 2]]))
+    plan = query_plan([[2, 2]])
     fam = S._snf_family(plan, [200])
     assert fam.kind == "line" and fam.count == 101
     assert family_set(fam) == {(j, 100 - j) for j in range(101)}
@@ -231,10 +238,10 @@ def test_snf_family_equals_enumeration(system):
     m, n = a.shape
     if any(all(a[i, j] == 0 for i in range(m)) for j in range(n)):
         return
-    dec = lp.snf(a)
-    fam = S._snf_family(S._QueryPlan(dec), b)
+    plan = query_plan(a)
+    fam = S._snf_family(plan, b)
     want = family_set(enumerate_solutions(a, b))
-    if n - dec.rank >= 2:
+    if plan.free >= 2:
         # left to the walk unless b is off the lattice
         assert fam is None or (fam.kind == "empty" and not want)
         return
@@ -294,7 +301,7 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
     # the walk alone, where solution_family hands it b: on the lattice
     # and nonnegative
     if min(b) >= 0 and S._snf_family(model._query_plan, b) is None:
-        assert family_set(S._walk_family(model._walk_plan, b)) == family_set(want)
+        assert family_set(S._walk_family(model._query_plan.walk, b)) == family_set(want)
     auto = lp.pmf(model, b)
     ref = reference_log_prob(model.rates.tolist(), family_set(want))
     assert auto.terms == want.count
@@ -321,7 +328,7 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
 
 def _plan(a):
     # the walk plan of a model with unit rates, built from its Smith form's rank
-    return lp.PoissonModel(a, [1.0] * len(a[0]))._walk_plan
+    return lp.PoissonModel(a, [1.0] * len(a[0]))._query_plan.walk
 
 
 def test_walk_plan_takes_first_independent_block():
@@ -432,12 +439,32 @@ def test_points_are_column_major():
         assert pts.dtype == np.float64 and np.array_equal(pts, rows)
 
 
-def test_query_plan_is_built_once_and_serves_every_b():
+# the primitive row of the rank-1 recurrence, which a query plan holds
+# only for a rank-1 matrix whose kernel has dimension 2 or more
+ROW_DATA = {"row", "g", "w", "steps", "neg_rates"}
+
+
+def test_query_plan_is_built_once_and_serves_every_b(monkeypatch):
     """pmf's query plan is read off the Smith form on the first query,
-    not at model build, and one plan answers every b."""
+    not at model build, and one plan answers every b.  A singleton or
+    line query builds no row data and no walk plan, a rank-1 query
+    answered by the recurrence builds the row data but no walk plan, and
+    the first query the recurrence declines builds the walk plan, once
+    for every later walk."""
+    walk_plans = []
+
+    class CountedWalkPlan(S._WalkPlan):
+        def __init__(self, *args):
+            walk_plans.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(S, "_WalkPlan", CountedWalkPlan)
     model = lp.PoissonModel(EXAMPLE2, [1.0] * 4)
+    assert not {"snf", "_query_plan", "_draw_plan"} & set(vars(model))
+    # the reads that a benchmark's set-up makes build no plan either
     model.snf
-    assert "_query_plan" not in vars(model)
+    model.method
+    assert not {"_query_plan", "_draw_plan"} & set(vars(model))
     rng = np.random.default_rng(3)
     bs = [(np.array(EXAMPLE2) @ rng.integers(0, 6, 4)).tolist() for _ in range(6)] + [[1, 2, 3]]
     fams = [lp.solution_family(model, b) for b in bs]
@@ -446,8 +473,24 @@ def test_query_plan_is_built_once_and_serves_every_b():
     assert all(type(x) is int for row, d in plan.tests for x in row + (d,))
     for b, fam in zip(bs, fams):
         assert family_set(fam) == family_set(enumerate_solutions(EXAMPLE2, b))
-    lp.pmf(model, bs[0])
+    assert lp.pmf(model, bs[0]).route == "singleton"
     assert model._query_plan is plan
+    line = lp.PoissonModel(EXAMPLE1, [1.0] * 3)
+    assert lp.pmf(line, [2, 2]).route == "line"
+    for plan in (model._query_plan, line._query_plan):
+        assert plan.w is None and not (ROW_DATA | {"walk"}) & set(vars(plan))
+
+    rank1 = lp.PoissonModel([[1, 1000, 1000]], [1.0, 2.0, 3.0])
+    assert lp.pmf(rank1, [30]).route == "recurrence"
+    plan = rank1._query_plan
+    assert ROW_DATA <= set(vars(plan)) and "walk" not in vars(plan) and not walk_plans
+    # t = 1800: the recurrence runs its steps, then its error bound
+    # declines, and a walk of 3 points answers
+    res = lp.pmf(rank1, [1800])
+    assert (res.route, res.terms) == ("walk", 3) and len(walk_plans) == 1
+    assert lp.pmf(rank1, [2000]).route == "walk"
+    assert lp.solution_family(rank1, [2000]).count == 6
+    assert rank1._query_plan is plan and plan.walk is walk_plans[0] and len(walk_plans) == 1
 
 
 def _plan_models():
@@ -527,14 +570,14 @@ def test_point_cap_on_every_route(monkeypatch):
     with pytest.raises(InputError, match="walk frontier"):
         lp.pmf(model, [4])
     with pytest.raises(InputError, match="walk frontier"):
-        S._walk_family(model._walk_plan, [4])
+        S._walk_family(model._query_plan.walk, [4])
     # the oracle's depth-first search honours the same cap
     with pytest.raises(InputError, match="enumerated"):
         enumerate_solutions(model.a, [4])
     assert lp.pmf(model, [3]).terms == enumerate_solutions(model.a, [3]).count == 10
     # pmf answers [3] by the rank-1 recurrence in 12 steps; the walk
     # itself stays under the cap there
-    assert S._walk_family(model._walk_plan, [3]).count == 10
+    assert S._walk_family(model._query_plan.walk, [3]).count == 10
     line = lp.PoissonModel([[1, 1]], [1.0, 1.0])
     assert lp.pmf(line, [13]).terms == 14
     # a line is summed in blocks of at most MAX_POINTS points, so its
