@@ -27,7 +27,7 @@ def preprocess(a, rates) -> tuple[np.ndarray, np.ndarray, list[int]]:
     and marginalizes out with total probability 1; a zero-rate variable
     is 0 almost surely.  Either way the column's factor of the
     generating function is 1, so leaving it out preserves every
-    probability.  Every row is kept: _snf_family checks dependent rows.
+    probability.  Every row is kept: _snf_solutions checks dependent rows.
     """
     a = int_matrix(a)
     m, n = a.shape
@@ -90,14 +90,28 @@ def _log_factorials(k: np.ndarray) -> np.ndarray:
     return table[k.astype(np.intp)]
 
 
-def _log_poisson(k: np.ndarray, lam, log_lam) -> np.ndarray:
-    """ln P(X = k) = k ln lam - lam - ln k!, X ~ Poisson(lam), for an array
-    k of counts >= 0 (int or float); lam > 0 and log_lam = ln lam
-    broadcast against k.  The one place this term is formed: pmf's log
-    terms and table weights and the PTRS accept test all call it.  ln k!
-    comes first, so a count past its range is refused before k ln lam
-    can overflow."""
-    log_fact = _log_factorials(k)
+def _log_poisson(k, lam, log_lam):
+    """ln P(X = k) = k ln lam - lam - ln k!, X ~ Poisson(lam), for counts
+    k >= 0 with lam > 0 and log_lam = ln lam.  k is an array (int or
+    float), against which lam and log_lam broadcast, or one count, a
+    Python int or float, with float lam and log_lam, which gives a
+    Python float.  One count is taken as float(k), which rounds as an
+    int64 or object array's conversion to float64 does, and its ln k!
+    is the table entry or math.lgamma(k + 1.0), as _log_factorials
+    gives it, so both give the same bits.  The one place this term is
+    formed: pmf's log terms, its one-point term and table weights and
+    the PTRS accept test all call it.  ln k! comes first, so a count
+    past its range (2**1013 or more) is refused before k ln lam can
+    overflow."""
+    if isinstance(k, np.ndarray):
+        log_fact = _log_factorials(k)
+    else:
+        if k >= _MAX_COUNT:
+            raise InputError("solution counts exceed the float64 range")
+        k = float(k)
+        # the table is read, not grown, for one count
+        table = _ln_fact
+        log_fact = table.item(int(k)) if k < len(table) else math.lgamma(k + 1.0)
     return k * log_lam - lam - log_fact
 
 

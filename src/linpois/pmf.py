@@ -9,18 +9,21 @@ walks the free coordinates with the plan's walk plan (_walk_family),
 which does not check b again; pmf first tries the rank-1 recurrence
 below, and walks only when it declines.  The model's reduced system has
 no zero-rate column (the model leaves them out with the zero columns),
-so every term of every point is finite.  Log terms are formed in numpy
-passes over column-major arrays of lattice points, never over tuples,
-each pass along one contiguous column, and combined by a max-shifted
-log-sum whose inner sum is math.fsum.  fsum is correctly rounded, so
-the result does not depend on the order of the terms; its cost does,
-through the number of partials it keeps, so a line's window is handed
-over from the mode outward.  Each result names the route that answered
-it (PmfResult.route).
+so every term of every point is finite.  A single point (a trivial
+kernel, or a line of one point) is answered in Python floats: its one
+term, formed column by column by model._log_poisson, is the log
+probability itself, with no array and no log-sum, and has the bits the
+array route would give it (_point_log_term).  Every other family's log
+terms are formed in numpy passes over column-major arrays of lattice
+points, never over tuples, each pass along one contiguous column, and
+combined by a max-shifted log-sum whose inner sum is math.fsum.  fsum
+is correctly rounded, so the result does not depend on the order of the
+terms; its cost does, through the number of partials it keeps, so a
+line's window is handed over from the mode outward.  Each result names
+the route that answered it (PmfResult.route).
 
-A singleton or finite family is summed over all its points.  A line
-u + j v is summed over a window around its mode instead: ln t(j) is
-concave in j, so the terms fall away from the mode on both sides.  The
+A finite family is summed over all its points.  A line u + j v is
+summed over a window around its mode instead: ln t(j) is concave in j, so the terms fall away from the mode on both sides.  The
 window is sized from the curvature at the mode and widened until its
 edge terms are below 2**-60 / L of the term at the mode (L the line
 length), all read from the terms it sums.  The omitted mass is then
@@ -56,7 +59,7 @@ from . import solutions
 from .errors import InputError, InternalInvariantError
 from .intlinalg import _int_arg
 from .model import PoissonModel, _log_poisson
-from .solutions import SolutionFamily, _real_vector, _snf_family, _walk_family
+from .solutions import SolutionFamily, _real_vector, _snf_solutions, _walk_family
 
 __all__ = [
     "PmfResult",
@@ -127,16 +130,18 @@ class PmfResult:
 
 
 def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray) -> np.ndarray:
-    """ln of every product term, one per row of points.
+    """ln of every product term, one per row of points: the array route
+    of every family but a single point (_point_log_term).
 
     Row k gives sum_i [k_i ln l_i - l_i - ln k_i!] for rates l_i > 0;
     log_rates is PoissonModel.term_constants.  Each column's part is
     model._log_poisson, the one routine that forms the Poisson log term
-    (the PTRS sampler's accept test calls it too), so ROADMAP item 1's
-    cancellation-free form changes that routine alone.  Each part is
-    formed before the parts are added, so k ln l - l and ln k! cancel
-    while their magnitudes are close (exactly, near the mode), not
-    after rounding at the size of their sum over the columns.
+    (the one-point route and the PTRS sampler's accept test call it
+    too), so ROADMAP item 1's cancellation-free form changes that
+    routine alone.  Each part is formed before the parts are added, so
+    k ln l - l and ln k! cancel while their magnitudes are close
+    (exactly, near the mode), not after rounding at the size of their
+    sum over the columns.
 
     points come column-major (SolutionFamily.points), so every pass,
     the row sum included, runs along contiguous columns.  numpy adds a
@@ -151,6 +156,26 @@ def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray) -> 
     if parts.shape[1] >= _PAIRWISE:
         parts = np.ascontiguousarray(parts)
     return parts.sum(axis=1)
+
+
+def _point_log_term(point, rates, log_rates) -> float:
+    """ln of the product term of one point, in Python floats: the bits
+    _log_terms gives its row in either layout.
+
+    point holds one count per column (Python ints), rates and log_rates
+    one float per column.  Each column's part is model._log_poisson of
+    one count.  Fewer than _PAIRWISE parts are added left to right, as
+    numpy adds such a row, and more by numpy's sum of the 1-D row, in
+    the pairwise order of a row-major row.  A part is never -0.0, so
+    starting from 0.0 changes no bit, and no parts give 0.0.
+    """
+    parts = list(map(_log_poisson, point, rates, log_rates))
+    if len(parts) >= _PAIRWISE:
+        return float(np.add.reduce(parts))
+    lp = 0.0
+    for x in parts:
+        lp += x
+    return lp
 
 
 def logsumexp(terms) -> float:
@@ -176,15 +201,17 @@ def logsumexp(terms) -> float:
     return hi + math.log(math.fsum(np.exp(t - hi).tolist()))
 
 
-def _lattice_family(model: PoissonModel, b) -> tuple[list[int] | None, SolutionFamily | None]:
+def _lattice_family(model: PoissonModel, b) -> tuple[list[int] | None,
+                                                    SolutionFamily | list[int] | None]:
     """The query step of pmf and solution_family: the model and b checked
     (PoissonModel._check and _observation), then the lattice test of the
     model's query plan (PoissonModel._query_plan, read off its SNF once).
 
-    Returns b as a list of ints and its solution family, read off that
-    plan; the family is None when the kernel of A has dimension
-    2 or more and b is on the lattice, which is then to be walked (or,
-    in pmf, answered by the recurrence).  A negative entry of b gives
+    Returns b as a list of ints and its solutions, read off that plan
+    (solutions._snf_solutions): a single point as a list of ints, else
+    its family, or None when the kernel of A has dimension 2 or more and
+    b is on the lattice, which is then to be walked (or, in pmf,
+    answered by the recurrence).  A negative entry of b gives
     (None, the empty family).  _walk_family and _recurrence trust these
     checks.
     """
@@ -192,15 +219,17 @@ def _lattice_family(model: PoissonModel, b) -> tuple[list[int] | None, SolutionF
     b = model._observation(b)
     if min(b) < 0:
         return None, SolutionFamily.empty()
-    return b, _snf_family(model._query_plan, b)
+    return b, _snf_solutions(model._query_plan, b)
 
 
 def solution_family(model: PoissonModel, b) -> SolutionFamily:
     """Solution set of A k = b, read off the model's SNF; on the
     lattice, a kernel of dimension 2 or more is walked over its free
     coordinates."""
-    b, fam = _lattice_family(model, b)
-    return _walk_family(model._query_plan.walk, b) if fam is None else fam
+    b, sol = _lattice_family(model, b)
+    if sol is None:
+        return _walk_family(model._query_plan.walk, b)
+    return SolutionFamily.singleton(sol) if isinstance(sol, list) else sol
 
 
 def _result(lp: float, route: str, terms: int, summed: int, tail: float = 0.0) -> PmfResult:
@@ -420,12 +449,17 @@ def pmf(model: PoissonModel, b) -> PmfResult:
     After the query step it shares with solution_family
     (_lattice_family), a rank-1 A whose kernel has dimension 2 or more
     is answered by the recurrence (_recurrence) when its step cap and
-    error bound allow, and otherwise walked; a line is summed over a
-    certified window around its mode (_line_sum), and every other
-    family over all its points.  The result's route names which of
-    these answered this b (PmfResult).
+    error bound allow, and otherwise walked; a single point's one term
+    is the answer (_point_log_term), a line is summed over a certified
+    window around its mode (_line_sum), and every other family over
+    all its points.  The result's route names which of these answered
+    this b (PmfResult).
     """
     b, fam = _lattice_family(model, b)
+    if isinstance(fam, list):
+        # one point, the whole sum: the log-sum of one term is that term
+        lp = _point_log_term(fam, model.rates.tolist(), model.term_constants.tolist())
+        return _result(lp, "singleton", 1, 1)
     route = "walk" if fam is None else fam.kind
     if fam is None:
         res = _recurrence(model._query_plan, b)

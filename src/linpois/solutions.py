@@ -1,17 +1,19 @@
 """Nonnegative integer solution sets of A k = b for natural-number matrices.
 
 ``_QueryPlan`` is the one plan of pmf and solution_family, read off a
-model's Smith normal form p A q = d once.  ``_snf_family`` reads from
-it whether b is on the lattice (dependent rows included), then a
-singleton when the kernel of A is trivial or a line ``u + j v`` when
-it has dimension 1, for any elementary divisors.  A kernel of
-dimension 2 or more is answered by pmf's rank-1 recurrence from the
-plan's primitive row, or walked by ``_walk_family`` with the plan's
-``_WalkPlan``: a breadth-first walk, in numpy array passes, over only
-the n - r free coordinates, whose r basis coordinates are then solved
-exactly with an integer matrix read off the Smith form of the m x r
-block of basis columns.  Both trust the checks that pmf's query step
-made on b, and the walk also the lattice test.
+model's Smith normal form p A q = d once.  ``_snf_solutions`` reads
+from it whether b is on the lattice (dependent rows included), then
+the one point when the kernel of A is trivial (as a list of ints, which
+pmf reads without an array and solution_family wraps in a singleton) or
+a line ``u + j v`` when it has dimension 1, for any elementary
+divisors.  A kernel of dimension 2 or more is answered by pmf's rank-1
+recurrence from the plan's primitive row, or walked by
+``_walk_family`` with the plan's ``_WalkPlan``: a breadth-first walk,
+in numpy array passes, over only the n - r free coordinates, whose r
+basis coordinates are then solved exactly with an integer matrix read
+off the Smith form of the m x r block of basis columns.  Both trust the
+checks that pmf's query step made on b, and the walk also the lattice
+test.
 
 Both refuse, with InputError, a solution set, walk frontier or block of
 line points of more than MAX_POINTS points before allocating it.
@@ -248,7 +250,7 @@ class _QueryPlan:
         return _WalkPlan(self._a, self._a.shape[1] - self.free)
 
 
-def _snf_family(plan: _QueryPlan, b: list[int]) -> SolutionFamily | None:
+def _snf_solutions(plan: _QueryPlan, b: list[int]) -> SolutionFamily | list[int] | None:
     """Nonnegative solutions of A k = b from a model's query plan.
 
     b is a list of m ints, checked by pmf's query step
@@ -257,7 +259,9 @@ def _snf_family(plan: _QueryPlan, b: list[int]) -> SolutionFamily | None:
     plan.tests.  Every integer solution is then k = u + q[:, r:] t with
     u = U b / D and t in Z^(n-r).  Kernel dimension 0 gives at most one
     point; dimension 1 gives a line u + j v whose j-interval is cut out
-    with exact integer floor/ceil, for any divisors.  For dimension 2 or
+    with exact integer floor/ceil, for any divisors.  A single point is
+    returned as a list of n ints, so pmf reads it without an array
+    (solution_family wraps it in a singleton family).  For dimension 2 or
     more, returns None when b is on the lattice, for the caller to walk.
     """
     for row, d in plan.tests:
@@ -268,7 +272,7 @@ def _snf_family(plan: _QueryPlan, b: list[int]) -> SolutionFamily | None:
         return None
     u = [sum(map(operator.mul, row, b)) // plan.det for row in plan.rows]
     if not plan.free:
-        return SolutionFamily.singleton(u) if min(u, default=0) >= 0 else SolutionFamily.empty()
+        return u if min(u, default=0) >= 0 else SolutionFamily.empty()
     # u_i + j v_i >= 0: j >= ceil(-u_i / v_i) = -(u_i // v_i) for v_i > 0,
     # j <= u_i // -v_i for v_i < 0, and u_i >= 0 for v_i = 0
     lo = max([-(u[i] // v) for i, v in plan.pos])
@@ -277,7 +281,7 @@ def _snf_family(plan: _QueryPlan, b: list[int]) -> SolutionFamily | None:
         return SolutionFamily.empty()
     v = plan.direction
     if lo == hi:
-        return SolutionFamily.singleton(u_i + lo * v_i for u_i, v_i in zip(u, v))
+        return [u_i + lo * v_i for u_i, v_i in zip(u, v)]
     # u, v, lo and hi are Python ints already: no int() pass
     return SolutionFamily(base=tuple(u), direction=v, jmin=lo, jmax=hi)
 
@@ -341,15 +345,16 @@ class _WalkPlan:
 def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:
     """All k in N^n with A k = b, walking only the free coordinates.
 
-    b is a list of m ints >= 0 on the lattice A Z^n (_snf_family returned
-    None).  The walk state is one row [res | k] per partial solution.
-    It starts at [b | 0] and expands one free column at a time to every
-    value up to the box bound min_i floor(res_i / a_ij), so residuals
-    stay >= 0.  At the leaves the basis is solved exactly from all m
-    rows, D k_B = adj res, and a leaf is kept when the division is exact
-    and k_B >= 0.  Then B k_B = res, every row included: b = A k0 for an
-    integer k0, so res lies in the column space of A, which the basis
-    columns span, and adj B = D I.  Arrays are int64 when
+    b is a list of m ints >= 0 on the lattice A Z^n (_snf_solutions
+    returned None).  The walk state is one row [res | k] per partial
+    solution.  It starts at [b | 0] and expands one free column at a
+    time to every value up to the box bound min_i floor(res_i / a_ij),
+    so residuals stay >= 0; the first column's bound is read off b, so
+    its frontier is one arange.  At the leaves the basis is solved
+    exactly from all m rows, D k_B = adj res, and a leaf is kept when
+    the division is exact and k_B >= 0.  Then B k_B = res, every row
+    included: b = A k0 for an integer k0, so res lies in the column
+    space of A, which the basis columns span, and adj B = D I.  Arrays are int64 when
     (max b + 1) * max(plan.growth, MAX_POINTS) proves every
     intermediate fits, object arrays of Python ints otherwise.
     InputError before a frontier of more than MAX_POINTS points is
@@ -361,19 +366,33 @@ def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:
     narrow = (plan._narrow is not None
               and (max(b) + 1) * max(plan.growth, MAX_POINTS) <= _INT64_MAX)
     steps, adj_t = plan._narrow if narrow else plan._wide
-    state = np.array([b + [0] * plan.n], dtype=np.int64 if narrow else object)
+    dtype = np.int64 if narrow else object
+    state = None
     for pos, div, at in steps:
-        if isinstance(pos, int):
-            ub = state[:, pos] if div == 1 else state[:, pos] // div
+        if state is None:
+            # the first free column expands the start row [b | 0] alone,
+            # to k = 0..ub with ub read off b in Python ints
+            if isinstance(pos, int):
+                ub = b[pos] // div
+            else:
+                ub = min(b[i] // d for i, d in zip(pos, div.tolist()))
+            if ub + 1 > MAX_POINTS:
+                raise _too_many(f"a walk frontier of {ub + 1} points")
+            k = np.arange(ub + 1, dtype=dtype)
+            state = np.empty((ub + 1, m + plan.n), dtype=dtype)
+            state[:] = b + [0] * plan.n
         else:
-            ub = (state[:, pos] // div).min(axis=1)
-        reps = ub + 1
-        ends = np.cumsum(reps)
-        if ends[-1] > MAX_POINTS:
-            raise _too_many(f"a walk frontier of {ends[-1]} points")
-        parent = np.repeat(np.arange(len(reps)), reps.astype(np.intp))
-        k = np.arange(len(parent)) - (ends - reps).take(parent)
-        state = state.take(parent, axis=0)
+            if isinstance(pos, int):
+                ub = state[:, pos] if div == 1 else state[:, pos] // div
+            else:
+                ub = (state[:, pos] // div).min(axis=1)
+            reps = ub + 1
+            ends = np.cumsum(reps)
+            if ends[-1] > MAX_POINTS:
+                raise _too_many(f"a walk frontier of {ends[-1]} points")
+            parent = np.repeat(np.arange(len(reps)), reps.astype(np.intp))
+            k = np.arange(len(parent)) - (ends - reps).take(parent)
+            state = state.take(parent, axis=0)
         state[:, at] = k
         if isinstance(pos, int):
             state[:, pos] -= k if div == 1 else k * div

@@ -403,36 +403,89 @@ def test_log_terms_same_bits_in_either_layout():
     """_log_terms gives every term the same bits on column-major points,
     as SolutionFamily.points returns them, as on row-major ones, for 1
     to 12 columns: numpy adds a row-major row of _PAIRWISE or more
-    parts in pairwise order, not left to right."""
+    parts in pairwise order, not left to right.  The one-point route
+    (_point_log_term, in Python floats from the counts as ints) gives
+    each row the same bits too, on counts past 2**53 as well."""
     rng = np.random.default_rng(12)
     for n in range(1, 13):
         lam = np.exp(rng.uniform(-5.0, 8.0, n))
         consts = lp.PoissonModel(lp.int_identity(n), lam).term_constants
-        pts = rng.integers(0, 3000, (300, n)).astype(np.float64)
+        ints = rng.integers(0, 3000, (300, n))
+        ints[-20:] = rng.integers(0, 2**62, (20, n))
+        pts = ints.astype(np.float64)
         rows = _log_terms(np.ascontiguousarray(pts), lam, consts)
         assert _log_terms(np.asfortranarray(pts), lam, consts).tobytes() == rows.tobytes()
         assert rows.tobytes() == _log_poisson(pts, lam, consts).sum(axis=1).tobytes()
+        one = [P._point_log_term(k, lam.tolist(), consts.tolist()) for k in ints.tolist()]
+        assert np.array(one).tobytes() == rows.tobytes()
+
+
+def test_singleton_skips_the_array_route(monkeypatch):
+    """A singleton pmf call (a trivial kernel, dependent rows, a line of
+    one point, 8 or more columns, no column left) reaches none of
+    _log_terms, logsumexp and SolutionFamily.points, and every field of
+    its result has the bits of the array route over the same point."""
+    cases = [(EXAMPLE3, [1.0, 2.0, 3.0], [200, 370, 260]),
+             ([[1, 2], [2, 4], [0, 1]], [0.5, 7.0], [9, 18, 3]),
+             ([[1, 1]], [2.0, 3.0], [0]),
+             (lp.int_identity(12).tolist(), [0.1 * (j + 1) for j in range(12)],
+              [j * 37 for j in range(12)]),
+             ([[1, 0], [1, 0]], [4.0, 5.0], [2**60 + 1, 2**60 + 1]),
+             ([[0, 0]], [1.0, 2.0], [0])]
+    want = []
+    for a, rates, b in cases:
+        model = lp.PoissonModel(a, rates)
+        fam = lp.solution_family(model, b)
+        assert fam.kind == "singleton"
+        t = _log_terms(fam.points(), model.rates, model.term_constants)
+        want.append(_fields(_summed(t, "singleton")))
+
+    def refuse(name):
+        def spy(*args, **kwargs):
+            raise AssertionError(f"{name} reached by a singleton")
+        return spy
+
+    monkeypatch.setattr(P, "_log_terms", refuse("_log_terms"))
+    monkeypatch.setattr(P, "logsumexp", refuse("logsumexp"))
+    monkeypatch.setattr(S.SolutionFamily, "points", refuse("points"))
+    for (a, rates, b), fields in zip(cases, want):
+        res = lp.pmf(lp.PoissonModel(a, rates), b)
+        assert res.route == "singleton" and _fields(res) == fields
 
 
 def test_one_routine_forms_the_poisson_log_term(monkeypatch):
     """model._log_poisson gives the bits of k ln lam - lam - lgamma(k + 1)
     formed per entry in Python floats, and of _log_terms over a
-    one-column array, for int64 and float64 counts: k = 0, counts the
-    ln k! table serves, counts past its cap and past 2**53."""
+    one-column array, for int64 and float64 counts and for one int or
+    float count, read from the ln k! table or not: k = 0, counts the
+    table serves, counts past its cap and past 2**53."""
     _fresh_ln_fact(monkeypatch)
     cap = model_module._LN_FACT_CAP
     grids = [list(range(41)),
              [0, 1, cap - 1, cap, cap + 5, 10**7, 2**40, 2**53 + 2, 2**62]]
+
+    def one_count(ks, lam, log_lam):
+        # each count as an int and as a float, each term a Python float
+        got = [_log_poisson(x, lam, log_lam) for k in ks for x in (k, float(k))]
+        assert all(type(x) is float for x in got)
+        return [x.hex() for x in got]
+
     for lam in (2.5e-8, 0.3, 29.9, 30.0, 45.5, 1e4, 2.0**34, 1e15):
         log_lam = math.log(lam)
         consts = lp.PoissonModel([[1]], [lam]).term_constants
         assert consts.tolist() == [log_lam]
         for ks in grids:
             want = [k * log_lam - lam - math.lgamma(k + 1.0) for k in map(float, ks)]
+            pairs = [x.hex() for x in want for _ in range(2)]
+            # first from lgamma (the table starts empty), then from the
+            # table the arrays grew, where it holds the count
+            assert one_count(ks, lam, log_lam) == pairs
             for dtype in (np.int64, np.float64):
                 assert _log_poisson(np.array(ks, dtype=dtype), lam, log_lam).tolist() == want
             col = np.array(ks, dtype=np.float64)[:, None]
             assert _log_terms(col, np.array([lam]), consts).tolist() == want
+            assert one_count(ks, lam, log_lam) == pairs
+    assert len(model_module._ln_fact) > 40
 
 
 def test_log_factorials_equal_lgamma_per_entry(monkeypatch):
@@ -542,11 +595,21 @@ def test_counts_past_the_float_range_of_ln_k_factorial():
     below = np.nextafter(2.0**1013, 0.0)
     top = sys.float_info.max
     assert math.isfinite(_log_poisson(np.array([below]), top, math.log(top))[0])
+    assert math.isfinite(_log_poisson(below, top, math.log(top)))
     for k in (2.0**1013, 1e306, 2.0**1023):
         with pytest.raises(InputError, match="exceed the float64 range"):
             _log_poisson(np.array([k]), top, math.log(top))
+    # one count, an int or a float, and one past the float64 range
+    for k in (2.0**1013, 2**1013, 1e306, 10**400):
+        with pytest.raises(InputError, match="exceed the float64 range"):
+            _log_poisson(k, top, math.log(top))
     with pytest.raises(InputError, match="exceed the float64 range"):
         lp.pmf(lp.PoissonModel([[1]], [1e308]), [10**306])
+    # the singleton route's message for counts past ln k!'s range and
+    # past the float64 range (tests/test_cli.py TABLE exits 2 on them)
+    for b in (2**1013, 10**400):
+        with pytest.raises(InputError, match="^solution counts exceed the float64 range$"):
+            lp.pmf(lp.PoissonModel([[1]], [1.0]), [b])
 
 
 def test_ln_fact_table_shared_by_threads(monkeypatch):
@@ -620,6 +683,13 @@ def test_pmf_zero_column_only_model():
     assert model.n == 0
     sure = lp.pmf(model, [0])
     assert (sure.prob, sure.log_prob, sure.terms) == (1.0, 0.0, 1)
+    assert sure.route == "singleton" and math.copysign(1.0, sure.log_prob) == 1.0
+    # every column removed by its rate: the empty product at b = 0
+    zero_rates = lp.PoissonModel([[1, 2], [0, 3]], [0.0, 0.0])
+    assert zero_rates.n == 0
+    res = lp.pmf(zero_rates, [0, 0])
+    assert (res.log_prob.hex(), res.prob, res.route, res.terms, res.summed) == \
+        ((0.0).hex(), 1.0, "singleton", 1, 1)
     never = lp.pmf(model, [3])
     assert (never.prob, never.log_prob, never.terms) == (0.0, float("-inf"), 0)
 

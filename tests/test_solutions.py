@@ -43,9 +43,16 @@ def query_plan(a):
     return S._QueryPlan(lp.snf(a), a, np.ones(a.shape[1]))
 
 
+def snf_family(plan, b):
+    # _snf_solutions' answer as a family: one point as a singleton, as
+    # solution_family wraps it
+    sol = S._snf_solutions(plan, b)
+    return S.SolutionFamily.singleton(sol) if isinstance(sol, list) else sol
+
+
 def solve(a, b):
     # b as pmf's query step hands it on: a list of ints
-    return S._snf_family(query_plan(a), [int(x) for x in b])
+    return snf_family(query_plan(a), [int(x) for x in b])
 
 
 # deterministic pool of matrices with a kernel of dimension 1, found by
@@ -91,18 +98,18 @@ def test_divisors_above_one_keep_the_line_route():
 
 def test_parametrize_known_solution_sets():
     plan = query_plan(EXAMPLE1)
-    fam = S._snf_family(plan, [2, 2])
+    fam = snf_family(plan, [2, 2])
     assert family_set(fam) == {(0, 0, 2), (2, 1, 0)}
     assert fam.count == 2
     # k3 = 1 - 2 k2 forces k1 = -1; no nonnegative solution
-    assert S._snf_family(plan, [0, 1]).kind == "empty"
-    assert S._snf_family(plan, [0, 0]).kind == "singleton"
+    assert snf_family(plan, [0, 1]).kind == "empty"
+    assert snf_family(plan, [0, 0]).kind == "singleton"
     # divisor 2: 2 k1 + 2 k2 = b is a line of b/2 + 1 points for even b
     plan = query_plan([[2, 2]])
-    fam = S._snf_family(plan, [200])
+    fam = snf_family(plan, [200])
     assert fam.kind == "line" and fam.count == 101
     assert family_set(fam) == {(j, 100 - j) for j in range(101)}
-    assert S._snf_family(plan, [201]).kind == "empty"
+    assert snf_family(plan, [201]).kind == "empty"
 
 
 @given(st.integers(0, 12), st.integers(0, 12))
@@ -239,7 +246,7 @@ def test_snf_family_equals_enumeration(system):
     if any(all(a[i, j] == 0 for i in range(m)) for j in range(n)):
         return
     plan = query_plan(a)
-    fam = S._snf_family(plan, b)
+    fam = snf_family(plan, b)
     want = family_set(enumerate_solutions(a, b))
     if plan.free >= 2:
         # left to the walk unless b is off the lattice
@@ -300,7 +307,7 @@ def test_walk_equals_enumeration(system, tmp_path_factory):
     assert fam.count == want.count
     # the walk alone, where solution_family hands it b: on the lattice
     # and nonnegative
-    if min(b) >= 0 and S._snf_family(model._query_plan, b) is None:
+    if min(b) >= 0 and snf_family(model._query_plan, b) is None:
         assert family_set(S._walk_family(model._query_plan.walk, b)) == family_set(want)
     auto = lp.pmf(model, b)
     ref = reference_log_prob(model.rates.tolist(), family_set(want))
@@ -363,13 +370,13 @@ def test_walk_plan_solves_leaves_from_every_row():
 
 
 def test_dependent_rows_are_checked_before_the_walk():
-    # row 1 = 2 * row 0: b = [3, 7] is off the lattice, so _snf_family
+    # row 1 = 2 * row 0: b = [3, 7] is off the lattice, so _snf_solutions
     # answers it and the walk never sees it
     model = lp.PoissonModel([[1, 1, 2], [2, 2, 4]], [1.0, 1.0, 1.0])
-    for fam in (S._snf_family(model._query_plan, [3, 7]), lp.solution_family(model, [3, 7])):
+    for fam in (snf_family(model._query_plan, [3, 7]), lp.solution_family(model, [3, 7])):
         assert fam.kind == "empty" and family_set(fam) == set()
     assert lp.pmf(model, [3, 7]).prob == 0.0
-    assert S._snf_family(model._query_plan, [3, 6]) is None
+    assert snf_family(model._query_plan, [3, 6]) is None
     fam = lp.solution_family(model, [3, 6])
     assert fam.count == 6 and family_set(fam) == {
         (0, 1, 1), (0, 3, 0), (1, 0, 1), (1, 2, 0), (2, 1, 0), (3, 0, 0)}
@@ -531,7 +538,7 @@ def test_query_plan_equals_enumeration():
             bs.append(b)
         bs.append([int(x) for x in rng.integers(-2, 6, m)])
         for b in bs:
-            fam = S._snf_family(plan, b)
+            fam = snf_family(plan, b)
             want = family_set(enumerate_solutions(a, b))
             assert family_set(lp.solution_family(model, b)) == want
             seen["negative b"] += min(b) < 0
@@ -571,6 +578,12 @@ def test_point_cap_on_every_route(monkeypatch):
         lp.pmf(model, [4])
     with pytest.raises(InputError, match="walk frontier"):
         S._walk_family(model._query_plan.walk, [4])
+    # the first free column's frontier is counted off b and refused
+    # before it is allocated, 10**30 + 1 points too
+    for b, count in (([14], 15), ([10**30], 10**30 + 1)):
+        with pytest.raises(InputError, match=f"^a walk frontier of {count} points exceeds "
+                                             f"the cap of MAX_POINTS = 14 lattice points$"):
+            S._walk_family(model._query_plan.walk, b)
     # the oracle's depth-first search honours the same cap
     with pytest.raises(InputError, match="enumerated"):
         enumerate_solutions(model.a, [4])
