@@ -54,6 +54,9 @@ _ln_fact = np.empty(0)
 # Below this count, k ln lambda and ln k! are at most 6.6e307 for every
 # float lambda
 _MAX_COUNT = 2.0**1013
+# A model's table of Poisson log terms (PoissonModel._term_table) grows
+# by at most max(its length, _TABLE_STEP) entries per column at once
+_TABLE_STEP = 4096
 
 
 def _log_factorials(k: np.ndarray) -> np.ndarray:
@@ -99,8 +102,9 @@ def _log_poisson(k, lam, log_lam):
     int64 or object array's conversion to float64 does, and its ln k!
     is the table entry or math.lgamma(k + 1.0), as _log_factorials
     gives it, so both give the same bits.  The one place this term is
-    formed: pmf's log terms, its one-point term and table weights and
-    the PTRS accept test all call it.  ln k! comes first, so a count
+    formed: pmf's log terms, its one-point term and table weights, each
+    model's table of log terms (PoissonModel._term_table, which a line
+    reads) and the PTRS accept test all call it.  ln k! comes first, so a count
     past its range (2**1013 or more) is refused before k ln lam can
     overflow."""
     if isinstance(k, np.ndarray):
@@ -125,8 +129,12 @@ class PoissonModel:
     the SNF checks dependent rows.  ``a_full``/``rates_full`` keep the
     checked input in its original shape.  Derived objects (SNF, the log
     rates of the terms, pmf's query plan and the sampler's draw plan)
-    are cached on first use.
+    are cached on first use, and the table of Poisson log terms that a
+    line reads grows on use (_term_table).
     """
+
+    # (n, length) table of _term_table, empty until a line query grows it
+    _terms = np.empty((0, 0))
 
     def __init__(self, a, rates, name: str | None = None, description: str | None = None):
         # preprocess is read from the module globals, where a traced
@@ -209,8 +217,40 @@ class PoissonModel:
         """ln(rate) per column of the reduced system, the rate-only part
         of every log term; one math.log call per rate, so they match a
         scalar evaluation bit for bit.  Built on the first pmf call, not
-        at build."""
+        at build.  With the rates, they are the columns' constants of
+        the table of log terms (_term_table)."""
         return np.array([math.log(x) for x in self._rates.tolist()], dtype=np.float64)
+
+    def _term_table(self, top: int) -> np.ndarray:
+        """The model's table of Poisson log terms, T[i, k] = ln P(X_i = k)
+        for each column i of the reduced system and k below its length,
+        each entry formed by the array case of _log_poisson over
+        np.arange, so it has the bits of every other route's term.
+
+        top is the largest count a line block needs.  Past the length,
+        the table grows to max(top + 1, twice the length) entries per
+        column, at most _LN_FACT_CAP, when that adds at most
+        max(length, _TABLE_STEP) entries per column and holds top;
+        otherwise it is returned as it is, and the caller forms the
+        counts it does not hold by _log_poisson.  So no one query builds
+        a large table.  Nothing builds it at model build; a growth
+        builds a new array and rebinds it, so a reader keeps a
+        consistent snapshot.
+        """
+        table = self._terms
+        have = table.shape[1]
+        if top < have:
+            return table
+        grown = min(max(top + 1, 2 * have), _LN_FACT_CAP)
+        if top >= grown or grown - have > max(have, _TABLE_STEP):
+            return table
+        more = _log_poisson(np.arange(float(have), float(grown)), self._rates[:, None],
+                            self.term_constants[:, None])
+        table = np.concatenate((table, more), axis=1) if have else more
+        # unless another thread has bound a longer table meanwhile
+        if self._terms.shape[1] < grown:
+            self._terms = table
+        return table
 
     @cached_property
     def _query_plan(self) -> _QueryPlan:

@@ -9,14 +9,20 @@ walks the free coordinates with the plan's walk plan (_walk_family),
 which does not check b again; pmf first tries the rank-1 recurrence
 below, and walks only when it declines.  The model's reduced system has
 no zero-rate column (the model leaves them out with the zero columns),
-so every term of every point is finite.  A single point (a trivial
+so every part of every term is finite; a term whose parts add up past
+the float64 range is -inf, with no numpy warning (_quiet).  An empty
+family is answered at once, with no array.  A single point (a trivial
 kernel, or a line of one point) is answered in Python floats: its one
 term, formed column by column by model._log_poisson, is the log
 probability itself, with no array and no log-sum, and has the bits the
-array route would give it (_point_log_term).  Every other family's log
+array route would give it (_point_log_term).  A walked family's log
 terms are formed in numpy passes over column-major arrays of lattice
-points, never over tuples, each pass along one contiguous column, and
-combined by a max-shifted log-sum whose inner sum is math.fsum.  fsum
+points, never over tuples, each pass along one contiguous column
+(_log_terms).  A line's are read from the model's table of Poisson log
+terms (PoissonModel._term_table), one strided view per column, with the
+same bits; only counts past the table are formed by model._log_poisson
+(_line_terms).  The terms are combined by a max-shifted log-sum whose
+inner sum is math.fsum.  fsum
 is correctly rounded, so the result does not depend on the order of the
 terms; its cost does, through the number of partials it keeps, so a
 line's window is handed over from the mode outward.  Each result names
@@ -50,6 +56,7 @@ form, and an exact pmf table over a box of observations.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -58,7 +65,7 @@ import numpy as np
 from . import solutions
 from .errors import InputError, InternalInvariantError
 from .intlinalg import _int_arg
-from .model import PoissonModel, _log_poisson
+from .model import _LN_FACT_CAP, PoissonModel, _log_poisson
 from .solutions import SolutionFamily, _real_vector, _snf_solutions, _walk_family
 
 __all__ = [
@@ -103,6 +110,8 @@ _LN2_LO = 1.90821492927058770002e-10
 _COEF_MIN = 2.0 ** -200
 _SMALL, _HUGE = 2.0 ** -300, 2.0 ** 300
 _TINY = 2.0 ** -700
+# _quiet's context below 2**20 counts: stateless, so one serves every call
+_NO_CONTEXT = nullcontext()
 
 
 @dataclass(frozen=True)
@@ -131,17 +140,18 @@ class PmfResult:
 
 def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray) -> np.ndarray:
     """ln of every product term, one per row of points: the array route
-    of every family but a single point (_point_log_term).
+    of a walked family, and the bits that a line's terms, read from the
+    model's table of log terms, keep (_line_terms).
 
     Row k gives sum_i [k_i ln l_i - l_i - ln k_i!] for rates l_i > 0;
     log_rates is PoissonModel.term_constants.  Each column's part is
     model._log_poisson, the one routine that forms the Poisson log term
-    (the one-point route and the PTRS sampler's accept test call it
-    too), so ROADMAP item 1's cancellation-free form changes that
-    routine alone.  Each part is formed before the parts are added, so
-    k ln l - l and ln k! cancel while their magnitudes are close
-    (exactly, near the mode), not after rounding at the size of their
-    sum over the columns.
+    (the one-point route, the model's table of log terms and the PTRS
+    sampler's accept test call it too), so ROADMAP item 1's
+    cancellation-free form changes that routine alone.  Each part is
+    formed before the parts are added, so k ln l - l and ln k! cancel
+    while their magnitudes are close (exactly, near the mode), not
+    after rounding at the size of their sum over the columns.
 
     points come column-major (SolutionFamily.points), so every pass,
     the row sum included, runs along contiguous columns.  numpy adds a
@@ -158,6 +168,17 @@ def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray) -> 
     return parts.sum(axis=1)
 
 
+def _quiet(top):
+    """np.errstate(over="ignore") when a point has a count of top >= 2**20
+    (_LN_FACT_CAP), else a context that does nothing.  Below that every
+    part of a log term is -rate plus at most about 1e9, so a term stays
+    near -sum(rates), which preprocess keeps finite; a larger count can
+    take a part or the sum of the parts past the float64 range, to -inf,
+    which numpy would warn of.  The errstate costs microseconds, so it
+    is entered only where it can matter."""
+    return np.errstate(over="ignore") if top >= _LN_FACT_CAP else _NO_CONTEXT
+
+
 def _point_log_term(point, rates, log_rates) -> float:
     """ln of the product term of one point, in Python floats: the bits
     _log_terms gives its row in either layout.
@@ -171,11 +192,63 @@ def _point_log_term(point, rates, log_rates) -> float:
     """
     parts = list(map(_log_poisson, point, rates, log_rates))
     if len(parts) >= _PAIRWISE:
-        return float(np.add.reduce(parts))
+        with _quiet(max(point)):
+            return float(np.add.reduce(parts))
     lp = 0.0
     for x in parts:
         lp += x
     return lp
+
+
+def _line_terms(fam: SolutionFamily, model: PoissonModel, lo: int, hi: int) -> np.ndarray:
+    """ln t(j) for the points j = lo..hi of a line, read from the model's
+    table of Poisson log terms (PoissonModel._term_table): the bits of
+    _log_terms(fam.points(lo, hi), model.rates, model.term_constants).
+
+    Column i's counts are s + v j' for j' = 0..hi - lo, with s = u_i +
+    lo v_i and v = v_i.  Where the table holds them, its part is the
+    strided view T[i, s::v] of hi - lo + 1 entries, forward or reversed,
+    or the scalar T[i, s] when v = 0.  Where it does not, the part is
+    _log_poisson of the counts float(s) + float(v) arange, the float64
+    counts SolutionFamily.points forms.  Fewer than _PAIRWISE parts are
+    added left to right, as numpy adds a column-major row; more are
+    stacked row-major and summed by numpy's pairwise row sum, as
+    _log_terms does.  A term whose parts add up past the float64 range
+    is -inf, with no warning (_quiet); InputError when a count passes
+    the float64 range.
+    """
+    count = hi - lo + 1
+    starts = [u + lo * v for u, v in zip(fam.base, fam.direction)]
+    # the largest count of each column
+    tops = [s + (count - 1) * v if v > 0 else s for s, v in zip(starts, fam.direction)]
+    need = max(tops)
+    table = model._term_table(need)
+    size = table.shape[1]
+    with _quiet(need):
+        parts = []
+        for i, (s, v, top) in enumerate(zip(starts, fam.direction, tops)):
+            if top < size:
+                if v:
+                    # one past the last count; below 0, the view runs to count 0
+                    stop = s + count * v
+                    parts.append(table[i, s:stop if stop >= 0 else None:v])
+                else:
+                    parts.append(table[i, s])
+                continue
+            try:
+                k = float(s) + float(v) * np.arange(count, dtype=np.float64)
+            except OverflowError:
+                raise InputError("solution counts exceed the float64 range") from None
+            parts.append(_log_poisson(k, model.rates[i], model.term_constants[i]))
+        if len(parts) < _PAIRWISE:
+            t = parts[0] + parts[1]
+            for p in parts[2:]:
+                t += p
+            return t
+        rows = np.empty((count, len(parts)))
+        for i, p in enumerate(parts):
+            rows[:, i] = p
+        return rows.sum(axis=1)
 
 
 def logsumexp(terms) -> float:
@@ -373,8 +446,7 @@ def _line_sum(fam: SolutionFamily, model: PoissonModel) -> PmfResult:
     step = min(_BLOCK, solutions.MAX_POINTS)
 
     def blocks(lo, hi):
-        return [_log_terms(fam.points(j, min(j + step - 1, hi)), model.rates,
-                           model.term_constants) for j in range(lo, hi + 1, step)]
+        return [_line_terms(fam, model, j, min(j + step - 1, hi)) for j in range(lo, hi + 1, step)]
 
     if b - a < FIRST_BLOCK:
         parts = blocks(a, b)
@@ -461,6 +533,8 @@ def pmf(model: PoissonModel, b) -> PmfResult:
         lp = _point_log_term(fam, model.rates.tolist(), model.term_constants.tolist())
         return _result(lp, "singleton", 1, 1)
     route = "walk" if fam is None else fam.kind
+    if route == "empty":
+        return _result(NEG_INF, "empty", 0, 0)
     if fam is None:
         res = _recurrence(model._query_plan, b)
         if res is not None:
@@ -468,7 +542,9 @@ def pmf(model: PoissonModel, b) -> PmfResult:
         fam = _walk_family(model._query_plan.walk, b)
     if route == "line":
         return _line_sum(fam, model)
-    return _summed(_log_terms(fam.points(), model.rates, model.term_constants), route)
+    # every column has an entry >= 1, so no walked count exceeds max(b)
+    with _quiet(max(b)):
+        return _summed(_log_terms(fam.points(), model.rates, model.term_constants), route)
 
 
 def gf_eval(model: PoissonModel, z) -> float:

@@ -87,7 +87,8 @@ class SolutionFamily:
 
     @classmethod
     def empty(cls) -> "SolutionFamily":
-        return cls()
+        # one shared instance: the family is frozen
+        return _EMPTY
 
     @classmethod
     def singleton(cls, k) -> "SolutionFamily":
@@ -125,7 +126,9 @@ class SolutionFamily:
         would.  A block is anchored at its exact integer start point,
         so the broadcast steps stay small.  Each column is contiguous,
         so the passes that form the log terms (pmf._log_terms) run along
-        contiguous memory.  An empty family has shape (0, 0).
+        contiguous memory; pmf reads a line's terms from the model's
+        table of log terms instead (pmf._line_terms), with the bits of
+        those passes over these points.  An empty family has shape (0, 0).
         InputError for more than MAX_POINTS points, before any array is
         allocated.
         """
@@ -149,6 +152,9 @@ class SolutionFamily:
             return self.array.astype(np.float64, order="F")
         except OverflowError:
             raise InputError("solution counts exceed the float64 range") from None
+
+
+_EMPTY = SolutionFamily()
 
 
 def _lattice_tests(dec: SnfDecomposition) -> tuple:

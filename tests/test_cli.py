@@ -409,6 +409,12 @@ TABLE = [
     # exp of the cancelled log_prob raised OverflowError (ROADMAP item 1)
     Row("pmf_huge_counts_exit_4_without_a_traceback", HUGE_RATE, f"pmf FILE --b {10**40}", 4,
         "exceeds ln(1 + CLAMP_TOL)"),
+    # the ten log terms add up past the float64 range: numpy printed
+    # "overflow encountered in reduce" before the answer
+    Row("pmf_sum_past_the_float_range_answers_zero_without_a_warning",
+        {"a": np.eye(10, dtype=int).tolist(), "lambda": [1e5] * 10},
+        f"pmf FILE --b {' '.join([str(2**1012)] * 10)} --format json", 0,
+        out={"prob": 0.0, "log_prob": -math.inf}),
     # lgamma of the count raised OverflowError, exit 1
     Row("pmf_count_past_the_float_range_of_ln_k_factorial_exits_2",
         {"a": [[1]], "lambda": [1e308]}, f"pmf FILE --b {10**306}", 2,

@@ -203,17 +203,16 @@ def test_pmf_long_lines_match_fsum_reference(coeffs, size, lam):
 
 def summed_blocks(model, b):
     """pmf(model, b) and the (lo, hi) of every block of line points it
-    evaluated."""
+    evaluated (pmf._line_terms)."""
     blocks = []
-    points = lp.SolutionFamily.points
+    line_terms = P._line_terms
 
-    def spy(fam, lo=None, hi=None):
-        if fam.kind == "line":
-            blocks.append((lo, hi))
-        return points(fam, lo, hi)
+    def spy(fam, model, lo, hi):
+        blocks.append((lo, hi))
+        return line_terms(fam, model, lo, hi)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp.SolutionFamily, "points", spy)
+        mp.setattr(P, "_line_terms", spy)
         res = lp.pmf(model, b)
     return res, blocks
 
@@ -420,6 +419,192 @@ def test_log_terms_same_bits_in_either_layout():
         assert np.array(one).tobytes() == rows.tobytes()
 
 
+def _hexes(terms):
+    return [x.hex() for x in np.asarray(terms, dtype=np.float64).tolist()]
+
+
+def test_line_terms_have_the_bits_of_log_terms():
+    """pmf._line_terms, read from the model's table of log terms, gives
+    every term of a block the bits of _log_terms over the block's points,
+    on seeded lines of n = 2..12 columns (both sides of _PAIRWISE), with
+    zero-direction columns, strides of 1 and 2 both ways, reversed
+    strides that end at count 0, blocks that straddle the table's end
+    and counts past it up to 2**60, on a fresh and a warmed table."""
+    rng = np.random.default_rng(32)
+    seen = set()
+    for n in range(2, 13):
+        for _ in range(6):
+            # [diag(d) | c]: a kernel of dimension 1, v_i = 0 where c_i = 0
+            m = n - 1
+            c = rng.integers(0, 3, m)
+            c[0] = max(c[0], 1)
+            a = np.column_stack([np.diag(rng.integers(1, 3, m)), c]).tolist()
+            model = lp.PoissonModel(a, np.exp(rng.uniform(-3.0, 8.0, n)).tolist())
+            v = model._query_plan.direction
+            for scale in (300, 5000, 10**6, 2**60):
+                k = [int(x) for x in rng.integers(0, scale, n)]
+                if rng.random() < 0.5:
+                    # a falling column at count 0 ends the line there
+                    k[int(rng.choice([i for i in range(n) if v[i] < 0]))] = 0
+                b = [sum(x * y for x, y in zip(row, k)) for row in a]
+                fam = lp.solution_family(model, b)
+                if fam.kind != "line":
+                    continue
+                for _ in range(3):
+                    width = int(rng.integers(0, 400))
+                    if rng.random() < 0.3:
+                        lo, hi = max(fam.jmin, fam.jmax - width), fam.jmax
+                    else:
+                        lo = int(rng.integers(fam.jmin, fam.jmax + 1))
+                        hi = min(fam.jmax, lo + width)
+                    pts = fam.points(lo, hi)
+                    size = model._terms.shape[1]
+                    tops = pts.max(axis=0)
+                    seen.add("fresh" if size == 0 else "warm")
+                    seen.add("pairwise" if n >= P._PAIRWISE else "left to right")
+                    if 0 in v:
+                        seen.add("zero direction")
+                    if any(x < 0 and pts[-1, i] == 0 for i, x in enumerate(v)):
+                        seen.add("reversed to 0")
+                    if any(pts[:, i].min() < size <= tops[i] for i in range(n)):
+                        seen.add("straddles")
+                    if tops.max() >= 2.0**59:
+                        seen.add("past the table")
+                    want = _log_terms(pts, model.rates, model.term_constants)
+                    assert _hexes(P._line_terms(fam, model, lo, hi)) == _hexes(want)
+    assert seen == {"fresh", "warm", "pairwise", "left to right", "zero direction",
+                    "reversed to 0", "straddles", "past the table"}
+
+
+def _term_table_growths(monkeypatch):
+    """A spy on PoissonModel._term_table: the (length before, length
+    after) of each call."""
+    calls = []
+    term_table = lp.PoissonModel._term_table
+
+    def spy(model, top):
+        before = model._terms.shape[1]
+        table = term_table(model, top)
+        calls.append((before, table.shape[1]))
+        return table
+
+    monkeypatch.setattr(lp.PoissonModel, "_term_table", spy)
+    return calls
+
+
+def test_model_build_builds_no_term_table():
+    """The table of log terms is built by a line query, not at build nor
+    by the other routes; its entries are _log_poisson over np.arange."""
+    model = lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1])
+    assert "_terms" not in vars(model) and model._terms.shape == (0, 0)
+    for b in ([3, 1], [-1, 2], [1, 1]):  # empty, empty, singleton
+        lp.pmf(model, b)
+    assert "_terms" not in vars(model)
+    assert lp.pmf(model, [40, 60]).route == "line"
+    table = model._terms
+    assert table.shape[0] == 3 and table.shape[1] > 40
+    want = _log_poisson(np.arange(float(table.shape[1])), model.rates[:, None],
+                        model.term_constants[:, None])
+    assert table.tobytes() == want.tobytes()
+
+
+def _without_table(model, b):
+    """pmf(model, b) with each block's terms formed by _log_terms over
+    its points, as before the table."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P, "_line_terms", lambda fam, model, lo, hi: _log_terms(
+            fam.points(lo, hi), model.rates, model.term_constants))
+        return lp.pmf(model, b)
+
+
+def test_term_table_growth_rule(monkeypatch):
+    """Each growth adds at most max(length, 4096) entries per column and
+    holds the block's largest count.  A first query at counts near 10**6
+    forms its terms directly and builds no table; queries of rising
+    counts then grow it, each at most doubling it past 4096 entries, and
+    a later query near 10**6 does not grow it.  Every answer keeps its
+    bits."""
+    calls = _term_table_growths(monkeypatch)
+    model = lp.PoissonModel([[1, 1, 2], [0, 1, 1]], [3.0, 40.0, 7.0])
+    for i, scale in enumerate((10**6, 10, 3000, 5000, 9000, 15_000, 30_000, 10**6)):
+        b = [2 * scale, scale]
+        res = lp.pmf(model, b)
+        assert res.route == "line" and _fields(res) == _fields(_without_table(model, b))
+        if i == 0:
+            assert calls and all(y == 0 for _, y in calls)
+            assert "_terms" not in vars(model)
+    grew = [(x, y) for x, y in calls if y > x]
+    assert len(grew) >= 5 and calls[-1][1] == grew[-1][1] < 10**6
+    assert all(y - x <= max(x, 4096) for x, y in grew)
+
+
+def test_term_table_never_passes_the_cap(monkeypatch):
+    """With _LN_FACT_CAP at 2**13, lines of rising counts grow the table
+    to the cap and no further; the counts past it are formed directly,
+    with the bits of _log_terms."""
+    monkeypatch.setattr(model_module, "_LN_FACT_CAP", 1 << 13)
+    calls = _term_table_growths(monkeypatch)
+    model = lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1])
+    for b in ([50, 50], [2000, 2000], [4000, 4000], [7000, 7000], [8100, 8100],
+              [9000, 9000], [20_000, 20_000]):
+        fam = lp.solution_family(model, b)
+        assert _hexes(P._line_terms(fam, model, fam.jmin, fam.jmax)) == _hexes(
+            _log_terms(fam.points(), model.rates, model.term_constants))
+        assert model._terms.shape[1] <= 1 << 13
+    assert model._terms.shape[1] == 1 << 13
+    assert max(y for _, y in calls) == 1 << 13
+
+
+def test_sums_past_the_float_range_answer_zero_without_a_warning():
+    """A term whose parts add up past the float64 range is -inf: pmf
+    answers log_prob -inf and prob 0.0 on every route, with no numpy
+    warning.  numpy's row sum printed "overflow encountered in reduce"
+    (an error under this suite's warning filter) on the singleton of
+    the 10 x 10 identity at b_i = 2**1012, and on lines and walks whose
+    fixed columns hold counts near 2**1012."""
+    big = 2**1012 + 2**1011
+
+    def line(m):
+        # m - 1 fixed columns, and columns 0 and m moving on row 0
+        return [[int(i == j) for j in range(m)] + [int(i == 0)] for i in range(m)]
+
+    walk = [[1, 1, 1, 0, 0, 0, 0]] + [[0] * (3 + i) + [1] + [0] * (3 - i) for i in range(4)]
+    cases = [(lp.int_identity(10).tolist(), [1e5] * 10, [2**1012] * 10, "singleton"),
+             (line(5), [1e-5] * 6, [100] + [big] * 4, "line"),
+             (line(5), [1e-5] * 6, [1000] + [big] * 4, "line"),
+             (line(9), [1e-5] * 10, [100] + [big] * 8, "line"),
+             (line(9), [1e-5] * 10, [1000] + [big] * 8, "line"),
+             (walk, [1e-5] * 7, [3] + [big] * 4, "walk")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, rates, b, route in cases:
+            res = lp.pmf(lp.PoissonModel(a, rates), b)
+            assert (res.route, res.log_prob, res.prob) == (route, -math.inf, 0.0)
+
+
+def test_empty_answer_skips_the_array_route(monkeypatch):
+    """b negative, off the lattice, against a dependent row or on a line
+    with no nonnegative point reaches none of SolutionFamily.points,
+    _log_terms and logsumexp, and every field has the bits of the log-sum
+    of no terms.  SolutionFamily.empty() is one shared family."""
+    cases = [(EXAMPLE1, [1.0, 1.0, 1.0], [-1, 2]),
+             (EXAMPLE1, [1.0, 1.0, 1.0], [0, 1]),
+             ([[1, 2], [2, 4]], [0.5, 7.0], [3, 7]),
+             (EXAMPLE3, [1.0, 2.0, 3.0], [1, 1, 1]),
+             ([[2, 2]], [1.0, 2.0], [3])]
+    want = _fields(_summed(np.empty(0), "empty"))
+    assert lp.SolutionFamily.empty() is lp.SolutionFamily.empty()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("array route reached by an empty family")
+
+    monkeypatch.setattr(P, "_log_terms", refuse)
+    monkeypatch.setattr(P, "logsumexp", refuse)
+    monkeypatch.setattr(S.SolutionFamily, "points", refuse)
+    for a, rates, b in cases:
+        assert _fields(lp.pmf(lp.PoissonModel(a, rates), b)) == want
+
+
 def test_singleton_skips_the_array_route(monkeypatch):
     """A singleton pmf call (a trivial kernel, dependent rows, a line of
     one point, 8 or more columns, no column left) reaches none of
@@ -614,22 +799,37 @@ def test_counts_past_the_float_range_of_ln_k_factorial():
 
 def test_ln_fact_table_shared_by_threads(monkeypatch):
     """pmf and verify(threads=2), run from 4 threads at once while the
-    table grows from empty, return what serial calls return."""
-    model = lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1])
+    process-wide ln k! table and a fresh model's table of log terms grow
+    from empty, return what serial calls return, and the model keeps a
+    table whose every entry is _log_poisson's.  A short switch interval
+    lets the threads interleave inside the growths."""
     bs = [[2 * s, 2 * s + 30] for s in (5, 40, 300, 2_000, 9_000)]
-    jobs = [("pmf", b) for b in bs] + [("verify", [10, 72]), ("verify", [3, 70])]
+
+    def jobs(model):
+        return [("pmf", b, model) for b in bs] + [("verify", [10, 72], model),
+                                                   ("verify", [3, 70], model)]
 
     def run(job):
-        kind, b = job
+        kind, b, model = job
         if kind == "pmf":
             return lp.pmf(model, b)
         return lp.verify(model, b, 20_000, 17, threads=2)
 
-    serial = [run(job) for job in jobs]
-    for _ in range(3):
-        _fresh_ln_fact(monkeypatch)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            assert list(pool.map(run, jobs * 2)) == serial * 2
+    serial = [run(job) for job in jobs(lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1]))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            _fresh_ln_fact(monkeypatch)
+            model = lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1])
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(run, jobs(model) * 2)) == serial * 2
+            table = model._terms
+            assert table.shape[1] > 0 and table.tobytes() == _log_poisson(
+                np.arange(float(table.shape[1])), model.rates[:, None],
+                model.term_constants[:, None]).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
     assert len(model_module._ln_fact) <= model_module._LN_FACT_CAP
 
 
