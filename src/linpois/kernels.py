@@ -28,11 +28,12 @@ bit for bit.  The guide is built on each call.
 
 Rates >= 30 use Hormann's PTRS transformed rejection (Insurance: Math.
 & Econ. 12, 1993), vectorised over the samples still rejected.  Its
-accept test compares against ln P(X = k) = k ln lam - lam - ln k! from
-model._log_poisson, the one routine that forms the Poisson log term,
-shared with pmf's log terms, so ROADMAP item 1's cancellation-free form
-changes that routine alone; its ln k! reads the process-wide table for
-candidates below 2**20 once it covers them.  Rates above MAX_RATE =
+accept test compares against ln P(X = k) = k ln lam - lam - ln k!,
+which hits_block reads from its model's table of log terms and
+sample_block, which has no model, forms by model._log_poisson, the one
+routine that forms the Poisson log term and the table's entries (so
+ROADMAP item 1's cancellation-free form changes that routine alone):
+the same bits, so the same draws.  Rates above MAX_RATE =
 2**34 are rejected with InputError.  That log term's parts near k = lam
 round by about 2 * 2**-53 * lam ln lam in absolute terms: 9e-5 at
 2**34, but about 0.7 at 1e14, and past about 1e15 the draws no longer
@@ -234,7 +235,9 @@ def _draw_table_np(bases: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_ptrs_np(bases, param) -> np.ndarray:
+def _draw_ptrs_np(bases, param, model=None, i=0) -> np.ndarray:
+    # the accept test reads column i of model's table of log terms, or
+    # with no model forms the same bits by _log_poisson
     lam, loglam, pb, pa, pinv, pvr = param
     out = np.zeros(bases.shape[0], dtype=np.int64)
     todo = np.arange(bases.shape[0])
@@ -259,7 +262,9 @@ def _draw_ptrs_np(bases, param) -> np.ndarray:
             rr = np.flatnonzero(rest)
             lhs = np.log(v[rr]) + math.log(pinv) - np.log(pa / (us[rr] * us[rr]) + pb)
             kk = k[rr]
-            accept[rr[lhs <= _log_poisson(kk, lam, loglam)]] = True
+            log_p = (_log_poisson(kk, lam, loglam) if model is None
+                     else model._column_terms(i, kk, int(kk.max()), kk.size))
+            accept[rr[lhs <= log_p]] = True
         out[todo[accept]] = k[accept]
         todo = todo[~accept]
         active = active[~accept]
@@ -331,20 +336,23 @@ def _lattice_misses(tests, res, bound) -> list:
 def _draw_plan(model) -> tuple:
     """hits_block's plan for a model, its PoissonModel._draw_plan: the
     drawn columns in drawing order, each (index in the full matrix,
-    entries, draw parameter), and their lattice tests.  The columns are
-    those of the reduced system, model.a and model.rates, zipped with
-    their indices in the full matrix, which the draw keys use."""
+    index in the reduced system, entries, draw parameter), and their
+    lattice tests.  The columns are those of the reduced system, model.a
+    and model.rates, zipped with their indices in the full matrix, which
+    the draw keys use.  No reference to the model, which caches the plan:
+    a PTRS draw gets it at draw time."""
     drawn = []
-    for c, col, lam in zip(model._kept, model.a.T.tolist(), model.rates.tolist()):
+    for i, (c, col, lam) in enumerate(zip(model._kept, model.a.T.tolist(),
+                                          model.rates.tolist())):
         param = _coord_param(lam)
         if isinstance(param, tuple) or len(param) > 1:
-            drawn.append((c, col, param))
+            drawn.append((c, i, col, param))
     # the CDF-table columns go first, then PTRS; the sort is stable
-    drawn.sort(key=lambda col: isinstance(col[2], tuple))
-    if any(x > _INT64_MAX for _, col, _ in drawn for x in col):
+    drawn.sort(key=lambda col: isinstance(col[3], tuple))
+    if any(x > _INT64_MAX for _, _, col, _ in drawn for x in col):
         raise InputError("matrix does not fit the sampling kernels: "
                          "an entry of a drawn column exceeds int64")
-    return drawn, _lattice_checks([col for _, col, _ in drawn], model.m_full)
+    return drawn, _lattice_checks([col for _, _, col, _ in drawn], model.m_full)
 
 
 def _hit_target(model, b) -> tuple:
@@ -383,12 +391,13 @@ def hits_block(model, b, seed, start, stop) -> tuple[int, int]:
     # a row's residual stays the int b_i until a drawn column touches it
     res = list(bl)
     draws = 0
-    for k, (c, col, param) in enumerate(drawn):
+    for k, (c, j, col, param) in enumerate(drawn):
         if not len(svec):
             break
         table = not isinstance(param, tuple)
         # unnamed bases: a table draw is written over them, freed with x
-        x = (_draw_table_np if table else _draw_ptrs_np)(_bases_np(seed, svec, n, c), param)
+        x = (_draw_table_np(_bases_np(seed, svec, n, c), param) if table
+             else _draw_ptrs_np(_bases_np(seed, svec, n, c), param, model, j))
         draws += x.size
         # a_ic x_c > b_i misses; the draws past the cap are clipped to it,
         # so no product exceeds b_i

@@ -1,4 +1,9 @@
-"""Model container: Y = A X with independent X_i ~ Poisson(lambda_i)."""
+"""Model container: Y = A X with independent X_i ~ Poisson(lambda_i).
+
+Also the one routine that forms the Poisson log term (_log_poisson) and
+each model's table of those terms (PoissonModel._term_table), the one
+cache of them, which pmf's lines and walks and the PTRS sampler read.
+"""
 
 from __future__ import annotations
 
@@ -45,52 +50,26 @@ def preprocess(a, rates) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return a, rates, kept
 
 
-# Entry j is ln j! = math.lgamma(j + 1.0), for j below the length.  One
-# table serves the whole process; _log_factorials extends it on demand,
-# never past _LN_FACT_CAP entries (8 MiB).  An extension builds a new
-# array and rebinds the name, so a reader keeps a consistent snapshot.
-_LN_FACT_CAP = 1 << 20
-_ln_fact = np.empty(0)
 # Below this count, k ln lambda and ln k! are at most 6.6e307 for every
 # float lambda
 _MAX_COUNT = 2.0**1013
-# A model's table of Poisson log terms (PoissonModel._term_table) grows
-# by at most max(its length, _TABLE_STEP) entries per column at once
+# A model's table of Poisson log terms (PoissonModel._term_table) holds
+# at most _TABLE_CAP entries per column (8 MiB) and grows by at most
+# max(its length, _TABLE_STEP, the counts of the call) entries per
+# column at once
+_TABLE_CAP = 1 << 20
 _TABLE_STEP = 4096
 
 
 def _log_factorials(k: np.ndarray) -> np.ndarray:
-    """ln k! for every entry of an array of counts >= 0 (int or float).
-
-    Each entry equals math.lgamma(k + 1.0) bit for bit, past 2**53 too.
-    Counts within the process-wide table _ln_fact are read from it.  A
-    larger count extends the table to max(max + 1, twice its length)
-    entries when that adds at most max(size, length) entries and stays
-    within _LN_FACT_CAP, so no call makes more lgamma calls than the
-    per-entry map or the table built so far would; otherwise lgamma is
-    called once per entry.  Counts of 2**1013 or more, whose ln k! or
-    k ln lambda would pass the float64 range, are an InputError.
-    """
-    global _ln_fact
-    table = _ln_fact
-    if not k.size:
-        return np.empty(k.shape)
-    top = float(k.max())
-    n = len(table)
-    if top >= n:
-        grown = min(max(top + 1.0, 2.0 * n), _LN_FACT_CAP)
-        if top >= grown or grown - n > max(k.size, n):
-            if top >= _MAX_COUNT:
-                raise InputError("solution counts exceed the float64 range")
-            return np.fromiter(map(math.lgamma, memoryview((k + 1.0).ravel())),
-                               dtype=np.float64, count=k.size).reshape(k.shape)
-        more = np.fromiter(map(math.lgamma, memoryview(np.arange(n + 1.0, grown + 1.0))),
-                           dtype=np.float64, count=int(grown) - n)
-        table = np.concatenate((table, more))
-        # unless another thread has bound a longer table meanwhile
-        if len(_ln_fact) < len(table):
-            _ln_fact = table
-    return table[k.astype(np.intp)]
+    """ln k! = math.lgamma(k + 1.0) for every entry of an array of counts
+    >= 0 (int or float), one lgamma call each, past 2**53 too.  Counts
+    of 2**1013 or more, whose ln k! or k ln lambda would pass the
+    float64 range, are an InputError."""
+    if k.size and float(k.max()) >= _MAX_COUNT:
+        raise InputError("solution counts exceed the float64 range")
+    return np.fromiter(map(math.lgamma, memoryview((k + 1.0).ravel())),
+                       dtype=np.float64, count=k.size).reshape(k.shape)
 
 
 def _log_poisson(k, lam, log_lam):
@@ -100,22 +79,20 @@ def _log_poisson(k, lam, log_lam):
     Python int or float, with float lam and log_lam, which gives a
     Python float.  One count is taken as float(k), which rounds as an
     int64 or object array's conversion to float64 does, and its ln k!
-    is the table entry or math.lgamma(k + 1.0), as _log_factorials
-    gives it, so both give the same bits.  The one place this term is
-    formed: pmf's log terms, its one-point term and table weights, each
-    model's table of log terms (PoissonModel._term_table, which a line
-    reads) and the PTRS accept test all call it.  ln k! comes first, so a count
-    past its range (2**1013 or more) is refused before k ln lam can
-    overflow."""
+    is math.lgamma(k + 1.0), as _log_factorials gives it, so both give
+    the same bits.  The one place this term is formed: pmf's one-point
+    term and table weights, each model's table of log terms
+    (PoissonModel._term_table, which lines, walks and the PTRS accept
+    test read) and the counts past that table all call it.  ln k! comes
+    first, so a count past its range (2**1013 or more) is refused before
+    k ln lam can overflow."""
     if isinstance(k, np.ndarray):
         log_fact = _log_factorials(k)
     else:
         if k >= _MAX_COUNT:
             raise InputError("solution counts exceed the float64 range")
         k = float(k)
-        # the table is read, not grown, for one count
-        table = _ln_fact
-        log_fact = table.item(int(k)) if k < len(table) else math.lgamma(k + 1.0)
+        log_fact = math.lgamma(k + 1.0)
     return k * log_lam - lam - log_fact
 
 
@@ -129,11 +106,12 @@ class PoissonModel:
     the SNF checks dependent rows.  ``a_full``/``rates_full`` keep the
     checked input in its original shape.  Derived objects (SNF, the log
     rates of the terms, pmf's query plan and the sampler's draw plan)
-    are cached on first use, and the table of Poisson log terms that a
-    line reads grows on use (_term_table).
+    are cached on first use, and the table of Poisson log terms that
+    lines, walks and the PTRS sampler read grows on use (_term_table).
     """
 
-    # (n, length) table of _term_table, empty until a line query grows it
+    # (n, length) table of _term_table, empty until a line, a walk or a
+    # PTRS draw grows it
     _terms = np.empty((0, 0))
 
     def __init__(self, a, rates, name: str | None = None, description: str | None = None):
@@ -221,28 +199,33 @@ class PoissonModel:
         the table of log terms (_term_table)."""
         return np.array([math.log(x) for x in self._rates.tolist()], dtype=np.float64)
 
-    def _term_table(self, top: int) -> np.ndarray:
+    def _term_table(self, top: int, size: int) -> np.ndarray:
         """The model's table of Poisson log terms, T[i, k] = ln P(X_i = k)
         for each column i of the reduced system and k below its length,
         each entry formed by the array case of _log_poisson over
-        np.arange, so it has the bits of every other route's term.
+        np.arange, so it has the bits of every other route's term: the
+        one cache of log terms, which lines, walks and the PTRS accept
+        test read.
 
-        top is the largest count a line block needs.  Past the length,
-        the table grows to max(top + 1, twice the length) entries per
-        column, at most _LN_FACT_CAP, when that adds at most
-        max(length, _TABLE_STEP) entries per column and holds top;
+        top is the largest count a call needs and size the number of
+        counts it would otherwise form directly.  Past the length, the
+        table grows to max(top + 1, twice the length) entries per
+        column, at most _TABLE_CAP, when that adds at most
+        max(length, _TABLE_STEP, size) entries per column and holds top;
         otherwise it is returned as it is, and the caller forms the
-        counts it does not hold by _log_poisson.  So no one query builds
-        a large table.  Nothing builds it at model build; a growth
-        builds a new array and rebinds it, so a reader keeps a
-        consistent snapshot.
+        counts it does not hold by _log_poisson.  A growth makes one
+        lgamma call per new count, so no call makes more than the most
+        of _TABLE_STEP, its own counts and the table so far, and no
+        query builds a large table for a few counts.  Nothing builds it
+        at model build; a growth builds a new array and rebinds it, so a
+        reader keeps a consistent snapshot.
         """
         table = self._terms
         have = table.shape[1]
         if top < have:
             return table
-        grown = min(max(top + 1, 2 * have), _LN_FACT_CAP)
-        if top >= grown or grown - have > max(have, _TABLE_STEP):
+        grown = min(max(top + 1, 2 * have), _TABLE_CAP)
+        if top >= grown or grown - have > max(have, _TABLE_STEP, size):
             return table
         more = _log_poisson(np.arange(float(have), float(grown)), self._rates[:, None],
                             self.term_constants[:, None])
@@ -251,6 +234,21 @@ class PoissonModel:
         if self._terms.shape[1] < grown:
             self._terms = table
         return table
+
+    def _column_terms(self, i: int, k: np.ndarray, top: int, size: int) -> np.ndarray:
+        """ln P(X_i = k) for column i and an int64 or object array k of
+        counts, each at most top: read from the table of log terms when
+        it holds top (_term_table, asked for top and size), else formed
+        by _log_poisson over k as float64, with the same bits.  InputError
+        for a count past the float64 range."""
+        table = self._term_table(top, size)
+        if top < table.shape[1]:
+            return table[i].take(k.astype(np.intp, copy=False))
+        try:
+            k = k.astype(np.float64)
+        except OverflowError:
+            raise InputError("solution counts exceed the float64 range") from None
+        return _log_poisson(k, self._rates[i], self.term_constants[i])
 
     @cached_property
     def _query_plan(self) -> _QueryPlan:

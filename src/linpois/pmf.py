@@ -15,14 +15,14 @@ family is answered at once, with no array.  A single point (a trivial
 kernel, or a line of one point) is answered in Python floats: its one
 term, formed column by column by model._log_poisson, is the log
 probability itself, with no array and no log-sum, and has the bits the
-array route would give it (_point_log_term).  A walked family's log
-terms are formed in numpy passes over column-major arrays of lattice
-points, never over tuples, each pass along one contiguous column
-(_log_terms).  A line's are read from the model's table of Poisson log
-terms (PoissonModel._term_table), one strided view per column, with the
-same bits; only counts past the table are formed by model._log_poisson
-(_line_terms).  The terms are combined by a max-shifted log-sum whose
-inner sum is math.fsum.  fsum
+array route would give it (_point_log_term).  Every other term is read
+from the model's table of Poisson log terms (PoissonModel._term_table),
+column by column: a line's as one strided view per column
+(_line_terms), a walked family's as one gather per column of its
+integer points (PoissonModel._column_terms); only counts past the table
+are formed by model._log_poisson, with the same bits.  One routine adds
+the columns' parts (_add_parts).  The terms are combined by a
+max-shifted log-sum whose inner sum is math.fsum.  fsum
 is correctly rounded, so the result does not depend on the order of the
 terms; its cost does, through the number of partials it keeps, so a
 line's window is handed over from the mode outward.  Each result names
@@ -65,7 +65,7 @@ import numpy as np
 from . import solutions
 from .errors import InputError, InternalInvariantError
 from .intlinalg import _int_arg
-from .model import _LN_FACT_CAP, PoissonModel, _log_poisson
+from .model import _TABLE_CAP, PoissonModel, _log_poisson
 from .solutions import SolutionFamily, _real_vector, _snf_solutions, _walk_family
 
 __all__ = [
@@ -92,7 +92,7 @@ FIRST_BLOCK = 256
 # The most points of a line whose terms are formed in one numpy pass.
 _BLOCK = 1 << 16
 # numpy's sum over a contiguous row of this many entries or more is
-# pairwise, not left to right (_log_terms)
+# pairwise, not left to right (_add_parts)
 _PAIRWISE = 8
 # The most work pmf_table may do, in entries of box-sized array passes.
 # With any column present this keeps the box to 2e7 entries.
@@ -138,50 +138,20 @@ class PmfResult:
     tail_bound: float = 0.0
 
 
-def _log_terms(points: np.ndarray, rates: np.ndarray, log_rates: np.ndarray) -> np.ndarray:
-    """ln of every product term, one per row of points: the array route
-    of a walked family, and the bits that a line's terms, read from the
-    model's table of log terms, keep (_line_terms).
-
-    Row k gives sum_i [k_i ln l_i - l_i - ln k_i!] for rates l_i > 0;
-    log_rates is PoissonModel.term_constants.  Each column's part is
-    model._log_poisson, the one routine that forms the Poisson log term
-    (the one-point route, the model's table of log terms and the PTRS
-    sampler's accept test call it too), so ROADMAP item 1's
-    cancellation-free form changes that routine alone.  Each part is
-    formed before the parts are added, so k ln l - l and ln k! cancel
-    while their magnitudes are close (exactly, near the mode), not
-    after rounding at the size of their sum over the columns.
-
-    points come column-major (SolutionFamily.points), so every pass,
-    the row sum included, runs along contiguous columns.  numpy adds a
-    column-major row left to right, and a row-major one of fewer than
-    _PAIRWISE parts too, but a wider row-major one in its pairwise
-    order; rows that wide are summed row-major, so each term has the
-    same bits in either layout.
-    """
-    if points.shape[0] == 0:
-        return np.empty(0)
-    parts = _log_poisson(points, rates, log_rates)
-    if parts.shape[1] >= _PAIRWISE:
-        parts = np.ascontiguousarray(parts)
-    return parts.sum(axis=1)
-
-
 def _quiet(top):
     """np.errstate(over="ignore") when a point has a count of top >= 2**20
-    (_LN_FACT_CAP), else a context that does nothing.  Below that every
+    (_TABLE_CAP), else a context that does nothing.  Below that every
     part of a log term is -rate plus at most about 1e9, so a term stays
     near -sum(rates), which preprocess keeps finite; a larger count can
     take a part or the sum of the parts past the float64 range, to -inf,
     which numpy would warn of.  The errstate costs microseconds, so it
     is entered only where it can matter."""
-    return np.errstate(over="ignore") if top >= _LN_FACT_CAP else _NO_CONTEXT
+    return np.errstate(over="ignore") if top >= _TABLE_CAP else _NO_CONTEXT
 
 
 def _point_log_term(point, rates, log_rates) -> float:
     """ln of the product term of one point, in Python floats: the bits
-    _log_terms gives its row in either layout.
+    the array routes give its row (_add_parts).
 
     point holds one count per column (Python ints), rates and log_rates
     one float per column.  Each column's part is model._log_poisson of
@@ -200,29 +170,46 @@ def _point_log_term(point, rates, log_rates) -> float:
     return lp
 
 
+def _add_parts(parts: list, count: int) -> np.ndarray:
+    """The terms of count points from their parts, one per column (an
+    array of count entries, or a scalar): the one routine that adds the
+    parts of a line block and of a walk.  Fewer than _PAIRWISE parts are
+    added left to right, more stacked row-major and summed by numpy's
+    pairwise row sum, as numpy adds a row of lattice points; the
+    one-point route keeps that order too.  Each part is formed before
+    the parts are added, so k ln l - l and ln k! cancel while their
+    magnitudes are close (exactly, near the mode), not after rounding
+    at the size of their sum over the columns."""
+    if len(parts) < _PAIRWISE:
+        t = parts[0] + parts[1]
+        for p in parts[2:]:
+            t += p
+        return t
+    rows = np.empty((count, len(parts)))
+    for i, p in enumerate(parts):
+        rows[:, i] = p
+    return rows.sum(axis=1)
+
+
 def _line_terms(fam: SolutionFamily, model: PoissonModel, lo: int, hi: int) -> np.ndarray:
     """ln t(j) for the points j = lo..hi of a line, read from the model's
-    table of Poisson log terms (PoissonModel._term_table): the bits of
-    _log_terms(fam.points(lo, hi), model.rates, model.term_constants).
+    table of Poisson log terms (PoissonModel._term_table).
 
     Column i's counts are s + v j' for j' = 0..hi - lo, with s = u_i +
     lo v_i and v = v_i.  Where the table holds them, its part is the
     strided view T[i, s::v] of hi - lo + 1 entries, forward or reversed,
     or the scalar T[i, s] when v = 0.  Where it does not, the part is
-    _log_poisson of the counts float(s) + float(v) arange, the float64
-    counts SolutionFamily.points forms.  Fewer than _PAIRWISE parts are
-    added left to right, as numpy adds a column-major row; more are
-    stacked row-major and summed by numpy's pairwise row sum, as
-    _log_terms does.  A term whose parts add up past the float64 range
-    is -inf, with no warning (_quiet); InputError when a count passes
-    the float64 range.
+    _log_poisson of the float64 counts float(s) + float(v) arange.  The
+    parts are added by _add_parts.  A term whose parts add up past the
+    float64 range is -inf, with no warning (_quiet); InputError when a
+    count passes the float64 range.
     """
     count = hi - lo + 1
     starts = [u + lo * v for u, v in zip(fam.base, fam.direction)]
     # the largest count of each column
     tops = [s + (count - 1) * v if v > 0 else s for s, v in zip(starts, fam.direction)]
     need = max(tops)
-    table = model._term_table(need)
+    table = model._term_table(need, count * len(starts))
     size = table.shape[1]
     with _quiet(need):
         parts = []
@@ -240,15 +227,7 @@ def _line_terms(fam: SolutionFamily, model: PoissonModel, lo: int, hi: int) -> n
             except OverflowError:
                 raise InputError("solution counts exceed the float64 range") from None
             parts.append(_log_poisson(k, model.rates[i], model.term_constants[i]))
-        if len(parts) < _PAIRWISE:
-            t = parts[0] + parts[1]
-            for p in parts[2:]:
-                t += p
-            return t
-        rows = np.empty((count, len(parts)))
-        for i, p in enumerate(parts):
-            rows[:, i] = p
-        return rows.sum(axis=1)
+        return _add_parts(parts, count)
 
 
 def logsumexp(terms) -> float:
@@ -543,8 +522,10 @@ def pmf(model: PoissonModel, b) -> PmfResult:
     if route == "line":
         return _line_sum(fam, model)
     # every column has an entry >= 1, so no walked count exceeds max(b)
-    with _quiet(max(b)):
-        return _summed(_log_terms(fam.points(), model.rates, model.term_constants), route)
+    top, pts = max(b), fam.array
+    with _quiet(top):
+        parts = [model._column_terms(i, k, top, pts.size) for i, k in enumerate(pts.T)]
+        return _summed(_add_parts(parts, len(pts)), route)
 
 
 def gf_eval(model: PoissonModel, z) -> float:

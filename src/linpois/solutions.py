@@ -15,8 +15,10 @@ off the Smith form of the m x r block of basis columns.  Both trust the
 checks that pmf's query step made on b, and the walk also the lattice
 test.
 
-Both refuse, with InputError, a solution set, walk frontier or block of
-line points of more than MAX_POINTS points before allocating it.
+SolutionFamily.points and _walk_family refuse, with InputError, a
+solution set or walk frontier of more than MAX_POINTS points before
+allocating it.  A walked family holds its points as exact integers,
+which pmf reads as they are: no float64 copy of them is made.
 
 Plus the one check of a real vector (_real_vector), for the rates of a
 model and of the sampler and for pmf's z.
@@ -115,34 +117,24 @@ class SolutionFamily:
             return self.jmax - self.jmin + 1
         return 0 if self.array is None else len(self.array)
 
-    def points(self, lo: int | None = None, hi: int | None = None) -> np.ndarray:
+    def points(self) -> np.ndarray:
         """Every solution as one row of a (count, n) float64 array, in
         column-major (Fortran) order.
 
-        For a line, lo and hi (default jmin and jmax) select the block
-        of points j = lo..hi; they are ignored for other kinds.  Float64
-        holds counts exactly below 2**53 and larger ones to within a
-        rounding or two of float(k_i), so no entry can wrap as int64
-        would.  A block is anchored at its exact integer start point,
-        so the broadcast steps stay small.  Each column is contiguous,
-        so the passes that form the log terms (pmf._log_terms) run along
-        contiguous memory; pmf reads a line's terms from the model's
-        table of log terms instead (pmf._line_terms), with the bits of
-        those passes over these points.  An empty family has shape (0, 0).
-        InputError for more than MAX_POINTS points, before any array is
-        allocated.
+        Float64 holds counts exactly below 2**53 and larger ones to
+        within a rounding or two of float(k_i), so no entry can wrap as
+        int64 would.  A line is anchored at its exact integer point at
+        jmin, so the broadcast steps stay small.  pmf does not call it:
+        it reads its terms from the model's table of log terms.  An
+        empty family has shape (0, 0).  InputError for more than
+        MAX_POINTS points, before any array is allocated.
         """
-        if self.kind == "line":
-            lo = self.jmin if lo is None else lo
-            hi = self.jmax if hi is None else hi
-            count = hi - lo + 1
-        else:
-            count = self.count
+        count = self.count
         if count > MAX_POINTS:
             raise _too_many(f"a solution set of {count} points")
         try:
             if self.kind == "line":
-                start = [u + lo * v for u, v in zip(self.base, self.direction)]
+                start = [u + self.jmin * v for u, v in zip(self.base, self.direction)]
                 start = np.array(start, dtype=np.float64)[:, None]
                 direction = np.array(self.direction, dtype=np.float64)[:, None]
                 # the transpose of an (n, count) array is column-major

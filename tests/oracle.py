@@ -4,8 +4,10 @@ None of these is used by the package: brute-force enumeration of the
 solution set, a family built from a list of points, the points of a
 solution family as a set, an exact determinant by fraction-free
 elimination, the gcd of all minors (which fixes the elementary
-divisors), one product term and a log-sum formed with math.fsum, a
-model reduced by hand, the Poisson log probability to 40 digits in
+divisors), one product term and a log-sum formed with math.fsum, the
+array route's log terms over float64 points (the bits every route of
+pmf keeps) and the float64 points of a block of a line, a model reduced
+by hand, the Poisson log probability to 40 digits in
 decimal arithmetic, the truncated generating-function series, and the
 scalar reference of the sampling kernels' RNG contract (mix64,
 uniform53).
@@ -23,6 +25,8 @@ import numpy as np
 from linpois import PoissonModel, pmf_table, solutions
 from linpois.errors import InputError
 from linpois.intlinalg import int_matrix, int_vector
+from linpois.model import _log_poisson
+from linpois.pmf import _PAIRWISE
 from linpois.solutions import SolutionFamily
 
 _MASK64 = (1 << 64) - 1
@@ -176,6 +180,27 @@ def reference_term(k, rates):
         return float("-inf")
     parts = [ki * math.log(lam) for ki, lam in zip(k, rates) if lam > 0.0]
     return math.fsum(parts + [-lam for lam in rates] + [-math.lgamma(ki + 1) for ki in k])
+
+
+def log_terms(points, rates, log_rates):
+    """ln of every product term, one per row of float64 points, formed
+    as pmf formed a walk's terms before its table of log terms: each
+    column's part by model._log_poisson over the array, then the parts
+    summed per row, column-major left to right below _PAIRWISE parts
+    and row-major, in numpy's pairwise order, from there on.  Lines,
+    walks and single points must give every term these bits."""
+    if points.shape[0] == 0:
+        return np.empty(0)
+    parts = _log_poisson(points, rates, log_rates)
+    if parts.shape[1] >= _PAIRWISE:
+        parts = np.ascontiguousarray(parts)
+    return parts.sum(axis=1)
+
+
+def block_points(fam, lo, hi):
+    """The points j = lo..hi of a line family as float64 rows, anchored
+    at the exact point at lo, as SolutionFamily.points forms a line's."""
+    return SolutionFamily.line(fam.base, fam.direction, lo, hi).points()
 
 
 def reference_log_sum(terms):

@@ -1,10 +1,12 @@
 """Acceptance gate: one test per release criterion, each printing a
 single PASS/FAIL line and enforcing its stated runtime cap."""
 
+import ast
 import itertools
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,3 +183,26 @@ def test_criterion_8_monte_carlo_check(model1):
         rep = lp.verify(model1, [2, 2], n_samples=1_000_000, seed=2024)
         assert math.isclose(rep.exact_prob, math.exp(-3.0), rel_tol=1e-12)
         assert abs(rep.z_score) <= 4.0, rep
+
+
+def test_readme_quickstart_runs_with_its_commented_values():
+    """README's Python quick start runs as written, and each line whose
+    comment opens with a Python literal gives that value, by its repr:
+    the route 'line', 2 terms, ('line', 2), the float64 points and the
+    exact-int rows among them.  The z-score line checks itself."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope, checked = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  #")
+        exec(code, scope)
+        try:
+            want = ast.literal_eval(comment.strip().split("  ")[0])
+        except (SyntaxError, ValueError):
+            continue
+        assert repr(eval(code, scope)) == repr(want), line
+        checked.append(want)
+    assert "line" in checked and 2 in checked and ("line", 2) in checked
+    assert [[0.0, 0.0, 2.0], [2.0, 1.0, 0.0]] in checked
+    assert [[0, 0, 1], [0, 1, 0], [1, 0, 0]] in checked
+    assert abs(scope["rep"].z_score) <= 4

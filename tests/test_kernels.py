@@ -4,6 +4,7 @@ pinned to golden values, and exact hit counts."""
 import hashlib
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import accumulate
 
@@ -13,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linpois import kernels as K
-from linpois import model as model_module
 from linpois.errors import InputError
 from linpois.model import PoissonModel
 from linpois.montecarlo import verify
@@ -401,26 +401,53 @@ def test_sample_block_golden_draws():
     assert digest == "f11b63d1e6ee043f93064f1270f54e775db24d009d87b344549bb81fc8ca80ed"
 
 
-def test_ptrs_accept_test_reads_ln_factorial_table(monkeypatch):
-    # one lgamma call per candidate reaching the full accept test would
-    # be about 23,000 calls here; the process-wide ln k! table, grown
-    # from empty over the candidates' values, needs a few hundred
-    monkeypatch.setattr(model_module, "_ln_fact", np.empty(0))
-    calls = 0
+def counting_lgamma(monkeypatch) -> list:
+    """A spy on math.lgamma: the one-entry list holds its number of calls."""
+    calls = [0]
     lgamma = math.lgamma
 
-    def counting_lgamma(x):
-        nonlocal calls
-        calls += 1
+    def spy(x):
+        calls[0] += 1
         return lgamma(x)
 
-    monkeypatch.setattr(math, "lgamma", counting_lgamma)
-    out = K.sample_block([40.0], 0, 0, 50_000)
-    assert calls <= 1_000
-    assert abs(out.mean() - 40.0) < 0.2
-    # both paths are taken: the first round's candidates grow the table,
-    # which the later, smaller rounds read without a call
-    assert 0 < calls == len(model_module._ln_fact)
+    monkeypatch.setattr(math, "lgamma", spy)
+    return calls
+
+
+def test_hits_block_accept_test_reads_the_model_table(monkeypatch):
+    """hits_block's PTRS accept test reads its column's row of the
+    model's table of log terms.  Its draws equal sample_block's, which
+    forms the log terms by _log_poisson.  The first call grows the table
+    from empty with one lgamma call per entry; once it is warm a call
+    makes none: after two calls here.  The cached draw plan holds no reference to the model,
+    which is freed with its last reference, table and all."""
+    calls = counting_lgamma(monkeypatch)
+    drawn = []
+    draw = K._draw_ptrs_np
+
+    def spy(bases, param, *model_and_row):
+        out = draw(bases, param, *model_and_row)
+        drawn.append(out)
+        return out
+
+    monkeypatch.setattr(K, "_draw_ptrs_np", spy)
+    # both columns are PTRS: the first is drawn for every sample
+    model = PoissonModel([[1, 1], [0, 1]], [40.0, 45.0])
+    lengths = [0]
+    for seed in range(6):
+        # sample_block makes one lgamma call per candidate
+        want = K.sample_block([40.0, 45.0], seed, 0, 20_000)[:, 0]
+        first, calls[0] = len(drawn), 0
+        K.hits_block(model, [85, 45], seed, 0, 20_000)
+        assert len(drawn) == first + 2 and np.array_equal(drawn[first], want)
+        lengths.append(model._terms.shape[1])
+        # one call per entry the table grew by, none once it holds the candidates
+        assert calls[0] == lengths[-1] - lengths[-2]
+    assert lengths[1] > 0 and lengths[2:] == [lengths[2]] * 5
+    assert "_draw_plan" in vars(model)
+    ref = weakref.ref(model)
+    del model
+    assert ref() is None
 
 
 def test_ptrs_accept_test_is_the_one_log_term(monkeypatch):
@@ -679,7 +706,8 @@ def test_hits_block_and_pmf_share_the_lattice_tests():
             a = np.vstack([a, 2 * a[0]])
         model = PoissonModel(a, rng.uniform(0.5, 3.0, n))
         drawn, checks = model._draw_plan
-        assert [c for c, _, _ in drawn] == model._kept
+        assert [c for c, _, _, _ in drawn] == model._kept
+        assert [j for _, j, _, _ in drawn] == list(range(model.n))
         tests = model._query_plan.tests
         assert checks[0] == tests
         for _ in range(10):

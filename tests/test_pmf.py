@@ -23,12 +23,12 @@ from linpois import solutions as S
 from linpois.cli import main
 from linpois.errors import InputError, InternalInvariantError
 from linpois.model import _log_factorials, _log_poisson
-from linpois.pmf import _log_terms, _summed
+from linpois.pmf import _summed
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
-from oracle import (STIRLING_FROM, enumerate_solutions, family_set, gf_eval_series, hand_reduced,
-                    line_points, ln_factorial, log_poisson, reference_log_prob,
-                    reference_log_sum, reference_term)
+from oracle import (STIRLING_FROM, block_points, enumerate_solutions, family_set, gf_eval_series,
+                    hand_reduced, line_points, ln_factorial, log_poisson, log_terms,
+                    reference_log_prob, reference_log_sum, reference_term)
 
 P = importlib.import_module("linpois.pmf")
 
@@ -296,7 +296,7 @@ def _natural_order_sum(model, b, blocks):
     the order of j, with the tail bounds read off its edge terms."""
     fam = lp.solution_family(model, b)
     lo, hi = min(q[0] for q in blocks), max(q[1] for q in blocks)
-    t = _log_terms(fam.points(lo, hi), model.rates, model.term_constants)
+    t = log_terms(block_points(fam, lo, hi), model.rates, model.term_constants)
     tails = [math.log(left) + float(x)
              for left, x in ((lo - fam.jmin, t[0]), (fam.jmax - hi, t[-1])) if left]
     return _summed(t, "line", terms=fam.count, tail_logs=tails)
@@ -373,17 +373,13 @@ def test_window_of_a_million_point_line():
     hi = float(logs.max())
     full = hi + math.log(math.fsum(np.exp(logs - hi).tolist()))
     assert math.isclose(res.log_prob, full, rel_tol=REL)
-    assert res.log_prob == lp.logsumexp(_log_terms(k, model.rates, model.term_constants))
+    assert res.log_prob == lp.logsumexp(log_terms(k, model.rates, model.term_constants))
 
 
-def _fresh_ln_fact(monkeypatch):
-    monkeypatch.setattr(model_module, "_ln_fact", np.empty(0))
-
-
-def test_log_terms_table_equals_lgamma_map(monkeypatch):
-    """The lgamma table for small counts gives the same bits as one
-    math.lgamma call per entry, and large counts keep the map."""
-    _fresh_ln_fact(monkeypatch)
+def test_log_terms_table_equals_lgamma_map():
+    """The array route's log terms (oracle.log_terms, over
+    model._log_poisson) give the bits of one math.lgamma call per entry,
+    for small and large counts."""
     rng = np.random.default_rng(7)
     lam = np.array([2.5e-8, 0.3, 4.5, 1e4])
     consts = lp.PoissonModel(lp.int_identity(4), lam).term_constants
@@ -395,11 +391,11 @@ def test_log_terms_table_equals_lgamma_map(monkeypatch):
     for pts in cases:
         lgam = np.array([math.lgamma(x) for x in (pts + 1.0).ravel().tolist()]).reshape(pts.shape)
         want = (pts * consts - lam - lgam).sum(axis=1)
-        assert np.array_equal(_log_terms(pts, lam, consts), want)
+        assert np.array_equal(log_terms(pts, lam, consts), want)
 
 
 def test_log_terms_same_bits_in_either_layout():
-    """_log_terms gives every term the same bits on column-major points,
+    """oracle.log_terms gives every term the same bits on column-major points,
     as SolutionFamily.points returns them, as on row-major ones, for 1
     to 12 columns: numpy adds a row-major row of _PAIRWISE or more
     parts in pairwise order, not left to right.  The one-point route
@@ -412,8 +408,8 @@ def test_log_terms_same_bits_in_either_layout():
         ints = rng.integers(0, 3000, (300, n))
         ints[-20:] = rng.integers(0, 2**62, (20, n))
         pts = ints.astype(np.float64)
-        rows = _log_terms(np.ascontiguousarray(pts), lam, consts)
-        assert _log_terms(np.asfortranarray(pts), lam, consts).tobytes() == rows.tobytes()
+        rows = log_terms(np.ascontiguousarray(pts), lam, consts)
+        assert log_terms(np.asfortranarray(pts), lam, consts).tobytes() == rows.tobytes()
         assert rows.tobytes() == _log_poisson(pts, lam, consts).sum(axis=1).tobytes()
         one = [P._point_log_term(k, lam.tolist(), consts.tolist()) for k in ints.tolist()]
         assert np.array(one).tobytes() == rows.tobytes()
@@ -425,7 +421,7 @@ def _hexes(terms):
 
 def test_line_terms_have_the_bits_of_log_terms():
     """pmf._line_terms, read from the model's table of log terms, gives
-    every term of a block the bits of _log_terms over the block's points,
+    every term of a block the bits of oracle.log_terms over the block's points,
     on seeded lines of n = 2..12 columns (both sides of _PAIRWISE), with
     zero-direction columns, strides of 1 and 2 both ways, reversed
     strides that end at count 0, blocks that straddle the table's end
@@ -457,7 +453,7 @@ def test_line_terms_have_the_bits_of_log_terms():
                     else:
                         lo = int(rng.integers(fam.jmin, fam.jmax + 1))
                         hi = min(fam.jmax, lo + width)
-                    pts = fam.points(lo, hi)
+                    pts = block_points(fam, lo, hi)
                     size = model._terms.shape[1]
                     tops = pts.max(axis=0)
                     seen.add("fresh" if size == 0 else "warm")
@@ -470,60 +466,129 @@ def test_line_terms_have_the_bits_of_log_terms():
                         seen.add("straddles")
                     if tops.max() >= 2.0**59:
                         seen.add("past the table")
-                    want = _log_terms(pts, model.rates, model.term_constants)
+                    want = log_terms(pts, model.rates, model.term_constants)
                     assert _hexes(P._line_terms(fam, model, lo, hi)) == _hexes(want)
     assert seen == {"fresh", "warm", "pairwise", "left to right", "zero direction",
                     "reversed to 0", "straddles", "past the table"}
 
 
+def test_walk_terms_have_the_bits_of_log_terms(monkeypatch):
+    """A walk's terms, read column by column from the model's table of
+    log terms (PoissonModel._column_terms), have the bits of
+    oracle.log_terms over its float64 points, on seeded walks of n =
+    3..12 columns (both sides of _PAIRWISE), on int64 and object point
+    arrays and on counts past the table, on a fresh and a warmed table.
+    For n >= 4 the matrices are [w | e] over [0 | I]: one row of weights
+    w >= 1 over c = 3 or 4 columns plus couplings e, then an identity
+    row per other column, so a kernel of dimension c - 1 and a rank of
+    n - c + 1 >= 2.  A walk of n = 3 columns has rank 1, which the
+    recurrence answers up to t of about 1,800: [[1, w_2, w_3]] with
+    w_i >= 1000 is walked past that.  An entry of 2**64 makes the walk's
+    points an object array at small counts too."""
+    handed = []
+    summed = P._summed
+
+    def spy(terms, route, *args):
+        handed.append(terms)
+        return summed(terms, route, *args)
+
+    monkeypatch.setattr(P, "_summed", spy)
+    rng = np.random.default_rng(33)
+    cases = [([[1] + rng.integers(1000, 1500, 2).tolist()], [int(rng.integers(1802, 4000))])
+             for _ in range(4)]
+    cases += [([[1, 1, 1, 0], [0, 1, 2, 2**64]], b) for b in ([3, 4], [30, 40])]
+    for n in range(4, 13):
+        for _ in range(4):
+            c = int(rng.integers(3, min(n - 1, 4) + 1))
+            scale = int(rng.choice([40, 3000, 10**7, 2**60]))
+            k = rng.integers(0, 6, c).tolist() + [int(x) for x in rng.integers(0, scale, n - c)]
+            # a coupling only on small counts: b_0 bounds the walk
+            e = [int(rng.integers(0, 3)) if x < 40 else 0 for x in k[c:]]
+            a = [rng.integers(1, 3, c).tolist() + e]
+            a += [[0] * c + [int(i == j) for j in range(n - c)] for i in range(n - c)]
+            cases.append((a, [sum(x * y for x, y in zip(row, k)) for row in a]))
+    seen = set()
+    for a, b in cases:
+        n = len(a[0])
+        model = lp.PoissonModel(a, np.exp(rng.uniform(-3.0, 8.0, n)).tolist())
+        for _ in range(2):
+            seen.add("fresh" if model._terms.shape[1] == 0 else "warm")
+            res = lp.pmf(model, b)
+            fam = lp.solution_family(model, b)
+            assert res.route == "walk" and res.terms == fam.count > 0
+            want = log_terms(fam.points(), model.rates, model.term_constants)
+            assert _hexes(handed[-1]) == _hexes(want)
+        held = "past the table" if max(b) >= model._terms.shape[1] else "in the table"
+        seen |= {held, f"{fam.array.dtype} {held}"}
+        seen.add("pairwise" if n >= P._PAIRWISE else "left to right")
+    assert seen == {"fresh", "warm", "past the table", "in the table", "pairwise",
+                    "left to right", "int64 in the table", "int64 past the table",
+                    "object in the table", "object past the table"}
+
+
 def _term_table_growths(monkeypatch):
     """A spy on PoissonModel._term_table: the (length before, length
-    after) of each call."""
+    after, size) of each call."""
     calls = []
     term_table = lp.PoissonModel._term_table
 
-    def spy(model, top):
+    def spy(model, top, size):
         before = model._terms.shape[1]
-        table = term_table(model, top)
-        calls.append((before, table.shape[1]))
+        table = term_table(model, top, size)
+        calls.append((before, table.shape[1], size))
         return table
 
     monkeypatch.setattr(lp.PoissonModel, "_term_table", spy)
     return calls
 
 
-def test_model_build_builds_no_term_table():
-    """The table of log terms is built by a line query, not at build nor
-    by the other routes; its entries are _log_poisson over np.arange."""
-    model = lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1])
-    assert "_terms" not in vars(model) and model._terms.shape == (0, 0)
-    for b in ([3, 1], [-1, 2], [1, 1]):  # empty, empty, singleton
-        lp.pmf(model, b)
-    assert "_terms" not in vars(model)
-    assert lp.pmf(model, [40, 60]).route == "line"
+# a rank-2 matrix whose kernel has dimension 2: pmf walks it
+WALK = [[1, 1, 1, 0], [0, 1, 2, 1]]
+
+
+def _table_is_log_poisson(model):
     table = model._terms
-    assert table.shape[0] == 3 and table.shape[1] > 40
     want = _log_poisson(np.arange(float(table.shape[1])), model.rates[:, None],
                         model.term_constants[:, None])
-    assert table.tobytes() == want.tobytes()
+    return table.shape[0] == model.n and table.tobytes() == want.tobytes()
+
+
+def test_model_build_builds_no_term_table():
+    """The table of log terms is built by a line, a walk or the PTRS
+    sampler (verify), not at build nor by a singleton or an empty query;
+    its entries are _log_poisson over np.arange."""
+    cases = [(EXAMPLE1, [1.2, 35.0, 2.1], ([3, 1], [-1, 2], [1, 1]),
+              lambda model: lp.pmf(model, [40, 60]).route == "line"),
+             (WALK, [1.0, 2.0, 3.0, 4.0], ([-1, 0], [2, -1]),
+              lambda model: lp.pmf(model, [3, 4]).route == "walk"),
+             ([[1]], [40.0], ([40], [-1]),
+              lambda model: lp.verify(model, [40], 2_000, 3).hits > 0)]
+    for a, rates, quiet, grows in cases:
+        model = lp.PoissonModel(a, rates)
+        assert "_terms" not in vars(model) and model._terms.shape == (0, 0)
+        for b in quiet:  # empty or singleton
+            assert lp.pmf(model, b).route in ("empty", "singleton")
+        assert "_terms" not in vars(model)
+        assert grows(model)
+        assert model._terms.shape[1] > 0 and _table_is_log_poisson(model)
 
 
 def _without_table(model, b):
-    """pmf(model, b) with each block's terms formed by _log_terms over
-    its points, as before the table."""
+    """pmf(model, b) with each block's terms formed by oracle.log_terms
+    over its points, as before the table."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(P, "_line_terms", lambda fam, model, lo, hi: _log_terms(
-            fam.points(lo, hi), model.rates, model.term_constants))
+        mp.setattr(P, "_line_terms", lambda fam, model, lo, hi: log_terms(
+            block_points(fam, lo, hi), model.rates, model.term_constants))
         return lp.pmf(model, b)
 
 
 def test_term_table_growth_rule(monkeypatch):
-    """Each growth adds at most max(length, 4096) entries per column and
-    holds the block's largest count.  A first query at counts near 10**6
-    forms its terms directly and builds no table; queries of rising
-    counts then grow it, each at most doubling it past 4096 entries, and
-    a later query near 10**6 does not grow it.  Every answer keeps its
-    bits."""
+    """Each growth adds at most max(length, 4096, the call's counts)
+    entries per column and holds the call's largest count.  A first
+    query at counts near 10**6 forms its terms directly and builds no
+    table; queries of rising counts then grow it, each at most doubling
+    it past 4096 entries, and a later query near 10**6 does not grow it.
+    Every answer keeps its bits.  Direct calls pin the budget's edge."""
     calls = _term_table_growths(monkeypatch)
     model = lp.PoissonModel([[1, 1, 2], [0, 1, 1]], [3.0, 40.0, 7.0])
     for i, scale in enumerate((10**6, 10, 3000, 5000, 9000, 15_000, 30_000, 10**6)):
@@ -531,28 +596,56 @@ def test_term_table_growth_rule(monkeypatch):
         res = lp.pmf(model, b)
         assert res.route == "line" and _fields(res) == _fields(_without_table(model, b))
         if i == 0:
-            assert calls and all(y == 0 for _, y in calls)
+            assert calls and all(y == 0 for _, y, _ in calls)
             assert "_terms" not in vars(model)
-    grew = [(x, y) for x, y in calls if y > x]
+    grew = [(x, y, size) for x, y, size in calls if y > x]
     assert len(grew) >= 5 and calls[-1][1] == grew[-1][1] < 10**6
-    assert all(y - x <= max(x, 4096) for x, y in grew)
+    assert all(y - x <= max(x, 4096, size) for x, y, size in grew)
+    # the budget's edge: 5001 new entries need a call of 5001 counts
+    fresh = lp.PoissonModel([[1, 1]], [3.0, 40.0])
+    assert fresh._term_table(5000, 5000).shape[1] == 0
+    assert fresh._term_table(5000, 5001).shape == (2, 5001)
+    assert fresh._term_table(9000, 0).shape == (2, 10_002)
+
+
+def test_cold_large_walk_grows_the_table_once(monkeypatch):
+    """A walk of 396,066 points at max(b) = 6000 on a fresh model: the
+    table grows once, to 6001 entries, past _TABLE_STEP because the walk
+    would otherwise form its 1,980,330 counts directly, with one lgamma
+    call per entry; the same walk again makes no call."""
+    calls = _term_table_growths(monkeypatch)
+    lgammas = [0]
+    lgamma = math.lgamma
+
+    def counting_lgamma(x):
+        lgammas[0] += 1
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counting_lgamma)
+    model = lp.PoissonModel([[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]], [2.0, 3.0, 4.0, 50.0, 5.0])
+    res = lp.pmf(model, [10, 6000])
+    assert (res.route, res.terms) == ("walk", 66 * 6001)
+    assert [(x, y) for x, y, _ in calls if y > x] == [(0, 6001)]
+    assert lgammas[0] == 6001 > model_module._TABLE_STEP
+    lgammas[0] = 0
+    assert lp.pmf(model, [10, 6000]) == res and lgammas[0] == 0
 
 
 def test_term_table_never_passes_the_cap(monkeypatch):
-    """With _LN_FACT_CAP at 2**13, lines of rising counts grow the table
+    """With _TABLE_CAP at 2**13, lines of rising counts grow the table
     to the cap and no further; the counts past it are formed directly,
-    with the bits of _log_terms."""
-    monkeypatch.setattr(model_module, "_LN_FACT_CAP", 1 << 13)
+    with the bits of oracle.log_terms."""
+    monkeypatch.setattr(model_module, "_TABLE_CAP", 1 << 13)
     calls = _term_table_growths(monkeypatch)
     model = lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1])
     for b in ([50, 50], [2000, 2000], [4000, 4000], [7000, 7000], [8100, 8100],
               [9000, 9000], [20_000, 20_000]):
         fam = lp.solution_family(model, b)
         assert _hexes(P._line_terms(fam, model, fam.jmin, fam.jmax)) == _hexes(
-            _log_terms(fam.points(), model.rates, model.term_constants))
+            log_terms(fam.points(), model.rates, model.term_constants))
         assert model._terms.shape[1] <= 1 << 13
     assert model._terms.shape[1] == 1 << 13
-    assert max(y for _, y in calls) == 1 << 13
+    assert max(y for _, y, _ in calls) == 1 << 13
 
 
 def test_sums_past_the_float_range_answer_zero_without_a_warning():
@@ -585,8 +678,9 @@ def test_sums_past_the_float_range_answer_zero_without_a_warning():
 def test_empty_answer_skips_the_array_route(monkeypatch):
     """b negative, off the lattice, against a dependent row or on a line
     with no nonnegative point reaches none of SolutionFamily.points,
-    _log_terms and logsumexp, and every field has the bits of the log-sum
-    of no terms.  SolutionFamily.empty() is one shared family."""
+    the model's table of log terms, _add_parts and logsumexp, and every
+    field has the bits of the log-sum of no terms.
+    SolutionFamily.empty() is one shared family."""
     cases = [(EXAMPLE1, [1.0, 1.0, 1.0], [-1, 2]),
              (EXAMPLE1, [1.0, 1.0, 1.0], [0, 1]),
              ([[1, 2], [2, 4]], [0.5, 7.0], [3, 7]),
@@ -598,7 +692,8 @@ def test_empty_answer_skips_the_array_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("array route reached by an empty family")
 
-    monkeypatch.setattr(P, "_log_terms", refuse)
+    monkeypatch.setattr(P, "_add_parts", refuse)
+    monkeypatch.setattr(lp.PoissonModel, "_term_table", refuse)
     monkeypatch.setattr(P, "logsumexp", refuse)
     monkeypatch.setattr(S.SolutionFamily, "points", refuse)
     for a, rates, b in cases:
@@ -607,9 +702,10 @@ def test_empty_answer_skips_the_array_route(monkeypatch):
 
 def test_singleton_skips_the_array_route(monkeypatch):
     """A singleton pmf call (a trivial kernel, dependent rows, a line of
-    one point, 8 or more columns, no column left) reaches none of
-    _log_terms, logsumexp and SolutionFamily.points, and every field of
-    its result has the bits of the array route over the same point."""
+    one point, 8 or more columns, no column left) reaches none of the
+    model's table of log terms, _add_parts, logsumexp and
+    SolutionFamily.points, and every field of its result has the bits of
+    the array route over the same point (oracle.log_terms)."""
     cases = [(EXAMPLE3, [1.0, 2.0, 3.0], [200, 370, 260]),
              ([[1, 2], [2, 4], [0, 1]], [0.5, 7.0], [9, 18, 3]),
              ([[1, 1]], [2.0, 3.0], [0]),
@@ -622,7 +718,7 @@ def test_singleton_skips_the_array_route(monkeypatch):
         model = lp.PoissonModel(a, rates)
         fam = lp.solution_family(model, b)
         assert fam.kind == "singleton"
-        t = _log_terms(fam.points(), model.rates, model.term_constants)
+        t = log_terms(fam.points(), model.rates, model.term_constants)
         want.append(_fields(_summed(t, "singleton")))
 
     def refuse(name):
@@ -630,7 +726,8 @@ def test_singleton_skips_the_array_route(monkeypatch):
             raise AssertionError(f"{name} reached by a singleton")
         return spy
 
-    monkeypatch.setattr(P, "_log_terms", refuse("_log_terms"))
+    monkeypatch.setattr(P, "_add_parts", refuse("_add_parts"))
+    monkeypatch.setattr(lp.PoissonModel, "_term_table", refuse("_term_table"))
     monkeypatch.setattr(P, "logsumexp", refuse("logsumexp"))
     monkeypatch.setattr(S.SolutionFamily, "points", refuse("points"))
     for (a, rates, b), fields in zip(cases, want):
@@ -638,14 +735,13 @@ def test_singleton_skips_the_array_route(monkeypatch):
         assert res.route == "singleton" and _fields(res) == fields
 
 
-def test_one_routine_forms_the_poisson_log_term(monkeypatch):
+def test_one_routine_forms_the_poisson_log_term():
     """model._log_poisson gives the bits of k ln lam - lam - lgamma(k + 1)
-    formed per entry in Python floats, and of _log_terms over a
+    formed per entry in Python floats, and of oracle.log_terms over a
     one-column array, for int64 and float64 counts and for one int or
-    float count, read from the ln k! table or not: k = 0, counts the
-    table serves, counts past its cap and past 2**53."""
-    _fresh_ln_fact(monkeypatch)
-    cap = model_module._LN_FACT_CAP
+    float count: k = 0, counts a model's table of log terms holds,
+    counts past its cap and past 2**53."""
+    cap = model_module._TABLE_CAP
     grids = [list(range(41)),
              [0, 1, cap - 1, cap, cap + 5, 10**7, 2**40, 2**53 + 2, 2**62]]
 
@@ -662,22 +758,17 @@ def test_one_routine_forms_the_poisson_log_term(monkeypatch):
         for ks in grids:
             want = [k * log_lam - lam - math.lgamma(k + 1.0) for k in map(float, ks)]
             pairs = [x.hex() for x in want for _ in range(2)]
-            # first from lgamma (the table starts empty), then from the
-            # table the arrays grew, where it holds the count
             assert one_count(ks, lam, log_lam) == pairs
             for dtype in (np.int64, np.float64):
                 assert _log_poisson(np.array(ks, dtype=dtype), lam, log_lam).tolist() == want
             col = np.array(ks, dtype=np.float64)[:, None]
-            assert _log_terms(col, np.array([lam]), consts).tolist() == want
-            assert one_count(ks, lam, log_lam) == pairs
-    assert len(model_module._ln_fact) > 40
+            assert log_terms(col, np.array([lam]), consts).tolist() == want
 
 
-def test_log_factorials_equal_lgamma_per_entry(monkeypatch):
-    """The shared ln k! routine gives the bits of one math.lgamma(k + 1.0)
-    per entry, for int64 and float64 counts, on the table path and the
-    per-entry path, empty, and past 2**53."""
-    _fresh_ln_fact(monkeypatch)
+def test_log_factorials_equal_lgamma_per_entry():
+    """The ln k! routine gives the bits of one math.lgamma(k + 1.0) per
+    entry, with the array's shape, for int64 and float64 counts, empty,
+    and past 2**53."""
     rng = np.random.default_rng(11)
     small = rng.integers(0, 40, size=(60, 3))
     big = np.array([0, 7, 2**53 - 1, 2**53 + 1, 2**53 + 3, 2**60 + 5, 2**62], dtype=np.int64)
@@ -690,87 +781,6 @@ def test_log_factorials_equal_lgamma_per_entry(monkeypatch):
             got = _log_factorials(pts)
             assert got.dtype == np.float64 and got.shape == pts.shape
             assert np.array_equal(got, want)
-    # both paths are taken: the first 180 counts below 40 grow the empty
-    # table to max + 1 <= 180 entries, which the 200 counts below 40
-    # then index; the counts past 2**53 are past the cap and are mapped
-    # one by one
-    assert small.max() + 1 <= small.size and big.max() >= model_module._LN_FACT_CAP
-    assert len(model_module._ln_fact) == small.max() + 1
-
-
-def test_ln_fact_table_grows_with_lgamma_bits(monkeypatch):
-    """Each growth extends the process-wide table to max(max + 1, twice
-    its length) entries, every one equal to math.lgamma(j + 1.0); a
-    call whose extension would exceed max(size, length) maps instead."""
-    _fresh_ln_fact(monkeypatch)
-    steps = [(np.arange(10), 10),  # empty: max + 1 <= size
-             (np.array([15, 0, 1, 2, 3]), 20),  # doubling adds 10 <= length
-             (np.arange(100) % 91, 91),  # max + 1 > twice 20; adds 71 <= size
-             (np.array([150]), 182),  # doubling adds 91 <= length
-             (np.array([2000, 1]), 182),  # would add 1,819 > max(2, 182): mapped
-             (np.array([[181.0, 0.0]]), 182)]  # read
-    for k, length in steps:
-        got = _log_factorials(k)
-        assert np.array_equal(got, np.array([math.lgamma(x + 1.0) for x in k.ravel().tolist()])
-                              .reshape(k.shape))
-        assert len(model_module._ln_fact) == length
-        assert np.array_equal(model_module._ln_fact,
-                              [math.lgamma(j + 1.0) for j in range(length)])
-
-
-def test_ln_fact_growth_bound_on_lgamma_calls(monkeypatch):
-    """A spy on math.lgamma: no call makes more lgamma calls than
-    max(its number of counts, the table's length before it), and a call
-    that makes any either maps all its counts or grows the table."""
-    _fresh_ln_fact(monkeypatch)
-    calls = 0
-    lgamma = math.lgamma
-
-    def counting_lgamma(x):
-        nonlocal calls
-        calls += 1
-        return lgamma(x)
-
-    monkeypatch.setattr(math, "lgamma", counting_lgamma)
-    rng = np.random.default_rng(5)
-    grew = mapped = 0
-    for _ in range(300):
-        size = int(rng.integers(1, 400))
-        top = int(np.exp(rng.uniform(0.0, math.log(50_000))))
-        k = rng.integers(0, top + 1, size=size)
-        before = len(model_module._ln_fact)
-        calls = 0
-        _log_factorials(k)
-        after = len(model_module._ln_fact)
-        assert calls <= max(k.size, before)
-        if calls:
-            assert calls == after - before or (calls == k.size and after == before)
-        grew += after > before
-        mapped += calls == k.size and after == before
-    assert grew >= 5 and mapped >= 5
-
-
-def test_ln_fact_cap(monkeypatch):
-    """Counts at and past the cap of 2**20 entries, and past 2**53, are
-    mapped one by one, and the table never holds more than the cap."""
-    _fresh_ln_fact(monkeypatch)
-    cap = model_module._LN_FACT_CAP
-    assert cap == 1 << 20
-    _log_factorials(np.arange(cap // 2))
-    assert len(model_module._ln_fact) == cap // 2
-    # doubling from half the cap stops at the cap
-    _log_factorials(np.array([cap - 1]))
-    assert len(model_module._ln_fact) == cap
-    for k in (np.array([cap]), np.array([cap + 5, 3]), np.arange(cap + 1),
-              np.array([0, 2**53 + 2, 2**60], dtype=np.int64),
-              np.array([2.0**53 + 2, 1.0, 2.0**64])):
-        got = _log_factorials(k)
-        assert len(model_module._ln_fact) == cap
-        want = np.array([math.lgamma(x + 1.0) for x in k.astype(np.float64).tolist()])
-        assert np.array_equal(got, want)
-    table = model_module._ln_fact
-    assert np.array_equal(table[-3:], [math.lgamma(cap - 2.0), math.lgamma(cap - 1.0),
-                                       math.lgamma(float(cap))])
 
 
 def test_counts_past_the_float_range_of_ln_k_factorial():
@@ -797,17 +807,25 @@ def test_counts_past_the_float_range_of_ln_k_factorial():
             lp.pmf(lp.PoissonModel([[1]], [1.0]), [b])
 
 
-def test_ln_fact_table_shared_by_threads(monkeypatch):
-    """pmf and verify(threads=2), run from 4 threads at once while the
-    process-wide ln k! table and a fresh model's table of log terms grow
-    from empty, return what serial calls return, and the model keeps a
-    table whose every entry is _log_poisson's.  A short switch interval
+def test_ln_fact_table_shared_by_threads():
+    """Lines, walks and verify(threads=2), run from 4 threads at once
+    while two fresh models' tables of log terms grow from empty, return
+    what serial calls return, and each model keeps a table whose every
+    entry is _log_poisson's.  Each model has a PTRS column, so pmf and
+    the sampler grow one table at once: the line model's lines and the
+    walk model's walks, with verify on both.  A short switch interval
     lets the threads interleave inside the growths."""
-    bs = [[2 * s, 2 * s + 30] for s in (5, 40, 300, 2_000, 9_000)]
+    line_bs = [[2 * s, 2 * s + 30] for s in (5, 40, 300, 2_000, 9_000)]
+    walk_bs = [[s, s + 45] for s in (3, 10, 30, 60)]
 
-    def jobs(model):
-        return [("pmf", b, model) for b in bs] + [("verify", [10, 72], model),
-                                                   ("verify", [3, 70], model)]
+    def models():
+        return lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1]), lp.PoissonModel(WALK, [2.0, 3.0, 1.5,
+                                                                                   40.0])
+
+    def jobs(line, walk):
+        return ([("pmf", b, line) for b in line_bs] + [("pmf", b, walk) for b in walk_bs]
+                + [("verify", [10, 72], line), ("verify", [3, 70], line),
+                   ("verify", [6, 52], walk)])
 
     def run(job):
         kind, b, model = job
@@ -815,22 +833,20 @@ def test_ln_fact_table_shared_by_threads(monkeypatch):
             return lp.pmf(model, b)
         return lp.verify(model, b, 20_000, 17, threads=2)
 
-    serial = [run(job) for job in jobs(lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1]))]
+    serial = [run(job) for job in jobs(*models())]
+    assert {r.route for r in serial[:9]} == {"line", "walk"}
+    assert all(r.hits for r in serial[9:])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            _fresh_ln_fact(monkeypatch)
-            model = lp.PoissonModel(EXAMPLE1, [1.2, 35.0, 2.1])
+            line, walk = models()
             with ThreadPoolExecutor(max_workers=4) as pool:
-                assert list(pool.map(run, jobs(model) * 2)) == serial * 2
-            table = model._terms
-            assert table.shape[1] > 0 and table.tobytes() == _log_poisson(
-                np.arange(float(table.shape[1])), model.rates[:, None],
-                model.term_constants[:, None]).tobytes()
+                assert list(pool.map(run, jobs(line, walk) * 2)) == serial * 2
+            assert _table_is_log_poisson(line) and _table_is_log_poisson(walk)
+            assert line._terms.shape[1] > 0 and walk._terms.shape[1] > 0
     finally:
         sys.setswitchinterval(interval)
-    assert len(model_module._ln_fact) <= model_module._LN_FACT_CAP
 
 
 def test_pmf_line_partly_live(model1):
@@ -1002,7 +1018,7 @@ def test_moment_identity_with_zero_rates_and_zero_columns(data):
 def walked(model, b):
     """pmf's answer from the walk: every lattice point, summed."""
     fam = lp.solution_family(model, b)
-    return _summed(_log_terms(fam.points(), model.rates, model.term_constants), "walk")
+    return _summed(log_terms(fam.points(), model.rates, model.term_constants), "walk")
 
 
 def rel_gap(x, y):

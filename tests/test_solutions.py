@@ -25,8 +25,8 @@ from linpois.errors import InputError, InternalInvariantError
 from linpois.model import preprocess
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, EXAMPLE3_INVERSE
-from oracle import (det_exact, enumerate_solutions, family_set, finite_family, hand_reduced,
-                    line_points, reference_log_prob)
+from oracle import (block_points, det_exact, enumerate_solutions, family_set, finite_family,
+                    hand_reduced, line_points, reference_log_prob)
 
 
 # the environment of a child interpreter that imports this checkout and
@@ -430,14 +430,17 @@ def test_walk_wide_entries_use_python_ints():
 
 def test_points_are_column_major():
     """points() is column-major and equals a row-major reference for a
-    line block, a singleton and a walked family."""
+    line, a block of a line (oracle.block_points), a singleton and a
+    walked family."""
     line = lp.SolutionFamily.line([0, 3, 600], [2, 1, -2], 0, 300)
     start = np.array([2 * 7, 3 + 7, 600 - 2 * 7], dtype=np.float64)
     steps = np.arange(290 - 7 + 1, dtype=np.float64)[:, None]
     walked = lp.solution_family(lp.PoissonModel([[1, 1, 1, 2]], [1.0] * 4), [9])
     assert walked.kind == "finite" and walked.count > 1
     cases = [
-        (line.points(7, 290), start + steps * np.array(line.direction, dtype=np.float64)),
+        (block_points(line, 7, 290), start + steps * np.array(line.direction, dtype=np.float64)),
+        (line.points(), np.array(line.base, dtype=np.float64)
+         + np.arange(301, dtype=np.float64)[:, None] * np.array(line.direction, dtype=np.float64)),
         (lp.SolutionFamily.singleton([1, 2]).points(), np.array([[1.0, 2.0]])),
         (walked.points(), walked.array.astype(np.float64)),
     ]
