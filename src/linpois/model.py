@@ -199,6 +199,13 @@ class PoissonModel:
         the table of log terms (_term_table)."""
         return np.array([math.log(x) for x in self._rates.tolist()], dtype=np.float64)
 
+    @cached_property
+    def _rate_lists(self) -> tuple[list[float], list[float]]:
+        # the rates and term_constants as Python floats, for the routes
+        # that read them one column at a time (pmf's one-point term and
+        # line mode search)
+        return self._rates.tolist(), self.term_constants.tolist()
+
     def _term_table(self, top: int, size: int) -> np.ndarray:
         """The model's table of Poisson log terms, T[i, k] = ln P(X_i = k)
         for each column i of the reduced system and k below its length,

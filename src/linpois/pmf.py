@@ -11,22 +11,24 @@ below, and walks only when it declines.  The model's reduced system has
 no zero-rate column (the model leaves them out with the zero columns),
 so every part of every term is finite; a term whose parts add up past
 the float64 range is -inf, with no numpy warning (_quiet).  An empty
-family is answered at once, with no array.  A single point (a trivial
-kernel, or a line of one point) is answered in Python floats: its one
-term, formed column by column by model._log_poisson, is the log
-probability itself, with no array and no log-sum, and has the bits the
-array route would give it (_point_log_term).  Every other term is read
-from the model's table of Poisson log terms (PoissonModel._term_table),
-column by column: a line's as one strided view per column
-(_line_terms), a walked family's as one gather per column of its
-integer points (PoissonModel._column_terms); only counts past the table
-are formed by model._log_poisson, with the same bits.  One routine adds
-the columns' parts (_add_parts).  The terms are combined by a
-max-shifted log-sum whose inner sum is math.fsum.  fsum
-is correctly rounded, so the result does not depend on the order of the
-terms; its cost does, through the number of partials it keeps, so a
-line's window is handed over from the mode outward.  Each result names
-the route that answered it (PmfResult.route).
+family is answered at once, with no array, by one shared frozen record
+(_EMPTY_RESULT).  A single point (a trivial kernel, or a line of one
+point) is answered in Python floats: its one term, formed column by
+column by model._log_poisson from the model's rates as Python floats,
+is the log probability itself, with no array and no log-sum, and has
+the bits the array route would give it (_point_log_term).  Every other
+term is read from the model's table of Poisson log terms
+(PoissonModel._term_table): a line's as one strided view per column
+(_line_terms), a walked family's by one read of the table and one
+gather of every column's parts; a walk with counts past the table goes
+column by column through PoissonModel._column_terms, and only counts
+past the table are formed by model._log_poisson, with the same bits.
+One routine adds the columns' parts (_add_parts).  The terms are
+combined by a max-shifted log-sum whose inner sum is math.fsum.  fsum
+is correctly rounded, so the result does not depend on the order of
+the terms; its cost does, through the number of partials it keeps, so
+a line's window is handed over from the mode outward.  Each result
+names the route that answered it (PmfResult.route).
 
 A finite family is summed over all its points.  A line u + j v is
 summed over a window around its mode instead: ln t(j) is concave in j, so the terms fall away from the mode on both sides.  The
@@ -138,6 +140,10 @@ class PmfResult:
     tail_bound: float = 0.0
 
 
+# the answer to every query with no point: one record, as it is frozen
+_EMPTY_RESULT = PmfResult(NEG_INF, 0.0, "empty", 0, False, 0, 0.0)
+
+
 def _quiet(top):
     """np.errstate(over="ignore") when a point has a count of top >= 2**20
     (_TABLE_CAP), else a context that does nothing.  Below that every
@@ -170,10 +176,11 @@ def _point_log_term(point, rates, log_rates) -> float:
     return lp
 
 
-def _add_parts(parts: list, count: int) -> np.ndarray:
+def _add_parts(parts, count: int) -> np.ndarray:
     """The terms of count points from their parts, one per column (an
-    array of count entries, or a scalar): the one routine that adds the
-    parts of a line block and of a walk.  Fewer than _PAIRWISE parts are
+    array of count entries, or a scalar; a list of them, or the rows of
+    an array): the one routine that adds the parts of a line block and
+    of a walk.  Fewer than _PAIRWISE parts are
     added left to right, more stacked row-major and summed by numpy's
     pairwise row sum, as numpy adds a row of lattice points; the
     one-point route keeps that order too.  Each part is formed before
@@ -233,7 +240,8 @@ def _line_terms(fam: SolutionFamily, model: PoissonModel, lo: int, hi: int) -> n
 def logsumexp(terms) -> float:
     """ln sum_i exp(t_i) for a list or 1-D array, max-shifted.
 
-    The shifted exponentials are added by math.fsum, which is correctly
+    The shifted exponentials are added by math.fsum, read through a
+    memoryview of their array (no list copy); fsum is correctly
     rounded, so the result does not depend on input order.  A term of
     +inf gives +inf; a NaN term, an input that is not 1-D and an entry
     that is not a real number (a bool or a string included) are an
@@ -250,7 +258,7 @@ def logsumexp(terms) -> float:
         raise InputError("logsumexp got a NaN term")
     if math.isinf(hi):
         return hi
-    return hi + math.log(math.fsum(np.exp(t - hi).tolist()))
+    return hi + math.log(math.fsum(memoryview(np.exp(t - hi))))
 
 
 def _lattice_family(model: PoissonModel, b) -> tuple[list[int] | None,
@@ -291,8 +299,7 @@ def _result(lp: float, route: str, terms: int, summed: int, tail: float = 0.0) -
     if lp > _LOG1P_CLAMP:
         raise InternalInvariantError(f"log probability {lp!r} exceeds ln(1 + CLAMP_TOL)")
     prob = math.exp(lp)
-    return PmfResult(log_prob=lp, prob=min(prob, 1.0), route=route, terms=terms,
-                     clamped=prob > 1.0, summed=summed, tail_bound=tail)
+    return PmfResult(lp, min(prob, 1.0), route, terms, prob > 1.0, summed, tail)
 
 
 def _summed(log_terms, route: str, terms: int | None = None, tail_logs=()) -> PmfResult:
@@ -432,7 +439,7 @@ def _line_sum(fam: SolutionFamily, model: PoissonModel) -> PmfResult:
         t = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return _summed(t, "line", terms=fam.count)
     moving = [(u, v, (v + 1) / 2, r) for u, v, r in zip(fam.base, fam.direction,
-                                                        model.rates.tolist()) if v]
+                                                        model._rate_lists[0]) if v]
 
     def rise(j):
         # ln t(j+1) - ln t(j), each moving column's |v| factors of k!
@@ -509,11 +516,11 @@ def pmf(model: PoissonModel, b) -> PmfResult:
     b, fam = _lattice_family(model, b)
     if isinstance(fam, list):
         # one point, the whole sum: the log-sum of one term is that term
-        lp = _point_log_term(fam, model.rates.tolist(), model.term_constants.tolist())
+        lp = _point_log_term(fam, *model._rate_lists)
         return _result(lp, "singleton", 1, 1)
     route = "walk" if fam is None else fam.kind
     if route == "empty":
-        return _result(NEG_INF, "empty", 0, 0)
+        return _EMPTY_RESULT
     if fam is None:
         res = _recurrence(model._query_plan, b)
         if res is not None:
@@ -523,8 +530,14 @@ def pmf(model: PoissonModel, b) -> PmfResult:
         return _line_sum(fam, model)
     # every column has an entry >= 1, so no walked count exceeds max(b)
     top, pts = max(b), fam.array
+    table = model._term_table(top, pts.size)
     with _quiet(top):
-        parts = [model._column_terms(i, k, top, pts.size) for i, k in enumerate(pts.T)]
+        if top < table.shape[1]:
+            # one gather of every point's parts: row j of the transpose is
+            # column j's, read at the counts pts[:, j]
+            parts = table[np.arange(pts.shape[1]), pts.astype(np.intp, copy=False)].T
+        else:
+            parts = [model._column_terms(i, k, top, pts.size) for i, k in enumerate(pts.T)]
         return _summed(_add_parts(parts, len(pts)), route)
 
 

@@ -293,10 +293,15 @@ class _WalkPlan:
     matrix ``adj`` with adj B = D I; the other n - r columns are
     ``free``.  When D = 1 every basis solve is exact; otherwise
     _walk_family drops the leaves whose division by D leaves a
-    remainder.  Built by _QueryPlan.walk from a preprocessed matrix,
-    whose entries are >= 0 and which has no zero column: the box bound
-    of the walk needs every column to have a positive entry and
-    residuals that only fall; and from the rank of its Smith form.
+    remainder.  ``basis_at`` is the basis columns as an index array,
+    through which the leaves' basis coordinates are written.  ``first``
+    holds the first free column's rows with a positive entry, as (row,
+    entry) pairs of Python ints, and its column in the walk state; the
+    other free columns are the steps of each dtype (_arrays).  Built by
+    _QueryPlan.walk from a preprocessed matrix, whose entries are >= 0
+    and which has no zero column: the box bound of the walk needs every
+    column to have a positive entry and residuals that only fall; and
+    from the rank of its Smith form.
     """
 
     def __init__(self, a, rank: int):
@@ -314,7 +319,11 @@ class _WalkPlan:
 
         self.n = n
         self.basis = tuple(basis)
+        self.basis_at = np.array(basis, dtype=np.intp)
         self.free = tuple(j for j in range(n) if j not in basis)
+        j = self.free[0]
+        self.first = (tuple((i, int(a[i, j])) for i in range(a.shape[0]) if a[i, j] > 0),
+                      a.shape[0] + j)
         self.det = det
         self.adj = tuple(tuple(int(x) for x in row) for row in adj.tolist())
         # |adj res| <= max_row sum|adj| * max b
@@ -325,12 +334,12 @@ class _WalkPlan:
         self._wide = self._arrays(a, object)
 
     def _arrays(self, a, dtype):
-        # one step per free column: its rows with a positive entry (an
-        # int when there is just one, so no reduction is needed) and
-        # their entries
+        # one step per free column after the first: its rows with a
+        # positive entry (an int when there is just one, so no reduction
+        # is needed) and their entries
         m = a.shape[0]
         steps = []
-        for j in self.free:
+        for j in self.free[1:]:
             pos = [i for i in range(m) if a[i, j] > 0]
             vals = [int(a[i, j]) for i in pos]
             if len(pos) == 1:
@@ -348,7 +357,8 @@ def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:
     solution.  It starts at [b | 0] and expands one free column at a
     time to every value up to the box bound min_i floor(res_i / a_ij),
     so residuals stay >= 0; the first column's bound is read off b, so
-    its frontier is one arange.  At the leaves the basis is solved
+    its frontier is one arange, and each row it touches takes one
+    in-place subtraction.  At the leaves the basis is solved
     exactly from all m rows, D k_B = adj res, and a leaf is kept when
     the division is exact and k_B >= 0.  Then B k_B = res, every row
     included: b = A k0 for an integer k0, so res lies in the column
@@ -365,32 +375,30 @@ def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:
               and (max(b) + 1) * max(plan.growth, MAX_POINTS) <= _INT64_MAX)
     steps, adj_t = plan._narrow if narrow else plan._wide
     dtype = np.int64 if narrow else object
-    state = None
+    # the first free column expands the start row [b | 0] alone, to
+    # k = 0..ub with ub read off b in Python ints
+    touched, at = plan.first
+    ub = min([b[i] // d for i, d in touched])
+    if ub + 1 > MAX_POINTS:
+        raise _too_many(f"a walk frontier of {ub + 1} points")
+    k = np.arange(ub + 1, dtype=dtype)
+    state = np.empty((ub + 1, m + plan.n), dtype=dtype)
+    state[:] = b + [0] * plan.n
+    state[:, at] = k
+    for i, d in touched:
+        state[:, i] -= k if d == 1 else k * d
     for pos, div, at in steps:
-        if state is None:
-            # the first free column expands the start row [b | 0] alone,
-            # to k = 0..ub with ub read off b in Python ints
-            if isinstance(pos, int):
-                ub = b[pos] // div
-            else:
-                ub = min(b[i] // d for i, d in zip(pos, div.tolist()))
-            if ub + 1 > MAX_POINTS:
-                raise _too_many(f"a walk frontier of {ub + 1} points")
-            k = np.arange(ub + 1, dtype=dtype)
-            state = np.empty((ub + 1, m + plan.n), dtype=dtype)
-            state[:] = b + [0] * plan.n
+        if isinstance(pos, int):
+            ub = state[:, pos] if div == 1 else state[:, pos] // div
         else:
-            if isinstance(pos, int):
-                ub = state[:, pos] if div == 1 else state[:, pos] // div
-            else:
-                ub = (state[:, pos] // div).min(axis=1)
-            reps = ub + 1
-            ends = np.cumsum(reps)
-            if ends[-1] > MAX_POINTS:
-                raise _too_many(f"a walk frontier of {ends[-1]} points")
-            parent = np.repeat(np.arange(len(reps)), reps.astype(np.intp))
-            k = np.arange(len(parent)) - (ends - reps).take(parent)
-            state = state.take(parent, axis=0)
+            ub = (state[:, pos] // div).min(axis=1)
+        reps = ub + 1
+        ends = np.cumsum(reps)
+        if ends[-1] > MAX_POINTS:
+            raise _too_many(f"a walk frontier of {ends[-1]} points")
+        parent = np.repeat(np.arange(len(reps)), reps.astype(np.intp))
+        k = np.arange(len(parent)) - (ends - reps).take(parent)
+        state = state.take(parent, axis=0)
         state[:, at] = k
         if isinstance(pos, int):
             state[:, pos] -= k if div == 1 else k * div
@@ -406,7 +414,7 @@ def _walk_family(plan: _WalkPlan, b: list[int]) -> SolutionFamily:
         rows = np.flatnonzero(keep)
         state, kb = state.take(rows, axis=0), kb.take(rows, axis=0)
     pts = state[:, m:]
-    pts[:, plan.basis] = kb
+    pts[:, plan.basis_at] = kb
     return SolutionFamily(array=pts)
 
 

@@ -393,6 +393,9 @@ TABLE = [
         out={"prob": 0.0, "log_prob": -math.inf}),
     Row("pmf_negative_b_is_success", MODEL1, "pmf FILE --b -1 2 --format json", 0,
         out={"prob": 0.0}),
+    Row("pmf_off_lattice_b_prints_the_empty_record", {"a": [[2, 4, 6, 8]], "lambda": [1] * 4},
+        "pmf FILE --b 3 --format json", 0,
+        out={"log_prob": -math.inf, "prob": 0.0, "route": "empty", "terms": 0, "summed": 0}),
     Row("wrong_b_length_exits_2", MODEL1, "pmf FILE --b 1 2 3", 2,
         "observation length 3 != row count 2"),
     # more than MAX_POINTS terms above the tail threshold on each side of

@@ -1,6 +1,7 @@
 """The model record: one check of its input per build, the reduced
 system it keeps, and the module attributes perfbench reads and hooks."""
 
+import enum
 import importlib
 from collections import Counter
 
@@ -117,9 +118,15 @@ def test_benchmark_hooks_are_reached(monkeypatch):
 OBSERVED = lp.PoissonModel(EXAMPLE1, [1.0, 1.0, 1.0])
 
 
+class _Count(enum.IntEnum):
+    TWO = 2
+    SEVEN = 7
+
+
+# an int subclass passes the integer rule and is converted to int
 @pytest.mark.parametrize("b", [
     [2, 7], (2, 7), np.array([2, 7]), np.array([2, 7], dtype=np.uint64),
-    [np.int64(2), np.uint8(7)], (np.int32(2), 7)])
+    [np.int64(2), np.uint8(7)], (np.int32(2), 7), [_Count.TWO, 7], (2, _Count.SEVEN)])
 def test_observation_gives_python_ints(b):
     out = OBSERVED._observation(b)
     assert type(out) is list and out == [2, 7] and all(type(x) is int for x in out)

@@ -3,6 +3,7 @@ per query against the oracles of tests/oracle.py, generating function."""
 
 import dataclasses
 import importlib
+import itertools
 import json
 import math
 import sys
@@ -473,8 +474,9 @@ def test_line_terms_have_the_bits_of_log_terms():
 
 
 def test_walk_terms_have_the_bits_of_log_terms(monkeypatch):
-    """A walk's terms, read column by column from the model's table of
-    log terms (PoissonModel._column_terms), have the bits of
+    """A walk's terms, read from the model's table of log terms (one
+    gather of every column's parts, or PoissonModel._column_terms for
+    counts past the table), have the bits of
     oracle.log_terms over its float64 points, on seeded walks of n =
     3..12 columns (both sides of _PAIRWISE), on int64 and object point
     arrays and on counts past the table, on a fresh and a warmed table.
@@ -524,6 +526,36 @@ def test_walk_terms_have_the_bits_of_log_terms(monkeypatch):
     assert seen == {"fresh", "warm", "past the table", "in the table", "pairwise",
                     "left to right", "int64 in the table", "int64 past the table",
                     "object in the table", "object past the table"}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
+@pytest.mark.parametrize("a, basis", [
+    # the first free column, 1, has a positive entry in both rows
+    ([[1, 2, 0, 1], [1, 2, 1, 0]], (0, 2)),
+    ([[1, 1, 1, 0], [0, 1, 2, 1]], (0, 1)),
+])
+def test_walk_bases_match_the_oracle(a, basis, wide):
+    """The walk writes its leaves' basis coordinates through the index
+    array on its plan, for a basis that is contiguous and one that is
+    not, and its first free column updates each row it touches on its
+    own.  At every b up to 12 per row, its points are
+    oracle.enumerate_solutions' and pmf has the bits of _summed over
+    oracle.log_terms of them.  An added column with an entry of 2**64,
+    whose count is 0 at every such b, makes the walk's arrays object
+    arrays, as in test_walk_wide_entries_use_python_ints."""
+    if wide:
+        a = [row + [2**64 if i == 0 else 0] for i, row in enumerate(a)]
+    model = lp.PoissonModel(a, [0.7, 2.5, 1.3, 4.0, 0.9][:len(a[0])])
+    plan = model._query_plan.walk
+    assert plan.basis == basis and plan.basis_at.tolist() == list(basis)
+    dtypes = set()
+    for b in itertools.product(range(13), repeat=2):
+        fam = lp.solution_family(model, b)
+        dtypes.add(fam.array.dtype)
+        assert family_set(fam) == family_set(enumerate_solutions(a, list(b)))
+        want = _summed(log_terms(fam.points(), model.rates, model.term_constants), "walk")
+        assert _fields(lp.pmf(model, b)) == _fields(want)
+    assert dtypes == {np.dtype(object if wide else np.int64)}
 
 
 def _term_table_growths(monkeypatch):
@@ -698,6 +730,19 @@ def test_empty_answer_skips_the_array_route(monkeypatch):
     monkeypatch.setattr(S.SolutionFamily, "points", refuse)
     for a, rates, b in cases:
         assert _fields(lp.pmf(lp.PoissonModel(a, rates), b)) == want
+
+
+def test_empty_answers_share_one_frozen_record():
+    """A negative b, a b off the lattice and a b against a dependent-row
+    relation each get the one shared empty record, and it is frozen."""
+    cases = [(EXAMPLE1, [1.0, 1.0, 1.0], [-1, 2]),
+             ([[2, 4, 6, 8]], [1.0, 1.0, 1.0, 1.0], [3]),
+             ([[1, 2], [2, 4]], [0.5, 7.0], [3, 7])]
+    want = lp.PmfResult(-math.inf, 0.0, "empty", 0, False, 0, 0.0)
+    results = [lp.pmf(lp.PoissonModel(a, rates), b) for a, rates, b in cases]
+    assert results == [want] * 3 and all(res is results[0] for res in results)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        results[0].prob = 1.0
 
 
 def test_singleton_skips_the_array_route(monkeypatch):
@@ -1387,6 +1432,7 @@ def test_prob_clamp():
     res = _summed([0.0, math.log(1e-13)], "walk")
     assert res.prob == 1.0
     assert res.clamped
+    assert (res.route, res.terms, res.summed, res.tail_bound) == ("walk", 2, 2, 0.0)
     with pytest.raises(InternalInvariantError):
         _summed([math.log(0.6), math.log(0.6)], "walk")
 
