@@ -242,15 +242,16 @@ class PoissonModel:
             self._terms = table
         return table
 
-    def _column_terms(self, i: int, k: np.ndarray, top: int, size: int) -> np.ndarray:
+    def _column_terms(self, i: int, k: np.ndarray, top: int, size: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
         """ln P(X_i = k) for column i and an int64 or object array k of
-        counts, each at most top: read from the table of log terms when
-        it holds top (_term_table, asked for top and size), else formed
-        by _log_poisson over k as float64, with the same bits.  InputError
-        for a count past the float64 range."""
+        counts, each in [0, top]: read from the table of log terms when
+        it holds top (_term_table, asked for top and size), into out when
+        given, else formed by _log_poisson over k as float64, with the
+        same bits.  InputError for a count past the float64 range."""
         table = self._term_table(top, size)
         if top < table.shape[1]:
-            return table[i].take(k.astype(np.intp, copy=False))
+            return np.take(table[i], k.astype(np.intp, copy=False), out=out, mode="clip")
         try:
             k = k.astype(np.float64)
         except OverflowError:

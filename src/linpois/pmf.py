@@ -103,6 +103,9 @@ MAX_TABLE_WORK = 40_000_000
 # error of prob is at most this; otherwise the lattice points are walked.
 RECURRENCE_TOL = 1e-12
 _EPS = 2.0 ** -53
+# 55 t + 6 + the rates' total bounds 5 (t + 1) + 1 + _log_mass_floor, so
+# the floor can decline the recurrence only past this room
+_FLOOR_ROOM = RECURRENCE_TOL / _EPS - 6
 # fdlibm's ln 2 = _LN2_HI + _LN2_LO: _LN2_HI has 32 significant bits, so
 # its product with an int below 2**20 is exact
 _LN2_HI = 6.93147180369123816490e-01
@@ -322,6 +325,19 @@ def _count_points(w, t: int) -> int:
     return c[t]
 
 
+def _has_point(w, t: int) -> bool:
+    """Whether some k in N^n has w k = t, for weights w >= 1: the sums
+    0..t that the columns reach, as the bits of one Python int, each
+    column added by shifts of w_j, 2 w_j, 4 w_j, ... up to t."""
+    mask = (2 << t) - 1
+    reach = 1
+    for wj in w:
+        while wj <= t:
+            reach |= (reach << wj) & mask
+            wj <<= 1
+    return bool(reach >> t)
+
+
 def _shift_window(u: list, lo: int, hi: int) -> int | None:
     """Scale u[lo:hi] by 2**-e so that its largest value lies in
     [1/2, 1) and return e, or None, leaving u as it is, when a nonzero
@@ -332,6 +348,37 @@ def _shift_window(u: list, lo: int, hi: int) -> int | None:
         return None
     u[lo:hi] = window
     return e
+
+
+def _log_mass_floor(w, neg_rates, t: int) -> float:
+    """A lower bound on -ln P(w X = t), X_j ~ Poisson(-neg_rates[j]) and
+    t >= 1, less a margin for its rounding; 0.0 when none is found.
+
+    A column with w_j > t must draw 0, a factor exp(-l_j).  The sum S of
+    the others meets t with P(S = t) <= E[exp(s theta S)] exp(-s theta t)
+    = exp(sum_j l_j (e^(s theta w_j) - 1) - s theta t) for any theta >= 0,
+    s = 1 when t is at least their mean mu and -1 below it (Chernoff).
+    theta is |ln(t / mu)| / w', w' = sum l_j w_j^2 / mu the size-biased
+    mean weight (the best theta when every weight is w'), kept below
+    50 / max w_j, so the floor is at most 50 t plus the rates' total.
+    The margin, 1e-6 plus 1e-9 times the sum of the terms' magnitudes,
+    exceeds their rounding many times over."""
+    lam, wt, skipped = [], [], 0.0
+    for x, nl in zip(w, neg_rates):
+        if x > t:
+            skipped -= nl
+        else:
+            lam.append(-nl)
+            wt.append(x)
+    mean = sum(l * x for l, x in zip(lam, wt))
+    if not mean:
+        return 0.0
+    s = 1.0 if t >= mean else -1.0
+    theta = min(abs(math.log(t / mean)) * mean / sum(l * x * x for l, x in zip(lam, wt)),
+                50.0 / max(wt))
+    terms = [l * math.expm1(s * theta * x) for l, x in zip(lam, wt)] + [-s * theta * t]
+    margin = 1e-6 + 1e-9 * (sum(map(abs, terms)) + skipped)
+    return max(0.0, skipped - sum(terms) - margin)
 
 
 def _recurrence(plan: solutions._QueryPlan, b: list[int]) -> PmfResult | None:
@@ -364,7 +411,12 @@ def _recurrence(plan: solutions._QueryPlan, b: list[int]) -> PmfResult | None:
     The route declines, and pmf walks the lattice points instead, when
     5 (t + 1) 2**-53 or the bound exceeds RECURRENCE_TOL, when its
     n (t + 1) steps exceed MAX_POINTS, or when a coefficient or a kept
-    value leaves the ranges above.  Its cost is t steps of one term per
+    value leaves the ranges above.  Since |log_prob| >= -ln P(w X = t)
+    less the recurrence's error, the bound is known to exceed
+    RECURRENCE_TOL before any step when 2**-53 (5 (t + 1) + 1 + F) does,
+    F the rounded-down Chernoff floor of _log_mass_floor, and the route
+    then declines at once if the query has a point (_has_point).  Its
+    cost is t steps of one term per
     distinct weight, however few points the walk would visit, and t is
     at most about 1,800.  terms is the exact number of lattice points,
     counted by _count_points; summed is the t + 1 entries computed, or
@@ -374,6 +426,12 @@ def _recurrence(plan: solutions._QueryPlan, b: list[int]) -> PmfResult | None:
         return None
     t = b[plan.row] // plan.g
     if len(plan.w) * (t + 1) > solutions.MAX_POINTS or 5 * (t + 1) * _EPS > RECURRENCE_TOL:
+        return None
+    # with no point the route answers the empty result, as it did after
+    # its steps
+    if (t and 55 * t + plan.rate_total > _FLOOR_ROOM
+            and _EPS * (5 * (t + 1) + 1 + _log_mass_floor(plan.w, plan.neg_rates, t))
+            > RECURRENCE_TOL and _has_point(plan.w, t)):
         return None
     steps = [(wt, c) for wt, c in plan.steps if wt <= t]
     if any(c < _COEF_MIN for _, c in steps):

@@ -204,8 +204,8 @@ class _QueryPlan:
     b on the lattice has t = b[row] // g.  ``steps`` holds one (weight,
     weight * math.fsum of the rates of its columns) pair per distinct
     w_j up to MAX_WEIGHT, in increasing order; ``neg_rates`` are the
-    rates negated.  For free >= 2, ``walk`` is the _WalkPlan of A, built
-    on the first walk.
+    rates negated and ``rate_total`` their total.  For free >= 2,
+    ``walk`` is the _WalkPlan of A, built on the first walk.
     """
 
     # pmf's error bound keeps t below 2**11, so no larger weight enters
@@ -220,7 +220,8 @@ class _QueryPlan:
         if self.free > 1:
             self._a = a
             lam = rates.tolist()
-            if r != 1 or sum(lam) > 2.0 ** 200:
+            total = sum(lam)
+            if r != 1 or total > 2.0 ** 200:
                 return
             rows = a.tolist()
             self.row = next(i for i, row in enumerate(rows) if any(row))
@@ -231,6 +232,7 @@ class _QueryPlan:
             self.steps = tuple((wt, wt * math.fsum([x for x, y in zip(lam, self.w) if y == wt]))
                                for wt in sorted(set(self.w)) if wt <= self.MAX_WEIGHT)
             self.neg_rates = [-x for x in lam]
+            self.rate_total = total
             return
         self.det, rows = _scaled_inverse(dec)
         self.rows = tuple(map(tuple, rows.tolist()))

@@ -3,6 +3,7 @@ pinned to golden values, and exact hit counts."""
 
 import hashlib
 import math
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -49,7 +50,7 @@ def test_numpy_uniforms_match_reference():
     keys = np.arange(1000, dtype=np.uint64)
     bases = K._bases_np(seed, keys, 1, 0)
     for t in (0, 1, 7):
-        got = K._uniforms_np(bases, t)
+        got = K._uniforms_np(bases, t, np.empty(len(bases)))
         ref = [uniform53(seed, int(k), t) for k in keys]
         assert got.tolist() == ref
 
@@ -65,20 +66,20 @@ def test_numpy_bases_match_reference_where_keys_wrap():
         assert bases.tolist() == [mix64(seed + 0x9E3779B97F4A7C15 * (int(s) * n + c + 1))
                                   for s in svec.tolist()]
         for t in (0, 5):
-            assert K._uniforms_np(bases, t).tolist() == [
+            assert K._uniforms_np(bases, t, np.empty(len(bases))).tolist() == [
                 uniform53(seed, int(s) * n + c, t) for s in svec.tolist()]
-    # hits_block's first column passes its samples as a range
-    keys = range(2**64 - 1000, 2**64 - 1)
-    whole = np.arange(keys.start, keys.stop, dtype=np.uint64)
-    assert np.array_equal(K._bases_np(seed, keys, n, 3), K._bases_np(seed, whole, n, 3))
+    # hits_block and sample_block pass offsets in a piece and its start
+    whole = np.arange(2**64 - 1000, 2**64 - 1, dtype=np.uint64)
+    part = K._bases_np(seed, np.arange(999, dtype=np.uint64), n, 3, 2**64 - 1000).copy()
+    assert np.array_equal(part, K._bases_np(seed, whole, n, 3))
 
 
 def test_numpy_uniforms_leave_bases_unchanged():
     # the kernels mix in place; PTRS reads the same bases for t and t + 1
     bases = K._bases_np(11, np.arange(500, dtype=np.uint64), 3, 2)
     kept = bases.copy()
-    first = K._uniforms_np(bases, 4)
-    assert np.array_equal(K._uniforms_np(bases, 4), first)
+    first = K._uniforms_np(bases, 4, np.empty(len(bases)))
+    assert np.array_equal(K._uniforms_np(bases, 4, np.empty(len(bases))), first)
     assert np.array_equal(bases, kept)
 
 
@@ -141,7 +142,7 @@ _C = 0x9E3779B97F4A7C15
 
 def _draw_words(words, cdf):
     bases = np.array([(unmix64(w) - _C) % 2**64 for w in words], dtype=np.uint64)
-    return K._draw_table_np(bases, cdf)
+    return K._draw_table_np(bases, K._Table(cdf))
 
 
 def _searched(words, cdf):
@@ -174,7 +175,8 @@ def test_invert_cdf_equals_search_at_every_edge(lam):
 
 def test_invert_cdf_searches_only_ambiguous_buckets(monkeypatch):
     # at most len(cdf) - 1 of the G >= 64 len(cdf) buckets hold an entry,
-    # and only the uniforms of those buckets are searched
+    # and only the uniforms of those buckets are searched, once per column
+    # and piece of samples
     searched = []
     search = np.searchsorted
 
@@ -185,7 +187,8 @@ def test_invert_cdf_searches_only_ambiguous_buckets(monkeypatch):
     monkeypatch.setattr(K.np, "searchsorted", counting)
     out = K.sample_block([2.5, 29.99], 4, 0, 100_000)
     monkeypatch.undo()
-    assert len(searched) == 2 and sum(len(u) for _, u in searched) <= 2 * 100_000 / 64
+    pieces = -(-100_000 // K._PIECE)
+    assert len(searched) == 2 * pieces and sum(len(u) for _, u in searched) <= 2 * 100_000 / 64
     for table, u in searched:
         guide = K._guide(table)
         assert u.size and np.all(guide[(u * len(guide)).astype(np.intp)] == -1)
@@ -427,7 +430,8 @@ def test_hits_block_accept_test_reads_the_model_table(monkeypatch):
 
     def spy(bases, param, *model_and_row):
         out = draw(bases, param, *model_and_row)
-        drawn.append(out)
+        # the draws are a view of the workspace, which the next draw reuses
+        drawn.append(out.copy())
         return out
 
     monkeypatch.setattr(K, "_draw_ptrs_np", spy)
@@ -724,3 +728,102 @@ def test_hits_block_and_pmf_share_the_lattice_tests():
                 seen["off the lattice"] += 1
             seen["hit" if hits else "no point"] += 1
     assert len(seen) == 3 and min(seen.values()) >= 5, seen
+
+
+# ------------------------------------------------------- the workspace
+
+def test_hits_block_builds_its_guides_once_per_model(monkeypatch):
+    # each table column's guide was built on every draw call, about 19 us
+    # each; the model's draw plan now holds them
+    built = []
+    guide = K._guide
+
+    def spy(cdf):
+        built.append(len(cdf))
+        return guide(cdf)
+
+    monkeypatch.setattr(K, "_guide", spy)
+    model = PoissonModel([[1, 0, 1], [0, 2, 1]], [1.2, 35.0, 2.1])
+    first = K.hits_block(model, [2, 72], 11, 0, 20_000)
+    assert len(built) == 2
+    assert K.hits_block(model, [2, 72], 11, 0, 20_000) == first
+    assert len(built) == 2
+
+
+def test_warm_hits_block_allocates_no_block_sized_array():
+    # every array that follows the live samples is written into the
+    # thread's workspace; the parent of this change peaked at 3.64 MB here
+    model = PoissonModel([[1, 0, 1], [0, 2, 1]], [1.0, 1.0, 1.0])
+    want = K.hits_block(model, [2, 2], 5, 0, 100_000)
+    tracemalloc.start()
+    try:
+        got = K.hits_block(model, [2, 2], 5, 0, 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want and want[0] > 0
+    # a bool array over the block is 100,000 bytes, an int64 one 800,000
+    assert peak < 100_000
+
+
+def test_workspace_is_bounded():
+    # no slot outgrows a piece, or a residual table _ROW_ENTRIES entries
+    K.hits_block(PoissonModel([[1, 1, 0, 2], [0, 1, 1, 1]], [1.0, 2.0, 40.0, 0.5]),
+                 [45, 44], 3, 0, 300_000)
+    # five rows: nearly every sample survives the first column, so the
+    # residual tables fill a piece of 2**18 // 5 samples
+    eye = np.eye(5, dtype=np.int64).tolist()
+    K.hits_block(PoissonModel([row + [1] for row in eye], [2.0, 1.0, 1.0, 1.0, 1.0, 0.5]),
+                 [10, 8, 8, 8, 8], 3, 0, 150_000)
+    K.sample_block([0.5, 45.0], 3, 0, 300_000)
+    slots = K._WS.slots
+    assert slots and all(buf.nbytes <= 8 * K._PIECE for name, buf in slots.items()
+                         if not name.startswith("residuals"))
+    assert all(slots[name].nbytes <= 8 * K._ROW_ENTRIES for name in ("residuals0", "residuals1"))
+    assert sum(buf.nbytes for buf in slots.values()) <= 16 << 20
+
+
+def test_threads_count_as_sequential_calls():
+    # each thread draws into its own workspace
+    calls = [(PoissonModel([[1, 0, 1], [0, 2, 1]], [1.0, 2.0, 1.5]), [2, 4], 7),
+             (PoissonModel([[1, 3, 2, 2], [5, 16, 12, 17], [3, 16, 21, 56]],
+                           [35.0, 1.0, 2.0, 1.5]), [37, 194, 176], 8)]
+    want = [K.hits_block(model, b, seed, 0, 90_000) for model, b, seed in calls]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def run(i):
+        model, b, seed = calls[i]
+        start.wait()
+        for _ in range(4):
+            got[i].append(K.hits_block(model, b, seed, 0, 90_000))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == [[w] * 4 for w in want] and min(h for h, _ in want) > 0
+
+
+@pytest.mark.parametrize("a, rates", [
+    ([[1, 0, 1], [0, 2, 1]], [1.0, 2.0, 1.5]),
+    # the first drawn column is PTRS
+    ([[1, 1]], [35.0, 80.0]),
+    # five rows: pieces of 2**18 // 5 samples
+    ([[1, 0], [0, 1], [1, 1], [2, 1], [1, 2]], [2.0, 3.0]),
+])
+def test_ranges_across_pieces_count_as_smaller_blocks(a, rates):
+    m = len(a)
+    piece = min(K._PIECE, K._ROW_ENTRIES // m)
+    lo, hi, seed = piece - 3000, 2 * piece + 3000, 19
+    x = K.sample_block(rates, seed, lo, hi)
+    assert np.array_equal(x, np.vstack([K.sample_block(rates, seed, s, min(s + 5000, hi))
+                                        for s in range(lo, hi, 5000)]))
+    y = x @ np.array(a, dtype=np.int64).T
+    model = PoissonModel(a, rates)
+    b = y[piece - lo].tolist()
+    hits, draws = K.hits_block(model, b, seed, lo, hi)
+    parts = [K.hits_block(model, b, seed, s, min(s + 5000, hi)) for s in range(lo, hi, 5000)]
+    assert hits == int(np.count_nonzero(np.all(y == b, axis=1))) > 0
+    assert (hits, draws) == tuple(map(sum, zip(*parts)))

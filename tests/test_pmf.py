@@ -1189,6 +1189,55 @@ def test_recurrence_equals_plain_fsum_loop(w, rates, t):
     assert res.log_prob == want
 
 
+def test_recurrence_declines_before_its_steps(monkeypatch):
+    """At t = 1800 the bound's 5 (t + 1) 2**-53 leaves room for
+    |log_prob| of at most about 1.2, and the Chernoff floor on
+    -ln P(w X = t) is 1.36: the route declined only after 1800 steps of
+    the loop, one math.fsum each, and now before the first, and the walk
+    of 3 points answers."""
+    model = lp.PoissonModel([[1, 1000, 1000]], [1.0, 2.0, 3.0])
+    plan = model._query_plan
+    assert 1.2 < P._log_mass_floor(plan.w, plan.neg_rates, 1800) < 1.4
+    calls = [0]
+    fsum = math.fsum
+
+    def spy(xs):
+        calls[0] += 1
+        return fsum(xs)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    assert P._recurrence(plan, [1800]) is None
+    assert calls[0] == 0
+    monkeypatch.undo()
+    res = lp.pmf(model, [1800])
+    assert res.route == "walk" and res.terms == 3 and res == walked(model, [1800])
+    # a query with no point keeps the recurrence's empty answer, though
+    # its floor alone would decline it
+    empty = lp.PoissonModel([[1000, 1001, 1002]], [1e3, 1e3, 1e3])
+    plan = empty._query_plan
+    assert P._EPS * (5 * 1501 + 1 + P._log_mass_floor(plan.w, plan.neg_rates, 1500)) > 1e-12
+    assert lp.pmf(empty, [1500]) == lp.PmfResult(-math.inf, 0.0, "recurrence", 0, False, 0, 0.0)
+
+
+@pytest.mark.parametrize("w", [(1,), (2, 3), (3, 5, 7), (4, 6), (1000, 1001, 1002), (5, 40)])
+def test_has_point_counts_as_the_recurrence(w):
+    assert [P._has_point(w, t) for t in range(1, 2100)] == [
+        P._count_points(w, t) > 0 for t in range(1, 2100)]
+
+
+@pytest.mark.parametrize("w, rates, t", [
+    ([1, 1000, 1000], [1.0, 2.0, 3.0], 1800),  # below the mean
+    ([1, 2, 3], [0.5, 1.0, 0.25], 200),  # far above it
+    ([2, 3, 3], [4.0, 0.5, 0.5], 11),  # near it
+    ([1, 5, 40], [3.0, 0.5, 0.01], 30),  # a weight past t
+])
+def test_log_mass_floor_is_a_floor(w, rates, t):
+    model = lp.PoissonModel([w], rates)
+    plan = model._query_plan
+    floor = P._log_mass_floor(plan.w, plan.neg_rates, t)
+    assert 0.0 <= floor <= -walked(model, [t]).log_prob
+
+
 def test_recurrence_window_shift():
     u = [2.0 ** 301, 0.0, 2.0 ** -300]
     assert P._shift_window(u, 0, 3) == 302
